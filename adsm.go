@@ -3,13 +3,18 @@
 // Cox, Dwarkadas and Zwaenepoel, "Software DSM Protocols that Adapt
 // between Single Writer and Multiple Writer" (HPCA 1997).
 //
-// Four protocols are provided:
+// Six protocols are provided, the paper's four and two built on its
+// protocol registry:
 //
 //   - MW — the TreadMarks multiple-writer protocol (twins and diffs),
 //   - SW — a CVM-like single-writer protocol (page ownership, versions),
 //   - WFS — adapts per page between SW and MW on write-write false
 //     sharing, detected by the ownership refusal protocol,
-//   - WFSWG — WFS plus write-granularity adaptation (3 KB threshold).
+//   - WFSWG — WFS plus write-granularity adaptation (3 KB threshold),
+//   - HLRC — home-based LRC: diffs are flushed to a per-page home at
+//     every release and faults fetch the whole page from it,
+//   - Adaptive — a per-page meta-protocol that migrates each page between
+//     MW, WFSWG and HLRC at barrier epochs.
 //
 // Programs are SPMD: the same body runs on every simulated processor,
 // communicating only through the shared segment and the lock/barrier
@@ -75,11 +80,13 @@ var HLRC = MustRegisterProtocol(ProtocolSpec{
 })
 
 // Adaptive is the per-page adaptive meta-protocol: every page starts under
-// WFS, and at each barrier the manager watches the page's write notices
-// and the sharing detector, migrating individual pages to MW (sustained
-// concurrent writing), to HLRC (falsely shared with a settled home), or
-// back to WFS (a single writer re-emerges). Switch decisions are broadcast
-// on the barrier release so all nodes flip a page at the same epoch.
+// MW (the protocol that is never catastrophically wrong), and at each
+// barrier the manager watches the page's write notices and the sharing
+// detector, migrating individual pages to WFS+WG (one stable writer, who
+// then writes without twins or diffs), to HLRC (many writers every epoch
+// with bulky diffs), or back to MW (concurrent writers under ownership).
+// Switch decisions are broadcast on the barrier release so all nodes flip
+// a page at the same epoch.
 // Config.AdaptiveFreeze pins it to one static protocol for equivalence
 // testing.
 var Adaptive = MustRegisterProtocol(ProtocolSpec{

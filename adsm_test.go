@@ -1,6 +1,7 @@
 package adsm_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -162,5 +163,34 @@ func TestComputeAdvancesClock(t *testing.T) {
 	}
 	if rep.Elapsed < 5*time.Millisecond {
 		t.Errorf("elapsed = %v", rep.Elapsed)
+	}
+}
+
+// TestSetupCostFollowsAllocation pins what a cluster costs before it does
+// any work: NewCluster plus an empty Run with ONE allocated page under the
+// default 64 MB segment must allocate under 4 MB in total, on the
+// simulator and on the 4-node in-process tcp mesh. Page structs, initial
+// copies, region publications, home and detector tables are sized by the
+// allocation; when they were sized by the segment's capacity the same
+// sequence allocated ~145 MB (16 384 zero pages at node 0, a region
+// snapshot of each, 65 k page structs) and took 70-90 ms.
+func TestSetupCostFollowsAllocation(t *testing.T) {
+	for _, tr := range []adsm.Transport{adsm.SimTransport, adsm.TCPTransport} {
+		t.Run(tr.String(), func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			cl := adsm.NewCluster(adsm.Config{Procs: 4, Protocol: adsm.Adaptive, Transport: tr})
+			cl.Alloc(adsm.PageSize)
+			if _, err := cl.Run(func(w *adsm.Worker) {}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("NewCluster + empty Run allocated %d KB", got>>10)
+			if got >= 4<<20 {
+				t.Errorf("NewCluster + empty Run allocated %d bytes for a one-page allocation, want < 4 MB", got)
+			}
+		})
 	}
 }

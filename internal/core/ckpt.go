@@ -317,13 +317,7 @@ type recProtoArrive struct {
 	Switches []policySwitch
 }
 
-func (m recProtoArrive) Size() int {
-	n := iLen(m.Node) + iLen(len(m.Switches))
-	for _, s := range m.Switches {
-		n += iLen(s.Page) + i32Len(s.Proto) + iLen(s.Owner) + i32Len(s.Version)
-	}
-	return n
-}
+func (m recProtoArrive) Size() int { return iLen(m.Node) + switchesLen(m.Switches) }
 
 // recProtoRelease is the merged switch set every node applies before any
 // restore write, so the restored bytes travel under their checkpointed
@@ -332,13 +326,7 @@ type recProtoRelease struct {
 	Switches []policySwitch
 }
 
-func (m recProtoRelease) Size() int {
-	n := iLen(len(m.Switches))
-	for _, s := range m.Switches {
-		n += iLen(s.Page) + i32Len(s.Proto) + iLen(s.Owner) + i32Len(s.Version)
-	}
-	return n
-}
+func (m recProtoRelease) Size() int { return switchesLen(m.Switches) }
 
 // --- checkpoint barrier (process context) ---
 

@@ -70,7 +70,7 @@ func New(p Params) *Cluster {
 		homes:    p.Home.newAssigner(),
 		npages:   npages,
 		locks:    make(map[int]*mgrLock),
-		detector: newDetector(p.Procs, npages),
+		detector: newDetector(p.Procs),
 	}
 	if p.Runtime != nil {
 		c.rt = p.Runtime(p)
@@ -83,7 +83,8 @@ func New(p Params) *Cluster {
 	c.local = c.rt.LocalNodes()
 	// Node state exists for every node (handlers route by id and the
 	// single-process GC scan reads it), but only hosted nodes register
-	// handlers, get their pages initialized, and execute bodies.
+	// handlers, get their pages initialized, and execute bodies. Per-page
+	// state is built in Run, once the allocation is known.
 	for i := 0; i < p.Procs; i++ {
 		c.nodes = append(c.nodes, newNode(c, i))
 	}
@@ -175,11 +176,22 @@ func (c *Cluster) Allocated() int { return c.allocated }
 // address is always 8-byte aligned, so any supported element type is
 // naturally aligned at it. Pages are zero-initialized and initially owned
 // by node 0, like Tmk_malloc on the allocating processor.
-func (c *Cluster) Alloc(n int) int {
-	if n <= 0 {
-		panic(fmt.Sprintf("dsm: Alloc(%d): allocation size must be positive", n))
+func (c *Cluster) Alloc(n int) int { return c.alloc("Alloc", n, 8) }
+
+// AllocPageAligned reserves n bytes starting on a page boundary.
+func (c *Cluster) AllocPageAligned(n int) int { return c.alloc("AllocPageAligned", n, mem.PageSize) }
+
+func (c *Cluster) alloc(what string, n, align int) int {
+	if c.started {
+		// Page state, home tables and regions were sized by the allocation
+		// when Run started; growing it now would hand out addresses no
+		// node has state for.
+		panic(fmt.Sprintf("dsm: Alloc after Run (%s(%d))", what, n))
 	}
-	addr := (c.allocated + 7) &^ 7
+	if n <= 0 {
+		panic(fmt.Sprintf("dsm: %s(%d): allocation size must be positive", what, n))
+	}
+	addr := (c.allocated + align - 1) &^ (align - 1)
 	if addr+n > c.npages*mem.PageSize {
 		panic(fmt.Sprintf("dsm: shared segment exhausted (%d + %d > %d)", addr, n, c.npages*mem.PageSize))
 	}
@@ -188,29 +200,23 @@ func (c *Cluster) Alloc(n int) int {
 	return addr
 }
 
-// AllocPageAligned reserves n bytes starting on a page boundary.
-func (c *Cluster) AllocPageAligned(n int) int {
-	if n <= 0 {
-		panic(fmt.Sprintf("dsm: AllocPageAligned(%d): allocation size must be positive", n))
-	}
-	addr := (c.allocated + mem.PageSize - 1) &^ (mem.PageSize - 1)
-	if addr+n > c.npages*mem.PageSize {
-		panic("dsm: shared segment exhausted")
-	}
-	c.allocated = addr + n
-	c.allocs = append(c.allocs, allocSpan{addr: addr, size: n})
-	return addr
-}
-
 // Run executes body on every node (SPMD) and returns the virtual time at
-// completion. Page state is initialized here — after every allocation, so
-// allocation-aware home policies see the final data layout — rather than
-// at construction.
+// completion. Per-page state — page structs, initial copies, home tables,
+// detector and region slots — is built here rather than at construction:
+// every allocation has happened, so allocation-aware home policies see the
+// final data layout and everything is sized by usedPages(), what the
+// program shares, instead of the segment's capacity. Pages beyond the
+// allocation are unreachable (access panics above c.allocated).
 func (c *Cluster) Run(body func(n *Node)) (transport.Time, error) {
 	if c.started {
 		panic("dsm: cluster already ran")
 	}
 	c.started = true
+	used := c.usedPages()
+	c.detector.pages = make([]detPage, used)
+	for _, n := range c.nodes {
+		n.buildPages(used)
+	}
 	c.homes.Prepare(c)
 	for _, i := range c.local {
 		n := c.nodes[i]
@@ -222,13 +228,13 @@ func (c *Cluster) Run(body func(n *Node)) (transport.Time, error) {
 		c.oneSided = os
 		for _, i := range c.local {
 			n := c.nodes[i]
-			n.region = make([]atomic.Pointer[regionPub], c.npages)
+			n.region = make([]atomic.Pointer[regionPub], used)
 			os.RegisterRegion(i, n.serveRegion)
 			// Publish every initial copy (homes, initial owners): until the
 			// page first mutates, these are exactly what the handler would
 			// serve, so even first-epoch fetches can go one-sided.
-			for pg := 0; pg < c.npages; pg++ {
-				if ps := n.pages[pg]; ps.data != nil {
+			for pg, ps := range n.pages {
+				if ps.data != nil {
 					snap := make([]byte, len(ps.data))
 					copy(snap, ps.data)
 					n.publishRegion(pg, ps, snap, ps.applied.Copy())

@@ -8,8 +8,12 @@ import (
 
 // Wire encodings for every protocol message, registered with the transport
 // codec registry so real transports (internal/transport/tcp) can carry
-// them as gob frames. Most messages are plain structs with exported fields
-// and act as their own wire form; the exceptions are:
+// them. Every message registers two forms: the hand-rolled binary hooks
+// (wire.go) that the transport uses, and a gob wire form that survives
+// only behind the transport's escape frame (Options.ForceGob, the CI pin
+// that the encoding does not leak into behaviour). Most messages are plain
+// structs with exported fields and act as their own gob form; the
+// exceptions are:
 //
 //   - diffReq/diffResp, whose wnKey has unexported fields,
 //   - acqGrant/barArrive/barRelease, which carry []*Interval — the
@@ -165,11 +169,10 @@ type wireBarRelease struct {
 }
 
 func init() {
-	// self registers a message that is its own gob wire form; the optional
-	// binary hooks (wire.go) put it on the hand-rolled hot path of real
-	// transports. Cold-path messages (hlrcFlush/hlrcAck, homeBind*, acq*)
-	// deliberately keep the gob fallback: they are rare, and they keep the
-	// escape-op frame path exercised by the equivalence tests.
+	// self registers a message that is its own gob wire form, with its
+	// binary hooks (wire.go). Nothing here rides the gob escape by default:
+	// an acq* triple is on every remote acquire and an hlrcFlush on every
+	// HLRC release, so there is no cold path worth a reflective encoder.
 	self := func(class transport.Class, name string, m transport.Msg,
 		aw func(transport.Msg, []byte, [][]byte) ([]byte, [][]byte),
 		dw func([]byte) (transport.Msg, error)) {
@@ -188,18 +191,18 @@ func init() {
 	self(region, "regionReadResp", regionReadResp{}, regionReadRespAppendWire, regionReadRespDecodeWire)
 	self(region, "regionSpanReq", regionSpanReq{}, regionSpanReqAppendWire, regionSpanReqDecodeWire)
 	self(region, "regionSpanResp", regionSpanResp{}, regionSpanRespAppendWire, regionSpanRespDecodeWire)
-	self(ctl, "hlrcFlush", hlrcFlush{}, nil, nil)
-	self(ctl, "hlrcAck", hlrcAck{}, nil, nil)
-	self(ctl, "homeBindReq", homeBindReq{}, nil, nil)
-	self(ctl, "homeBindResp", homeBindResp{}, nil, nil)
-	self(ctl, "acqReq", acqReq{}, nil, nil)
-	self(ctl, "acqFwd", acqFwd{}, nil, nil)
-	self(bulk, "ckptPut", ckptPut{}, nil, nil)
-	self(ctl, "ckptAck", ckptAck{}, nil, nil)
-	self(ctl, "recArrive", recArrive{}, nil, nil)
-	self(ctl, "recRelease", recRelease{}, nil, nil)
-	self(ctl, "recProtoArrive", recProtoArrive{}, nil, nil)
-	self(ctl, "recProtoRelease", recProtoRelease{}, nil, nil)
+	self(ctl, "hlrcFlush", hlrcFlush{}, hlrcFlushAppendWire, hlrcFlushDecodeWire)
+	self(ctl, "hlrcAck", hlrcAck{}, hlrcAckAppendWire, hlrcAckDecodeWire)
+	self(ctl, "homeBindReq", homeBindReq{}, homeBindReqAppendWire, homeBindReqDecodeWire)
+	self(ctl, "homeBindResp", homeBindResp{}, homeBindRespAppendWire, homeBindRespDecodeWire)
+	self(ctl, "acqReq", acqReq{}, acqReqAppendWire, acqReqDecodeWire)
+	self(ctl, "acqFwd", acqFwd{}, acqFwdAppendWire, acqFwdDecodeWire)
+	self(bulk, "ckptPut", ckptPut{}, ckptPutAppendWire, ckptPutDecodeWire)
+	self(ctl, "ckptAck", ckptAck{}, ckptAckAppendWire, ckptAckDecodeWire)
+	self(ctl, "recArrive", recArrive{}, recArriveAppendWire, recArriveDecodeWire)
+	self(ctl, "recRelease", recRelease{}, recReleaseAppendWire, recReleaseDecodeWire)
+	self(ctl, "recProtoArrive", recProtoArrive{}, recProtoArriveAppendWire, recProtoArriveDecodeWire)
+	self(ctl, "recProtoRelease", recProtoRelease{}, recProtoReleaseAppendWire, recProtoReleaseDecodeWire)
 
 	transport.MustRegisterCodec(transport.Codec{
 		Name: "diffReq", Msg: diffReq{}, Wire: wireDiffReq{},
@@ -279,6 +282,7 @@ func init() {
 	})
 	transport.MustRegisterCodec(transport.Codec{
 		Name: "acqGrant", Msg: acqGrant{}, Wire: wireAcqGrant{},
+		AppendWire: acqGrantAppendWire, DecodeWire: acqGrantDecodeWire,
 		Encode: func(m transport.Msg) any {
 			r := m.(acqGrant)
 			return wireAcqGrant{Intervals: toWireIntervals(r.Intervals), VC: r.VC, NProcs: r.nprocs}

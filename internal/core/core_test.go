@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"adsm/internal/mem"
@@ -433,5 +434,31 @@ func TestClusterGuards(t *testing.T) {
 	}
 	if s := fmt.Sprint(MW.String(), SW.String(), WFS.String(), WFSWG.String(), Protocol(99).String()); s == "" {
 		t.Fatal("empty protocol names")
+	}
+}
+
+// TestAllocAfterRunPanics: per-page state is sized by the allocation when
+// Run starts, so a later allocation would hand out addresses no node has
+// state for. Both entry points must refuse loudly.
+func TestAllocAfterRunPanics(t *testing.T) {
+	c := New(testParams(2, MW))
+	c.Alloc(64)
+	mustRun(t, c, func(n *Node) { n.Barrier() })
+	for name, alloc := range map[string]func(){
+		"Alloc":            func() { c.Alloc(8) },
+		"AllocPageAligned": func() { c.AllocPageAligned(8) },
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.HasPrefix(msg, "dsm: Alloc after Run") {
+					t.Errorf("%s after Run: recovered %q, want a \"dsm: Alloc after Run\" panic", name, msg)
+				}
+			}()
+			alloc()
+		}()
+	}
+	if got := c.Allocated(); got != 64 {
+		t.Errorf("segment grew to %d bytes after Run", got)
 	}
 }

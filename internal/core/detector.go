@@ -18,8 +18,7 @@ import (
 // updates the running sums at the state transition it causes (a page
 // gaining its second accessor, its first writer, its false-sharing bit),
 // so Characteristics is O(1) instead of a scan over every page — the
-// adaptive meta-protocol and the sweep harness read it per-run, and the
-// page count grows with the shared segment, not with the working set.
+// adaptive meta-protocol and the sweep harness read it per-run.
 type Detector struct {
 	nprocs int
 	pages  []detPage
@@ -43,10 +42,9 @@ type detPage struct {
 	maxDiff   int
 }
 
-func newDetector(nprocs, npages int) *Detector {
-	d := &Detector{nprocs: nprocs, pages: make([]detPage, npages)}
-	return d
-}
+// newDetector returns a detector with no page table yet: Cluster.Run sizes
+// pages to the allocation before anything can be noted.
+func newDetector(nprocs int) *Detector { return &Detector{nprocs: nprocs} }
 
 // noteWrite records a write notice creation.
 func (d *Detector) noteWrite(wn *WriteNotice) {

@@ -149,6 +149,7 @@ func TestHLRCBarrierReleaseClearsDroppedTails(t *testing.T) {
 	c := New(testParams(2, hlrcProto))
 	c.Alloc(mem.PageSize) // one used page
 	n := c.nodes[0]
+	n.buildPages(c.usedPages())
 
 	mk := func(ts int32) *Interval {
 		v := vc.New(2)

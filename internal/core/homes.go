@@ -41,7 +41,9 @@ const (
 // HomeAssigner maps pages to home nodes for one cluster.
 type HomeAssigner interface {
 	// Prepare runs once at Run start, after every allocation, so policies
-	// can precompute their page->home map from the allocation record.
+	// can precompute their page->home map from the allocation record. The
+	// map covers c.usedPages(); no page beyond the allocation is ever
+	// looked up.
 	Prepare(c *Cluster)
 
 	// Lookup returns page pg's home as currently known cluster-wide, or -1
@@ -227,7 +229,7 @@ func (staticHomes) Resolve(n *Node, pg int) int   { return pg % n.c.params.Procs
 type rrAllocHomes struct{ homes []int }
 
 func (h *rrAllocHomes) Prepare(c *Cluster) {
-	h.homes = make([]int, c.npages)
+	h.homes = make([]int, c.usedPages())
 	for i := range h.homes {
 		h.homes[i] = -1
 	}
@@ -262,7 +264,7 @@ type blockHomes struct{ homes []int }
 func (h *blockHomes) Prepare(c *Cluster) {
 	procs := c.params.Procs
 	used := c.usedPages()
-	h.homes = make([]int, c.npages)
+	h.homes = make([]int, used)
 	per, ext := used/procs, used%procs
 	pg := 0
 	for p := 0; p < procs; p++ {
@@ -274,9 +276,6 @@ func (h *blockHomes) Prepare(c *Cluster) {
 			h.homes[pg] = p
 			pg++
 		}
-	}
-	for ; pg < c.npages; pg++ {
-		h.homes[pg] = pg % procs
 	}
 }
 
@@ -301,13 +300,14 @@ type firstTouchHomes struct {
 }
 
 func (h *firstTouchHomes) Prepare(c *Cluster) {
-	h.dir = make([]int, c.npages)
+	used := c.usedPages()
+	h.dir = make([]int, used)
 	for i := range h.dir {
 		h.dir[i] = -1
 	}
 	h.cache = make([][]int, c.params.Procs)
 	for p := range h.cache {
-		h.cache[p] = make([]int, c.npages)
+		h.cache[p] = make([]int, used)
 		for i := range h.cache[p] {
 			h.cache[p][i] = -1
 		}

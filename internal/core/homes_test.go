@@ -69,10 +69,6 @@ func TestRRAllocHomesStriping(t *testing.T) {
 			t.Errorf("rr-alloc home of page %d = %d, want %d", pg, got, home)
 		}
 	}
-	// Pages beyond the allocations fall back to the static layout.
-	if got := c.homeOf(10); got != 10%4 {
-		t.Errorf("unallocated page 10 home = %d, want %d", got, 10%4)
-	}
 }
 
 func TestBlockHomesBands(t *testing.T) {
@@ -131,7 +127,7 @@ func TestFirstTouchConcurrentAgreement(t *testing.T) {
 	if h := ft.dir[raced]; h != 1 && h != 2 {
 		t.Errorf("raced page bound to %d, want one of the racers (1 or 2)", h)
 	}
-	for pg := 0; pg < c.npages; pg++ {
+	for pg := range ft.dir {
 		for p := 0; p < procs; p++ {
 			if cached := ft.cache[p][pg]; cached >= 0 && cached != ft.dir[pg] {
 				t.Errorf("node %d cached home %d for page %d, directory says %d",
@@ -212,7 +208,8 @@ func TestSWHomePoliciesRoute(t *testing.T) {
 // mutation of a vector that aliases it retroactively flip the
 // concurrency check (the write-write false-sharing metric).
 func TestDetectorNoteWriteSnapshotsVC(t *testing.T) {
-	d := newDetector(2, 1)
+	d := newDetector(2)
+	d.pages = make([]detPage, 1)
 	v := vc.VC{1, 0}
 	d.noteWrite(&WriteNotice{Page: 0, Int: &Interval{Proc: 0, TS: 1, VC: v}})
 	// Mutate the vector in place after the fact (the hazard: vc.VC is a

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"adsm/internal/vc"
 )
 
@@ -184,15 +186,20 @@ func (n *Node) dispatchIntervalClose(iv *Interval) {
 
 // intervalsSince collects every interval this node knows with TS newer than
 // the given knowledge vector, in deterministic (proc, ts) order. These are
-// piggybacked on lock grants and barrier traffic.
+// piggybacked on lock grants and barrier traffic, so the cost must be the
+// intervals the receiver lacks, not the history: n.intervals[p] is in TS
+// order (own intervals are appended with a rising counter, ingestIntervals
+// only appends above knownTS, GC and the HLRC truncation drop without
+// reordering), so the missing ones are a tail found by binary search.
 func (n *Node) intervalsSince(known []int32) []*Interval {
 	var out []*Interval
-	for p := 0; p < n.c.params.Procs; p++ {
-		for _, iv := range n.intervals[p] {
-			if iv.TS > known[p] {
-				out = append(out, iv)
-			}
+	for p, ivs := range n.intervals {
+		k := known[p]
+		if len(ivs) == 0 || ivs[len(ivs)-1].TS <= k {
+			continue // the receiver is current on p: the steady-state case
 		}
+		first := sort.Search(len(ivs), func(i int) bool { return ivs[i].TS > k })
+		out = append(out, ivs[first:]...)
 	}
 	return out
 }

@@ -8,10 +8,10 @@ import (
 
 // The adaptive meta-protocol: a Policy registered like any other protocol
 // (by the public adsm package) that never serves a page itself. Every page
-// it initializes is immediately delegated to a concrete protocol — WFS by
+// it initializes is immediately delegated to a concrete protocol — MW by
 // default — and thereafter the barrier manager watches each page's write
 // notices and the sharing detector, and migrates individual pages between
-// WFS, MW and HLRC. Switch decisions ride the barrier release (the
+// MW, WFS+WG and HLRC. Switch decisions ride the barrier release (the
 // Switches field of barRelease), so every node flips a page's protocol at
 // the same barrier epoch and no page ever has two protocols live at once.
 //
@@ -65,7 +65,7 @@ func NewAdaptivePolicy() Policy { return &metaPolicy{} }
 type metaPolicy struct {
 	basePolicy
 	resolved bool
-	target   Protocol // initial per-page protocol: the frozen pin, or WFS
+	target   Protocol // initial per-page protocol: the frozen pin, or MW
 }
 
 // InitPage delegates the page to the initial target protocol: the page's
@@ -109,7 +109,7 @@ func (p *metaPolicy) resolve(c *Cluster) {
 		p.target = id
 	}
 	ad.scanTS = make([]int32, c.params.Procs)
-	ad.pages = make([]adaptPage, c.npages)
+	ad.pages = make([]adaptPage, c.usedPages())
 	for i := range ad.pages {
 		ad.pages[i].proto = p.target
 		ad.pages[i].soloWriter = -1
@@ -174,9 +174,8 @@ func (ad *adaptState) noteArrival(ivs []*Interval) {
 // complexity). Handler context.
 func (c *Cluster) adaptDecide() []policySwitch {
 	ad := c.adapt
-	used := c.usedPages()
 	var out []policySwitch
-	for pg := 0; pg < used && pg < len(ad.pages); pg++ {
+	for pg := range ad.pages {
 		ap := &ad.pages[pg]
 		writers := ap.writers
 		ap.writers = 0

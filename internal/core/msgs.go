@@ -7,11 +7,12 @@ import (
 
 // Protocol messages. Size() reports payload bytes for the network cost
 // model; contents are passed by reference (the simulator runs in one
-// address space) but every transfer is charged its wire size. Messages
-// with a binary codec (wire.go) declare the exact byte count their
-// encoder produces — wire_test.go pins Size() == len(encoding) — while
-// the cold-path gob messages keep modelled sizes audited with slack by
-// TestMsgSizeMatchesWire.
+// address space) but every transfer is charged its wire size. Every
+// message has a binary codec (wire.go). Most declare the exact byte count
+// their encoder produces — wire_test.go pins Size() == len(encoding) —
+// while the lock, home-flush and home-bind messages keep the modelled
+// sizes the simulator's virtual times were calibrated with, audited with
+// slack by TestMsgSizeMatchesWire.
 
 // --- paging ---
 
@@ -407,9 +408,5 @@ func (m barRelease) Size() int {
 	for _, h := range m.Hints {
 		n += iLen(h.Page) + iLen(h.Owner) + i32Len(h.Version)
 	}
-	n += iLen(len(m.Switches))
-	for _, s := range m.Switches {
-		n += iLen(s.Page) + i32Len(s.Proto) + iLen(s.Owner) + i32Len(s.Version)
-	}
-	return n + iLen(m.nprocs)
+	return n + switchesLen(m.Switches) + iLen(m.nprocs)
 }

@@ -17,13 +17,14 @@ type pageState struct {
 
 	// Per-page policy resolution: which protocol governs this page and the
 	// (stateless, shared) policy instance serving it. Seeded from the
-	// cluster protocol in newNode; the adaptive meta-protocol re-points both
-	// at InitPage and at barrier-epoch switches — never mid-interval, so
-	// handler-context readers always see a consistent (proto, policy) pair.
+	// cluster protocol in buildPages; the adaptive meta-protocol re-points
+	// both at InitPage and at barrier-epoch switches — never mid-interval,
+	// so handler-context readers always see a consistent (proto, policy)
+	// pair.
 	proto  Protocol
 	policy Policy
 
-	data    []byte // local copy; nil until first fetch (node 0 starts with all pages)
+	data    []byte // local copy; nil until first fetch (node 0, or the home, starts with one)
 	applied vc.VC  // writes reflected in data
 
 	// Multiple-writer machinery.
@@ -155,36 +156,45 @@ func (n *Node) Compute(d transport.Time) { n.proc.Advance(d) }
 
 func newNode(c *Cluster, id int) *Node {
 	n := &Node{
-		c:            c,
-		id:           id,
-		vclock:       vc.New(c.params.Procs),
-		knownTS:      make([]int32, c.params.Procs),
-		intervals:    make([][]*Interval, c.params.Procs),
-		pages:        make([]*pageState, c.npages),
-		diffCache:    make(map[wnKey]*mem.Diff),
-		wroteSinceGC: make([]bool, c.npages),
-		locks:        make(map[int]*nodeLock),
-		lastGlobal:   make([]int32, c.params.Procs),
+		c:          c,
+		id:         id,
+		vclock:     vc.New(c.params.Procs),
+		knownTS:    make([]int32, c.params.Procs),
+		intervals:  make([][]*Interval, c.params.Procs),
+		diffCache:  make(map[wnKey]*mem.Diff),
+		locks:      make(map[int]*nodeLock),
+		lastGlobal: make([]int32, c.params.Procs),
 	}
 	if c.params.CkptStores != nil {
-		if n.ckpt = c.params.CkptStores(id); n.ckpt != nil {
-			n.ckptDirty = make([]bool, c.npages)
-		}
-	}
-	for i := range n.pages {
-		// Generic fields only; policy.InitPage runs at Run start (after
-		// allocation, when the home policy knows the data layout). The
-		// policy binding is set here so pages answer protocol questions
-		// even for frames that arrive before Run (multi-process startup).
-		n.pages[i] = &pageState{
-			proto:          c.params.Protocol,
-			policy:         c.policy,
-			applied:        vc.New(c.params.Procs),
-			perceivedOwner: 0, // pages are allocated (and initially owned) by node 0
-			copysetFS:      nil,
-		}
+		n.ckpt = c.params.CkptStores(id)
 	}
 	return n
+}
+
+// buildPages creates the node's per-page state for the used pages of the
+// segment. Cluster.Run calls it: allocation is closed by then, so a node
+// holds state for the pages the program shares, not for the segment's
+// capacity (MaxSharedBytes), and no message can arrive earlier — real
+// transports hold incoming frames until the runtime's Run. Only the generic
+// fields are set; policy.InitPage follows for hosted nodes.
+func (n *Node) buildPages(used int) {
+	procs := n.c.params.Procs
+	states := make([]pageState, used)
+	clocks := make([]int32, used*procs)
+	n.pages = make([]*pageState, used)
+	for pg := range n.pages {
+		ps := &states[pg]
+		ps.proto = n.c.params.Protocol
+		ps.policy = n.c.policy
+		ps.applied = vc.VC(clocks[pg*procs : (pg+1)*procs : (pg+1)*procs])
+		// perceivedOwner stays 0: pages are allocated (and initially
+		// owned) by node 0.
+		n.pages[pg] = ps
+	}
+	n.wroteSinceGC = make([]bool, used)
+	if n.ckpt != nil {
+		n.ckptDirty = make([]bool, used)
+	}
 }
 
 // --- typed shared-memory access ---

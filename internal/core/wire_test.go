@@ -57,14 +57,11 @@ func binaryRoundTrip(t testing.TB, m transport.Msg) transport.Msg {
 }
 
 // TestBinaryRoundTripMatchesGob is the property pinning the binary wire
-// format to the gob escape path it replaced: for every registered core
-// message, decoding the binary encoding must yield a message deeply equal
-// to what a gob round trip yields — same values, same nil-versus-empty
-// slice shapes, same rebuilt interval back-pointers. Messages without
-// binary hooks only take the gob trip (and the test asserts the fallback
-// population is non-empty, so the escape op always has traffic in the
-// equivalence suites). Zero-value edge samples ride along to pin the
-// empty-message encodings.
+// format to the gob escape form that ForceGob still selects: for every
+// registered core message, decoding the binary encoding must yield a
+// message deeply equal to what a gob round trip yields — same values, same
+// nil-versus-empty slice shapes, same rebuilt interval back-pointers.
+// Zero-value edge samples ride along to pin the empty-message encodings.
 func TestBinaryRoundTripMatchesGob(t *testing.T) {
 	samples := msgSamples()
 	edges := []transport.Msg{
@@ -73,13 +70,15 @@ func TestBinaryRoundTripMatchesGob(t *testing.T) {
 		swOwnReq{}, swOwnGrant{}, barArrive{}, barRelease{},
 		regionReadReq{}, regionReadResp{}, regionSpanReq{}, regionSpanResp{},
 		ownBatchReq{}, ownBatchResp{},
+		acqReq{}, acqFwd{}, acqGrant{}, hlrcFlush{}, hlrcAck{},
+		homeBindReq{}, homeBindResp{}, ckptPut{}, ckptAck{},
+		recArrive{}, recRelease{}, recProtoArrive{}, recProtoRelease{},
 	}
 	for _, m := range edges {
 		name := reflect.TypeOf(m).Name()
 		samples[name] = append(samples[name], m)
 	}
 
-	binary, gobOnly := 0, 0
 	for name, msgs := range samples {
 		for i, m := range msgs {
 			viaGob := gobRoundTrip(t, m)
@@ -87,23 +86,12 @@ func TestBinaryRoundTripMatchesGob(t *testing.T) {
 				t.Errorf("%s[%d]: gob round trip changed the message:\n got %#v\nwant %#v",
 					name, i, viaGob, m)
 			}
-			if _, ok := transport.WireIDOf(m); !ok {
-				gobOnly++
-				continue
-			}
-			binary++
 			viaBinary := binaryRoundTrip(t, m)
 			if !reflect.DeepEqual(viaBinary, viaGob) {
 				t.Errorf("%s[%d]: binary and gob round trips disagree:\n binary %#v\n    gob %#v",
 					name, i, viaBinary, viaGob)
 			}
 		}
-	}
-	if binary == 0 {
-		t.Error("no message exercised the binary wire path")
-	}
-	if gobOnly == 0 {
-		t.Error("no message exercised the gob fallback path")
 	}
 }
 
@@ -112,8 +100,8 @@ func TestBinaryRoundTripMatchesGob(t *testing.T) {
 // properties must hold: malformed input returns an error without
 // panicking, and any accepted input decodes to a message whose own
 // re-encoding is a fixed point (encode∘decode stable, Size() equal to the
-// encoded length) — so a frame that survives validation can be relayed
-// byte-identically.
+// encoded length unless the size is a modelled one) — so a frame that
+// survives validation can be relayed byte-identically.
 func fuzzWireCodec(f *testing.F, name string) {
 	var codec transport.Codec
 	for _, c := range transport.Codecs() {
@@ -142,7 +130,7 @@ func fuzzWireCodec(f *testing.F, name string) {
 		if !ok {
 			t.Fatalf("decoded %T lost its binary codec", m1)
 		}
-		if m1.Size() != len(b1) {
+		if !modelledSizes[name] && m1.Size() != len(b1) {
 			t.Fatalf("Size()=%d but encoding is %d bytes", m1.Size(), len(b1))
 		}
 		m2, err := codec.DecodeWire(b1)
@@ -163,6 +151,9 @@ func FuzzDiffRespWire(f *testing.F)       { fuzzWireCodec(f, "diffResp") }
 func FuzzSpanFetchRespWire(f *testing.F)  { fuzzWireCodec(f, "spanFetchResp") }
 func FuzzRegionReadRespWire(f *testing.F) { fuzzWireCodec(f, "regionReadResp") }
 func FuzzRegionSpanRespWire(f *testing.F) { fuzzWireCodec(f, "regionSpanResp") }
+func FuzzAcqGrantWire(f *testing.F)       { fuzzWireCodec(f, "acqGrant") }
+func FuzzHlrcFlushWire(f *testing.F)      { fuzzWireCodec(f, "hlrcFlush") }
+func FuzzCkptPutWire(f *testing.F)        { fuzzWireCodec(f, "ckptPut") }
 
 // TestRegionMessagesMirrorHandlerSizes pins the count-equivalence design of
 // the one-sided path: a served region read must charge the traffic counters

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
@@ -273,27 +272,4 @@ func WireBody(m Msg) ([]byte, bool) {
 		meta = append(meta, p...)
 	}
 	return meta, true
-}
-
-// WireSize measures the steady-state gob payload of a message: the bytes
-// its wire value adds to an already-warmed gob stream (type descriptors
-// excluded, matching a long-lived connection). Tests use it to audit the
-// declared Msg.Size() against reality.
-func WireSize(m Msg) (int, error) {
-	v, err := EncodeMsg(m)
-	if err != nil {
-		return 0, err
-	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	// Warm the stream with one throwaway encoding of the same type so the
-	// second carries only the value.
-	if err := enc.Encode(&v); err != nil {
-		return 0, err
-	}
-	warm := buf.Len()
-	if err := enc.Encode(&v); err != nil {
-		return 0, err
-	}
-	return buf.Len() - warm, nil
 }

@@ -1,9 +1,9 @@
 // Package tcp implements the transport seam over real TCP connections:
 // each node is a goroutine-or-process endpoint speaking binary frames (a
-// fixed 32-byte header plus a hand-rolled binary body for hot messages,
-// with a gob escape frame for the rest) over net.Conn. One Runtime
-// instance hosts one or more nodes;
-// hosting all nodes in one process gives an in-process loopback mesh
+// fixed 32-byte header plus the message's hand-rolled binary body — every
+// message internal/core registers has one — with a gob escape frame for
+// codecs registered without binary hooks) over net.Conn. One Runtime
+// instance hosts one or more nodes; hosting all nodes in one process gives an in-process loopback mesh
 // (every pair of nodes still talks through a real socket), hosting a
 // subset gives one endpoint of a genuine multi-process deployment (the
 // dsmnode command).
@@ -123,7 +123,7 @@ const (
 )
 
 // The unit on the wire is a fixed 32-byte binary header followed by a
-// body. Hot messages (those with AppendWire/DecodeWire hooks) travel as
+// body. Messages with AppendWire/DecodeWire hooks travel as
 // bodyBinary: varint metadata followed by the raw payload bytes, written
 // to the socket as one vectored write (net.Buffers) so a page's 4 KB
 // never passes through an intermediate copy. Messages without binary

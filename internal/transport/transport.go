@@ -8,7 +8,7 @@
 // Two implementations exist: the deterministic discrete-event simulator
 // (internal/sim, the test oracle calibrated to the paper's 155 Mbps ATM
 // network) and a real TCP runtime (internal/transport/tcp) where each node
-// is a goroutine-or-process endpoint speaking length-prefixed gob frames
+// is a goroutine-or-process endpoint speaking length-prefixed binary frames
 // over net.Conn. Protocol code in internal/core compiles against these
 // interfaces only, so the same policies drive both substrates.
 package transport

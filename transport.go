@@ -31,7 +31,7 @@ var transportNames = []struct {
 	name, desc string
 }{
 	SimTransport: {"sim", "deterministic discrete-event simulator (virtual time, the paper's cost model)"},
-	TCPTransport: {"tcp", "real TCP runtime: binary frames over net.Conn (gob escape for cold messages), in-process mesh or multi-process peers"},
+	TCPTransport: {"tcp", "real TCP runtime: binary frames over net.Conn, in-process mesh or multi-process peers"},
 }
 
 func (t Transport) String() string {
