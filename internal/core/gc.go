@@ -164,6 +164,7 @@ func (n *Node) runGC(hints []gcHint) {
 	n.c.noteDiffCount(-n.liveDiffs)
 	n.liveDiffs = 0
 	n.Stats.LiveDiffBytes = 0
+	n.freeTwins = nil // the twin pool was just collected: hold none of it back
 	for p := range n.intervals {
 		n.intervals[p] = nil
 	}

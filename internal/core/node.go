@@ -87,6 +87,11 @@ type Node struct {
 	wroteSinceGC []bool
 	liveDiffs    int64 // diffs currently cached (created + received)
 
+	// freeTwins holds the buffers of twins this node has already diffed,
+	// for makeTwin to reuse: a twin never leaves its node. Emptied at
+	// garbage collection, so it never outlives the pool it came from.
+	freeTwins [][]byte
+
 	// Checkpointing (ckpt.go): the node's durable store (nil when
 	// checkpointing is off) and the cluster-dirty page set accumulated
 	// since the node's last checkpoint — its own writes plus every write
@@ -318,7 +323,12 @@ func (n *Node) makeTwin(pg int, ps *pageState) {
 		return
 	}
 	n.proc.Advance(n.c.params.CostTwin)
-	ps.twin = mem.Twin(ps.data)
+	if k := len(n.freeTwins) - 1; k >= 0 {
+		ps.twin = append(n.freeTwins[k][:0], ps.data...)
+		n.freeTwins = n.freeTwins[:k]
+	} else {
+		ps.twin = mem.Twin(ps.data)
+	}
 	ps.dirtyMW = true
 	n.dirty = append(n.dirty, pg)
 	n.Stats.TwinsCreated++
@@ -341,6 +351,7 @@ func (n *Node) makeDiff(pg int, ps *pageState) *mem.Diff {
 	n.storeDiff(wn, d, true)
 	ps.undiffed = nil
 	n.Stats.LiveTwinBytes -= int64(len(ps.twin))
+	n.freeTwins = append(n.freeTwins, ps.twin) // d holds copies of ps.data only
 	ps.twin = nil
 	n.noteDiffSize(ps, d)
 	n.c.detector.noteDiff(pg, d)

@@ -187,3 +187,168 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 		t.Fatalf("u32 roundtrip failed")
 	}
 }
+
+// referenceMakeDiff is MakeDiff as it stood before the one-scan rewrite,
+// kept verbatim as the oracle for the tests below. It panics on a length
+// that is not a multiple of WordSize, so it is only asked about whole words.
+func referenceMakeDiff(page int, twin, cur []byte) *Diff {
+	if len(twin) != len(cur) {
+		panic("mem: twin/page size mismatch")
+	}
+	d := &Diff{Page: page}
+	n := len(cur)
+	i := 0
+	for i < n {
+		// Find the next differing word.
+		for i < n && wordEqual(twin, cur, i) {
+			i += WordSize
+		}
+		if i >= n {
+			break
+		}
+		start := i
+		for i < n && !wordEqual(twin, cur, i) {
+			i += WordSize
+		}
+		run := Run{Off: start, Data: make([]byte, i-start)}
+		copy(run.Data, cur[start:i])
+		d.Runs = append(d.Runs, run)
+	}
+	return d
+}
+
+func wordEqual(a, b []byte, off int) bool {
+	end := off + WordSize
+	if end > len(a) {
+		end = len(a)
+	}
+	for i := off; i < end; i++ {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkAgainstReference asserts that MakeDiff(twin, cur) equals the
+// reference run for run, sizes included, and does not alias cur.
+func checkAgainstReference(t *testing.T, twin, cur []byte) {
+	t.Helper()
+	got, want := MakeDiff(7, twin, cur), referenceMakeDiff(7, twin, cur)
+	if got.Page != want.Page || len(got.Runs) != len(want.Runs) {
+		t.Fatalf("page %d with %d runs, want page %d with %d", got.Page, len(got.Runs), want.Page, len(want.Runs))
+	}
+	for i, r := range got.Runs {
+		if w := want.Runs[i]; r.Off != w.Off || !bytes.Equal(r.Data, w.Data) {
+			t.Fatalf("run %d = {%d, %d bytes}, want {%d, %d bytes}", i, r.Off, len(r.Data), w.Off, len(w.Data))
+		}
+	}
+	if got.EncodedSize() != want.EncodedSize() || got.DataBytes() != want.DataBytes() {
+		t.Fatalf("sizes %d/%d, want %d/%d", got.EncodedSize(), got.DataBytes(), want.EncodedSize(), want.DataBytes())
+	}
+	// The runs must be copies: later writes to the page leave the diff
+	// alone, and appending to one run must not reach into the next.
+	saved := append([]byte(nil), cur...)
+	for i := range cur {
+		cur[i] ^= 0x5a
+	}
+	for i := range got.Runs {
+		got.Runs[i].Data = append(got.Runs[i].Data, 0xee)[:len(got.Runs[i].Data)]
+	}
+	for i, r := range got.Runs {
+		if !bytes.Equal(r.Data, want.Runs[i].Data) {
+			t.Fatalf("run %d changed after the page or its neighbour was written", i)
+		}
+	}
+	copy(cur, saved)
+}
+
+// dirtyPage returns a random twin of n bytes and a copy in which each word
+// starts or continues a modified stretch with the given probabilities, so
+// one seed covers anything from a lone word to a rewritten page.
+func dirtyPage(rng *rand.Rand, n int, pStart, pStay float64) (twin, cur []byte) {
+	twin = make([]byte, n)
+	rng.Read(twin)
+	cur = Twin(twin)
+	in := false
+	for off := 0; off < n; off += WordSize {
+		p := pStart
+		if in {
+			p = pStay
+		}
+		if in = rng.Float64() < p; in {
+			// Flip one byte of the word, any of them: a run boundary must
+			// not depend on where in the word the difference sits.
+			at := off + rng.Intn(min(WordSize, n-off))
+			cur[at] ^= byte(1 + rng.Intn(255))
+		}
+	}
+	return twin, cur
+}
+
+func TestMakeDiffMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 2000; i++ {
+		n := PageSize
+		if i%4 == 3 {
+			n = WordSize * rng.Intn(3*PageSize/WordSize) // other sizes, above a page too
+		}
+		twin, cur := dirtyPage(rng, n, rng.Float64()*rng.Float64(), rng.Float64())
+		checkAgainstReference(t, twin, cur)
+	}
+}
+
+func FuzzMakeDiff(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte("abcdefgh"), []byte("abcdEfgh"))
+	f.Add(bytes.Repeat([]byte{0}, 600), bytes.Repeat([]byte{0, 0, 0, 0, 1, 0, 0, 0}, 75))
+	f.Fuzz(func(t *testing.T, twin, cur []byte) {
+		n := min(len(twin), len(cur)) &^ (WordSize - 1)
+		checkAgainstReference(t, twin[:n], cur[:n])
+	})
+}
+
+// TestMakeDiffPartialLastWord pins the fix for lengths that are not a
+// multiple of WordSize: the reference sliced cur past its end ("slice
+// bounds out of range [:8] with capacity 6") whenever the partial word
+// differed.
+func TestMakeDiffPartialLastWord(t *testing.T) {
+	d := MakeDiff(0, []byte{1, 2, 3, 4, 5, 6}, []byte{1, 2, 3, 4, 5, 9})
+	if len(d.Runs) != 1 || d.Runs[0].Off != 4 || !bytes.Equal(d.Runs[0].Data, []byte{5, 9}) {
+		t.Fatalf("6-byte pair: runs %+v, want one run {4, [5 9]}", d.Runs)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for n := 0; n <= PageSize+3; n++ {
+		twin, cur := dirtyPage(rng, n, 0.1, 0.6)
+		if n > 0 {
+			cur[n-1] ^= byte(n) // the tail differs in three lengths out of four
+		}
+		d := MakeDiff(0, twin, cur)
+		rebuilt := Twin(twin)
+		d.Apply(rebuilt)
+		if !bytes.Equal(rebuilt, cur) {
+			t.Fatalf("length %d: Apply(twin) does not reproduce cur", n)
+		}
+		for _, r := range d.Runs {
+			if r.Off%WordSize != 0 || r.Off+len(r.Data) > n {
+				t.Fatalf("length %d: run {%d, %d bytes} off the word grid or past the end", n, r.Off, len(r.Data))
+			}
+		}
+	}
+}
+
+// TestMakeDiffAllocs pins the allocation count: the Diff, its Runs and one
+// buffer under every run, whatever the density.
+func TestMakeDiffAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		name         string
+		pStart, pEnd float64
+		max          float64
+	}{{"empty", 0, 0, 1}, {"sparse", 0.01, 0.9, 3}, {"dense", 1, 0, 3}, {"full", 1, 1, 3}} {
+		twin, cur := dirtyPage(rng, PageSize, c.pStart, c.pEnd)
+		if got := testing.AllocsPerRun(50, func() { MakeDiff(0, twin, cur) }); got > c.max {
+			t.Errorf("%s: %v allocations, want at most %v", c.name, got, c.max)
+		}
+	}
+}

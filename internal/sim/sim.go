@@ -3,16 +3,27 @@
 // process (coroutine) per node, and an event queue executed in (time, seq)
 // order on a single engine goroutine.
 //
-// The engine and the process goroutines hand control back and forth over
-// channels so that exactly one of them runs at any moment; all protocol
-// state can therefore be mutated without locks, exactly like a single
-// threaded simulation, while application code is still written in plain
-// blocking style.
+// Each process is an iter.Pull coroutine: resuming one is a call of its
+// next function, parking is a yield back to whoever resumed it. Both are
+// direct goroutine switches on the calling thread, so exactly one of the
+// engine and the processes runs at any moment and the Go scheduler never
+// sees a second runnable goroutine; all protocol state can therefore be
+// mutated without locks, exactly like a single threaded simulation, while
+// application code is still written in plain blocking style.
+//
+// The coroutines rely on three invariants. A process is resumed only from
+// the goroutine that called Run (inside an event function) or from another
+// process that is itself running: never from two goroutines at once. A
+// panic in a body becomes Run's error, but runtime.Goexit in a body
+// (t.Fatal) is not caught: it ends the goroutine that called Run. And
+// however Run ends it unwinds every process still parked, by a private
+// panic out of the pending Advance, Block or call that runs the body's
+// deferred functions; a body must not swallow it with its own recover.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"sort"
 
@@ -37,24 +48,47 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue order: time first, scheduling order among equals.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// eventHeap is a binary min-heap of event values: scheduling and running an
+// event allocates nothing beyond the slice's amortised growth.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
+	i := len(s) - 1
+	for ; i > 0 && ev.before(&s[(i-1)/2]); i = (i - 1) / 2 {
+		s[i] = s[(i-1)/2]
+	}
+	s[i] = ev
+	*h = s
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && s[c+1].before(&s[c]) {
+			c++
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	s[n] = event{} // drop the closure reference
+	*h = s[:n]
+	return top
 }
 
 // Engine is a discrete-event simulation engine. Create one with NewEngine,
@@ -64,7 +98,6 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	parked chan struct{}
 	procs  []*Proc
 	live   int
 	err    error
@@ -75,9 +108,7 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{parked: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time. Valid during Run (from event
 // handlers and process code).
@@ -91,7 +122,7 @@ func (e *Engine) After(d Time, fn func()) {
 		panic("sim: negative delay")
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: e.now + d, seq: e.seq, fn: fn})
+	e.events.push(event{at: e.now + d, seq: e.seq, fn: fn})
 }
 
 // Fail aborts the simulation with err at the end of the current event.
@@ -101,7 +132,7 @@ func (e *Engine) Fail(err error) {
 	}
 }
 
-// Proc is a simulated process: a goroutine whose execution interleaves with
+// Proc is a simulated process: a coroutine whose execution interleaves with
 // the event queue under engine control. A Proc advances its own virtual
 // clock explicitly (Advance) and blocks in calls that other events complete.
 type Proc struct {
@@ -109,10 +140,17 @@ type Proc struct {
 	id   int
 	name string
 
-	resume    chan struct{}
+	next  func() (struct{}, bool) // run the body until it parks or finishes
+	yield func(struct{}) bool     // park; false once stop has been called
+	stop  func()                  // unwind a parked body
+	wake  func()                  // the event function that resumes this proc
+
 	done      bool
 	blockedOn string
 }
+
+// procStopped is the panic that unwinds a process still parked at Run's end.
+type procStopped struct{}
 
 // ID returns the process's index in spawn order (the node id).
 func (p *Proc) ID() int { return p.id }
@@ -130,42 +168,43 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Spawn registers a new process whose body is fn. The body starts at
 // virtual time Now() when Run executes the start event.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, id: len(e.procs), name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, id: len(e.procs), name: name}
 	e.procs = append(e.procs, p)
 	e.live++
-	go func() {
-		<-p.resume
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
+			r := recover()
+			if _, stopped := r.(procStopped); r != nil && !stopped {
 				e.Fail(panicErr(fmt.Sprintf("sim: proc %q panicked", p.name), r))
 			}
 			p.done = true
 			e.live--
-			e.parked <- struct{}{}
 		}()
 		fn(p)
-	}()
-	e.After(0, func() { e.resumeProc(p) })
+	})
+	p.wake = func() { e.resumeProc(p) }
+	e.After(0, p.wake)
 	return p
 }
 
-// resumeProc hands control to p and waits until it parks again (or
-// finishes). Must only be called from the engine goroutine (i.e. from
-// within an event function).
+// resumeProc switches to p and returns when it parks again (or finishes).
+// Must only be called from an event function or from another process that
+// is currently running.
 func (e *Engine) resumeProc(p *Proc) {
 	if p.done {
 		panic("sim: resuming finished proc " + p.name)
 	}
 	p.blockedOn = ""
-	p.resume <- struct{}{}
-	<-e.parked
+	p.next()
 }
 
 // park suspends the calling process until another event resumes it.
 func (p *Proc) park(reason string) {
 	p.blockedOn = reason
-	p.eng.parked <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(procStopped{})
+	}
 }
 
 // Advance moves the process's virtual clock forward by d, modelling local
@@ -178,8 +217,7 @@ func (p *Proc) Advance(d Time) {
 	if d == 0 {
 		return
 	}
-	e := p.eng
-	e.After(d, func() { e.resumeProc(p) })
+	p.eng.After(d, p.wake)
 	p.park("advance")
 }
 
@@ -193,16 +231,18 @@ func (p *Proc) Unblock() { p.eng.resumeProc(p) }
 
 // Run executes events until all processes have finished. It returns an
 // error if a process panicked, if the event limit is exceeded, or if the
-// system deadlocks (live processes but no pending events).
+// system deadlocks (live processes but no pending events). Whichever way
+// it ends, no process is left parked: see stopProcs.
 func (e *Engine) Run() error {
+	defer e.stopProcs()
 	for e.live > 0 {
 		if e.err != nil {
 			return e.err
 		}
-		if e.events.Len() == 0 {
+		if len(e.events) == 0 {
 			return e.deadlock()
 		}
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.events.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}
@@ -213,10 +253,17 @@ func (e *Engine) Run() error {
 		}
 		e.runEvent(ev.fn)
 	}
-	if e.err != nil {
-		return e.err
+	return e.err
+}
+
+// stopProcs unwinds every process that has not finished (stop does nothing
+// to one that has), so that a failed run (deadlock, event limit, a panic,
+// Goexit in a body) pins neither the coroutines nor the cluster state their
+// stacks reference.
+func (e *Engine) stopProcs() {
+	for _, p := range e.procs {
+		p.stop()
 	}
-	return nil
 }
 
 // runEvent executes one event function, converting a panic (e.g. a
