@@ -6,25 +6,7 @@ import (
 	"testing"
 
 	"adsm"
-	"adsm/internal/apps"
 )
-
-// runFrozen runs an app under the adaptive meta-protocol pinned to one
-// static protocol via Config.AdaptiveFreeze.
-func runFrozen(name string, procs int, pin adsm.Protocol) (apps.App, *adsm.Report, error) {
-	app, err := apps.New(name, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	cl := adsm.NewCluster(adsm.Config{
-		Procs:          procs,
-		Protocol:       adsm.Adaptive,
-		AdaptiveFreeze: pin.String(),
-	})
-	app.Setup(cl)
-	rep, err := cl.Run(app.Body)
-	return app, rep, err
-}
 
 // TestAdaptiveFrozenEquivalence pins the adaptive meta-protocol to each
 // static protocol and checks the run is indistinguishable from the static
@@ -44,7 +26,7 @@ func TestAdaptiveFrozenEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("static %v: %v", proto, err)
 				}
-				appF, repF, err := runFrozen(name, 4, proto)
+				appF, repF, err := runAppEngine(name, 4, adsm.Adaptive, frozenAt(proto))
 				if err != nil {
 					t.Fatalf("frozen %v: %v", proto, err)
 				}

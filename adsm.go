@@ -87,8 +87,6 @@ var HLRC = MustRegisterProtocol(ProtocolSpec{
 // with bulky diffs), or back to MW (concurrent writers under ownership).
 // Switch decisions are broadcast on the barrier release so all nodes flip
 // a page at the same epoch.
-// Config.AdaptiveFreeze pins it to one static protocol for equivalence
-// testing.
 var Adaptive = MustRegisterProtocol(ProtocolSpec{
 	Name:        "adaptive",
 	Aliases:     []string{"adapt", "meta"},
@@ -170,52 +168,11 @@ func WithHomePolicy(h HomePolicy) func(*Config) {
 	return func(c *Config) { c.HomePolicy = h }
 }
 
-// WithPerWordSpans returns a Config mutator toggling the span fast path —
-// the harness span experiment uses it to run the same kernel both ways.
-func WithPerWordSpans(on bool) func(*Config) {
-	return func(c *Config) { c.PerWordSpans = on }
-}
-
 // WithOmitWrites returns a Config mutator toggling the omittable-write
 // pass — the serve sweep runs its write-heavy cell both ways to pin that
 // omission changes traffic, never results.
 func WithOmitWrites(on bool) func(*Config) {
 	return func(c *Config) { c.OmitWrites = on }
-}
-
-// PrefetchMode selects whether spans batch the page fetches of their
-// whole extent into one overlapped Multicall (span prefetch). The zero
-// value is on — prefetch is the default engine.
-type PrefetchMode int
-
-const (
-	// PrefetchOn batches a span's coherence fetches: one request per
-	// destination node covering all of the span's pages, every
-	// destination overlapped in a single Multicall.
-	PrefetchOn PrefetchMode = iota
-	// PrefetchOff restores the serial engine: one blocking fault per
-	// page, in page order — exactly the pre-prefetch behavior, which is
-	// what the equivalence tests compare against.
-	PrefetchOff
-)
-
-func (m PrefetchMode) String() string {
-	if m == PrefetchOff {
-		return "off"
-	}
-	return "on"
-}
-
-// WithSpanPrefetch returns a Config mutator toggling the span-prefetch
-// batching — the harness prefetch experiment runs every cell both ways.
-func WithSpanPrefetch(on bool) func(*Config) {
-	return func(c *Config) {
-		if on {
-			c.SpanPrefetch = PrefetchOn
-		} else {
-			c.SpanPrefetch = PrefetchOff
-		}
-	}
 }
 
 // ProtocolSpec describes a protocol implementation for RegisterProtocol.
@@ -286,29 +243,6 @@ type Config struct {
 	// CollectDiffTimeline records the cluster-wide live-diff count over
 	// time (the paper's Figure 3).
 	CollectDiffTimeline bool
-	// PerWordSpans disables the span/bulk fast path: every Span, ReadAt,
-	// WriteAt and Fill degenerates to one protocol check per element, the
-	// cost model the per-word accessors pay. Coherence behavior is
-	// identical either way — the span experiment (`dsmbench -exp span`)
-	// and the equivalence tests run both and assert identical checksums
-	// and protocol counters — so the flag exists to measure and pin the
-	// fast path, not to change semantics.
-	PerWordSpans bool
-	// SpanPrefetch selects whether a span's page fetches are batched into
-	// one overlapped Multicall (the default, PrefetchOn) or serviced one
-	// blocking fault at a time (PrefetchOff, the serial engine). Results
-	// are identical either way — `dsmbench -exp prefetch` and the
-	// equivalence tests pin bit-identical checksums — batching only
-	// collapses the sequential round-trip stalls. PerWordSpans implies
-	// off (the per-word degrade path has no spans to plan).
-	SpanPrefetch PrefetchMode
-	// AdaptiveFreeze pins the Adaptive meta-protocol to one static
-	// protocol by name (e.g. "MW"): every page initializes under that
-	// protocol and the manager never issues switches, making a frozen
-	// adaptive run byte-for-byte identical to the static protocol — the
-	// equivalence pin the adaptive tests rely on. Empty adapts freely;
-	// ignored by the static protocols.
-	AdaptiveFreeze string
 	// OmitWrites enables the omittable-write pass for policies that opt in
 	// (currently the MW family): a diff that never left its node and whose
 	// byte extent the node's next diff for the page fully covers is
@@ -322,11 +256,6 @@ type Config struct {
 	Transport Transport
 	// TCP tunes the TCP transport (ignored under SimTransport).
 	TCP TCPConfig
-
-	// ckptStores resolves each hosted rank's durable checkpoint store.
-	// Set by the recoverable drivers (recover.go), which own the stores
-	// across cluster incarnations; nil disables checkpointing.
-	ckptStores func(rank int) *core.CkptStore
 }
 
 // Cluster is a simulated DSM machine. Allocate shared memory with Alloc,
@@ -343,7 +272,18 @@ type Cluster struct {
 // peer running a different configuration) as an error instead of a panic.
 // Prefer it whenever cfg selects a real transport. Panics that are not
 // transport failures (engine bugs) propagate unchanged, stack and all.
-func NewClusterErr(cfg Config) (cl *Cluster, err error) {
+func NewClusterErr(cfg Config) (*Cluster, error) {
+	return newClusterErr(cfg.engine())
+}
+
+// NewCluster builds a cluster from cfg.
+func NewCluster(cfg Config) *Cluster {
+	return newCluster(cfg.engine())
+}
+
+// newClusterErr is newCluster with transport construction failures
+// returned as an error (see NewClusterErr).
+func newClusterErr(cfg Config, p core.Params) (cl *Cluster, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			te, ok := r.(transportError)
@@ -353,11 +293,24 @@ func NewClusterErr(cfg Config) (cl *Cluster, err error) {
 			cl, err = nil, te.err
 		}
 	}()
-	return NewCluster(cfg), nil
+	return newCluster(cfg, p), nil
 }
 
-// NewCluster builds a cluster from cfg.
-func NewCluster(cfg Config) *Cluster {
+// newCluster builds a cluster on engine parameters p; cfg is the
+// defaulted Config that engine derived them from.
+func newCluster(cfg Config, p core.Params) *Cluster {
+	cl := &Cluster{c: core.New(p), cfg: cfg}
+	if cfg.CollectDiffTimeline {
+		cl.series = &stats.Series{Name: "live-diffs"}
+		cl.c.DiffSeries = cl.series
+	}
+	return cl
+}
+
+// engine fills cfg's defaults and builds the engine parameters it
+// selects. Every engine choice the public Config does not expose stays at
+// core's default.
+func (cfg Config) engine() (Config, core.Params) {
 	if cfg.Procs == 0 {
 		cfg.Procs = 8
 	}
@@ -376,18 +329,9 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.OwnershipQuantum > 0 {
 		p.OwnershipQuantum = sim.Time(cfg.OwnershipQuantum)
 	}
-	p.PerWordSpans = cfg.PerWordSpans
-	p.AdaptiveFreeze = cfg.AdaptiveFreeze
-	p.SpanPrefetch = cfg.SpanPrefetch == PrefetchOn
 	p.OmitWrites = cfg.OmitWrites
-	p.CkptStores = cfg.ckptStores
 	p.Runtime = cfg.runtimeFactory()
-	cl := &Cluster{c: core.New(p), cfg: cfg}
-	if cfg.CollectDiffTimeline {
-		cl.series = &stats.Series{Name: "live-diffs"}
-		cl.c.DiffSeries = cl.series
-	}
-	return cl
+	return cfg, p
 }
 
 // Addr is a byte address within the shared segment.

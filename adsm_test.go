@@ -1,7 +1,9 @@
 package adsm_test
 
 import (
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -192,5 +194,33 @@ func TestSetupCostFollowsAllocation(t *testing.T) {
 				t.Errorf("NewCluster + empty Run allocated %d bytes for a one-page allocation, want < 4 MB", got)
 			}
 		})
+	}
+}
+
+// TestConfigSurface pins the public configuration surface: the exported
+// fields of Config and TCPConfig. Adding a knob means editing this list on
+// purpose; engine paths that only exist to be compared against the default
+// belong in internal/core.Params, reached by tests through
+// NewClusterParams.
+func TestConfigSurface(t *testing.T) {
+	want := []string{
+		"Config.Procs", "Config.Protocol", "Config.HomePolicy", "Config.SharedBytes",
+		"Config.DiffSpaceLimit", "Config.WGThreshold", "Config.OwnershipQuantum",
+		"Config.CollectDiffTimeline", "Config.OmitWrites", "Config.Transport", "Config.TCP",
+		"TCPConfig.Addrs", "TCPConfig.Local", "TCPConfig.Timescale", "TCPConfig.DialTimeout",
+		"TCPConfig.Fingerprint", "TCPConfig.Lanes", "TCPConfig.Epoch", "TCPConfig.LeaseTerm",
+		"TCPConfig.Faults", "TCPConfig.NoOneSided",
+	}
+	var got []string
+	for _, typ := range []reflect.Type{reflect.TypeOf(adsm.Config{}), reflect.TypeOf(adsm.TCPConfig{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				got = append(got, typ.Name()+"."+f.Name)
+			}
+		}
+	}
+	if len(want) != 21 || !slices.Equal(got, want) {
+		t.Errorf("public config surface changed:\n got  %d fields %v\n want %d fields %v",
+			len(got), got, len(want), want)
 	}
 }

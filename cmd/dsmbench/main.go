@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	dsmbench [-exp all|table1|table2|table3|table4|fig2|fig3|ablation|homes|span|prefetch|adapt|serve|faults|json]
+//	dsmbench [-exp all|table1|table2|table3|table4|fig2|fig3|ablation|homes|adapt|serve|faults|json]
 //	         [-quick] [-procs N] [-protocols MW,HLRC] [-home static]
 //	         [-out FILE] [-fig3csv] [-tcp=false]
 package main
@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table1, table2, table3, table4, fig2, fig3, ablation, homes, span, prefetch, adapt, serve, faults, json")
+	exp := flag.String("exp", "all", "experiment: all, table1, table2, table3, table4, fig2, fig3, ablation, homes, adapt, serve, faults, json")
 	quick := flag.Bool("quick", false, "use reduced inputs (fast, for smoke testing)")
 	procs := flag.Int("procs", 8, "number of processors (the paper used 8)")
 	protocols := flag.String("protocols", "",
@@ -32,8 +32,6 @@ func main() {
 		"home-assignment policy for every cell ("+strings.Join(adsm.HomePolicyNames(), ", ")+
 			"); the homes/json experiments additionally sweep all of them")
 	out := flag.String("out", "", "write the output to FILE instead of stdout (json experiment)")
-	prefetch := flag.Bool("prefetch", true,
-		"span-prefetch batching for every cell (false: the serial per-page engine; the prefetch experiment sweeps both)")
 	fig3csv := flag.Bool("fig3csv", false, "emit the Figure 3 timelines as CSV instead of the summary")
 	tcp := flag.Bool("tcp", true,
 		"run the serve/faults experiments' cells on the real TCP mesh as well as the simulator (false: sim only)")
@@ -57,9 +55,6 @@ func main() {
 		os.Exit(2)
 	}
 	m.Home = home
-	if !*prefetch {
-		m.Prefetch = adsm.PrefetchOff
-	}
 
 	run := func(f func() string) {
 		fmt.Println(f())
@@ -95,10 +90,6 @@ func main() {
 		run(m.Ablations)
 	case "homes":
 		run(m.HomeSweep)
-	case "span":
-		run(m.SpanSweep)
-	case "prefetch":
-		run(m.PrefetchSweep)
 	case "adapt":
 		run(m.AdaptSweep)
 	case "serve":

@@ -185,7 +185,7 @@ func runRecoverableStencil(cfg adsm.Config, hosted []int, quick bool,
 			inner(w, s)
 		}
 	}
-	rep, err := adsm.RunRecoverableNode(cfg, prog, recovering)
+	rep, err := adsm.RunRecoverable(cfg, prog, adsm.FaultPlan{Rejoin: recovering})
 	if err != nil {
 		fail(err)
 	}

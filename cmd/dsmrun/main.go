@@ -50,8 +50,6 @@ func main() {
 		"comma-separated node ids hosted by this process (default 0 when -tcp-addrs is set)")
 	timescale := flag.Float64("timescale", 0,
 		"scale modelled compute costs into real sleeps under -transport tcp (0: run flat out)")
-	prefetch := flag.Bool("prefetch", true,
-		"batch a span's page fetches into one overlapped Multicall (false: serial per-page faults)")
 	lanes := flag.Int("lanes", 2,
 		"data connections per node pair under -transport tcp: 1 (single shared) or 2 (control + bulk)")
 	oneSided := flag.Bool("onesided", true,
@@ -95,7 +93,6 @@ func main() {
 	}
 
 	cfg := adsm.Config{Procs: *procs, Protocol: proto, HomePolicy: home, Transport: tr}
-	adsm.WithSpanPrefetch(*prefetch)(&cfg)
 	adsm.WithOmitWrites(*omit)(&cfg)
 	if tr == adsm.TCPTransport {
 		cfg.TCP.Timescale = *timescale

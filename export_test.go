@@ -1,0 +1,16 @@
+package adsm
+
+import "adsm/internal/core"
+
+// NewClusterParams is NewClusterErr with edit applied to the engine
+// parameters cfg selects. It is the one seam through which the
+// equivalence tests reach internal/core's reference engines
+// (Params.PerWordSpans, SpanPrefetch off, AdaptiveFreeze), which the
+// public Config does not expose. A nil edit builds the default engine.
+func NewClusterParams(cfg Config, edit func(*core.Params)) (*Cluster, error) {
+	cfg, p := cfg.engine()
+	if edit != nil {
+		edit(&p)
+	}
+	return newClusterErr(cfg, p)
+}

@@ -98,8 +98,9 @@ func (s *SOR) Body(w *adsm.Worker) {
 			// band plus its two boundary rows — up front, so the
 			// span-prefetch engine fetches both boundary rows (the only
 			// invalid pages) in a single overlapped Multicall instead of
-			// two serial faults mid-sweep. With prefetch off the hint is
-			// a no-op and the mid-sweep faults fire exactly as before.
+			// two serial faults mid-sweep. Under the serial reference
+			// engine the hint is a no-op and the mid-sweep faults fire
+			// exactly as before.
 			// The other-parity boundary values the sweep actually uses
 			// are barrier-stable, so fetch time changes no value read.
 			if ulo < uhi {

@@ -74,29 +74,36 @@ type Params struct {
 	MaxSharedBytes int
 	// EventLimit aborts runaway simulations (0 = default limit).
 	EventLimit uint64
+
+	// The reference engines: test-only switches that select the engine a
+	// later optimization replaced, so the equivalence tests can pin that
+	// the optimization changes cost, never results. The public Config does
+	// not expose them; root tests reach them through NewClusterParams.
+
 	// PerWordSpans disables the bulk fast path: AccessRange degenerates to
 	// one protocol check per element instead of one per page, the cost
 	// model every access paid before spans existed. Protocol behavior is
 	// identical either way (the per-page bookkeeping is idempotent within
-	// an interval); only host-side overhead changes. The span experiment
-	// and the span-vs-per-word equivalence tests flip this.
+	// an interval); only host-side overhead changes
+	// (TestSpanVsPerWordEquivalence).
 	PerWordSpans bool
 	// AdaptiveFreeze pins the adaptive meta-protocol to one static protocol
 	// (a registered protocol name, e.g. "MW"): every page initializes under
 	// that protocol and the barrier manager never issues switches, so a
-	// frozen adaptive run is the static protocol, byte for byte — the
-	// equivalence pin the adaptive tests rely on. Empty means adapt freely.
-	// Ignored by the static protocols.
+	// frozen adaptive run is the static protocol, byte for byte
+	// (TestAdaptiveFrozenEquivalence). Empty means adapt freely. Ignored by
+	// the static protocols.
 	AdaptiveFreeze string
-	// SpanPrefetch enables the batched span fetch: AccessRange plans the
-	// coherence work of a whole span first (which pages need a copy from
-	// where, which need diffs from whom) and issues it as one overlapped
-	// Multicall before installing pages and running the callbacks, instead
-	// of taking one blocking fault per page. Off degrades to the serial
-	// per-page path — the pre-batching engine, byte for byte — which is
-	// how the equivalence tests pin that batching changes latency, never
-	// results. PerWordSpans implies off (the degrade path is per-element).
+	// SpanPrefetch enables the batched span fetch (DefaultParams sets it):
+	// AccessRange plans the coherence work of a whole span first (which
+	// pages need a copy from where, which need diffs from whom) and issues
+	// it as one overlapped Multicall before installing pages and running
+	// the callbacks, instead of taking one blocking fault per page. Off
+	// degrades to the serial per-page path — the pre-batching engine, byte
+	// for byte (TestPrefetchEquivalence). PerWordSpans implies off (the
+	// degrade path is per-element).
 	SpanPrefetch bool
+
 	// OmitWrites enables the Thomas-write-rule pass (NWR's omittable-write
 	// insight) for policies that opt in via Policy.OmitDominatedDiffs: when
 	// a node closes an interval whose diff for a page covers every byte of

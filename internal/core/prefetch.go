@@ -19,16 +19,16 @@ import (
 // notices that raced the batch). Any page whose plan cannot be built, or
 // whose target reports no copy (an ownership transfer in flight — the
 // case servePage answers by forwarding), falls back to the serial fault
-// path, which chases the owner chain as usual. Params.SpanPrefetch turns
-// the whole mechanism off, restoring the serial engine byte for byte.
+// path, which chases the owner chain as usual. The test-only reference
+// engine Params.SpanPrefetch=false turns the whole mechanism off,
+// restoring the serial engine byte for byte.
 
 // PrefetchRange is the read-intent hint behind the public Prefetch API:
 // it batches the range's invalid pages exactly like a read span's
-// prefetch pass, without touching any bytes. With SpanPrefetch off (or
-// under the per-word degrade path) it is a no-op — the hint never
-// changes what a program computes, and declining it restores the
-// unhinted engine byte for byte, which is what lets kernels declare
-// intent unconditionally.
+// prefetch pass, without touching any bytes. Under the serial and
+// per-word reference engines it is a no-op — the hint never changes what
+// a program computes, and declining it restores the unhinted engine byte
+// for byte, which is what lets kernels declare intent unconditionally.
 func (n *Node) PrefetchRange(addr, size int) {
 	if size == 0 {
 		return

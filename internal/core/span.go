@@ -14,10 +14,10 @@ import (
 // writeFault on a non-writable one, markWritten, the detector's accessor
 // bitmasks) is exactly what the per-element path runs, and all of it is
 // idempotent at page granularity within an interval — which is why the
-// bulk path changes cost, never semantics. Params.PerWordSpans pins that
-// claim: it degrades every AccessRange back to per-element checks, and the
-// equivalence tests assert both executions produce identical checksums and
-// identical protocol counters.
+// bulk path changes cost, never semantics. The test-only reference engine
+// Params.PerWordSpans pins that claim: it degrades every AccessRange back
+// to per-element checks, and the equivalence tests assert both executions
+// produce identical checksums and identical protocol counters.
 
 // AccessRange resolves the coherence state of the byte range
 // [addr, addr+size), which may cross any number of page boundaries, and

@@ -51,9 +51,9 @@ func (c AdaptCell) WinOrTie() bool { return c.Ratio >= 0.95 }
 // AdaptSweepData runs the adaptive experiment over the full suite. The
 // sim cells come from the shared matrix cache (checksums verified against
 // the sequential run like every cell); the tcp rerun verifies its
-// checksum here, with the timing-dependent tolerance the prefetch sweep
-// uses — adaptive ownership decisions time out in wall clock on a real
-// transport, so low-order float bits may reassociate.
+// checksum here with a timing-dependent tolerance — adaptive ownership
+// decisions time out in wall clock on a real transport, so low-order
+// float bits may reassociate.
 func (m *Matrix) AdaptSweepData(tcp bool) []AdaptCell {
 	var out []AdaptCell
 	for _, e := range apps.Registry {

@@ -143,8 +143,7 @@ func (m *Matrix) faultRunUncached(proto adsm.Protocol, tr adsm.Transport, scenar
 	every int, kills []adsm.Kill) FaultCell {
 	rowsPer, words, steps, _ := m.faultParams()
 	var sum uint64
-	cfg := adsm.Config{Procs: m.Procs, Protocol: proto, HomePolicy: m.Home,
-		SpanPrefetch: m.Prefetch, Transport: tr}
+	cfg := adsm.Config{Procs: m.Procs, Protocol: proto, HomePolicy: m.Home, Transport: tr}
 	prog := RecoverableStencil(m.Procs, rowsPer, words, steps, every, &sum)
 	start := time.Now()
 	rep, err := adsm.RunRecoverable(cfg, prog, adsm.FaultPlan{Kills: kills})

@@ -27,16 +27,10 @@ type Matrix struct {
 	// value: static, the paper's layout). The home sweep varies it per
 	// cell independently of this default.
 	Home adsm.HomePolicy
-	// Prefetch selects the span-prefetch mode for every cell (zero
-	// value: on, the default engine). The prefetch sweep varies it per
-	// cell independently; `dsmbench -prefetch=false` sets it off to
-	// reproduce the serial engine's numbers (the pre-batching baseline).
-	Prefetch adsm.PrefetchMode
 
 	mu     sync.Mutex
 	seq    map[string]*runResult
 	par    map[string]*runResult
-	pre    map[string]*runResult
 	serve  map[string]ServeCell
 	faults map[string]FaultCell
 }
@@ -54,7 +48,6 @@ func NewMatrix(quick bool) *Matrix {
 		Procs: 8,
 		seq:   make(map[string]*runResult),
 		par:   make(map[string]*runResult),
-		pre:   make(map[string]*runResult),
 	}
 }
 
@@ -88,7 +81,7 @@ func (m *Matrix) run(name string, procs int, proto adsm.Protocol, mutate func(*a
 	if err != nil {
 		panic(err)
 	}
-	cfg := adsm.Config{Procs: procs, Protocol: proto, HomePolicy: m.Home, SpanPrefetch: m.Prefetch}
+	cfg := adsm.Config{Procs: procs, Protocol: proto, HomePolicy: m.Home}
 	if mutate != nil {
 		mutate(&cfg)
 	}

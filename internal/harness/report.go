@@ -12,9 +12,8 @@ import (
 // count, data volume). `dsmbench -exp json` emits it so successive PRs can
 // archive BENCH_*.json files and diff them.
 
-// BenchCell is one (application, protocol) measurement. The matrix runs
-// with span prefetch on (the default engine), so the batching counters
-// record how much of the coherence traffic travelled batched.
+// BenchCell is one (application, protocol) measurement. The batching
+// counters record how much of the coherence traffic travelled batched.
 type BenchCell struct {
 	App       string  `json:"app"`
 	Protocol  string  `json:"protocol"`
@@ -57,28 +56,6 @@ type BenchHomeCell struct {
 	HomeFlushBytes int64  `json:"home_flush_bytes"`
 	HomeLocalDiffs int64  `json:"home_local_diffs"`
 	HomeBinds      int64  `json:"home_binds"`
-}
-
-// BenchPrefetchCell is one (application, protocol) measurement of the
-// span-prefetch sweep: the same cell with batching on and off, sim-only
-// so the archived numbers stay deterministic (the tcp wall-clock side of
-// the sweep lives in `dsmbench -exp prefetch`).
-type BenchPrefetchCell struct {
-	App             string `json:"app"`
-	Protocol        string `json:"protocol"`
-	OnVirtualUS     int64  `json:"on_virtual_us"`
-	OffVirtualUS    int64  `json:"off_virtual_us"`
-	OnMessages      int64  `json:"on_messages"`
-	OffMessages     int64  `json:"off_messages"`
-	BatchedFetches  int64  `json:"batched_fetches"`
-	PrefetchPages   int64  `json:"prefetch_pages"`
-	SerialFallbacks int64  `json:"serial_fallbacks"`
-
-	// Real tcp wire bytes next to the model accounting, present only when
-	// the sweep ran the tcp side (omitted from the archived sim baselines,
-	// which must stay deterministic).
-	OnWireBytes  int64 `json:"on_wire_bytes,omitempty"`
-	OffWireBytes int64 `json:"off_wire_bytes,omitempty"`
 }
 
 // BenchServeCell is one protocol's serving measurement: the zipfian
@@ -127,17 +104,16 @@ type BenchFaultCell struct {
 // varies it per cell); comparison tools use it to reject apples-to-
 // oranges diffs.
 type BenchReport struct {
-	Procs      int                 `json:"procs"`
-	Quick      bool                `json:"quick"`
-	Home       string              `json:"home"`
-	Protocols  []string            `json:"protocols"`
-	Homes      []string            `json:"homes"`
-	Sequential []BenchSeq          `json:"sequential"`
-	Cells      []BenchCell         `json:"cells"`
-	HomeCells  []BenchHomeCell     `json:"home_cells"`
-	Prefetch   []BenchPrefetchCell `json:"prefetch_cells"`
-	ServeCells []BenchServeCell    `json:"serve_cells"`
-	FaultCells []BenchFaultCell    `json:"fault_cells"`
+	Procs      int              `json:"procs"`
+	Quick      bool             `json:"quick"`
+	Home       string           `json:"home"`
+	Protocols  []string         `json:"protocols"`
+	Homes      []string         `json:"homes"`
+	Sequential []BenchSeq       `json:"sequential"`
+	Cells      []BenchCell      `json:"cells"`
+	HomeCells  []BenchHomeCell  `json:"home_cells"`
+	ServeCells []BenchServeCell `json:"serve_cells"`
+	FaultCells []BenchFaultCell `json:"fault_cells"`
 }
 
 // BenchReport runs (or reuses) the matrix and assembles the report.
@@ -173,21 +149,6 @@ func (m *Matrix) BenchReport() BenchReport {
 				SwitchToHLRC:    rep.Stats.SwitchToHLRC,
 			})
 		}
-	}
-	for _, cell := range m.PrefetchSweepData(false) {
-		r.Prefetch = append(r.Prefetch, BenchPrefetchCell{
-			App:             cell.App,
-			Protocol:        cell.Proto.String(),
-			OnVirtualUS:     cell.OnVirtual.Microseconds(),
-			OffVirtualUS:    cell.OffVirtual.Microseconds(),
-			OnMessages:      cell.OnMsgs,
-			OffMessages:     cell.OffMsgs,
-			BatchedFetches:  cell.BatchedFetches,
-			PrefetchPages:   cell.PrefetchPages,
-			SerialFallbacks: cell.SerialFallbacks,
-			OnWireBytes:     cell.OnWireBytes,
-			OffWireBytes:    cell.OffWireBytes,
-		})
 	}
 	for _, cell := range m.HomeSweepData() {
 		s := cell.Report.Stats

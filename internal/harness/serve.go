@@ -100,8 +100,7 @@ func (m *Matrix) serveRun(wl kv.Workload, proto adsm.Protocol, tr adsm.Transport
 	if tr == adsm.TCPTransport {
 		wl.Interval = 0
 	}
-	cfg := adsm.Config{Procs: m.Procs, Protocol: proto, HomePolicy: m.Home,
-		SpanPrefetch: m.Prefetch, Transport: tr}
+	cfg := adsm.Config{Procs: m.Procs, Protocol: proto, HomePolicy: m.Home, Transport: tr}
 	if mutate != nil {
 		mutate(&cfg)
 	}

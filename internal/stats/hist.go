@@ -1,6 +1,9 @@
 package stats
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Hist is a log-bucketed latency histogram in the HDR style: values below
 // histLinear are counted exactly, larger values land in one of histSub
@@ -123,7 +126,13 @@ func (h *Hist) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := int64(q*float64(h.count) + 0.5)
+	// q*count carries float error (0.07*100 is 7.000000000000001), so step
+	// the ceiling back when the rank below it already covers q.
+	n := float64(h.count)
+	rank := int64(math.Ceil(q * n))
+	if rank > 1 && float64(rank-1)/n >= q {
+		rank--
+	}
 	if rank < 1 {
 		rank = 1
 	}

@@ -89,6 +89,33 @@ func TestHistQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistQuantileRank pins the documented rank: the ceil(q*count)-th
+// smallest value, not q*count rounded to nearest, and the ceiling taken
+// without float error (0.07*100 is 7.000000000000001 in float64). The
+// samples 0..n-1 all land in exact buckets, so rank r reads back r-1.
+func TestHistQuantileRank(t *testing.T) {
+	cases := []struct {
+		n    int64
+		q    float64
+		want int64
+	}{
+		{12, 0.95, 11}, // ceil(11.4) = 12; rounding gives rank 11
+		{10, 0.91, 9},  // ceil(9.1) = 10; rounding gives rank 9
+		{100, 0.07, 6}, // rank 7, not a float-inflated 8
+		{10, 0.5, 4},   // an exact product keeps its rank
+		{10, 0, 0},     // rank clamps to the smallest value
+	}
+	for _, c := range cases {
+		var h Hist
+		for v := int64(0); v < c.n; v++ {
+			h.Record(v)
+		}
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("%d samples 0..%d: Quantile(%v) = %d, want %d", c.n, c.n-1, c.q, got, c.want)
+		}
+	}
+}
+
 // TestHistMerge pins that merging per-worker histograms equals recording
 // everything into one.
 func TestHistMerge(t *testing.T) {

@@ -16,7 +16,17 @@ import (
 // everywhere, the off run must never touch the batched path, and under
 // the simulator the on run must not be slower — strictly faster, with
 // batches actually issued, for the protocols whose read-span pattern the
-// barriers fully determine (MW, HLRC).
+// barriers fully determine (MW, HLRC). The off arm is core's test-only
+// serial engine (Params.SpanPrefetch false).
+//
+// The apps/ subtests run the quick SOR, Shallow and IS apps — the banded
+// stencils whose boundary-row fetches batch, and IS, whose whole-array
+// merge/rank spans are the suite's most read-span-heavy phases — under
+// every protocol on the simulator: checksums must match bit for bit, at
+// least one cell must issue a batch, and under MW and HLRC the on run must
+// never take more virtual time. The ownership protocols are exempt from
+// the timing bound: batching shifts when ownership requests arrive, which
+// can move a later transfer (Shallow under SW loses 5% this way).
 func TestPrefetchEquivalence(t *testing.T) {
 	const procs = 4
 	for _, proto := range adsm.Protocols() {
@@ -29,12 +39,10 @@ func TestPrefetchEquivalence(t *testing.T) {
 				base := adsm.Config{Procs: procs, Protocol: proto, Transport: tr}
 
 				on := newSpanKernel(procs, cols)
-				onRep, onSum := on.run(t, base)
+				onRep, onSum := on.run(t, base, nil)
 
-				offCfg := base
-				offCfg.SpanPrefetch = adsm.PrefetchOff
 				off := newSpanKernel(procs, cols)
-				offRep, offSum := off.run(t, offCfg)
+				offRep, offSum := off.run(t, base, serialSpans)
 
 				if onSum != offSum {
 					t.Fatalf("checksum diverged: prefetch on %v, off %v", onSum, offSum)
@@ -65,4 +73,31 @@ func TestPrefetchEquivalence(t *testing.T) {
 			})
 		}
 	}
+	t.Run("apps", func(t *testing.T) {
+		batched := int64(0)
+		for _, name := range []string{"SOR", "Shallow", "IS"} {
+			for _, proto := range adsm.Protocols() {
+				t.Run(name+"/"+proto.String(), func(t *testing.T) {
+					onApp, onRep, err := runAppEngine(name, procs, proto, nil)
+					if err != nil {
+						t.Fatalf("prefetch on: %v", err)
+					}
+					offApp, offRep, err := runAppEngine(name, procs, proto, serialSpans)
+					if err != nil {
+						t.Fatalf("prefetch off: %v", err)
+					}
+					if onApp.Result() != offApp.Result() {
+						t.Errorf("checksum diverged: prefetch on %v, off %v", onApp.Result(), offApp.Result())
+					}
+					if (proto == adsm.MW || proto == adsm.HLRC) && onRep.Elapsed > offRep.Elapsed {
+						t.Errorf("batching lost virtual time: on %v, off %v", onRep.Elapsed, offRep.Elapsed)
+					}
+					batched += onRep.Stats.BatchedFetches
+				})
+			}
+		}
+		if batched == 0 {
+			t.Error("no cell issued a batched fetch")
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"adsm"
 	"adsm/internal/apps"
+	"adsm/internal/core"
 )
 
 func TestProtocolRegistryListing(t *testing.T) {
@@ -83,12 +84,36 @@ func TestCrossProtocolScenarioMatrix(t *testing.T) {
 }
 
 func runApp(name string, procs int, proto adsm.Protocol) (apps.App, *adsm.Report, error) {
+	return runAppEngine(name, procs, proto, nil)
+}
+
+// runAppEngine runs a quick-input app with edit applied to the engine
+// parameters (nil: the default engine).
+func runAppEngine(name string, procs int, proto adsm.Protocol, edit func(*core.Params)) (apps.App, *adsm.Report, error) {
 	app, err := apps.New(name, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	cl := adsm.NewCluster(adsm.Config{Procs: procs, Protocol: proto})
+	cl, err := adsm.NewClusterParams(adsm.Config{Procs: procs, Protocol: proto}, edit)
+	if err != nil {
+		return nil, nil, err
+	}
 	app.Setup(cl)
 	rep, err := cl.Run(app.Body)
 	return app, rep, err
+}
+
+// The test-only reference engines the equivalence tests compare the
+// default engine against: internal/core.Params fields that the public
+// Config does not expose.
+
+// perWordSpans degrades every span to one protocol check per element.
+func perWordSpans(p *core.Params) { p.PerWordSpans = true }
+
+// serialSpans services a span's page fetches one blocking fault at a time.
+func serialSpans(p *core.Params) { p.SpanPrefetch = false }
+
+// frozenAt pins the adaptive meta-protocol to one static protocol.
+func frozenAt(pin adsm.Protocol) func(*core.Params) {
+	return func(p *core.Params) { p.AdaptiveFreeze = pin.String() }
 }

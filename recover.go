@@ -45,11 +45,15 @@ type Kill struct {
 // injects nothing: the run behaves (and performs) exactly like a plain
 // checkpointing run.
 type FaultPlan struct {
-	// Kills fire one per incarnation, in order.
+	// Kills fire one per incarnation, in order. They need the TCP
+	// transport with every rank in this process (TCPConfig.Local empty):
+	// an endpoint of a multi-process run is killed from outside.
 	Kills []Kill
-	// MaxRestarts bounds cluster rebuilds (default: len(Kills)+2, so a
-	// genuine crash loop fails instead of spinning).
-	MaxRestarts int
+	// Rejoin marks a respawned replacement endpoint (`dsmnode -recover`):
+	// its first mesh joins with the epoch wildcard, adopts the survivors'
+	// epoch, and — its stores being empty — has its partitions restored by
+	// the ring buddies.
+	Rejoin bool
 }
 
 // body builds the recoverable step loop for one incarnation. preStep (may
@@ -81,24 +85,28 @@ func (prog Recoverable) body(every int, recovering bool, preStep func(w *Worker,
 // runtime's Sever method).
 type severer interface{ Sever(node int) }
 
+// epocher reads the tcp runtime's (possibly adopted) membership epoch.
+type epocher interface{ Epoch() int64 }
+
 // RunRecoverable executes a Recoverable program with barrier-checkpoint
-// replication and automatic recovery, entirely in this process: it owns
-// the per-rank checkpoint stores, rebuilds the cluster after a node loss
-// (wiping the killed rank's store, as a real SIGKILL would), restores the
-// newest recoverable checkpoint and replays the remaining steps. Faults
-// can only be injected under the TCP transport; under the simulator the
-// plan must be empty and the run is a plain checkpointing run (the
-// oracle). Multi-process deployments use dsmnode -recover instead, built
-// on the same machinery.
+// replication and automatic recovery. It owns the checkpoint stores of the
+// ranks this process hosts (cfg.TCP.Local, or every rank when that is
+// empty) across cluster incarnations: when a peer is lost it re-meshes at
+// the next membership epoch, restores the newest recoverable checkpoint
+// and replays the remaining steps. Under the simulator the plan must be
+// empty and the run is a plain checkpointing run (the oracle). In-process
+// kills wipe the killed rank's store, as a real SIGKILL would; a
+// multi-process endpoint (`dsmnode -recoverable`) is killed from outside
+// and its replacement runs with plan.Rejoin.
 func RunRecoverable(cfg Config, prog Recoverable, plan FaultPlan) (*Report, error) {
 	if prog.Steps <= 0 || prog.Step == nil {
 		return nil, fmt.Errorf("adsm: recoverable program needs Steps and Step")
 	}
-	if len(cfg.TCP.Local) > 0 {
-		return nil, fmt.Errorf("adsm: RunRecoverable is single-process; multi-process endpoints use RunRecoverableNode")
+	if (len(plan.Kills) > 0 || plan.Rejoin || len(cfg.TCP.Local) > 0) && cfg.Transport != TCPTransport {
+		return nil, fmt.Errorf("adsm: fault injection, rejoining and hosted ranks require the TCP transport (the simulator is the fault-free oracle)")
 	}
-	if len(plan.Kills) > 0 && cfg.Transport != TCPTransport {
-		return nil, fmt.Errorf("adsm: fault injection requires the TCP transport (the simulator is the fault-free oracle)")
+	if len(plan.Kills) > 0 && len(cfg.TCP.Local) > 0 {
+		return nil, fmt.Errorf("adsm: in-process kills need every rank in this process; kill a multi-process endpoint from outside")
 	}
 	if cfg.Procs == 0 {
 		cfg.Procs = 8
@@ -113,24 +121,51 @@ func RunRecoverable(cfg Config, prog Recoverable, plan FaultPlan) (*Report, erro
 				k.Node, k.Step, cfg.Procs, prog.Steps)
 		}
 	}
-	maxRestarts := plan.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = len(plan.Kills) + 2
-	}
+	// A genuine crash loop fails instead of spinning.
+	maxRestarts := len(plan.Kills) + 8
 
-	stores := make([]*core.CkptStore, cfg.Procs)
-	for i := range stores {
-		stores[i] = core.NewCkptStore(i)
+	hosted := cfg.TCP.Local
+	if len(hosted) == 0 {
+		hosted = make([]int, cfg.Procs)
+		for i := range hosted {
+			hosted[i] = i
+		}
 	}
-	recovering := false
+	stores := make(map[int]*core.CkptStore, len(hosted))
+	for _, r := range hosted {
+		stores[r] = core.NewCkptStore(r)
+	}
+	recovering := plan.Rejoin
+	epoch := int64(0)
+	if plan.Rejoin {
+		epoch = -1 // adopt the survivors' epoch in the handshake
+	}
 	killIdx := 0
 	for attempt := 0; ; attempt++ {
 		run := cfg
-		run.ckptStores = func(rank int) *core.CkptStore { return stores[rank] }
-		run.TCP.Epoch = int64(attempt)
-		cl, err := NewClusterErr(run)
-		if err != nil {
-			return nil, err
+		run.TCP.Epoch = epoch
+		run, p := run.engine()
+		p.CkptStores = func(rank int) *core.CkptStore { return stores[rank] }
+		// A re-mesh can race a peer's teardown: a dial may land on its
+		// dying previous incarnation and be rejected with the stale epoch,
+		// failing mesh formation as a whole. That clears once the peer
+		// re-meshes, so retry a few times. The very first mesh of a fresh
+		// run keeps failing fast — a misconfigured cluster should not retry
+		// into a timeout.
+		var cl *Cluster
+		var err error
+		for try := 0; ; try++ {
+			cl, err = newClusterErr(run, p)
+			if err == nil {
+				break
+			}
+			if !recovering || try >= 4 {
+				return nil, err
+			}
+			time.Sleep(500 * time.Millisecond)
+		}
+		if e, ok := cl.c.Transport().(epocher); ok {
+			epoch = e.Epoch() // resolve the wildcard for the next incarnation
 		}
 		if prog.Setup != nil {
 			prog.Setup(cl)
@@ -167,78 +202,6 @@ func RunRecoverable(cfg Config, prog Recoverable, plan FaultPlan) (*Report, erro
 			// partition from the ring buddy's replica.
 			stores[plan.Kills[killIdx].Node] = core.NewCkptStore(plan.Kills[killIdx].Node)
 			killIdx++
-		}
-		recovering = true
-	}
-}
-
-// epocher reads the tcp runtime's (possibly adopted) membership epoch.
-type epocher interface{ Epoch() int64 }
-
-// RunRecoverableNode executes one endpoint of a multi-process recoverable
-// run (cfg.TCP.Local names the hosted ranks). It owns the hosted ranks'
-// checkpoint stores across incarnations: when a peer is lost it re-meshes
-// at the next membership epoch, recovers, and resumes. recovering marks a
-// respawned replacement process (`dsmnode -recover`): it joins with the
-// epoch wildcard, adopts the survivors' epoch, and — its store being
-// empty — has its partition restored by its ring buddy.
-func RunRecoverableNode(cfg Config, prog Recoverable, recovering bool) (*Report, error) {
-	if prog.Steps <= 0 || prog.Step == nil {
-		return nil, fmt.Errorf("adsm: recoverable program needs Steps and Step")
-	}
-	if cfg.Transport != TCPTransport || len(cfg.TCP.Local) == 0 {
-		return nil, fmt.Errorf("adsm: RunRecoverableNode needs the TCP transport with hosted ranks (single-process runs use RunRecoverable)")
-	}
-	every := prog.CkptEvery
-	if every <= 0 {
-		every = 1
-	}
-	stores := make(map[int]*core.CkptStore, len(cfg.TCP.Local))
-	for _, r := range cfg.TCP.Local {
-		stores[r] = core.NewCkptStore(r)
-	}
-	epoch := int64(0)
-	if recovering {
-		epoch = -1 // adopt the survivors' epoch in the handshake
-	}
-	const maxRestarts = 8
-	for attempt := 0; ; attempt++ {
-		run := cfg
-		run.ckptStores = func(rank int) *core.CkptStore { return stores[rank] }
-		run.TCP.Epoch = epoch
-		// During recovery the first re-mesh can race a peer's teardown: a
-		// dial may land on its dying previous incarnation and be rejected
-		// with the stale epoch, failing mesh formation as a whole. That
-		// clears once the peer re-meshes, so retry a few times. The very
-		// first mesh of a non-recovering run keeps failing fast — a
-		// misconfigured cluster should not retry into a timeout.
-		var cl *Cluster
-		var err error
-		for try := 0; ; try++ {
-			cl, err = NewClusterErr(run)
-			if err == nil {
-				break
-			}
-			if (!recovering && attempt == 0) || try >= 4 {
-				return nil, err
-			}
-			time.Sleep(500 * time.Millisecond)
-		}
-		if e, ok := cl.c.Transport().(epocher); ok {
-			epoch = e.Epoch() // resolve the wildcard for the next incarnation
-		}
-		if prog.Setup != nil {
-			prog.Setup(cl)
-		}
-		rep, err := cl.Run(prog.body(every, recovering, nil))
-		if err == nil {
-			return rep, nil
-		}
-		if !errors.Is(err, ErrPeerLost) && !errors.Is(err, ErrLeaseExpired) {
-			return nil, err
-		}
-		if attempt+1 > maxRestarts {
-			return nil, fmt.Errorf("adsm: gave up after %d restarts: %w", attempt+1, err)
 		}
 		epoch++
 		recovering = true

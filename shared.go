@@ -192,14 +192,14 @@ func (s Shared[T]) Fill(w *Worker, i, n int, v T) {
 }
 
 // Prefetch declares that the window [lo, hi) is about to be read — the
-// span-granularity coherence hint. Under Config.SpanPrefetch (the
-// default) the engine fetches all of the window's invalid pages right
-// here, batched into one overlapped Multicall, so the reads that follow
-// find them valid instead of paying one blocking fault per page. With
-// prefetch off — or when the window holds nothing profitable to batch —
-// the hint is a no-op and the faults fire on access exactly as without
-// it. Either way the hint never changes what the program computes, only
-// when its coherence traffic travels.
+// span-granularity coherence hint. The engine fetches all of the
+// window's invalid pages right here, batched into one overlapped
+// Multicall, so the reads that follow find them valid instead of paying
+// one blocking fault per page. When the window holds nothing profitable
+// to batch the hint is a no-op and the faults fire on access exactly as
+// without it. Either way the hint never changes what the program
+// computes, only when its coherence traffic travels
+// (TestPrefetchEquivalence pins this).
 func (s Shared[T]) Prefetch(w *Worker, lo, hi int) {
 	s.checkRange(lo, hi)
 	if lo == hi {
@@ -245,7 +245,7 @@ type Window struct {
 // Write or ReadWrite window are recorded at page granularity exactly as a
 // per-element loop would record them — same faults, same write notices,
 // same diffs — so the span path never changes protocol behavior, only the
-// per-element overhead (see Config.PerWordSpans and `dsmbench -exp span`).
+// per-element overhead (TestSpanVsPerWordEquivalence pins this).
 func (s Shared[T]) Span(w *Worker, lo, hi int, mode AccessMode, fn func(i int, p []T)) {
 	s.checkRange(lo, hi)
 	if mode&ReadWrite == 0 {

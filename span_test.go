@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"adsm"
+	"adsm/internal/core"
 )
 
 // mustPanic asserts that fn panics, returning the panic message.
@@ -86,15 +87,27 @@ func TestSharedAtSet(t *testing.T) {
 	}
 }
 
+// spanEngine selects the per-word reference engine when perWord is set,
+// the default engine otherwise.
+func spanEngine(perWord bool) func(*core.Params) {
+	if perWord {
+		return perWordSpans
+	}
+	return nil
+}
+
 // TestBulkOpsCrossPageBoundaries moves ranges spanning several pages
 // through ReadAt/WriteAt/Fill and cross-checks against element ops.
 func TestBulkOpsCrossPageBoundaries(t *testing.T) {
 	for _, perWord := range []bool{false, true} {
 		t.Run(fmt.Sprintf("perWord=%v", perWord), func(t *testing.T) {
-			cl := adsm.NewCluster(adsm.Config{Procs: 2, Protocol: adsm.MW, PerWordSpans: perWord})
+			cl, err := adsm.NewClusterParams(adsm.Config{Procs: 2, Protocol: adsm.MW}, spanEngine(perWord))
+			if err != nil {
+				t.Fatal(err)
+			}
 			const n = 3*512 + 100 // ~3.2 pages of float64
 			arr := adsm.AllocArrayPageAligned[float64](cl, n)
-			_, err := cl.Run(func(w *adsm.Worker) {
+			_, err = cl.Run(func(w *adsm.Worker) {
 				if w.ID() == 0 {
 					src := make([]float64, 1200) // crosses two page boundaries
 					for i := range src {
@@ -134,9 +147,12 @@ func TestBulkOpsCrossPageBoundaries(t *testing.T) {
 func TestSpanMidPageWindows(t *testing.T) {
 	for _, perWord := range []bool{false, true} {
 		t.Run(fmt.Sprintf("perWord=%v", perWord), func(t *testing.T) {
-			cl := adsm.NewCluster(adsm.Config{Procs: 2, Protocol: adsm.WFS, PerWordSpans: perWord})
+			cl, err := adsm.NewClusterParams(adsm.Config{Procs: 2, Protocol: adsm.WFS}, spanEngine(perWord))
+			if err != nil {
+				t.Fatal(err)
+			}
 			arr := adsm.AllocArrayPageAligned[int64](cl, 2048) // 4 pages
-			_, err := cl.Run(func(w *adsm.Worker) {
+			_, err = cl.Run(func(w *adsm.Worker) {
 				if w.ID() == 0 {
 					// Write window [100, 1500): mid-page start and end,
 					// crossing two page boundaries.
@@ -346,9 +362,9 @@ func (k *spanKernel) body(w *adsm.Worker) {
 	w.Barrier()
 }
 
-func (k *spanKernel) run(t *testing.T, cfg adsm.Config) (*adsm.Report, float64) {
+func (k *spanKernel) run(t *testing.T, cfg adsm.Config, edit func(*core.Params)) (*adsm.Report, float64) {
 	t.Helper()
-	cl, err := adsm.NewClusterErr(cfg)
+	cl, err := adsm.NewClusterParams(cfg, edit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +379,8 @@ func (k *spanKernel) run(t *testing.T, cfg adsm.Config) (*adsm.Report, float64) 
 // TestSpanVsPerWordEquivalence is the matrix the API redesign is pinned
 // by: the span fast path must change cost, never semantics. For every
 // protocol × {sim, tcp}, the same kernel runs with the fast path on and
-// degraded to per-word checks; checksums must match bit for bit
-// everywhere.
+// degraded to per-word checks (core's test-only PerWordSpans engine);
+// checksums must match bit for bit everywhere.
 //
 // Under the simulator the kernel uses mid-page band boundaries (genuine
 // write-write false sharing, spans starting and ending inside pages) and
@@ -381,30 +397,32 @@ func (k *spanKernel) run(t *testing.T, cfg adsm.Config) (*adsm.Report, float64) 
 // writer on the serving node, making the fetched applied-vector — and
 // with it later fault counts — timing-defined run-to-run, span path or
 // not (verified by running one configuration repeatedly).
+//
+// The apps/ subtests run the two banded stencil apps whose inner loops
+// the span migration restructured most, SOR and Shallow, on quick inputs
+// under every protocol, and require identical checksums, Stats and
+// virtual time.
 func TestSpanVsPerWordEquivalence(t *testing.T) {
 	const procs = 4
 	for _, proto := range adsm.Protocols() {
 		for _, tr := range []adsm.Transport{adsm.SimTransport, adsm.TCPTransport} {
 			name := fmt.Sprintf("%v/%v", proto, tr)
 			t.Run(name, func(t *testing.T) {
-				// Prefetch off in both arms: the per-word degrade path has
-				// no spans to plan, so this matrix isolates the per-page
-				// bookkeeping batching. The fetch batching is pinned by
-				// TestPrefetchEquivalence (on vs off, checksums).
-				base := adsm.Config{Procs: procs, Protocol: proto, Transport: tr,
-					SpanPrefetch: adsm.PrefetchOff}
+				// Prefetch off in the fast arm: the per-word degrade path
+				// has no spans to plan, so this matrix isolates the
+				// per-page bookkeeping batching. The fetch batching is
+				// pinned by TestPrefetchEquivalence (on vs off, checksums).
+				base := adsm.Config{Procs: procs, Protocol: proto, Transport: tr}
 				cols := 180
 				if tr == adsm.TCPTransport {
 					cols = 512
 				}
 
 				fast := newSpanKernel(procs, cols)
-				fastRep, fastSum := fast.run(t, base)
+				fastRep, fastSum := fast.run(t, base, serialSpans)
 
 				slow := newSpanKernel(procs, cols)
-				slowCfg := base
-				slowCfg.PerWordSpans = true
-				slowRep, slowSum := slow.run(t, slowCfg)
+				slowRep, slowSum := slow.run(t, base, perWordSpans)
 
 				if fastSum != slowSum {
 					t.Fatalf("checksum diverged: fast %v, per-word %v", fastSum, slowSum)
@@ -441,6 +459,30 @@ func TestSpanVsPerWordEquivalence(t *testing.T) {
 						t.Errorf("diff counts diverged: fast %d, per-word %d",
 							fastRep.Stats.DiffsCreated, slowRep.Stats.DiffsCreated)
 					}
+				}
+			})
+		}
+	}
+	for _, name := range []string{"SOR", "Shallow"} {
+		for _, proto := range adsm.Protocols() {
+			t.Run("apps/"+name+"/"+proto.String(), func(t *testing.T) {
+				fastApp, fastRep, err := runAppEngine(name, procs, proto, serialSpans)
+				if err != nil {
+					t.Fatalf("span: %v", err)
+				}
+				slowApp, slowRep, err := runAppEngine(name, procs, proto, perWordSpans)
+				if err != nil {
+					t.Fatalf("per-word: %v", err)
+				}
+				if fastApp.Result() != slowApp.Result() {
+					t.Errorf("checksum diverged: span %v, per-word %v", fastApp.Result(), slowApp.Result())
+				}
+				if !reflect.DeepEqual(fastRep.Stats, slowRep.Stats) {
+					t.Errorf("protocol counters diverged:\nspan:     %+v\nper-word: %+v",
+						fastRep.Stats, slowRep.Stats)
+				}
+				if fastRep.Elapsed != slowRep.Elapsed {
+					t.Errorf("virtual time diverged: span %v, per-word %v", fastRep.Elapsed, slowRep.Elapsed)
 				}
 			})
 		}

@@ -57,9 +57,8 @@ func (w *Worker) RecoverSync() int { return int(w.n.RecoverSync()) }
 // different shared arrays — are about to be read, batching all of their
 // invalid pages into one planned Multicall (the multi-range form of
 // Shared.Prefetch). Like the single-range hint it never changes what the
-// program computes: with span prefetch off, or when there is nothing
-// profitable to batch, it is a no-op and the faults fire on access
-// exactly as without it.
+// program computes: when there is nothing profitable to batch it is a
+// no-op and the faults fire on access exactly as without it.
 func (w *Worker) Prefetch(wins ...Window) {
 	rs := make([]core.Range, 0, len(wins))
 	for _, win := range wins {
