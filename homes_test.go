@@ -50,12 +50,12 @@ func TestRegisterHomePolicyDuplicate(t *testing.T) {
 	}
 }
 
-func runAppHome(name string, procs int, proto adsm.Protocol, home adsm.HomePolicy) (apps.App, *adsm.Report, error) {
+func runAppHome(name string, procs int, proto adsm.Protocol, home adsm.HomePolicy, tr adsm.Transport) (apps.App, *adsm.Report, error) {
 	app, err := apps.New(name, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	cl := adsm.NewCluster(adsm.Config{Procs: procs, Protocol: proto, HomePolicy: home})
+	cl := adsm.NewCluster(adsm.Config{Procs: procs, Protocol: proto, HomePolicy: home, Transport: tr})
 	app.Setup(cl)
 	rep, err := cl.Run(app.Body)
 	return app, rep, err
@@ -78,7 +78,7 @@ func TestHomePolicyScenarioMatrix(t *testing.T) {
 			var mwBaseline *adsm.Report
 			for _, proto := range protos {
 				for _, home := range adsm.HomePolicies() {
-					app, rep, err := runAppHome(name, 4, proto, home)
+					app, rep, err := runAppHome(name, 4, proto, home, adsm.SimTransport)
 					if err != nil {
 						t.Fatalf("%s under %v/%v homes: %v", name, proto, home, err)
 					}
@@ -102,6 +102,32 @@ func TestHomePolicyScenarioMatrix(t *testing.T) {
 	}
 }
 
+// TestFirstTouchHomesTCP runs the first-touch directory on the in-process
+// tcp mesh, where the nodes run concurrently: node 0 binds pages while
+// other nodes' handlers look the bindings up. Results must match the
+// sequential run; CI runs it under the race detector.
+func TestFirstTouchHomesTCP(t *testing.T) {
+	for _, name := range []string{"SOR", "IS"} {
+		seqApp, _, err := runApp(name, 1, adsm.MW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := seqApp.Result()
+		for _, proto := range []adsm.Protocol{adsm.HLRC, adsm.SW} {
+			app, rep, err := runAppHome(name, 4, proto, adsm.FirstTouchHomes, adsm.TCPTransport)
+			if err != nil {
+				t.Fatalf("%s under %v/first-touch on tcp: %v", name, proto, err)
+			}
+			if got := app.Result(); math.Abs(got-seq) > math.Abs(seq)*1e-9 {
+				t.Errorf("%s under %v/first-touch on tcp: result %v != sequential %v", name, proto, got, seq)
+			}
+			if rep.Stats.HomeBinds == 0 {
+				t.Errorf("%s under %v/first-touch on tcp: no binding requests", name, proto)
+			}
+		}
+	}
+}
+
 // TestHomePolicyFlushLocality pins the point of the subsystem: on a
 // banded stencil (SOR), block and first-touch homes keep almost every
 // HLRC diff local, strictly beating the static layout in both remote
@@ -109,7 +135,7 @@ func TestHomePolicyScenarioMatrix(t *testing.T) {
 func TestHomePolicyFlushLocality(t *testing.T) {
 	reports := map[adsm.HomePolicy]*adsm.Report{}
 	for _, home := range []adsm.HomePolicy{adsm.StaticHomes, adsm.FirstTouchHomes, adsm.BlockHomes} {
-		_, rep, err := runAppHome("SOR", 4, adsm.HLRC, home)
+		_, rep, err := runAppHome("SOR", 4, adsm.HLRC, home, adsm.SimTransport)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,7 +153,7 @@ func (n *Node) serveBarrier(c transport.Call, from int, m barArrive) {
 			// recovery turn it into a clean Run error.
 			panic(ErrGCUnsupported)
 		}
-		hints = n.c.computeGCHints()
+		n.c.rt.HoldOthers(n.id, func() { hints = n.c.computeGCHints() })
 		n.c.gcRuns++
 	}
 	// Adaptive switch decisions never ride a GC-triggering release: the
@@ -164,7 +164,7 @@ func (n *Node) serveBarrier(c transport.Call, from int, m barArrive) {
 	// releases GC-triggering.
 	var switches []policySwitch
 	if ad := n.c.adapt; ad != nil && !ad.frozen && !doGC {
-		switches = n.c.adaptDecide()
+		n.c.rt.HoldOthers(n.id, func() { switches = n.c.adaptDecide() })
 	}
 	global := append([]int32(nil), n.knownTS...)
 	calls, knows := b.calls, b.knows

@@ -28,9 +28,10 @@ type Cluster struct {
 	allocs    []allocSpan
 	started   bool
 
-	locks map[int]*mgrLock
-	bar   barrierMgr
-	rec   recoverMgr
+	// The barrier and recovery managers' state: only node 0, the manager,
+	// touches either.
+	bar barrierMgr
+	rec recoverMgr
 
 	// Per-page policy delegation: one shared instance per protocol a page
 	// has been switched to (policies are stateless; pages hold pointers
@@ -48,11 +49,13 @@ type Cluster struct {
 	// Adaptive meta-protocol decision state (nil under static protocols).
 	adapt *adaptState
 
-	// Figure 3 instrumentation: total live diffs across all nodes.
-	totalLiveDiffs int64
+	// Figure 3 instrumentation: total live diffs across all nodes, which
+	// every node updates (atomically); seriesMu orders the samples.
+	totalLiveDiffs atomic.Int64
+	seriesMu       sync.Mutex
 	DiffSeries     *stats.Series
 
-	gcRuns int64
+	gcRuns int64 // barrier manager (node 0) only
 }
 
 // New creates a cluster with the given parameters.
@@ -69,7 +72,6 @@ func New(p Params) *Cluster {
 		policy:   p.Protocol.newPolicy(),
 		homes:    p.Home.newAssigner(),
 		npages:   npages,
-		locks:    make(map[int]*mgrLock),
 		detector: newDetector(p.Procs),
 	}
 	if p.Runtime != nil {
@@ -294,10 +296,13 @@ func (n *Node) handle(call transport.Call, from int, m transport.Msg) {
 
 // noteDiffCount maintains the cluster-wide live diff count (Figure 3).
 func (c *Cluster) noteDiffCount(delta int64) {
-	c.totalLiveDiffs += delta
-	if c.DiffSeries != nil {
-		c.DiffSeries.Append(int64(c.rt.Now()), c.totalLiveDiffs)
+	if c.DiffSeries == nil {
+		c.totalLiveDiffs.Add(delta)
+		return
 	}
+	c.seriesMu.Lock()
+	defer c.seriesMu.Unlock()
+	c.DiffSeries.Append(int64(c.rt.Now()), c.totalLiveDiffs.Add(delta))
 }
 
 // Totals aggregates all nodes' statistics.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"adsm/internal/mem"
 	"adsm/internal/vc"
 )
@@ -19,10 +22,18 @@ import (
 // gaining its second accessor, its first writer, its false-sharing bit),
 // so Characteristics is O(1) instead of a scan over every page — the
 // adaptive meta-protocol and the sweep harness read it per-run.
+//
+// Every node notes its own accesses, concurrently on a real transport.
+// noteAccess, which runs on every write, returns on a fast path when the
+// page's atomically read bitmasks already hold its bits; every state
+// transition, noteWrite and noteDiff run under mu. Readers of the
+// aggregates run after the run or with every node held still
+// (transport.Runtime.HoldOthers).
 type Detector struct {
 	nprocs int
 	pages  []detPage
 
+	mu           sync.Mutex
 	sharedPages  int   // pages with >= 2 accessors
 	writtenPages int   // pages with any writer
 	fsPages      int   // pages with the false-sharing bit set
@@ -32,9 +43,9 @@ type Detector struct {
 }
 
 type detPage struct {
-	lastWrite []vc.VC // per proc, VC of its most recent write interval
-	accessors uint64  // bitmask of procs that touched the page
-	writers   uint64  // bitmask of procs that wrote the page
+	lastWrite []vc.VC       // per proc, VC of its most recent write interval
+	accessors atomic.Uint64 // bitmask of procs that touched the page
+	writers   atomic.Uint64 // bitmask of procs that wrote the page (a subset of accessors)
 	fs        bool
 
 	diffCount int64
@@ -48,13 +59,15 @@ func newDetector(nprocs int) *Detector { return &Detector{nprocs: nprocs} }
 
 // noteWrite records a write notice creation.
 func (d *Detector) noteWrite(wn *WriteNotice) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	p := &d.pages[wn.Page]
 	if p.lastWrite == nil {
 		p.lastWrite = make([]vc.VC, d.nprocs)
 	}
 	proc := wn.Int.Proc
-	d.markWriter(p, proc)
 	d.markAccessor(p, proc)
+	d.markWriter(p, proc)
 	if !p.fs {
 		for q, last := range p.lastWrite {
 			if q == proc || last == nil {
@@ -74,9 +87,20 @@ func (d *Detector) noteWrite(wn *WriteNotice) {
 	p.lastWrite[proc] = wn.Int.VC.Copy()
 }
 
-// noteAccess records that a processor touched a page.
+// noteAccess records that a processor touched a page. Once the page
+// holds the bits the access would set — after a node's first access
+// (read) or first write — it changes nothing and takes no lock.
 func (d *Detector) noteAccess(pg, proc int, write bool) {
 	p := &d.pages[pg]
+	mask := &p.accessors
+	if write {
+		mask = &p.writers
+	}
+	if mask.Load()&(1<<uint(proc)) != 0 {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.markAccessor(p, proc)
 	if write {
 		d.markWriter(p, proc)
@@ -84,26 +108,34 @@ func (d *Detector) noteAccess(pg, proc int, write bool) {
 }
 
 // markAccessor sets proc's accessor bit, bumping the shared-page count
-// when the page gains its second accessor.
+// when the page gains its second accessor. d.mu is held.
 func (d *Detector) markAccessor(p *detPage, proc int) {
-	old := p.accessors
-	p.accessors = old | 1<<uint(proc)
-	if p.accessors != old && old != 0 && old&(old-1) == 0 {
+	old := p.accessors.Load()
+	now := old | 1<<uint(proc)
+	if now == old {
+		return
+	}
+	p.accessors.Store(now)
+	if old != 0 && old&(old-1) == 0 {
 		d.sharedPages++
 	}
 }
 
 // markWriter sets proc's writer bit, bumping the written-page count when
-// the page gains its first writer.
+// the page gains its first writer. d.mu is held, and proc's accessor bit
+// is already set.
 func (d *Detector) markWriter(p *detPage, proc int) {
-	if p.writers == 0 {
+	old := p.writers.Load()
+	if old == 0 {
 		d.writtenPages++
 	}
-	p.writers |= 1 << uint(proc)
+	p.writers.Store(old | 1<<uint(proc))
 }
 
 // noteDiff records a created diff's size (write granularity).
 func (d *Detector) noteDiff(pg int, diff *mem.Diff) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	p := &d.pages[pg]
 	p.diffCount++
 	p.diffBytes += int64(diff.DataBytes())
@@ -158,10 +190,10 @@ func (d *Detector) ScanCharacteristics(npages int) Characteristics {
 	var diffBytes, diffCount int64
 	for i := 0; i < npages && i < len(d.pages); i++ {
 		p := &d.pages[i]
-		if popcount(p.accessors) >= 2 {
+		if popcount(p.accessors.Load()) >= 2 {
 			c.SharedPages++
 		}
-		if p.writers != 0 {
+		if p.writers.Load() != 0 {
 			c.WrittenPages++
 		}
 		if p.fs {

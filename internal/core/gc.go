@@ -21,8 +21,9 @@ import (
 
 // computeGCHints decides, per written page, which node keeps (and
 // validates) the page. It runs on the barrier manager when all nodes have
-// arrived; the scan stands in for the copyset metadata a real TreadMarks
-// node maintains, and its result is charged to the release messages.
+// arrived, with every other node held still; the scan stands in for the
+// copyset metadata a real TreadMarks node maintains, and its result is
+// charged to the release messages.
 func (c *Cluster) computeGCHints() []gcHint {
 	var hints []gcHint
 	for pg := 0; pg < c.usedPages(); pg++ {

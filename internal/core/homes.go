@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"adsm/internal/mem"
 	"adsm/internal/transport"
@@ -295,15 +296,17 @@ const homeDirNode = 0
 // bindings it has learned so the agreement RPC is paid once per
 // (node, page).
 type firstTouchHomes struct {
-	dir   []int   // authoritative binding, maintained at homeDirNode
-	cache [][]int // per-node learned bindings
+	// dir is the authoritative binding: only homeDirNode writes it, any
+	// node may Lookup it, so entries are atomic.
+	dir   []atomic.Int32
+	cache [][]int // per-node learned bindings, each touched by its node only
 }
 
 func (h *firstTouchHomes) Prepare(c *Cluster) {
 	used := c.usedPages()
-	h.dir = make([]int, used)
+	h.dir = make([]atomic.Int32, used)
 	for i := range h.dir {
-		h.dir[i] = -1
+		h.dir[i].Store(-1)
 	}
 	h.cache = make([][]int, c.params.Procs)
 	for p := range h.cache {
@@ -318,7 +321,7 @@ func (h *firstTouchHomes) Lookup(c *Cluster, pg int) int {
 	if h.dir == nil {
 		return -1
 	}
-	return h.dir[pg]
+	return int(h.dir[pg].Load())
 }
 
 func (h *firstTouchHomes) Resolve(n *Node, pg int) int {
@@ -327,10 +330,10 @@ func (h *firstTouchHomes) Resolve(n *Node, pg int) int {
 	}
 	if n.id == homeDirNode {
 		// The directory node consults (and binds) its own state locally.
-		hm := h.dir[pg]
+		hm := int(h.dir[pg].Load())
 		if hm < 0 {
 			hm = n.id
-			h.dir[pg] = hm
+			h.dir[pg].Store(int32(hm))
 		}
 		h.cache[n.id][pg] = hm
 		return hm
@@ -351,10 +354,10 @@ type homeBinder interface {
 // to the first requester, answer every later request with the existing
 // binding.
 func (h *firstTouchHomes) serveBind(n *Node, c transport.Call, from int, m homeBindReq) {
-	hm := h.dir[m.Page]
+	hm := int(h.dir[m.Page].Load())
 	if hm < 0 {
 		hm = from
-		h.dir[m.Page] = hm
+		h.dir[m.Page].Store(int32(hm))
 	}
 	c.Reply(homeBindResp{Home: hm})
 }

@@ -124,20 +124,20 @@ func TestFirstTouchConcurrentAgreement(t *testing.T) {
 	// The raced page is bound to one of the two racers, and every node that
 	// learned a binding agrees with the directory.
 	raced := pageAt(1)
-	if h := ft.dir[raced]; h != 1 && h != 2 {
+	if h := ft.Lookup(c, raced); h != 1 && h != 2 {
 		t.Errorf("raced page bound to %d, want one of the racers (1 or 2)", h)
 	}
 	for pg := range ft.dir {
 		for p := 0; p < procs; p++ {
-			if cached := ft.cache[p][pg]; cached >= 0 && cached != ft.dir[pg] {
+			if cached := ft.cache[p][pg]; cached >= 0 && cached != ft.Lookup(c, pg) {
 				t.Errorf("node %d cached home %d for page %d, directory says %d",
-					p, cached, pg, ft.dir[pg])
+					p, cached, pg, ft.Lookup(c, pg))
 			}
 		}
 	}
 	// Each node's private page is homed at its first (and only) toucher.
 	for p := 0; p < procs; p++ {
-		if got := ft.dir[pageAt(4+p)]; got != p {
+		if got := ft.Lookup(c, pageAt(4+p)); got != p {
 			t.Errorf("page first-touched by node %d homed at %d", p, got)
 		}
 	}

@@ -12,16 +12,17 @@ import (
 // requests to it; the grant travels directly from the holder to the
 // requester carrying the intervals (write notices) the requester lacks.
 
-// mgrLock is the manager-side record for one lock.
+// mgrLock is the manager-side record for one lock. It lives on the
+// managing node (Node.mgrLocks), the only node that touches it.
 type mgrLock struct {
 	lastHolder int
 }
 
-func (c *Cluster) mgrLock(lock int) *mgrLock {
-	ml, ok := c.locks[lock]
+func (n *Node) mgrLock(lock int) *mgrLock {
+	ml, ok := n.mgrLocks[lock]
 	if !ok {
-		ml = &mgrLock{lastHolder: c.lockManagerOf(lock)}
-		c.locks[lock] = ml
+		ml = &mgrLock{lastHolder: n.c.lockManagerOf(lock)}
+		n.mgrLocks[lock] = ml
 	}
 	return ml
 }
@@ -110,7 +111,7 @@ func (n *Node) grantLock(c transport.Call, requesterKnow []int32) {
 // serveAcqReq runs at the lock manager: forward to the last holder (or
 // grant locally when the token is here).
 func (n *Node) serveAcqReq(c transport.Call, from int, m acqReq) {
-	ml := n.c.mgrLock(m.Lock)
+	ml := n.mgrLock(m.Lock)
 	prev := ml.lastHolder
 	ml.lastHolder = c.Origin()
 	if prev == n.id {

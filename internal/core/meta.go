@@ -120,8 +120,9 @@ func (p *metaPolicy) resolve(c *Cluster) {
 
 // adaptState is the barrier manager's per-cluster decision state. It lives
 // on the Cluster (every instance of a multi-process deployment builds one,
-// but only the instance hosting node 0 ever decides) and is only touched
-// in barrier-handler context, under the runtime's serialization.
+// but only the instance hosting node 0 ever decides) and its decision
+// fields are only touched in node 0's barrier-handler context; every node
+// reads the protocol ids, which are fixed before any body runs.
 type adaptState struct {
 	frozen bool // AdaptiveFreeze set: never switch
 	wfs    Protocol
@@ -171,7 +172,8 @@ func (ad *adaptState) noteArrival(ivs []*Interval) {
 // decisions. Runs on the manager when all nodes have arrived, on non-GC
 // rounds only (a GC round reorganizes page copies under the CURRENT
 // protocols; mixing the two transitions in one release is not worth the
-// complexity). Handler context.
+// complexity). Handler context, with every other node held still: it reads
+// the detector, which every node writes.
 func (c *Cluster) adaptDecide() []policySwitch {
 	ad := c.adapt
 	var out []policySwitch
@@ -241,7 +243,7 @@ func (c *Cluster) adaptDecide() []policySwitch {
 			// collection; one home round trip wins.
 			sw = policySwitch{Page: pg, Proto: int32(ad.hlrc)}
 		case ap.proto != ad.wfs && !ap.everMulti &&
-			popcount(dp.accessors&^dp.writers) <= adaptMaxReaders &&
+			popcount(dp.accessors.Load()&^dp.writers.Load()) <= adaptMaxReaders &&
 			(ap.solo >= adaptSoloSlow ||
 				ap.solo >= adaptSoloEpochs && dp.maxDiff >= adaptBulkThreshold):
 			// A single writer has prevailed on a page that has NEVER shown

@@ -102,6 +102,9 @@ type Node struct {
 
 	// lock state per lock id (only for locks this node has interacted with)
 	locks map[int]*nodeLock
+	// mgrLocks holds the manager-side records of the locks this node
+	// manages (lock id mod procs).
+	mgrLocks map[int]*mgrLock
 
 	// barEpoch counts the barrier rounds this node has completed (the
 	// epoch it stamps on its next arrival).
@@ -168,6 +171,7 @@ func newNode(c *Cluster, id int) *Node {
 		intervals:  make([][]*Interval, c.params.Procs),
 		diffCache:  make(map[wnKey]*mem.Diff),
 		locks:      make(map[int]*nodeLock),
+		mgrLocks:   make(map[int]*mgrLock),
 		lastGlobal: make([]int32, c.params.Procs),
 	}
 	if c.params.CkptStores != nil {

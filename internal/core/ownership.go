@@ -312,12 +312,14 @@ func (n *Node) serveSWOwn(c transport.Call, from int, m swOwnReq) {
 	ps := n.pages[m.Page]
 	if m.Hops > 64*n.c.params.Procs {
 		var dump string
-		for _, i := range n.c.local {
-			o := n.c.nodes[i]
-			q := o.pages[m.Page]
-			dump += fmt.Sprintf("\n  node%d: owner=%v waiting=%v perceived=%d ver=%d deferred=%d",
-				o.id, q.owner, q.swWaiting, q.perceivedOwner, q.version, len(q.deferred))
-		}
+		n.c.rt.HoldOthers(n.id, func() {
+			for _, i := range n.c.local {
+				o := n.c.nodes[i]
+				q := o.pages[m.Page]
+				dump += fmt.Sprintf("\n  node%d: owner=%v waiting=%v perceived=%d ver=%d deferred=%d",
+					o.id, q.owner, q.swWaiting, q.perceivedOwner, q.version, len(q.deferred))
+			}
+		})
 		dump += fmt.Sprintf("\n  origin=%d at=%d from=%d", c.Origin(), n.id, from)
 		panic(fmt.Sprintf("dsm: sw ownership forwarding loop on page %d%s", m.Page, dump))
 	}
@@ -353,7 +355,7 @@ func (n *Node) scheduleSWGrant(pg int, ps *pageState) {
 		n.grantSW(pg, ps)
 		return
 	}
-	n.c.rt.After(due-now, func() { n.grantSW(pg, ps) })
+	n.c.rt.After(n.id, due-now, func() { n.grantSW(pg, ps) })
 }
 
 // grantSW transfers ownership and the page to the oldest deferred

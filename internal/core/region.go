@@ -9,7 +9,7 @@ import (
 // runtime's dedicated region lane (transport.OneSided). Each node exports
 // an array of per-page snapshot slots; the transport's region server
 // goroutine answers regionReadReq/regionSpanReq straight from the slots —
-// no protocol handler, no cluster state lock — and reports "not served"
+// no protocol handler, no node state lock — and reports "not served"
 // whenever a slot is empty, sending the requester down the ordinary
 // handler path.
 //

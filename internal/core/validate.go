@@ -79,6 +79,8 @@ func (n *Node) mergeOnce(pg int, ps *pageState) {
 	if best != nil && !best.Int.VC.Leq(ps.applied) {
 		needFetch = true
 	}
+	// Notices past known are ingested while the fetch below blocks.
+	known := len(ps.pending)
 	if needFetch {
 		target := ps.perceivedOwner
 		if best != nil {
@@ -94,17 +96,24 @@ func (n *Node) mergeOnce(pg int, ps *pageState) {
 	}
 
 	// Partition the pending notices: drop everything reflected in our
-	// copy; drop owner write notices subsumed by the fetched owner copy
-	// (the grant chain guarantees each owner's copy contains all earlier
-	// owners' writes); keep diff-backed notices to apply.
-	var rest []*WriteNotice
-	for _, wn := range ps.pending {
-		if wn.Int.VC.Leq(ps.applied) || wn.Owner {
-			continue
+	// copy; drop the owner write notices known before the fetch, which
+	// the fetched owner copy subsumes (the grant chain guarantees each
+	// owner's copy contains all earlier owners' writes, and the copy was
+	// served after they were published); keep diff-backed notices to
+	// apply. An owner notice ingested while the fetch was in flight may be
+	// newer than the copy: it stays pending for the next round.
+	var rest, late []*WriteNotice
+	for i, wn := range ps.pending {
+		switch {
+		case wn.Int.VC.Leq(ps.applied):
+		case wn.Owner && i >= known:
+			late = append(late, wn)
+		case wn.Owner:
+		default:
+			rest = append(rest, wn)
 		}
-		rest = append(rest, wn)
 	}
-	ps.pending = ps.pending[:0]
+	ps.pending = append(ps.pending[:0], late...)
 
 	if len(rest) > 0 {
 		n.fetchDiffs(pg, ps, rest)

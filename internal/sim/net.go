@@ -116,8 +116,12 @@ func (nt *Net) Run() error { return nt.eng.Run() }
 // Now returns the current virtual time.
 func (nt *Net) Now() Time { return nt.eng.Now() }
 
-// After schedules fn to run in handler context at Now()+d.
-func (nt *Net) After(d Time, fn func()) { nt.eng.After(d, fn) }
+// After schedules fn to run in handler context at Now()+d. The node is
+// ignored: the event loop runs one thing at a time.
+func (nt *Net) After(node int, d Time, fn func()) { nt.eng.After(d, fn) }
+
+// HoldOthers calls fn: while it runs no other process or handler can.
+func (nt *Net) HoldOthers(self int, fn func()) { fn() }
 
 // TotalMsgs reports the total number of messages sent by all nodes.
 func (nt *Net) TotalMsgs() int64 {

@@ -7,7 +7,7 @@ import (
 // FaultInjector perturbs the data plane for fault-tolerance tests. Both
 // hooks run on writer goroutines after a frame has been dequeued, so they
 // see exactly the frames that would otherwise hit the socket and never
-// block protocol code that holds the state lock. Implementations must be
+// block protocol code that holds a node's state lock. Implementations must be
 // safe for concurrent use.
 type FaultInjector interface {
 	// DropFrame reports whether the frame from->to on the given lane

@@ -12,9 +12,13 @@
 // Where the simulator parks a virtual process and resumes it from the
 // event queue, this runtime blocks the calling goroutine on a channel that
 // the reply frame completes. Handlers preserve the simulator's "interrupt
-// model" invariant — exactly one thing mutates protocol state at a time —
-// via a per-runtime state lock: application bodies hold it except while
-// blocked in a call, and frame dispatch takes it around each handler.
+// model" invariant — exactly one thing mutates a node's protocol state at
+// a time — via one state lock per hosted node, as if each node were its
+// own workstation: a node's application body holds its lock except while
+// blocked in a call, a one-sided read or Advance, and frame dispatch takes
+// the destination node's lock around each handler. Nodes hosted by the
+// same endpoint run concurrently; a reply completes under a small leaf
+// lock that never takes a node lock.
 // Transport failures (a lost peer, an unregistered destination) fail every
 // affected call loudly instead of deadlocking the caller: the call panics,
 // the body's recover converts it into a Run error.
@@ -57,7 +61,7 @@ type Options struct {
 	// OneSided adds one more connection per pair — the region lane — and
 	// enables the RDMA-style one-sided read path: region requests are
 	// served from the peer's registered memory region on a dedicated
-	// goroutine, bypassing the handler and the protocol state lock. Every
+	// goroutine, bypassing the handler and the node's state lock. Every
 	// participant must use the same value.
 	OneSided bool
 	// Timescale multiplies the modelled compute/processing delays
@@ -353,7 +357,7 @@ type callState struct {
 
 // regionCall tracks one blocking one-sided read. Region replies bypass
 // the ordinary call table: they are matched under their own small mutex so
-// completing one never contends with the protocol state lock.
+// completing one never contends with the call table.
 type regionCall struct {
 	done chan struct{}
 	m    transport.Msg
@@ -365,7 +369,7 @@ type regionCall struct {
 // one hosted node and one peer node. Protocol code never blocks on the
 // socket: sends enqueue onto an unbounded queue drained by a dedicated
 // writer goroutine, so a full TCP buffer can never wedge a handler that
-// holds the state lock.
+// holds its node's state lock.
 type end struct {
 	rt          *Runtime
 	owner, peer int
@@ -417,38 +421,38 @@ type Runtime struct {
 	closed   chan struct{} // closed by Close: stops heartbeat/monitor goroutines
 	closeOne sync.Once
 
-	// mu is the protocol state lock: bodies hold it except while blocked
-	// in a call; frame dispatch and timers take it around handlers.
-	mu       sync.Mutex
-	handlers []transport.Handler
+	// nodes[id] is hosted node id's state lock and handler (nil for nodes
+	// hosted elsewhere). holdMu admits one HoldOthers at a time.
+	nodes  []*node
+	holdMu sync.Mutex
+
+	// callMu is the leaf lock of the call table: a reply completes under
+	// it alone, and nothing that holds it takes a node lock.
+	callMu   sync.Mutex
 	calls    map[uint64]*callState
 	nextCall uint64
-	msgs     []int64
-	bytes    []int64
 	failErr  error
 	finished bool
 
-	// Wire-efficiency counters (transport.WireStats): the real framing
-	// cost next to the protocol model's Msg.Size() accounting. Counted in
-	// sendLocked, so they cover exactly the data-plane frames (calls,
-	// replies, error replies), not the handshake/goodbye control frames.
-	wireFrames int64
-	wireBytes  int64
-	encodeNS   int64
-	laneBytes  []int64 // per-lane wire bytes, same coverage as wireBytes
+	// Traffic counters (the protocol model's Msg.Size()+HeaderBytes
+	// charge) and wire-efficiency counters (transport.WireStats: the real
+	// framing cost). Atomics: every node and the region server add to
+	// them concurrently. The wire counters cover exactly the data-plane
+	// frames (calls, replies, error replies, region reads), not the
+	// handshake/goodbye control frames.
+	msgs       atomic.Int64
+	bytes      atomic.Int64
+	wireFrames atomic.Int64
+	wireBytes  atomic.Int64
+	encodeNS   atomic.Int64
+	laneBytes  []atomic.Int64 // per-lane wire bytes, same coverage as wireBytes
 
 	// One-sided read machinery. regCalls matches region replies under its
-	// own mutex (lock order: mu, then regMu — regionLoop takes regMu
-	// alone). The reg* counters are the region server's share of the
-	// traffic/wire accounting, atomics because the server goroutine never
-	// touches mu.
-	regMu         sync.Mutex
-	regCalls      map[uint64]*regionCall
-	regions       []func(from int, req transport.Msg) (transport.Msg, bool)
-	regMsgs       int64 // atomic: model messages charged by the region server
-	regBytes      int64 // atomic: model bytes charged by the region server
-	regWireFrames int64 // atomic: real frames sent by the region server
-	regWireBytes  int64 // atomic: real bytes sent by the region server
+	// own mutex (lock order: callMu, then regMu — regionLoop takes regMu
+	// alone).
+	regMu    sync.Mutex
+	regCalls map[uint64]*regionCall
+	regions  []func(from int, req transport.Msg) (transport.Msg, bool)
 
 	isLocal   []bool
 	ends      [][][]*end // [local node][peer node][lane]
@@ -459,7 +463,14 @@ type Runtime struct {
 
 	errMu    sync.Mutex
 	bodyErrs []error
-	leaseErr error // lease expiry recorded lock-free by monitorLeases
+}
+
+// node is one hosted node's slot. mu is the node's state lock: its body
+// holds it except while blocked in Multicall, OneSidedRead or Advance, and
+// every handler and deferred action addressed to the node runs under it.
+type node struct {
+	mu      sync.Mutex
+	handler transport.Handler
 }
 
 // New builds the endpoint: binds the local listeners, establishes the full
@@ -524,19 +535,18 @@ func New(o Options) (*Runtime, error) {
 		faults:    o.Faults,
 		epoch:     o.Epoch,
 		closed:    make(chan struct{}),
-		handlers:  make([]transport.Handler, o.Procs),
+		nodes:     make([]*node, o.Procs),
 		calls:     make(map[uint64]*callState),
 		regCalls:  make(map[uint64]*regionCall),
 		regions:   make([]func(int, transport.Msg) (transport.Msg, bool), o.Procs),
-		msgs:      make([]int64, o.Procs),
-		bytes:     make([]int64, o.Procs),
-		laneBytes: make([]int64, nlanes),
+		laneBytes: make([]atomic.Int64, nlanes),
 		isLocal:   isLocal,
 		ends:      make([][][]*end, o.Procs),
 		bodies:    make(map[int]func(transport.Proc)),
 		runGate:   make(chan struct{}),
 	}
 	for _, id := range local {
+		rt.nodes[id] = &node{}
 		rt.ends[id] = make([][]*end, o.Procs)
 		for peer := range rt.ends[id] {
 			rt.ends[id][peer] = make([]*end, nlanes)
@@ -709,7 +719,7 @@ func (rt *Runtime) connectMesh() error {
 		}
 	}
 	// Start the frame pumps. Region-lane reads are served by regionLoop,
-	// the dedicated server goroutine that never touches the state lock.
+	// the dedicated server goroutine that never takes a node lock.
 	for _, id := range rt.local {
 		for _, lanes := range rt.ends[id] {
 			for _, e := range lanes {
@@ -856,7 +866,7 @@ func (e *end) writeLoop() {
 		e.qmu.Unlock()
 		// Fault injection happens here, after dequeue: the injector sees
 		// exactly the frames about to hit the socket and never runs under
-		// the state lock.
+		// a node lock.
 		if inj := e.rt.faults; inj != nil {
 			if d := inj.DelayFrame(e.owner, e.peer, e.lane); d > 0 {
 				time.Sleep(d)
@@ -913,7 +923,7 @@ func (e *end) readLoop() {
 
 // regionLoop pumps the region lane: incoming requests are served straight
 // from the owner's registered region on this goroutine — no handler, no
-// state lock — and incoming replies complete the matching OneSidedRead.
+// node lock — and incoming replies complete the matching OneSidedRead.
 // The reply's Idx carries the served/fallback flag (1 = served from the
 // region and charged, 0 = not available, uncharged).
 func (e *end) regionLoop() {
@@ -948,8 +958,8 @@ func (e *end) regionLoop() {
 				idx = 1
 				// The server's half of the model charge: the pair the
 				// handler path would have charged for serving this read.
-				atomic.AddInt64(&rt.regMsgs, 1)
-				atomic.AddInt64(&rt.regBytes, int64(resp.Size()+transport.HeaderBytes))
+				rt.msgs.Add(1)
+				rt.bytes.Add(int64(resp.Size() + transport.HeaderBytes))
 			} else {
 				resp = nil // fall back uncharged; requester retries via the handler path
 			}
@@ -959,8 +969,7 @@ func (e *end) regionLoop() {
 				rt.fail(fmt.Errorf("tcp: node %d encoding region reply to node %d: %v", e.owner, f.From, err))
 				return
 			}
-			atomic.AddInt64(&rt.regWireFrames, 1)
-			atomic.AddInt64(&rt.regWireBytes, int64(of.wire))
+			rt.countFrame(e.lane, of.wire)
 			e.enqueue(of)
 		case opReply:
 			rt.regMu.Lock()
@@ -979,12 +988,35 @@ func (e *end) regionLoop() {
 }
 
 // dispatch routes one arrived call or reply frame. The message was
-// already decoded in readFrame (in the reader goroutine, off the state
-// lock).
+// already decoded in readFrame (in the reader goroutine, off every lock).
+// A call runs the destination node's handler under that node's state
+// lock; a reply completes its call under the call table's leaf lock only,
+// so it never waits for the origin node's body or handlers.
 func (rt *Runtime) dispatch(f *frame) {
-	m := f.M
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	switch f.Op {
+	case opCall:
+		if f.To < 0 || f.To >= rt.procs || !rt.isLocal[f.To] {
+			rt.fail(fmt.Errorf("tcp: call from node %d addressed to node %d, which this endpoint does not host", f.From, f.To))
+			return
+		}
+		rt.serve(&call{rt: rt, origin: f.Origin, id: f.CallID, idx: f.Idx, cur: f.To}, f.From, f.M)
+	case opReply:
+		var err error
+		if f.Err != "" {
+			err = fmt.Errorf("%s", f.Err)
+		}
+		rt.complete(f.CallID, f.Idx, f.M, err)
+	default:
+		rt.fail(fmt.Errorf("tcp: node %d received unknown frame op %d", f.To, f.Op))
+	}
+}
+
+// serve runs the handler of the node holding c (c.cur) for one arrived
+// call, under that node's state lock.
+func (rt *Runtime) serve(c *call, from int, m transport.Msg) {
+	nd := rt.nodes[c.cur]
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
 			// A handler panicking with an error value is a protocol raising
@@ -992,43 +1024,64 @@ func (rt *Runtime) dispatch(f *frame) {
 			// errors.Is matches through Run's error. Anything else is a bug
 			// and keeps its stack trace.
 			if err, ok := r.(error); ok {
-				rt.failLocked(fmt.Errorf("tcp: handler on node %d: %w", f.To, err))
+				rt.fail(fmt.Errorf("tcp: handler on node %d: %w", c.cur, err))
 			} else {
-				rt.failLocked(fmt.Errorf("tcp: handler on node %d panicked: %v\n%s", f.To, r, debug.Stack()))
+				rt.fail(fmt.Errorf("tcp: handler on node %d panicked: %v\n%s", c.cur, r, debug.Stack()))
 			}
 		}
 	}()
-	switch f.Op {
-	case opCall:
-		h := rt.handlers[f.To]
-		if h == nil {
-			rt.replyErrLocked(f, fmt.Sprintf("tcp: call from node %d to node %d: no handler registered", f.From, f.To))
-			return
-		}
-		c := &call{rt: rt, origin: f.Origin, id: f.CallID, idx: f.Idx, cur: f.To}
-		h(c, f.From, m)
-	case opReply:
-		var err error
-		if f.Err != "" {
-			err = fmt.Errorf("%s", f.Err)
-		}
-		rt.completeLocked(f.CallID, f.Idx, m, err)
-	default:
-		rt.failLocked(fmt.Errorf("tcp: node %d received unknown frame op %d", f.To, f.Op))
-	}
+	rt.deliverLocal(c, from, m)
 }
 
-// replyErrLocked sends a transport-level failure back to a call's origin.
-func (rt *Runtime) replyErrLocked(f *frame, msg string) {
-	if rt.isLocal[f.Origin] {
-		rt.completeLocked(f.CallID, f.Idx, nil, fmt.Errorf("%s", msg))
+// deliverLocal runs the handler of node c.cur, whose state lock the caller
+// holds: for a dispatched frame, or for a call whose sender and receiver
+// are the same node, which never touches the wire (uncharged, like the
+// simulator's local procedure call).
+func (rt *Runtime) deliverLocal(c *call, from int, m transport.Msg) {
+	h := rt.nodes[c.cur].handler
+	if h == nil {
+		rt.replyErr(c, fmt.Sprintf("tcp: call from node %d to node %d: no handler registered", from, c.cur))
 		return
 	}
-	rt.sendLocked(&frame{Op: opReply, From: f.To, To: f.Origin, CallID: f.CallID, Idx: f.Idx, Err: msg}, nil)
+	h(c, from, m)
 }
 
-// completeLocked records one slot of a pending call.
-func (rt *Runtime) completeLocked(id uint64, idx int, m transport.Msg, err error) {
+// replyErr sends a transport-level failure back to a call's origin.
+func (rt *Runtime) replyErr(c *call, msg string) {
+	if rt.isLocal[c.origin] {
+		rt.complete(c.id, c.idx, nil, fmt.Errorf("%s", msg))
+		return
+	}
+	rt.send(&frame{Op: opReply, From: c.cur, To: c.origin, CallID: c.id, Idx: c.idx, Err: msg}, nil)
+}
+
+// newCall registers one blocking call under a fresh id: st in the call
+// table, or rc among the region reads. It fails once the runtime is
+// poisoned. Registering under the lock fail takes means every registered
+// call is either completed or failed, never stranded.
+func (rt *Runtime) newCall(st *callState, rc *regionCall) (uint64, error) {
+	rt.callMu.Lock()
+	defer rt.callMu.Unlock()
+	if rt.failErr != nil {
+		return 0, rt.failErr
+	}
+	rt.nextCall++
+	id := rt.nextCall
+	if st != nil {
+		rt.calls[id] = st
+	}
+	if rc != nil {
+		rt.regMu.Lock()
+		rt.regCalls[id] = rc
+		rt.regMu.Unlock()
+	}
+	return id, nil
+}
+
+// complete records one slot of a pending call.
+func (rt *Runtime) complete(id uint64, idx int, m transport.Msg, err error) {
+	rt.callMu.Lock()
+	defer rt.callMu.Unlock()
 	st := rt.calls[id]
 	if st == nil {
 		return // call already failed and was torn down
@@ -1058,10 +1111,11 @@ func (rt *Runtime) laneOf(m transport.Msg) int {
 	return laneControl
 }
 
-// sendLocked encodes and enqueues one frame between two distinct nodes,
-// charging the sender's traffic counters when it carries a message and
-// the wire-efficiency counters always.
-func (rt *Runtime) sendLocked(f *frame, m transport.Msg) {
+// send encodes and enqueues one frame between two distinct nodes,
+// charging the traffic counters when it carries a message and the
+// wire-efficiency counters always. The caller holds the sending node's
+// state lock.
+func (rt *Runtime) send(f *frame, m transport.Msg) {
 	e := rt.ends[f.From]
 	var ee *end
 	lane := rt.laneOf(m)
@@ -1073,38 +1127,50 @@ func (rt *Runtime) sendLocked(f *frame, m transport.Msg) {
 	}
 	if m != nil {
 		f.M = m
-		rt.msgs[f.From]++
-		rt.bytes[f.From] += int64(m.Size() + transport.HeaderBytes)
+		rt.msgs.Add(1)
+		rt.bytes.Add(int64(m.Size() + transport.HeaderBytes))
 	}
+	rt.encodeAndEnqueue(ee, f)
+}
+
+// encodeAndEnqueue encodes f, charges the wire counters and hands the
+// frame to ee's writer.
+func (rt *Runtime) encodeAndEnqueue(ee *end, f *frame) {
 	start := time.Now()
 	of, err := encodeFrame(f)
 	if err != nil {
 		panic(fmt.Sprintf("tcp: encoding frame from node %d to node %d: %v", f.From, f.To, err))
 	}
-	rt.encodeNS += time.Since(start).Nanoseconds()
-	rt.wireFrames++
-	rt.wireBytes += int64(of.wire)
-	rt.laneBytes[lane] += int64(of.wire)
+	rt.encodeNS.Add(time.Since(start).Nanoseconds())
+	rt.countFrame(ee.lane, of.wire)
 	ee.enqueue(of)
 }
 
-// deliverLocalLocked dispatches a call whose sender and receiver are the
-// same node without touching the wire (uncharged, like the simulator's
-// local procedure call).
-func (rt *Runtime) deliverLocalLocked(from, to, origin int, id uint64, idx int, m transport.Msg) {
-	h := rt.handlers[to]
-	if h == nil {
-		rt.replyErrLocked(&frame{From: from, To: to, Origin: origin, CallID: id, Idx: idx},
-			fmt.Sprintf("tcp: call from node %d to node %d: no handler registered", from, to))
-		return
-	}
-	c := &call{rt: rt, origin: origin, id: id, idx: idx, cur: to}
-	h(c, from, m)
+// countFrame charges one data-plane frame to the wire counters.
+func (rt *Runtime) countFrame(lane, wire int) {
+	rt.wireFrames.Add(1)
+	rt.wireBytes.Add(int64(wire))
+	rt.laneBytes[lane].Add(int64(wire))
+}
+
+// afterOn runs fn after real under node id's state lock — the node whose
+// context scheduled it — unless the runtime is poisoned by then.
+func (rt *Runtime) afterOn(id int, real time.Duration, fn func()) {
+	time.AfterFunc(real, func() {
+		nd := rt.nodes[id]
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		if rt.poisoned() {
+			return
+		}
+		fn()
+	})
 }
 
 // --- transport.Call ---
 
-// call is the handler-side view of one in-flight request.
+// call is the handler-side view of one in-flight request. It runs in the
+// context of node cur, whose state lock is held.
 type call struct {
 	rt     *Runtime
 	origin int
@@ -1115,55 +1181,35 @@ type call struct {
 
 func (c *call) Origin() int { return c.origin }
 
-func (c *call) Reply(m transport.Msg) { c.replyLocked(m) }
-
-// replyLocked runs with the state lock held (all handler and process
-// contexts hold it).
-func (c *call) replyLocked(m transport.Msg) {
+func (c *call) Reply(m transport.Msg) {
 	if c.cur == c.origin {
-		c.rt.completeLocked(c.id, c.idx, m, nil)
+		c.rt.complete(c.id, c.idx, m, nil)
 		return
 	}
-	c.rt.sendLocked(&frame{Op: opReply, From: c.cur, To: c.origin, CallID: c.id, Idx: c.idx}, m)
+	c.rt.send(&frame{Op: opReply, From: c.cur, To: c.origin, CallID: c.id, Idx: c.idx}, m)
 }
 
 func (c *call) ReplyAfter(d transport.Time, m transport.Msg) {
-	rt := c.rt
-	if real := rt.scaled(d); real > 0 {
-		time.AfterFunc(real, func() {
-			rt.mu.Lock()
-			defer rt.mu.Unlock()
-			if rt.failErr != nil {
-				return
-			}
-			c.replyLocked(m)
-		})
+	if real := c.rt.scaled(d); real > 0 {
+		c.rt.afterOn(c.cur, real, func() { c.Reply(m) })
 		return
 	}
-	c.replyLocked(m)
+	c.Reply(m)
 }
 
 func (c *call) Forward(to int, m transport.Msg) {
 	from := c.cur
 	c.cur = to
 	if to == from {
-		c.rt.deliverLocalLocked(from, to, c.origin, c.id, c.idx, m)
+		c.rt.deliverLocal(c, from, m)
 		return
 	}
-	c.rt.sendLocked(&frame{Op: opCall, From: from, To: to, Origin: c.origin, CallID: c.id, Idx: c.idx}, m)
+	c.rt.send(&frame{Op: opCall, From: from, To: to, Origin: c.origin, CallID: c.id, Idx: c.idx}, m)
 }
 
 func (c *call) ForwardAfter(d transport.Time, to int, m transport.Msg) {
-	rt := c.rt
-	if real := rt.scaled(d); real > 0 {
-		time.AfterFunc(real, func() {
-			rt.mu.Lock()
-			defer rt.mu.Unlock()
-			if rt.failErr != nil {
-				return
-			}
-			c.Forward(to, m)
-		})
+	if real := c.rt.scaled(d); real > 0 {
+		c.rt.afterOn(c.cur, real, func() { c.Forward(to, m) })
 		return
 	}
 	c.Forward(to, m)
@@ -1173,12 +1219,13 @@ func (c *call) ForwardAfter(d transport.Time, to int, m transport.Msg) {
 
 // Register installs the call handler for node id.
 func (rt *Runtime) Register(id int, h transport.Handler) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if !rt.isLocal[id] {
 		panic(fmt.Sprintf("tcp: node %d is not hosted by this endpoint", id))
 	}
-	rt.handlers[id] = h
+	nd := rt.nodes[id]
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	nd.handler = h
 }
 
 // Call sends m to node `to` on behalf of p and blocks until the reply
@@ -1188,54 +1235,74 @@ func (rt *Runtime) Call(p transport.Proc, to int, m transport.Msg) transport.Msg
 }
 
 // Multicall issues all requests simultaneously and blocks until every
-// reply has arrived. Results are positional. The calling goroutine holds
-// the state lock (the body invariant); it is released while blocked.
+// reply has arrived. Results are positional. The calling body holds its
+// node's state lock; it is released while blocked.
 func (rt *Runtime) Multicall(p transport.Proc, reqs []transport.Target) []transport.Msg {
 	if len(reqs) == 0 {
 		return nil
 	}
-	if rt.failErr != nil {
-		panic(rt.failErr)
-	}
 	from := p.ID()
-	rt.nextCall++
-	id := rt.nextCall
 	st := &callState{results: make([]transport.Msg, len(reqs)), pending: len(reqs), done: make(chan struct{})}
-	rt.calls[id] = st
+	id, err := rt.newCall(st, nil)
+	if err != nil {
+		panic(err)
+	}
 	for i, r := range reqs {
 		if r.To < 0 || r.To >= rt.procs {
-			rt.completeLocked(id, i, nil, fmt.Errorf("tcp: call to node %d: no such node", r.To))
+			rt.complete(id, i, nil, fmt.Errorf("tcp: call to node %d: no such node", r.To))
 			continue
 		}
 		if r.To == from {
-			rt.deliverLocalLocked(from, r.To, from, id, i, r.M)
+			rt.deliverLocal(&call{rt: rt, origin: from, id: id, idx: i, cur: from}, from, r.M)
 			continue
 		}
-		rt.sendLocked(&frame{Op: opCall, From: from, To: r.To, Origin: from, CallID: id, Idx: i}, r.M)
+		rt.send(&frame{Op: opCall, From: from, To: r.To, Origin: from, CallID: id, Idx: i}, r.M)
 	}
-	rt.mu.Unlock()
+	nd := rt.nodes[from]
+	nd.mu.Unlock()
 	<-st.done
-	rt.mu.Lock()
+	nd.mu.Lock()
 	if st.err != nil {
 		panic(st.err)
 	}
 	return st.results
 }
 
-// After schedules fn to run in handler context after d (scaled). Like
-// ReplyAfter, it keeps firing after this endpoint's bodies finish — a
+// After schedules fn to run in node's handler context after d (scaled).
+// Like ReplyAfter, it keeps firing after this endpoint's bodies finish — a
 // deferred grant may be what a still-running peer is blocked on — and
 // stops only when the runtime is poisoned.
-func (rt *Runtime) After(d transport.Time, fn func()) {
-	real := rt.scaled(d)
-	time.AfterFunc(real, func() {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		if rt.failErr != nil {
-			return
+func (rt *Runtime) After(node int, d transport.Time, fn func()) {
+	rt.afterOn(node, rt.scaled(d), fn)
+}
+
+// HoldOthers runs fn while every other hosted node is held still. The
+// caller runs in node self's context (holds its state lock); fn may read
+// any hosted node's protocol state.
+//
+// This is the only code path that holds two node locks. It takes the
+// others in id order, under holdMu, which admits one holder at a time.
+// Nothing else that holds a node lock ever waits for a second node lock or
+// for holdMu: a body or handler waits only on leaf locks, and a second
+// HoldOthers caller gives its own node's lock up before it queues on
+// holdMu (the first caller may be waiting for that very lock; the node's
+// other handlers may run meanwhile). So the holder of holdMu only ever
+// waits on goroutines that make progress, and no cycle of waits can form.
+func (rt *Runtime) HoldOthers(self int, fn func()) {
+	if !rt.holdMu.TryLock() {
+		own := rt.nodes[self]
+		own.mu.Unlock()
+		rt.holdMu.Lock()
+		own.mu.Lock()
+	}
+	defer rt.holdMu.Unlock()
+	for _, id := range rt.local {
+		if id != self {
+			rt.nodes[id].mu.Lock()
+			defer rt.nodes[id].mu.Unlock()
 		}
-		fn()
-	})
+	}
+	fn()
 }
 
 func (rt *Runtime) scaled(d transport.Time) time.Duration {
@@ -1246,56 +1313,27 @@ func (rt *Runtime) scaled(d transport.Time) time.Duration {
 }
 
 // TotalMsgs reports the messages sent by the hosted nodes.
-func (rt *Runtime) TotalMsgs() int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var s int64
-	for _, v := range rt.msgs {
-		s += v
-	}
-	return s + atomic.LoadInt64(&rt.regMsgs)
-}
+func (rt *Runtime) TotalMsgs() int64 { return rt.msgs.Load() }
 
 // TotalBytes reports the bytes (payload+headers) sent by the hosted nodes.
-func (rt *Runtime) TotalBytes() int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var s int64
-	for _, v := range rt.bytes {
-		s += v
-	}
-	return s + atomic.LoadInt64(&rt.regBytes)
-}
+func (rt *Runtime) TotalBytes() int64 { return rt.bytes.Load() }
 
 // WireFrames reports the data-plane frames sent (transport.WireStats).
-func (rt *Runtime) WireFrames() int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.wireFrames + atomic.LoadInt64(&rt.regWireFrames)
-}
+func (rt *Runtime) WireFrames() int64 { return rt.wireFrames.Load() }
 
 // WireBytes reports the real bytes (header+body) put on the wire.
-func (rt *Runtime) WireBytes() int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.wireBytes + atomic.LoadInt64(&rt.regWireBytes)
-}
+func (rt *Runtime) WireBytes() int64 { return rt.wireBytes.Load() }
 
-// WireEncodeNanos reports cumulative frame-encode time.
-func (rt *Runtime) WireEncodeNanos() int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.encodeNS
-}
+// WireEncodeNanos reports cumulative frame-encode time (the region
+// server's replies are not timed).
+func (rt *Runtime) WireEncodeNanos() int64 { return rt.encodeNS.Load() }
 
 // LaneBytes reports the real wire bytes per lane (control, bulk, region in
-// lane order). Region-server replies are folded into the region lane.
+// lane order). Region-server replies count on the region lane.
 func (rt *Runtime) LaneBytes() []int64 {
-	rt.mu.Lock()
-	out := append([]int64(nil), rt.laneBytes...)
-	rt.mu.Unlock()
-	if rt.oneSided {
-		out[rt.lanes] += atomic.LoadInt64(&rt.regWireBytes)
+	out := make([]int64, len(rt.laneBytes))
+	for i := range rt.laneBytes {
+		out[i] = rt.laneBytes[i].Load()
 	}
 	return out
 }
@@ -1351,8 +1389,8 @@ func (rt *Runtime) RegisterRegion(node int, serve func(from int, req transport.M
 	rt.regions[node] = serve
 }
 
-// OneSidedRead performs one blocking region-read round-trip. The caller
-// holds the state lock (body context); it is released while blocked, like
+// OneSidedRead performs one blocking region-read round-trip. The calling
+// body holds its node's state lock; it is released while blocked, like
 // any call. ok=false means the peer could not serve from its region (or
 // the lane is unavailable): nothing was charged and the caller should fall
 // back to the ordinary handler path.
@@ -1364,41 +1402,28 @@ func (rt *Runtime) OneSidedRead(p transport.Proc, to int, req transport.Msg) (tr
 	if to == from || to < 0 || to >= rt.procs {
 		return nil, false
 	}
-	if rt.failErr != nil {
-		panic(rt.failErr)
-	}
 	ee := rt.ends[from][to][rt.lanes]
 	if ee == nil {
 		return nil, false
 	}
-	rt.nextCall++
-	id := rt.nextCall
 	rc := &regionCall{done: make(chan struct{})}
-	rt.regMu.Lock()
-	rt.regCalls[id] = rc
-	rt.regMu.Unlock()
-	f := &frame{Op: opCall, From: from, To: to, Origin: from, CallID: id, M: req}
-	start := time.Now()
-	of, err := encodeFrame(f)
+	id, err := rt.newCall(nil, rc)
 	if err != nil {
-		panic(fmt.Sprintf("tcp: encoding region read from node %d to node %d: %v", from, to, err))
+		panic(err)
 	}
-	rt.encodeNS += time.Since(start).Nanoseconds()
-	rt.wireFrames++
-	rt.wireBytes += int64(of.wire)
-	rt.laneBytes[rt.lanes] += int64(of.wire)
-	ee.enqueue(of)
-	rt.mu.Unlock()
+	rt.encodeAndEnqueue(ee, &frame{Op: opCall, From: from, To: to, Origin: from, CallID: id, M: req})
+	nd := rt.nodes[from]
+	nd.mu.Unlock()
 	<-rc.done
-	rt.mu.Lock()
+	nd.mu.Lock()
 	if rc.err != nil {
 		panic(rc.err)
 	}
 	if rc.ok {
 		// The requester's half of the model charge: the request the
 		// handler path would have sent for this read.
-		rt.msgs[from]++
-		rt.bytes[from] += int64(req.Size() + transport.HeaderBytes)
+		rt.msgs.Add(1)
+		rt.bytes.Add(int64(req.Size() + transport.HeaderBytes))
 	}
 	return rc.m, rc.ok
 }
@@ -1419,9 +1444,9 @@ func (rt *Runtime) Spawn(id int, name string, body func(p transport.Proc)) {
 	rt.bodies[id] = body
 }
 
-// Run executes the spawned bodies (each under the state lock, released
-// while blocked) and the frame pumps until every local body has finished,
-// then performs the orderly goodbye with every peer.
+// Run executes the spawned bodies (each under its node's state lock,
+// released while blocked) and the frame pumps until every local body has
+// finished, then performs the orderly goodbye with every peer.
 func (rt *Runtime) Run() error {
 	rt.start = time.Now() // Elapsed excludes the mesh dial window and app setup
 	close(rt.runGate)
@@ -1435,15 +1460,16 @@ func (rt *Runtime) Run() error {
 	}
 	for id, body := range rt.bodies {
 		id, body := id, body
-		p := &proc{rt: rt, id: id}
+		nd := rt.nodes[id]
+		p := &proc{rt: rt, id: id, nd: nd}
 		rt.bodyWG.Add(1)
 		go func() {
 			defer rt.bodyWG.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					// Bodies panic with the state lock held (transport
+					// Bodies panic with their node's lock held (transport
 					// failures are raised after the call relocks).
-					rt.mu.Unlock()
+					nd.mu.Unlock()
 					var err error
 					if e, ok := r.(error); ok {
 						err = fmt.Errorf("tcp: node %d: %w", id, e)
@@ -1456,25 +1482,17 @@ func (rt *Runtime) Run() error {
 					rt.fail(err)
 				}
 			}()
-			rt.mu.Lock()
+			nd.mu.Lock()
 			body(p)
-			rt.mu.Unlock()
+			nd.mu.Unlock()
 		}()
 	}
 	rt.bodyWG.Wait()
 
-	rt.mu.Lock()
+	rt.callMu.Lock()
 	rt.finished = true
 	failed := rt.failErr
-	rt.mu.Unlock()
-	if failed == nil {
-		// A lease expiry detected while the bodies were still running may
-		// not have reached failErr yet (fail blocks on the body-held state
-		// lock); the monitor records it lock-free so it is seen here.
-		rt.errMu.Lock()
-		failed = rt.leaseErr
-		rt.errMu.Unlock()
-	}
+	rt.callMu.Unlock()
 
 	if failed == nil {
 		rt.goodbye()
@@ -1489,14 +1507,14 @@ func (rt *Runtime) Run() error {
 	if failed != nil {
 		return failed
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	rt.callMu.Lock()
+	defer rt.callMu.Unlock()
 	return rt.failErr
 }
 
 // heartbeat keeps every peer's lease on this endpoint's liveness fresh:
 // an opPing on each control-lane end every LeaseTerm/3, encoded and
-// enqueued directly — no state lock, no traffic counters (heartbeats are
+// enqueued directly — no node lock, no traffic counters (heartbeats are
 // membership overhead, not protocol traffic).
 func (rt *Runtime) heartbeat() {
 	t := time.NewTicker(rt.lease / 3)
@@ -1542,17 +1560,8 @@ func (rt *Runtime) monitorLeases() {
 			}
 		})
 		if lost != nil {
-			err := fmt.Errorf("tcp: node %d: %w", lost.owner, transport.ErrLeaseExpired{Node: lost.peer})
-			// Record the expiry under errMu first: bodies hold the state
-			// lock while running, so fail() below may block past the run's
-			// orderly completion — Run re-checks leaseErr after the bodies
-			// finish so a detected expiry is never lost to that race.
-			rt.errMu.Lock()
-			if rt.leaseErr == nil {
-				rt.leaseErr = err
-			}
-			rt.errMu.Unlock()
-			rt.fail(err) // poison pending calls (no-op if already finished)
+			// Poison pending calls (a no-op once the run has finished).
+			rt.fail(fmt.Errorf("tcp: node %d: %w", lost.owner, transport.ErrLeaseExpired{Node: lost.peer}))
 			return
 		}
 	}
@@ -1617,14 +1626,11 @@ func (rt *Runtime) Close() {
 	}
 }
 
-// fail aborts every pending call and poisons the runtime.
+// fail aborts every pending call and poisons the runtime. It takes only
+// the call table's leaf lock, so it never waits for a running body.
 func (rt *Runtime) fail(err error) {
-	rt.mu.Lock()
-	rt.failLocked(err)
-	rt.mu.Unlock()
-}
-
-func (rt *Runtime) failLocked(err error) {
+	rt.callMu.Lock()
+	defer rt.callMu.Unlock()
 	// A run that already completed orderly cannot be failed retroactively:
 	// teardown noise (late lease expiry, peers closing sockets) arriving
 	// after the last body returned is not this run's failure.
@@ -1648,9 +1654,16 @@ func (rt *Runtime) failLocked(err error) {
 
 // shuttingDown reports whether socket errors are expected (orderly exit).
 func (rt *Runtime) shuttingDown() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	rt.callMu.Lock()
+	defer rt.callMu.Unlock()
 	return rt.finished
+}
+
+// poisoned reports whether a failure has poisoned the runtime.
+func (rt *Runtime) poisoned() bool {
+	rt.callMu.Lock()
+	defer rt.callMu.Unlock()
+	return rt.failErr != nil
 }
 
 // --- transport.Proc ---
@@ -1659,6 +1672,7 @@ func (rt *Runtime) shuttingDown() bool {
 type proc struct {
 	rt *Runtime
 	id int
+	nd *node
 }
 
 func (p *proc) ID() int { return p.id }
@@ -1666,14 +1680,14 @@ func (p *proc) ID() int { return p.id }
 func (p *proc) Now() transport.Time { return p.rt.Now() }
 
 // Advance models local computation: with a timescale it really sleeps
-// (releasing the state lock so handlers keep running, like the simulated
-// process yielding to the event queue); without one it is free.
+// (releasing the node's state lock so its handlers keep running, like the
+// simulated process yielding to the event queue); without one it is free.
 func (p *proc) Advance(d transport.Time) {
 	real := p.rt.scaled(d)
 	if real <= 0 {
 		return
 	}
-	p.rt.mu.Unlock()
+	p.nd.mu.Unlock()
 	time.Sleep(real)
-	p.rt.mu.Lock()
+	p.nd.mu.Lock()
 }

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -90,6 +91,117 @@ func TestCallReplyForward(t *testing.T) {
 	}
 }
 
+// TestTCPNodesRunConcurrently pins one state lock per hosted node: the
+// nodes of an in-process mesh run like separate workstations, so a body
+// that computes without any DSM call stalls neither another node's body
+// nor another node's handlers. Every wait is bounded, so a runtime that
+// runs its nodes one at a time fails here instead of hanging.
+func TestTCPNodesRunConcurrently(t *testing.T) {
+	// waitFor spins until cond holds, reporting false once the bound
+	// passes.
+	waitFor := func(cond func() bool) bool {
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				return false
+			}
+			runtime.Gosched()
+		}
+		return true
+	}
+	run := func(t *testing.T, n int, bodies map[int]func(rt *Runtime, p transport.Proc)) {
+		t.Helper()
+		rt := mesh(t, n)
+		for id := 0; id < n; id++ {
+			rt.Register(id, func(c transport.Call, from int, m transport.Msg) { c.Reply(m) })
+			body := bodies[id]
+			rt.Spawn(id, "n", func(p transport.Proc) {
+				if body != nil {
+					body(rt, p)
+				}
+			})
+		}
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("bodies meet", func(t *testing.T) {
+		// Each body raises its flag and waits for the other's, with no
+		// DSM call in between.
+		var up [2]atomic.Bool
+		var met [2]bool
+		meet := func(me int) func(*Runtime, transport.Proc) {
+			return func(*Runtime, transport.Proc) {
+				up[me].Store(true)
+				met[me] = waitFor(up[1-me].Load)
+			}
+		}
+		run(t, 2, map[int]func(*Runtime, transport.Proc){0: meet(0), 1: meet(1)})
+		if !met[0] || !met[1] {
+			t.Errorf("bodies did not run at the same time: node 0 saw node 1 = %v, node 1 saw node 0 = %v", met[0], met[1])
+		}
+	})
+
+	t.Run("handler beside a busy body", func(t *testing.T) {
+		// Node 1 spins until node 0's call to node 2 has returned: node
+		// 2's handler and node 0's return must not wait for node 1.
+		var spinning, returned atomic.Bool
+		var sawSpin, sawReturn bool
+		run(t, 3, map[int]func(*Runtime, transport.Proc){
+			0: func(rt *Runtime, p transport.Proc) {
+				sawSpin = waitFor(spinning.Load)
+				rt.Call(p, 2, tmsg{N: 1})
+				returned.Store(true)
+			},
+			1: func(*Runtime, transport.Proc) {
+				spinning.Store(true)
+				sawReturn = waitFor(returned.Load)
+			},
+		})
+		if !sawSpin || !sawReturn {
+			t.Errorf("a busy body stalled another node: node 0 saw node 1 spin = %v, node 1 saw the call return = %v", sawSpin, sawReturn)
+		}
+	})
+}
+
+// TestHoldOthersExcludesEveryNode runs HoldOthers from every node's body
+// at once, each fn bumping one unsynchronised counter: the callers must
+// exclude each other (the race detector checks it) and must not deadlock,
+// although each already holds its own node's lock when it asks for the
+// others'.
+func TestHoldOthersExcludesEveryNode(t *testing.T) {
+	const n, rounds = 4, 200
+	rt := mesh(t, n)
+	count := 0
+	var started atomic.Int32
+	for id := 0; id < n; id++ {
+		rt.Register(id, func(c transport.Call, from int, m transport.Msg) { c.Reply(m) })
+		rt.Spawn(id, "n", func(p transport.Proc) {
+			started.Add(1)
+			for started.Load() < n {
+				runtime.Gosched()
+			}
+			for i := 0; i < rounds; i++ {
+				rt.HoldOthers(p.ID(), func() { count++ })
+			}
+		})
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- rt.Run() }()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("concurrent HoldOthers callers deadlocked")
+	}
+	if count != n*rounds {
+		t.Errorf("count = %d, want %d", count, n*rounds)
+	}
+}
+
 // TestCallUnregisteredNodeFailsLoudly: a call to a node with no handler
 // must surface as a Run error naming the failure, not a deadlock.
 func TestCallUnregisteredNodeFailsLoudly(t *testing.T) {
@@ -169,12 +281,12 @@ func TestPeerDisconnectMidMulticall(t *testing.T) {
 // laneOrderRun sends nbulk slow bulk calls followed by one control ping
 // (all in one overlapped Multicall) and reports how many bulk calls the
 // receiver had finished when the ping's handler ran. Sender and receiver
-// are separate endpoints — separate state locks — so the receiver's slow
-// handlers cannot stall the sender's enqueues, and each bulk handler burns
-// real time while holding the receiver's state lock. On a single shared
-// connection the ping — behind every bulk frame in the socket — can only
-// run after all of them; on a multiplexed mesh it arrives on the control
-// lane and overtakes the queued bulk dispatches.
+// are separate endpoints, so the receiver's slow handlers cannot stall the
+// sender's enqueues, and each bulk handler burns real time while holding
+// node 1's state lock, which every call to node 1 waits for. On a single
+// shared connection the ping — behind every bulk frame in the socket — can
+// only run after all of them; on a multiplexed mesh it arrives on the
+// control lane and overtakes the queued bulk dispatches.
 func laneOrderRun(t *testing.T, lanes, nbulk int) int {
 	t.Helper()
 	addrs := reserveAddrs(t, 2)
@@ -203,9 +315,9 @@ func laneOrderRun(t *testing.T, lanes, nbulk int) int {
 	recv.Register(1, func(c transport.Call, from int, m transport.Msg) {
 		switch r := m.(type) {
 		case tbulk:
-			// The delay holds the state lock across the sleep, like a real
-			// handler serving a large payload does (a sleep rather than a
-			// busy-wait so the control readLoop gets CPU on small boxes).
+			// The delay holds node 1's state lock across the sleep, like a
+			// real handler serving a large payload does (a sleep rather than
+			// a busy-wait so the control readLoop gets CPU on small boxes).
 			time.Sleep(2 * time.Millisecond)
 			handled.Add(1)
 			c.Reply(tbulk{N: r.N})

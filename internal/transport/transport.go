@@ -122,13 +122,17 @@ type Msg interface {
 	Size() int
 }
 
-// Handler services calls addressed to one node. It must not block: it
-// replies (possibly after a modelled processing cost), forwards the call to
-// another node, or stores the Call to reply later (deferred grant).
+// Handler services calls addressed to one node. It runs in that node's
+// context — excluding the node's application body and its other handlers,
+// but not other nodes — and must not block: it replies (possibly after a
+// modelled processing cost), forwards the call to another node, or stores
+// the Call to reply later (deferred grant).
 type Handler func(c Call, from int, m Msg)
 
 // Call is the handler-side view of one in-flight request. The handler (or
-// whoever it hands the Call to) must eventually Reply exactly once.
+// whoever it hands the Call to) must eventually Reply exactly once, in the
+// context of the node currently holding the call; ReplyAfter and
+// ForwardAfter run their deferred action in that node's context too.
 type Call interface {
 	// Origin returns the node that issued the call.
 	Origin() int
@@ -178,8 +182,9 @@ type Transport interface {
 	// Multicall issues all requests simultaneously and blocks until every
 	// reply has arrived. Results are positional.
 	Multicall(p Proc, reqs []Target) []Msg
-	// After schedules fn to run in handler context after d.
-	After(d Time, fn func())
+	// After schedules fn to run in node's handler context after d: fn
+	// runs as node, excluding that node's body and handlers.
+	After(node int, d Time, fn func())
 	// TotalMsgs reports the messages sent by all local nodes.
 	TotalMsgs() int64
 	// TotalBytes reports the bytes (payload+headers) sent by all local
@@ -205,6 +210,10 @@ type Runtime interface {
 	// local body has finished, returning an error if a body panicked or
 	// the transport failed.
 	Run() error
+	// HoldOthers runs fn in node self's context while every other hosted
+	// node is held still — no body runs and no handler runs on them — so
+	// fn may read any hosted node's state. The caller runs as node self.
+	HoldOthers(self int, fn func())
 }
 
 // DefaultRuntime builds the default runtime for a cluster when no explicit

@@ -127,7 +127,7 @@ type TCPConfig struct {
 	// enables it: each pair gets one extra connection (the region lane)
 	// and clean page fetches are served straight from the peer's
 	// registered page-frame arena, bypassing the protocol handler and
-	// its state lock. Results are identical either way — a region miss
+	// the node's state lock. Results are identical either way — a region miss
 	// falls back to the ordinary handler path. Every participant must
 	// use the same value.
 	NoOneSided bool
