@@ -3,8 +3,8 @@
 // Cox, Dwarkadas and Zwaenepoel, "Software DSM Protocols that Adapt
 // between Single Writer and Multiple Writer" (HPCA 1997).
 //
-// Six protocols are provided, the paper's four and two built on its
-// protocol registry:
+// Six protocols are provided, the paper's four and two built on the same
+// engine:
 //
 //   - MW — the TreadMarks multiple-writer protocol (twins and diffs),
 //   - SW — a CVM-like single-writer protocol (page ownership, versions),
@@ -53,113 +53,64 @@ import (
 // PageSize is the coherence unit (4096 bytes, as in the paper).
 const PageSize = mem.PageSize
 
-// Protocol selects the coherence protocol for a cluster. Values are ids
-// into the protocol registry; the built-in constants are stable.
-type Protocol int
+// Protocol selects the coherence protocol for a cluster. The set is
+// fixed; the constants below are stable ids.
+type Protocol = core.Protocol
 
 const (
 	// MW is the TreadMarks multiple-writer protocol.
-	MW Protocol = iota
+	MW = core.MW
 	// SW is the CVM-like single-writer protocol.
-	SW
+	SW = core.SW
 	// WFS adapts between SW and MW based on write-write false sharing.
-	WFS
+	WFS = core.WFS
 	// WFSWG adapts based on false sharing and write granularity.
-	WFSWG
+	WFSWG = core.WFSWG
+	// HLRC is home-based lazy release consistency: writers eagerly flush
+	// their diffs to a per-page home at every release, and faulting nodes
+	// fetch the whole page from the home — no diff accumulation, no
+	// garbage collection.
+	HLRC = core.HLRC
+	// Adaptive is the per-page adaptive meta-protocol: every page starts
+	// under MW (the protocol that is never catastrophically wrong), and at
+	// each barrier the manager watches the page's write notices and the
+	// sharing detector, migrating individual pages to WFS+WG (one stable
+	// writer, who then writes without twins or diffs), to HLRC (many
+	// writers every epoch with bulky diffs), or back to MW (concurrent
+	// writers under ownership). Switch decisions are broadcast on the
+	// barrier release so all nodes flip a page at the same epoch.
+	Adaptive = core.Adaptive
 )
 
-// HLRC is home-based lazy release consistency: writers eagerly flush their
-// diffs to a static per-page home at every release, and faulting nodes
-// fetch the whole page from the home — no diff accumulation, no garbage
-// collection. It is registered through RegisterProtocol, as a template for
-// further plug-in protocols.
-var HLRC = MustRegisterProtocol(ProtocolSpec{
-	Name:        "HLRC",
-	Description: "home-based LRC: eager diff flush to static per-page homes",
-	New:         core.NewHLRCPolicy,
-})
-
-// Adaptive is the per-page adaptive meta-protocol: every page starts under
-// MW (the protocol that is never catastrophically wrong), and at each
-// barrier the manager watches the page's write notices and the sharing
-// detector, migrating individual pages to WFS+WG (one stable writer, who
-// then writes without twins or diffs), to HLRC (many writers every epoch
-// with bulky diffs), or back to MW (concurrent writers under ownership).
-// Switch decisions are broadcast on the barrier release so all nodes flip
-// a page at the same epoch.
-var Adaptive = MustRegisterProtocol(ProtocolSpec{
-	Name:        "adaptive",
-	Aliases:     []string{"adapt", "meta"},
-	Description: "meta-protocol: pages migrate between WFS, MW and HLRC at barrier epochs",
-	New:         core.NewAdaptivePolicy,
-})
-
 // HomePolicy selects how pages are assigned to home nodes for the
-// home-based protocols (SW request routing, HLRC diff flushing). Values
-// are ids into the home-policy registry; the built-in constants are
-// stable. Protocols that never consult a home (MW, WFS, WFS+WG) ignore
-// the setting.
-type HomePolicy int
+// home-based protocols (SW request routing, HLRC diff flushing). The set
+// is fixed; the constants below are stable ids. Protocols that never
+// consult a home (MW, WFS, WFS+WG) ignore the setting.
+type HomePolicy = core.Home
 
 const (
 	// StaticHomes places page pg at node pg % procs (the default).
-	StaticHomes HomePolicy = iota
+	StaticHomes = core.HomeStatic
 	// FirstTouchHomes binds a page's home at its first fault, agreed
 	// cluster-wide through the allocator (node 0).
-	FirstTouchHomes
+	FirstTouchHomes = core.HomeFirstTouch
 	// RoundRobinAllocHomes stripes homes per Alloc call so each array's
 	// pages spread evenly over the processors.
-	RoundRobinAllocHomes
+	RoundRobinAllocHomes = core.HomeRRAlloc
 	// BlockHomes assigns contiguous page ranges per processor, matching
 	// band partitioning (SOR/Shallow row decompositions).
-	BlockHomes
+	BlockHomes = core.HomeBlock
 )
-
-// HomeSpec describes a home policy implementation for RegisterHomePolicy.
-// Like protocol policies, implementations live in internal/core; the spec
-// binds one to a name, aliases, and a description.
-type HomeSpec = core.HomeSpec
-
-// RegisterHomePolicy adds a home policy to the registry, making it
-// selectable by Config.HomePolicy, ParseHomePolicy, the harness home
-// sweep, and the CLI -home flags.
-func RegisterHomePolicy(s HomeSpec) (HomePolicy, error) {
-	id, err := core.RegisterHome(s)
-	return HomePolicy(id), err
-}
-
-// MustRegisterHomePolicy is RegisterHomePolicy, panicking on error.
-func MustRegisterHomePolicy(s HomeSpec) HomePolicy {
-	return HomePolicy(core.MustRegisterHome(s))
-}
 
 // ParseHomePolicy resolves a home policy name — canonical or alias,
 // case-insensitive — such as "static", "first-touch" or "rr-alloc".
-func ParseHomePolicy(name string) (HomePolicy, error) {
-	id, err := core.ParseHome(name)
-	return HomePolicy(id), err
-}
+func ParseHomePolicy(name string) (HomePolicy, error) { return core.ParseHome(name) }
 
-// HomePolicies lists every registered home policy in registration order.
-func HomePolicies() []HomePolicy {
-	ids := core.RegisteredHomes()
-	out := make([]HomePolicy, len(ids))
-	for i, id := range ids {
-		out[i] = HomePolicy(id)
-	}
-	return out
-}
+// HomePolicies lists every home policy in id order.
+func HomePolicies() []HomePolicy { return core.Homes() }
 
-// HomePolicyNames lists the canonical names of every registered home
-// policy.
+// HomePolicyNames lists the canonical names of every home policy.
 func HomePolicyNames() []string { return core.HomeNames() }
-
-func (h HomePolicy) String() string { return h.core().String() }
-
-// Description returns the home policy's one-line summary.
-func (h HomePolicy) Description() string { return h.core().Description() }
-
-func (h HomePolicy) core() core.Home { return core.Home(h) }
 
 // WithHomePolicy returns a Config mutator selecting the home policy —
 // convenient for sweeps that vary one dimension of an otherwise shared
@@ -175,51 +126,16 @@ func WithOmitWrites(on bool) func(*Config) {
 	return func(c *Config) { c.OmitWrites = on }
 }
 
-// ProtocolSpec describes a protocol implementation for RegisterProtocol.
-// Implementations live in internal/core (they plug into the engine's
-// Policy seam); the spec binds one to a name, aliases, and a description.
-type ProtocolSpec = core.Spec
-
-// RegisterProtocol adds a protocol to the registry, making it selectable
-// by Config.Protocol, ParseProtocol, the harness matrix, and the CLI
-// flags. It fails if the spec is incomplete or a name is already taken.
-func RegisterProtocol(s ProtocolSpec) (Protocol, error) {
-	id, err := core.Register(s)
-	return Protocol(id), err
-}
-
-// MustRegisterProtocol is RegisterProtocol, panicking on error.
-func MustRegisterProtocol(s ProtocolSpec) Protocol {
-	return Protocol(core.MustRegister(s))
-}
-
 // ParseProtocol resolves a protocol name — canonical or alias, case-
 // insensitive — such as "MW", "wfs+wg" or "HLRC".
-func ParseProtocol(name string) (Protocol, error) {
-	id, err := core.ParseProtocol(name)
-	return Protocol(id), err
-}
+func ParseProtocol(name string) (Protocol, error) { return core.ParseProtocol(name) }
 
-// Protocols lists every registered protocol in registration order (the
-// paper's four, then HLRC, then any later registrations).
-func Protocols() []Protocol {
-	ids := core.RegisteredProtocols()
-	out := make([]Protocol, len(ids))
-	for i, id := range ids {
-		out[i] = Protocol(id)
-	}
-	return out
-}
+// Protocols lists every protocol in id order: the paper's four, then
+// HLRC, then Adaptive.
+func Protocols() []Protocol { return core.Protocols() }
 
-// ProtocolNames lists the canonical names of every registered protocol.
+// ProtocolNames lists the canonical names of every protocol.
 func ProtocolNames() []string { return core.ProtocolNames() }
-
-func (p Protocol) String() string { return p.core().String() }
-
-// Description returns the protocol's one-line summary.
-func (p Protocol) Description() string { return p.core().Description() }
-
-func (p Protocol) core() core.Protocol { return core.Protocol(p) }
 
 // Config describes a cluster. Zero values select the paper's defaults.
 type Config struct {
@@ -315,8 +231,8 @@ func (cfg Config) engine() (Config, core.Params) {
 		cfg.Procs = 8
 	}
 	p := core.DefaultParams(cfg.Procs)
-	p.Protocol = cfg.Protocol.core()
-	p.Home = cfg.HomePolicy.core()
+	p.Protocol = cfg.Protocol
+	p.Home = cfg.HomePolicy
 	if cfg.SharedBytes > 0 {
 		p.MaxSharedBytes = cfg.SharedBytes
 	}

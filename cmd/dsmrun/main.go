@@ -7,8 +7,8 @@
 //	dsmrun [-app SOR] [-protocol WFS] [-procs 8] [-quick] [-protocols]
 //	       [-transport sim|tcp] [-tcp-addrs a0,a1,...] [-tcp-local 0] [-timescale X]
 //
-// Any protocol registered with adsm.RegisterProtocol (e.g. HLRC) is
-// selectable by name; -protocols lists them.
+// Every protocol (e.g. HLRC, adaptive) is selectable by name or alias;
+// -protocols lists them.
 //
 // With -transport tcp and no -tcp-addrs, the whole cluster runs as an
 // in-process loopback mesh (every node a goroutine endpoint, every pair a
@@ -40,8 +40,8 @@ func main() {
 		"home-assignment policy ("+strings.Join(adsm.HomePolicyNames(), ", ")+")")
 	procs := flag.Int("procs", 8, "number of processors")
 	quick := flag.Bool("quick", false, "use reduced inputs")
-	list := flag.Bool("protocols", false, "list the registered protocols and exit")
-	listHomes := flag.Bool("homes", false, "list the registered home policies and exit")
+	list := flag.Bool("protocols", false, "list the protocols and exit")
+	listHomes := flag.Bool("homes", false, "list the home policies and exit")
 	transportName := flag.String("transport", "sim",
 		"transport ("+strings.Join(adsm.TransportNames(), ", ")+")")
 	tcpAddrs := flag.String("tcp-addrs", "",

@@ -106,15 +106,9 @@ const chkLock = 255
 // the result collection parallel instead of a serial full-memory scan.
 func accumulate(w *adsm.Worker, slot adsm.Shared[float64], local float64) {
 	w.Lock(chkLock)
-	before := slot.At(w, 0)
-	slot.Set(w, 0, before+local)
-	if debugAccumulate != nil {
-		debugAccumulate(w.ID(), before, local)
-	}
+	slot.Set(w, 0, slot.At(w, 0)+local)
 	w.Unlock(chkLock)
 }
-
-var debugAccumulate func(id int, before, local float64)
 
 // trianglePartition splits the outer index of a triangular double loop
 // (for i; for j > i) so every processor gets about the same number of

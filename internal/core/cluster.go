@@ -33,12 +33,6 @@ type Cluster struct {
 	bar barrierMgr
 	rec recoverMgr
 
-	// Per-page policy delegation: one shared instance per protocol a page
-	// has been switched to (policies are stateless; pages hold pointers
-	// into this cache so identity comparisons are meaningful per cluster).
-	polMu    sync.Mutex
-	policies map[Protocol]Policy
-
 	detector *Detector
 
 	// oneSided is the transport's one-sided read facility when the runtime
@@ -106,9 +100,6 @@ func (c *Cluster) Params() Params { return c.params }
 // time queries).
 func (c *Cluster) Transport() transport.Runtime { return c.rt }
 
-// Net is a legacy alias for Transport.
-func (c *Cluster) Net() transport.Runtime { return c.rt }
-
 // Partial reports whether this cluster instance hosts only a subset of the
 // nodes (one endpoint of a multi-process deployment). Statistics and
 // checksums of a partial cluster cover the hosted nodes only.
@@ -129,27 +120,6 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
 // Detector returns the sharing-characteristics instrumentation.
 func (c *Cluster) Detector() *Detector { return c.detector }
-
-// policyFor returns the cluster's shared policy instance for a protocol
-// id, building it on first use. Pages compare protocols by ps.proto (the
-// id), never by interface identity; the cache only keeps instance count at
-// one per protocol. Safe from handler goroutines (real transports).
-func (c *Cluster) policyFor(id Protocol) Policy {
-	if id == c.params.Protocol {
-		return c.policy
-	}
-	c.polMu.Lock()
-	defer c.polMu.Unlock()
-	if p, ok := c.policies[id]; ok {
-		return p
-	}
-	if c.policies == nil {
-		c.policies = make(map[Protocol]Policy)
-	}
-	p := id.newPolicy()
-	c.policies[id] = p
-	return p
-}
 
 // GCRuns reports how many garbage collections ran.
 func (c *Cluster) GCRuns() int64 { return c.gcRuns }

@@ -9,33 +9,24 @@
 //   - WFS: the adaptive protocol that chooses SW or MW per page based on
 //     write-write false sharing, detected by the ownership refusal protocol,
 //   - WFSWG: WFS plus adaptation to write granularity (the 3 KB diff
-//     threshold).
+//     threshold),
 //
-// The package runs on the deterministic cluster simulator in internal/sim;
-// access detection uses explicit checks in the accessors rather than page
-// protection traps (see DESIGN.md for the substitution argument).
+// plus two protocols built on the same engine:
+//
+//   - HLRC: home-based LRC (eager diff flush to per-page homes),
+//   - Adaptive: a meta-protocol that migrates each page between MW, WFSWG
+//     and HLRC at barrier epochs.
+//
+// The protocol set is fixed (protocols.go); each protocol is one Policy
+// implementation. The package runs on the deterministic cluster simulator
+// in internal/sim or on a real transport; access detection uses explicit
+// checks in the accessors rather than page protection traps (see
+// DESIGN.md for the substitution argument).
 package core
 
 import (
 	"adsm/internal/mem"
 	"adsm/internal/transport"
-)
-
-// Protocol identifies a registered DSM protocol (an index into the
-// protocol registry; see registry.go).
-type Protocol int
-
-// The paper's four protocols, registered by this package's init in this
-// order so the ids are stable.
-const (
-	// MW is the TreadMarks multiple-writer protocol.
-	MW Protocol = iota
-	// SW is the CVM-like single-writer protocol.
-	SW
-	// WFS adapts between SW and MW based on write-write false sharing.
-	WFS
-	// WFSWG adapts based on false sharing and write granularity.
-	WFSWG
 )
 
 // Params configures a cluster. The defaults reproduce the paper's
@@ -88,7 +79,7 @@ type Params struct {
 	// (TestSpanVsPerWordEquivalence).
 	PerWordSpans bool
 	// AdaptiveFreeze pins the adaptive meta-protocol to one static protocol
-	// (a registered protocol name, e.g. "MW"): every page initializes under
+	// (a static protocol's name, e.g. "MW"): every page initializes under
 	// that protocol and the barrier manager never issues switches, so a
 	// frozen adaptive run is the static protocol, byte for byte
 	// (TestAdaptiveFrozenEquivalence). Empty means adapt freely. Ignored by

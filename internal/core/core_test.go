@@ -9,9 +9,9 @@ import (
 	"adsm/internal/sim"
 )
 
-// allProtocols covers the four builtins plus HLRC (registered by
-// hlrc_test.go), so every generic coherence test gauntlets all five.
-var allProtocols = []Protocol{MW, SW, WFS, WFSWG, hlrcProto}
+// allProtocols covers every protocol, so every generic coherence test
+// gauntlets all six.
+var allProtocols = []Protocol{MW, SW, WFS, WFSWG, HLRC, Adaptive}
 
 func testParams(procs int, proto Protocol) Params {
 	p := DefaultParams(procs)
@@ -232,7 +232,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return elapsed, c.Net().TotalMsgs(), c.Net().TotalBytes()
+		return elapsed, c.Transport().TotalMsgs(), c.Transport().TotalBytes()
 	}
 	for _, proto := range allProtocols {
 		e1, m1, b1 := run(proto)

@@ -10,20 +10,15 @@ import (
 // HLRC: home-based lazy release consistency (after Zhou, Iftode & Li,
 // "Performance Evaluation of Two Home-Based Lazy Release Consistency
 // Protocols for Shared Virtual Memory Systems", OSDI 1996). Every page has
-// a static home (pg % procs). Writers twin and diff exactly like MW, but
-// at every interval close the diffs are created eagerly and flushed to the
-// homes — the flush completes before the release-class event proceeds, so
-// by the time any node learns a write notice, the home copy already
-// reflects it. A faulting node therefore never collects diffs: it fetches
-// the whole page from the home. Diffs are retired the moment the home has
-// applied them, so HLRC accumulates no twin/diff pool and never needs the
-// barrier-time garbage collection of the other protocols.
-
-// NewHLRCPolicy builds the HLRC policy. It is exported (rather than
-// registered in this package's init) so the public adsm package can
-// register it through the protocol registry — the template for adding
-// further protocols.
-func NewHLRCPolicy() Policy { return hlrcPolicy{} }
+// a home (pg % procs unless Params.Home picks otherwise). Writers twin and
+// diff exactly like MW, but at every interval close the diffs are created
+// eagerly and flushed to the homes — the flush completes before the
+// release-class event proceeds, so by the time any node learns a write
+// notice, the home copy already reflects it. A faulting node therefore
+// never collects diffs: it fetches the whole page from the home. Diffs are
+// retired the moment the home has applied them, so HLRC accumulates no
+// twin/diff pool and never needs the barrier-time garbage collection of
+// the other protocols.
 
 type hlrcPolicy struct{ basePolicy }
 
@@ -62,9 +57,6 @@ func (hlrcPolicy) MakeValid(n *Node, pg int, ps *pageState) {
 				msg += fmt.Sprintf("\n  pending wn proc=%d ts=%d owner=%v vc=%v", wn.Int.Proc, wn.Int.TS, wn.Owner, wn.Int.VC)
 			}
 			panic(msg)
-		}
-		if debugValidate != nil {
-			debugValidate(n, pg, ps, "enter")
 		}
 		// Discard notices already reflected in our copy.
 		keep := ps.pending[:0]

@@ -7,19 +7,11 @@ import (
 	"adsm/internal/vc"
 )
 
-// The HLRC policy is implemented here but registered by the public adsm
-// package; the core test binary registers it itself.
-var hlrcProto = MustRegister(Spec{
-	Name:        "HLRC",
-	Description: "home-based LRC (test registration)",
-	New:         NewHLRCPolicy,
-})
-
 // TestHLRCNoDiffAccumulation: the defining property — diffs are flushed to
 // the home and retired at every interval close, so no node ever carries a
 // live diff across a synchronization point and GC never runs.
 func TestHLRCNoDiffAccumulation(t *testing.T) {
-	p := testParams(4, hlrcProto)
+	p := testParams(4, HLRC)
 	p.DiffSpaceLimit = 2 * 1024 // would force GC at nearly every barrier under MW
 	c := New(p)
 	const pages = 4
@@ -84,7 +76,7 @@ func TestHLRCNoDiffAccumulation(t *testing.T) {
 // static home (pg % procs), never chasing owners — so there are no
 // ownership requests and no request forwarding.
 func TestHLRCHomesServeFetches(t *testing.T) {
-	c := New(testParams(4, hlrcProto))
+	c := New(testParams(4, HLRC))
 	const pages = 8
 	base := c.AllocPageAligned(pages * mem.PageSize)
 	mustRun(t, c, func(n *Node) {
@@ -126,7 +118,7 @@ func TestHLRCHomesServeFetches(t *testing.T) {
 // the updates.
 func TestHLRCLockChain(t *testing.T) {
 	const procs, rounds = 4, 20
-	c := New(testParams(procs, hlrcProto))
+	c := New(testParams(procs, HLRC))
 	ctr := c.Alloc(8)
 	mustRun(t, c, func(n *Node) {
 		for r := 0; r < rounds; r++ {
@@ -146,7 +138,7 @@ func TestHLRCLockChain(t *testing.T) {
 // array must be nil'd — otherwise every retired *Interval and
 // *WriteNotice stays reachable (and uncollectable) for the whole run.
 func TestHLRCBarrierReleaseClearsDroppedTails(t *testing.T) {
-	c := New(testParams(2, hlrcProto))
+	c := New(testParams(2, HLRC))
 	c.Alloc(mem.PageSize) // one used page
 	n := c.nodes[0]
 	n.buildPages(c.usedPages())
@@ -191,7 +183,7 @@ func TestHLRCBarrierReleaseClearsDroppedTails(t *testing.T) {
 // would reject its own fetches.
 func TestHLRCHomeSelfWriteApplied(t *testing.T) {
 	const procs = 4
-	c := New(testParams(procs, hlrcProto))
+	c := New(testParams(procs, HLRC))
 	base := c.AllocPageAligned(procs * mem.PageSize)
 	mustRun(t, c, func(n *Node) {
 		// Every node writes exactly the page it is the static home of, for
@@ -227,7 +219,7 @@ func TestHLRCHomeSelfWriteApplied(t *testing.T) {
 // in one fetch.
 func TestHLRCFalseSharingFlush(t *testing.T) {
 	const procs = 4
-	c := New(testParams(procs, hlrcProto))
+	c := New(testParams(procs, HLRC))
 	base := c.AllocPageAligned(mem.PageSize)
 	mustRun(t, c, func(n *Node) {
 		for r := 1; r <= 5; r++ {

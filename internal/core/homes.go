@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"adsm/internal/mem"
@@ -11,19 +10,18 @@ import (
 )
 
 // The home-assignment seam: the home-based protocols (pure SW request
-// routing, HLRC diff flushing) used to hardwire homes to pg % procs.
+// routing, HLRC diff flushing) ask a HomeAssigner for a page's home.
 // Home placement is the dominant cost knob for eager-flush protocols
-// (Zhou/Iftode/Li, OSDI 1996), so it is now a pluggable strategy behind
-// HomeAssigner, selected per cluster through Params.Home and a registry
-// mirroring the protocol registry. Protocols that never consult a home
-// (MW, WFS, WFS+WG) are unaffected by the choice.
+// (Zhou/Iftode/Li, OSDI 1996), so it is selected per cluster through
+// Params.Home from a fixed table mirroring the protocol table. Protocols
+// that never consult a home (MW, WFS, WFS+WG) are unaffected by the
+// choice.
 
-// Home identifies a registered home-assignment policy (an index into the
-// home registry). The built-in constants are stable.
+// Home identifies a home-assignment policy. Like Protocol the set is
+// closed: one HomeAssigner implementation plus one row of homeTable. The
+// ids, names and listing order are API.
 type Home int
 
-// The built-in home policies, registered during package initialization in
-// this order so the ids are stable.
 const (
 	// HomeStatic assigns page pg to node pg % procs (the classic
 	// TreadMarks/CVM layout and the default).
@@ -58,156 +56,67 @@ type HomeAssigner interface {
 	Resolve(n *Node, pg int) int
 }
 
-// HomeSpec describes one registered home policy.
-type HomeSpec struct {
-	// Name is the canonical policy name (e.g. "first-touch").
-	Name string
-	// Aliases are alternative spellings accepted by ParseHome
-	// (case-insensitive, like Name).
-	Aliases []string
-	// Description is a one-line summary for CLI listings.
-	Description string
-	// New builds the policy's assigner for one cluster.
-	New func() HomeAssigner
+var homeTable = [...]tableEntry{
+	HomeStatic:     {"static", nil, "page pg lives at node pg % procs (default)"},
+	HomeFirstTouch: {"first-touch", []string{"firsttouch", "ft"}, "home bound at a page's first fault, agreed via the allocator"},
+	HomeRRAlloc:    {"round-robin-alloc", []string{"rr-alloc", "rr"}, "homes striped per Alloc call so each array spreads evenly"},
+	HomeBlock:      {"block", []string{"blocked"}, "contiguous page ranges per proc (band partitioning)"},
 }
 
-// The builtins are registered during variable initialization (see the
-// protocol registry for the ordering argument).
-var (
-	homeRegMu    sync.RWMutex
-	homeRegistry = builtinHomeSpecs()
-	homeByName   = homeNameIndex(homeRegistry)
-)
-
-func builtinHomeSpecs() []HomeSpec {
-	return []HomeSpec{
-		HomeStatic: {Name: "static", Description: "page pg lives at node pg % procs (default)",
-			New: func() HomeAssigner { return staticHomes{} }},
-		HomeFirstTouch: {Name: "first-touch", Aliases: []string{"firsttouch", "ft"},
-			Description: "home bound at a page's first fault, agreed via the allocator",
-			New:         func() HomeAssigner { return &firstTouchHomes{} }},
-		HomeRRAlloc: {Name: "round-robin-alloc", Aliases: []string{"rr-alloc", "rr"},
-			Description: "homes striped per Alloc call so each array spreads evenly",
-			New:         func() HomeAssigner { return &rrAllocHomes{} }},
-		HomeBlock: {Name: "block", Aliases: []string{"blocked"},
-			Description: "contiguous page ranges per proc (band partitioning)",
-			New:         func() HomeAssigner { return &blockHomes{} }},
+// newAssigner builds the policy's assigner for one cluster, panicking on
+// an unknown id (a Params misconfiguration).
+func (h Home) newAssigner() HomeAssigner {
+	switch h {
+	case HomeStatic:
+		return staticHomes{}
+	case HomeFirstTouch:
+		return &firstTouchHomes{}
+	case HomeRRAlloc:
+		return &rrAllocHomes{}
+	case HomeBlock:
+		return &blockHomes{}
 	}
+	panic(fmt.Sprintf("dsm: unknown home policy id %d", int(h)))
 }
 
-func homeNameIndex(specs []HomeSpec) map[string]Home {
-	idx := make(map[string]Home)
-	for i, s := range specs {
-		idx[foldName(s.Name)] = Home(i)
-		for _, a := range s.Aliases {
-			idx[foldName(a)] = Home(i)
-		}
+func (h Home) valid() bool { return h >= 0 && int(h) < len(homeTable) }
+
+func (h Home) String() string {
+	if !h.valid() {
+		return "?"
 	}
-	return idx
+	return homeTable[h].name
 }
 
-// RegisterHome adds a home policy to the registry and returns its id. It
-// fails if the spec is incomplete or any of its names is already taken.
-func RegisterHome(s HomeSpec) (Home, error) {
-	if strings.TrimSpace(s.Name) == "" {
-		return 0, fmt.Errorf("dsm: home policy name must not be empty")
+// Description returns the home policy's one-line summary.
+func (h Home) Description() string {
+	if !h.valid() {
+		return ""
 	}
-	if s.New == nil {
-		return 0, fmt.Errorf("dsm: home policy %q has no assigner factory", s.Name)
-	}
-	homeRegMu.Lock()
-	defer homeRegMu.Unlock()
-	names := append([]string{s.Name}, s.Aliases...)
-	for _, name := range names {
-		if prev, ok := homeByName[foldName(name)]; ok {
-			return 0, fmt.Errorf("dsm: home policy name %q already registered (by %s)",
-				name, homeRegistry[prev].Name)
-		}
-	}
-	id := Home(len(homeRegistry))
-	homeRegistry = append(homeRegistry, s)
-	for _, name := range names {
-		homeByName[foldName(name)] = id
-	}
-	return id, nil
-}
-
-// MustRegisterHome is RegisterHome, panicking on error (for init-time use).
-func MustRegisterHome(s HomeSpec) Home {
-	id, err := RegisterHome(s)
-	if err != nil {
-		panic(err)
-	}
-	return id
+	return homeTable[h].desc
 }
 
 // ParseHome resolves a home policy name — canonical or alias,
 // case-insensitive — to its id.
 func ParseHome(name string) (Home, error) {
-	homeRegMu.RLock()
-	defer homeRegMu.RUnlock()
-	if id, ok := homeByName[foldName(name)]; ok {
-		return id, nil
+	if i, ok := lookupName(homeTable[:], name); ok {
+		return Home(i), nil
 	}
-	return 0, fmt.Errorf("dsm: unknown home policy %q (registered: %s)",
-		name, strings.Join(homeNamesLocked(), ", "))
+	return 0, fmt.Errorf("dsm: unknown home policy %q (known: %s)",
+		name, strings.Join(HomeNames(), ", "))
 }
 
-// RegisteredHomes lists every home policy in registration order.
-func RegisteredHomes() []Home {
-	homeRegMu.RLock()
-	defer homeRegMu.RUnlock()
-	out := make([]Home, len(homeRegistry))
-	for i := range homeRegistry {
+// Homes lists every home policy in id order.
+func Homes() []Home {
+	out := make([]Home, len(homeTable))
+	for i := range out {
 		out[i] = Home(i)
 	}
 	return out
 }
 
-// HomeNames lists the canonical home policy names in registration order.
-func HomeNames() []string {
-	homeRegMu.RLock()
-	defer homeRegMu.RUnlock()
-	return homeNamesLocked()
-}
-
-func homeNamesLocked() []string {
-	names := make([]string, len(homeRegistry))
-	for i, s := range homeRegistry {
-		names[i] = s.Name
-	}
-	return names
-}
-
-func (h Home) String() string {
-	homeRegMu.RLock()
-	defer homeRegMu.RUnlock()
-	if int(h) < 0 || int(h) >= len(homeRegistry) {
-		return "?"
-	}
-	return homeRegistry[h].Name
-}
-
-// Description returns the home policy's one-line summary.
-func (h Home) Description() string {
-	homeRegMu.RLock()
-	defer homeRegMu.RUnlock()
-	if int(h) < 0 || int(h) >= len(homeRegistry) {
-		return ""
-	}
-	return homeRegistry[h].Description
-}
-
-// newAssigner instantiates the policy's assigner, panicking on an
-// unregistered id (a Params misconfiguration).
-func (h Home) newAssigner() HomeAssigner {
-	homeRegMu.RLock()
-	defer homeRegMu.RUnlock()
-	if int(h) < 0 || int(h) >= len(homeRegistry) {
-		panic(fmt.Sprintf("dsm: home policy id %d is not registered", int(h)))
-	}
-	return homeRegistry[h].New()
-}
+// HomeNames lists the canonical home policy names in id order.
+func HomeNames() []string { return tableNames(homeTable[:]) }
 
 // resolveHome returns page pg's home as seen by this node, binding the
 // page first when the policy requires agreement (process context; may

@@ -34,15 +34,6 @@ func TestHomeRegistryParse(t *testing.T) {
 	if _, err := ParseHome("bogus"); err == nil {
 		t.Errorf("ParseHome(bogus) must fail")
 	}
-	if _, err := RegisterHome(HomeSpec{Name: "static", New: func() HomeAssigner { return staticHomes{} }}); err == nil {
-		t.Errorf("re-registering static must fail")
-	}
-	if _, err := RegisterHome(HomeSpec{Name: "no-factory"}); err == nil {
-		t.Errorf("registering without a factory must fail")
-	}
-	if len(HomeNames()) < 4 {
-		t.Errorf("expected at least 4 home policies, got %v", HomeNames())
-	}
 }
 
 func TestStaticHomesLayout(t *testing.T) {
@@ -99,7 +90,7 @@ func TestBlockHomesBands(t *testing.T) {
 // the same home, which then serves all fetches for the page.
 func TestFirstTouchConcurrentAgreement(t *testing.T) {
 	const procs = 4
-	c := New(homeTestParams(procs, hlrcProto, HomeFirstTouch))
+	c := New(homeTestParams(procs, HLRC, HomeFirstTouch))
 	base := c.AllocPageAligned(8 * mem.PageSize)
 	pageAt := func(pg int) int { return base/mem.PageSize + pg }
 	mustRun(t, c, func(n *Node) {
@@ -145,12 +136,12 @@ func TestFirstTouchConcurrentAgreement(t *testing.T) {
 
 // TestHLRCHomePoliciesCoherent runs the false-sharing flush workload (the
 // hardest HLRC pattern: concurrent writers of one page merging at the
-// home) under every registered home policy.
+// home) under every home policy.
 func TestHLRCHomePoliciesCoherent(t *testing.T) {
-	for _, home := range RegisteredHomes() {
+	for _, home := range Homes() {
 		t.Run(home.String(), func(t *testing.T) {
 			const procs = 4
-			c := New(homeTestParams(procs, hlrcProto, home))
+			c := New(homeTestParams(procs, HLRC, home))
 			base := c.AllocPageAligned(mem.PageSize)
 			mustRun(t, c, func(n *Node) {
 				for r := 1; r <= 5; r++ {
@@ -183,7 +174,7 @@ func TestHLRCHomePoliciesCoherent(t *testing.T) {
 // TestSWHomePoliciesRoute runs the pure single-writer protocol (which
 // uses homes only to route ownership requests) under every home policy.
 func TestSWHomePoliciesRoute(t *testing.T) {
-	for _, home := range RegisteredHomes() {
+	for _, home := range Homes() {
 		t.Run(home.String(), func(t *testing.T) {
 			const procs, rounds = 4, 8
 			c := New(homeTestParams(procs, SW, home))

@@ -60,12 +60,7 @@ func intervalsWireSize(ivs []*Interval, nprocs int) int {
 // creating write notices for every dirty page. It is called at every
 // release-class event: lock release/grant, barrier arrival, and lock
 // acquire (program-order edge).
-var debugClose func(n *Node, dirty []int)
-
 func (n *Node) closeInterval() *Interval {
-	if debugClose != nil {
-		debugClose(n, n.dirty)
-	}
 	if len(n.dirty) == 0 {
 		return nil
 	}
@@ -221,9 +216,6 @@ func (n *Node) ingestIntervals(ivs []*Interval) {
 	}
 }
 
-// debugIngest, when set, traces write-notice ingestion (tests only).
-var debugIngest func(n *Node, wn *WriteNotice, skipped bool)
-
 // ingestWN processes one incoming write notice.
 func (n *Node) ingestWN(wn *WriteNotice) {
 	ps := n.pages[wn.Page]
@@ -231,9 +223,6 @@ func (n *Node) ingestWN(wn *WriteNotice) {
 		// Checkpoint dirty tracking wants every page any node wrote since
 		// our last checkpoint, even notices our copy already subsumes.
 		n.ckptDirty[wn.Page] = true
-	}
-	if debugIngest != nil {
-		debugIngest(n, wn, wn.Int.VC.Leq(ps.applied))
 	}
 	if wn.Int.VC.Leq(ps.applied) {
 		// Already reflected in our copy (e.g. we fetched a newer page).

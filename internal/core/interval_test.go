@@ -85,7 +85,7 @@ func TestIntervalsSinceMatchesLinearFilter(t *testing.T) {
 		{"MW+GC", MW, 6 * 1024, true},
 		{"MW", MW, 0, false},
 		{"WFS", WFS, 0, false},
-		{"HLRC", hlrcProto, 0, false},
+		{"HLRC", HLRC, 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,7 +103,7 @@ func TestIntervalsSinceMatchesLinearFilter(t *testing.T) {
 				check := func(when string) {
 					if checkIntervalsSince(t, n, r, when) > 0 {
 						nonEmpty[n.ID()]++
-						if c.GCRuns() > 0 || tc.proto == hlrcProto && n.barEpoch > 0 {
+						if c.GCRuns() > 0 || tc.proto == HLRC && n.barEpoch > 0 {
 							afterDrop[n.ID()]++
 						}
 					}
@@ -144,7 +144,7 @@ func TestIntervalsSinceMatchesLinearFilter(t *testing.T) {
 				if nonEmpty[id] == 0 {
 					t.Errorf("node %d never checked a non-empty log", id)
 				}
-				if (tc.wantGC || tc.proto == hlrcProto) && afterDrop[id] == 0 {
+				if (tc.wantGC || tc.proto == HLRC) && afterDrop[id] == 0 {
 					t.Errorf("node %d never checked a log rebuilt after GC or truncation", id)
 				}
 			}

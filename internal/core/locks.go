@@ -93,18 +93,12 @@ func (n *Node) Release(lock int) {
 	st.state = lockReleased
 }
 
-// debugLockGrant, when set, traces lock grants (tests only).
-var debugLockGrant func(n *Node, to int, know []int32, ivs []*Interval)
-
 // grantLock replies to a queued acquire with the intervals the requester
 // lacks and the vector clock of our release. (Using the release-time
 // snapshot rather than a later clock keeps concurrent writes looking
 // concurrent, which the false-sharing detection depends on.)
 func (n *Node) grantLock(c transport.Call, requesterKnow []int32) {
 	ivs := n.shipIntervals(requesterKnow)
-	if debugLockGrant != nil {
-		debugLockGrant(n, c.Origin(), requesterKnow, ivs)
-	}
 	c.Reply(acqGrant{Intervals: ivs, VC: n.vclock.Copy(), nprocs: n.c.params.Procs})
 }
 
@@ -140,9 +134,6 @@ func (n *Node) holderHandle(c transport.Call, lock int, know []int32) {
 		relVC := st.relVC
 		if relVC == nil {
 			relVC = vc.New(n.c.params.Procs)
-		}
-		if debugLockGrant != nil {
-			debugLockGrant(n, c.Origin(), know, ivs)
 		}
 		c.Reply(acqGrant{Intervals: ivs, VC: relVC.Copy(), nprocs: n.c.params.Procs})
 	case lockHolding, lockWaiting:

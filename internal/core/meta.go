@@ -6,14 +6,14 @@ import (
 	"adsm/internal/mem"
 )
 
-// The adaptive meta-protocol: a Policy registered like any other protocol
-// (by the public adsm package) that never serves a page itself. Every page
-// it initializes is immediately delegated to a concrete protocol — MW by
-// default — and thereafter the barrier manager watches each page's write
-// notices and the sharing detector, and migrates individual pages between
-// MW, WFS+WG and HLRC. Switch decisions ride the barrier release (the
-// Switches field of barRelease), so every node flips a page's protocol at
-// the same barrier epoch and no page ever has two protocols live at once.
+// The adaptive meta-protocol: a Policy like any other protocol's that
+// never serves a page itself. Every page it initializes is immediately
+// delegated to a concrete protocol — MW by default — and thereafter the
+// barrier manager watches each page's write notices and the sharing
+// detector, and migrates individual pages between MW, WFS+WG and HLRC.
+// Switch decisions ride the barrier release (the Switches field of
+// barRelease), so every node flips a page's protocol at the same barrier
+// epoch and no page ever has two protocols live at once.
 //
 // The decision rules are deliberately conservative (streaks of epochs, a
 // per-page switch budget): a wrong switch costs a drain and a re-switch,
@@ -22,8 +22,10 @@ import (
 // Decision thresholds. Pages start under MW (the protocol that is never
 // catastrophically wrong) and migrate when a clear pattern emerges:
 //
-//   - Solo-writer pages promote to the ownership-based protocol (WFS+WG):
-//     the stable writer becomes owner and writes without twins or diffs.
+//   - Solo-writer pages promote to the ownership-based protocol (WFS+WG:
+//     everything WFS does, plus the write-granularity gate that keeps
+//     fine-grained pages in MW mode): the stable writer becomes owner and
+//     writes without twins or diffs.
 //     Pages the writer rewrites in bulk (maxDiff >= adaptBulkThreshold)
 //     promote after adaptSoloEpochs same-writer epochs — every MW epoch
 //     costs them page-sized twin and diff copies, so waiting is expensive.
@@ -55,10 +57,6 @@ const (
 	adaptBulkThreshold = mem.PageSize / 8
 )
 
-// NewAdaptivePolicy builds the adaptive meta-policy. Exported so the
-// public adsm package can register it through the protocol registry.
-func NewAdaptivePolicy() Policy { return &metaPolicy{} }
-
 // metaPolicy is pointer-typed: unlike the stateless static policies it
 // carries per-cluster resolution state (the initial delegation target),
 // and newPolicy builds a fresh instance per cluster.
@@ -76,7 +74,7 @@ func (p *metaPolicy) InitPage(c *Cluster, id, pg int, ps *pageState) {
 		p.resolve(c)
 	}
 	ps.proto = p.target
-	ps.policy = c.policyFor(p.target)
+	ps.policy = policies[p.target]
 	ps.policy.InitPage(c, id, pg, ps)
 }
 
@@ -90,19 +88,14 @@ func (p *metaPolicy) WriteFault(n *Node, pg int, ps *pageState) {
 // adaptation state. Runs once, from Run's InitPage loop (single-threaded,
 // before any node body spawns).
 func (p *metaPolicy) resolve(c *Cluster) {
-	// WFS+WG is the ownership-based target: everything WFS does, plus the
-	// write-granularity gate that keeps fine-grained pages in MW mode.
-	ad := &adaptState{wfs: WFSWG, mw: MW}
-	if hlrc, err := ParseProtocol("HLRC"); err == nil {
-		ad.hlrc, ad.hlrcOK = hlrc, true
-	}
-	p.target = ad.mw
+	ad := &adaptState{}
+	p.target = MW
 	if f := c.params.AdaptiveFreeze; f != "" {
 		id, err := ParseProtocol(f)
 		if err != nil {
 			panic(fmt.Sprintf("dsm: AdaptiveFreeze: %v", err))
 		}
-		if id == c.params.Protocol {
+		if id == Adaptive {
 			panic("dsm: AdaptiveFreeze must name a static protocol, not the adaptive one")
 		}
 		ad.frozen = true
@@ -120,15 +113,10 @@ func (p *metaPolicy) resolve(c *Cluster) {
 
 // adaptState is the barrier manager's per-cluster decision state. It lives
 // on the Cluster (every instance of a multi-process deployment builds one,
-// but only the instance hosting node 0 ever decides) and its decision
-// fields are only touched in node 0's barrier-handler context; every node
-// reads the protocol ids, which are fixed before any body runs.
+// but only the instance hosting node 0 ever decides) and it is only
+// touched in node 0's barrier-handler context.
 type adaptState struct {
 	frozen bool // AdaptiveFreeze set: never switch
-	wfs    Protocol
-	mw     Protocol
-	hlrc   Protocol
-	hlrcOK bool // HLRC is registered (it lives in the public package)
 
 	// scanTS[p] is the highest interval TS of processor p folded into the
 	// decision state — the manager sees intervals redundantly (every
@@ -222,27 +210,26 @@ func (c *Cluster) adaptDecide() []policySwitch {
 		dp := &c.detector.pages[pg]
 		bulky := dp.diffCount >= int64(nw-1) && dp.diffCount > 0 &&
 			dp.diffBytes >= dp.diffCount*int64(mem.PageSize/4)
-		hlrcReady := ap.hlrcRun >= adaptHLRCEpochs && ad.hlrcOK &&
-			!c.Partial() && bulky
+		hlrcReady := ap.hlrcRun >= adaptHLRCEpochs && !c.Partial() && bulky
 		var sw policySwitch
 		switch {
-		case ap.proto == ad.wfs && ap.multi >= adaptMultiEpochs:
+		case ap.proto == WFSWG && ap.multi >= adaptMultiEpochs:
 			// Concurrent writers under the ownership protocol: pure
 			// refusal churn, demote. (Solo-writer identity changes are NOT
 			// a demotion signal: alternating band-boundary writers ping
 			// ownership over cheaply, exactly what SW-class protocols are
 			// for.)
-			target := ad.mw
+			target := MW
 			if hlrcReady {
-				target = ad.hlrc
+				target = HLRC
 			}
 			sw = policySwitch{Page: pg, Proto: int32(target)}
-		case ap.proto == ad.mw && hlrcReady:
+		case ap.proto == MW && hlrcReady:
 			// Many concurrent writers every epoch: each reader merges that
 			// many diffs per fault and the diff pool feeds garbage
 			// collection; one home round trip wins.
-			sw = policySwitch{Page: pg, Proto: int32(ad.hlrc)}
-		case ap.proto != ad.wfs && !ap.everMulti &&
+			sw = policySwitch{Page: pg, Proto: int32(HLRC)}
+		case ap.proto != WFSWG && !ap.everMulti &&
 			popcount(dp.accessors.Load()&^dp.writers.Load()) <= adaptMaxReaders &&
 			(ap.solo >= adaptSoloSlow ||
 				ap.solo >= adaptSoloEpochs && dp.maxDiff >= adaptBulkThreshold):
@@ -262,7 +249,7 @@ func (c *Cluster) adaptDecide() []policySwitch {
 			// fetches. The version is bumped past everything ever published
 			// so no stale ex-owner can satisfy a grant check.
 			ap.maxVer++
-			sw = policySwitch{Page: pg, Proto: int32(ad.wfs), Owner: ap.soloWriter, Version: ap.maxVer}
+			sw = policySwitch{Page: pg, Proto: int32(WFSWG), Owner: ap.soloWriter, Version: ap.maxVer}
 		default:
 			continue
 		}
@@ -290,7 +277,6 @@ func soloBit(mask uint64) int {
 // release hooks — so all nodes flip a page at the same epoch, with no app
 // code running and no interval open.
 func (n *Node) applyPolicySwitches(sws []policySwitch) {
-	ad := n.c.adapt
 	for _, sw := range sws {
 		ps := n.pages[sw.Page]
 		target := Protocol(sw.Proto)
@@ -300,8 +286,8 @@ func (n *Node) applyPolicySwitches(sws []policySwitch) {
 		// The page changes protocol (and possibly applied vector) below:
 		// retract any one-sided publication built under the old policy.
 		n.invalidateRegion(sw.Page, ps)
-		toWFS := target == ad.wfs
-		toHLRC := ad.hlrcOK && target == ad.hlrc
+		toWFS := target == WFSWG
+		toHLRC := target == HLRC
 
 		// The page's lazy diff must be materialized under the OLD
 		// protocol: after the flip, a later write would reuse the same
@@ -376,7 +362,7 @@ func (n *Node) applyPolicySwitches(sws []policySwitch) {
 		}
 
 		ps.proto = target
-		ps.policy = n.c.policyFor(target)
+		ps.policy = policies[target]
 		n.Stats.PolicySwitches++
 		switch {
 		case toWFS:

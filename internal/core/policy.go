@@ -4,10 +4,10 @@ import "adsm/internal/mem"
 
 // The protocol-strategy seam: every place the engine used to switch on
 // Params.Protocol now calls through the Policy interface, so a protocol is
-// one type implementing these hooks plus one registry entry (registry.go).
-// The engine (faults, intervals, locks, barriers, GC) stays protocol-
-// agnostic; the policies reuse its building blocks (stayMW, validate,
-// tryOwnership, ...) in different combinations.
+// one type implementing these hooks plus one row of the fixed protocol
+// table (protocols.go). The engine (faults, intervals, locks, barriers,
+// GC) stays protocol-agnostic; the policies reuse its building blocks
+// (stayMW, validate, tryOwnership, ...) in different combinations.
 //
 // Policy resolution is per page, not per cluster: every pageState carries
 // its protocol id and policy instance (ps.proto / ps.policy), seeded from
@@ -89,19 +89,13 @@ type Policy interface {
 	// phase has nothing to collect and would be wrong.
 	GCEligible() bool
 
-	// PrefetchReadSpans reports whether invalid pages of a read span may
-	// be validated through the batched span fetch (one Multicall for the
-	// whole span) instead of one serial fault per page. All current
-	// protocols opt in: the batch issues exactly the fetches the serial
-	// merge would, just overlapped.
-	PrefetchReadSpans() bool
-
 	// PrefetchWriteSpans reports whether invalid pages of a write span
-	// may be validated the same way before the serial per-page write
-	// faults run. Safe only when the protocol's write fault validates
-	// without an ownership grant (MW and HLRC); the ownership-based
-	// protocols keep their serial grant protocol — correctness first,
-	// batching where it is provably equivalent.
+	// may be validated through the batched span fetch (one Multicall for
+	// the whole span) before the serial per-page write faults run, as the
+	// pages of every read span are. Safe only when the protocol's write
+	// fault validates without an ownership grant (MW and HLRC); the
+	// ownership-based protocols keep their serial grant protocol —
+	// correctness first, batching where it is provably equivalent.
 	PrefetchWriteSpans() bool
 
 	// SpanFetchPlan classifies one invalid page of a span for the batched
@@ -160,7 +154,6 @@ func (basePolicy) GCKeeperIsOwner() bool                                     { r
 func (basePolicy) GCCollapseToSW() bool                                      { return false }
 func (basePolicy) GCEligible() bool                                          { return true }
 func (basePolicy) MakeValid(n *Node, pg int, ps *pageState)                  { n.lrcMakeValid(pg, ps) }
-func (basePolicy) PrefetchReadSpans() bool                                   { return true }
 func (basePolicy) PrefetchWriteSpans() bool                                  { return false }
 func (basePolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNotice, bool) {
 	return n.lrcSpanPlan(ps)

@@ -123,14 +123,10 @@ func (n *Node) prefetchPages(pages []int, read bool) {
 	rounds := 0 // blocking rounds the serial path would take for this work
 	for _, pg := range pages {
 		ps := n.pages[pg]
-		// Batching eligibility is per page now that policies are: a page
-		// whose protocol does not batch this direction keeps the serial
-		// fault path (not a fallback — the page was never planned).
-		if read {
-			if !ps.policy.PrefetchReadSpans() {
-				continue
-			}
-		} else if !ps.policy.PrefetchWriteSpans() {
+		// Write batching is per page: a page whose protocol does not
+		// batch writes keeps the serial fault path (not a fallback — the
+		// page was never planned).
+		if !read && !ps.policy.PrefetchWriteSpans() {
 			continue
 		}
 		if ps.status != pageInvalid || ps.owner {

@@ -31,9 +31,6 @@ func bestOwnerWN(pending []*WriteNotice) *WriteNotice {
 	return best
 }
 
-// debugValidate, when set, traces merge decisions (tests only).
-var debugValidate func(n *Node, pg int, ps *pageState, stage string)
-
 // validate brings the page up to date with all write notices this node has
 // received, leaving it valid. How a page becomes valid is protocol policy:
 // the LRC protocols run the merge procedure below, HLRC fetches the home
@@ -53,9 +50,6 @@ func (n *Node) lrcMakeValid(pg int, ps *pageState) {
 	for round := 0; ; round++ {
 		if round > 1000 {
 			panic(fmt.Sprintf("dsm: node %d cannot settle page %d", n.id, pg))
-		}
-		if debugValidate != nil {
-			debugValidate(n, pg, ps, "enter")
 		}
 		n.mergeOnce(pg, ps)
 		if len(ps.pending) == 0 {
@@ -254,8 +248,6 @@ func findWN(wns []*WriteNotice, k wnKey) *WriteNotice {
 	return nil
 }
 
-var debugApply func(n *Node, pg int, wn *WriteNotice, d *mem.Diff, ps *pageState)
-
 // applyDiffs applies the diffs for the write notices in happened-before
 // order, charging the per-diff application cost.
 func (n *Node) applyDiffs(pg int, ps *pageState, wns []*WriteNotice) {
@@ -266,9 +258,6 @@ func (n *Node) applyDiffs(pg int, ps *pageState, wns []*WriteNotice) {
 		d := n.diffCache[keyOf(wn)]
 		if d == nil {
 			panic("dsm: missing diff at apply time")
-		}
-		if debugApply != nil {
-			debugApply(n, pg, wn, d, ps)
 		}
 		d.Apply(ps.data)
 		if ps.twin != nil {

@@ -20,8 +20,7 @@ type Matrix struct {
 	Quick bool
 	Procs int
 	// Protos restricts the protocol columns of the cross-protocol tables
-	// (Figure 2, Table 4, the JSON report). Empty means every registered
-	// protocol.
+	// (Figure 2, Table 4, the JSON report). Empty means every protocol.
 	Protos []adsm.Protocol
 	// Home selects the home-assignment policy used by every cell (zero
 	// value: static, the paper's layout). The home sweep varies it per
@@ -281,7 +280,7 @@ func granularityClass(avg float64, max int) string {
 }
 
 // Figure2 reproduces Figure 2: speedups on 8 processors, one column per
-// protocol (the paper's four plus any registered additions, e.g. HLRC).
+// protocol (the paper's four plus HLRC and adaptive).
 func (m *Matrix) Figure2() string {
 	header := []string{"Application"}
 	for _, proto := range m.protocols() {
@@ -465,7 +464,7 @@ type HomeSweepCell struct {
 }
 
 // HomeSweepData runs (with caching and checksum verification) the
-// app x protocol x home-policy sweep over every registered home policy.
+// app x protocol x home-policy sweep over every home policy.
 func (m *Matrix) HomeSweepData() []HomeSweepCell {
 	var out []HomeSweepCell
 	for _, name := range homeSweepApps() {

@@ -9,7 +9,7 @@ import (
 )
 
 // The serving experiment (`dsmbench -exp serve`): the zipfian key-value
-// workload from internal/kv run under every registered protocol, on the
+// workload from internal/kv run under every protocol, on the
 // simulator and (optionally) the real TCP mesh. Every cell's final-table
 // checksum is verified against the host-side model replay — the same
 // oracle for every protocol and transport, so a sim cell and its tcp
@@ -163,7 +163,7 @@ func (m *Matrix) serveCached(key string, run func() ServeCell) ServeCell {
 	return c
 }
 
-// ServeSweepData runs the serving experiment: every registered protocol
+// ServeSweepData runs the serving experiment: every protocol
 // on the simulator (and with tcp set, on the real TCP mesh), plus the
 // write-heavy omit arm under MW. Each cell's checksum is verified against
 // the model oracle inside serveRun, which makes sim and tcp agree exactly

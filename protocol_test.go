@@ -13,7 +13,7 @@ import (
 func TestProtocolRegistryListing(t *testing.T) {
 	ps := adsm.Protocols()
 	if len(ps) < 5 {
-		t.Fatalf("expected at least 5 registered protocols, got %v", adsm.ProtocolNames())
+		t.Fatalf("expected at least 5 protocols, got %v", adsm.ProtocolNames())
 	}
 	seen := map[string]bool{}
 	for _, p := range ps {
@@ -45,16 +45,7 @@ func TestParseProtocolRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRegisterProtocolDuplicate(t *testing.T) {
-	if _, err := adsm.RegisterProtocol(adsm.ProtocolSpec{Name: "HLRC"}); err == nil {
-		t.Errorf("re-registering HLRC must fail")
-	}
-	if _, err := adsm.RegisterProtocol(adsm.ProtocolSpec{Name: "brand-new"}); err == nil {
-		t.Errorf("registering without a factory must fail")
-	}
-}
-
-// TestCrossProtocolScenarioMatrix asserts that every registered protocol
+// TestCrossProtocolScenarioMatrix asserts that every protocol
 // produces the same application results as the sequential execution on
 // three workloads with different sharing behaviour: SOR (barriers, no
 // false sharing), IS (migratory buckets under locks) and TSP (branch and
