@@ -358,6 +358,8 @@ func (cl *Cluster) report(elapsed sim.Time) *Report {
 			DiffBytes:         tot.CumDiffBytes,
 			MaxLiveTwinDiff:   tot.MaxLiveBytes,
 			LockAcquires:      tot.LockAcquires,
+			SharedLocal:       tot.SharedLocal,
+			Revokes:           tot.Revokes,
 			Barriers:          tot.Barriers,
 			SWtoMW:            tot.SWtoMW,
 			MWtoSW:            tot.MWtoSW,
@@ -427,7 +429,9 @@ type Stats struct {
 	TwinBytes         int64 // cumulative bytes allocated for twins
 	DiffBytes         int64 // cumulative bytes allocated for diffs
 	MaxLiveTwinDiff   int64 // high-water mark of the twin+diff pools
-	LockAcquires      int64
+	LockAcquires      int64 // Lock and RLock calls, local or remote
+	SharedLocal       int64 // RLocks served without messages (cached grant, or the token here)
+	Revokes           int64 // read grants revoked by a Lock on another node
 	Barriers          int64
 	SWtoMW            int64 // page-mode transitions (adaptive protocols)
 	MWtoSW            int64

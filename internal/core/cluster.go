@@ -249,6 +249,8 @@ func (n *Node) handle(call transport.Call, from int, m transport.Msg) {
 		n.serveAcqReq(call, from, msg)
 	case acqFwd:
 		n.serveAcqFwd(call, from, msg)
+	case acqRevoke:
+		n.serveAcqRevoke(call, from, msg)
 	case barArrive:
 		n.serveBarrier(call, from, msg)
 	case homeBindReq:

@@ -43,6 +43,7 @@ func init() {
 	self(ctl, "acqReq", acqReq{}, acqReqAppendWire, acqReqDecodeWire)
 	self(ctl, "acqFwd", acqFwd{}, acqFwdAppendWire, acqFwdDecodeWire)
 	self(ctl, "acqGrant", acqGrant{}, acqGrantAppendWire, acqGrantDecodeWire)
+	self(ctl, "acqRevoke", acqRevoke{}, acqRevokeAppendWire, acqRevokeDecodeWire)
 	self(ctl, "barArrive", barArrive{}, barArriveAppendWire, barArriveDecodeWire)
 	self(ctl, "barRelease", barRelease{}, barReleaseAppendWire, barReleaseDecodeWire)
 	self(bulk, "ckptPut", ckptPut{}, ckptPutAppendWire, ckptPutDecodeWire)

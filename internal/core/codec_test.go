@@ -112,13 +112,22 @@ func msgSamples() map[string][]transport.Msg {
 		"hlrcAck":      {hlrcAck{}},
 		"homeBindReq":  {homeBindReq{Page: 12}, homeBindReq{Page: 9000}},
 		"homeBindResp": {homeBindResp{Home: 5}},
-		"acqReq":       {acqReq{Lock: 7, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}}},
-		"acqFwd":       {acqFwd{Lock: 7, Origin: 2, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}}},
+		"acqReq": {
+			acqReq{Lock: 7, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}},
+			acqReq{Lock: 7, Shared: true, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}},
+		},
+		"acqFwd": {
+			acqFwd{Lock: 7, Origin: 2, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}},
+			acqFwd{Lock: 7, Origin: 2, Shared: true, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}},
+		},
 		"acqGrant": {
 			acqGrant{Intervals: sampleIntervals(), VC: sampleVC(), nprocs: nprocs},
 			// The steady-state grant: the requester lacks nothing.
 			acqGrant{VC: sampleVC(), nprocs: nprocs},
+			// An exclusive grant handing over three readers to revoke.
+			acqGrant{Intervals: sampleIntervals(), VC: sampleVC(), Readers: 1<<1 | 1<<3 | 1<<6, nprocs: nprocs},
 		},
+		"acqRevoke": {acqRevoke{Lock: 7, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}}},
 		"barArrive": {barArrive{Epoch: 12, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6},
 			Intervals: sampleIntervals(), MemPressure: true, nprocs: nprocs}},
 		"ckptPut": {
@@ -164,7 +173,7 @@ func TestMessageLaneClasses(t *testing.T) {
 		transport.ClassControl: {
 			pageReq{}, diffReq{}, spanFetchReq{}, ownReq{}, ownResp{},
 			ownBatchReq{}, ownBatchResp{}, swOwnReq{}, swOwnGrant{},
-			barArrive{}, barRelease{}, acqReq{}, acqFwd{}, acqGrant{},
+			barArrive{}, barRelease{}, acqReq{}, acqFwd{}, acqGrant{}, acqRevoke{},
 			hlrcFlush{}, hlrcAck{}, homeBindReq{}, homeBindResp{},
 			ckptAck{}, recArrive{}, recRelease{}, recProtoArrive{}, recProtoRelease{},
 		},
@@ -262,26 +271,31 @@ func TestCoreCodecsAllBinary(t *testing.T) {
 // TestLockHandoffEncodeAllocs is the message half of the hand-off's frame
 // budget (the frame half — pooled header and iovec list — is tcp's
 // TestBinaryFrameEncodeAllocs): appending an acqReq, an acqFwd and an
-// acqGrant carrying piggybacked intervals to a warmed frame buffer must
-// stay within one allocation per frame. The gob escape these rode built a
-// reflective encoder per frame (hundreds of allocations).
+// acqGrant carrying piggybacked intervals, and the revoke pair (an
+// acqRevoke and the reader's acqGrant answer), to a warmed frame buffer
+// must stay within one allocation per frame. The gob escape these rode
+// built a reflective encoder per frame (hundreds of allocations).
 func TestLockHandoffEncodeAllocs(t *testing.T) {
-	for _, name := range []string{"acqReq", "acqFwd", "acqGrant"} {
-		m := msgSamples()[name][0]
+	samples := msgSamples()
+	var msgs []transport.Msg
+	for _, name := range []string{"acqReq", "acqFwd", "acqGrant", "acqRevoke"} {
+		msgs = append(msgs, samples[name]...)
+	}
+	for _, m := range msgs {
 		c, ok := transport.CodecOf(m)
 		if !ok || c.AppendWire == nil {
-			t.Fatalf("%s has no binary codec", name)
+			t.Fatalf("%T has no binary codec", m)
 		}
 		buf := make([]byte, 0, 4096)
 		iov := make([][]byte, 0, 8)
 		avg := testing.AllocsPerRun(100, func() {
 			b, p := c.AppendWire(m, buf[:0], iov[:0])
 			if len(b) == 0 || len(p) != 0 {
-				t.Fatalf("%s encoded to %d bytes, %d payloads", name, len(b), len(p))
+				t.Fatalf("%s encoded to %d bytes, %d payloads", c.Name, len(b), len(p))
 			}
 		})
 		if avg > 1 {
-			t.Errorf("%s encode allocates %.1f times per frame (budget ≤1)", name, avg)
+			t.Errorf("%s encode allocates %.1f times per frame (budget ≤1)", c.Name, avg)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"adsm/internal/mem"
 	"adsm/internal/vc"
 )
@@ -10,9 +12,9 @@ import (
 // address space) but every transfer is charged its wire size. Every
 // message has a binary codec (wire.go). Most declare the exact byte count
 // their encoder produces — wire_test.go pins Size() == len(encoding) —
-// while the lock, home-flush and home-bind messages keep the modelled
-// sizes the simulator's virtual times were calibrated with, audited with
-// slack by TestMsgSizeMatchesWire.
+// while the lock hand-off, home-flush and home-bind messages keep the
+// modelled sizes the simulator's virtual times were calibrated with,
+// audited with slack by TestMsgSizeMatchesWire.
 
 // --- paging ---
 
@@ -328,9 +330,10 @@ func (homeBindResp) Size() int { return 12 }
 
 // acqReq asks the lock's static manager for the lock. KnownTS is the
 // requester's interval knowledge so the grantor can piggyback exactly the
-// intervals the requester lacks.
+// intervals the requester lacks. Shared asks for a read grant.
 type acqReq struct {
 	Lock    int
+	Shared  bool
 	KnownTS []int32
 }
 
@@ -340,20 +343,36 @@ func (m acqReq) Size() int { return 8 + 4*len(m.KnownTS) }
 type acqFwd struct {
 	Lock    int
 	Origin  int
+	Shared  bool
 	KnownTS []int32
 }
 
 func (m acqFwd) Size() int { return 12 + 4*len(m.KnownTS) }
 
 // acqGrant passes the lock to the requester with the piggybacked
-// intervals and the releaser's vector clock.
+// intervals and the releaser's vector clock. An exclusive grant also
+// carries the readers (bit per node) the new holder must revoke, charged
+// like a knowledge-vector entry each. A reader's answer to a revoke is an
+// acqGrant too: what it knew at its read release.
 type acqGrant struct {
 	Intervals []*Interval
 	VC        vc.VC
+	Readers   uint64
 	nprocs    int
 }
 
-func (m acqGrant) Size() int { return 8 + 4*len(m.VC) + intervalsWireSize(m.Intervals, m.nprocs) }
+func (m acqGrant) Size() int {
+	return 8 + 4*len(m.VC) + 4*bits.OnesCount64(m.Readers) + intervalsWireSize(m.Intervals, m.nprocs)
+}
+
+// acqRevoke asks a reader to give up its cached read grant before the new
+// exclusive holder enters. KnownTS is the writer's interval knowledge.
+type acqRevoke struct {
+	Lock    int
+	KnownTS []int32
+}
+
+func (m acqRevoke) Size() int { return iLen(m.Lock) + tsLen(m.KnownTS) }
 
 // --- barriers ---
 

@@ -135,10 +135,23 @@ type Node struct {
 }
 
 type nodeLock struct {
-	state    lockNodeState
-	pending  transport.Call // queued acquire waiting for our release
-	pendKnow []int32        // its knowledge vector
-	relVC    vc.VC          // our vector clock at the last release
+	state   lockNodeState
+	pending queuedAcq // exclusive acquire waiting for our release (c nil: none)
+	relVC   vc.VC     // our vector clock at the last release, exclusive or read
+
+	// Shared (read) mode; see locks.go.
+	readers    uint64      // nodes granted a read since the token came here (bit per node)
+	pendShared []queuedAcq // read requests queued for our release
+	cached     bool        // we hold a revocable read grant
+	reading    bool        // a read section is open, or our read request is in flight
+	revoke     queuedAcq   // a writer's revoke, deferred until our read section ends
+}
+
+// queuedAcq is a lock request held for a later answer: the call and the
+// requester's interval knowledge.
+type queuedAcq struct {
+	c    transport.Call
+	know []int32
 }
 
 type lockNodeState uint8

@@ -20,10 +20,11 @@ import (
 // For most messages Size() in msgs.go is the exact byte count these
 // encoders produce; codec_test.go pins the two to each other, and
 // wire_test.go pins every encoding by round trip, golden bytes
-// (testdata/wire.golden) and fuzzing. The lock, home-flush and home-bind
-// messages (acq*, hlrc*, homeBind*) still declare the sizes the cost model
-// was calibrated with, which the audit holds to the binary body within its
-// slack rule (modelledSizes in codec_test.go).
+// (testdata/wire.golden) and fuzzing. The lock hand-off, home-flush and
+// home-bind messages (acqReq/acqFwd/acqGrant, hlrc*, homeBind*) still
+// declare the sizes the cost model was calibrated with, which the audit
+// holds to the binary body within its slack rule (modelledSizes in
+// codec_test.go); acqRevoke, which postdates the calibration, is exact.
 
 // --- append/size/read primitives ---
 
@@ -768,13 +769,14 @@ func barReleaseDecodeWire(body []byte) (transport.Msg, error) {
 func acqReqAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
 	r := m.(acqReq)
 	b = putI(b, r.Lock)
+	b = putBool(b, r.Shared)
 	b = putTS(b, r.KnownTS)
 	return b, payloads
 }
 
 func acqReqDecodeWire(body []byte) (transport.Msg, error) {
 	r := transport.NewWireReader(body)
-	m := acqReq{Lock: r.Int()}
+	m := acqReq{Lock: r.Int(), Shared: r.Bool()}
 	m.KnownTS = readTS(r)
 	if err := r.Close(); err != nil {
 		return nil, err
@@ -786,13 +788,14 @@ func acqFwdAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][
 	r := m.(acqFwd)
 	b = putI(b, r.Lock)
 	b = putI(b, r.Origin)
+	b = putBool(b, r.Shared)
 	b = putTS(b, r.KnownTS)
 	return b, payloads
 }
 
 func acqFwdDecodeWire(body []byte) (transport.Msg, error) {
 	r := transport.NewWireReader(body)
-	m := acqFwd{Lock: r.Int(), Origin: r.Int()}
+	m := acqFwd{Lock: r.Int(), Origin: r.Int(), Shared: r.Bool()}
 	m.KnownTS = readTS(r)
 	if err := r.Close(); err != nil {
 		return nil, err
@@ -804,6 +807,7 @@ func acqGrantAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [
 	r := m.(acqGrant)
 	b = putIntervals(b, r.Intervals)
 	b = putVC(b, r.VC)
+	b = putU(b, r.Readers)
 	b = putI(b, r.nprocs)
 	return b, payloads
 }
@@ -813,7 +817,25 @@ func acqGrantDecodeWire(body []byte) (transport.Msg, error) {
 	var m acqGrant
 	m.Intervals = readIntervals(r)
 	m.VC = readVC(r)
+	m.Readers = r.Uvarint()
 	m.nprocs = r.Int()
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func acqRevokeAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	r := m.(acqRevoke)
+	b = putI(b, r.Lock)
+	b = putTS(b, r.KnownTS)
+	return b, payloads
+}
+
+func acqRevokeDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	m := acqRevoke{Lock: r.Int()}
+	m.KnownTS = readTS(r)
 	if err := r.Close(); err != nil {
 		return nil, err
 	}

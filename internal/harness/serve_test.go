@@ -44,7 +44,13 @@ func TestServeSweepSim(t *testing.T) {
 			}
 		}
 		if c.P50 <= 0 || c.P99 < c.P50 {
-			t.Errorf("%v/%s: implausible latency p50=%v p99=%v", c.Proto, c.Variant, c.P50, c.P99)
+			// A Get on a cached read grant and a valid page costs no
+			// virtual time, so a read-mostly base cell's median may be
+			// zero, but only if it served shared acquires locally.
+			zeroByCache := c.Variant == "" && c.P50 == 0 && c.Report.Stats.SharedLocal > 0
+			if !zeroByCache || c.P99 <= 0 || c.P99 < c.P50 {
+				t.Errorf("%v/%s: implausible latency p50=%v p99=%v", c.Proto, c.Variant, c.P50, c.P99)
+			}
 		}
 		if c.OpsPerSec() <= 0 {
 			t.Errorf("%v/%s: ops/s = %v", c.Proto, c.Variant, c.OpsPerSec())

@@ -107,14 +107,16 @@ func (t *Table) stripeOf(key uint64) (stripe, start int) {
 	return int(h % uint64(t.stripes)), int((h >> 32) % StripeSlots)
 }
 
-// Get returns the value stored for key. The stripe lock is taken even for
-// reads: it serializes against in-place writers (a torn slot read would
-// otherwise be possible under LRC) and generates the lock-handoff traffic
-// a real serving tier's read path generates.
+// Get returns the value stored for key. It holds the stripe lock shared:
+// that excludes in-place writers (a torn slot read would otherwise be
+// possible under LRC) but not other readers, and the read grant stays
+// cached on the node, so repeated Gets of a stripe nobody writes send no
+// lock messages. A Put or Delete on the stripe revokes the cached grants
+// before it writes.
 func (t *Table) Get(w *adsm.Worker, key uint64) (val Value, ok bool) {
 	stripe, start := t.stripeOf(key)
 	lock := t.lockBase + stripe
-	w.Lock(lock)
+	w.RLock(lock)
 	t.arr.Span(w, stripe*stripeWords, (stripe+1)*stripeWords, adsm.Read, func(_ int, p []uint64) {
 		for probe := 0; probe < StripeSlots; probe++ {
 			s := ((start + probe) % StripeSlots) * SlotWords
@@ -130,7 +132,7 @@ func (t *Table) Get(w *adsm.Worker, key uint64) (val Value, ok bool) {
 			}
 		}
 	})
-	w.Unlock(lock)
+	w.RUnlock(lock)
 	return val, ok
 }
 

@@ -31,7 +31,9 @@ type Node struct {
 	MaxLiveBytes  int64
 
 	// Synchronization.
-	LockAcquires int64
+	LockAcquires int64 // Acquire and AcquireShared calls, local or remote
+	SharedLocal  int64 // shared acquires served without messages
+	Revokes      int64 // read grants revoked by an exclusive acquire
 	Barriers     int64
 
 	// Adaptation events.
@@ -103,6 +105,8 @@ func (s *Node) Add(o *Node) {
 	s.LiveDiffBytes += o.LiveDiffBytes
 	s.MaxLiveBytes += o.MaxLiveBytes
 	s.LockAcquires += o.LockAcquires
+	s.SharedLocal += o.SharedLocal
+	s.Revokes += o.Revokes
 	s.Barriers += o.Barriers
 	s.SWtoMW += o.SWtoMW
 	s.MWtoSW += o.MWtoSW

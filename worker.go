@@ -36,6 +36,17 @@ func (w *Worker) Lock(id int) { w.n.Acquire(id) }
 // Unlock releases the named lock.
 func (w *Worker) Unlock(id int) { w.n.Release(id) }
 
+// RLock acquires the named lock shared: any number of workers may hold it
+// for reading at once, and no worker holds it exclusively meanwhile. It
+// pulls in the same write notices Lock would. The read grant stays cached
+// on this worker's node after RUnlock, so repeated RLocks cost no messages
+// until a Lock on another node revokes the grant; that Lock waits for the
+// read section to end and sees every write ordered before it.
+func (w *Worker) RLock(id int) { w.n.AcquireShared(id) }
+
+// RUnlock ends a read section begun with RLock.
+func (w *Worker) RUnlock(id int) { w.n.ReleaseShared(id) }
+
 // Barrier waits for all processors and makes all prior writes visible.
 func (w *Worker) Barrier() { w.n.Barrier() }
 
