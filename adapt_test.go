@@ -1,11 +1,13 @@
 package adsm_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"adsm"
+	"adsm/internal/core"
 )
 
 // TestAdaptiveFrozenEquivalence pins the adaptive meta-protocol to each
@@ -50,13 +52,38 @@ func TestAdaptiveFrozenEquivalence(t *testing.T) {
 // applying barrier-epoch policy switches. The program is built to force
 // switches in both directions — a contended page is first bulk-rewritten
 // by node 0 alone (promotion to the single-writer protocol), then written
-// by everyone (demotion back) — while each node's private page is read by
+// by several nodes (demotion) — while each node's private page is read by
 // a neighbour every epoch, keeping remote page-serving handlers busy as
-// the switches land. Run under -race this is the data-race check for the
-// per-page delegation refactor; without -race it still pins correctness
-// and that both switch directions fire over TCP.
+// the switches land. With every node writing the hot page the demotion
+// may go to MW or, under the wire cost profile, straight to HLRC; with
+// fewer writers than the profile's HLRC threshold it must go to MW. Run
+// under -race this is the data-race check for the per-page delegation
+// refactor; without -race it still pins correctness and that both switch
+// directions fire over TCP.
 func TestAdaptiveTCPConcurrency(t *testing.T) {
-	const procs, epochs = 4, 8
+	const procs = 4
+	few := core.WireProfile().HLRCWriters - 1
+	for _, writers := range []int{procs, few} {
+		t.Run(fmt.Sprintf("writers=%d", writers), func(t *testing.T) {
+			rep := runAdaptiveHotPage(t, procs, writers)
+			demoted := rep.Stats.SwitchToMW + rep.Stats.SwitchToHLRC
+			if writers == few {
+				demoted = rep.Stats.SwitchToMW
+			}
+			if rep.Stats.SwitchToSW == 0 || demoted == 0 {
+				t.Errorf("expected switches both ways over TCP: toSW=%d toMW=%d toHLRC=%d (total %d)",
+					rep.Stats.SwitchToSW, rep.Stats.SwitchToMW, rep.Stats.SwitchToHLRC,
+					rep.Stats.PolicySwitches)
+			}
+		})
+	}
+}
+
+// runAdaptiveHotPage runs TestAdaptiveTCPConcurrency's program on a
+// procs-node TCP mesh with the first hotWriters nodes writing the hot page
+// in the second half of the run.
+func runAdaptiveHotPage(t *testing.T, procs, hotWriters int) *adsm.Report {
+	const epochs = 8
 	cl := adsm.NewCluster(adsm.Config{
 		Procs:     procs,
 		Protocol:  adsm.Adaptive,
@@ -77,7 +104,7 @@ func TestAdaptiveTCPConcurrency(t *testing.T) {
 						w.WriteU64(hot+off, uint64(epoch+1))
 					}
 				}
-			} else {
+			} else if id < hotWriters {
 				w.WriteU64(hot+64*id, uint64(epoch*10+id+1))
 			}
 			w.Barrier()
@@ -95,10 +122,7 @@ func TestAdaptiveTCPConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Stats.SwitchToSW == 0 || rep.Stats.SwitchToMW == 0 {
-		t.Errorf("expected switches both ways over TCP: toSW=%d toMW=%d (total %d)",
-			rep.Stats.SwitchToSW, rep.Stats.SwitchToMW, rep.Stats.PolicySwitches)
-	}
+	return rep
 }
 
 // TestOneSidedAdaptiveTCPConcurrency hammers the one-sided region-read
@@ -154,17 +178,18 @@ func TestOneSidedAdaptiveTCPConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Stats.SwitchToSW == 0 || rep.Stats.SwitchToMW == 0 {
-		t.Errorf("expected switches both ways over TCP: toSW=%d toMW=%d (total %d)",
-			rep.Stats.SwitchToSW, rep.Stats.SwitchToMW, rep.Stats.PolicySwitches)
+	if rep.Stats.SwitchToSW == 0 || rep.Stats.SwitchToMW+rep.Stats.SwitchToHLRC == 0 {
+		t.Errorf("expected switches both ways over TCP: toSW=%d toMW=%d toHLRC=%d (total %d)",
+			rep.Stats.SwitchToSW, rep.Stats.SwitchToMW, rep.Stats.SwitchToHLRC,
+			rep.Stats.PolicySwitches)
 	}
 	if rep.Stats.OneSidedReads == 0 {
 		t.Errorf("expected one-sided reads with three readers per page per epoch (fallbacks: %d)",
 			rep.Stats.OneSidedFallbacks)
 	}
-	t.Logf("one-sided: %d reads, %d fallbacks; switches: %d toSW, %d toMW",
+	t.Logf("one-sided: %d reads, %d fallbacks; switches: %d toSW, %d toMW, %d toHLRC",
 		rep.Stats.OneSidedReads, rep.Stats.OneSidedFallbacks,
-		rep.Stats.SwitchToSW, rep.Stats.SwitchToMW)
+		rep.Stats.SwitchToSW, rep.Stats.SwitchToMW, rep.Stats.SwitchToHLRC)
 }
 
 // TestAdaptiveSwitches checks the unfrozen meta-protocol actually moves

@@ -246,6 +246,12 @@ func (cfg Config) engine() (Config, core.Params) {
 		p.OwnershipQuantum = sim.Time(cfg.OwnershipQuantum)
 	}
 	p.OmitWrites = cfg.OmitWrites
+	if cfg.Transport == TCPTransport {
+		// The adaptive thresholds follow the machine, not the user: the
+		// simulator keeps the 1997 profile it models, a real mesh gets
+		// the measured wire's.
+		p.Cost = core.WireProfile()
+	}
 	p.Runtime = cfg.runtimeFactory()
 	return cfg, p
 }

@@ -163,3 +163,38 @@ func TestBarnesFSFavoursMW(t *testing.T) {
 		t.Errorf("Barnes: SW (%v) should be slower than MW (%v)", sw.Elapsed, mw.Elapsed)
 	}
 }
+
+// TestAdaptiveTCPMatchesSequential runs the adaptive protocol on the
+// in-process tcp mesh, full inputs, for the two kernels whose many-writer
+// pages the wire cost profile moves to HLRC and that lost writes when an
+// HLRC flush could reach a home before the home had drained the switch.
+// The checksums must match the sequential run (Water within the lock-
+// order reassociation tolerance) and the switches must really fire.
+func TestAdaptiveTCPMatchesSequential(t *testing.T) {
+	for _, name := range []string{"Water", "ILINK"} {
+		t.Run(name, func(t *testing.T) {
+			e := mustEntry(name)
+			seqApp, _, err := Run(e.New, adsm.Config{Procs: 1}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app, rep, err := Run(e.New, adsm.Config{Procs: 4, Protocol: adsm.Adaptive,
+				Transport: adsm.TCPTransport}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, got := seqApp.Result(), app.Result()
+			tol := math.Abs(seq) * 1e-8
+			if name == "Water" {
+				tol = math.Abs(seq) * 1e-4
+			}
+			if math.Abs(got-seq) > tol {
+				t.Errorf("result %v != sequential %v", got, seq)
+			}
+			if rep.Stats.SwitchToHLRC == 0 {
+				t.Errorf("no page moved to HLRC (switches: toSW=%d toMW=%d)",
+					rep.Stats.SwitchToSW, rep.Stats.SwitchToMW)
+			}
+		})
+	}
+}

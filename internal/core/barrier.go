@@ -64,13 +64,21 @@ func (n *Node) barrierRound(gcRound bool) {
 	// The adaptive meta-protocol's switch decisions apply here — after the
 	// release's knowledge is merged, before the per-protocol release hooks —
 	// so every node flips a page at the same epoch.
-	if len(resp.Switches) > 0 {
-		n.applyPolicySwitches(resp.Switches)
-	}
+	quiesce := len(resp.Switches) > 0 && n.applyPolicySwitches(resp.Switches)
 	// Mechanism 3 of Section 3.1.2 lives in the adaptive policies.
 	n.dispatchBarrierRelease()
 	if resp.GC {
 		n.runGC(resp.Hints)
+	}
+	if quiesce {
+		// A page moved to HLRC: its home drained the MW history above,
+		// but a peer that resumed now could flush its next interval's
+		// diff to a home that has not yet received this release. The
+		// flush's vector clock would then cover the pre-switch notices
+		// the home is still to drain, and they would be dropped as
+		// applied. One more round keeps every body parked until every
+		// home has drained.
+		n.barrierRound(true)
 	}
 }
 

@@ -499,8 +499,10 @@ func (n *Node) RecoverSync() int64 {
 		rel2 := n.c.rt.Call(n.proc, 0, recProtoArrive{Node: n.id, Switches: switches}).(recProtoRelease)
 		switches = rel2.Switches
 	}
-	if len(switches) > 0 {
-		n.applyPolicySwitches(switches)
+	if len(switches) > 0 && n.applyPolicySwitches(switches) {
+		// As at a barrier release: no restorer may write (and so flush to
+		// a new HLRC home) before every home has flipped the page.
+		n.barrierRound(true)
 	}
 
 	// Rewrite the checkpointed bytes through the ordinary write path: the

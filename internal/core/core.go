@@ -65,6 +65,10 @@ type Params struct {
 	MaxSharedBytes int
 	// EventLimit aborts runaway simulations (0 = default limit).
 	EventLimit uint64
+	// Cost is the cost profile the adaptive meta-protocol's thresholds
+	// are tuned to (meta.go): the paper's 1997 machine by default, the
+	// measured wire for the TCP transport.
+	Cost CostProfile
 
 	// The reference engines: test-only switches that select the engine a
 	// later optimization replaced, so the equivalence tests can pin that
@@ -137,6 +141,7 @@ func DefaultParams(procs int) Params {
 		WGThreshold:      3 * 1024,
 		MaxSharedBytes:   64 << 20,
 		EventLimit:       2_000_000_000,
+		Cost:             PaperProfile(),
 		SpanPrefetch:     true,
 	}
 }

@@ -194,6 +194,15 @@ func (n *Node) serveHLRCFlush(c transport.Call, from int, m hlrcFlush) {
 	var cost transport.Time
 	for _, e := range m.Entries {
 		ps := n.pages[e.Page]
+		if ps.proto != HLRC {
+			// The writer runs the page under HLRC and the home does not
+			// yet: the home has not applied the switch, let alone drained
+			// the page's MW history, and joining the flush's clock into
+			// applied would drop the pre-switch notices still pending.
+			// The quiescent round after every →HLRC switch rules this out.
+			panic(fmt.Sprintf("dsm: hlrc flush from node %d reached home %d before it switched page %d (running %v)",
+				from, n.id, e.Page, ps.proto))
+		}
 		if ps.data == nil {
 			// A first-touch home can receive its first flush before its own
 			// MakeValid materialized the copy; start from the zero page

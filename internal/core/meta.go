@@ -13,14 +13,17 @@ import (
 // detector, and migrates individual pages between MW, WFS+WG and HLRC.
 // Switch decisions ride the barrier release (the Switches field of
 // barRelease), so every node flips a page's protocol at the same barrier
-// epoch and no page ever has two protocols live at once.
+// epoch and no page ever has two protocols live at once. A release that
+// moves a page to HLRC is followed by one quiescent barrier round (see
+// barrierRound): no body resumes, and so no writer flushes to a new home,
+// before every home has drained the page's MW history.
 //
 // The decision rules are deliberately conservative (streaks of epochs, a
 // per-page switch budget): a wrong switch costs a drain and a re-switch,
 // while a missed switch only costs the static protocol's overhead.
-
-// Decision thresholds. Pages start under MW (the protocol that is never
-// catastrophically wrong) and migrate when a clear pattern emerges:
+//
+// Pages start under MW (the protocol that is never catastrophically
+// wrong) and migrate when a clear pattern emerges:
 //
 //   - Solo-writer pages promote to the ownership-based protocol (WFS+WG:
 //     everything WFS does, plus the write-granularity gate that keeps
@@ -36,26 +39,71 @@ import (
 //     them), stay in MW, whose lazy diffs serve sharers most cheaply.
 //   - An ownership page that shows concurrent writers for
 //     adaptMultiEpochs epochs goes back to MW: refusal churn.
-//   - adaptHLRCEpochs consecutive epochs with at least adaptHLRCWriters
-//     writers, on a page whose mean diff is a large fraction of the page
-//     (bulk migratory updates, like IS's bucket array), send the page to
-//     HLRC: collecting that many writers' page-sized diffs at every
-//     reader costs more than one home round trip, and the eager home
-//     flush keeps the diff pool (and GC) out of the picture. Fine-grain
-//     many-writer pages (Barnes's bodies) stay in MW.
+//   - adaptHLRCEpochs consecutive epochs with at least
+//     CostProfile.HLRCWriters writers send the page to HLRC: a reader of
+//     such a page collects that many diffs per fault under MW, where one
+//     home round trip would do, and the eager home flush keeps the diff
+//     pool (and GC) out of the picture. Where bytes are dear the page
+//     must also show bulky diffs (CostProfile.HLRCMinDiff).
 //
 // Each page may switch at most adaptMaxSwitches times, so a workload that
 // oscillates settles instead of thrashing.
+//
+// The streak lengths and the switch budget are decision hygiene and are
+// constants. The →HLRC thresholds weigh messages against bytes, so they
+// live in the cluster's CostProfile (Params.Cost), chosen by the
+// transport: PaperProfile for the simulator, WireProfile for TCP.
 const (
 	adaptMultiEpochs   = 1
 	adaptSoloEpochs    = 2
 	adaptSoloSlow      = 4
-	adaptHLRCWriters   = 4
 	adaptHLRCEpochs    = 1
 	adaptMaxReaders    = 1
 	adaptMaxSwitches   = 4
 	adaptBulkThreshold = mem.PageSize / 8
 )
+
+// CostProfile holds the adaptive meta-protocol's cost-dependent
+// thresholds: the ones whose right value depends on what a message costs
+// next to a byte on the machine the cluster runs on.
+type CostProfile struct {
+	// HLRCWriters is how many nodes must write a page in one barrier
+	// epoch (adaptHLRCEpochs epochs running) for it to move to HLRC.
+	HLRCWriters int
+	// HLRCMinDiff is the mean diff size, in bytes, the page's writers must
+	// also show; 0 drops the size gate.
+	HLRCMinDiff int
+}
+
+// PaperProfile is the 1997 machine the simulator models: a 490 µs
+// one-way message and 220 ns per byte, so a 4 KB page costs 0.9 ms on
+// top of a message. Bytes are dear: an HLRC reader's whole-page home
+// fetch only beats collecting k diffs when the diffs themselves add up to
+// about a page, hence four writers with diffs of at least a quarter page
+// (IS's bucket array qualifies, Barnes's fine-grain bodies do not).
+func PaperProfile() CostProfile {
+	return CostProfile{HLRCWriters: 4, HLRCMinDiff: mem.PageSize / 4}
+}
+
+// WireProfile is the TCP mesh. Its ladder (BENCH_31.wall.json, 2-vCPU
+// host) prices an empty round trip at 34–51 µs and a 4 KB page round trip
+// at 27 µs, and a full-page diff at 3.2 µs to make: a page costs no more
+// than the message carrying it, so the size gate protects nothing and is
+// dropped. What HLRC saves is messages: a reader of a k-writer page sends
+// k diff requests under MW and one home fetch under HLRC. The wall matrix
+// (`dsmbench -exp adapt -procs 4`, full inputs, median of three
+// median-of-3 matrices) has static HLRC ahead of MW on all four
+// many-writer kernels — ILINK 93 vs 212 ms, Barnes 102 vs 120, Water 44
+// vs 54, TSP 28 vs 32 — and the adaptive walls with a writer threshold of
+// 2, 3 or 4 lie within one another's run-to-run spread on every kernel
+// (two matrices each). Three is the middle
+// choice: it takes every page ILINK and Barnes write from all four nodes
+// and Water's three-writer pages, but not the two-writer pages a
+// threshold of 2 adds in Water (172 switches against 132) for no
+// measurable gain.
+func WireProfile() CostProfile {
+	return CostProfile{HLRCWriters: 3}
+}
 
 // metaPolicy is pointer-typed: unlike the stateless static policies it
 // carries per-cluster resolution state (the initial delegation target),
@@ -132,7 +180,7 @@ type adaptPage struct {
 	solo       int      // consecutive written epochs with the same single writer
 	soloWriter int      // that writer (-1 before the first written epoch)
 	multi      int      // consecutive written epochs with >= 2 writers
-	hlrcRun    int      // consecutive epochs with >= adaptHLRCWriters writers
+	hlrcRun    int      // consecutive epochs with >= Cost.HLRCWriters writers
 	everMulti  bool     // the page has EVER had a multi-writer epoch
 	maxVer     int32    // highest owner-notice version seen (or assigned)
 	switches   int      // switches issued for this page (budget)
@@ -185,7 +233,7 @@ func (c *Cluster) adaptDecide() []policySwitch {
 			ap.multi++
 			ap.solo = 0
 			ap.everMulti = true
-			if nw >= adaptHLRCWriters {
+			if nw >= c.params.Cost.HLRCWriters {
 				ap.hlrcRun++
 			} else {
 				ap.hlrcRun = 0
@@ -194,22 +242,26 @@ func (c *Cluster) adaptDecide() []policySwitch {
 		if ap.switches >= adaptMaxSwitches {
 			continue
 		}
-		// HLRC wants many-writer pages whose diffs are BULKY — migratory
-		// data each writer rewrites nearly whole, where a reader's diff
-		// collection moves a page's worth of bytes in k messages and one
-		// home fetch would do. Falsely-shared fine-grain pages also show
-		// many writers, but their diffs are tiny and MW's lazy merging is
-		// exactly right for them, so the detector's write-granularity
-		// average is the gate, not its false-sharing bit. The detector is
-		// only trustworthy when every node's writes are visible to this
+		// Where bytes are dear (a non-zero HLRCMinDiff) HLRC wants
+		// many-writer pages whose diffs are BULKY — migratory data each
+		// writer rewrites nearly whole, where a reader's diff collection
+		// moves a page's worth of bytes in k messages and one home fetch
+		// would do. Falsely-shared fine-grain pages also show many
+		// writers, but their diffs are tiny and MW's lazy merging moves
+		// fewer bytes, so the detector's write-granularity average is the
+		// gate, not its false-sharing bit. The average is only trusted
+		// once the page has produced at least one diff per observed writer
+		// (minus the epoch's first, which has no prior copy): a single
+		// initialization diff must not pass for a write-granularity
+		// profile. The detector (and with it the writer count) is only
+		// trustworthy when every node's writes are visible to this
 		// instance, i.e. not on a partial (multi-process) deployment.
-		// The average is only trusted once the page has produced at least
-		// one diff per observed writer (minus the epoch's first, which has
-		// no prior copy): a single initialization diff must not pass for a
-		// write-granularity profile.
 		dp := &c.detector.pages[pg]
-		bulky := dp.diffCount >= int64(nw-1) && dp.diffCount > 0 &&
-			dp.diffBytes >= dp.diffCount*int64(mem.PageSize/4)
+		bulky := true
+		if gate := c.params.Cost.HLRCMinDiff; gate > 0 {
+			bulky = dp.diffCount >= int64(nw-1) && dp.diffCount > 0 &&
+				dp.diffBytes >= dp.diffCount*int64(gate)
+		}
 		hlrcReady := ap.hlrcRun >= adaptHLRCEpochs && !c.Partial() && bulky
 		var sw policySwitch
 		switch {
@@ -275,8 +327,11 @@ func soloBit(mask uint64) int {
 // Every node runs this in process context while ingesting a barrier
 // release — after the global knowledge is merged, before the per-protocol
 // release hooks — so all nodes flip a page at the same epoch, with no app
-// code running and no interval open.
-func (n *Node) applyPolicySwitches(sws []policySwitch) {
+// code running and no interval open. It reports whether a page moved to
+// HLRC; every node's page bindings agree, so every node reports the same,
+// and the caller owes the cluster a quiescent round before any body
+// resumes (barrierRound).
+func (n *Node) applyPolicySwitches(sws []policySwitch) (quiesce bool) {
 	for _, sw := range sws {
 		ps := n.pages[sw.Page]
 		target := Protocol(sw.Proto)
@@ -302,7 +357,8 @@ func (n *Node) applyPolicySwitches(sws []policySwitch) {
 		// fully current under the OLD policy, while the diffs backing the
 		// old history are still serviceable. Peers that fetch from the
 		// authority before its drain completes converge through their
-		// protocols' own retry loops.
+		// protocols' own retry loops; no peer flushes to a new HLRC home
+		// before it completes (the caller's quiescent round).
 		authority := (toWFS && sw.Owner == n.id) ||
 			(toHLRC && n.resolveHome(sw.Page) == n.id)
 		if authority && (ps.data == nil || ps.status == pageInvalid || len(ps.pending) > 0) {
@@ -369,8 +425,10 @@ func (n *Node) applyPolicySwitches(sws []policySwitch) {
 			n.Stats.SwitchToSW++
 		case toHLRC:
 			n.Stats.SwitchToHLRC++
+			quiesce = true
 		default:
 			n.Stats.SwitchToMW++
 		}
 	}
+	return quiesce
 }

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"adsm"
@@ -14,13 +16,26 @@ import (
 // static choice — the paper's claim is that one adaptive protocol tracks
 // whichever static protocol each application (here: each page) wants,
 // without the user picking it. The sim side is deterministic virtual
-// time; the tcp side reruns the adaptive cell over the real in-process
-// mesh to pin the meta-protocol end to end on a live transport.
+// time under the 1997 cost model; the tcp side is the wall matrix: every
+// protocol, adaptive included, over the real in-process mesh (median of
+// tcpRuns runs, each checksum-verified), where the adaptive cell runs
+// under the wire cost profile. A failed adaptive run (an error or a wrong
+// checksum) fails the sweep; a failed static run is counted and shown in
+// its cell, and that protocol cannot be the kernel's best. Two static
+// defects show up there and are on the ROADMAP: WFS+WG loses TSP's best
+// tour on about one full-input tcp run in four, and SW's ownership
+// forwarding can loop.
 
-// AdaptStatic is one static protocol's virtual time for a kernel.
+// tcpRuns is how many times the wall matrix runs each cell; it reports
+// the median.
+const tcpRuns = 3
+
+// AdaptStatic is one static protocol's time for a kernel: virtual time on
+// the simulator, median wall time on the tcp mesh.
 type AdaptStatic struct {
 	Proto   adsm.Protocol
 	Elapsed time.Duration
+	Bad     int // tcp runs that failed or missed the sequential checksum
 }
 
 // AdaptCell is one kernel's adaptive-vs-static comparison.
@@ -38,10 +53,16 @@ type AdaptCell struct {
 	// counts as win-or-tie (the success bar for the sweep).
 	Ratio float64
 
-	// TCPWall and TCPSwitches come from the adaptive rerun over the
-	// in-process TCP mesh (zero when the tcp side was not requested).
+	// The wall matrix: every static protocol's median wall time on the
+	// tcp mesh, the fastest of them, the adaptive median (TCPWall), their
+	// ratio (best static wall / adaptive wall) and the adaptive median
+	// run's switch counters.
+	TCPStatics  []AdaptStatic
+	TCPBest     adsm.Protocol
+	TCPBestWall time.Duration
 	TCPWall     time.Duration
-	TCPSwitches int64
+	TCPRatio    float64
+	TCPStats    adsm.Stats
 }
 
 // WinOrTie reports whether the adaptive run is within 5% of the best
@@ -50,11 +71,11 @@ func (c AdaptCell) WinOrTie() bool { return c.Ratio >= 0.95 }
 
 // AdaptSweepData runs the adaptive experiment over the full suite. The
 // sim cells come from the shared matrix cache (checksums verified against
-// the sequential run like every cell); the tcp rerun verifies its
-// checksum here with a timing-dependent tolerance — adaptive ownership
-// decisions time out in wall clock on a real transport, so low-order
-// float bits may reassociate.
-func (m *Matrix) AdaptSweepData(tcp bool) []AdaptCell {
+// the sequential run like every cell); the tcp cells verify their
+// checksums here with a timing-dependent tolerance — adaptive ownership
+// decisions and lock arrival orders vary in wall clock on a real
+// transport, so low-order float bits may reassociate.
+func (m *Matrix) AdaptSweepData() []AdaptCell {
 	var out []AdaptCell
 	for _, e := range apps.Registry {
 		cell := AdaptCell{App: e.Name, Adaptive: m.Parallel(e.Name, adsm.Adaptive)}
@@ -67,52 +88,83 @@ func (m *Matrix) AdaptSweepData(tcp bool) []AdaptCell {
 			if cell.BestElapsed == 0 || rep.Elapsed < cell.BestElapsed {
 				cell.Best, cell.BestElapsed = proto, rep.Elapsed
 			}
+			wall, _, bad := m.tcpWall(e.Name, proto)
+			cell.TCPStatics = append(cell.TCPStatics, AdaptStatic{Proto: proto, Elapsed: wall, Bad: bad})
+			if bad == 0 && (cell.TCPBestWall == 0 || wall < cell.TCPBestWall) {
+				cell.TCPBest, cell.TCPBestWall = proto, wall
+			}
 		}
 		if cell.Adaptive.Elapsed > 0 {
 			cell.Ratio = float64(cell.BestElapsed) / float64(cell.Adaptive.Elapsed)
 		}
-		if tcp {
-			seq := m.seqResult(e.Name)
-			app, err := apps.New(e.Name, m.Quick)
-			if err != nil {
-				panic(err)
-			}
-			cfg := adsm.Config{Procs: m.Procs, Protocol: adsm.Adaptive,
-				HomePolicy: m.Home, Transport: adsm.TCPTransport}
-			cl := adsm.NewCluster(cfg)
-			app.Setup(cl)
-			start := time.Now()
-			rep, err := cl.Run(app.Body)
-			cell.TCPWall = time.Since(start)
-			if err != nil {
-				panic(fmt.Sprintf("harness: adapt sweep %s under tcp: %v", e.Name, err))
-			}
-			tol := tolerance(e.Name)
-			if tol < 1e-4 {
-				tol = 1e-4
-			}
-			if !closeEnough(app.Result(), seq.checksum, tol) {
-				panic(fmt.Sprintf("harness: adapt sweep %s under tcp: checksum %v != sequential %v",
-					e.Name, app.Result(), seq.checksum))
-			}
-			cell.TCPSwitches = rep.Stats.PolicySwitches
+		var rep *adsm.Report
+		var bad int
+		cell.TCPWall, rep, bad = m.tcpWall(e.Name, adsm.Adaptive)
+		if bad > 0 {
+			panic(fmt.Sprintf("harness: adapt sweep %s/adaptive under tcp: %d of %d runs failed or missed the sequential checksum",
+				e.Name, bad, tcpRuns))
 		}
+		cell.TCPStats = rep.Stats
+		cell.TCPRatio = float64(cell.TCPBestWall) / float64(cell.TCPWall)
 		out = append(out, cell)
 	}
 	return out
 }
 
+// tcpWall runs one kernel under proto on the in-process tcp mesh tcpRuns
+// times and returns the median wall time of Run, that run's report and
+// how many runs failed: Run returned an error or the checksum did not
+// match the sequential run.
+func (m *Matrix) tcpWall(name string, proto adsm.Protocol) (time.Duration, *adsm.Report, int) {
+	seq := m.seqResult(name)
+	bad := 0
+	tol := max(tolerance(name), 1e-4)
+	type run struct {
+		wall time.Duration
+		rep  *adsm.Report
+	}
+	runs := make([]run, tcpRuns)
+	for i := range runs {
+		app, err := apps.New(name, m.Quick)
+		if err != nil {
+			panic(err)
+		}
+		cl := adsm.NewCluster(adsm.Config{Procs: m.Procs, Protocol: proto,
+			HomePolicy: m.Home, Transport: adsm.TCPTransport})
+		app.Setup(cl)
+		start := time.Now()
+		rep, err := cl.Run(app.Body)
+		runs[i] = run{time.Since(start), rep}
+		if err != nil || !closeEnough(app.Result(), seq.checksum, tol) {
+			bad++
+		}
+	}
+	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(a.wall, b.wall) })
+	mid := runs[len(runs)/2]
+	return mid.wall, mid.rep, bad
+}
+
 // AdaptSweep renders the adaptive experiment: every kernel's best static
-// protocol against the adaptive run, the win-or-tie verdict, the switch
-// counters, and the tcp rerun.
+// protocol against the adaptive run in virtual time, the win-or-tie
+// verdict and the switch counters, then the same comparison in wall time
+// on the tcp mesh.
 func (m *Matrix) AdaptSweep() string {
-	cells := m.AdaptSweepData(true)
+	cells := m.AdaptSweepData()
 	t := &table{header: []string{"App", "Best static", "Best (ms)", "Adaptive (ms)", "Ratio",
-		"Switches", "toSW", "toMW", "toHLRC", "TCP wall (ms)", "TCP switches"}}
-	wins := 0
+		"Switches", "toSW", "toMW", "toHLRC"}}
+	w := &table{header: []string{"App"}}
+	for _, s := range cells[0].TCPStatics {
+		w.header = append(w.header, s.Proto.String())
+	}
+	w.header = append(w.header, "adaptive", "Best static", "Ratio", "toSW", "toMW", "toHLRC")
+	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000) }
+	wins, tcpWins := 0, 0
 	for _, c := range cells {
 		if c.WinOrTie() {
 			wins++
+		}
+		if c.TCPRatio >= 0.95 {
+			tcpWins++
 		}
 		s := c.Adaptive.Stats
 		t.add(c.App, c.Best.String(),
@@ -120,11 +172,25 @@ func (m *Matrix) AdaptSweep() string {
 			fmt.Sprintf("%.2f", float64(c.Adaptive.Elapsed.Microseconds())/1000),
 			fmt.Sprintf("%.3f", c.Ratio),
 			fmt.Sprint(s.PolicySwitches),
-			fmt.Sprint(s.SwitchToSW), fmt.Sprint(s.SwitchToMW), fmt.Sprint(s.SwitchToHLRC),
-			fmt.Sprintf("%.1f", float64(c.TCPWall.Microseconds())/1000),
-			fmt.Sprint(c.TCPSwitches))
+			fmt.Sprint(s.SwitchToSW), fmt.Sprint(s.SwitchToMW), fmt.Sprint(s.SwitchToHLRC))
+		row := []string{c.App}
+		for _, st := range c.TCPStatics {
+			cell := ms(st.Elapsed)
+			if st.Bad > 0 {
+				cell += fmt.Sprintf(" (%d bad)", st.Bad)
+			}
+			row = append(row, cell)
+		}
+		ts := c.TCPStats
+		row = append(row, ms(c.TCPWall), c.TCPBest.String(), fmt.Sprintf("%.3f", c.TCPRatio),
+			fmt.Sprint(ts.SwitchToSW), fmt.Sprint(ts.SwitchToMW), fmt.Sprint(ts.SwitchToHLRC))
+		w.add(row...)
 	}
 	return "Adaptive experiment: per-page protocol switching vs the best static protocol per kernel\n" +
-		fmt.Sprintf("(ratio = best static / adaptive virtual time; >= 0.95 is win-or-tie: %d/%d kernels qualify;\n", wins, len(cells)) +
-		" tcp columns rerun the adaptive cell over the real in-process mesh, checksum-verified)\n\n" + t.String()
+		fmt.Sprintf("(ratio = best static / adaptive virtual time; >= 0.95 is win-or-tie: %d/%d kernels qualify)\n\n", wins, len(cells)) +
+		t.String() +
+		fmt.Sprintf("\nWall matrix: %d-node in-process tcp mesh, median of %d checksum-verified runs per cell (ms)\n", m.Procs, tcpRuns) +
+		fmt.Sprintf("(ratio = best static wall / adaptive wall; >= 0.95: %d/%d kernels; \"bad\" counts failed runs\n", tcpWins, len(cells)) +
+		" and wrong checksums, and such a protocol is not eligible as best static)\n\n" +
+		w.String()
 }
