@@ -386,6 +386,9 @@ func (cl *Cluster) report(elapsed sim.Time) *Report {
 			BatchedOwnReqs:    tot.BatchedOwnReqs,
 			OmittedWrites:     tot.OmittedWrites,
 			OmittedBytes:      tot.OmittedBytes,
+			DiffsPushed:       tot.DiffsPushed,
+			PushesDropped:     tot.PushesDropped,
+			PushesUsed:        tot.PushesUsed,
 			Checkpoints:       tot.Checkpoints,
 			Recoveries:        tot.Recoveries,
 		},
@@ -458,6 +461,9 @@ type Stats struct {
 	BatchedOwnReqs    int64 // ownership requests that rode a grouped grant batch
 	OmittedWrites     int64 // never-shipped diffs emptied by the omittable-write pass
 	OmittedBytes      int64 // payload bytes those diffs no longer carry
+	DiffsPushed       int64 // diffs lock grants carried to their acquirers
+	PushesDropped     int64 // pushed diffs the acquirer had no use for on arrival
+	PushesUsed        int64 // stored pushed diffs a fault then applied
 	Checkpoints       int64 // barrier checkpoints committed (BarrierCkpt)
 	Recoveries        int64 // checkpoint recoveries completed (RecoverSync)
 

@@ -181,6 +181,10 @@ func main() {
 		fmt.Printf("  omitted writes       %d dominated diffs emptied (%d bytes never shipped)\n",
 			s.OmittedWrites, s.OmittedBytes)
 	}
+	if s.DiffsPushed > 0 {
+		fmt.Printf("  pushed diffs         %d rode lock grants, %d dropped on arrival, %d applied\n",
+			s.DiffsPushed, s.PushesDropped, s.PushesUsed)
+	}
 	fmt.Printf("  garbage collections  %d\n", s.GCRuns)
 	if s.HomeFlushes > 0 || s.HomeLocalDiffs > 0 || s.HomeBinds > 0 {
 		fmt.Printf("  home flushes         %d remote (%.2f MB), %d local diffs, %d binds\n",

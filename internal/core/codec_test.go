@@ -126,6 +126,18 @@ func msgSamples() map[string][]transport.Msg {
 			acqGrant{VC: sampleVC(), nprocs: nprocs},
 			// An exclusive grant handing over three readers to revoke.
 			acqGrant{Intervals: sampleIntervals(), VC: sampleVC(), Readers: 1<<1 | 1<<3 | 1<<6, nprocs: nprocs},
+			// Grants pushing the diffs of their non-owner notices (push.go):
+			// an exclusive grant with a reader to revoke, a shared grant,
+			// and a reader's revoke answer whose second diff was emptied by
+			// the omittable-write pass.
+			acqGrant{Intervals: sampleIntervals(), VC: sampleVC(), Readers: 1 << 3, nprocs: nprocs,
+				Diffs: []*mem.Diff{sampleDiff(5, 800), sampleDiff(1, 96)},
+				Keys:  []wnKey{{page: 5, proc: 2, ts: 7}, {page: 1, proc: 0, ts: 4}}},
+			acqGrant{Intervals: sampleIntervals(), VC: sampleVC(), nprocs: nprocs,
+				Diffs: []*mem.Diff{sampleDiff(5, 800)}, Keys: []wnKey{{page: 5, proc: 2, ts: 7}}},
+			acqGrant{Intervals: sampleIntervals(), VC: sampleVC(), nprocs: nprocs,
+				Diffs: []*mem.Diff{sampleDiff(5, 800), {Page: 1}},
+				Keys:  []wnKey{{page: 5, proc: 2, ts: 7}, {page: 1, proc: 0, ts: 4}}},
 		},
 		"acqRevoke": {acqRevoke{Lock: 7, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}}},
 		"barArrive": {barArrive{Epoch: 12, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6},
@@ -271,10 +283,12 @@ func TestCoreCodecsAllBinary(t *testing.T) {
 // TestLockHandoffEncodeAllocs is the message half of the hand-off's frame
 // budget (the frame half — pooled header and iovec list — is tcp's
 // TestBinaryFrameEncodeAllocs): appending an acqReq, an acqFwd and an
-// acqGrant carrying piggybacked intervals, and the revoke pair (an
-// acqRevoke and the reader's acqGrant answer), to a warmed frame buffer
-// must stay within one allocation per frame. The gob escape these rode
-// built a reflective encoder per frame (hundreds of allocations).
+// acqGrant carrying piggybacked intervals and pushed diffs, and the revoke
+// pair (an acqRevoke and the reader's acqGrant answer), to a warmed frame
+// buffer must stay within one allocation per frame. The gob escape these
+// rode built a reflective encoder per frame (hundreds of allocations).
+// Pushed diffs' run data goes out as payload iovecs, one per run, never
+// copied into the body.
 func TestLockHandoffEncodeAllocs(t *testing.T) {
 	samples := msgSamples()
 	var msgs []transport.Msg
@@ -286,12 +300,18 @@ func TestLockHandoffEncodeAllocs(t *testing.T) {
 		if !ok || c.AppendWire == nil {
 			t.Fatalf("%T has no binary codec", m)
 		}
+		runs := 0
+		if g, ok := m.(acqGrant); ok {
+			for _, d := range g.Diffs {
+				runs += len(d.Runs)
+			}
+		}
 		buf := make([]byte, 0, 4096)
 		iov := make([][]byte, 0, 8)
 		avg := testing.AllocsPerRun(100, func() {
 			b, p := c.AppendWire(m, buf[:0], iov[:0])
-			if len(b) == 0 || len(p) != 0 {
-				t.Fatalf("%s encoded to %d bytes, %d payloads", c.Name, len(b), len(p))
+			if len(b) == 0 || len(p) != runs {
+				t.Fatalf("%s encoded to %d bytes, %d payloads (want %d)", c.Name, len(b), len(p), runs)
 			}
 		})
 		if avg > 1 {

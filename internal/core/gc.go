@@ -162,6 +162,7 @@ func (n *Node) runGC(hints []gcHint) {
 	// knowledge vectors are equal after the barrier, so no future acquire
 	// can need a discarded interval.
 	n.diffCache = make(map[wnKey]*mem.Diff)
+	n.pushed = nil
 	n.c.noteDiffCount(-n.liveDiffs)
 	n.liveDiffs = 0
 	n.Stats.LiveDiffBytes = 0

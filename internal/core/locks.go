@@ -97,6 +97,7 @@ func (n *Node) Acquire(lock int) {
 	resp := n.c.rt.Call(n.proc, mgr, acqReq{Lock: lock, KnownTS: append([]int32(nil), n.knownTS...)}).(acqGrant)
 	st.state = lockHolding
 	n.ingestIntervals(resp.Intervals)
+	n.acceptPushes(resp)
 	n.vclock.Join(resp.VC)
 	n.revokeReaders(lock, resp.Readers&^(1<<n.id))
 }
@@ -116,6 +117,7 @@ func (n *Node) revokeReaders(lock int, readers uint64) {
 	for _, r := range n.c.rt.Multicall(n.proc, reqs) {
 		g := r.(acqGrant)
 		n.ingestIntervals(g.Intervals)
+		n.acceptPushes(g)
 		n.vclock.Join(g.VC)
 	}
 }
@@ -165,6 +167,7 @@ func (n *Node) AcquireShared(lock int) {
 	resp := n.c.rt.Call(n.proc, mgr, acqReq{Lock: lock, Shared: true, KnownTS: append([]int32(nil), n.knownTS...)}).(acqGrant)
 	st.cached = true
 	n.ingestIntervals(resp.Intervals)
+	n.acceptPushes(resp)
 	n.vclock.Join(resp.VC)
 }
 
@@ -198,16 +201,20 @@ func (n *Node) answerRevoke(st *nodeLock, q queuedAcq) {
 }
 
 // grantLock replies to a queued acquire with the intervals the requester
-// lacks and the vector clock of our release. (Using the release-time
-// snapshot rather than a later clock keeps concurrent writes looking
-// concurrent, which the false-sharing detection depends on.) An exclusive
-// grant carries the reader set it must revoke.
+// lacks, the diffs it pushes for them (push.go) and the vector clock of
+// our release. (Using the release-time snapshot rather than a later clock
+// keeps concurrent writes looking concurrent, which the false-sharing
+// detection depends on.) An exclusive grant carries the reader set it must
+// revoke. Exclusive grants, shared grants and revoke answers all go
+// through here.
 func (n *Node) grantLock(q queuedAcq, relVC vc.VC, readers uint64) {
 	if relVC == nil {
 		relVC = vc.New(n.c.params.Procs)
 	}
 	ivs := n.shipIntervals(q.know)
-	q.c.Reply(acqGrant{Intervals: ivs, VC: relVC.Copy(), Readers: readers, nprocs: n.c.params.Procs})
+	diffs, keys, cost := n.pushDiffs(ivs)
+	// Diffs made for the push delay the grant, as they would a diffResp.
+	q.c.ReplyAfter(cost, acqGrant{Intervals: ivs, VC: relVC.Copy(), Readers: readers, Diffs: diffs, Keys: keys, nprocs: n.c.params.Procs})
 }
 
 // grantShared grants read permission from the free token held here; the

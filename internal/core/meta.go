@@ -63,9 +63,9 @@ const (
 	adaptBulkThreshold = mem.PageSize / 8
 )
 
-// CostProfile holds the adaptive meta-protocol's cost-dependent
-// thresholds: the ones whose right value depends on what a message costs
-// next to a byte on the machine the cluster runs on.
+// CostProfile holds the protocol thresholds whose right value depends on
+// what a message costs next to a byte on the machine the cluster runs on:
+// the adaptive meta-protocol's →HLRC rule and the lock-grant diff push.
 type CostProfile struct {
 	// HLRCWriters is how many nodes must write a page in one barrier
 	// epoch (adaptHLRCEpochs epochs running) for it to move to HLRC.
@@ -73,6 +73,12 @@ type CostProfile struct {
 	// HLRCMinDiff is the mean diff size, in bytes, the page's writers must
 	// also show; 0 drops the size gate.
 	HLRCMinDiff int
+	// PushBudget is how many bytes of diffs one lock grant may carry for
+	// the write notices it ships (push.go): a push saves the acquirer a
+	// diff round trip if it uses the diff, and costs bytes and a cache
+	// entry if it does not. 0 keeps the paper's lazy invalidate (no
+	// pushes).
+	PushBudget int
 }
 
 // PaperProfile is the 1997 machine the simulator models: a 490 µs
@@ -81,6 +87,8 @@ type CostProfile struct {
 // fetch only beats collecting k diffs when the diffs themselves add up to
 // about a page, hence four writers with diffs of at least a quarter page
 // (IS's bucket array qualifies, Barnes's fine-grain bodies do not).
+// It pushes no diffs on lock grants: the simulator keeps the paper's
+// lazy-invalidate MW, whose virtual times every archived cell pins.
 func PaperProfile() CostProfile {
 	return CostProfile{HLRCWriters: 4, HLRCMinDiff: mem.PageSize / 4}
 }
@@ -101,8 +109,24 @@ func PaperProfile() CostProfile {
 // and Water's three-writer pages, but not the two-writer pages a
 // threshold of 2 adds in Water (172 switches against 132) for no
 // measurable gain.
+//
+// The push budget bounds what a grant carries for acquirers that will
+// not use it. The ladder cannot place it where a round trip and its bytes
+// cost the same: over nine passes on the 2-vCPU host tcp.call_rtt_us read
+// 14–32 µs (median 23.8) and tcp.call_page_us 18–41 µs (median 28.1), and
+// a page's extra cost over an empty round trip ranged from −14 to +20 µs
+// within a pass, so a byte's cost is lost in the noise. What places it is
+// use. On the 4-node mesh (adaptive, full inputs, three runs each) budgets
+// of 6 KB, 24 KB and none left the pushes that faults applied level
+// (Water 356, 358, 355) while the pushes dropped on arrival grew (Water
+// 43, 154, 165; IS 8, 63, 288 — all it pushed past 6 KB, bucket-array
+// diffs its acquirers hold no copy of) and the largest grant grew from
+// 6 KB to 165 KB. 6 KB cuts about 30 grants per 5 s benchmark run of
+// apps_mw and of apps_sw and up to 69 of serve_write, and five interleaved
+// rounds of the three budgets moved no workload's throughput beyond its
+// run-to-run spread.
 func WireProfile() CostProfile {
-	return CostProfile{HLRCWriters: 3}
+	return CostProfile{HLRCWriters: 3, PushBudget: 6 << 10}
 }
 
 // metaPolicy is pointer-typed: unlike the stateless static policies it

@@ -353,16 +353,21 @@ func (m acqFwd) Size() int { return 12 + 4*len(m.KnownTS) }
 // intervals and the releaser's vector clock. An exclusive grant also
 // carries the readers (bit per node) the new holder must revoke, charged
 // like a knowledge-vector entry each. A reader's answer to a revoke is an
-// acqGrant too: what it knew at its read release.
+// acqGrant too: what it knew at its read release. Diffs/Keys are the
+// diffs the granter pushes for the shipped write notices (push.go),
+// charged at their exact encoded size on top of the modelled grant.
 type acqGrant struct {
 	Intervals []*Interval
 	VC        vc.VC
 	Readers   uint64
+	Diffs     []*mem.Diff
+	Keys      []wnKey
 	nprocs    int
 }
 
 func (m acqGrant) Size() int {
-	return 8 + 4*len(m.VC) + 4*bits.OnesCount64(m.Readers) + intervalsWireSize(m.Intervals, m.nprocs)
+	return 8 + 4*len(m.VC) + 4*bits.OnesCount64(m.Readers) + intervalsWireSize(m.Intervals, m.nprocs) +
+		pushedLen(m.Diffs, m.Keys)
 }
 
 // acqRevoke asks a reader to give up its cached read grant before the new

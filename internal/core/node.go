@@ -83,6 +83,9 @@ type Node struct {
 	pages     []*pageState
 	dirty     []int // pages written in the current interval
 	diffCache map[wnKey]*mem.Diff
+	// pushed holds the cached diffs that arrived on lock grants and no
+	// fault has applied yet (push.go); nil until the first one.
+	pushed map[wnKey]struct{}
 
 	wroteSinceGC []bool
 	liveDiffs    int64 // diffs currently cached (created + received)

@@ -30,7 +30,10 @@ import "adsm/internal/mem"
 //     the transport. A predecessor write notice with TS above it has
 //     provably never left this node, so no diff cache anywhere holds a
 //     copy and no peer can ever request the predecessor without also
-//     having the successor's notice in hand.
+//     having the successor's notice in hand. Diffs pushed on lock grants
+//     (push.go) do not weaken this: a grant pushes only diffs of the
+//     intervals it ships, which shipIntervals has already counted, so a
+//     pushed diff of ours is at or below the watermark and never emptied.
 //
 //  3. Byte-extent coverage. MakeDiff emits maximal runs (adjacent modified
 //     bytes coalesce), so "successor covers predecessor" is checked per

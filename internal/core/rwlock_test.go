@@ -184,13 +184,14 @@ type delayCall struct {
 	dg *delayGrants
 }
 
-func (dc *delayCall) Reply(m transport.Msg) {
+func (dc *delayCall) Reply(m transport.Msg) { dc.ReplyAfter(0, m) }
+
+func (dc *delayCall) ReplyAfter(d transport.Time, m transport.Msg) {
 	if _, ok := m.(acqGrant); ok && dc.Origin() == dc.dg.to && !dc.dg.delayed {
 		dc.dg.delayed = true
-		dc.Call.ReplyAfter(dc.dg.d, m)
-		return
+		d += dc.dg.d
 	}
-	dc.Call.Reply(m)
+	dc.Call.ReplyAfter(d, m)
 }
 
 // TestRevokeOvertakingGrantIsDeferred: the writer's revoke reaches the

@@ -255,10 +255,12 @@ func (n *Node) applyDiffs(pg int, ps *pageState, wns []*WriteNotice) {
 		n.invalidateRegion(pg, ps)
 	}
 	for _, wn := range orderWNs(wns) {
-		d := n.diffCache[keyOf(wn)]
+		k := keyOf(wn)
+		d := n.diffCache[k]
 		if d == nil {
 			panic("dsm: missing diff at apply time")
 		}
+		n.notePushUsed(k)
 		d.Apply(ps.data)
 		if ps.twin != nil {
 			d.Apply(ps.twin)
@@ -287,21 +289,30 @@ func (n *Node) snapshotPage(from, pg int, ps *pageState) ([]byte, vc.VC) {
 	return snap, applied
 }
 
-// serveDiffKey resolves one requested diff, creating it lazily from the
-// pending twin when necessary (the creation cost is returned so callers
-// can charge it as reply latency) and panicking loudly on a diff this
-// node does not have. Shared by the serial diffReq handler and the
-// batched span-fetch handler. Handler context.
-func (n *Node) serveDiffKey(pg int, ps *pageState, k wnKey) (*mem.Diff, transport.Time) {
-	d := n.diffCache[k]
-	if d != nil {
-		return d, 0
+// heldDiff resolves one diff this node holds: cached, or its own pending
+// twin's, created lazily here (the creation cost is returned so callers
+// can charge it as reply latency). ok is false for a diff it does not
+// have. Handler or process context; charges no process time.
+func (n *Node) heldDiff(pg int, ps *pageState, k wnKey) (d *mem.Diff, cost transport.Time, ok bool) {
+	if d = n.diffCache[k]; d != nil {
+		return d, 0, true
 	}
 	if ps.undiffed != nil && keyOf(ps.undiffed) == k {
 		d = n.makeDiff(pg, ps)
-		return d, n.c.params.diffCost(d)
+		return d, n.c.params.diffCost(d), true
 	}
-	panic(fmt.Sprintf("dsm: node %d asked for diff %+v it does not have", n.id, k))
+	return nil, 0, false
+}
+
+// serveDiffKey resolves one requested diff through heldDiff, panicking
+// loudly on a diff this node does not have. Shared by the serial diffReq
+// handler and the batched span-fetch handler. Handler context.
+func (n *Node) serveDiffKey(pg int, ps *pageState, k wnKey) (*mem.Diff, transport.Time) {
+	d, cost, ok := n.heldDiff(pg, ps, k)
+	if !ok {
+		panic(fmt.Sprintf("dsm: node %d asked for diff %+v it does not have", n.id, k))
+	}
+	return d, cost
 }
 
 // servePage handles a pageReq: reply with a snapshot of our copy, or

@@ -82,12 +82,22 @@ func readVC(r *transport.WireReader) vc.VC {
 	return vc.VC(ts)
 }
 
+func putKey(b []byte, k wnKey) []byte {
+	b = putI(b, k.page)
+	b = putI(b, k.proc)
+	return putI32(b, k.ts)
+}
+
+func keyLen(k wnKey) int { return iLen(k.page) + iLen(k.proc) + i32Len(k.ts) }
+
+func readKey(r *transport.WireReader) wnKey {
+	return wnKey{page: r.Int(), proc: r.Int(), ts: r.I32()}
+}
+
 func putKeys(b []byte, ks []wnKey) []byte {
 	b = putI(b, len(ks))
 	for _, k := range ks {
-		b = putI(b, k.page)
-		b = putI(b, k.proc)
-		b = putI32(b, k.ts)
+		b = putKey(b, k)
 	}
 	return b
 }
@@ -95,7 +105,7 @@ func putKeys(b []byte, ks []wnKey) []byte {
 func keysLen(ks []wnKey) int {
 	n := iLen(len(ks))
 	for _, k := range ks {
-		n += iLen(k.page) + iLen(k.proc) + i32Len(k.ts)
+		n += keyLen(k)
 	}
 	return n
 }
@@ -107,9 +117,23 @@ func readKeys(r *transport.WireReader) []wnKey {
 	}
 	ks := make([]wnKey, n)
 	for i := range ks {
-		ks[i] = wnKey{page: r.Int(), proc: r.Int(), ts: r.I32()}
+		ks[i] = readKey(r)
 	}
 	return ks
+}
+
+// pushedLen is the encoded size of a grant's pushed diffs: nothing when
+// there are none (the grant keeps its modelled size), else the count and
+// each key and diff.
+func pushedLen(ds []*mem.Diff, ks []wnKey) int {
+	if len(ds) == 0 {
+		return 0
+	}
+	n := iLen(len(ds))
+	for i, d := range ds {
+		n += keyLen(ks[i]) + d.EncodedSize()
+	}
+	return n
 }
 
 // Intervals flatten to: per interval its proc, ts and VC, then the write
@@ -803,12 +827,20 @@ func acqFwdDecodeWire(body []byte) (transport.Msg, error) {
 	return m, nil
 }
 
+// A grant's pushed diffs are one count, then per diff its key and
+// metadata; the run data goes to the payload section as in diffResp.
+
 func acqGrantAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
 	r := m.(acqGrant)
 	b = putIntervals(b, r.Intervals)
 	b = putVC(b, r.VC)
 	b = putU(b, r.Readers)
 	b = putI(b, r.nprocs)
+	b = putI(b, len(r.Diffs))
+	for i, d := range r.Diffs {
+		b = putKey(b, r.Keys[i])
+		b, payloads = putDiffMeta(b, payloads, d)
+	}
 	return b, payloads
 }
 
@@ -819,6 +851,18 @@ func acqGrantDecodeWire(body []byte) (transport.Msg, error) {
 	m.VC = readVC(r)
 	m.Readers = r.Uvarint()
 	m.nprocs = r.Int()
+	var lens []int
+	if nd := r.Count(5); nd > 0 {
+		m.Diffs = make([]*mem.Diff, nd)
+		m.Keys = make([]wnKey, nd)
+		for i := range m.Diffs {
+			m.Keys[i] = readKey(r)
+			m.Diffs[i], lens = readDiffMeta(r, lens)
+		}
+	}
+	for _, d := range m.Diffs {
+		lens = readDiffData(r, d, lens)
+	}
 	if err := r.Close(); err != nil {
 		return nil, err
 	}

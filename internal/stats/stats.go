@@ -73,6 +73,17 @@ type Node struct {
 	OmittedWrites int64 // predecessor diffs emptied by the omit pass
 	OmittedBytes  int64 // payload bytes those diffs no longer carry
 
+	// Lock grants that carry diffs (core push.go): diffs this node pushed
+	// on the grants it sent; pushed diffs it received but dropped on
+	// arrival because its next fault would not have fetched them; and
+	// stored pushes a fault then applied. A push stored but never used
+	// (a whole-page fetch superseded it, or the page was not touched
+	// again before garbage collection) is DiffsPushed - PushesDropped -
+	// PushesUsed, summed over the nodes.
+	DiffsPushed   int64
+	PushesDropped int64
+	PushesUsed    int64
+
 	// Fault tolerance (ckpt.go): durable barrier checkpoints committed by
 	// this node and recoveries it participated in.
 	Checkpoints int64
@@ -126,6 +137,9 @@ func (s *Node) Add(o *Node) {
 	s.BatchedOwnReqs += o.BatchedOwnReqs
 	s.OmittedWrites += o.OmittedWrites
 	s.OmittedBytes += o.OmittedBytes
+	s.DiffsPushed += o.DiffsPushed
+	s.PushesDropped += o.PushesDropped
+	s.PushesUsed += o.PushesUsed
 	s.Checkpoints += o.Checkpoints
 	s.Recoveries += o.Recoveries
 }
