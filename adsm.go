@@ -389,6 +389,8 @@ func (cl *Cluster) report(elapsed sim.Time) *Report {
 			DiffsPushed:       tot.DiffsPushed,
 			PushesDropped:     tot.PushesDropped,
 			PushesUsed:        tot.PushesUsed,
+			DiffsStored:       tot.DiffsStored,
+			DiffsEvicted:      tot.DiffsEvicted,
 			Checkpoints:       tot.Checkpoints,
 			Recoveries:        tot.Recoveries,
 		},
@@ -464,6 +466,8 @@ type Stats struct {
 	DiffsPushed       int64 // diffs lock grants carried to their acquirers
 	PushesDropped     int64 // pushed diffs the acquirer had no use for on arrival
 	PushesUsed        int64 // stored pushed diffs a fault then applied
+	DiffsStored       int64 // diffs cached: created here, or received copies
+	DiffsEvicted      int64 // received diffs evicted once every node knew their interval
 	Checkpoints       int64 // barrier checkpoints committed (BarrierCkpt)
 	Recoveries        int64 // checkpoint recoveries completed (RecoverSync)
 

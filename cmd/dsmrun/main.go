@@ -185,6 +185,10 @@ func main() {
 		fmt.Printf("  pushed diffs         %d rode lock grants, %d dropped on arrival, %d applied\n",
 			s.DiffsPushed, s.PushesDropped, s.PushesUsed)
 	}
+	if s.DiffsEvicted > 0 {
+		fmt.Printf("  evicted diffs        %d of %d received (%d stored in all)\n",
+			s.DiffsEvicted, s.DiffsStored-s.DiffsCreated, s.DiffsStored)
+	}
 	fmt.Printf("  garbage collections  %d\n", s.GCRuns)
 	if s.HomeFlushes > 0 || s.HomeLocalDiffs > 0 || s.HomeBinds > 0 {
 		fmt.Printf("  home flushes         %d remote (%.2f MB), %d local diffs, %d binds\n",

@@ -14,3 +14,7 @@ func NewClusterParams(cfg Config, edit func(*core.Params)) (*Cluster, error) {
 	}
 	return newClusterErr(cfg, p)
 }
+
+// ForeignDiffs reports how many diffs written by other nodes the worker's
+// node caches.
+func (w *Worker) ForeignDiffs() int { return w.n.ForeignDiffs() }

@@ -40,6 +40,11 @@ type Cluster struct {
 	// simulator, or tcp with -onesided=false).
 	oneSided transport.OneSided
 
+	// framed reports that the runtime moves messages as binary frames (it
+	// reports wire statistics): decoded diffs alias frame bodies, which
+	// storeDiff detaches. The simulator hands over the sender's objects.
+	framed bool
+
 	// Adaptive meta-protocol decision state (nil under static protocols).
 	adapt *adaptState
 
@@ -77,6 +82,7 @@ func New(p Params) *Cluster {
 		c.rt = transport.DefaultRuntime(p.Procs, p.Net, p.EventLimit)
 	}
 	c.local = c.rt.LocalNodes()
+	_, c.framed = c.rt.(transport.WireStats)
 	// Node state exists for every node (handlers route by id and the
 	// single-process GC scan reads it), but only hosted nodes register
 	// handlers, get their pages initialized, and execute bodies. Per-page

@@ -163,6 +163,7 @@ func (n *Node) runGC(hints []gcHint) {
 	// can need a discarded interval.
 	n.diffCache = make(map[wnKey]*mem.Diff)
 	n.pushed = nil
+	n.foreign, n.queued, n.evictAt = nil, 0, 0
 	n.c.noteDiffCount(-n.liveDiffs)
 	n.liveDiffs = 0
 	n.Stats.LiveDiffBytes = 0

@@ -141,6 +141,7 @@ func (n *Node) Release(lock int) {
 	if st.pending.c != nil {
 		n.passToken(st)
 	}
+	n.evictKnownDiffs()
 }
 
 // AcquireShared obtains the lock for reading: concurrently with other
@@ -191,6 +192,7 @@ func (n *Node) ReleaseShared(lock int) {
 	if st.pending.c != nil && st.state == lockReleased {
 		n.passToken(st)
 	}
+	n.evictKnownDiffs()
 }
 
 // answerRevoke gives up this node's read grant: the writer gets the
@@ -237,6 +239,7 @@ func (n *Node) passToken(st *nodeLock) {
 // grant locally when the token is here). A shared request leaves the last
 // holder in place: the token does not move for it.
 func (n *Node) serveAcqReq(c transport.Call, from int, m acqReq) {
+	n.noteKnown(c.Origin(), m.KnownTS)
 	ml := n.mgrLock(m.Lock)
 	prev := ml.lastHolder
 	if !m.Shared {
@@ -252,6 +255,7 @@ func (n *Node) serveAcqReq(c transport.Call, from int, m acqReq) {
 
 // serveAcqFwd runs at the last holder.
 func (n *Node) serveAcqFwd(c transport.Call, from int, m acqFwd) {
+	n.noteKnown(m.Origin, m.KnownTS)
 	n.holderHandle(c, m.Lock, m.Shared, m.KnownTS)
 }
 
@@ -284,6 +288,7 @@ func (n *Node) holderHandle(c transport.Call, lock int, shared bool, know []int3
 // serveAcqRevoke runs at a reader: answer now, or once the read section
 // that is open (or whose grant is still on its way) has ended.
 func (n *Node) serveAcqRevoke(c transport.Call, from int, m acqRevoke) {
+	n.noteKnown(c.Origin(), m.KnownTS)
 	st := n.lockState(m.Lock)
 	q := queuedAcq{c, m.KnownTS}
 	if st.reading {

@@ -80,12 +80,26 @@ type Node struct {
 	// intervals[p] lists proc p's intervals known to this node, in TS order.
 	intervals [][]*Interval
 
-	pages     []*pageState
-	dirty     []int // pages written in the current interval
+	pages []*pageState
+	dirty []int // pages written in the current interval
+	// diffCache holds this node's own diffs and the foreign ones it
+	// fetched or had pushed. Garbage collection empties it; between
+	// barriers a foreign diff is evicted once every node knows its
+	// interval and no pending notice here needs it (evict.go).
 	diffCache map[wnKey]*mem.Diff
 	// pushed holds the cached diffs that arrived on lock grants and no
-	// fault has applied yet (push.go); nil until the first one.
+	// fault has applied yet (push.go); nil until the first one. An entry
+	// leaves when a fault applies the push, when eviction drops the diff
+	// (a whole-page fetch made it useless), or at garbage collection.
 	pushed map[wnKey]struct{}
+
+	// Reclamation between barriers (evict.go): per peer, the highest
+	// knowledge vector it sent on a lock request; per writer, the cached
+	// foreign diffs in the order they were stored; how many are queued;
+	// and the count at which the next eviction pass may run.
+	peerKnown       [][]int32
+	foreign         [][]wnKey
+	queued, evictAt int
 
 	wroteSinceGC []bool
 	liveDiffs    int64 // diffs currently cached (created + received)
@@ -186,9 +200,15 @@ func newNode(c *Cluster, id int) *Node {
 		knownTS:    make([]int32, c.params.Procs),
 		intervals:  make([][]*Interval, c.params.Procs),
 		diffCache:  make(map[wnKey]*mem.Diff),
+		peerKnown:  make([][]int32, c.params.Procs),
 		locks:      make(map[int]*nodeLock),
 		mgrLocks:   make(map[int]*mgrLock),
 		lastGlobal: make([]int32, c.params.Procs),
+	}
+	procs := c.params.Procs
+	known := make([]int32, procs*procs)
+	for p := range n.peerKnown {
+		n.peerKnown[p] = known[p*procs : (p+1)*procs : (p+1)*procs]
 	}
 	if c.params.CkptStores != nil {
 		n.ckpt = c.params.CkptStores(id)
@@ -378,11 +398,19 @@ func (n *Node) makeDiff(pg int, ps *pageState) *mem.Diff {
 	return d
 }
 
-// storeDiff caches a diff on this node, accounting for the diff pool.
+// storeDiff caches a diff on this node, accounting for the diff pool. A
+// received diff decoded from a frame aliases the frame's body; it is
+// detached first, so a cached diff keeps only its own bytes alive.
 func (n *Node) storeDiff(wn *WriteNotice, d *mem.Diff, created bool) {
 	k := keyOf(wn)
 	if _, ok := n.diffCache[k]; ok {
 		return
+	}
+	if !created {
+		if n.c.framed {
+			d.Detach()
+		}
+		n.noteForeign(k)
 	}
 	n.diffCache[k] = d
 	n.Stats.DiffsStored++

@@ -120,6 +120,22 @@ func (d *Diff) Apply(dst []byte) {
 	}
 }
 
+// Detach copies the run payloads into one buffer of exactly their size,
+// so the diff no longer keeps alive whatever they were sliced from (a
+// received frame's body).
+func (d *Diff) Detach() {
+	n := d.DataBytes()
+	if n == 0 {
+		return
+	}
+	buf := make([]byte, 0, n)
+	for i := range d.Runs {
+		at := len(buf)
+		buf = append(buf, d.Runs[i].Data...)
+		d.Runs[i].Data = buf[at:len(buf):len(buf)]
+	}
+}
+
 // DataBytes returns the number of modified bytes carried by the diff.
 func (d *Diff) DataBytes() int {
 	n := 0

@@ -84,6 +84,10 @@ type Node struct {
 	PushesDropped int64
 	PushesUsed    int64
 
+	// DiffsEvicted counts cached foreign diffs dropped between barriers
+	// once every node knew their interval (core evict.go).
+	DiffsEvicted int64
+
 	// Fault tolerance (ckpt.go): durable barrier checkpoints committed by
 	// this node and recoveries it participated in.
 	Checkpoints int64
@@ -140,6 +144,7 @@ func (s *Node) Add(o *Node) {
 	s.DiffsPushed += o.DiffsPushed
 	s.PushesDropped += o.PushesDropped
 	s.PushesUsed += o.PushesUsed
+	s.DiffsEvicted += o.DiffsEvicted
 	s.Checkpoints += o.Checkpoints
 	s.Recoveries += o.Recoveries
 }

@@ -2,6 +2,7 @@ package adsm_test
 
 import (
 	"testing"
+	"time"
 
 	"adsm"
 	"adsm/internal/kv"
@@ -123,5 +124,70 @@ func TestServeDeterminism(t *testing.T) {
 	wl2.Seed = 42
 	if wl2.ExpectedChecksum(procs) == sum1 {
 		t.Fatalf("different seeds produced the same table checksum")
+	}
+}
+
+// TestKVForeignDiffsBounded: between barriers a node evicts the diffs of
+// other writers once every node knows their interval, so the diffs it
+// caches stop growing with the run. The write-heavy serving mix runs on
+// the simulator, paced like the serve sweep's open loop, at 1x and 4x the
+// operations. A node's count moves between none and a few dozen as
+// eviction passes and the frontier catch up, so the yardstick is the
+// highest count any node reached during the 1x run: at the end of its
+// 4x operations (before the closing barrier, which would collect every
+// cache if memory ran short) no node may cache more than 1.25x that.
+// Without eviction a node would hold over four thousand.
+func TestKVForeignDiffsBounded(t *testing.T) {
+	const procs = 4
+	run := func(ops int) (peak int, end [procs]int, evicted int64) {
+		wl := kv.DefaultWorkload()
+		wl.ReadPct, wl.DeletePct = 10, 5
+		wl.OpsPerWorker = ops
+		cl := adsm.NewCluster(adsm.Config{Procs: procs, Protocol: adsm.MW})
+		tab := kv.New(cl, wl.Keys, 0)
+		var sum uint64
+		rep, err := cl.Run(func(w *adsm.Worker) {
+			sched := wl.Schedule(w.ID(), procs)
+			w.Barrier()
+			for j, op := range sched {
+				if at := time.Duration(j) * wl.Interval; w.Now() < at {
+					w.Compute(at - w.Now())
+				}
+				switch op.Kind {
+				case kv.OpGet:
+					tab.Get(w, op.Key)
+				case kv.OpPut:
+					tab.Put(w, op.Key, op.Val)
+				case kv.OpDelete:
+					tab.Delete(w, op.Key)
+				}
+				peak = max(peak, w.ForeignDiffs())
+			}
+			end[w.ID()] = w.ForeignDiffs()
+			w.Barrier()
+			if w.ID() == 0 {
+				sum = tab.Checksum(w)
+			}
+			w.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := wl.ExpectedChecksum(procs); sum != want {
+			t.Fatalf("%d ops: checksum %#x != model %#x", ops, sum, want)
+		}
+		return peak, end, rep.Stats.DiffsEvicted
+	}
+	peak, _, _ := run(500)
+	_, end, evicted := run(2000)
+	t.Logf("peak at 1x %d foreign diffs; at the end of 4x %v, %d evicted", peak, end, evicted)
+	if peak == 0 || evicted == 0 {
+		t.Fatalf("peak %d foreign diffs cached at 1x, %d evicted at 4x: the run does not exercise eviction", peak, evicted)
+	}
+	for id, n := range end {
+		if 4*n > 5*peak {
+			t.Errorf("node %d caches %d foreign diffs at the end of 4x the ops, want at most 1.25x the 1x peak %d",
+				id, n, peak)
+		}
 	}
 }
