@@ -270,18 +270,27 @@ type ckptPut struct {
 	Pages []ckptPage
 }
 
-func (m ckptPut) Size() int {
-	n := iLen(m.From) + uLen(uint64(m.Step)) + iLen(len(m.Pages))
-	for _, p := range m.Pages {
-		n += iLen(p.Page) + iLen(len(p.Data)) + len(p.Data) + i32Len(p.Proto) + 8
+func (m *ckptPut) wire(w *wireRW) {
+	w.Int(&m.From)
+	w.I64(&m.Step)
+	for i := range list(w, &m.Pages, 11) {
+		p := &m.Pages[i]
+		w.Int(&p.Page)
+		w.Payload(&p.Data)
+		w.I32(&p.Proto)
+		fixed64(w, &p.Sum)
 	}
-	return n
 }
 
-// ckptAck acknowledges that a delta is in the buddy's store.
+func (m ckptPut) Size() int { var w wireRW; m.wire(&w); return w.n }
+
+// ckptAck acknowledges that a delta is in the buddy's store. It is one
+// reserved zero count, which a decoder holds to zero so encode∘decode stays
+// a fixed point.
 type ckptAck struct{}
 
-func (ckptAck) Size() int { return 1 }
+func (*ckptAck) wire(w *wireRW) { var z int; w.Int(&z); w.check(z == 0) }
+func (m ckptAck) Size() int     { var w wireRW; m.wire(&w); return w.n }
 
 // recArrive is one node's checkpoint inventory, sent to the recovery
 // coordinator (node 0) when a rebuilt cluster starts in recovery mode.
@@ -293,10 +302,15 @@ type recArrive struct {
 	RepPending   int64
 }
 
-func (m recArrive) Size() int {
-	return iLen(m.Node) + uLen(uint64(m.OwnCommitted)) + uLen(uint64(m.OwnPending)) +
-		uLen(uint64(m.RepCommitted)) + uLen(uint64(m.RepPending))
+func (m *recArrive) wire(w *wireRW) {
+	w.Int(&m.Node)
+	w.I64(&m.OwnCommitted)
+	w.I64(&m.OwnPending)
+	w.I64(&m.RepCommitted)
+	w.I64(&m.RepPending)
 }
+
+func (m recArrive) Size() int { var w wireRW; m.wire(&w); return w.n }
 
 // recRelease announces the agreed recovery step and, per partition, the
 // rank that restores it (owner if its store survived, else the buddy).
@@ -306,9 +320,14 @@ type recRelease struct {
 	Restorer []int
 }
 
-func (m recRelease) Size() int {
-	return uLen(uint64(m.Step)) + iLen(len(m.Restorer)) + 8*len(m.Restorer)
+func (m *recRelease) wire(w *wireRW) {
+	w.I64(&m.Step)
+	for i := range list(w, &m.Restorer, 8) {
+		fixed64(w, &m.Restorer[i])
+	}
 }
+
+func (m recRelease) Size() int { var w wireRW; m.wire(&w); return w.n }
 
 // recProtoArrive carries the per-page protocol bindings of the partitions
 // a node restores, expressed as the adaptive seam's policy switches.
@@ -317,7 +336,8 @@ type recProtoArrive struct {
 	Switches []policySwitch
 }
 
-func (m recProtoArrive) Size() int { return iLen(m.Node) + switchesLen(m.Switches) }
+func (m *recProtoArrive) wire(w *wireRW) { w.Int(&m.Node); w.Switches(&m.Switches) }
+func (m recProtoArrive) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
 // recProtoRelease is the merged switch set every node applies before any
 // restore write, so the restored bytes travel under their checkpointed
@@ -326,7 +346,8 @@ type recProtoRelease struct {
 	Switches []policySwitch
 }
 
-func (m recProtoRelease) Size() int { return switchesLen(m.Switches) }
+func (m *recProtoRelease) wire(w *wireRW) { w.Switches(&m.Switches) }
+func (m recProtoRelease) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
 // --- checkpoint barrier (process context) ---
 

@@ -2,54 +2,100 @@ package core
 
 import "adsm/internal/transport"
 
-// Wire encodings for every protocol message, registered with the transport
-// codec registry so real transports (internal/transport/tcp) can carry
-// them. Each message has exactly one encoding: the hand-rolled binary hooks
-// in wire.go. Nothing here rides the transport's gob escape frame — an acq*
-// triple is on every remote acquire and an hlrcFlush on every HLRC release,
-// so there is no cold path worth a reflective encoder.
-//
-// The simulator passes messages by reference and never touches these; the
-// round-trip, golden-bytes and fuzz tests pin the encodings, and the
-// sim/tcp equivalence harness pins the two transports to each other.
+// The codec registry: every protocol message's wire name, lane class and
+// binary hooks, so real transports (internal/transport/tcp) can carry it.
+// Both hooks run the message's one wire method (msgs.go): the encoder once,
+// the decoder twice (metadata, then payload fill; see wire.go). Each row
+// spells them as two closures over the concrete type, so the method is a
+// static call and the visitor and the message copy stay on the stack
+// (through a generic dictionary both would escape to the heap).
+
+type msg = transport.Msg // short enough to keep each hook on one line
 
 func init() {
-	self := func(class transport.Class, name string, m transport.Msg,
-		aw func(transport.Msg, []byte, [][]byte) ([]byte, [][]byte),
-		dw func([]byte) (transport.Msg, error)) {
-		transport.MustRegisterCodec(transport.Codec{Name: name, Class: class, Msg: m, AppendWire: aw, DecodeWire: dw})
-	}
 	ctl, bulk, region := transport.ClassControl, transport.ClassBulk, transport.ClassRegion
-	self(ctl, "pageReq", pageReq{}, pageReqAppendWire, pageReqDecodeWire)
-	self(bulk, "pageResp", pageResp{}, pageRespAppendWire, pageRespDecodeWire)
-	self(ctl, "diffReq", diffReq{}, diffReqAppendWire, diffReqDecodeWire)
-	self(bulk, "diffResp", diffResp{}, diffRespAppendWire, diffRespDecodeWire)
-	self(ctl, "spanFetchReq", spanFetchReq{}, spanFetchReqAppendWire, spanFetchReqDecodeWire)
-	self(bulk, "spanFetchResp", spanFetchResp{}, spanFetchRespAppendWire, spanFetchRespDecodeWire)
-	self(ctl, "ownReq", ownReq{}, ownReqAppendWire, ownReqDecodeWire)
-	self(ctl, "ownResp", ownResp{}, ownRespAppendWire, ownRespDecodeWire)
-	self(ctl, "ownBatchReq", ownBatchReq{}, ownBatchReqAppendWire, ownBatchReqDecodeWire)
-	self(ctl, "ownBatchResp", ownBatchResp{}, ownBatchRespAppendWire, ownBatchRespDecodeWire)
-	self(ctl, "swOwnReq", swOwnReq{}, swOwnReqAppendWire, swOwnReqDecodeWire)
-	self(ctl, "swOwnGrant", swOwnGrant{}, swOwnGrantAppendWire, swOwnGrantDecodeWire)
-	self(region, "regionReadReq", regionReadReq{}, regionReadReqAppendWire, regionReadReqDecodeWire)
-	self(region, "regionReadResp", regionReadResp{}, regionReadRespAppendWire, regionReadRespDecodeWire)
-	self(region, "regionSpanReq", regionSpanReq{}, regionSpanReqAppendWire, regionSpanReqDecodeWire)
-	self(region, "regionSpanResp", regionSpanResp{}, regionSpanRespAppendWire, regionSpanRespDecodeWire)
-	self(ctl, "hlrcFlush", hlrcFlush{}, hlrcFlushAppendWire, hlrcFlushDecodeWire)
-	self(ctl, "hlrcAck", hlrcAck{}, hlrcAckAppendWire, hlrcAckDecodeWire)
-	self(ctl, "homeBindReq", homeBindReq{}, homeBindReqAppendWire, homeBindReqDecodeWire)
-	self(ctl, "homeBindResp", homeBindResp{}, homeBindRespAppendWire, homeBindRespDecodeWire)
-	self(ctl, "acqReq", acqReq{}, acqReqAppendWire, acqReqDecodeWire)
-	self(ctl, "acqFwd", acqFwd{}, acqFwdAppendWire, acqFwdDecodeWire)
-	self(ctl, "acqGrant", acqGrant{}, acqGrantAppendWire, acqGrantDecodeWire)
-	self(ctl, "acqRevoke", acqRevoke{}, acqRevokeAppendWire, acqRevokeDecodeWire)
-	self(ctl, "barArrive", barArrive{}, barArriveAppendWire, barArriveDecodeWire)
-	self(ctl, "barRelease", barRelease{}, barReleaseAppendWire, barReleaseDecodeWire)
-	self(bulk, "ckptPut", ckptPut{}, ckptPutAppendWire, ckptPutDecodeWire)
-	self(ctl, "ckptAck", ckptAck{}, ckptAckAppendWire, ckptAckDecodeWire)
-	self(ctl, "recArrive", recArrive{}, recArriveAppendWire, recArriveDecodeWire)
-	self(ctl, "recRelease", recRelease{}, recReleaseAppendWire, recReleaseDecodeWire)
-	self(ctl, "recProtoArrive", recProtoArrive{}, recProtoArriveAppendWire, recProtoArriveDecodeWire)
-	self(ctl, "recProtoRelease", recProtoRelease{}, recProtoReleaseAppendWire, recProtoReleaseDecodeWire)
+	reg(ctl, "pageReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(pageReq); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v pageReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(bulk, "pageResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(pageResp); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v pageResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "diffReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(diffReq); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v diffReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(bulk, "diffResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(diffResp); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v diffResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "spanFetchReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(spanFetchReq); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v spanFetchReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(bulk, "spanFetchResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(spanFetchResp); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v spanFetchResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "ownReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(ownReq); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v ownReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "ownResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(ownResp); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v ownResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "ownBatchReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(ownBatchReq); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v ownBatchReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "ownBatchResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(ownBatchResp); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v ownBatchResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "swOwnReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(swOwnReq); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v swOwnReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "swOwnGrant", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(swOwnGrant); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v swOwnGrant; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(region, "regionReadReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(regionReadReq); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v regionReadReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(region, "regionReadResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(regionReadResp); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v regionReadResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(region, "regionSpanReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(regionSpanReq); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v regionSpanReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(region, "regionSpanResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(regionSpanResp); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v regionSpanResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "hlrcFlush", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(hlrcFlush); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v hlrcFlush; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "hlrcAck", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(hlrcAck); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v hlrcAck; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "homeBindReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(homeBindReq); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v homeBindReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "homeBindResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(homeBindResp); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v homeBindResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "acqReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(acqReq); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v acqReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "acqFwd", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(acqFwd); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v acqFwd; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "acqGrant", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(acqGrant); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v acqGrant; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "acqRevoke", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(acqRevoke); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v acqRevoke; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "barArrive", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(barArrive); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v barArrive; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "barRelease", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(barRelease); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v barRelease; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(bulk, "ckptPut", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(ckptPut); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v ckptPut; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "ckptAck", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(ckptAck); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v ckptAck; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "recArrive", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(recArrive); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v recArrive; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "recRelease", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(recRelease); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v recRelease; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "recProtoArrive", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(recProtoArrive); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v recProtoArrive; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+	reg(ctl, "recProtoRelease", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(recProtoRelease); v.wire(&w); return w.b, w.p },
+		func(w wireRW) (msg, error) { var v recProtoRelease; v.wire(&w); v.wire(w.fill()); return v, w.done() })
+}
+
+// reg registers one message from its encode and decode closures. The
+// decoder run over nothing in fill mode yields the zero message, the
+// registry's sample of the type.
+func reg(class transport.Class, name string,
+	enc func(msg, wireRW) ([]byte, [][]byte), dec func(wireRW) (msg, error)) {
+	zero, _ := dec(wireRW{mode: wireFill})
+	transport.MustRegisterCodec(transport.Codec{Name: name, Class: class, Msg: zero,
+		AppendWire: func(m msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+			return enc(m, wireRW{mode: wireEncode, b: b, p: payloads})
+		},
+		DecodeWire: func(body []byte) (msg, error) {
+			m, err := dec(wireRW{mode: wireDecode, b: body, r: *transport.NewWireReader(body)})
+			if err != nil {
+				return nil, err
+			}
+			return m, nil
+		},
+	})
 }

@@ -102,12 +102,9 @@ func msgSamples() map[string][]transport.Msg {
 		"swOwnReq":   {swOwnReq{Page: 3, Hops: 1}},
 		"swOwnGrant": {swOwnGrant{Version: 9, Data: mem.NewPage(), Applied: sampleVC()}},
 		"hlrcFlush": {
-			hlrcFlush{VC: sampleVC(), Entries: []hlrcEntry{
-				{Page: 2, Diff: sampleDiff(2, 640)},
-				{Page: 7, Diff: sampleDiff(7, 48)},
-			}},
+			hlrcFlush{VC: sampleVC(), Diffs: []*mem.Diff{sampleDiff(2, 640), sampleDiff(7, 48)}},
 			// An emptied diff (the omittable-write pass leaves zero runs).
-			hlrcFlush{VC: sampleVC(), Entries: []hlrcEntry{{Page: 300, Diff: &mem.Diff{Page: 300}}}},
+			hlrcFlush{VC: sampleVC(), Diffs: []*mem.Diff{{Page: 300}}},
 		},
 		"hlrcAck":      {hlrcAck{}},
 		"homeBindReq":  {homeBindReq{Page: 12}, homeBindReq{Page: 9000}},

@@ -145,7 +145,7 @@ func (hlrcPolicy) SpanSettle(n *Node, pg int, ps *pageState) {
 // mixed per-page policies wns is the subset of iv.WNs on HLRC pages; the
 // other pages' notices are none of this policy's business.
 func (hlrcPolicy) OnIntervalClose(n *Node, iv *Interval, wns []*WriteNotice) {
-	perHome := make(map[int][]hlrcEntry)
+	perHome := make(map[int][]*mem.Diff)
 	var flushed []wnKey
 	for _, wn := range wns {
 		ps := n.pages[wn.Page]
@@ -160,7 +160,7 @@ func (hlrcPolicy) OnIntervalClose(n *Node, iv *Interval, wns []*WriteNotice) {
 		d := n.makeDiff(wn.Page, ps)
 		n.proc.Advance(n.c.params.diffCost(d))
 		if home := n.resolveHome(wn.Page); home != n.id {
-			perHome[home] = append(perHome[home], hlrcEntry{Page: wn.Page, Diff: d})
+			perHome[home] = append(perHome[home], d)
 		} else {
 			// This node is the page's home: the write is already in the
 			// home copy (the writer's own data), no flush travels.
@@ -171,8 +171,8 @@ func (hlrcPolicy) OnIntervalClose(n *Node, iv *Interval, wns []*WriteNotice) {
 	if len(perHome) > 0 {
 		var targets []transport.Target
 		for p := 0; p < n.c.params.Procs; p++ {
-			if es, ok := perHome[p]; ok {
-				m := hlrcFlush{VC: iv.VC, Entries: es}
+			if ds, ok := perHome[p]; ok {
+				m := hlrcFlush{VC: iv.VC, Diffs: ds}
 				n.Stats.HomeFlushes++
 				n.Stats.HomeFlushBytes += int64(m.Size())
 				targets = append(targets, transport.Target{To: p, M: m})
@@ -192,8 +192,8 @@ func (hlrcPolicy) OnIntervalClose(n *Node, iv *Interval, wns []*WriteNotice) {
 // applyDiffs does.
 func (n *Node) serveHLRCFlush(c transport.Call, from int, m hlrcFlush) {
 	var cost transport.Time
-	for _, e := range m.Entries {
-		ps := n.pages[e.Page]
+	for _, d := range m.Diffs {
+		ps := n.pages[d.Page]
 		if ps.proto != HLRC {
 			// The writer runs the page under HLRC and the home does not
 			// yet: the home has not applied the switch, let alone drained
@@ -201,25 +201,25 @@ func (n *Node) serveHLRCFlush(c transport.Call, from int, m hlrcFlush) {
 			// applied would drop the pre-switch notices still pending.
 			// The quiescent round after every →HLRC switch rules this out.
 			panic(fmt.Sprintf("dsm: hlrc flush from node %d reached home %d before it switched page %d (running %v)",
-				from, n.id, e.Page, ps.proto))
+				from, n.id, d.Page, ps.proto))
 		}
 		if ps.data == nil {
 			// A first-touch home can receive its first flush before its own
 			// MakeValid materialized the copy; start from the zero page
 			// (see MakeValid). A flush addressed to a non-home is a bug.
-			if n.c.homeOf(e.Page) != n.id {
-				panic(fmt.Sprintf("dsm: hlrc home %d missing page %d", n.id, e.Page))
+			if n.c.homeOf(d.Page) != n.id {
+				panic(fmt.Sprintf("dsm: hlrc home %d missing page %d", n.id, d.Page))
 			}
 			ps.data = mem.NewPage()
 		}
-		n.invalidateRegion(e.Page, ps)
-		e.Diff.Apply(ps.data)
+		n.invalidateRegion(d.Page, ps)
+		d.Apply(ps.data)
 		if ps.twin != nil {
-			e.Diff.Apply(ps.twin)
+			d.Apply(ps.twin)
 		}
 		ps.applied.Join(m.VC)
 		n.Stats.DiffsApplied++
-		cost += n.c.params.applyCost(e.Diff)
+		cost += n.c.params.applyCost(d)
 		if n.region != nil {
 			// The home copy is now what every fetch until the next flush
 			// will be served from: publish it eagerly so those fetches go
@@ -228,7 +228,7 @@ func (n *Node) serveHLRCFlush(c transport.Call, from int, m hlrcFlush) {
 			// fetched once and then dirtied by the next flush.)
 			snap := make([]byte, len(ps.data))
 			copy(snap, ps.data)
-			n.publishRegion(e.Page, ps, snap, ps.applied.Copy())
+			n.publishRegion(d.Page, ps, snap, ps.applied.Copy())
 		}
 	}
 	c.ReplyAfter(cost, hlrcAck{})

@@ -117,5 +117,5 @@ func TestHLRCFlushBeforeSwitchPanics(t *testing.T) {
 			t.Fatalf("recovered %v, want the flush-before-switch panic", r)
 		}
 	}()
-	c.nodes[0].serveHLRCFlush(nil, 1, hlrcFlush{Entries: []hlrcEntry{{Page: 0}}})
+	c.nodes[0].serveHLRCFlush(nil, 1, hlrcFlush{Diffs: []*mem.Diff{{Page: 0}}})
 }

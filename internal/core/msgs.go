@@ -7,47 +7,44 @@ import (
 	"adsm/internal/vc"
 )
 
-// Protocol messages. Size() reports payload bytes for the network cost
-// model; contents are passed by reference (the simulator runs in one
-// address space) but every transfer is charged its wire size. Every
-// message has a binary codec (wire.go). Most declare the exact byte count
-// their encoder produces — wire_test.go pins Size() == len(encoding) —
-// while the lock hand-off, home-flush and home-bind messages keep the
-// modelled sizes the simulator's virtual times were calibrated with,
-// audited with slack by TestMsgSizeMatchesWire.
+// Protocol messages. Each states its wire layout once, in its wire method
+// (run by the visitor in wire.go): the codec hooks encode and decode with
+// it, and Size() is its size pass, so the cost model and the traffic
+// counters charge the bytes the tcp runtime moves. Seven messages keep the
+// modelled Size() the simulator's virtual times were calibrated with: the
+// lock hand-off (acqReq, acqFwd, acqGrant), the home flush (hlrcFlush,
+// hlrcAck) and home binding (homeBindReq, homeBindResp).
 
 // --- paging ---
 
 // pageReq asks for a whole-page copy (read miss, or SW/adaptive fetch from
 // the perceived owner).
-type pageReq struct {
-	Page int
-	Hops int
-}
+type pageReq struct{ Page, Hops int }
 
-func (m pageReq) Size() int { return iLen(m.Page) + iLen(m.Hops) }
+func (m *pageReq) wire(w *wireRW) { w.Int(&m.Page); w.Int(&m.Hops) }
+func (m pageReq) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
-// pageResp carries the page contents and the vector clock summarizing the
-// writes reflected in it.
+// pageResp carries the page and the vector clock of the writes it reflects.
 type pageResp struct {
 	Data    []byte
 	Applied vc.VC
 }
 
-func (m pageResp) Size() int { return vcLen(m.Applied) + iLen(len(m.Data)) + len(m.Data) }
+func (m *pageResp) wire(w *wireRW) { w.VC(&m.Applied); w.Payload(&m.Data) }
+func (m pageResp) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
 // --- diffing ---
 
-// diffReq asks one writer for the diffs of the listed write notices. It
-// piggybacks the requester's false-sharing perception for the page
-// (adaptive protocols, mechanism 1 of Section 3.1.2).
+// diffReq asks one writer for the diffs of the listed write notices, with
+// the requester's false-sharing perception of the page (Section 3.1.2).
 type diffReq struct {
 	Page   int
 	Wants  []wnKey
 	SeesFS bool
 }
 
-func (m diffReq) Size() int { return iLen(m.Page) + 1 + keysLen(m.Wants) }
+func (m *diffReq) wire(w *wireRW) { w.Int(&m.Page); w.Bool(&m.SeesFS); w.Keys(&m.Wants) }
+func (m diffReq) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
 // diffResp returns the requested diffs.
 type diffResp struct {
@@ -55,53 +52,43 @@ type diffResp struct {
 	Keys  []wnKey
 }
 
-func (m diffResp) Size() int {
-	n := iLen(len(m.Diffs))
-	for _, d := range m.Diffs {
-		n += d.EncodedSize()
-	}
-	return n + keysLen(m.Keys)
-}
+func (m *diffResp) wire(w *wireRW) { w.Diffs(&m.Diffs); w.Keys(&m.Keys) }
+func (m diffResp) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
 // --- span prefetch (batched paging + diffing) ---
 
-// spanDiffWant asks for one page's diff bundle inside a spanFetchReq,
-// carrying the same per-page fields as diffReq (including the requester's
-// false-sharing perception piggyback).
-type spanDiffWant struct {
-	Page   int
-	Wants  []wnKey
-	SeesFS bool
-}
-
 // spanFetchReq batches a span's coherence fetches addressed to one node:
-// whole-page copies (the pages whose fetch target this node is) and diff
-// bundles (the pages some of whose pending diffs this node wrote). One
-// request per destination, all destinations issued in a single Multicall,
-// replaces the per-page pageReq Calls and per-page diffReq Multicalls of
-// the serial fault path.
+// whole-page copies (pages it is the fetch target of) and diff bundles
+// (pages some of whose pending diffs it wrote), replacing the serial fault
+// path's per-page pageReq Calls and diffReq Multicalls.
 type spanFetchReq struct {
 	Pages []int
 	Diffs []spanDiffWant
 }
 
-func (m spanFetchReq) Size() int {
-	n := iLen(len(m.Pages))
-	for _, p := range m.Pages {
-		n += iLen(p)
+// spanDiffWant asks for one page's diff bundle inside a spanFetchReq.
+type spanDiffWant = diffReq
+
+func (m *spanFetchReq) wire(w *wireRW) {
+	for i := range list(w, &m.Pages, 1) {
+		w.Int(&m.Pages[i])
 	}
-	n += iLen(len(m.Diffs))
-	for _, d := range m.Diffs {
-		n += iLen(d.Page) + 1 + keysLen(d.Wants)
+	for i := range list(w, &m.Diffs, 3) {
+		m.Diffs[i].wire(w)
 	}
-	return n
+}
+func (m spanFetchReq) Size() int { var w wireRW; m.wire(&w); return w.n }
+
+// spanFetchResp answers a spanFetchReq with every requested page copy and
+// diff bundle in one message.
+type spanFetchResp struct {
+	Pages []spanPageCopy
+	Diffs []spanDiffBundle
 }
 
-// spanPageCopy is one page's reply inside a spanFetchResp. Served=false
-// reports that the target holds no copy (an ownership transfer is in
-// flight and a serial pageReq would have been forwarded); the requester
-// falls back to the serial path for that page, which chases the
-// perceived-owner chain as usual.
+// spanPageCopy is one page's copy inside a spanFetchResp. Served=false:
+// the target holds no copy (an ownership transfer is in flight), and the
+// requester falls back to the serial path, which chases the owner chain.
 type spanPageCopy struct {
 	Page    int
 	Served  bool
@@ -116,83 +103,55 @@ type spanDiffBundle struct {
 	Diffs []*mem.Diff
 }
 
-// spanFetchResp answers a spanFetchReq with every requested page copy and
-// diff bundle in one message.
-type spanFetchResp struct {
-	Pages []spanPageCopy
-	Diffs []spanDiffBundle
-}
-
-func (m spanFetchResp) Size() int {
-	n := iLen(len(m.Pages))
-	for _, p := range m.Pages {
-		n += iLen(p.Page) + 1 + vcLen(p.Applied) + iLen(len(p.Data)) + len(p.Data)
+func (m *spanFetchResp) wire(w *wireRW) {
+	for i := range list(w, &m.Pages, 4) {
+		p := &m.Pages[i]
+		w.Int(&p.Page)
+		w.Bool(&p.Served)
+		w.VC(&p.Applied)
+		w.Payload(&p.Data)
 	}
-	n += iLen(len(m.Diffs))
-	for _, d := range m.Diffs {
-		n += iLen(d.Page) + keysLen(d.Keys) + iLen(len(d.Diffs))
-		for _, df := range d.Diffs {
-			n += df.EncodedSize()
-		}
+	for i := range list(w, &m.Diffs, 3) {
+		d := &m.Diffs[i]
+		w.Int(&d.Page)
+		w.Keys(&d.Keys)
+		w.Diffs(&d.Diffs)
 	}
-	return n
 }
+func (m spanFetchResp) Size() int { var w wireRW; m.wire(&w); return w.n }
 
 // --- one-sided region reads (tcp region lane) ---
+//
+// A peer's region server answers these without its protocol handler. Each
+// travels as the handler-path message it replaces, so the traffic counters
+// charge the same bytes and the sim/tcp count-equivalence pins hold.
 
-// regionReadReq asks a peer's region server for a whole-page copy without
-// involving its protocol handler — the software analogue of an RDMA READ.
-// It mirrors pageReq byte-for-byte (Hops is always 0 on the one-sided
-// path), so a served one-sided read charges the traffic counters exactly
-// what the handler-path pageReq would have, keeping the sim/tcp
-// count-equivalence pins intact.
-type regionReadReq struct {
-	Page int
-	Hops int
-}
+// regionReadReq asks for a whole-page copy (Hops is always 0).
+type regionReadReq pageReq
 
-func (m regionReadReq) Size() int { return iLen(m.Page) + iLen(m.Hops) }
+func (m *regionReadReq) wire(w *wireRW) { (*pageReq)(m).wire(w) }
+func (m regionReadReq) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
-// regionReadResp carries the published page snapshot; it mirrors pageResp.
-type regionReadResp struct {
-	Data    []byte
-	Applied vc.VC
-}
+// regionReadResp carries the published page snapshot.
+type regionReadResp pageResp
 
-func (m regionReadResp) Size() int { return vcLen(m.Applied) + iLen(len(m.Data)) + len(m.Data) }
+func (m *regionReadResp) wire(w *wireRW) { (*pageResp)(m).wire(w) }
+func (m regionReadResp) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
-// regionSpanReq asks the region server for a span's page copies in one
-// round-trip. It mirrors a diff-less spanFetchReq: the trailing reserved
-// count (always zero) stands in for the empty Diffs section, so the two
-// encodings have identical length and a served one-sided span fetch is
-// charged exactly like the handler-path spanFetchReq it replaces.
-type regionSpanReq struct {
-	Pages []int
-}
+// regionSpanReq asks for a span's page copies in one round trip: a
+// spanFetchReq without diff wants (a decoder refuses any).
+type regionSpanReq spanFetchReq
 
-func (m regionSpanReq) Size() int {
-	n := iLen(len(m.Pages))
-	for _, p := range m.Pages {
-		n += iLen(p)
-	}
-	return n + 1 // trailing reserved zero count (the empty diff section)
-}
+func (m *regionSpanReq) wire(w *wireRW) { (*spanFetchReq)(m).wire(w); w.check(m.Diffs == nil) }
+func (m regionSpanReq) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
-// regionSpanResp answers with per-page copies, mirroring a diff-less
-// spanFetchResp (trailing reserved zero count, as in regionSpanReq).
-// Served=false marks pages the region could not serve; the requester falls
-// back to the handler path for those.
-type regionSpanResp struct {
-	Pages []spanPageCopy
-}
+// regionSpanResp answers with per-page copies: a spanFetchResp without
+// diff bundles. Served=false marks pages the region could not serve; the
+// requester falls back to the handler path for those.
+type regionSpanResp spanFetchResp
 
-func (m regionSpanResp) Size() int {
-	n := iLen(len(m.Pages))
-	for _, p := range m.Pages {
-		n += iLen(p.Page) + 1 + vcLen(p.Applied) + iLen(len(p.Data)) + len(p.Data)
-	}
-	return n + 1
-}
+func (m *regionSpanResp) wire(w *wireRW) { (*spanFetchResp)(m).wire(w); w.check(m.Diffs == nil) }
+func (m regionSpanResp) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
 // --- ownership (adaptive protocols) ---
 
@@ -200,25 +159,25 @@ func (m regionSpanResp) Size() int {
 // (never forwarded; always two messages). Version is the requester's
 // perceived version number: a mismatch means write-write false sharing.
 type ownReq struct {
-	Page    int
-	Version int32
-	// NeedPage piggybacks the page fetch on the ownership request (write
-	// fault on an invalid page).
-	NeedPage bool
-	// Resume marks a request issued from MW mode after the protocol
-	// inferred that false sharing has stopped (Section 3.1.2).
-	Resume bool
-	// Applied lets the grantor skip the page transfer when the
-	// requester's copy is current.
-	Applied vc.VC
+	Page     int
+	Version  int32
+	NeedPage bool  // piggybacks the page fetch (write fault on an invalid page)
+	Resume   bool  // sent from MW mode once false sharing stopped (Section 3.1.2)
+	Applied  vc.VC // lets the grantor skip the page if the requester's copy is current
 }
 
-func (m ownReq) Size() int { return iLen(m.Page) + i32Len(m.Version) + 2 + vcLen(m.Applied) }
+func (m *ownReq) wire(w *wireRW) {
+	w.Int(&m.Page)
+	w.I32(&m.Version)
+	w.Bool(&m.NeedPage)
+	w.Bool(&m.Resume)
+	w.VC(&m.Applied)
+}
+func (m ownReq) Size() int { var w wireRW; m.wire(&w); return w.n }
 
-// ownResp grants or refuses ownership. On grant, Version is the new
-// version (requester's perceived version + 1) and the page contents ride
-// along unless the requester's copy was provably current. On refusal the
-// page is included only when the requester asked for it.
+// ownResp grants or refuses ownership. A grant carries the new version
+// (perceived + 1) and the page unless the requester's copy was provably
+// current; a refusal carries the page only if the requester asked for it.
 type ownResp struct {
 	Granted bool
 	Version int32
@@ -226,49 +185,44 @@ type ownResp struct {
 	Applied vc.VC
 }
 
-func (m ownResp) Size() int {
-	return 1 + i32Len(m.Version) + vcLen(m.Applied) + iLen(len(m.Data)) + len(m.Data)
+func (m *ownResp) wire(w *wireRW) {
+	w.Bool(&m.Granted)
+	w.I32(&m.Version)
+	w.VC(&m.Applied)
+	w.Payload(&m.Data)
 }
+func (m ownResp) Size() int { var w wireRW; m.wire(&w); return w.n }
 
 // ownBatchReq groups a span plan's ownership requests addressed to one
-// perceived owner into a single message (write-span grant batching). The
-// grantor answers each entry exactly as it would a serial ownReq arriving
-// at the same instant; grants and refusals are per entry.
-type ownBatchReq struct {
-	Reqs []ownReq
-}
+// perceived owner (write-span grant batching). The grantor answers each
+// entry as it would a serial ownReq arriving at the same instant.
+type ownBatchReq struct{ Reqs []ownReq }
 
-func (m ownBatchReq) Size() int {
-	n := iLen(len(m.Reqs))
-	for _, r := range m.Reqs {
-		n += r.Size()
+func (m *ownBatchReq) wire(w *wireRW) {
+	for i := range list(w, &m.Reqs, 4) {
+		m.Reqs[i].wire(w)
 	}
-	return n
 }
+func (m ownBatchReq) Size() int { var w wireRW; m.wire(&w); return w.n }
 
 // ownBatchResp answers an ownBatchReq positionally.
-type ownBatchResp struct {
-	Resps []ownResp
-}
+type ownBatchResp struct{ Resps []ownResp }
 
-func (m ownBatchResp) Size() int {
-	n := iLen(len(m.Resps))
-	for _, r := range m.Resps {
-		n += r.Size()
+func (m *ownBatchResp) wire(w *wireRW) {
+	for i := range list(w, &m.Resps, 3) {
+		m.Resps[i].wire(w)
 	}
-	return n
 }
+func (m ownBatchResp) Size() int { var w wireRW; m.wire(&w); return w.n }
 
 // --- ownership (pure SW protocol, home-based) ---
 
 // swOwnReq travels requester -> home -> owner (forwarded); the grant comes
 // directly back to the requester with the page.
-type swOwnReq struct {
-	Page int
-	Hops int
-}
+type swOwnReq pageReq
 
-func (m swOwnReq) Size() int { return iLen(m.Page) + iLen(m.Hops) }
+func (m *swOwnReq) wire(w *wireRW) { (*pageReq)(m).wire(w) }
+func (m swOwnReq) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
 // swOwnGrant transfers ownership and the page.
 type swOwnGrant struct {
@@ -277,29 +231,25 @@ type swOwnGrant struct {
 	Applied vc.VC
 }
 
-func (m swOwnGrant) Size() int {
-	return i32Len(m.Version) + vcLen(m.Applied) + iLen(len(m.Data)) + len(m.Data)
-}
+func (m *swOwnGrant) wire(w *wireRW) { w.I32(&m.Version); w.VC(&m.Applied); w.Payload(&m.Data) }
+func (m swOwnGrant) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
 // --- home flushes (HLRC) ---
 
 // hlrcFlush carries one closed interval's diffs from a writer to the home
-// of the written pages. VC is the interval's vector clock, joined into the
-// home's applied vector as each diff lands.
+// of the written pages (each diff names its page). VC is the interval's
+// vector clock, joined into the home's applied vector as each diff lands.
 type hlrcFlush struct {
-	VC      vc.VC
-	Entries []hlrcEntry
+	VC    vc.VC
+	Diffs []*mem.Diff
 }
 
-type hlrcEntry struct {
-	Page int
-	Diff *mem.Diff
-}
+func (m *hlrcFlush) wire(w *wireRW) { w.VC(&m.VC); w.Diffs(&m.Diffs) }
 
 func (m hlrcFlush) Size() int {
 	n := 8 + 4*len(m.VC)
-	for _, e := range m.Entries {
-		n += 8 + e.Diff.EncodedSize()
+	for _, d := range m.Diffs {
+		n += 8 + d.EncodedSize()
 	}
 	return n
 }
@@ -307,24 +257,23 @@ func (m hlrcFlush) Size() int {
 // hlrcAck acknowledges a flush; the writer may retire its diffs.
 type hlrcAck struct{}
 
-func (hlrcAck) Size() int { return 8 }
+func (*hlrcAck) wire(*wireRW) {}
+func (hlrcAck) Size() int     { return 8 }
 
 // --- home binding (first-touch home policy) ---
 
 // homeBindReq asks the directory (the allocator, node 0) for a page's
 // home, binding it to the requester if it has none yet.
-type homeBindReq struct {
-	Page int
-}
+type homeBindReq struct{ Page int }
 
-func (homeBindReq) Size() int { return 12 }
+func (m *homeBindReq) wire(w *wireRW) { w.Int(&m.Page) }
+func (homeBindReq) Size() int         { return 12 }
 
 // homeBindResp carries the agreed binding.
-type homeBindResp struct {
-	Home int
-}
+type homeBindResp struct{ Home int }
 
-func (homeBindResp) Size() int { return 12 }
+func (m *homeBindResp) wire(w *wireRW) { w.Int(&m.Home) }
+func (homeBindResp) Size() int         { return 12 }
 
 // --- locks ---
 
@@ -337,7 +286,8 @@ type acqReq struct {
 	KnownTS []int32
 }
 
-func (m acqReq) Size() int { return 8 + 4*len(m.KnownTS) }
+func (m *acqReq) wire(w *wireRW) { w.Int(&m.Lock); w.Bool(&m.Shared); w.TS(&m.KnownTS) }
+func (m acqReq) Size() int       { return 8 + 4*len(m.KnownTS) }
 
 // acqFwd is the manager forwarding the request to the last holder.
 type acqFwd struct {
@@ -347,15 +297,19 @@ type acqFwd struct {
 	KnownTS []int32
 }
 
+func (m *acqFwd) wire(w *wireRW) {
+	w.Int(&m.Lock)
+	w.Int(&m.Origin)
+	w.Bool(&m.Shared)
+	w.TS(&m.KnownTS)
+}
 func (m acqFwd) Size() int { return 12 + 4*len(m.KnownTS) }
 
-// acqGrant passes the lock to the requester with the piggybacked
-// intervals and the releaser's vector clock. An exclusive grant also
-// carries the readers (bit per node) the new holder must revoke, charged
-// like a knowledge-vector entry each. A reader's answer to a revoke is an
-// acqGrant too: what it knew at its read release. Diffs/Keys are the
-// diffs the granter pushes for the shipped write notices (push.go),
-// charged at their exact encoded size on top of the modelled grant.
+// acqGrant passes the lock with the piggybacked intervals and the
+// releaser's vector clock. An exclusive grant also carries the readers (bit
+// per node) the new holder must revoke. A reader's answer to a revoke is an
+// acqGrant too: what it knew at its read release. Diffs/Keys are the diffs
+// pushed for the shipped write notices (push.go), charged exactly.
 type acqGrant struct {
 	Intervals []*Interval
 	VC        vc.VC
@@ -365,9 +319,22 @@ type acqGrant struct {
 	nprocs    int
 }
 
+func (m *acqGrant) wire(w *wireRW) {
+	w.Intervals(&m.Intervals)
+	w.VC(&m.VC)
+	w.U64(&m.Readers)
+	w.Int(&m.nprocs)
+	w.Pushed(&m.Diffs, &m.Keys)
+}
+
+// Size is the modelled grant plus, when it pushes any, the pushed diffs'
+// exact encoding.
 func (m acqGrant) Size() int {
-	return 8 + 4*len(m.VC) + 4*bits.OnesCount64(m.Readers) + intervalsWireSize(m.Intervals, m.nprocs) +
-		pushedLen(m.Diffs, m.Keys)
+	w := wireRW{n: 8 + 4*len(m.VC) + 4*bits.OnesCount64(m.Readers) + intervalsWireSize(m.Intervals, m.nprocs)}
+	if len(m.Diffs) > 0 {
+		w.Pushed(&m.Diffs, &m.Keys)
+	}
+	return w.n
 }
 
 // acqRevoke asks a reader to give up its cached read grant before the new
@@ -377,7 +344,8 @@ type acqRevoke struct {
 	KnownTS []int32
 }
 
-func (m acqRevoke) Size() int { return iLen(m.Lock) + tsLen(m.KnownTS) }
+func (m *acqRevoke) wire(w *wireRW) { w.Int(&m.Lock); w.TS(&m.KnownTS) }
+func (m acqRevoke) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
 // --- barriers ---
 
@@ -392,16 +360,19 @@ type barArrive struct {
 	nprocs      int
 }
 
-func (m barArrive) Size() int {
-	return uLen(uint64(m.Epoch)) + tsLen(m.KnownTS) + intervalsLen(m.Intervals) + 1 + iLen(m.nprocs)
+func (m *barArrive) wire(w *wireRW) {
+	w.I64(&m.Epoch)
+	w.TS(&m.KnownTS)
+	w.Intervals(&m.Intervals)
+	w.Bool(&m.MemPressure)
+	w.Int(&m.nprocs)
 }
+func (m barArrive) Size() int { var w wireRW; m.wire(&w); return w.n }
 
 // barRelease releases a waiter with the intervals it lacks and the global
-// knowledge vector. GC instructs all nodes to run garbage collection;
-// Hints carries post-GC page routing (validator/owner per page), charged
-// at 8 bytes per entry. Switches carries the adaptive meta-protocol's
-// per-page policy decisions: every node applies them at this release, so
-// a page's protocol flips cluster-wide at the same barrier epoch.
+// knowledge vector. GC orders a garbage collection; Hints carries post-GC
+// page routing. Switches carries the adaptive policy's per-page decisions,
+// which every node applies at this release (one epoch cluster-wide).
 type barRelease struct {
 	Intervals []*Interval
 	Global    []int32
@@ -412,9 +383,8 @@ type barRelease struct {
 }
 
 type gcHint struct {
-	Page    int
-	Owner   int
-	Version int32
+	Page, Owner int
+	Version     int32
 }
 
 // policySwitch reassigns one page to a new protocol. Owner/Version seed the
@@ -427,10 +397,17 @@ type policySwitch struct {
 	Version int32
 }
 
-func (m barRelease) Size() int {
-	n := intervalsLen(m.Intervals) + tsLen(m.Global) + 1 + iLen(len(m.Hints))
-	for _, h := range m.Hints {
-		n += iLen(h.Page) + iLen(h.Owner) + i32Len(h.Version)
+func (m *barRelease) wire(w *wireRW) {
+	w.Intervals(&m.Intervals)
+	w.TS(&m.Global)
+	w.Bool(&m.GC)
+	for i := range list(w, &m.Hints, 3) {
+		h := &m.Hints[i]
+		w.Int(&h.Page)
+		w.Int(&h.Owner)
+		w.I32(&h.Version)
 	}
-	return n + switchesLen(m.Switches) + iLen(m.nprocs)
+	w.Switches(&m.Switches)
+	w.Int(&m.nprocs)
 }
+func (m barRelease) Size() int { var w wireRW; m.wire(&w); return w.n }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"adsm/internal/mem"
 	"adsm/internal/transport"
 )
 
@@ -137,14 +138,22 @@ func TestWireGolden(t *testing.T) {
 
 // checkWireCodec holds one binary codec to its decoding contract on an
 // arbitrary frame body: malformed input returns an error without
-// panicking, and any accepted input decodes to a message whose own
-// re-encoding is a fixed point (encode∘decode stable, Size() equal to the
-// encoded length unless the size is a modelled one) — so a frame that
-// survives validation can be relayed byte-identically.
+// panicking, and any accepted input decodes to a message whose diffs keep
+// every run inside the page and whose own re-encoding is a fixed point
+// (encode∘decode stable, Size() equal to the encoded length unless the
+// size is a modelled one) — so a frame that survives validation can be
+// applied safely and relayed byte-identically.
 func checkWireCodec(t *testing.T, codec transport.Codec, body []byte) {
 	m1, err := codec.DecodeWire(body)
 	if err != nil {
 		return
+	}
+	for _, d := range msgDiffs(m1) {
+		for _, r := range d.Runs {
+			if r.Off < 0 || r.Off+len(r.Data) > mem.PageSize {
+				t.Fatalf("%s: decoded a run [%d,%d) outside the page", codec.Name, r.Off, r.Off+len(r.Data))
+			}
+		}
 	}
 	b1, ok := transport.WireBody(m1)
 	if !ok {
@@ -163,6 +172,52 @@ func checkWireCodec(t *testing.T, codec transport.Codec, body []byte) {
 	}
 	if !reflect.DeepEqual(m1, m2) {
 		t.Fatalf("%s: decode of own encoding changed the message:\n m1 %#v\n m2 %#v", codec.Name, m1, m2)
+	}
+}
+
+// msgDiffs lists the diffs a decoded message carries.
+func msgDiffs(m transport.Msg) []*mem.Diff {
+	switch m := m.(type) {
+	case diffResp:
+		return m.Diffs
+	case acqGrant:
+		return m.Diffs
+	case hlrcFlush:
+		return m.Diffs
+	case spanFetchResp:
+		var ds []*mem.Diff
+		for _, b := range m.Diffs {
+			ds = append(ds, b.Diffs...)
+		}
+		return ds
+	}
+	return nil
+}
+
+// TestDiffRunOutsidePageRejected: a diff run that leaves the page is a
+// malformed frame. Each diff-carrying codec must refuse it at decode time,
+// both a run that starts past the page (mem.Diff.Apply would panic on it)
+// and one that starts inside and ends past it (Apply would silently
+// truncate it).
+func TestDiffRunOutsidePageRejected(t *testing.T) {
+	k := wnKey{page: 3, proc: 1, ts: 2}
+	for _, run := range []mem.Run{
+		{Off: mem.PageSize + 8, Data: make([]byte, 8)},
+		{Off: mem.PageSize - 4, Data: make([]byte, 8)},
+	} {
+		d := &mem.Diff{Page: 3, Runs: []mem.Run{{Off: 64, Data: make([]byte, 4)}, run}}
+		for _, m := range []transport.Msg{
+			diffResp{Diffs: []*mem.Diff{d}, Keys: []wnKey{k}},
+			spanFetchResp{Diffs: []spanDiffBundle{{Page: 3, Keys: []wnKey{k}, Diffs: []*mem.Diff{d}}}},
+			acqGrant{VC: sampleVC(), nprocs: 8, Diffs: []*mem.Diff{d}, Keys: []wnKey{k}},
+			hlrcFlush{VC: sampleVC(), Diffs: []*mem.Diff{d}},
+		} {
+			c, _ := transport.CodecOf(m)
+			body, _ := transport.WireBody(m)
+			if got, err := c.DecodeWire(body); err == nil {
+				t.Errorf("%s: run at %d+%d decoded without error: %#v", c.Name, run.Off, len(run.Data), got)
+			}
+		}
 	}
 }
 
@@ -267,6 +322,77 @@ func TestRegionMessagesMirrorHandlerSizes(t *testing.T) {
 		if p.region.Size() != p.mirror.Size() {
 			t.Errorf("%s: region Size()=%d, handler-path mirror Size()=%d",
 				p.name, p.region.Size(), p.mirror.Size())
+		}
+	}
+}
+
+// hotFrames names the messages the fault, diff, span and lock paths send
+// on every operation: the frames whose encode, decode and size cost the
+// wire budget is spent on.
+var hotFrames = []string{"pageResp", "diffResp", "spanFetchResp", "acqGrant"}
+
+// TestHotFrameWireAllocs pins the hot frames' codec allocations: encoding
+// allocates nothing, and decoding only the message's own slices, diffs and
+// intervals and the interface box that returns it (payloads alias the
+// frame). Each count is at or below the hand-written codecs the visitor
+// replaced, whose decoders also kept a list of payload lengths.
+func TestHotFrameWireAllocs(t *testing.T) {
+	want := map[string][]float64{
+		"pageResp":      {2},
+		"diffResp":      {7},
+		"spanFetchResp": {3, 14},
+		"acqGrant":      {12, 2, 12, 18, 16, 17},
+	}
+	samples := msgSamples()
+	for _, name := range hotFrames {
+		for i, m := range samples[name] {
+			c, _ := transport.CodecOf(m)
+			body, _ := transport.WireBody(m)
+			meta, iov := make([]byte, 0, len(body)), make([][]byte, 0, 16)
+			if got := testing.AllocsPerRun(100, func() { meta, iov = c.AppendWire(m, meta[:0], iov[:0]) }); got != 0 {
+				t.Errorf("%s[%d]: encode allocates %.1f times, want 0", name, i, got)
+			}
+			got := testing.AllocsPerRun(100, func() {
+				if _, err := c.DecodeWire(body); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != want[name][i] {
+				t.Errorf("%s[%d]: decode allocates %.1f times, want %.0f", name, i, got, want[name][i])
+			}
+		}
+	}
+}
+
+// BenchmarkCoreWire times the encode, decode and size passes of every
+// msgSamples entry of the hot frames.
+func BenchmarkCoreWire(b *testing.B) {
+	samples := msgSamples()
+	for _, name := range hotFrames {
+		for i, m := range samples[name] {
+			c, _ := transport.CodecOf(m)
+			body, _ := transport.WireBody(m)
+			meta, iov := make([]byte, 0, len(body)), make([][]byte, 0, 16)
+			b.Run(fmt.Sprintf("%s/%d/encode", name, i), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					meta, iov = c.AppendWire(m, meta[:0], iov[:0])
+				}
+			})
+			b.Run(fmt.Sprintf("%s/%d/decode", name, i), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := c.DecodeWire(body); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/%d/size", name, i), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					_ = m.Size()
+				}
+			})
 		}
 	}
 }
