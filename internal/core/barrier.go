@@ -38,6 +38,13 @@ func (n *Node) Barrier() {
 	n.closeInterval()
 	n.Stats.Barriers++
 	if n.c.params.Procs == 1 {
+		// A lone node is its own barrier manager and nobody can ask it for
+		// a diff: it collects as soon as its pool is over the limit, with
+		// no messages, instead of keeping every diff it ever made.
+		if n.c.policy.MemPressure(n) {
+			n.c.gcRuns++
+			n.runGC(n.c.computeGCHints())
+		}
 		return
 	}
 	n.barrierRound(false)

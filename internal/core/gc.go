@@ -80,8 +80,8 @@ func (c *Cluster) computeGCHints() []gcHint {
 }
 
 // runGC executes the two GC phases on this node (process context):
-// validation (or nothing, for nodes that will drop), a mini-barrier, then
-// the drop phase.
+// validation (or nothing, for nodes that will drop), a mini-barrier when
+// the node has peers, then the drop phase.
 func (n *Node) runGC(hints []gcHint) {
 	// Phase 1: validation. In MW every writer validates its copy; in the
 	// adaptive protocols only the keeper (last owner) does. The collapse
@@ -99,7 +99,9 @@ func (n *Node) runGC(hints []gcHint) {
 	}
 
 	// Mini-barrier: every diff anyone still needs has now been fetched.
-	n.barrierRound(true)
+	if n.c.params.Procs > 1 {
+		n.barrierRound(true)
+	}
 
 	// Phase 2: drop.
 	for _, h := range hints {
@@ -134,7 +136,6 @@ func (n *Node) runGC(hints []gcHint) {
 		ps.myLastWN = nil
 		ps.seesFS = false
 		ps.copysetFS = nil
-		ps.deferred = ps.deferred[:0]
 		ps.dropOwnership = false
 		if adaptive {
 			n.setMode(ps, modeSW)

@@ -217,8 +217,9 @@ func (m ownBatchResp) Size() int { var w wireRW; m.wire(&w); return w.n }
 
 // --- ownership (pure SW protocol, home-based) ---
 
-// swOwnReq travels requester -> home -> owner (forwarded); the grant comes
-// directly back to the requester with the page.
+// swOwnReq travels requester -> home (Hops 0) -> the page's previous
+// requester (Hops 1, forwarded once); the grant comes directly back to the
+// requester with the page.
 type swOwnReq pageReq
 
 func (m *swOwnReq) wire(w *wireRW) { (*pageReq)(m).wire(w) }

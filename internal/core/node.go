@@ -57,10 +57,13 @@ type pageState struct {
 	lastDiffSize int          // largest diff observed recently for this page
 	wgProbed     bool         // WFS+WG: page has been through its MW measuring phase
 
-	// Deferred ownership requests (pure SW): queued while we hold the page
-	// within its quantum, or while our own ownership request is in flight.
-	deferred  []transport.Call
-	swWaiting bool
+	// Pure SW request queue (ownership.go). swNext is the one ownership
+	// request the page's home forwarded here: it waits until this node,
+	// which owns the page or is waiting for its own grant, has held the
+	// page for its quantum. swLast is kept at the home only: the node whose
+	// request reached the home last.
+	swNext transport.Call
+	swLast int
 
 	// published marks that the page's current contents are exported in the
 	// node's one-sided region (region.go); any mutation of data/applied must

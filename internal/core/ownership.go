@@ -8,8 +8,8 @@ import (
 )
 
 // Ownership machinery: the adaptive ownership refusal protocol (Section
-// 3.1.1) and the pure single-writer protocol with static homes, request
-// forwarding and the ownership quantum (Section 2.3).
+// 3.1.1) and the pure single-writer protocol with static homes, a request
+// queue per page and the ownership quantum (Section 2.3).
 
 // --- adaptive protocols (WFS, WFS+WG) ---
 
@@ -277,15 +277,21 @@ func (n *Node) serveOwnershipOne(from int, m ownReq) ownResp {
 
 // --- pure single-writer protocol ---
 
+// Ownership requests queue the way lock acquires do (locks.go), after Li
+// and Hudak's fixed distributed manager. A page's home records the last
+// node whose request reached it (pageState.swLast; node 0, the allocator
+// and first owner, to begin with) and forwards each request to that node
+// exactly once. That node owns the page or is waiting for its own grant,
+// and holds the request in its successor slot until its ownership quantum
+// is over. Each request is forwarded at most once, so none can loop: it
+// costs 2 messages when the home is the last requester and 3 otherwise.
+
 // writeFaultSW requests ownership through the page's home (assigned by
-// the cluster's home policy). The home forwards to the current owner;
-// ownership and the page contents migrate to the requester (2 or 3
-// messages depending on whether the home is the owner).
+// the cluster's home policy); ownership and the page arrive from the
+// previous requester once its quantum is over.
 func (n *Node) writeFaultSW(pg int, ps *pageState) {
 	n.Stats.OwnReqs++
-	home := n.resolveHome(pg)
-	ps.swWaiting = true
-	resp := n.c.rt.Call(n.proc, home, swOwnReq{Page: pg}).(swOwnGrant)
+	resp := n.c.rt.Call(n.proc, n.resolveHome(pg), swOwnReq{Page: pg}).(swOwnGrant)
 	n.Stats.PageFetches++
 	n.installPage(pg, ps, resp.Data, resp.Applied)
 	// In the pure SW protocol every write notice is an owner write notice,
@@ -293,61 +299,45 @@ func (n *Node) writeFaultSW(pg int, ps *pageState) {
 	// it subsumes anything that arrived while the request was in flight.
 	ps.pending = ps.pending[:0]
 	ps.owner = true
-	ps.swWaiting = false
 	ps.version = resp.Version
 	ps.perceivedOwner = n.id
 	ps.perceivedVersion = resp.Version
 	ps.ownedSince = n.proc.Now()
 	ps.status = pageReadWrite
-	if len(ps.deferred) > 0 {
-		// Requests queued here while our own request was in flight.
+	if ps.swNext != nil {
+		// The next requester's request reached us before our grant did.
 		n.scheduleSWGrant(pg, ps)
 	}
 }
 
-// serveSWOwn handles a single-writer ownership request (handler context):
-// the home forwards to its recorded owner; the owner grants, respecting the
-// ownership quantum; stale nodes forward along their perceived-owner chain.
+// serveSWOwn handles a single-writer ownership request (handler context).
+// At the home (Hops 0) the requester becomes the page's last requester and
+// the request goes on to the previous one; the node it reaches, the home
+// included when it was that node, queues it.
 func (n *Node) serveSWOwn(c transport.Call, from int, m swOwnReq) {
 	ps := n.pages[m.Page]
-	if m.Hops > 64*n.c.params.Procs {
-		var dump string
-		n.c.rt.HoldOthers(n.id, func() {
-			for _, i := range n.c.local {
-				o := n.c.nodes[i]
-				q := o.pages[m.Page]
-				dump += fmt.Sprintf("\n  node%d: owner=%v waiting=%v perceived=%d ver=%d deferred=%d",
-					o.id, q.owner, q.swWaiting, q.perceivedOwner, q.version, len(q.deferred))
-			}
-		})
-		dump += fmt.Sprintf("\n  origin=%d at=%d from=%d", c.Origin(), n.id, from)
-		panic(fmt.Sprintf("dsm: sw ownership forwarding loop on page %d%s", m.Page, dump))
-	}
-	if !ps.owner {
-		// Home or stale target: chase the perceived-owner chain. Perceived
-		// owners always point at strictly newer version holders, so the
-		// chain is acyclic; a request can bounce between a granting owner
-		// and a not-yet-installed requester while a transfer is in flight,
-		// which is real forwarding traffic (the SW ping-pong cost), and it
-		// ends in the next owner's quantum queue.
-		target := ps.perceivedOwner
-		if target == n.id {
-			panic("dsm: sw ownership chain broken")
+	if m.Hops == 0 {
+		prev := ps.swLast
+		ps.swLast = c.Origin()
+		if prev != n.id {
+			n.Stats.Forwards++
+			c.Forward(prev, swOwnReq{Page: m.Page, Hops: 1})
+			return
 		}
-		n.Stats.Forwards++
-		c.Forward(target, swOwnReq{Page: m.Page, Hops: m.Hops + 1})
-		return
 	}
-	// We are the owner: grant, but only after holding the page for the
-	// minimum quantum (Mirage/CVM ping-pong mitigation).
-	ps.deferred = append(ps.deferred, c)
-	if len(ps.deferred) == 1 {
+	// We own the page or are waiting for our own grant, and nobody else
+	// has asked since our request reached the home.
+	if ps.swNext != nil {
+		panic(fmt.Sprintf("dsm: node %d holds two sw ownership requests for page %d", n.id, m.Page))
+	}
+	ps.swNext = c
+	if ps.owner {
 		n.scheduleSWGrant(m.Page, ps)
 	}
 }
 
-// scheduleSWGrant arranges for the oldest deferred request to be granted
-// once the quantum expires (immediately if it already has).
+// scheduleSWGrant grants the queued request once the quantum expires
+// (immediately if it already has): the Mirage/CVM ping-pong mitigation.
 func (n *Node) scheduleSWGrant(pg int, ps *pageState) {
 	now := n.c.rt.Now()
 	due := ps.ownedSince + n.c.params.OwnershipQuantum
@@ -358,23 +348,10 @@ func (n *Node) scheduleSWGrant(pg int, ps *pageState) {
 	n.c.rt.After(n.id, due-now, func() { n.grantSW(pg, ps) })
 }
 
-// grantSW transfers ownership and the page to the oldest deferred
-// requester, then forwards any remaining queued requests to the new owner.
+// grantSW transfers ownership and the page to the queued requester.
 func (n *Node) grantSW(pg int, ps *pageState) {
-	if len(ps.deferred) == 0 {
-		return
-	}
-	if !ps.owner {
-		// Lost ownership while the grant was pending; push the queue along.
-		for _, c := range ps.deferred {
-			n.Stats.Forwards++
-			c.Forward(ps.perceivedOwner, swOwnReq{Page: pg, Hops: 1})
-		}
-		ps.deferred = ps.deferred[:0]
-		return
-	}
-	c := ps.deferred[0]
-	ps.deferred = ps.deferred[1:]
+	c := ps.swNext
+	ps.swNext = nil
 	requester := c.Origin()
 
 	// Ownership transfer is a release-class event for this page: publish
@@ -396,12 +373,6 @@ func (n *Node) grantSW(pg int, ps *pageState) {
 	data := make([]byte, len(ps.data))
 	copy(data, ps.data)
 	c.Reply(swOwnGrant{Version: newVer, Data: data, Applied: ps.applied.Copy()})
-
-	for _, rest := range ps.deferred {
-		n.Stats.Forwards++
-		rest.Forward(requester, swOwnReq{Page: pg, Hops: 1})
-	}
-	ps.deferred = ps.deferred[:0]
 }
 
 // closePageInterval publishes a single page's uncommitted owner writes as

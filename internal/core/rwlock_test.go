@@ -156,10 +156,11 @@ func TestReadReleaseHappensBeforeWrite(t *testing.T) {
 	}
 }
 
-// delayGrants wraps the simulator so that the first shared grant bound
-// for node `to` leaves its granter late: a revoke sent after it can then
-// arrive first. It also records what the reader's lock state was when the
-// revoke got there.
+// delayGrants wraps the simulator so that the first lock or single-writer
+// ownership grant bound for node `to` leaves its granter late: a revoke or
+// a forwarded ownership request sent after it can then arrive first. It
+// records what node `to`'s state was when either got there, and counts
+// the ownership request messages each requester caused.
 type delayGrants struct {
 	transport.Runtime
 	c       **Cluster
@@ -168,12 +169,31 @@ type delayGrants struct {
 	delayed bool
 	// revokeWhileWaiting: the revoke reached node `to` before its grant.
 	revokeWhileWaiting bool
+	// ownReqWhileWaiting: a forwarded ownership request reached node `to`
+	// before its own ownership grant.
+	ownReqWhileWaiting bool
+	// ownReqMsgs counts, per requester, the swOwnReq messages that crossed
+	// the network (a node's call to itself is not a message).
+	ownReqMsgs map[int]int
 }
 
 func (dg *delayGrants) Register(id int, h transport.Handler) {
 	dg.Runtime.Register(id, func(c transport.Call, from int, m transport.Msg) {
-		if r, ok := m.(acqRevoke); ok && id == dg.to {
-			dg.revokeWhileWaiting = (*dg.c).Node(id).lockState(r.Lock).reading
+		switch r := m.(type) {
+		case acqRevoke:
+			if id == dg.to {
+				dg.revokeWhileWaiting = (*dg.c).Node(id).lockState(r.Lock).reading
+			}
+		case swOwnReq:
+			if id == dg.to && r.Hops > 0 && !(*dg.c).Node(id).pages[r.Page].owner {
+				dg.ownReqWhileWaiting = true
+			}
+			if from != id {
+				if dg.ownReqMsgs == nil {
+					dg.ownReqMsgs = map[int]int{}
+				}
+				dg.ownReqMsgs[c.Origin()]++
+			}
 		}
 		h(&delayCall{Call: c, dg: dg}, from, m)
 	})
@@ -187,11 +207,23 @@ type delayCall struct {
 func (dc *delayCall) Reply(m transport.Msg) { dc.ReplyAfter(0, m) }
 
 func (dc *delayCall) ReplyAfter(d transport.Time, m transport.Msg) {
-	if _, ok := m.(acqGrant); ok && dc.Origin() == dc.dg.to && !dc.dg.delayed {
-		dc.dg.delayed = true
-		d += dc.dg.d
+	switch m.(type) {
+	case acqGrant, swOwnGrant:
+		if dc.Origin() == dc.dg.to && !dc.dg.delayed {
+			dc.dg.delayed = true
+			d += dc.dg.d
+		}
 	}
 	dc.Call.ReplyAfter(d, m)
+}
+
+// params installs dg as the cluster's runtime, around the simulator.
+func (dg *delayGrants) params(p Params) Params {
+	p.Runtime = func(p Params) transport.Runtime {
+		dg.Runtime = transport.DefaultRuntime(p.Procs, p.Net, p.EventLimit)
+		return dg
+	}
+	return p
 }
 
 // TestRevokeOvertakingGrantIsDeferred: the writer's revoke reaches the
@@ -202,12 +234,7 @@ func (dc *delayCall) ReplyAfter(d transport.Time, m transport.Msg) {
 func TestRevokeOvertakingGrantIsDeferred(t *testing.T) {
 	var c *Cluster
 	dg := &delayGrants{c: &c, to: 1, d: 20 * sim.Millisecond}
-	p := testParams(3, MW)
-	p.Runtime = func(p Params) transport.Runtime {
-		dg.Runtime = transport.DefaultRuntime(p.Procs, p.Net, p.EventLimit)
-		return dg
-	}
-	c = New(p)
+	c = New(dg.params(testParams(3, MW)))
 	x := c.Alloc(8)
 	var readerExit, writerEnter transport.Time
 	var first, second uint64

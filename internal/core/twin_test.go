@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"adsm/internal/mem"
+	"adsm/internal/sim"
 )
 
 // TestTwinRecycling: a twin's buffer goes back to its node when the twin is
@@ -101,5 +102,57 @@ func TestGCEmptiesTwinFreeList(t *testing.T) {
 	})
 	if collected == 0 {
 		t.Fatal("no barrier ran a collection: the test exercised nothing")
+	}
+}
+
+// TestLoneNodeCollects: a one-node cluster's barrier sends no messages, but
+// it still collects once the twin+diff pool is over the limit, so the pool
+// stays bounded instead of keeping every diff the node ever made. The
+// collection costs no virtual time and changes no value: the run takes as
+// long, and reads the same, as one whose limit is never reached.
+func TestLoneNodeCollects(t *testing.T) {
+	const pages, rounds, words = 8, 24, 64
+	val := func(r, pg, w int) uint64 { return uint64(r<<16 | pg<<8 | w) }
+	run := func(limit int64) (*Cluster, *Node, sim.Time) {
+		p := testParams(1, MW)
+		p.DiffSpaceLimit = limit
+		c := New(p)
+		base := c.AllocPageAligned(pages * mem.PageSize)
+		var lone *Node
+		elapsed := mustRun(t, c, func(n *Node) {
+			lone = n
+			for r := 1; r <= rounds; r++ {
+				for pg := 0; pg < pages; pg++ {
+					for w := 0; w < words; w++ {
+						n.WriteU64(base+pg*mem.PageSize+8*w, val(r, pg, w))
+					}
+				}
+				n.Barrier()
+			}
+			for pg := 0; pg < pages; pg++ {
+				for w := 0; w < words; w++ {
+					if got := n.ReadU64(base + pg*mem.PageSize + 8*w); got != val(rounds, pg, w) {
+						t.Errorf("page %d word %d = %#x, want %#x", pg, w, got, val(rounds, pg, w))
+					}
+				}
+			}
+		})
+		return c, lone, elapsed
+	}
+	const limit = 4 * mem.PageSize
+	c, n, elapsed := run(limit)
+	kept, keptNode, keptElapsed := run(1 << 40)
+	if c.GCRuns() == 0 || kept.GCRuns() != 0 {
+		t.Fatalf("collections: %d under a %d B limit, %d under no limit; want some, then none", c.GCRuns(), limit, kept.GCRuns())
+	}
+	// One round adds at most one twin per page before the barrier sees it;
+	// kept, the diffs of every round pile up well past that.
+	bound := int64(limit + pages*mem.PageSize)
+	if n.Stats.MaxLiveBytes > bound || keptNode.Stats.MaxLiveBytes <= bound {
+		t.Errorf("twin+diff pool peaked at %d B collected and %d B kept, want at most %d and more than that",
+			n.Stats.MaxLiveBytes, keptNode.Stats.MaxLiveBytes, bound)
+	}
+	if elapsed != keptElapsed {
+		t.Errorf("virtual time %v with collections, %v without", elapsed, keptElapsed)
 	}
 }
