@@ -89,29 +89,29 @@ func runAdaptiveHotPage(t *testing.T, procs, hotWriters int) *adsm.Report {
 		Protocol:  adsm.Adaptive,
 		Transport: adsm.TCPTransport,
 	})
-	base := cl.AllocPageAligned((procs + 1) * adsm.PageSize)
-	hot := base + procs*adsm.PageSize
+	words := adsm.AllocArrayPageAligned[uint64](cl, (procs+1)*pageWords)
+	hot := procs * pageWords
 	rep, err := cl.Run(func(w *adsm.Worker) {
 		id := w.ID()
-		own := base + id*adsm.PageSize
+		own := id * pageWords
 		for epoch := 0; epoch < epochs; epoch++ {
-			for off := 0; off < adsm.PageSize; off += 64 {
-				w.WriteU64(own+off, uint64(epoch*100+id+1))
+			for off := 0; off < pageWords; off += 8 {
+				words.Set(w, own+off, uint64(epoch*100+id+1))
 			}
 			if epoch < epochs/2 {
 				if id == 0 {
-					for off := 0; off < adsm.PageSize; off += 64 {
-						w.WriteU64(hot+off, uint64(epoch+1))
+					for off := 0; off < pageWords; off += 8 {
+						words.Set(w, hot+off, uint64(epoch+1))
 					}
 				}
 			} else if id < hotWriters {
-				w.WriteU64(hot+64*id, uint64(epoch*10+id+1))
+				words.Set(w, hot+8*id, uint64(epoch*10+id+1))
 			}
 			w.Barrier()
-			next := base + ((id+1)%procs)*adsm.PageSize
+			next := (id + 1) % procs * pageWords
 			var sum uint64
-			for off := 0; off < adsm.PageSize; off += 64 {
-				sum += w.ReadU64(next + off)
+			for off := 0; off < pageWords; off += 8 {
+				sum += words.At(w, next+off)
 			}
 			if want := uint64(64) * uint64(epoch*100+(id+1)%procs+1); sum != want {
 				t.Errorf("node %d epoch %d: neighbour sum %d, want %d", id, epoch, sum, want)
@@ -142,31 +142,31 @@ func TestOneSidedAdaptiveTCPConcurrency(t *testing.T) {
 		Protocol:  adsm.Adaptive,
 		Transport: adsm.TCPTransport,
 	})
-	base := cl.AllocPageAligned((procs + 1) * adsm.PageSize)
-	hot := base + procs*adsm.PageSize
+	words := adsm.AllocArrayPageAligned[uint64](cl, (procs+1)*pageWords)
+	hot := procs * pageWords
 	rep, err := cl.Run(func(w *adsm.Worker) {
 		id := w.ID()
-		own := base + id*adsm.PageSize
+		own := id * pageWords
 		for epoch := 0; epoch < epochs; epoch++ {
-			for off := 0; off < adsm.PageSize; off += 64 {
-				w.WriteU64(own+off, uint64(epoch*100+id+1))
+			for off := 0; off < pageWords; off += 8 {
+				words.Set(w, own+off, uint64(epoch*100+id+1))
 			}
 			if epoch < epochs/2 {
 				if id == 0 {
-					for off := 0; off < adsm.PageSize; off += 64 {
-						w.WriteU64(hot+off, uint64(epoch+1))
+					for off := 0; off < pageWords; off += 8 {
+						words.Set(w, hot+off, uint64(epoch+1))
 					}
 				}
 			} else {
-				w.WriteU64(hot+64*id, uint64(epoch*10+id+1))
+				words.Set(w, hot+8*id, uint64(epoch*10+id+1))
 			}
 			w.Barrier()
 			for d := 1; d < procs; d++ {
 				peer := (id + d) % procs
-				page := base + peer*adsm.PageSize
+				page := peer * pageWords
 				var sum uint64
-				for off := 0; off < adsm.PageSize; off += 64 {
-					sum += w.ReadU64(page + off)
+				for off := 0; off < pageWords; off += 8 {
+					sum += words.At(w, page+off)
 				}
 				if want := uint64(adsm.PageSize/64) * uint64(epoch*100+peer+1); sum != want {
 					t.Errorf("node %d epoch %d: peer %d sum %d, want %d", id, epoch, peer, sum, want)

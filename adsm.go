@@ -174,8 +174,8 @@ type Config struct {
 	TCP TCPConfig
 }
 
-// Cluster is a simulated DSM machine. Allocate shared memory with Alloc,
-// then execute an SPMD program with Run (once per cluster).
+// Cluster is a simulated DSM machine. Allocate shared memory with
+// AllocArray, then execute an SPMD program with Run (once per cluster).
 type Cluster struct {
 	c      *core.Cluster
 	cfg    Config
@@ -256,32 +256,8 @@ func (cfg Config) engine() (Config, core.Params) {
 	return cfg, p
 }
 
-// Addr is a byte address within the shared segment.
+// Addr is a byte address within the shared segment (Shared.Base, View).
 type Addr = int
-
-// Alloc reserves n bytes of zeroed shared memory. The returned address is
-// guaranteed to be 8-byte aligned, so any supported element type placed at
-// it is naturally aligned and no element straddles a page boundary. The
-// pages are initially owned by processor 0, like Tmk_malloc. Must be
-// called before Run; n <= 0 panics (a zero-byte reservation is always a
-// caller bug — it would silently hand out an address aliasing the next
-// allocation). Prefer AllocArray for typed data.
-func (cl *Cluster) Alloc(n int) Addr {
-	if cl.ran {
-		panic("adsm: Alloc after Run")
-	}
-	return cl.c.Alloc(n)
-}
-
-// AllocPageAligned reserves n bytes starting on a page boundary; use it to
-// control how data structures map onto coherence units. Like Alloc it
-// rejects n <= 0 with a panic.
-func (cl *Cluster) AllocPageAligned(n int) Addr {
-	if cl.ran {
-		panic("adsm: Alloc after Run")
-	}
-	return cl.c.AllocPageAligned(n)
-}
 
 // Hosts reports whether this cluster instance executes node id's body
 // (always true under the simulator; under a multi-process transport only
@@ -338,7 +314,9 @@ func (cl *Cluster) Run(program func(w *Worker)) (*Report, error) {
 
 // report assembles the public Report from internal counters.
 func (cl *Cluster) report(elapsed sim.Time) *Report {
-	tot := cl.c.Totals()
+	st := cl.c.Totals()
+	cl.c.Transport().Count(&st)
+	st.GCRuns = cl.c.GCRuns()
 	ch := cl.c.Detector().Characteristics((cl.c.Allocated() + PageSize - 1) / PageSize)
 	r := &Report{
 		Protocol:  cl.cfg.Protocol,
@@ -347,53 +325,7 @@ func (cl *Cluster) report(elapsed sim.Time) *Report {
 		Transport: cl.cfg.Transport,
 		Partial:   cl.c.Partial(),
 		Elapsed:   elapsed.Duration(),
-		Stats: Stats{
-			Messages:          cl.c.Transport().TotalMsgs(),
-			DataBytes:         cl.c.Transport().TotalBytes(),
-			ReadFaults:        tot.ReadFaults,
-			WriteFaults:       tot.WriteFaults,
-			PageFetches:       tot.PageFetches,
-			OwnershipRequests: tot.OwnReqs,
-			OwnershipGrants:   tot.OwnGrants,
-			OwnershipRefusals: tot.OwnRefusals,
-			Forwards:          tot.Forwards,
-			TwinsCreated:      tot.TwinsCreated,
-			DiffsCreated:      tot.DiffsCreated,
-			DiffsApplied:      tot.DiffsApplied,
-			TwinBytes:         tot.CumTwinBytes,
-			DiffBytes:         tot.CumDiffBytes,
-			MaxLiveTwinDiff:   tot.MaxLiveBytes,
-			LockAcquires:      tot.LockAcquires,
-			SharedLocal:       tot.SharedLocal,
-			Revokes:           tot.Revokes,
-			Barriers:          tot.Barriers,
-			SWtoMW:            tot.SWtoMW,
-			MWtoSW:            tot.MWtoSW,
-			PolicySwitches:    tot.PolicySwitches,
-			SwitchToSW:        tot.SwitchToSW,
-			SwitchToMW:        tot.SwitchToMW,
-			SwitchToHLRC:      tot.SwitchToHLRC,
-			GCRuns:            cl.c.GCRuns(),
-			HomeFlushes:       tot.HomeFlushes,
-			HomeFlushBytes:    tot.HomeFlushBytes,
-			HomeLocalDiffs:    tot.HomeLocalDiffs,
-			HomeBinds:         tot.HomeBinds,
-			BatchedFetches:    tot.BatchedFetches,
-			PrefetchPages:     tot.PrefetchPages,
-			SerialFallbacks:   tot.SerialFallbacks,
-			OneSidedReads:     tot.OneSidedReads,
-			OneSidedFallbacks: tot.OneSidedFallbacks,
-			BatchedOwnReqs:    tot.BatchedOwnReqs,
-			OmittedWrites:     tot.OmittedWrites,
-			OmittedBytes:      tot.OmittedBytes,
-			DiffsPushed:       tot.DiffsPushed,
-			PushesDropped:     tot.PushesDropped,
-			PushesUsed:        tot.PushesUsed,
-			DiffsStored:       tot.DiffsStored,
-			DiffsEvicted:      tot.DiffsEvicted,
-			Checkpoints:       tot.Checkpoints,
-			Recoveries:        tot.Recoveries,
-		},
+		Stats:     st,
 		Sharing: Sharing{
 			SharedPages:  ch.SharedPages,
 			WrittenPages: ch.WrittenPages,
@@ -402,14 +334,6 @@ func (cl *Cluster) report(elapsed sim.Time) *Report {
 			AvgDiffBytes: ch.AvgDiffBytes,
 			MaxDiffBytes: ch.MaxDiffBytes,
 		},
-	}
-	if ws, ok := cl.c.Transport().(transport.WireStats); ok {
-		r.Stats.WireFrames = ws.WireFrames()
-		r.Stats.WireBytes = ws.WireBytes()
-		r.Stats.WireEncodeNS = ws.WireEncodeNanos()
-		r.Stats.LaneBytes = ws.LaneBytes()
-		r.Stats.LaneQueueDepth = ws.LaneQueueDepth()
-		r.Stats.LaneQueueHWM = ws.LaneQueueHWM()
 	}
 	if cl.series != nil {
 		r.DiffTimeline = make([]TimelinePoint, 0, len(cl.series.Points))
@@ -423,69 +347,11 @@ func (cl *Cluster) report(elapsed sim.Time) *Report {
 	return r
 }
 
-// Stats aggregates the protocol counters across all processors.
-type Stats struct {
-	Messages          int64
-	DataBytes         int64
-	ReadFaults        int64
-	WriteFaults       int64
-	PageFetches       int64
-	OwnershipRequests int64
-	OwnershipGrants   int64
-	OwnershipRefusals int64
-	Forwards          int64
-	TwinsCreated      int64
-	DiffsCreated      int64
-	DiffsApplied      int64
-	TwinBytes         int64 // cumulative bytes allocated for twins
-	DiffBytes         int64 // cumulative bytes allocated for diffs
-	MaxLiveTwinDiff   int64 // high-water mark of the twin+diff pools
-	LockAcquires      int64 // Lock and RLock calls, local or remote
-	SharedLocal       int64 // RLocks served without messages (cached grant, or the token here)
-	Revokes           int64 // read grants revoked by a Lock on another node
-	Barriers          int64
-	SWtoMW            int64 // page-mode transitions (adaptive protocols)
-	MWtoSW            int64
-	PolicySwitches    int64 // per-page protocol switches (Adaptive meta-protocol)
-	SwitchToSW        int64 // pages switched to the single-writer (WFS) protocol
-	SwitchToMW        int64 // pages switched to the multiple-writer protocol
-	SwitchToHLRC      int64 // pages switched to home-based LRC
-	GCRuns            int64
-	HomeFlushes       int64 // HLRC flush messages sent to remote homes
-	HomeFlushBytes    int64 // payload bytes of those flushes
-	HomeLocalDiffs    int64 // diffs retired locally (writer was the home)
-	HomeBinds         int64 // first-touch home agreement requests
-	BatchedFetches    int64 // batched span-fetch rounds (one Multicall each)
-	PrefetchPages     int64 // pages made valid through the batched span path
-	SerialFallbacks   int64 // planned pages that fell back to the serial path
-	OneSidedReads     int64 // page/span fetches served from a peer's region
-	OneSidedFallbacks int64 // region probes that fell back to the handler path
-	BatchedOwnReqs    int64 // ownership requests that rode a grouped grant batch
-	OmittedWrites     int64 // never-shipped diffs emptied by the omittable-write pass
-	OmittedBytes      int64 // payload bytes those diffs no longer carry
-	DiffsPushed       int64 // diffs lock grants carried to their acquirers
-	PushesDropped     int64 // pushed diffs the acquirer had no use for on arrival
-	PushesUsed        int64 // stored pushed diffs a fault then applied
-	DiffsStored       int64 // diffs cached: created here, or received copies
-	DiffsEvicted      int64 // received diffs evicted once every node knew their interval
-	Checkpoints       int64 // barrier checkpoints committed (BarrierCkpt)
-	Recoveries        int64 // checkpoint recoveries completed (RecoverSync)
-
-	// Wire-efficiency counters, populated only by transports that report
-	// real framing costs (the TCP runtime; zero under the simulator).
-	// DataBytes above charges the protocol model's Msg.Size()+HeaderBytes
-	// per message; these report what actually hit the sockets.
-	WireFrames   int64 // data-plane frames sent by the hosted nodes
-	WireBytes    int64 // real bytes (frame header + body) on the wire
-	WireEncodeNS int64 // cumulative frame-encode time, nanoseconds
-
-	// Per-lane wire accounting, indexed by lane (0 control, 1 bulk, last
-	// region when one-sided reads are on). Nil under the simulator or a
-	// single-lane mesh where the split is not meaningful.
-	LaneBytes      []int64 // bytes sent per lane by the hosted nodes
-	LaneQueueDepth []int64 // current send-queue depth per lane (frames)
-	LaneQueueHWM   []int64 // send-queue high-water mark per lane (frames)
-}
+// Stats aggregates the protocol counters across all processors: the
+// engine's own counter struct, summed over the nodes, plus the runtime's
+// traffic and the cluster's garbage collections. Wire and per-lane
+// counters are zero (nil) under the simulator.
+type Stats = stats.Counters
 
 // Sharing summarizes the measured application characteristics (the
 // paper's Table 2): write-write false sharing and write granularity.

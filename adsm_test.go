@@ -8,21 +8,25 @@ import (
 	"time"
 
 	"adsm"
+	"adsm/internal/apps"
 )
+
+// pageWords is the number of uint64 elements one page holds.
+const pageWords = adsm.PageSize / 8
 
 func TestQuickstartCounter(t *testing.T) {
 	for _, proto := range adsm.Protocols() {
 		t.Run(proto.String(), func(t *testing.T) {
 			cl := adsm.NewCluster(adsm.Config{Procs: 4, Protocol: proto})
-			ctr := cl.Alloc(8)
+			ctr := adsm.AllocArray[uint64](cl, 1)
 			rep, err := cl.Run(func(w *adsm.Worker) {
 				for i := 0; i < 10; i++ {
 					w.Lock(0)
-					w.WriteU64(ctr, w.ReadU64(ctr)+1)
+					ctr.Set(w, 0, ctr.At(w, 0)+1)
 					w.Unlock(0)
 				}
 				w.Barrier()
-				if got := w.ReadU64(ctr); got != 40 {
+				if got := ctr.At(w, 0); got != 40 {
 					t.Errorf("worker %d: counter = %d, want 40", w.ID(), got)
 				}
 			})
@@ -44,7 +48,7 @@ func TestQuickstartCounter(t *testing.T) {
 
 func TestFloat64Views(t *testing.T) {
 	cl := adsm.NewCluster(adsm.Config{Procs: 2, Protocol: adsm.WFS})
-	base := cl.AllocPageAligned(1024)
+	base := adsm.AllocArrayPageAligned[float64](cl, 128).Base()
 	_, err := cl.Run(func(w *adsm.Worker) {
 		v := adsm.View[float64](base, 128)
 		if w.ID() == 0 {
@@ -69,7 +73,7 @@ func TestFloat64Views(t *testing.T) {
 
 func TestI64Views(t *testing.T) {
 	cl := adsm.NewCluster(adsm.Config{Procs: 2, Protocol: adsm.MW})
-	base := cl.Alloc(256)
+	base := adsm.AllocArray[int64](cl, 32).Base()
 	_, err := cl.Run(func(w *adsm.Worker) {
 		v := adsm.View[int64](base, 32)
 		w.Lock(1)
@@ -88,12 +92,12 @@ func TestI64Views(t *testing.T) {
 
 func TestDiffTimelineCollection(t *testing.T) {
 	cl := adsm.NewCluster(adsm.Config{Procs: 2, Protocol: adsm.MW, CollectDiffTimeline: true})
-	base := cl.AllocPageAligned(adsm.PageSize)
+	words := adsm.AllocArrayPageAligned[uint64](cl, pageWords)
 	rep, err := cl.Run(func(w *adsm.Worker) {
 		for r := 0; r < 3; r++ {
-			w.WriteU64(base+w.ID()*2048, uint64(r+1))
+			words.Set(w, w.ID()*pageWords/2, uint64(r+1))
 			w.Barrier()
-			_ = w.ReadU64(base + (1-w.ID())*2048)
+			_ = words.At(w, (1-w.ID())*pageWords/2)
 			w.Barrier()
 		}
 	})
@@ -110,13 +114,13 @@ func TestDiffTimelineCollection(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cl := adsm.NewCluster(adsm.Config{})
-	x := cl.Alloc(8)
+	x := adsm.AllocArray[uint64](cl, 1)
 	rep, err := cl.Run(func(w *adsm.Worker) {
 		if w.Procs() != 8 {
 			t.Errorf("default procs = %d, want 8", w.Procs())
 		}
 		if w.ID() == 0 {
-			w.WriteU64(x, 9)
+			x.Set(w, 0, 9)
 		}
 		w.Barrier()
 	})
@@ -168,6 +172,49 @@ func TestComputeAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestReportStatsAreEngineCounts pins that a report copies no counter by
+// hand: on quick SOR under MW and adaptive, every int64 field of
+// Report.Stats is the engine's per-node total plus the runtime's count
+// (plus the cluster's GCRuns), and the per-lane slices are the runtime's.
+func TestReportStatsAreEngineCounts(t *testing.T) {
+	for _, proto := range []adsm.Protocol{adsm.MW, adsm.Adaptive} {
+		t.Run(proto.String(), func(t *testing.T) {
+			app, err := apps.New("SOR", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := adsm.NewCluster(adsm.Config{Procs: 4, Protocol: proto})
+			app.Setup(cl)
+			rep, err := cl.Run(app.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes, rt, gc := cl.EngineTotals()
+			if rt.Messages == 0 || rt.DataBytes == 0 || nodes.ReadFaults == 0 || nodes.Barriers == 0 {
+				t.Fatalf("nothing counted: runtime %+v, nodes %+v", rt, nodes)
+			}
+			got, nv, rv := reflect.ValueOf(rep.Stats), reflect.ValueOf(nodes), reflect.ValueOf(rt)
+			for i := range got.NumField() {
+				f := got.Type().Field(i)
+				if f.Type.Kind() != reflect.Int64 {
+					if !reflect.DeepEqual(got.Field(i).Interface(), rv.Field(i).Interface()) {
+						t.Errorf("%s = %v, runtime counted %v", f.Name, got.Field(i), rv.Field(i))
+					}
+					continue
+				}
+				want := nv.Field(i).Int() + rv.Field(i).Int()
+				if f.Name == "GCRuns" {
+					want += gc
+				}
+				if got.Field(i).Int() != want {
+					t.Errorf("%s = %d, want %d (nodes %d + runtime %d)",
+						f.Name, got.Field(i).Int(), want, nv.Field(i).Int(), rv.Field(i).Int())
+				}
+			}
+		})
+	}
+}
+
 // TestSetupCostFollowsAllocation pins what a cluster costs before it does
 // any work: NewCluster plus an empty Run with ONE allocated page under the
 // default 64 MB segment must allocate under 4 MB in total, on the
@@ -183,7 +230,7 @@ func TestSetupCostFollowsAllocation(t *testing.T) {
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			cl := adsm.NewCluster(adsm.Config{Procs: 4, Protocol: adsm.Adaptive, Transport: tr})
-			cl.Alloc(adsm.PageSize)
+			adsm.AllocArray[uint64](cl, pageWords)
 			if _, err := cl.Run(func(w *adsm.Worker) {}); err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +255,7 @@ func TestConfigSurface(t *testing.T) {
 		"Config.DiffSpaceLimit", "Config.WGThreshold", "Config.OwnershipQuantum",
 		"Config.CollectDiffTimeline", "Config.OmitWrites", "Config.Transport", "Config.TCP",
 		"TCPConfig.Addrs", "TCPConfig.Local", "TCPConfig.Timescale", "TCPConfig.DialTimeout",
-		"TCPConfig.Fingerprint", "TCPConfig.Lanes", "TCPConfig.Epoch", "TCPConfig.LeaseTerm",
+		"TCPConfig.Fingerprint", "TCPConfig.Epoch", "TCPConfig.LeaseTerm",
 		"TCPConfig.Faults", "TCPConfig.NoOneSided",
 	}
 	var got []string
@@ -219,7 +266,7 @@ func TestConfigSurface(t *testing.T) {
 			}
 		}
 	}
-	if len(want) != 21 || !slices.Equal(got, want) {
+	if len(want) != 20 || !slices.Equal(got, want) {
 		t.Errorf("public config surface changed:\n got  %d fields %v\n want %d fields %v",
 			len(got), got, len(want), want)
 	}

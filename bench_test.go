@@ -183,14 +183,14 @@ func BenchmarkProtocolPrimitives(b *testing.B) {
 		var total time.Duration
 		for i := 0; i < b.N; i++ {
 			cl := adsm.NewCluster(adsm.Config{Procs: 2, Protocol: adsm.SW})
-			page := cl.AllocPageAligned(adsm.PageSize)
+			page := adsm.AllocArrayPageAligned[uint64](cl, 1)
 			rep, err := cl.Run(func(w *adsm.Worker) {
 				if w.ID() == 0 {
-					w.WriteU64(page, 1)
+					page.Set(w, 0, 1)
 				}
 				w.Barrier()
 				if w.ID() == 1 {
-					_ = w.ReadU64(page)
+					_ = page.At(w, 0)
 				}
 				w.Barrier()
 			})

@@ -64,8 +64,6 @@ func main() {
 	quick := flag.Bool("quick", false, "use reduced inputs (must match every peer)")
 	timescale := flag.Float64("timescale", 0, "scale modelled compute costs into real sleeps")
 	dialTimeout := flag.Duration("dial-timeout", 20*time.Second, "how long to wait for the peer mesh")
-	lanes := flag.Int("lanes", 2,
-		"data connections per node pair: 1 (single shared) or 2 (control + bulk; must match every peer)")
 	oneSided := flag.Bool("onesided", true,
 		"serve clean page fetches one-sided from the registered region (adds a region lane; must match every peer)")
 	recoverable := flag.Bool("recoverable", false,
@@ -127,7 +125,6 @@ func main() {
 			Timescale:   *timescale,
 			DialTimeout: *dialTimeout,
 			Fingerprint: adsm.RunFingerprint(fpName, proto, home, *procs, *quick),
-			Lanes:       *lanes,
 			NoOneSided:  !*oneSided,
 			LeaseTerm:   *lease,
 		},

@@ -50,8 +50,6 @@ func main() {
 		"comma-separated node ids hosted by this process (default 0 when -tcp-addrs is set)")
 	timescale := flag.Float64("timescale", 0,
 		"scale modelled compute costs into real sleeps under -transport tcp (0: run flat out)")
-	lanes := flag.Int("lanes", 2,
-		"data connections per node pair under -transport tcp: 1 (single shared) or 2 (control + bulk)")
 	oneSided := flag.Bool("onesided", true,
 		"serve clean page fetches one-sided from the peer's registered region (adds a region lane per pair)")
 	omit := flag.Bool("omit", false,
@@ -97,7 +95,6 @@ func main() {
 	if tr == adsm.TCPTransport {
 		cfg.TCP.Timescale = *timescale
 		cfg.TCP.Fingerprint = adsm.RunFingerprint(*appName, proto, home, *procs, *quick)
-		cfg.TCP.Lanes = *lanes
 		cfg.TCP.NoOneSided = !*oneSided
 		if *tcpAddrs != "" {
 			cfg.TCP.Addrs = strings.Split(*tcpAddrs, ",")
@@ -150,8 +147,8 @@ func main() {
 			s.WireFrames, float64(s.WireBytes)/(1<<20), rep.DataMB(),
 			float64(s.WireEncodeNS)/1e6)
 	}
-	if len(s.LaneBytes) > 1 {
-		names := laneNames(len(s.LaneBytes), *oneSided)
+	if len(s.LaneBytes) > 0 {
+		names := []string{"control", "bulk", "region"}
 		var parts []string
 		for i, b := range s.LaneBytes {
 			parts = append(parts, fmt.Sprintf("%s %.2f MB (q %d, hwm %d)",
@@ -197,21 +194,4 @@ func main() {
 	fmt.Printf("  synchronization      %d lock acquires, %d barriers\n", s.LockAcquires, s.Barriers)
 	fmt.Printf("  sharing (Table 2)    %.1f%% WW falsely shared pages, avg diff %.0f B\n",
 		rep.Sharing.FSPercent, rep.Sharing.AvgDiffBytes)
-}
-
-// laneNames labels the per-lane stat slices: control, bulk, and — when
-// one-sided reads are on — the region lane, which is always last.
-func laneNames(n int, oneSided bool) []string {
-	names := make([]string, n)
-	for i := range names {
-		switch {
-		case i == 0:
-			names[i] = "control"
-		case oneSided && i == n-1:
-			names[i] = "region"
-		default:
-			names[i] = "bulk"
-		}
-	}
-	return names
 }

@@ -18,3 +18,11 @@ func NewClusterParams(cfg Config, edit func(*core.Params)) (*Cluster, error) {
 // ForeignDiffs reports how many diffs written by other nodes the worker's
 // node caches.
 func (w *Worker) ForeignDiffs() int { return w.n.ForeignDiffs() }
+
+// EngineTotals returns the engine's counters summed over the nodes, the
+// runtime's own counts, and the cluster's garbage collections: the three
+// sources Report.Stats is built from.
+func (cl *Cluster) EngineTotals() (nodes, runtime Stats, gcRuns int64) {
+	cl.c.Transport().Count(&runtime)
+	return cl.c.Totals(), runtime, cl.c.GCRuns()
+}

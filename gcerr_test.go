@@ -38,7 +38,7 @@ func reserveTestAddrs(t *testing.T, n int) []string {
 // nodes. DiffSpaceLimit 1 makes the very first twin trigger collection.
 func TestGCUnsupportedMultiProcess(t *testing.T) {
 	addrs := reserveTestAddrs(t, 2)
-	build := func(local []int) (*adsm.Cluster, int, error) {
+	build := func(local []int) (*adsm.Cluster, adsm.Shared[uint64], error) {
 		cl, err := adsm.NewClusterErr(adsm.Config{
 			Procs:          2,
 			Protocol:       adsm.MW,
@@ -51,14 +51,14 @@ func TestGCUnsupportedMultiProcess(t *testing.T) {
 			},
 		})
 		if err != nil {
-			return nil, 0, err
+			return nil, adsm.Shared[uint64]{}, err
 		}
-		return cl, cl.AllocPageAligned(2 * adsm.PageSize), nil
+		return cl, adsm.AllocArrayPageAligned[uint64](cl, 2*pageWords), nil
 	}
-	prog := func(base int) func(w *adsm.Worker) {
+	prog := func(words adsm.Shared[uint64]) func(w *adsm.Worker) {
 		return func(w *adsm.Worker) {
 			for iter := 0; iter < 4; iter++ {
-				w.WriteU64(base+w.ID()*adsm.PageSize, uint64(iter+1))
+				words.Set(w, w.ID()*pageWords, uint64(iter+1))
 				w.Barrier()
 			}
 		}
@@ -67,20 +67,20 @@ func TestGCUnsupportedMultiProcess(t *testing.T) {
 	// New blocks until the whole mesh is up, so the two endpoints must
 	// come up concurrently (exactly like separate OS processes would).
 	type end struct {
-		cl   *adsm.Cluster
-		base int
-		err  error
+		cl    *adsm.Cluster
+		words adsm.Shared[uint64]
+		err   error
 	}
 	var mgr, peer end
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		mgr.cl, mgr.base, mgr.err = build([]int{0})
+		mgr.cl, mgr.words, mgr.err = build([]int{0})
 	}()
 	go func() {
 		defer wg.Done()
-		peer.cl, peer.base, peer.err = build([]int{1})
+		peer.cl, peer.words, peer.err = build([]int{1})
 	}()
 	wg.Wait()
 	if mgr.err != nil || peer.err != nil {
@@ -91,11 +91,11 @@ func TestGCUnsupportedMultiProcess(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, mgrErr = mgr.cl.Run(prog(mgr.base))
+		_, mgrErr = mgr.cl.Run(prog(mgr.words))
 	}()
 	go func() {
 		defer wg.Done()
-		_, peerErr = peer.cl.Run(prog(peer.base))
+		_, peerErr = peer.cl.Run(prog(peer.words))
 	}()
 	wg.Wait()
 

@@ -58,9 +58,9 @@ func TestDiffAccumulation(t *testing.T) {
 		t.Errorf("WFS migratory chain must not create diffs, created %d", wfs.Totals().DiffsCreated)
 	}
 	// MW also moves more data for the same access pattern.
-	if wfs.Transport().TotalBytes() >= mw.Transport().TotalBytes() {
+	if counts(wfs).DataBytes >= counts(mw).DataBytes {
 		t.Errorf("WFS moved %d bytes, MW %d — accumulation should cost MW more",
-			wfs.Transport().TotalBytes(), mw.Transport().TotalBytes())
+			counts(wfs).DataBytes, counts(mw).DataBytes)
 	}
 }
 
@@ -170,7 +170,7 @@ func TestCopysetFeedbackBlocksResume(t *testing.T) {
 		n.Barrier()
 	})
 	tot := c.Totals()
-	if tot.OwnRefusals == 0 {
+	if tot.OwnershipRefusals == 0 {
 		t.Fatalf("false sharing was not detected")
 	}
 	// Both nodes must perceive the false sharing.
@@ -227,11 +227,11 @@ func TestOwnershipPiggybackOnInvalidPage(t *testing.T) {
 		if n.ID() == 1 {
 			// Write fault on a page node 1 never had: one combined
 			// ownership+page exchange (2 messages), no separate fetch.
-			before := c.Transport().TotalMsgs()
+			before := counts(c).Messages
 			n.Acquire(0)
 			n.WriteU64(base+8, 6)
 			n.Release(0)
-			delta := c.Transport().TotalMsgs() - before
+			delta := counts(c).Messages - before
 			// Lock handoff costs up to 3 messages; the combined
 			// ownership+page transfer costs 2. Anything above 5 means a
 			// separate page fetch happened.

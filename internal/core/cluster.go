@@ -40,8 +40,8 @@ type Cluster struct {
 	// simulator, or tcp with -onesided=false).
 	oneSided transport.OneSided
 
-	// framed reports that the runtime moves messages as binary frames (it
-	// reports wire statistics): decoded diffs alias frame bodies, which
+	// framed reports that the runtime moves messages as binary frames (its
+	// Count reports lanes): decoded diffs alias frame bodies, which
 	// storeDiff detaches. The simulator hands over the sender's objects.
 	framed bool
 
@@ -82,7 +82,9 @@ func New(p Params) *Cluster {
 		c.rt = transport.DefaultRuntime(p.Procs, p.Net, p.EventLimit)
 	}
 	c.local = c.rt.LocalNodes()
-	_, c.framed = c.rt.(transport.WireStats)
+	var probe stats.Counters
+	c.rt.Count(&probe)
+	c.framed = probe.LaneBytes != nil
 	// Node state exists for every node (handlers route by id and the
 	// single-process GC scan reads it), but only hosted nodes register
 	// handlers, get their pages initialized, and execute bodies. Per-page
@@ -284,8 +286,8 @@ func (c *Cluster) noteDiffCount(delta int64) {
 }
 
 // Totals aggregates all nodes' statistics.
-func (c *Cluster) Totals() stats.Node {
-	ns := make([]*stats.Node, 0, len(c.nodes))
+func (c *Cluster) Totals() stats.Counters {
+	ns := make([]*stats.Counters, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		ns = append(ns, &n.Stats)
 	}

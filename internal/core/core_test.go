@@ -7,7 +7,15 @@ import (
 
 	"adsm/internal/mem"
 	"adsm/internal/sim"
+	"adsm/internal/stats"
 )
+
+// counts returns the traffic c's runtime has counted so far.
+func counts(c *Cluster) stats.Counters {
+	var s stats.Counters
+	c.Transport().Count(&s)
+	return s
+}
 
 // allProtocols covers every protocol, so every generic coherence test
 // gauntlets all six.
@@ -232,7 +240,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return elapsed, c.Transport().TotalMsgs(), c.Transport().TotalBytes()
+		return elapsed, counts(c).Messages, counts(c).DataBytes
 	}
 	for _, proto := range allProtocols {
 		e1, m1, b1 := run(proto)
@@ -283,8 +291,8 @@ func TestGarbageCollectionMW(t *testing.T) {
 				t.Errorf("%v: expected at least one GC run", proto)
 			}
 			for _, n := range c.nodes {
-				if n.Stats.LiveTwinBytes < 0 || n.Stats.LiveDiffBytes < 0 {
-					t.Errorf("negative live accounting: twin=%d diff=%d", n.Stats.LiveTwinBytes, n.Stats.LiveDiffBytes)
+				if n.liveTwinBytes < 0 || n.liveDiffBytes < 0 {
+					t.Errorf("negative live accounting: twin=%d diff=%d", n.liveTwinBytes, n.liveDiffBytes)
 				}
 			}
 		})
@@ -367,7 +375,7 @@ func TestMemoryAccountingSW(t *testing.T) {
 	if tot.TwinsCreated != 0 || tot.DiffsCreated != 0 {
 		t.Errorf("SW created twins=%d diffs=%d, want 0", tot.TwinsCreated, tot.DiffsCreated)
 	}
-	if tot.OwnReqs == 0 {
+	if tot.OwnershipRequests == 0 {
 		t.Errorf("SW issued no ownership requests")
 	}
 }

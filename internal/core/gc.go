@@ -126,7 +126,7 @@ func (n *Node) runGC(hints []gcHint) {
 			// notices are being discarded and every surviving copy came
 			// from a validator that already reflects these writes or from
 			// the owner chain).
-			n.Stats.LiveTwinBytes -= int64(len(ps.twin))
+			n.liveTwinBytes -= int64(len(ps.twin))
 			ps.twin = nil
 			ps.undiffed = nil
 		}
@@ -167,10 +167,10 @@ func (n *Node) runGC(hints []gcHint) {
 	n.foreign, n.queued, n.evictAt = nil, 0, 0
 	n.c.noteDiffCount(-n.liveDiffs)
 	n.liveDiffs = 0
-	n.Stats.LiveDiffBytes = 0
+	n.liveDiffBytes = 0
 	n.freeTwins = nil // the twin pool was just collected: hold none of it back
 	for p := range n.intervals {
 		n.intervals[p] = nil
 	}
-	n.Stats.NoteLive()
+	n.noteLive()
 }

@@ -51,8 +51,8 @@ func TestHLRCNoDiffAccumulation(t *testing.T) {
 		if n.liveDiffs != 0 {
 			t.Errorf("node %d still holds %d live diffs", n.id, n.liveDiffs)
 		}
-		if n.Stats.LiveDiffBytes != 0 {
-			t.Errorf("node %d live diff bytes = %d, want 0", n.id, n.Stats.LiveDiffBytes)
+		if n.liveDiffBytes != 0 {
+			t.Errorf("node %d live diff bytes = %d, want 0", n.id, n.liveDiffBytes)
 		}
 		// Interval/write-notice history is truncated at barriers (HLRC has
 		// no GC to do it), so after the final barrier at most the last
@@ -94,9 +94,9 @@ func TestHLRCHomesServeFetches(t *testing.T) {
 		n.Barrier()
 	})
 	tot := c.Totals()
-	if tot.OwnReqs != 0 || tot.OwnGrants != 0 || tot.OwnRefusals != 0 {
+	if tot.OwnershipRequests != 0 || tot.OwnershipGrants != 0 || tot.OwnershipRefusals != 0 {
 		t.Errorf("HLRC used the ownership protocol: req=%d grant=%d refuse=%d",
-			tot.OwnReqs, tot.OwnGrants, tot.OwnRefusals)
+			tot.OwnershipRequests, tot.OwnershipGrants, tot.OwnershipRefusals)
 	}
 	if tot.Forwards != 0 {
 		t.Errorf("HLRC forwarded %d requests; homes are static", tot.Forwards)

@@ -107,6 +107,11 @@ type Node struct {
 	wroteSinceGC []bool
 	liveDiffs    int64 // diffs currently cached (created + received)
 
+	// The live twin and diff pools in bytes: gauges that trigger garbage
+	// collection (memPressure), not counters. noteLive keeps their
+	// high-water mark in Stats.MaxLiveTwinDiff.
+	liveTwinBytes, liveDiffBytes int64
+
 	// freeTwins holds the buffers of twins this node has already diffed,
 	// for makeTwin to reuse: a twin never leaves its node. Emptied at
 	// garbage collection, so it never outlives the pool it came from.
@@ -151,7 +156,7 @@ type Node struct {
 	// runtime negotiated a region lane for this node.
 	region []atomic.Pointer[regionPub]
 
-	Stats stats.Node
+	Stats stats.Counters
 }
 
 type nodeLock struct {
@@ -375,9 +380,9 @@ func (n *Node) makeTwin(pg int, ps *pageState) {
 	ps.dirtyMW = true
 	n.dirty = append(n.dirty, pg)
 	n.Stats.TwinsCreated++
-	n.Stats.CumTwinBytes += int64(len(ps.twin))
-	n.Stats.LiveTwinBytes += int64(len(ps.twin))
-	n.Stats.NoteLive()
+	n.Stats.TwinBytes += int64(len(ps.twin))
+	n.liveTwinBytes += int64(len(ps.twin))
+	n.noteLive()
 }
 
 // makeDiff turns the node's pending twin into a diff (lazily, on demand).
@@ -393,7 +398,7 @@ func (n *Node) makeDiff(pg int, ps *pageState) *mem.Diff {
 	wn.DataHint = d.DataBytes()
 	n.storeDiff(wn, d, true)
 	ps.undiffed = nil
-	n.Stats.LiveTwinBytes -= int64(len(ps.twin))
+	n.liveTwinBytes -= int64(len(ps.twin))
 	n.freeTwins = append(n.freeTwins, ps.twin) // d holds copies of ps.data only
 	ps.twin = nil
 	n.noteDiffSize(ps, d)
@@ -418,12 +423,12 @@ func (n *Node) storeDiff(wn *WriteNotice, d *mem.Diff, created bool) {
 	n.diffCache[k] = d
 	n.Stats.DiffsStored++
 	n.liveDiffs++
-	n.Stats.LiveDiffBytes += int64(d.EncodedSize())
+	n.liveDiffBytes += int64(d.EncodedSize())
 	if created {
 		n.Stats.DiffsCreated++
-		n.Stats.CumDiffBytes += int64(d.EncodedSize())
+		n.Stats.DiffBytes += int64(d.EncodedSize())
 	}
-	n.Stats.NoteLive()
+	n.noteLive()
 	n.c.noteDiffCount(+1)
 }
 
@@ -459,13 +464,18 @@ func (n *Node) dropDiff(k wnKey) {
 	}
 	delete(n.diffCache, k)
 	n.liveDiffs--
-	n.Stats.LiveDiffBytes -= int64(d.EncodedSize())
-	n.Stats.NoteLive()
+	n.liveDiffBytes -= int64(d.EncodedSize())
+	n.noteLive()
 	n.c.noteDiffCount(-1)
+}
+
+// noteLive updates the high-water mark after a change to the live pools.
+func (n *Node) noteLive() {
+	n.Stats.MaxLiveTwinDiff = max(n.Stats.MaxLiveTwinDiff, n.liveTwinBytes+n.liveDiffBytes)
 }
 
 // memPressure reports whether this node's twin+diff pool exceeds the GC
 // trigger.
 func (n *Node) memPressure() bool {
-	return n.Stats.LiveTwinBytes+n.Stats.LiveDiffBytes > n.c.params.DiffSpaceLimit
+	return n.liveTwinBytes+n.liveDiffBytes > n.c.params.DiffSpaceLimit
 }

@@ -94,8 +94,8 @@ func (n *Node) tryOmitPredecessor(pg int, ps *pageState, prev, next *WriteNotice
 	oldSize := d1.EncodedSize()
 	bytes := d1.DataBytes()
 	d1.Runs = nil
-	n.Stats.LiveDiffBytes -= int64(oldSize - d1.EncodedSize())
-	n.Stats.NoteLive()
+	n.liveDiffBytes -= int64(oldSize - d1.EncodedSize())
+	n.noteLive()
 	n.Stats.OmittedWrites++
 	n.Stats.OmittedBytes += int64(bytes)
 }

@@ -111,7 +111,7 @@ func (n *Node) tryOwnership(pg int, ps *pageState, resume bool) bool {
 		return false
 	}
 	req.Resume = resume
-	n.Stats.OwnReqs++
+	n.Stats.OwnershipRequests++
 	resp := n.c.rt.Call(n.proc, target, req).(ownResp)
 	return n.finishOwnership(pg, ps, resp)
 }
@@ -242,7 +242,7 @@ func (n *Node) serveOwnershipOne(from int, m ownReq) ownResp {
 		// the requester increments; everyone else learns the new version
 		// through owner write notices at synchronization.
 		ps.perceivedOwner = from
-		n.Stats.OwnGrants++
+		n.Stats.OwnershipGrants++
 		var data []byte
 		var applied vc.VC
 		if m.NeedPage || !ps.applied.Leq(m.Applied) {
@@ -253,7 +253,7 @@ func (n *Node) serveOwnershipOne(from int, m ownReq) ownResp {
 		return ownResp{Granted: true, Version: newVer, Data: data, Applied: applied}
 	}
 
-	n.Stats.OwnRefusals++
+	n.Stats.OwnershipRefusals++
 	ps.seesFS = true
 	if ps.owner {
 		if ps.wroteSW {
@@ -290,7 +290,7 @@ func (n *Node) serveOwnershipOne(from int, m ownReq) ownResp {
 // the cluster's home policy); ownership and the page arrive from the
 // previous requester once its quantum is over.
 func (n *Node) writeFaultSW(pg int, ps *pageState) {
-	n.Stats.OwnReqs++
+	n.Stats.OwnershipRequests++
 	resp := n.c.rt.Call(n.proc, n.resolveHome(pg), swOwnReq{Page: pg}).(swOwnGrant)
 	n.Stats.PageFetches++
 	n.installPage(pg, ps, resp.Data, resp.Applied)
@@ -369,7 +369,7 @@ func (n *Node) grantSW(pg int, ps *pageState) {
 	if ps.status == pageReadWrite {
 		ps.status = pageReadOnly
 	}
-	n.Stats.OwnGrants++
+	n.Stats.OwnershipGrants++
 	data := make([]byte, len(ps.data))
 	copy(data, ps.data)
 	c.Reply(swOwnGrant{Version: newVer, Data: data, Applied: ps.applied.Copy()})

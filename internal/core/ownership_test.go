@@ -46,8 +46,8 @@ func TestSWRequestQueuesAtWaitingRequester(t *testing.T) {
 	if owned2 < owned1+p.OwnershipQuantum {
 		t.Errorf("node 2 took the page at %v, inside node 1's quantum (from %v)", owned2, owned1)
 	}
-	if tot := c.Totals(); tot.Forwards != 1 || tot.OwnGrants != 2 {
-		t.Errorf("%d forwards, %d grants; want 1 and 2", tot.Forwards, tot.OwnGrants)
+	if tot := c.Totals(); tot.Forwards != 1 || tot.OwnershipGrants != 2 {
+		t.Errorf("%d forwards, %d grants; want 1 and 2", tot.Forwards, tot.OwnershipGrants)
 	}
 	if got := dg.ownReqMsgs[2]; got != 2 {
 		t.Errorf("node 2's request crossed the network %d times, want 2 (to the home, then to node 1)", got)
@@ -93,7 +93,7 @@ func TestSWBackToBackRequestsForwardOnce(t *testing.T) {
 			t.Errorf("node %d's request crossed the network %d times, want %d", id, got, msgs)
 		}
 	}
-	if tot := c.Totals(); tot.Forwards != 2 || tot.OwnGrants != 3 {
-		t.Errorf("%d forwards, %d grants; want 2 and 3", tot.Forwards, tot.OwnGrants)
+	if tot := c.Totals(); tot.Forwards != 2 || tot.OwnershipGrants != 3 {
+		t.Errorf("%d forwards, %d grants; want 2 and 3", tot.Forwards, tot.OwnershipGrants)
 	}
 }

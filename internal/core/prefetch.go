@@ -344,7 +344,7 @@ func (n *Node) batchOwnership(pages []int) {
 		br := r.(ownBatchResp)
 		for j, resp := range br.Resps {
 			e := ents[i][j]
-			n.Stats.OwnReqs++
+			n.Stats.OwnershipRequests++
 			n.Stats.BatchedOwnReqs++
 			if n.finishOwnership(e.pg, e.ps, resp) {
 				// Granted: the batch consumed this page's write fault.

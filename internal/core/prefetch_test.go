@@ -78,7 +78,7 @@ func TestSpanPrefetchDiffBundling(t *testing.T) {
 	}
 	// The serial engine issues one diff Multicall per page (3 requests
 	// each); the batch merges them into 3 requests total.
-	if onMsgs, offMsgs := onC.Transport().TotalMsgs(), offC.Transport().TotalMsgs(); onMsgs >= offMsgs {
+	if onMsgs, offMsgs := counts(onC).Messages, counts(offC).Messages; onMsgs >= offMsgs {
 		t.Errorf("batching did not reduce messages: on %d, off %d", onMsgs, offMsgs)
 	}
 	if onT, offT := onC.Transport().Now(), offC.Transport().Now(); onT >= offT {

@@ -40,11 +40,11 @@ func TestSharedReadersOverlap(t *testing.T) {
 		n.ReleaseShared(rwLock)
 		n.Compute(50 * sim.Millisecond) // both grants are cached by now
 		if n.ID() == 1 {
-			before := c.Transport().TotalMsgs()
+			before := counts(c).Messages
 			n.AcquireShared(rwLock)
 			got[0] = n.ReadU64(x)
 			n.ReleaseShared(rwLock)
-			cachedMsgs = c.Transport().TotalMsgs() - before
+			cachedMsgs = counts(c).Messages - before
 		}
 	})
 	for id := 1; id <= 2; id++ {

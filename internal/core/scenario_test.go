@@ -51,8 +51,8 @@ func TestFigure1ProducerConsumer(t *testing.T) {
 					t.Errorf("producer-consumer under WFS must not twin/diff: twins=%d diffs=%d",
 						tot.TwinsCreated, tot.DiffsCreated)
 				}
-				if tot.OwnGrants != 0 {
-					t.Errorf("ownership must not move in producer-consumer: grants=%d", tot.OwnGrants)
+				if tot.OwnershipGrants != 0 {
+					t.Errorf("ownership must not move in producer-consumer: grants=%d", tot.OwnershipGrants)
 				}
 			} else {
 				// WFS+WG probes the page in MW mode once to measure its
@@ -88,11 +88,11 @@ func TestFigure1Migratory(t *testing.T) {
 		}
 	})
 	tot := c.Totals()
-	if tot.OwnGrants == 0 {
+	if tot.OwnershipGrants == 0 {
 		t.Fatalf("migratory data must migrate ownership")
 	}
-	if tot.OwnRefusals != 0 {
-		t.Errorf("migratory pattern must not be refused: refusals=%d", tot.OwnRefusals)
+	if tot.OwnershipRefusals != 0 {
+		t.Errorf("migratory pattern must not be refused: refusals=%d", tot.OwnershipRefusals)
 	}
 	if tot.TwinsCreated != 0 {
 		t.Errorf("migratory pattern must not twin: twins=%d", tot.TwinsCreated)
@@ -123,7 +123,7 @@ func TestFigure1WriteWriteFalseSharing(t *testing.T) {
 		n.Barrier()
 	})
 	tot := c.Totals()
-	if tot.OwnRefusals == 0 {
+	if tot.OwnershipRefusals == 0 {
 		t.Fatalf("write-write false sharing must be detected by a refusal")
 	}
 	for i := 0; i < 2; i++ {
@@ -175,11 +175,11 @@ func TestPaperExample2(t *testing.T) {
 		n.Barrier()
 	})
 	tot := c.Totals()
-	if tot.OwnGrants != 1 {
-		t.Errorf("expected exactly one grant (p2's), got %d", tot.OwnGrants)
+	if tot.OwnershipGrants != 1 {
+		t.Errorf("expected exactly one grant (p2's), got %d", tot.OwnershipGrants)
 	}
-	if tot.OwnRefusals != 1 {
-		t.Errorf("expected exactly one refusal (p1's stale version), got %d", tot.OwnRefusals)
+	if tot.OwnershipRefusals != 1 {
+		t.Errorf("expected exactly one refusal (p1's stale version), got %d", tot.OwnershipRefusals)
 	}
 }
 
@@ -200,13 +200,13 @@ func TestQuantumDelaysPingPong(t *testing.T) {
 	tot := c.Totals()
 	// 19-20 transfers (every write faults after losing the page), each
 	// gated by the 1 ms quantum.
-	minTime := sim.Time(tot.OwnGrants-2) * p.OwnershipQuantum
+	minTime := sim.Time(tot.OwnershipGrants-2) * p.OwnershipQuantum
 	if elapsed < minTime {
 		t.Errorf("ping-pong finished in %v with %d transfers; quantum should enforce >= %v",
-			elapsed, tot.OwnGrants, minTime)
+			elapsed, tot.OwnershipGrants, minTime)
 	}
-	if tot.OwnGrants < 3 {
-		t.Errorf("expected vigorous ping-pong, got %d grants", tot.OwnGrants)
+	if tot.OwnershipGrants < 3 {
+		t.Errorf("expected vigorous ping-pong, got %d grants", tot.OwnershipGrants)
 	}
 }
 

@@ -7,6 +7,22 @@ import (
 	"adsm/internal/sim"
 )
 
+func TestNoteLiveHighWater(t *testing.T) {
+	var n Node
+	n.liveTwinBytes = 100
+	n.noteLive()
+	n.liveDiffBytes = 50
+	n.noteLive()
+	if n.Stats.MaxLiveTwinDiff != 150 {
+		t.Fatalf("MaxLiveTwinDiff = %d, want 150", n.Stats.MaxLiveTwinDiff)
+	}
+	n.liveTwinBytes = 0
+	n.noteLive()
+	if n.Stats.MaxLiveTwinDiff != 150 {
+		t.Fatalf("high-water mark must not regress: %d", n.Stats.MaxLiveTwinDiff)
+	}
+}
+
 // TestTwinRecycling: a twin's buffer goes back to its node when the twin is
 // diffed and the next write fault reuses it. The recycled twin must be a
 // pristine copy of the page it now guards (nothing of the previous page
@@ -30,8 +46,8 @@ func TestTwinRecycling(t *testing.T) {
 		if n.ID() == 1 {
 			n.WriteU64(base, 1) // write fault on page A: the first twin
 			first = n.pages[pgA].twin
-			if first == nil || n.Stats.LiveTwinBytes != mem.PageSize {
-				t.Fatalf("after the first write: twin %v, LiveTwinBytes %d", first != nil, n.Stats.LiveTwinBytes)
+			if first == nil || n.liveTwinBytes != mem.PageSize {
+				t.Fatalf("after the first write: twin %v, LiveTwinBytes %d", first != nil, n.liveTwinBytes)
 			}
 		}
 		n.Barrier()
@@ -40,7 +56,7 @@ func TestTwinRecycling(t *testing.T) {
 		}
 		n.Barrier()
 		if n.ID() == 1 {
-			if n.pages[pgA].twin != nil || n.Stats.LiveTwinBytes != 0 {
+			if n.pages[pgA].twin != nil || n.liveTwinBytes != 0 {
 				t.Fatalf("twin of page A still live after its diff was served")
 			}
 			if len(n.freeTwins) != 1 || &n.freeTwins[0][0] != &first[0] {
@@ -57,12 +73,12 @@ func TestTwinRecycling(t *testing.T) {
 				}
 			}
 			s := &n.Stats
-			if s.TwinsCreated != 2 || s.CumTwinBytes != 2*mem.PageSize || s.LiveTwinBytes != mem.PageSize {
+			if s.TwinsCreated != 2 || s.TwinBytes != 2*mem.PageSize || n.liveTwinBytes != mem.PageSize {
 				t.Fatalf("twins %d, cumulative %d B, live %d B; want 2, %d, %d",
-					s.TwinsCreated, s.CumTwinBytes, s.LiveTwinBytes, 2*mem.PageSize, mem.PageSize)
+					s.TwinsCreated, s.TwinBytes, n.liveTwinBytes, 2*mem.PageSize, mem.PageSize)
 			}
-			if want := s.LiveTwinBytes + s.LiveDiffBytes; s.MaxLiveBytes != want {
-				t.Fatalf("MaxLiveBytes %d, want the current twin plus diff pool %d", s.MaxLiveBytes, want)
+			if want := n.liveTwinBytes + n.liveDiffBytes; s.MaxLiveTwinDiff != want {
+				t.Fatalf("MaxLiveTwinDiff %d, want the current twin plus diff pool %d", s.MaxLiveTwinDiff, want)
 			}
 		}
 		n.Barrier()
@@ -148,9 +164,9 @@ func TestLoneNodeCollects(t *testing.T) {
 	// One round adds at most one twin per page before the barrier sees it;
 	// kept, the diffs of every round pile up well past that.
 	bound := int64(limit + pages*mem.PageSize)
-	if n.Stats.MaxLiveBytes > bound || keptNode.Stats.MaxLiveBytes <= bound {
+	if n.Stats.MaxLiveTwinDiff > bound || keptNode.Stats.MaxLiveTwinDiff <= bound {
 		t.Errorf("twin+diff pool peaked at %d B collected and %d B kept, want at most %d and more than that",
-			n.Stats.MaxLiveBytes, keptNode.Stats.MaxLiveBytes, bound)
+			n.Stats.MaxLiveTwinDiff, keptNode.Stats.MaxLiveTwinDiff, bound)
 	}
 	if elapsed != keptElapsed {
 		t.Errorf("virtual time %v with collections, %v without", elapsed, keptElapsed)

@@ -35,7 +35,7 @@ const equivRowWords = 512
 // not across transports.
 type equivProgram struct {
 	procs, rowsPer, iters int
-	grid                  adsm.Addr
+	grid                  adsm.Shared[float64]
 	sum                   float64
 }
 
@@ -46,10 +46,10 @@ func newEquivProgram(procs int) *equivProgram {
 func (e *equivProgram) rows() int { return e.procs * e.rowsPer }
 
 func (e *equivProgram) setup(cl *adsm.Cluster) {
-	e.grid = cl.AllocPageAligned(e.rows() * equivRowWords * 8)
+	e.grid = adsm.AllocArrayPageAligned[float64](cl, e.rows()*equivRowWords)
 }
 
-func (e *equivProgram) at(i, j int) adsm.Addr { return e.grid + 8*(i*equivRowWords+j) }
+func (e *equivProgram) at(i, j int) int { return i*equivRowWords + j }
 
 func (e *equivProgram) body(w *adsm.Worker) {
 	lo := w.ID() * e.rowsPer
@@ -60,7 +60,7 @@ func (e *equivProgram) body(w *adsm.Worker) {
 	// Write-only interval: seed the own band.
 	for i := lo; i < hi; i++ {
 		for j := 0; j < equivRowWords; j++ {
-			w.WriteF64(e.at(i, j), float64(i*equivRowWords+j))
+			e.grid.Set(w, e.at(i, j), float64(i*equivRowWords+j))
 		}
 	}
 	w.Barrier()
@@ -70,12 +70,12 @@ func (e *equivProgram) body(w *adsm.Worker) {
 		// private buffers (nobody writes shared memory here).
 		if lo > 0 {
 			for j := 0; j < equivRowWords; j++ {
-				edgeUp[j] = w.ReadF64(e.at(lo-1, j))
+				edgeUp[j] = e.grid.At(w, e.at(lo-1, j))
 			}
 		}
 		if hi < e.rows() {
 			for j := 0; j < equivRowWords; j++ {
-				edgeDown[j] = w.ReadF64(e.at(hi, j))
+				edgeDown[j] = e.grid.At(w, e.at(hi, j))
 			}
 		}
 		w.Barrier()
@@ -84,8 +84,8 @@ func (e *equivProgram) body(w *adsm.Worker) {
 		// values and the privately-held edges.
 		for i := lo; i < hi; i++ {
 			for j := 0; j < equivRowWords; j += 7 {
-				v := w.ReadF64(e.at(i, j)) + edgeUp[j] + edgeDown[j] + float64(it)
-				w.WriteF64(e.at(i, j), v/2)
+				v := e.grid.At(w, e.at(i, j)) + edgeUp[j] + edgeDown[j] + float64(it)
+				e.grid.Set(w, e.at(i, j), v/2)
 			}
 		}
 		w.Barrier()
@@ -96,7 +96,7 @@ func (e *equivProgram) body(w *adsm.Worker) {
 		s := 0.0
 		for i := 0; i < e.rows(); i++ {
 			for j := 0; j < equivRowWords; j++ {
-				s += w.ReadF64(e.at(i, j))
+				s += e.grid.At(w, e.at(i, j))
 			}
 		}
 		e.sum = s
@@ -130,7 +130,7 @@ type TransportCheck struct {
 // identical checksums; for the timing-independent protocols (MW, HLRC) it
 // additionally asserts identical message and byte counts. Optional
 // mutators are applied to the TCP side's config only — the degraded-mesh
-// tests use them to turn lanes and one-sided reads off and show the
+// test uses them to turn one-sided reads off and show the
 // protocol result does not depend on the transport's plumbing.
 func TransportEquivalence(procs int, protos []adsm.Protocol, tcpMut ...func(*adsm.Config)) ([]TransportCheck, error) {
 	var out []TransportCheck

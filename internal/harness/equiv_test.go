@@ -29,35 +29,7 @@ func TestTransportEquivalence(t *testing.T) {
 	}
 }
 
-// TestTransportEquivalenceSingleLane reruns the countable protocols on the
-// classic single-connection-per-pair mesh (no bulk lane, no region lane):
-// lane multiplexing and the one-sided read path are transport-level
-// optimizations, so turning them off must change nothing the protocol can
-// observe — same checksums, same message and byte counts.
-func TestTransportEquivalenceSingleLane(t *testing.T) {
-	singleLane := func(c *adsm.Config) {
-		c.TCP.Lanes = 1
-		c.TCP.NoOneSided = true
-	}
-	checks, err := TransportEquivalence(4, []adsm.Protocol{adsm.MW, adsm.HLRC}, singleLane)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range checks {
-		if !c.CountsChecked {
-			t.Errorf("%v: expected message-count comparison on the single-lane mesh", c.Proto)
-		}
-		if c.TCP.Stats.OneSidedReads != 0 || c.TCP.Stats.OneSidedFallbacks != 0 {
-			t.Errorf("%v: one-sided counters active on a mesh without a region lane (%d reads, %d fallbacks)",
-				c.Proto, c.TCP.Stats.OneSidedReads, c.TCP.Stats.OneSidedFallbacks)
-		}
-		t.Logf("%v: checksum %v, %d msgs, %d bytes on both transports",
-			c.Proto, c.SimSum, c.Sim.Stats.Messages, c.Sim.Stats.DataBytes)
-	}
-}
-
-// TestTransportEquivalenceNoOneSided keeps the control/bulk lane split but
-// disables only the one-sided read path: every fetch takes the handler
+// TestTransportEquivalenceNoOneSided disables the one-sided read path: every fetch takes the handler
 // path, and counts still match the simulator — pinning that the one-sided
 // machinery is strictly optional and its fallback is the whole story.
 func TestTransportEquivalenceNoOneSided(t *testing.T) {
@@ -72,6 +44,9 @@ func TestTransportEquivalenceNoOneSided(t *testing.T) {
 		}
 		if c.TCP.Stats.OneSidedReads != 0 {
 			t.Errorf("%v: %d one-sided reads served with the path disabled", c.Proto, c.TCP.Stats.OneSidedReads)
+		}
+		if c.TCP.Stats.OneSidedFallbacks != 0 {
+			t.Errorf("%v: %d one-sided fallbacks on a mesh without a region lane", c.Proto, c.TCP.Stats.OneSidedFallbacks)
 		}
 		t.Logf("%v: checksum %v, %d msgs, %d bytes on both transports",
 			c.Proto, c.SimSum, c.Sim.Stats.Messages, c.Sim.Stats.DataBytes)

@@ -16,6 +16,7 @@ package sim
 import (
 	"fmt"
 
+	"adsm/internal/stats"
 	"adsm/internal/transport"
 )
 
@@ -123,22 +124,13 @@ func (nt *Net) After(node int, d Time, fn func()) { nt.eng.After(d, fn) }
 // HoldOthers calls fn: while it runs no other process or handler can.
 func (nt *Net) HoldOthers(self int, fn func()) { fn() }
 
-// TotalMsgs reports the total number of messages sent by all nodes.
-func (nt *Net) TotalMsgs() int64 {
-	var s int64
-	for _, v := range nt.MsgsSent {
-		s += v
+// Count adds the messages and bytes (payload+headers) all nodes sent into
+// s. The simulator moves references, not frames: it has no wire counters.
+func (nt *Net) Count(s *stats.Counters) {
+	for i := range nt.MsgsSent {
+		s.Messages += nt.MsgsSent[i]
+		s.DataBytes += nt.BytesSent[i]
 	}
-	return s
-}
-
-// TotalBytes reports the total bytes (payload+headers) sent by all nodes.
-func (nt *Net) TotalBytes() int64 {
-	var s int64
-	for _, v := range nt.BytesSent {
-		s += v
-	}
-	return s
 }
 
 // latency is the uncontended one-way delivery delay for a payload of the

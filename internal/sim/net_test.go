@@ -4,8 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"adsm/internal/stats"
 	"adsm/internal/transport"
 )
+
+// counts returns the traffic nt has counted so far.
+func counts(nt *Net) stats.Counters {
+	var s stats.Counters
+	nt.Count(&s)
+	return s
+}
 
 type testMsg struct {
 	kind string
@@ -40,8 +48,8 @@ func TestCallRoundTrip(t *testing.T) {
 	if elapsed < 900*Microsecond || elapsed > 1100*Microsecond {
 		t.Fatalf("small message RTT = %v, want ~1ms", elapsed)
 	}
-	if nt.TotalMsgs() != 2 {
-		t.Fatalf("TotalMsgs = %d, want 2", nt.TotalMsgs())
+	if counts(nt).Messages != 2 {
+		t.Fatalf("TotalMsgs = %d, want 2", counts(nt).Messages)
 	}
 }
 
@@ -105,8 +113,8 @@ func TestMulticallElapsedIsMax(t *testing.T) {
 	if elapsed != rtt {
 		t.Fatalf("multicall elapsed = %v, want %v (max, not sum)", elapsed, rtt)
 	}
-	if nt.TotalMsgs() != 6 {
-		t.Fatalf("TotalMsgs = %d, want 6", nt.TotalMsgs())
+	if counts(nt).Messages != 6 {
+		t.Fatalf("TotalMsgs = %d, want 6", counts(nt).Messages)
 	}
 }
 
@@ -137,8 +145,8 @@ func TestForwardChainCountsMessages(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if nt.TotalMsgs() != 3 {
-		t.Fatalf("TotalMsgs = %d, want 3", nt.TotalMsgs())
+	if counts(nt).Messages != 3 {
+		t.Fatalf("TotalMsgs = %d, want 3", counts(nt).Messages)
 	}
 }
 
@@ -184,8 +192,8 @@ func TestSelfCallIsLocalAndFree(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if nt.TotalMsgs() != 0 || nt.TotalBytes() != 0 {
-		t.Fatalf("self call should not count traffic: msgs=%d bytes=%d", nt.TotalMsgs(), nt.TotalBytes())
+	if counts(nt).Messages != 0 || counts(nt).DataBytes != 0 {
+		t.Fatalf("self call should not count traffic: msgs=%d bytes=%d", counts(nt).Messages, counts(nt).DataBytes)
 	}
 }
 
@@ -201,8 +209,8 @@ func TestBytesAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int64(200 + HeaderBytes + 1000 + HeaderBytes)
-	if nt.TotalBytes() != want {
-		t.Fatalf("TotalBytes = %d, want %d", nt.TotalBytes(), want)
+	if counts(nt).DataBytes != want {
+		t.Fatalf("TotalBytes = %d, want %d", counts(nt).DataBytes, want)
 	}
 	if nt.BytesSent[0] != int64(200+HeaderBytes) {
 		t.Fatalf("node 0 bytes = %d", nt.BytesSent[0])

@@ -2,50 +2,60 @@
 // used to reproduce the paper's Tables 3 and 4 and Figure 3.
 package stats
 
-// Node holds the counters for one DSM node.
-type Node struct {
+import "reflect"
+
+// Counters holds the protocol counters of one DSM node, or their sum over
+// a cluster (the public adsm.Stats is this struct). Every int64 field is a
+// count that sums across nodes, so a new counter is one field here: Add,
+// Sum and every report pick it up.
+type Counters struct {
+	// Traffic, filled by the runtime: messages sent and the bytes the
+	// protocol model charges them (Msg.Size()+HeaderBytes each).
+	Messages  int64
+	DataBytes int64
+
 	// Faults and fetches.
 	ReadFaults  int64
 	WriteFaults int64
 	PageFetches int64 // whole-page transfers received
 
 	// Ownership protocol (SW and adaptive).
-	OwnReqs     int64 // ownership requests issued (Table 4 "Owner" column)
-	OwnGrants   int64 // grants issued by this node
-	OwnRefusals int64 // refusals issued by this node (WW false sharing detected)
-	Forwards    int64 // request forwarding hops performed by this node
+	OwnershipRequests int64 // ownership requests issued (Table 4 "Owner" column)
+	OwnershipGrants   int64 // grants issued by this node
+	OwnershipRefusals int64 // refusals issued by this node (WW false sharing detected)
+	Forwards          int64 // request forwarding hops performed by this node
 
 	// Twins and diffs.
 	TwinsCreated int64
 	DiffsCreated int64
 	DiffsApplied int64
-	DiffsStored  int64 // diffs held (created + received copies)
 
-	// Memory accounting (Table 3). Cum* counts bytes ever allocated for
-	// twins/diffs on this node; Live* tracks the current pool so garbage
-	// collection can trigger; MaxLiveBytes is the high-water mark.
-	CumTwinBytes  int64
-	CumDiffBytes  int64
-	LiveTwinBytes int64
-	LiveDiffBytes int64
-	MaxLiveBytes  int64
+	// Memory accounting (Table 3): bytes ever allocated for twins and
+	// diffs, and the high-water mark of the twin+diff pools (summed over
+	// nodes in a total).
+	TwinBytes       int64
+	DiffBytes       int64
+	MaxLiveTwinDiff int64
 
 	// Synchronization.
-	LockAcquires int64 // Acquire and AcquireShared calls, local or remote
-	SharedLocal  int64 // shared acquires served without messages
-	Revokes      int64 // read grants revoked by an exclusive acquire
+	LockAcquires int64 // Lock and RLock calls, local or remote
+	SharedLocal  int64 // RLocks served without messages (cached grant, or the token here)
+	Revokes      int64 // read grants revoked by a Lock on another node
 	Barriers     int64
 
 	// Adaptation events.
-	SWtoMW int64
+	SWtoMW int64 // page-mode transitions (adaptive protocols)
 	MWtoSW int64
 
-	// Adaptive meta-protocol: per-page protocol switches applied on this
-	// node at barrier releases, total and by target protocol family.
+	// Adaptive meta-protocol: per-page protocol switches applied at
+	// barrier releases, total and by target protocol family.
 	PolicySwitches int64
 	SwitchToSW     int64 // switched to the single-writer (WFS) protocol
 	SwitchToMW     int64 // switched to the multiple-writer protocol
 	SwitchToHLRC   int64 // switched to home-based LRC
+
+	// GCRuns counts barrier-time garbage collections (the cluster's count).
+	GCRuns int64
 
 	// Home-based protocols: flush locality (HLRC) and home agreement
 	// traffic (first-touch binding RPCs).
@@ -84,74 +94,45 @@ type Node struct {
 	PushesDropped int64
 	PushesUsed    int64
 
-	// DiffsEvicted counts cached foreign diffs dropped between barriers
-	// once every node knew their interval (core evict.go).
+	// DiffsStored counts diffs cached: created here, or received copies.
+	// DiffsEvicted counts the received ones dropped between barriers once
+	// every node knew their interval (core evict.go).
+	DiffsStored  int64
 	DiffsEvicted int64
 
 	// Fault tolerance (ckpt.go): durable barrier checkpoints committed by
 	// this node and recoveries it participated in.
 	Checkpoints int64
 	Recoveries  int64
+
+	// Wire-efficiency counters, filled only by runtimes that move real
+	// frames (the TCP runtime; zero under the simulator). DataBytes above
+	// charges the protocol model; these report what hit the sockets.
+	WireFrames   int64 // data-plane frames sent by the hosted nodes
+	WireBytes    int64 // real bytes (frame header + body) on the wire
+	WireEncodeNS int64 // cumulative frame-encode time, nanoseconds
+
+	// Per-lane wire accounting of one runtime, indexed by lane (0 control,
+	// 1 bulk, last region when one-sided reads are on); nil under the
+	// simulator. Add leaves them alone: they do not sum across nodes.
+	LaneBytes      []int64 // bytes sent per lane by the hosted nodes
+	LaneQueueDepth []int64 // current send-queue depth per lane (frames)
+	LaneQueueHWM   []int64 // send-queue high-water mark per lane (frames)
 }
 
-// NoteLive updates the high-water mark after a change to the live pools.
-func (s *Node) NoteLive() {
-	if l := s.LiveTwinBytes + s.LiveDiffBytes; l > s.MaxLiveBytes {
-		s.MaxLiveBytes = l
+// Add accumulates every int64 field of o into s.
+func (s *Counters) Add(o *Counters) {
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o).Elem()
+	for i := range sv.NumField() {
+		if f := sv.Field(i); f.Kind() == reflect.Int64 {
+			f.SetInt(f.Int() + ov.Field(i).Int())
+		}
 	}
 }
 
-// Add accumulates o into s (used to aggregate per-node stats).
-func (s *Node) Add(o *Node) {
-	s.ReadFaults += o.ReadFaults
-	s.WriteFaults += o.WriteFaults
-	s.PageFetches += o.PageFetches
-	s.OwnReqs += o.OwnReqs
-	s.OwnGrants += o.OwnGrants
-	s.OwnRefusals += o.OwnRefusals
-	s.Forwards += o.Forwards
-	s.TwinsCreated += o.TwinsCreated
-	s.DiffsCreated += o.DiffsCreated
-	s.DiffsApplied += o.DiffsApplied
-	s.DiffsStored += o.DiffsStored
-	s.CumTwinBytes += o.CumTwinBytes
-	s.CumDiffBytes += o.CumDiffBytes
-	s.LiveTwinBytes += o.LiveTwinBytes
-	s.LiveDiffBytes += o.LiveDiffBytes
-	s.MaxLiveBytes += o.MaxLiveBytes
-	s.LockAcquires += o.LockAcquires
-	s.SharedLocal += o.SharedLocal
-	s.Revokes += o.Revokes
-	s.Barriers += o.Barriers
-	s.SWtoMW += o.SWtoMW
-	s.MWtoSW += o.MWtoSW
-	s.PolicySwitches += o.PolicySwitches
-	s.SwitchToSW += o.SwitchToSW
-	s.SwitchToMW += o.SwitchToMW
-	s.SwitchToHLRC += o.SwitchToHLRC
-	s.HomeFlushes += o.HomeFlushes
-	s.HomeFlushBytes += o.HomeFlushBytes
-	s.HomeLocalDiffs += o.HomeLocalDiffs
-	s.HomeBinds += o.HomeBinds
-	s.BatchedFetches += o.BatchedFetches
-	s.PrefetchPages += o.PrefetchPages
-	s.SerialFallbacks += o.SerialFallbacks
-	s.OneSidedReads += o.OneSidedReads
-	s.OneSidedFallbacks += o.OneSidedFallbacks
-	s.BatchedOwnReqs += o.BatchedOwnReqs
-	s.OmittedWrites += o.OmittedWrites
-	s.OmittedBytes += o.OmittedBytes
-	s.DiffsPushed += o.DiffsPushed
-	s.PushesDropped += o.PushesDropped
-	s.PushesUsed += o.PushesUsed
-	s.DiffsEvicted += o.DiffsEvicted
-	s.Checkpoints += o.Checkpoints
-	s.Recoveries += o.Recoveries
-}
-
-// Sum aggregates a slice of per-node stats into one total.
-func Sum(nodes []*Node) Node {
-	var t Node
+// Sum aggregates per-node counters into one total.
+func Sum(nodes []*Counters) Counters {
+	var t Counters
 	for _, n := range nodes {
 		t.Add(n)
 	}

@@ -174,7 +174,7 @@ func TestEscapeFrameMesh(t *testing.T) {
 	if !ok.Load() {
 		t.Fatal("body did not complete")
 	}
-	if rt.WireFrames() == 0 || rt.WireBytes() == 0 {
-		t.Errorf("wire counters empty: %d frames, %d bytes", rt.WireFrames(), rt.WireBytes())
+	if counts(rt).WireFrames == 0 || counts(rt).WireBytes == 0 {
+		t.Errorf("wire counters empty: %d frames, %d bytes", counts(rt).WireFrames, counts(rt).WireBytes)
 	}
 }

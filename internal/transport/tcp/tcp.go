@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adsm/internal/stats"
 	"adsm/internal/transport"
 )
 
@@ -51,13 +52,6 @@ type Options struct {
 	// Addrs gives every node's listen address, indexed by node id. Nil
 	// picks loopback addresses automatically (all nodes must be local).
 	Addrs []string
-	// Lanes is the number of data connections per ordered node pair:
-	// 1 = the classic single shared connection, 2 (the default) adds a
-	// dedicated bulk lane so large page/diff payloads never head-of-line
-	// block a latency-critical barrier release or ownership grant. Lane
-	// selection is keyed off each message's codec class
-	// (transport.ClassOf); every participant must use the same value.
-	Lanes int
 	// OneSided adds one more connection per pair — the region lane — and
 	// enables the RDMA-style one-sided read path: region requests are
 	// served from the peer's registered memory region on a dedicated
@@ -106,11 +100,13 @@ const (
 	opPing             // control-lane heartbeat refreshing the peer's lease
 )
 
-// lane indices. The control lane always exists; the bulk lane exists when
-// Lanes > 1; the region lane (index == Lanes) exists when OneSided is set.
+// lane indices. Every pair has a control and a bulk lane, so large page
+// and diff payloads never head-of-line block a latency-critical barrier
+// release or ownership grant; the region lane exists when OneSided is set.
 const (
-	laneControl = 0
-	laneBulk    = 1
+	laneControl = iota
+	laneBulk
+	laneRegion
 )
 
 // body kinds: how the bytes after the fixed header are encoded.
@@ -143,8 +139,8 @@ const (
 //	[28:32) multicall slot
 //
 // Traffic accounting still charges Msg.Size()+HeaderBytes (the protocol
-// model); the real framing cost is surfaced separately by the WireStats
-// counters (frames, wire bytes, encode time).
+// model); the real framing cost is counted separately (frames, wire bytes,
+// encode time; see Runtime.Count).
 const headerLen = 32
 
 // maxFrame guards the reader against corrupt length prefixes.
@@ -412,8 +408,7 @@ type Runtime struct {
 	start    time.Time
 	dialT    time.Duration
 	fprnt    string
-	lanes    int  // data lanes per ordered pair (1 or 2)
-	oneSided bool // region lane present (lane index == lanes)
+	oneSided bool // region lane present
 	nlanes   int  // total connections per ordered pair
 	lease    time.Duration
 	faults   FaultInjector
@@ -435,8 +430,8 @@ type Runtime struct {
 	finished bool
 
 	// Traffic counters (the protocol model's Msg.Size()+HeaderBytes
-	// charge) and wire-efficiency counters (transport.WireStats: the real
-	// framing cost). Atomics: every node and the region server add to
+	// charge) and wire-efficiency counters (the real framing cost; both
+	// reported by Count). Atomics: every node and the region server add to
 	// them concurrently. The wire counters cover exactly the data-plane
 	// frames (calls, replies, error replies, region reads), not the
 	// handshake/goodbye control frames.
@@ -509,14 +504,7 @@ func New(o Options) (*Runtime, error) {
 	if dialT == 0 {
 		dialT = 20 * time.Second
 	}
-	lanes := o.Lanes
-	if lanes == 0 {
-		lanes = 2
-	}
-	if lanes < 1 || lanes > 2 {
-		return nil, fmt.Errorf("tcp: lanes must be 1 (single connection) or 2 (control+bulk), got %d", lanes)
-	}
-	nlanes := lanes
+	nlanes := laneRegion
 	if o.OneSided {
 		nlanes++
 	}
@@ -528,7 +516,6 @@ func New(o Options) (*Runtime, error) {
 		start:     time.Now(),
 		dialT:     dialT,
 		fprnt:     o.Fingerprint,
-		lanes:     lanes,
 		oneSided:  o.OneSided,
 		nlanes:    nlanes,
 		lease:     o.LeaseTerm,
@@ -589,7 +576,7 @@ func (rt *Runtime) Addrs() []string { return append([]string(nil), rt.addrs...) 
 // each node pair the higher-numbered node dials the lower once per lane
 // (the hello's Idx field names the lane), and each hosted node accepts the
 // matching bundle from every higher-numbered peer. The hello ack carries
-// the acceptor's lane count in Idx, so a -lanes/-onesided mismatch between
+// the acceptor's lane count in Idx, so a -onesided mismatch between
 // participants is a clear startup error rather than a hung mesh.
 func (rt *Runtime) connectMesh() error {
 	type res struct {
@@ -638,7 +625,7 @@ func (rt *Runtime) connectMesh() error {
 						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d disagrees on the binary wire codec set (digest %x vs %x) — peers must be built from the same message definitions",
 							id, hello.From, transport.WireDigest(), hello.Digest)
 					case hello.Idx < 0 || hello.Idx >= rt.nlanes:
-						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d opened lane %d but this endpoint runs %d connections per pair — every participant must use the same -lanes and -onesided settings",
+						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d opened lane %d but this endpoint runs %d connections per pair — every participant must use the same -onesided setting",
 							id, hello.From, hello.Idx, rt.nlanes)
 					case hello.Lease != int64(rt.lease):
 						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d uses lease term %v, ours %v — every participant must use the same -lease",
@@ -727,7 +714,7 @@ func (rt *Runtime) connectMesh() error {
 					continue
 				}
 				go e.writeLoop()
-				if rt.oneSided && e.lane == rt.lanes {
+				if rt.oneSided && e.lane == laneRegion {
 					go e.regionLoop()
 				} else {
 					go e.readLoop()
@@ -781,7 +768,7 @@ func (rt *Runtime) dialLane(id, peer, lane int) (e *end, fatal bool, err error) 
 	}
 	if ack.Idx != rt.nlanes {
 		conn.Close()
-		return nil, true, fmt.Errorf("tcp: node %d: peer node %d runs %d connections per pair, ours %d — every participant must use the same -lanes and -onesided settings",
+		return nil, true, fmt.Errorf("tcp: node %d: peer node %d runs %d connections per pair, ours %d — every participant must use the same -onesided setting",
 			id, peer, ack.Idx, rt.nlanes)
 	}
 	if ack.Lease != int64(rt.lease) {
@@ -1101,11 +1088,11 @@ func (rt *Runtime) complete(id uint64, idx int, m transport.Msg, err error) {
 }
 
 // laneOf selects the data lane for a message: bulk-class payload replies
-// go to the bulk lane when it exists, everything else (requests, barrier
+// go to the bulk lane, everything else (requests, barrier
 // and lock traffic, gob escapes, error replies) stays on the control lane
 // so per-pair control ordering is a single FIFO connection.
 func (rt *Runtime) laneOf(m transport.Msg) int {
-	if rt.lanes > 1 && transport.ClassOf(m) == transport.ClassBulk {
+	if transport.ClassOf(m) == transport.ClassBulk {
 		return laneBulk
 	}
 	return laneControl
@@ -1312,54 +1299,29 @@ func (rt *Runtime) scaled(d transport.Time) time.Duration {
 	return time.Duration(float64(d) * rt.scale)
 }
 
-// TotalMsgs reports the messages sent by the hosted nodes.
-func (rt *Runtime) TotalMsgs() int64 { return rt.msgs.Load() }
-
-// TotalBytes reports the bytes (payload+headers) sent by the hosted nodes.
-func (rt *Runtime) TotalBytes() int64 { return rt.bytes.Load() }
-
-// WireFrames reports the data-plane frames sent (transport.WireStats).
-func (rt *Runtime) WireFrames() int64 { return rt.wireFrames.Load() }
-
-// WireBytes reports the real bytes (header+body) put on the wire.
-func (rt *Runtime) WireBytes() int64 { return rt.wireBytes.Load() }
-
-// WireEncodeNanos reports cumulative frame-encode time (the region
-// server's replies are not timed).
-func (rt *Runtime) WireEncodeNanos() int64 { return rt.encodeNS.Load() }
-
-// LaneBytes reports the real wire bytes per lane (control, bulk, region in
-// lane order). Region-server replies count on the region lane.
-func (rt *Runtime) LaneBytes() []int64 {
-	out := make([]int64, len(rt.laneBytes))
+// Count adds the hosted nodes' traffic and wire counters into s and sets
+// the per-lane slices: bytes per lane (control, bulk, region in lane
+// order; region-server replies count on the region lane), the frames
+// queued now summed over every peer end, and the deepest any single
+// per-end send queue ever got. Region-server replies are not in
+// WireEncodeNS.
+func (rt *Runtime) Count(s *stats.Counters) {
+	s.Messages += rt.msgs.Load()
+	s.DataBytes += rt.bytes.Load()
+	s.WireFrames += rt.wireFrames.Load()
+	s.WireBytes += rt.wireBytes.Load()
+	s.WireEncodeNS += rt.encodeNS.Load()
+	s.LaneBytes = make([]int64, rt.nlanes)
 	for i := range rt.laneBytes {
-		out[i] = rt.laneBytes[i].Load()
+		s.LaneBytes[i] = rt.laneBytes[i].Load()
 	}
-	return out
-}
-
-// LaneQueueDepth reports the frames currently queued per lane, summed over
-// every peer end.
-func (rt *Runtime) LaneQueueDepth() []int64 {
-	out := make([]int64, rt.nlanes)
+	s.LaneQueueDepth = make([]int64, rt.nlanes)
+	s.LaneQueueHWM = make([]int64, rt.nlanes)
 	rt.eachEnd(func(e *end) {
-		cur, _ := e.depth()
-		out[e.lane] += cur
+		cur, hwm := e.depth()
+		s.LaneQueueDepth[e.lane] += cur
+		s.LaneQueueHWM[e.lane] = max(s.LaneQueueHWM[e.lane], hwm)
 	})
-	return out
-}
-
-// LaneQueueHWM reports, per lane, the deepest any single per-end send
-// queue ever got.
-func (rt *Runtime) LaneQueueHWM() []int64 {
-	out := make([]int64, rt.nlanes)
-	rt.eachEnd(func(e *end) {
-		_, hwm := e.depth()
-		if hwm > out[e.lane] {
-			out[e.lane] = hwm
-		}
-	})
-	return out
 }
 
 func (rt *Runtime) eachEnd(fn func(*end)) {
@@ -1402,7 +1364,7 @@ func (rt *Runtime) OneSidedRead(p transport.Proc, to int, req transport.Msg) (tr
 	if to == from || to < 0 || to >= rt.procs {
 		return nil, false
 	}
-	ee := rt.ends[from][to][rt.lanes]
+	ee := rt.ends[from][to][laneRegion]
 	if ee == nil {
 		return nil, false
 	}

@@ -1,9 +1,9 @@
 // Package transport defines the seam between the DSM protocol engine and
 // the substrate that moves its messages: the Transport interface (blocking
 // Call/Multicall on the caller side, Reply/ReplyAfter/Forward on the
-// handler side, per-node handler registration, traffic counters) and the
-// Runtime interface that couples a Transport with application-process
-// execution.
+// handler side, per-node handler registration) and the Runtime interface
+// that couples a Transport with application-process execution and
+// reports its traffic counters.
 //
 // Two implementations exist: the deterministic discrete-event simulator
 // (internal/sim, the test oracle calibrated to the paper's 155 Mbps ATM
@@ -13,7 +13,11 @@
 // interfaces only, so the same policies drive both substrates.
 package transport
 
-import "time"
+import (
+	"time"
+
+	"adsm/internal/stats"
+)
 
 // Time is protocol time in nanoseconds: virtual time under the simulator,
 // wall-clock time since run start under real transports.
@@ -38,35 +42,9 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // HeaderBytes models the UDP/protocol header charged per message by the
 // traffic counters. Both transports charge Msg.Size()+HeaderBytes per
 // message so protocol-level accounting is comparable across substrates;
-// the TCP runtime's real framing cost is reported separately through the
-// WireStats counters.
+// the TCP runtime's real framing cost is reported separately, in the wire
+// counters Runtime.Count fills.
 const HeaderBytes = 40
-
-// WireStats is implemented by transports that can report the real cost of
-// their wire encoding next to the protocol model's Msg.Size() accounting:
-// data-plane frames sent, actual bytes (fixed header + body) handed to the
-// socket, and cumulative encode time. The simulator moves references and
-// implements none of this; reports show the counters only when present.
-type WireStats interface {
-	// WireFrames reports the data-plane frames sent by the hosted nodes.
-	WireFrames() int64
-	// WireBytes reports the real bytes (header + body) those frames put on
-	// the wire.
-	WireBytes() int64
-	// WireEncodeNanos reports the cumulative time spent encoding frames.
-	WireEncodeNanos() int64
-	// LaneBytes reports the real wire bytes split per lane (control, bulk,
-	// region in lane-index order). A single-lane transport reports one
-	// entry.
-	LaneBytes() []int64
-	// LaneQueueDepth reports the frames currently sitting in the per-lane
-	// send queues, summed over all peer ends (the queues are unbounded, so
-	// a nonzero steady state means the wire is the bottleneck).
-	LaneQueueDepth() []int64
-	// LaneQueueHWM reports the high-water mark of any single per-end send
-	// queue, per lane, over the life of the run.
-	LaneQueueHWM() []int64
-}
 
 // OneSided is implemented by transports that can serve reads from a
 // registered memory region on a dedicated server goroutine, bypassing the
@@ -167,7 +145,7 @@ type Proc interface {
 	Advance(d Time)
 }
 
-// Transport moves protocol messages between nodes and counts traffic.
+// Transport moves protocol messages between nodes.
 // Calls block the issuing process until every reply has arrived; handlers
 // run in "interrupt" context (the TreadMarks SIGIO model) and must not
 // block. A transport failure (lost peer, unregistered destination) fails
@@ -185,11 +163,6 @@ type Transport interface {
 	// After schedules fn to run in node's handler context after d: fn
 	// runs as node, excluding that node's body and handlers.
 	After(node int, d Time, fn func())
-	// TotalMsgs reports the messages sent by all local nodes.
-	TotalMsgs() int64
-	// TotalBytes reports the bytes (payload+headers) sent by all local
-	// nodes.
-	TotalBytes() int64
 }
 
 // Runtime couples a Transport with process execution: it runs one
@@ -214,6 +187,11 @@ type Runtime interface {
 	// node is held still — no body runs and no handler runs on them — so
 	// fn may read any hosted node's state. The caller runs as node self.
 	HoldOthers(self int, fn func())
+	// Count adds the hosted nodes' traffic into s: Messages and DataBytes
+	// (Msg.Size()+HeaderBytes per message) always; on a runtime that moves
+	// real frames also the wire counters and the per-lane slices, which it
+	// sets rather than adds.
+	Count(s *stats.Counters)
 }
 
 // DefaultRuntime builds the default runtime for a cluster when no explicit

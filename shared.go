@@ -10,7 +10,7 @@ import (
 // level handle onto a typed array in the shared segment: it carries no
 // worker state, so the same handle works on every processor (pass it into
 // the SPMD body like any other value). Element ops (At/Set) go through the
-// full per-access protocol path, exactly like the scalar accessors; the
+// full per-access protocol path; the
 // bulk ops (ReadAt/WriteAt/Fill) and the scoped Span fast path resolve
 // faults, write bookkeeping and detector notes once per page instead of
 // once per element — same coherence behavior, a fraction of the host-side
@@ -18,7 +18,7 @@ import (
 
 // Elem is the set of element types a Shared array can hold: the fixed-
 // size machine words of the platform, stored little-endian in the shared
-// segment like every scalar accessor stores them.
+// segment.
 type Elem = mem.Word
 
 // AccessMode declares what a Span does to its window, and therefore which
@@ -45,21 +45,22 @@ func (m AccessMode) String() string {
 }
 
 // Shared is a typed array in the shared segment, created by AllocArray (or
-// viewed over a raw allocation by View). The zero value is an empty array.
+// viewed over another array's bytes by View). The zero value is an empty array.
 type Shared[T Elem] struct {
 	base Addr
 	n    int
 }
 
 // AllocArray reserves a zeroed shared array of n elements of T. The base
-// address is 8-byte aligned (the Alloc guarantee), so every element is
-// naturally aligned and no element straddles a page boundary. Must be
-// called before Run; n must be positive.
+// address is 8-byte aligned, so every element is naturally aligned and no
+// element straddles a page boundary. The pages are initially owned by
+// processor 0, like Tmk_malloc. Must be called before Run; n must be
+// positive.
 func AllocArray[T Elem](cl *Cluster, n int) Shared[T] {
 	if n <= 0 {
 		panic(fmt.Sprintf("adsm: AllocArray(%d): element count must be positive", n))
 	}
-	return Shared[T]{base: cl.Alloc(n * mem.ElemSize[T]()), n: n}
+	return Shared[T]{base: cl.c.Alloc(n * mem.ElemSize[T]()), n: n}
 }
 
 // AllocArrayPageAligned is AllocArray with the first element on a page
@@ -69,12 +70,12 @@ func AllocArrayPageAligned[T Elem](cl *Cluster, n int) Shared[T] {
 	if n <= 0 {
 		panic(fmt.Sprintf("adsm: AllocArrayPageAligned(%d): element count must be positive", n))
 	}
-	return Shared[T]{base: cl.AllocPageAligned(n * mem.ElemSize[T]()), n: n}
+	return Shared[T]{base: cl.c.AllocPageAligned(n * mem.ElemSize[T]()), n: n}
 }
 
-// View interprets n elements of T at base as a Shared array — the bridge
-// from address-level code (a raw Alloc) to the typed API. base must be
-// aligned to T's size.
+// View interprets n elements of T at base as a Shared array — a second
+// typed view of bytes another array (its Base or Addr) already reserved.
+// base must be aligned to T's size.
 func View[T Elem](base Addr, n int) Shared[T] {
 	if base%mem.ElemSize[T]() != 0 {
 		panic(fmt.Sprintf("adsm: View: base %d misaligned for %d-byte elements", base, mem.ElemSize[T]()))

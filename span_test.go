@@ -27,26 +27,24 @@ func mustPanic(t *testing.T, what string, fn func()) (msg string) {
 
 func TestAllocRejectsNonPositive(t *testing.T) {
 	cl := adsm.NewCluster(adsm.Config{Procs: 1})
-	for _, n := range []int{0, -8} {
-		if msg := mustPanic(t, fmt.Sprintf("Alloc(%d)", n), func() { cl.Alloc(n) }); msg != "" &&
+	for _, n := range []int{0, -1} {
+		if msg := mustPanic(t, fmt.Sprintf("AllocArray(%d)", n), func() { adsm.AllocArray[float64](cl, n) }); msg != "" &&
 			!strings.Contains(msg, "must be positive") {
-			t.Errorf("Alloc(%d) panic %q does not explain the failure", n, msg)
+			t.Errorf("AllocArray(%d) panic %q does not explain the failure", n, msg)
 		}
-		if msg := mustPanic(t, fmt.Sprintf("AllocPageAligned(%d)", n), func() { cl.AllocPageAligned(n) }); msg != "" &&
+		if msg := mustPanic(t, fmt.Sprintf("AllocArrayPageAligned(%d)", n), func() { adsm.AllocArrayPageAligned[int64](cl, n) }); msg != "" &&
 			!strings.Contains(msg, "must be positive") {
-			t.Errorf("AllocPageAligned(%d) panic %q does not explain the failure", n, msg)
+			t.Errorf("AllocArrayPageAligned(%d) panic %q does not explain the failure", n, msg)
 		}
 	}
-	mustPanic(t, "AllocArray(0)", func() { adsm.AllocArray[float64](cl, 0) })
-	mustPanic(t, "AllocArrayPageAligned(-1)", func() { adsm.AllocArrayPageAligned[int64](cl, -1) })
 }
 
 // TestAllocAlignment pins the documented 8-byte alignment guarantee.
 func TestAllocAlignment(t *testing.T) {
 	cl := adsm.NewCluster(adsm.Config{Procs: 1})
-	cl.Alloc(3) // odd-size allocation must not misalign the next one
-	if a := cl.Alloc(16); a%8 != 0 {
-		t.Errorf("Alloc after odd-size allocation returned %d, not 8-byte aligned", a)
+	adsm.AllocArray[int32](cl, 3) // a 12-byte allocation must not misalign the next one
+	if a := adsm.AllocArray[int64](cl, 2); a.Base()%8 != 0 {
+		t.Errorf("AllocArray after a 12-byte allocation returned %d, not 8-byte aligned", a.Base())
 	}
 	arr := adsm.AllocArray[float64](cl, 5)
 	if arr.Base()%8 != 0 {

@@ -101,13 +101,6 @@ type TCPConfig struct {
 	// Peers exchange it in the mesh handshake and refuse to connect on
 	// a mismatch; empty fingerprints always match.
 	Fingerprint string
-	// Lanes is the number of data connections per ordered node pair:
-	// 1 is the classic single shared connection, 2 (the default, chosen
-	// when this is 0) adds a dedicated bulk lane so large page and diff
-	// payloads never head-of-line block a latency-critical barrier
-	// release or ownership grant. Every participant of a multi-process
-	// run must use the same value.
-	Lanes int
 	// Epoch is the membership epoch of this mesh incarnation. Every
 	// participant must be at the same epoch; survivors of a node loss
 	// re-mesh at epoch+1 so a stale process from the dead incarnation
@@ -174,7 +167,6 @@ func (cfg Config) runtimeFactory() core.RuntimeFactory {
 			Timescale:   tc.Timescale,
 			DialTimeout: tc.DialTimeout,
 			Fingerprint: tc.Fingerprint,
-			Lanes:       tc.Lanes,
 			OneSided:    !tc.NoOneSided,
 			Epoch:       tc.Epoch,
 			LeaseTerm:   tc.LeaseTerm,

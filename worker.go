@@ -1,7 +1,6 @@
 package adsm
 
 import (
-	"math"
 	"time"
 
 	"adsm/internal/core"
@@ -82,32 +81,4 @@ func (w *Worker) Prefetch(wins ...Window) {
 		return
 	}
 	w.n.PrefetchRanges(rs)
-}
-
-// ReadU32 reads the 32-bit word at addr.
-func (w *Worker) ReadU32(addr Addr) uint32 { return w.n.ReadU32(addr) }
-
-// WriteU32 writes the 32-bit word at addr.
-func (w *Worker) WriteU32(addr Addr, v uint32) { w.n.WriteU32(addr, v) }
-
-// ReadU64 reads the 64-bit word at addr.
-func (w *Worker) ReadU64(addr Addr) uint64 { return w.n.ReadU64(addr) }
-
-// WriteU64 writes the 64-bit word at addr.
-func (w *Worker) WriteU64(addr Addr, v uint64) { w.n.WriteU64(addr, v) }
-
-// ReadI64 reads the signed 64-bit word at addr.
-func (w *Worker) ReadI64(addr Addr) int64 { return int64(w.n.ReadU64(addr)) }
-
-// WriteI64 writes the signed 64-bit word at addr.
-func (w *Worker) WriteI64(addr Addr, v int64) { w.n.WriteU64(addr, uint64(v)) }
-
-// ReadF64 reads the float64 at addr.
-func (w *Worker) ReadF64(addr Addr) float64 {
-	return math.Float64frombits(w.n.ReadU64(addr))
-}
-
-// WriteF64 writes the float64 at addr.
-func (w *Worker) WriteF64(addr Addr, v float64) {
-	w.n.WriteU64(addr, math.Float64bits(v))
 }
