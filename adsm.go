@@ -119,13 +119,6 @@ func WithHomePolicy(h HomePolicy) func(*Config) {
 	return func(c *Config) { c.HomePolicy = h }
 }
 
-// WithOmitWrites returns a Config mutator toggling the omittable-write
-// pass — the serve sweep runs its write-heavy cell both ways to pin that
-// omission changes traffic, never results.
-func WithOmitWrites(on bool) func(*Config) {
-	return func(c *Config) { c.OmitWrites = on }
-}
-
 // ParseProtocol resolves a protocol name — canonical or alias, case-
 // insensitive — such as "MW", "wfs+wg" or "HLRC".
 func ParseProtocol(name string) (Protocol, error) { return core.ParseProtocol(name) }
@@ -159,14 +152,6 @@ type Config struct {
 	// CollectDiffTimeline records the cluster-wide live-diff count over
 	// time (the paper's Figure 3).
 	CollectDiffTimeline bool
-	// OmitWrites enables the omittable-write pass for policies that opt in
-	// (currently the MW family): a diff that never left its node and whose
-	// byte extent the node's next diff for the page fully covers is
-	// provably dead — every observer would overwrite it — so its payload
-	// is dropped, counted in Stats.OmittedWrites/OmittedBytes. Results are
-	// bit-identical either way (the serve sweep pins this); the knob
-	// defaults off so archived baselines keep their traffic numbers.
-	OmitWrites bool
 	// Transport selects the substrate carrying the protocol messages
 	// (default SimTransport, the deterministic simulator).
 	Transport Transport
@@ -245,14 +230,13 @@ func (cfg Config) engine() (Config, core.Params) {
 	if cfg.OwnershipQuantum > 0 {
 		p.OwnershipQuantum = sim.Time(cfg.OwnershipQuantum)
 	}
-	p.OmitWrites = cfg.OmitWrites
 	if cfg.Transport == TCPTransport {
 		// The adaptive thresholds follow the machine, not the user: the
 		// simulator keeps the 1997 profile it models, a real mesh gets
 		// the measured wire's.
 		p.Cost = core.WireProfile()
 	}
-	p.Runtime = cfg.runtimeFactory()
+	p.Runtime = cfg.runtimeFactory(0)
 	return cfg, p
 }
 

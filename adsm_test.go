@@ -253,9 +253,9 @@ func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Config.Procs", "Config.Protocol", "Config.HomePolicy", "Config.SharedBytes",
 		"Config.DiffSpaceLimit", "Config.WGThreshold", "Config.OwnershipQuantum",
-		"Config.CollectDiffTimeline", "Config.OmitWrites", "Config.Transport", "Config.TCP",
+		"Config.CollectDiffTimeline", "Config.Transport", "Config.TCP",
 		"TCPConfig.Addrs", "TCPConfig.Local", "TCPConfig.Timescale", "TCPConfig.DialTimeout",
-		"TCPConfig.Fingerprint", "TCPConfig.Epoch", "TCPConfig.LeaseTerm",
+		"TCPConfig.Fingerprint", "TCPConfig.LeaseTerm",
 		"TCPConfig.Faults", "TCPConfig.NoOneSided",
 	}
 	var got []string
@@ -266,7 +266,7 @@ func TestConfigSurface(t *testing.T) {
 			}
 		}
 	}
-	if len(want) != 20 || !slices.Equal(got, want) {
+	if len(want) != 18 || !slices.Equal(got, want) {
 		t.Errorf("public config surface changed:\n got  %d fields %v\n want %d fields %v",
 			len(got), got, len(want), want)
 	}

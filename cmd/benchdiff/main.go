@@ -41,7 +41,7 @@ func pct(old, new int64) float64 {
 }
 
 // serveKey names a serving cell; the variant distinguishes the base mix
-// from the write-heavy omit arm.
+// from the write-heavy arm.
 func serveKey(c harness.BenchServeCell) string {
 	variant := c.Variant
 	if variant == "" {

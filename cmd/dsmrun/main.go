@@ -52,8 +52,6 @@ func main() {
 		"scale modelled compute costs into real sleeps under -transport tcp (0: run flat out)")
 	oneSided := flag.Bool("onesided", true,
 		"serve clean page fetches one-sided from the peer's registered region (adds a region lane per pair)")
-	omit := flag.Bool("omit", false,
-		"empty provably-unobservable diffs before they ship (MW-family pages only; results are bit-identical)")
 	flag.Parse()
 
 	if *list {
@@ -91,7 +89,6 @@ func main() {
 	}
 
 	cfg := adsm.Config{Procs: *procs, Protocol: proto, HomePolicy: home, Transport: tr}
-	adsm.WithOmitWrites(*omit)(&cfg)
 	if tr == adsm.TCPTransport {
 		cfg.TCP.Timescale = *timescale
 		cfg.TCP.Fingerprint = adsm.RunFingerprint(*appName, proto, home, *procs, *quick)
@@ -174,10 +171,6 @@ func main() {
 	fmt.Printf("  twins/diffs          %d twins, %d diffs created (%.2f MB), %d applied\n",
 		s.TwinsCreated, s.DiffsCreated, rep.MemoryMB(), s.DiffsApplied)
 	fmt.Printf("  mode transitions     %d SW->MW, %d MW->SW\n", s.SWtoMW, s.MWtoSW)
-	if s.OmittedWrites > 0 {
-		fmt.Printf("  omitted writes       %d dominated diffs emptied (%d bytes never shipped)\n",
-			s.OmittedWrites, s.OmittedBytes)
-	}
 	if s.DiffsPushed > 0 {
 		fmt.Printf("  pushed diffs         %d rode lock grants, %d dropped on arrival, %d applied\n",
 			s.DiffsPushed, s.PushesDropped, s.PushesUsed)

@@ -56,7 +56,7 @@ func (n *Node) Barrier() {
 // another process under a multi-process transport); the two agree by
 // construction and the manager enforces it.
 func (n *Node) barrierRound(gcRound bool) {
-	mine := n.shipIntervals(n.lastGlobal)
+	mine := n.intervalsSince(n.lastGlobal)
 	resp := n.c.rt.Call(n.proc, 0, barArrive{
 		Epoch:       n.barEpoch,
 		KnownTS:     append([]int32(nil), n.knownTS...),
@@ -188,7 +188,7 @@ func (n *Node) serveBarrier(c transport.Call, from int, m barArrive) {
 	b.gcRound = doGC
 	for i, cc := range calls {
 		cc.Reply(barRelease{
-			Intervals: n.shipIntervals(knows[i]),
+			Intervals: n.intervalsSince(knows[i]),
 			Global:    global,
 			GC:        doGC,
 			Hints:     hints,

@@ -103,7 +103,7 @@ func msgSamples() map[string][]transport.Msg {
 		"swOwnGrant": {swOwnGrant{Version: 9, Data: mem.NewPage(), Applied: sampleVC()}},
 		"hlrcFlush": {
 			hlrcFlush{VC: sampleVC(), Diffs: []*mem.Diff{sampleDiff(2, 640), sampleDiff(7, 48)}},
-			// An emptied diff (the omittable-write pass leaves zero runs).
+			// An empty diff (MakeDiff of an unchanged twin has zero runs).
 			hlrcFlush{VC: sampleVC(), Diffs: []*mem.Diff{{Page: 300}}},
 		},
 		"hlrcAck":      {hlrcAck{}},
@@ -125,8 +125,7 @@ func msgSamples() map[string][]transport.Msg {
 			acqGrant{Intervals: sampleIntervals(), VC: sampleVC(), Readers: 1<<1 | 1<<3 | 1<<6, nprocs: nprocs},
 			// Grants pushing the diffs of their non-owner notices (push.go):
 			// an exclusive grant with a reader to revoke, a shared grant,
-			// and a reader's revoke answer whose second diff was emptied by
-			// the omittable-write pass.
+			// and a reader's revoke answer whose second diff is empty.
 			acqGrant{Intervals: sampleIntervals(), VC: sampleVC(), Readers: 1 << 3, nprocs: nprocs,
 				Diffs: []*mem.Diff{sampleDiff(5, 800), sampleDiff(1, 96)},
 				Keys:  []wnKey{{page: 5, proc: 2, ts: 7}, {page: 1, proc: 0, ts: 4}}},

@@ -99,18 +99,6 @@ type Params struct {
 	// degrade path is per-element).
 	SpanPrefetch bool
 
-	// OmitWrites enables the Thomas-write-rule pass (NWR's omittable-write
-	// insight) for policies that opt in via Policy.OmitDominatedDiffs: when
-	// a node closes an interval whose diff for a page covers every byte of
-	// the node's previous diff for that page, and the previous write notice
-	// has provably never been shipped to any other node, the previous
-	// diff's payload is dropped (the notice stays; its diff becomes empty).
-	// Results are bit-identical either way — the pass only removes payload
-	// that every possible observer would overwrite — so the knob defaults
-	// off to keep archived baselines stable and is measured by the serve
-	// sweep (Stats.OmittedWrites / OmittedBytes). See omit.go for the
-	// safety argument.
-	OmitWrites bool
 	// CkptStores enables barrier-epoch checkpoint replication (ckpt.go):
 	// it resolves the durable checkpoint store of each hosted rank. The
 	// stores belong to the driver and must outlive cluster incarnations —

@@ -89,12 +89,6 @@ func (n *Node) closeInterval() *Interval {
 			if ps.status == pageReadWrite {
 				ps.status = pageReadOnly
 			}
-			// Omittable-write pass: if our previous notice for this page
-			// never left the node and this interval's diff covers it, the
-			// predecessor's payload is dead (omit.go).
-			if n.c.params.OmitWrites && ps.policy.OmitDominatedDiffs() {
-				n.tryOmitPredecessor(pg, ps, ps.myLastWN, wn)
-			}
 		default:
 			continue
 		}

@@ -213,7 +213,7 @@ func (n *Node) grantLock(q queuedAcq, relVC vc.VC, readers uint64) {
 	if relVC == nil {
 		relVC = vc.New(n.c.params.Procs)
 	}
-	ivs := n.shipIntervals(q.know)
+	ivs := n.intervalsSince(q.know)
 	diffs, keys, cost := n.pushDiffs(ivs)
 	// Diffs made for the push delay the grant, as they would a diffResp.
 	q.c.ReplyAfter(cost, acqGrant{Intervals: ivs, VC: relVC.Copy(), Readers: readers, Diffs: diffs, Keys: keys, nprocs: n.c.params.Procs})

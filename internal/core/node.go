@@ -143,13 +143,6 @@ type Node struct {
 	// procedure's applied-vector bookkeeping relies on.
 	lastGlobal []int32
 
-	// shippedOwnTS is the highest own-interval TS that has ever left this
-	// node (piggybacked on a lock grant or barrier message). Intervals
-	// above it are provably unknown everywhere else — interval knowledge
-	// propagates only through those watermark-based shipments — which is
-	// what licenses the omittable-write pass (omit.go).
-	shippedOwnTS int32
-
 	// region is the node's exported one-sided read region: one published
 	// snapshot slot per page, read by the transport's region server
 	// goroutine without any protocol lock (region.go). Nil unless the

@@ -128,16 +128,6 @@ type Policy interface {
 	// protocols (WFS, WFS+WG) opt in; pure SW routes requests through
 	// homes and the non-ownership protocols never issue ownReqs.
 	BatchOwnershipSpans() bool
-
-	// OmitDominatedDiffs reports whether pages under this policy are
-	// eligible for the omittable-write pass (Params.OmitWrites): emptying a
-	// never-shipped predecessor diff whose byte extent the successor diff
-	// covers. Only the pure MW policy opts in — its diffs live in the local
-	// cache until requested, so a dead predecessor is purely local state.
-	// HLRC must answer false (diffs are flushed home eagerly and dropped);
-	// the ownership protocols never create the twin-backed diff chain the
-	// pass rewrites.
-	OmitDominatedDiffs() bool
 }
 
 // basePolicy supplies the no-op defaults shared by the concrete policies.
@@ -161,7 +151,6 @@ func (basePolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNo
 func (basePolicy) SpanSettle(n *Node, pg int, ps *pageState) { n.lrcSpanSettle(pg, ps) }
 func (basePolicy) PublishOneSided(ps *pageState) bool        { return true }
 func (basePolicy) BatchOwnershipSpans() bool                 { return false }
-func (basePolicy) OmitDominatedDiffs() bool                  { return false }
 
 // ownerInitPage is the shared InitPage of the ownership-based protocols:
 // every page starts in SW mode, owned (with its initial copy) by the
@@ -192,10 +181,6 @@ func (mwPolicy) WriteFault(n *Node, pg int, ps *pageState) { n.stayMW(pg, ps) }
 // PrefetchWriteSpans: an MW write fault validates and twins without any
 // ownership traffic, so the validate half batches exactly like a read.
 func (mwPolicy) PrefetchWriteSpans() bool { return true }
-
-// OmitDominatedDiffs: MW diffs sit in the local cache until a peer asks,
-// so a predecessor that provably never left the node can be emptied.
-func (mwPolicy) OmitDominatedDiffs() bool { return true }
 
 // --- SW: the CVM-like single-writer protocol ---
 

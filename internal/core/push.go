@@ -33,9 +33,7 @@ func pushable(ps *pageState) bool { return ps.proto == MW }
 // is the modelled time to make the carried diffs created here, which the
 // grant's reply is delayed by; the one diff made and found too big for
 // the rest of the budget stays cached for the fault that fetches it, and
-// does not delay the grant. Every interval passed in has gone through
-// shipIntervals, so no pushed diff of our own can be emptied by the
-// omittable-write pass afterwards (omit.go).
+// does not delay the grant.
 func (n *Node) pushDiffs(ivs []*Interval) (diffs []*mem.Diff, keys []wnKey, cost transport.Time) {
 	budget := n.c.params.Cost.PushBudget
 	if budget <= 0 {

@@ -249,17 +249,14 @@ func TestUnusablePushesDropped(t *testing.T) {
 	}
 }
 
-// TestPushedDiffNeverOmitted: a pushed diff has left its writer, so the
-// omittable-write pass must not empty it when the writer's next diff
-// covers it (leg 2 in omit.go). Node 0 holds node 1's pushed diff while
-// node 1 rewrites the same slots under another lock; node 0 must still
-// read the first values from it.
-func TestPushedDiffNeverOmitted(t *testing.T) {
+// TestPushedDiffSurvivesRewrite: a pushed diff has left its writer, so
+// the writer's next diff of the same slots must not disturb it. Node 0
+// holds node 1's pushed diff while node 1 rewrites the same slots under
+// another lock; node 0 must still read the first values from it.
+func TestPushedDiffSurvivesRewrite(t *testing.T) {
 	const slots = 16
 	var reqs int
-	p := pushParams(2, WireProfile(), &reqs)
-	p.OmitWrites = true
-	c := New(p)
+	c := New(pushParams(2, WireProfile(), &reqs))
 	base := c.AllocPageAligned(mem.PageSize)
 	var got [slots]uint64
 	mustRun(t, c, func(nd *Node) {
@@ -292,11 +289,10 @@ func TestPushedDiffNeverOmitted(t *testing.T) {
 	})
 	for i, v := range got {
 		if v != uint64(i+1) {
-			t.Fatalf("slot %d read %d, want %d (the pushed diff was emptied)", i, v, i+1)
+			t.Fatalf("slot %d read %d, want %d (the pushed diff was lost)", i, v, i+1)
 		}
 	}
-	s := c.Node(1).Stats
-	if s.DiffsPushed != 1 || s.OmittedWrites != 0 || reqs != 0 {
-		t.Errorf("pushed %d, omitted %d, diff requests %d; want 1, 0, 0", s.DiffsPushed, s.OmittedWrites, reqs)
+	if pushed := c.Node(1).Stats.DiffsPushed; pushed != 1 || reqs != 0 {
+		t.Errorf("pushed %d, diff requests %d; want 1, 0", pushed, reqs)
 	}
 }

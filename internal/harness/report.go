@@ -29,7 +29,7 @@ type BenchCell struct {
 	SerialFallbacks int64 `json:"serial_fallbacks"`
 
 	// Per-page protocol switch counters (nonzero only under the adaptive
-	// meta-protocol; omitted for static cells to keep old reports
+	// meta-protocol; left out of static cells to keep old reports
 	// byte-compatible).
 	PolicySwitches int64 `json:"policy_switches,omitempty"`
 	SwitchToSW     int64 `json:"switch_to_sw,omitempty"`
@@ -79,8 +79,6 @@ type BenchServeCell struct {
 	Checksum  uint64 `json:"checksum"`
 
 	PolicySwitches int64 `json:"policy_switches,omitempty"`
-	OmittedWrites  int64 `json:"omitted_writes,omitempty"`
-	OmittedBytes   int64 `json:"omitted_bytes,omitempty"`
 }
 
 // BenchFaultCell is one protocol's fault-tolerance measurement: the
@@ -180,8 +178,6 @@ func (m *Matrix) BenchReport() BenchReport {
 			P99US:          cell.P99.Microseconds(),
 			Checksum:       cell.Checksum,
 			PolicySwitches: s.PolicySwitches,
-			OmittedWrites:  s.OmittedWrites,
-			OmittedBytes:   s.OmittedBytes,
 		})
 	}
 	for _, cell := range m.FaultSweepData(false) {

@@ -13,17 +13,17 @@ import (
 // simulator and (optionally) the real TCP mesh. Every cell's final-table
 // checksum is verified against the host-side model replay — the same
 // oracle for every protocol and transport, so a sim cell and its tcp
-// rerun agree exactly or the sweep panics. A write-heavy arm runs the MW
-// cell with the omittable-write pass off and on, pinning that omission
-// changes traffic, never results.
+// rerun agree exactly or the sweep panics. A write-heavy arm reruns the
+// MW cell with the mix inverted, so the Put side of the serving path is
+// measured too.
 
 // ServeOptions configures the serve sweep.
 type ServeOptions struct {
 	// Workload is the base (read-mostly) cell. Zero means the default:
 	// kv.DefaultWorkload, scaled down under Quick.
 	Workload kv.Workload
-	// WriteHeavy is the omit-arm workload. Zero means the base workload
-	// with the mix inverted (10% reads).
+	// WriteHeavy is the write-heavy arm's workload, run under MW. Zero
+	// means the base workload with the mix inverted (10% reads).
 	WriteHeavy kv.Workload
 }
 
@@ -60,7 +60,7 @@ type ServeCell struct {
 	Proto     adsm.Protocol
 	Home      adsm.HomePolicy
 	Transport adsm.Transport
-	Variant   string // "" for the base mix; "write-heavy", "write-heavy+omit" for the omit arm
+	Variant   string // "" for the base mix; "write-heavy" for the write-heavy arm
 
 	Report *adsm.Report
 	// Elapsed is virtual time for sim cells, wall clock for tcp cells.
@@ -95,17 +95,12 @@ func (c ServeCell) OneSidedHitRate() float64 {
 // wall clock cannot idle to a virtual arrival schedule, so their
 // latencies are service times while the sim cells' include open-loop
 // queueing.
-func (m *Matrix) serveRun(wl kv.Workload, proto adsm.Protocol, tr adsm.Transport,
-	variant string, mutate func(*adsm.Config)) ServeCell {
+func (m *Matrix) serveRun(wl kv.Workload, proto adsm.Protocol, tr adsm.Transport, variant string) ServeCell {
 	if tr == adsm.TCPTransport {
 		wl.Interval = 0
 	}
-	cfg := adsm.Config{Procs: m.Procs, Protocol: proto, HomePolicy: m.Home, Transport: tr}
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	b := kv.NewBench(wl)
-	cl := adsm.NewCluster(cfg)
+	cl := adsm.NewCluster(adsm.Config{Procs: m.Procs, Protocol: proto, HomePolicy: m.Home, Transport: tr})
 	b.Setup(cl)
 	start := time.Now()
 	rep, err := cl.Run(b.Body)
@@ -165,42 +160,28 @@ func (m *Matrix) serveCached(key string, run func() ServeCell) ServeCell {
 
 // ServeSweepData runs the serving experiment: every protocol
 // on the simulator (and with tcp set, on the real TCP mesh), plus the
-// write-heavy omit arm under MW. Each cell's checksum is verified against
-// the model oracle inside serveRun, which makes sim and tcp agree exactly
-// in every cell; the omit arm additionally pins checksum equality (and
-// OmittedWrites > 0) between the pass being off and on.
+// write-heavy arm under MW. Each cell's checksum is verified against the
+// model oracle inside serveRun, which makes sim and tcp agree exactly in
+// every cell.
 func (m *Matrix) ServeSweepData(tcp bool, o ServeOptions) []ServeCell {
 	base, heavy := m.serveWorkloads(o)
 	var out []ServeCell
 	for _, proto := range m.protocols() {
 		out = append(out, m.serveCached(fmt.Sprintf("base|%v|sim", proto), func() ServeCell {
-			return m.serveRun(base, proto, adsm.SimTransport, "", nil)
+			return m.serveRun(base, proto, adsm.SimTransport, "")
 		}))
 		if tcp {
 			out = append(out, m.serveCached(fmt.Sprintf("base|%v|tcp", proto), func() ServeCell {
-				return m.serveRun(base, proto, adsm.TCPTransport, "", nil)
+				return m.serveRun(base, proto, adsm.TCPTransport, "")
 			}))
 		}
 	}
-	off := m.serveCached("heavy|MW|sim|omit-off", func() ServeCell {
-		return m.serveRun(heavy, adsm.MW, adsm.SimTransport, "write-heavy", adsm.WithOmitWrites(false))
-	})
-	on := m.serveCached("heavy|MW|sim|omit-on", func() ServeCell {
-		return m.serveRun(heavy, adsm.MW, adsm.SimTransport, "write-heavy+omit", adsm.WithOmitWrites(true))
-	})
-	if off.Checksum != on.Checksum {
-		panic(fmt.Sprintf("harness: serve omit arm changed results: %#x != %#x", on.Checksum, off.Checksum))
-	}
-	if off.Report.Stats.OmittedWrites != 0 {
-		panic("harness: serve omit arm: writes omitted with the pass off")
-	}
-	if on.Report.Stats.OmittedWrites == 0 {
-		panic("harness: serve omit arm: write-heavy cell omitted nothing")
-	}
-	out = append(out, off, on)
+	out = append(out, m.serveCached("heavy|MW|sim", func() ServeCell {
+		return m.serveRun(heavy, adsm.MW, adsm.SimTransport, "write-heavy")
+	}))
 	if tcp {
-		out = append(out, m.serveCached("heavy|MW|tcp|omit-on", func() ServeCell {
-			return m.serveRun(heavy, adsm.MW, adsm.TCPTransport, "write-heavy+omit", adsm.WithOmitWrites(true))
+		out = append(out, m.serveCached("heavy|MW|tcp", func() ServeCell {
+			return m.serveRun(heavy, adsm.MW, adsm.TCPTransport, "write-heavy")
 		}))
 	}
 	return out
@@ -211,7 +192,7 @@ func (m *Matrix) ServeSweep(tcp bool, o ServeOptions) string {
 	base, _ := m.serveWorkloads(o)
 	cells := m.ServeSweepData(tcp, o)
 	t := &table{header: []string{"Protocol", "Variant", "Transport", "ops/s", "mean (us)",
-		"p50 (us)", "p95 (us)", "p99 (us)", "Msgs", "Data (MB)", "1-sided", "Switches", "Omitted"}}
+		"p50 (us)", "p95 (us)", "p99 (us)", "Msgs", "Data (MB)", "1-sided", "Switches"}}
 	for _, c := range cells {
 		variant := c.Variant
 		if variant == "" {
@@ -227,23 +208,10 @@ func (m *Matrix) ServeSweep(tcp bool, o ServeOptions) string {
 			fmt.Sprint(s.Messages),
 			fmt.Sprintf("%.2f", c.Report.DataMB()),
 			fmt.Sprintf("%.2f", c.OneSidedHitRate()),
-			fmt.Sprint(s.PolicySwitches),
-			fmt.Sprint(s.OmittedWrites))
+			fmt.Sprint(s.PolicySwitches))
 	}
 	return fmt.Sprintf("Serve: zipfian key-value store, %d workers x %d ops (theta=%.2f, %d%% reads, %d keys)\n"+
 		"(every cell's table checksum verified against the host-model replay;\n"+
 		" sim cells are open-loop virtual time, tcp cells closed-loop wall clock)\n\n%s",
-		m.Procs, base.OpsPerWorker, base.Theta, base.ReadPct, base.Keys, t.String()) +
-		serveStatsNote(cells)
-}
-
-// serveStatsNote appends the omit-arm summary line.
-func serveStatsNote(cells []ServeCell) string {
-	for _, c := range cells {
-		if c.Variant == "write-heavy+omit" && c.Transport == adsm.SimTransport {
-			return fmt.Sprintf("\nomit arm: %d never-shipped diffs emptied (%d bytes), checksum unchanged\n",
-				c.Report.Stats.OmittedWrites, c.Report.Stats.OmittedBytes)
-		}
-	}
-	return ""
+		m.Procs, base.OpsPerWorker, base.Theta, base.ReadPct, base.Keys, t.String())
 }

@@ -10,7 +10,7 @@ import (
 
 // tinyServe is a serve sweep small enough for unit tests while keeping
 // the properties the sweep asserts (skewed mix, real contention, a
-// write-heavy arm that actually omits).
+// write-heavy arm).
 func tinyServe() ServeOptions {
 	base := kv.DefaultWorkload()
 	base.Keys = 256
@@ -19,15 +19,15 @@ func tinyServe() ServeOptions {
 }
 
 // TestServeSweepSim: every protocol's sim cell matches the model checksum
-// (serveRun panics otherwise), the omit arm fires, and cells carry real
-// latency distributions.
+// (serveRun panics otherwise), the write-heavy arm runs last, and cells
+// carry real latency distributions.
 func TestServeSweepSim(t *testing.T) {
 	m := NewMatrix(true)
 	m.Procs = 4
 	cells := m.ServeSweepData(false, tinyServe())
 	protos := m.protocols()
-	// Six base cells + omit-off + omit-on.
-	if want := len(protos) + 2; len(cells) != want {
+	// Six base cells + the write-heavy cell.
+	if want := len(protos) + 1; len(cells) != want {
 		t.Fatalf("got %d cells, want %d", len(cells), want)
 	}
 	sum := cells[0].Checksum
@@ -56,15 +56,13 @@ func TestServeSweepSim(t *testing.T) {
 			t.Errorf("%v/%s: ops/s = %v", c.Proto, c.Variant, c.OpsPerSec())
 		}
 	}
-	last := cells[len(cells)-1]
-	if last.Variant != "write-heavy+omit" || last.Report.Stats.OmittedWrites == 0 {
-		t.Errorf("omit arm missing or inert: variant=%q omitted=%d",
-			last.Variant, last.Report.Stats.OmittedWrites)
+	if last := cells[len(cells)-1]; last.Variant != "write-heavy" || last.Proto != adsm.MW {
+		t.Errorf("write-heavy arm missing: last cell %v/%q", last.Proto, last.Variant)
 	}
-	// The renderer reuses the cache (no reruns) and mentions the omit arm.
+	// The renderer reuses the cache (no reruns) and shows the write-heavy arm.
 	out := m.ServeSweep(false, tinyServe())
-	if !strings.Contains(out, "omit arm") || !strings.Contains(out, "write-heavy") {
-		t.Errorf("renderer missing omit arm:\n%s", out)
+	if !strings.Contains(out, "write-heavy") {
+		t.Errorf("renderer missing the write-heavy arm:\n%s", out)
 	}
 }
 
@@ -95,14 +93,13 @@ func TestServeSweepTCP(t *testing.T) {
 			t.Errorf("%v: tcp cell moved no wire bytes", c.Proto)
 		}
 	}
-	if tcp != 3 { // two base protocols + the write-heavy omit rerun
+	if tcp != 3 { // two base protocols + the write-heavy rerun
 		t.Errorf("got %d tcp cells, want 3", tcp)
 	}
 }
 
 // TestServeCacheStable: repeating the sweep reuses the cached cells
-// bit-for-bit (the property that makes the archived JSON deterministic),
-// and the omit cell's byte counter is consistent with its write counter.
+// bit-for-bit (the property that makes the archived JSON deterministic).
 func TestServeCacheStable(t *testing.T) {
 	m := NewMatrix(true)
 	m.Procs = 4
@@ -115,12 +112,6 @@ func TestServeCacheStable(t *testing.T) {
 		if a[i].Checksum != b[i].Checksum || a[i].Elapsed != b[i].Elapsed ||
 			a[i].P99 != b[i].P99 || a[i].Report != b[i].Report {
 			t.Errorf("cell %d not served from cache", i)
-		}
-	}
-	for _, c := range a {
-		if c.Variant == "write-heavy+omit" && c.Report.Stats.OmittedBytes <= 0 {
-			t.Errorf("omitted %d writes but %d bytes",
-				c.Report.Stats.OmittedWrites, c.Report.Stats.OmittedBytes)
 		}
 	}
 }

@@ -4,8 +4,7 @@
 // the span/bulk fast path. It is the serving-workload counterpart to the
 // barrier-phased scientific kernels in internal/apps — lock-centric, hot
 // pages rewritten in place, the access pattern where the protocols'
-// invalidation and write-propagation choices (and the omittable-write
-// pass) actually bite.
+// invalidation and write-propagation choices actually bite.
 package kv
 
 import (

@@ -189,45 +189,3 @@ func TestBenchMatchesModel(t *testing.T) {
 		})
 	}
 }
-
-// TestBenchOmitEquivalence: the omittable-write pass changes traffic, not
-// results — same checksum with it on and off, and a write-heavy skewed
-// run actually omits something.
-func TestBenchOmitEquivalence(t *testing.T) {
-	wl := Workload{
-		Keys:         512,
-		OpsPerWorker: 400,
-		ReadPct:      10,
-		DeletePct:    5,
-		Theta:        0.99,
-		Seed:         3,
-	}
-	const procs = 4
-	want := wl.ExpectedChecksum(procs)
-	run := func(omit bool) (uint64, int64) {
-		cl := adsm.NewCluster(adsm.Config{Procs: procs, Protocol: adsm.MW, OmitWrites: omit})
-		b := NewBench(wl)
-		b.Setup(cl)
-		rep, err := cl.Run(b.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, ok := b.Checksum()
-		if !ok {
-			t.Fatal("checksum not computed")
-		}
-		return sum, rep.Stats.OmittedWrites
-	}
-	onSum, onOmitted := run(true)
-	offSum, offOmitted := run(false)
-	if onSum != want || offSum != want {
-		t.Fatalf("checksums on=%#x off=%#x, model %#x", onSum, offSum, want)
-	}
-	if offOmitted != 0 {
-		t.Fatalf("omitted %d writes with the pass off", offOmitted)
-	}
-	if onOmitted == 0 {
-		t.Fatalf("write-heavy skewed run omitted nothing")
-	}
-	t.Logf("omitted %d writes", onOmitted)
-}

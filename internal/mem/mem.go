@@ -168,9 +168,6 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// Empty reports whether the diff carries no modifications.
-func (d *Diff) Empty() bool { return len(d.Runs) == 0 }
-
 // Accessors for typed shared-memory access. All multi-byte values use
 // little-endian layout within the page.
 

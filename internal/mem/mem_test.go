@@ -20,7 +20,7 @@ func TestDiffIdenticalPagesIsEmpty(t *testing.T) {
 	p := NewPage()
 	tw := Twin(p)
 	d := MakeDiff(0, tw, p)
-	if !d.Empty() || d.DataBytes() != 0 {
+	if len(d.Runs) != 0 || d.DataBytes() != 0 {
 		t.Fatalf("diff of identical pages not empty: %v", d)
 	}
 }

@@ -76,13 +76,6 @@ type Counters struct {
 	OneSidedFallbacks int64 // region probes that fell back to the handler path
 	BatchedOwnReqs    int64 // ownership requests that rode an ownBatchReq
 
-	// Omittable writes (NWR's Thomas-write-rule pass, Params.OmitWrites):
-	// blind-write diffs whose byte extent is covered by the same node's
-	// next diff before the earlier write notice ever left the node, so the
-	// earlier diff's payload is provably dead and dropped.
-	OmittedWrites int64 // predecessor diffs emptied by the omit pass
-	OmittedBytes  int64 // payload bytes those diffs no longer carry
-
 	// Lock grants that carry diffs (core push.go): diffs this node pushed
 	// on the grants it sent; pushed diffs it received but dropped on
 	// arrival because its next fault would not have fetched them; and

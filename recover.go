@@ -142,9 +142,8 @@ func RunRecoverable(cfg Config, prog Recoverable, plan FaultPlan) (*Report, erro
 	}
 	killIdx := 0
 	for attempt := 0; ; attempt++ {
-		run := cfg
-		run.TCP.Epoch = epoch
-		run, p := run.engine()
+		run, p := cfg.engine()
+		p.Runtime = run.runtimeFactory(epoch)
 		p.CkptStores = func(rank int) *core.CkptStore { return stores[rank] }
 		// A re-mesh can race a peer's teardown: a dial may land on its
 		// dying previous incarnation and be rejected with the stale epoch,

@@ -101,12 +101,6 @@ type TCPConfig struct {
 	// Peers exchange it in the mesh handshake and refuse to connect on
 	// a mismatch; empty fingerprints always match.
 	Fingerprint string
-	// Epoch is the membership epoch of this mesh incarnation. Every
-	// participant must be at the same epoch; survivors of a node loss
-	// re-mesh at epoch+1 so a stale process from the dead incarnation
-	// cannot rejoin. -1 is the recovering-node wildcard (`dsmnode
-	// -recover`): it adopts the epoch of the peers it meshes with.
-	Epoch int64
 	// LeaseTerm enables membership leases: endpoints heartbeat each peer
 	// on the control lane and a peer silent for a full term is declared
 	// dead (Run returns ErrLeaseExpired) even if its socket still looks
@@ -153,8 +147,13 @@ func RunFingerprint(app string, proto Protocol, home HomePolicy, procs int, quic
 type transportError struct{ err error }
 
 // runtimeFactory builds the core runtime factory for a config, or nil for
-// the default simulator.
-func (cfg Config) runtimeFactory() core.RuntimeFactory {
+// the default simulator. epoch is the tcp mesh's membership epoch: every
+// participant must be at the same one. A plain run meshes at 0;
+// RunRecoverable re-meshes the survivors of a node loss at the next epoch,
+// so a stale process from the dead incarnation cannot rejoin, and a
+// recovering node (`dsmnode -recover`) passes the wildcard -1 to adopt the
+// epoch of the peers it meshes with.
+func (cfg Config) runtimeFactory(epoch int64) core.RuntimeFactory {
 	if cfg.Transport != TCPTransport {
 		return nil
 	}
@@ -168,7 +167,7 @@ func (cfg Config) runtimeFactory() core.RuntimeFactory {
 			DialTimeout: tc.DialTimeout,
 			Fingerprint: tc.Fingerprint,
 			OneSided:    !tc.NoOneSided,
-			Epoch:       tc.Epoch,
+			Epoch:       epoch,
 			LeaseTerm:   tc.LeaseTerm,
 			Faults:      tc.Faults,
 		})
