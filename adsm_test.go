@@ -219,10 +219,10 @@ func TestReportStatsAreEngineCounts(t *testing.T) {
 // any work: NewCluster plus an empty Run with ONE allocated page under the
 // default 64 MB segment must allocate under 4 MB in total, on the
 // simulator and on the 4-node in-process tcp mesh. Page structs, initial
-// copies, region publications, home and detector tables are sized by the
-// allocation; when they were sized by the segment's capacity the same
-// sequence allocated ~145 MB (16 384 zero pages at node 0, a region
-// snapshot of each, 65 k page structs) and took 70-90 ms.
+// copies, home and detector tables are sized by the allocation; when they
+// were sized by the segment's capacity the same sequence allocated ~145 MB
+// (16 384 zero pages at node 0, a snapshot of each, 65 k page structs)
+// and took 70-90 ms.
 func TestSetupCostFollowsAllocation(t *testing.T) {
 	for _, tr := range []adsm.Transport{adsm.SimTransport, adsm.TCPTransport} {
 		t.Run(tr.String(), func(t *testing.T) {
@@ -256,7 +256,7 @@ func TestConfigSurface(t *testing.T) {
 		"Config.CollectDiffTimeline", "Config.Transport", "Config.TCP",
 		"TCPConfig.Addrs", "TCPConfig.Local", "TCPConfig.Timescale", "TCPConfig.DialTimeout",
 		"TCPConfig.Fingerprint", "TCPConfig.LeaseTerm",
-		"TCPConfig.Faults", "TCPConfig.NoOneSided",
+		"TCPConfig.Faults",
 	}
 	var got []string
 	for _, typ := range []reflect.Type{reflect.TypeOf(adsm.Config{}), reflect.TypeOf(adsm.TCPConfig{})} {
@@ -266,7 +266,7 @@ func TestConfigSurface(t *testing.T) {
 			}
 		}
 	}
-	if len(want) != 18 || !slices.Equal(got, want) {
+	if len(want) != 17 || !slices.Equal(got, want) {
 		t.Errorf("public config surface changed:\n got  %d fields %v\n want %d fields %v",
 			len(got), got, len(want), want)
 	}

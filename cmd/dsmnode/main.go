@@ -64,8 +64,6 @@ func main() {
 	quick := flag.Bool("quick", false, "use reduced inputs (must match every peer)")
 	timescale := flag.Float64("timescale", 0, "scale modelled compute costs into real sleeps")
 	dialTimeout := flag.Duration("dial-timeout", 20*time.Second, "how long to wait for the peer mesh")
-	oneSided := flag.Bool("onesided", true,
-		"serve clean page fetches one-sided from the registered region (adds a region lane; must match every peer)")
 	recoverable := flag.Bool("recoverable", false,
 		"run the built-in recoverable stencil with barrier-checkpoint replication instead of -app")
 	recoverRun := flag.Bool("recover", false,
@@ -125,7 +123,6 @@ func main() {
 			Timescale:   *timescale,
 			DialTimeout: *dialTimeout,
 			Fingerprint: adsm.RunFingerprint(fpName, proto, home, *procs, *quick),
-			NoOneSided:  !*oneSided,
 			LeaseTerm:   *lease,
 		},
 	}

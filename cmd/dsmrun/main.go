@@ -50,8 +50,6 @@ func main() {
 		"comma-separated node ids hosted by this process (default 0 when -tcp-addrs is set)")
 	timescale := flag.Float64("timescale", 0,
 		"scale modelled compute costs into real sleeps under -transport tcp (0: run flat out)")
-	oneSided := flag.Bool("onesided", true,
-		"serve clean page fetches one-sided from the peer's registered region (adds a region lane per pair)")
 	flag.Parse()
 
 	if *list {
@@ -92,7 +90,6 @@ func main() {
 	if tr == adsm.TCPTransport {
 		cfg.TCP.Timescale = *timescale
 		cfg.TCP.Fingerprint = adsm.RunFingerprint(*appName, proto, home, *procs, *quick)
-		cfg.TCP.NoOneSided = !*oneSided
 		if *tcpAddrs != "" {
 			cfg.TCP.Addrs = strings.Split(*tcpAddrs, ",")
 			cfg.TCP.Local = []int{0}
@@ -145,17 +142,13 @@ func main() {
 			float64(s.WireEncodeNS)/1e6)
 	}
 	if len(s.LaneBytes) > 0 {
-		names := []string{"control", "bulk", "region"}
+		names := []string{"control", "bulk"}
 		var parts []string
 		for i, b := range s.LaneBytes {
 			parts = append(parts, fmt.Sprintf("%s %.2f MB (q %d, hwm %d)",
 				names[i], float64(b)/(1<<20), s.LaneQueueDepth[i], s.LaneQueueHWM[i]))
 		}
 		fmt.Printf("  lanes                %s\n", strings.Join(parts, ", "))
-	}
-	if s.OneSidedReads > 0 || s.OneSidedFallbacks > 0 {
-		fmt.Printf("  one-sided reads      %d served from peer regions, %d fell back to the handler\n",
-			s.OneSidedReads, s.OneSidedFallbacks)
 	}
 	fmt.Printf("  faults               %d read, %d write\n", s.ReadFaults, s.WriteFaults)
 	fmt.Printf("  page fetches         %d\n", s.PageFetches)

@@ -35,11 +35,6 @@ type Cluster struct {
 
 	detector *Detector
 
-	// oneSided is the transport's one-sided read facility when the runtime
-	// implements it with a negotiated region lane; nil otherwise (the
-	// simulator, or tcp with -onesided=false).
-	oneSided transport.OneSided
-
 	// framed reports that the runtime moves messages as binary frames (its
 	// Count reports lanes): decoded diffs alias frame bodies, which
 	// storeDiff detaches. The simulator hands over the sender's objects.
@@ -163,7 +158,7 @@ func (c *Cluster) AllocPageAligned(n int) int { return c.alloc("AllocPageAligned
 
 func (c *Cluster) alloc(what string, n, align int) int {
 	if c.started {
-		// Page state, home tables and regions were sized by the allocation
+		// Page state and home tables were sized by the allocation
 		// when Run started; growing it now would hand out addresses no
 		// node has state for.
 		panic(fmt.Sprintf("dsm: Alloc after Run (%s(%d))", what, n))
@@ -182,7 +177,7 @@ func (c *Cluster) alloc(what string, n, align int) int {
 
 // Run executes body on every node (SPMD) and returns the virtual time at
 // completion. Per-page state — page structs, initial copies, home tables,
-// detector and region slots — is built here rather than at construction:
+// detector slots — is built here rather than at construction:
 // every allocation has happened, so allocation-aware home policies see the
 // final data layout and everything is sized by usedPages(), what the
 // program shares, instead of the segment's capacity. Pages beyond the
@@ -202,24 +197,6 @@ func (c *Cluster) Run(body func(n *Node)) (transport.Time, error) {
 		n := c.nodes[i]
 		for pg, ps := range n.pages {
 			c.policy.InitPage(c, n.id, pg, ps)
-		}
-	}
-	if os, ok := c.rt.(transport.OneSided); ok && os.OneSidedEnabled() {
-		c.oneSided = os
-		for _, i := range c.local {
-			n := c.nodes[i]
-			n.region = make([]atomic.Pointer[regionPub], used)
-			os.RegisterRegion(i, n.serveRegion)
-			// Publish every initial copy (homes, initial owners): until the
-			// page first mutates, these are exactly what the handler would
-			// serve, so even first-epoch fetches can go one-sided.
-			for pg, ps := range n.pages {
-				if ps.data != nil {
-					snap := make([]byte, len(ps.data))
-					copy(snap, ps.data)
-					n.publishRegion(pg, ps, snap, ps.applied.Copy())
-				}
-			}
 		}
 	}
 	for _, i := range c.local {

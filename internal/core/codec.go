@@ -13,7 +13,7 @@ import "adsm/internal/transport"
 type msg = transport.Msg // short enough to keep each hook on one line
 
 func init() {
-	ctl, bulk, region := transport.ClassControl, transport.ClassBulk, transport.ClassRegion
+	ctl, bulk := transport.ClassControl, transport.ClassBulk
 	reg(ctl, "pageReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(pageReq); v.wire(&w); return w.b, w.p },
 		func(w wireRW) (msg, error) { var v pageReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
 	reg(bulk, "pageResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(pageResp); v.wire(&w); return w.b, w.p },
@@ -38,14 +38,6 @@ func init() {
 		func(w wireRW) (msg, error) { var v swOwnReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
 	reg(ctl, "swOwnGrant", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(swOwnGrant); v.wire(&w); return w.b, w.p },
 		func(w wireRW) (msg, error) { var v swOwnGrant; v.wire(&w); v.wire(w.fill()); return v, w.done() })
-	reg(region, "regionReadReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(regionReadReq); v.wire(&w); return w.b, w.p },
-		func(w wireRW) (msg, error) { var v regionReadReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
-	reg(region, "regionReadResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(regionReadResp); v.wire(&w); return w.b, w.p },
-		func(w wireRW) (msg, error) { var v regionReadResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
-	reg(region, "regionSpanReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(regionSpanReq); v.wire(&w); return w.b, w.p },
-		func(w wireRW) (msg, error) { var v regionSpanReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
-	reg(region, "regionSpanResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(regionSpanResp); v.wire(&w); return w.b, w.p },
-		func(w wireRW) (msg, error) { var v regionSpanResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
 	reg(ctl, "hlrcFlush", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(hlrcFlush); v.wire(&w); return w.b, w.p },
 		func(w wireRW) (msg, error) { var v hlrcFlush; v.wire(&w); v.wire(w.fill()); return v, w.done() })
 	reg(ctl, "hlrcAck", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(hlrcAck); v.wire(&w); return w.b, w.p },

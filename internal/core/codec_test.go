@@ -73,19 +73,6 @@ func msgSamples() map[string][]transport.Msg {
 				},
 			},
 		},
-		"regionReadReq": {regionReadReq{Page: 17}, regionReadReq{Page: 9000, Hops: 3}},
-		"regionReadResp": {
-			regionReadResp{Data: mem.NewPage(), Applied: sampleVC()},
-			regionReadResp{}, // miss: page not published
-		},
-		"regionSpanReq": {regionSpanReq{Pages: []int{4, 5, 6}}, regionSpanReq{Pages: []int{9}}},
-		"regionSpanResp": {
-			regionSpanResp{Pages: []spanPageCopy{
-				{Page: 4, Served: true, Data: mem.NewPage(), Applied: sampleVC()},
-				{Page: 5, Served: true, Data: mem.NewPage(), Applied: sampleVC()},
-			}},
-			regionSpanResp{}, // miss: some page in the span not published
-		},
 		"ownReq": {ownReq{Page: 11, Version: 5, NeedPage: true, Applied: sampleVC()}},
 		"ownBatchReq": {ownBatchReq{Reqs: []ownReq{
 			{Page: 11, Version: 5, NeedPage: true, Applied: sampleVC()},
@@ -175,7 +162,7 @@ func msgSamples() map[string][]transport.Msg {
 // they ride the bulk lane and cannot head-of-line block barrier or
 // ownership traffic), every request and control-plane message must stay on
 // the control lane (requests must never reorder against the grants and
-// releases they race with), and the one-sided messages get the region lane.
+// releases they race with).
 func TestMessageLaneClasses(t *testing.T) {
 	want := map[transport.Class][]transport.Msg{
 		transport.ClassControl: {
@@ -185,8 +172,7 @@ func TestMessageLaneClasses(t *testing.T) {
 			hlrcFlush{}, hlrcAck{}, homeBindReq{}, homeBindResp{},
 			ckptAck{}, recArrive{}, recRelease{}, recProtoArrive{}, recProtoRelease{},
 		},
-		transport.ClassBulk:   {pageResp{}, diffResp{}, spanFetchResp{}, ckptPut{}},
-		transport.ClassRegion: {regionReadReq{}, regionReadResp{}, regionSpanReq{}, regionSpanResp{}},
+		transport.ClassBulk: {pageResp{}, diffResp{}, spanFetchResp{}, ckptPut{}},
 	}
 	for class, msgs := range want {
 		for _, m := range msgs {

@@ -106,9 +106,6 @@ func (n *Node) runGC(hints []gcHint) {
 	// Phase 2: drop.
 	for _, h := range hints {
 		ps := n.pages[h.Page]
-		// Authority and version state are rewritten below (and dropped
-		// copies zero their applied vector): retract any publication.
-		n.invalidateRegion(h.Page, ps)
 		adaptive := ps.policy.GCCollapseToSW()
 		keep := n.id == h.Owner
 		if !adaptive && n.wroteSinceGC[h.Page] && ps.data != nil {

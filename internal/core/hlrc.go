@@ -212,7 +212,6 @@ func (n *Node) serveHLRCFlush(c transport.Call, from int, m hlrcFlush) {
 			}
 			ps.data = mem.NewPage()
 		}
-		n.invalidateRegion(d.Page, ps)
 		d.Apply(ps.data)
 		if ps.twin != nil {
 			d.Apply(ps.twin)
@@ -220,16 +219,6 @@ func (n *Node) serveHLRCFlush(c transport.Call, from int, m hlrcFlush) {
 		ps.applied.Join(m.VC)
 		n.Stats.DiffsApplied++
 		cost += n.c.params.applyCost(d)
-		if n.region != nil {
-			// The home copy is now what every fetch until the next flush
-			// will be served from: publish it eagerly so those fetches go
-			// one-sided instead of through this handler. (Publish-on-serve
-			// alone never hits under HLRC — each epoch's copy is typically
-			// fetched once and then dirtied by the next flush.)
-			snap := make([]byte, len(ps.data))
-			copy(snap, ps.data)
-			n.publishRegion(d.Page, ps, snap, ps.applied.Copy())
-		}
 	}
 	c.ReplyAfter(cost, hlrcAck{})
 }

@@ -95,7 +95,6 @@ func (n *Node) closeInterval() *Interval {
 		iv.WNs = append(iv.WNs, wn)
 		ps.myLastWN = wn
 		ps.knownWNs = append(ps.knownWNs, wn)
-		n.invalidateRegion(pg, ps)
 		ps.applied.Join(ivc)
 		n.wroteSinceGC[pg] = true
 		if n.ckptDirty != nil {

@@ -362,9 +362,6 @@ func (n *Node) applyPolicySwitches(sws []policySwitch) (quiesce bool) {
 		if ps.proto == target {
 			continue
 		}
-		// The page changes protocol (and possibly applied vector) below:
-		// retract any one-sided publication built under the old policy.
-		n.invalidateRegion(sw.Page, ps)
 		toWFS := target == WFSWG
 		toHLRC := target == HLRC
 

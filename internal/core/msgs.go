@@ -120,39 +120,6 @@ func (m *spanFetchResp) wire(w *wireRW) {
 }
 func (m spanFetchResp) Size() int { var w wireRW; m.wire(&w); return w.n }
 
-// --- one-sided region reads (tcp region lane) ---
-//
-// A peer's region server answers these without its protocol handler. Each
-// travels as the handler-path message it replaces, so the traffic counters
-// charge the same bytes and the sim/tcp count-equivalence pins hold.
-
-// regionReadReq asks for a whole-page copy (Hops is always 0).
-type regionReadReq pageReq
-
-func (m *regionReadReq) wire(w *wireRW) { (*pageReq)(m).wire(w) }
-func (m regionReadReq) Size() int       { var w wireRW; m.wire(&w); return w.n }
-
-// regionReadResp carries the published page snapshot.
-type regionReadResp pageResp
-
-func (m *regionReadResp) wire(w *wireRW) { (*pageResp)(m).wire(w) }
-func (m regionReadResp) Size() int       { var w wireRW; m.wire(&w); return w.n }
-
-// regionSpanReq asks for a span's page copies in one round trip: a
-// spanFetchReq without diff wants (a decoder refuses any).
-type regionSpanReq spanFetchReq
-
-func (m *regionSpanReq) wire(w *wireRW) { (*spanFetchReq)(m).wire(w); w.check(m.Diffs == nil) }
-func (m regionSpanReq) Size() int       { var w wireRW; m.wire(&w); return w.n }
-
-// regionSpanResp answers with per-page copies: a spanFetchResp without
-// diff bundles. Served=false marks pages the region could not serve; the
-// requester falls back to the handler path for those.
-type regionSpanResp spanFetchResp
-
-func (m *regionSpanResp) wire(w *wireRW) { (*spanFetchResp)(m).wire(w); w.check(m.Diffs == nil) }
-func (m regionSpanResp) Size() int       { var w wireRW; m.wire(&w); return w.n }
-
 // --- ownership (adaptive protocols) ---
 
 // ownReq is an ownership request sent directly to the last perceived owner

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"adsm/internal/mem"
 	"adsm/internal/stats"
@@ -64,11 +63,6 @@ type pageState struct {
 	// request reached the home last.
 	swNext transport.Call
 	swLast int
-
-	// published marks that the page's current contents are exported in the
-	// node's one-sided region (region.go); any mutation of data/applied must
-	// go through invalidateRegion first.
-	published bool
 }
 
 // Node is one DSM processor: protocol state plus the simulated process
@@ -142,12 +136,6 @@ type Node struct {
 	// knowledge happened-before-closed at every instant, which the merge
 	// procedure's applied-vector bookkeeping relies on.
 	lastGlobal []int32
-
-	// region is the node's exported one-sided read region: one published
-	// snapshot slot per page, read by the transport's region server
-	// goroutine without any protocol lock (region.go). Nil unless the
-	// runtime negotiated a region lane for this node.
-	region []atomic.Pointer[regionPub]
 
 	Stats stats.Counters
 }
@@ -273,7 +261,6 @@ func (n *Node) access(addr, size int, write bool) ([]byte, int) {
 // (SW mode) use the wroteSW flag; MW pages were marked dirty when the twin
 // was created.
 func (n *Node) markWritten(pg int, ps *pageState) {
-	n.invalidateRegion(pg, ps)
 	if ps.owner && !ps.wroteSW {
 		ps.wroteSW = true
 		n.dirty = append(n.dirty, pg)

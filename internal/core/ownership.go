@@ -387,7 +387,6 @@ func (n *Node) closePageInterval(pg int, ps *pageState) {
 	ps.myLastWN = wn
 	ps.knownWNs = append(ps.knownWNs, wn)
 	ps.wroteSW = false
-	n.invalidateRegion(pg, ps)
 	ps.applied.Join(ivc)
 	n.vclock[n.id] = ts
 	n.knownTS[n.id] = ts

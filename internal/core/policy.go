@@ -114,14 +114,6 @@ type Policy interface {
 	// context; may block.
 	SpanSettle(n *Node, pg int, ps *pageState)
 
-	// PublishOneSided reports whether a whole-page serve of this page may
-	// be published to the node's one-sided read region, letting later
-	// identical fetches be served off the region server without the
-	// protocol handler running. False when OnServePage needs to observe
-	// every fetch (the WFS+WG read probe before the page has been through
-	// its measuring phase). Handler context.
-	PublishOneSided(ps *pageState) bool
-
 	// BatchOwnershipSpans reports whether a write span's ownership
 	// requests may be grouped per perceived owner into one ownBatchReq
 	// (write-span grant batching). Only the direct-request ownership
@@ -149,7 +141,6 @@ func (basePolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNo
 	return n.lrcSpanPlan(ps)
 }
 func (basePolicy) SpanSettle(n *Node, pg int, ps *pageState) { n.lrcSpanSettle(pg, ps) }
-func (basePolicy) PublishOneSided(ps *pageState) bool        { return true }
 func (basePolicy) BatchOwnershipSpans() bool                 { return false }
 
 // ownerInitPage is the shared InitPage of the ownership-based protocols:
@@ -297,12 +288,5 @@ func (p adaptivePolicy) AllowSWByGranularity(n *Node, ps *pageState) bool {
 
 func (adaptivePolicy) GCKeeperIsOwner() bool { return true }
 func (adaptivePolicy) GCCollapseToSW() bool  { return true }
-
-// PublishOneSided: under WFS+WG an owned page that has not been through
-// its MW measuring phase must see every remote fetch in OnServePage (the
-// read probe above), so its serves stay on the handler path.
-func (p adaptivePolicy) PublishOneSided(ps *pageState) bool {
-	return !p.wg || !ps.owner || ps.wgProbed
-}
 
 func (adaptivePolicy) BatchOwnershipSpans() bool { return true }

@@ -216,28 +216,6 @@ func (n *Node) prefetchPages(pages []int, read bool) {
 	if len(targets) > 0 {
 		n.Stats.BatchedFetches++
 	}
-	// One-sided pass: a destination whose request carries only page
-	// fetches (no diff bundles) may be served entirely from its region
-	// (region.go); destinations the region declines stay in the Multicall.
-	if n.c.oneSided != nil {
-		kept := targets[:0]
-		for _, t := range targets {
-			sr := t.M.(spanFetchReq)
-			if len(sr.Diffs) > 0 {
-				kept = append(kept, t)
-				continue
-			}
-			pcs, ok := n.oneSidedSpanFetch(t.To, sr.Pages)
-			if !ok {
-				kept = append(kept, t)
-				continue
-			}
-			for i := range pcs {
-				copies[pcs[i].Page] = &pcs[i]
-			}
-		}
-		targets = kept
-	}
 	if len(targets) > 0 {
 		resps := n.c.rt.Multicall(n.proc, targets)
 		// Store every bundled diff before installing any page: a page's

@@ -115,15 +115,11 @@ func (n *Node) mergeOnce(pg int, ps *pageState) {
 	}
 }
 
-// fetchPage retrieves a whole-page copy from target and installs it,
-// preserving any uncommitted local writes recorded under a twin. A
-// published copy is read one-sidedly from the target's region (region.go);
-// otherwise the ordinary handler call runs.
+// fetchPage retrieves a whole-page copy from target's pageReq handler and
+// installs it, preserving any uncommitted local writes recorded under a
+// twin.
 func (n *Node) fetchPage(pg int, ps *pageState, target int) {
-	resp, ok := n.oneSidedFetch(pg, target)
-	if !ok {
-		resp = n.c.rt.Call(n.proc, target, pageReq{Page: pg}).(pageResp)
-	}
+	resp := n.c.rt.Call(n.proc, target, pageReq{Page: pg}).(pageResp)
 	n.Stats.PageFetches++
 	n.installPage(pg, ps, resp.Data, resp.Applied.Copy())
 }
@@ -136,7 +132,6 @@ func (n *Node) fetchPage(pg int, ps *pageState, target int) {
 // node's newest, not-yet-diffed modifications) are re-applied last and only
 // to the data, keeping the twin a pristine base. Runs in process context.
 func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) {
-	n.invalidateRegion(pg, ps)
 	old := ps.applied.Copy()
 
 	// Diff-backed writes our old copy had that the new copy misses.
@@ -251,9 +246,6 @@ func findWN(wns []*WriteNotice, k wnKey) *WriteNotice {
 // applyDiffs applies the diffs for the write notices in happened-before
 // order, charging the per-diff application cost.
 func (n *Node) applyDiffs(pg int, ps *pageState, wns []*WriteNotice) {
-	if len(wns) > 0 {
-		n.invalidateRegion(pg, ps)
-	}
 	for _, wn := range orderWNs(wns) {
 		k := keyOf(wn)
 		d := n.diffCache[k]
@@ -277,16 +269,14 @@ func (n *Node) applyDiffs(pg int, ps *pageState, wns []*WriteNotice) {
 // snapshotPage runs the serve-side policy hook and returns a private
 // copy of the page (data + applied) for a reply to `from`. Shared by the
 // serial pageReq handler and the batched span-fetch handler so the two
-// paths cannot drift. The snapshot doubles as the page's one-sided region
-// publication: it is immutable once built, so sharing it with the region
-// server is safe. Handler context.
+// paths cannot drift. The copy is the reply's own: the simulator hands
+// messages over by reference, so the page may change under a shared
+// slice before the requester installs it. Handler context.
 func (n *Node) snapshotPage(from, pg int, ps *pageState) ([]byte, vc.VC) {
 	ps.policy.OnServePage(n, from, pg, ps)
 	snap := make([]byte, len(ps.data))
 	copy(snap, ps.data)
-	applied := ps.applied.Copy()
-	n.publishRegion(pg, ps, snap, applied)
-	return snap, applied
+	return snap, ps.applied.Copy()
 }
 
 // heldDiff resolves one diff this node holds: cached, or its own pending

@@ -271,60 +271,11 @@ func fuzzWireCodec(f *testing.F, name string) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkWireCodec(t, codec, body) })
 }
 
-func FuzzDiffRespWire(f *testing.F)       { fuzzWireCodec(f, "diffResp") }
-func FuzzSpanFetchRespWire(f *testing.F)  { fuzzWireCodec(f, "spanFetchResp") }
-func FuzzRegionReadRespWire(f *testing.F) { fuzzWireCodec(f, "regionReadResp") }
-func FuzzRegionSpanRespWire(f *testing.F) { fuzzWireCodec(f, "regionSpanResp") }
-func FuzzAcqGrantWire(f *testing.F)       { fuzzWireCodec(f, "acqGrant") }
-func FuzzHlrcFlushWire(f *testing.F)      { fuzzWireCodec(f, "hlrcFlush") }
-func FuzzCkptPutWire(f *testing.F)        { fuzzWireCodec(f, "ckptPut") }
-
-// TestRegionMessagesMirrorHandlerSizes pins the count-equivalence design of
-// the one-sided path: a served region read must charge the traffic counters
-// exactly what the handler path would have charged, so each region message's
-// encoding must be byte-length-identical to the request/response pair it
-// replaces. If these drift, -onesided runs stop being byte-comparable to
-// handler-path runs and the equivalence suites lose their teeth.
-func TestRegionMessagesMirrorHandlerSizes(t *testing.T) {
-	pairs := []struct {
-		name   string
-		region transport.Msg
-		mirror transport.Msg
-	}{
-		{"read req", regionReadReq{Page: 9000, Hops: 3}, pageReq{Page: 9000, Hops: 3}},
-		{"read resp", regionReadResp{Data: make([]byte, 4096), Applied: sampleVC()},
-			pageResp{Data: make([]byte, 4096), Applied: sampleVC()}},
-		{"span req", regionSpanReq{Pages: []int{4, 5, 600}},
-			spanFetchReq{Pages: []int{4, 5, 600}}},
-		{"span resp",
-			regionSpanResp{Pages: []spanPageCopy{
-				{Page: 4, Served: true, Data: make([]byte, 4096), Applied: sampleVC()},
-				{Page: 600, Served: true, Data: make([]byte, 4096), Applied: sampleVC()},
-			}},
-			spanFetchResp{Pages: []spanPageCopy{
-				{Page: 4, Served: true, Data: make([]byte, 4096), Applied: sampleVC()},
-				{Page: 600, Served: true, Data: make([]byte, 4096), Applied: sampleVC()},
-			}}},
-	}
-	for _, p := range pairs {
-		rb, ok := transport.WireBody(p.region)
-		if !ok {
-			t.Fatalf("%s: region message has no binary codec", p.name)
-		}
-		mb, ok := transport.WireBody(p.mirror)
-		if !ok {
-			t.Fatalf("%s: mirrored message has no binary codec", p.name)
-		}
-		if len(rb) != len(mb) {
-			t.Errorf("%s: region encoding is %d bytes, handler-path mirror is %d",
-				p.name, len(rb), len(mb))
-		}
-		if p.region.Size() != p.mirror.Size() {
-			t.Errorf("%s: region Size()=%d, handler-path mirror Size()=%d",
-				p.name, p.region.Size(), p.mirror.Size())
-		}
-	}
-}
+func FuzzDiffRespWire(f *testing.F)      { fuzzWireCodec(f, "diffResp") }
+func FuzzSpanFetchRespWire(f *testing.F) { fuzzWireCodec(f, "spanFetchResp") }
+func FuzzAcqGrantWire(f *testing.F)      { fuzzWireCodec(f, "acqGrant") }
+func FuzzHlrcFlushWire(f *testing.F)     { fuzzWireCodec(f, "hlrcFlush") }
+func FuzzCkptPutWire(f *testing.F)       { fuzzWireCodec(f, "ckptPut") }
 
 // hotFrames names the messages the fault, diff, span and lock paths send
 // on every operation: the frames whose encode, decode and size cost the

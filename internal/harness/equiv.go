@@ -128,11 +128,8 @@ type TransportCheck struct {
 // TransportEquivalence runs the deterministic stencil under the simulator
 // and the in-process TCP mesh for every given protocol and asserts
 // identical checksums; for the timing-independent protocols (MW, HLRC) it
-// additionally asserts identical message and byte counts. Optional
-// mutators are applied to the TCP side's config only — the degraded-mesh
-// test uses them to turn one-sided reads off and show the
-// protocol result does not depend on the transport's plumbing.
-func TransportEquivalence(procs int, protos []adsm.Protocol, tcpMut ...func(*adsm.Config)) ([]TransportCheck, error) {
+// additionally asserts identical message and byte counts.
+func TransportEquivalence(procs int, protos []adsm.Protocol) ([]TransportCheck, error) {
 	var out []TransportCheck
 	for _, proto := range protos {
 		countable := proto == adsm.MW || proto == adsm.HLRC
@@ -147,9 +144,6 @@ func TransportEquivalence(procs int, protos []adsm.Protocol, tcpMut ...func(*ads
 		tcp := newEquivProgram(procs)
 		tcfg := base
 		adsm.WithTransport(adsm.TCPTransport)(&tcfg)
-		for _, mut := range tcpMut {
-			mut(&tcfg)
-		}
 		tcpRep, tcpSum, err := tcp.run(tcfg)
 		if err != nil {
 			return out, fmt.Errorf("equivalence: %v under tcp: %w", proto, err)

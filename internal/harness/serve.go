@@ -80,16 +80,6 @@ func (c ServeCell) OpsPerSec() float64 {
 	return float64(c.Ops) / c.Elapsed.Seconds()
 }
 
-// OneSidedHitRate is the fraction of page fetches served from a peer's
-// one-sided region (tcp cells; zero under the simulator).
-func (c ServeCell) OneSidedHitRate() float64 {
-	s := c.Report.Stats
-	if total := s.OneSidedReads + s.PageFetches; total > 0 {
-		return float64(s.OneSidedReads) / float64(total)
-	}
-	return 0
-}
-
 // serveRun executes one serving cell and verifies its checksum against
 // the host-model oracle. The tcp cells run closed-loop (Interval 0): a
 // wall clock cannot idle to a virtual arrival schedule, so their
@@ -192,7 +182,7 @@ func (m *Matrix) ServeSweep(tcp bool, o ServeOptions) string {
 	base, _ := m.serveWorkloads(o)
 	cells := m.ServeSweepData(tcp, o)
 	t := &table{header: []string{"Protocol", "Variant", "Transport", "ops/s", "mean (us)",
-		"p50 (us)", "p95 (us)", "p99 (us)", "Msgs", "Data (MB)", "1-sided", "Switches"}}
+		"p50 (us)", "p95 (us)", "p99 (us)", "Msgs", "Data (MB)", "Switches"}}
 	for _, c := range cells {
 		variant := c.Variant
 		if variant == "" {
@@ -207,7 +197,6 @@ func (m *Matrix) ServeSweep(tcp bool, o ServeOptions) string {
 			fmt.Sprintf("%.0f", float64(c.P99.Nanoseconds())/1000),
 			fmt.Sprint(s.Messages),
 			fmt.Sprintf("%.2f", c.Report.DataMB()),
-			fmt.Sprintf("%.2f", c.OneSidedHitRate()),
 			fmt.Sprint(s.PolicySwitches))
 	}
 	return fmt.Sprintf("Serve: zipfian key-value store, %d workers x %d ops (theta=%.2f, %d%% reads, %d keys)\n"+

@@ -70,11 +70,12 @@ type Counters struct {
 	PrefetchPages   int64 // pages made valid through the batched span path
 	SerialFallbacks int64 // planned pages that fell back to the serial fault path
 
-	// One-sided region reads (tcp region lane) and write-span grant
-	// batching.
-	OneSidedReads     int64 // page/span fetches served from a peer's region
-	OneSidedFallbacks int64 // region probes that fell back to the handler path
-	BatchedOwnReqs    int64 // ownership requests that rode an ownBatchReq
+	// Write-span grant batching.
+	BatchedOwnReqs int64 // ownership requests that rode an ownBatchReq
+
+	// Never incremented; they stay only because benchmark/ reads them (ROADMAP 4(a)).
+	OneSidedReads     int64
+	OneSidedFallbacks int64
 
 	// Lock grants that carry diffs (core push.go): diffs this node pushed
 	// on the grants it sent; pushed diffs it received but dropped on
@@ -106,8 +107,7 @@ type Counters struct {
 	WireEncodeNS int64 // cumulative frame-encode time, nanoseconds
 
 	// Per-lane wire accounting of one runtime, indexed by lane (0 control,
-	// 1 bulk, last region when one-sided reads are on); nil under the
-	// simulator. Add leaves them alone: they do not sum across nodes.
+	// 1 bulk); nil under the simulator. Add leaves them alone: they do not sum across nodes.
 	LaneBytes      []int64 // bytes sent per lane by the hosted nodes
 	LaneQueueDepth []int64 // current send-queue depth per lane (frames)
 	LaneQueueHWM   []int64 // send-queue high-water mark per lane (frames)

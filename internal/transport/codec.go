@@ -23,14 +23,11 @@ import (
 // lanes. Control is the default: small latency-critical frames (barriers,
 // locks, ownership, requests). Bulk marks large payload-bearing replies
 // that would head-of-line-block control traffic on a shared connection.
-// Region marks one-sided region-read traffic, which travels on its own
-// dedicated connection served off the protocol handler loop entirely.
 type Class uint8
 
 const (
 	ClassControl Class = iota
 	ClassBulk
-	ClassRegion
 )
 
 // Codec gives one protocol message type a wire encoding.

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -10,16 +11,6 @@ import (
 
 	"adsm/internal/transport"
 )
-
-// treg is a region-classed test message: it rides the region lane.
-type treg struct{ N int }
-
-func (m treg) Size() int { return 8 }
-
-func init() {
-	transport.MustRegisterCodec(transport.Codec{Name: "tcptest.treg", Msg: treg{},
-		Class: transport.ClassRegion})
-}
 
 // dropFrom is a FaultInjector silencing every frame a set of nodes sends —
 // the wire view of a wedged (SIGSTOPed) process whose sockets stay open.
@@ -31,13 +22,13 @@ func (d *dropFrom) DropFrame(from, to, lane int) bool {
 func (d *dropFrom) DelayFrame(from, to, lane int) time.Duration { return 0 }
 
 // TestSeverMidMulticallAllLanes is the kill hammer: four nodes saturate
-// every lane class — control (tmsg), bulk (tbulk), region (one-sided
-// reads) — while one node's connections are severed mid-flight. The run
+// both lanes — control (tmsg) and bulk (tbulk) — while one node's
+// connections are severed mid-flight. The run
 // must fail with the typed peer-loss error, never deadlock. Run with
 // -race this also shakes the teardown paths.
 func TestSeverMidMulticallAllLanes(t *testing.T) {
 	const procs, victim = 4, 2
-	rt, err := New(Options{Procs: procs, OneSided: true})
+	rt, err := New(Options{Procs: procs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +43,6 @@ func TestSeverMidMulticallAllLanes(t *testing.T) {
 			default:
 				c.Reply(m)
 			}
-		})
-		rt.RegisterRegion(id, func(from int, req transport.Msg) (transport.Msg, bool) {
-			return treg{N: req.(treg).N * 2}, true
 		})
 	}
 	var rounds atomic.Int64
@@ -73,7 +61,6 @@ func TestSeverMidMulticallAllLanes(t *testing.T) {
 						transport.Target{To: peer, M: tbulk{N: i, Data: payload}})
 				}
 				rt.Multicall(p, targets)
-				rt.OneSidedRead(p, (id+1)%procs, treg{N: i})
 				if id == 0 && rounds.Add(1) == 30 {
 					// Mid-hammer, with calls in flight on every lane of
 					// every pair: kill the victim.
@@ -224,6 +211,58 @@ func TestEpochWildcardAdopts(t *testing.T) {
 	defer surv.rt.Close()
 	if got := rec.Epoch(); got != 7 {
 		t.Fatalf("wildcard endpoint adopted epoch %d, want 7", got)
+	}
+}
+
+// TestHandshakeLaneOutOfRangeRefused: a connecter whose hello names a
+// lane no pair has (2, or -1) is refused with an error naming that lane,
+// and the refusal does not fail the mesh: the real peers still form it.
+func TestHandshakeLaneOutOfRangeRefused(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	type out struct {
+		rt  *Runtime
+		err error
+	}
+	res := make(chan out, 2)
+	mk := func(local int) {
+		rt, err := New(Options{Procs: 2, Local: []int{local}, Addrs: addrs, DialTimeout: 10 * time.Second})
+		res <- out{rt, err}
+	}
+	go mk(0)
+	for _, lane := range []int{2, -1} {
+		var conn net.Conn
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			var err error
+			if conn, err = net.DialTimeout("tcp", addrs[0], time.Second); err == nil {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("node 0 never listened: %v", err)
+			}
+		}
+		of, err := encodeFrame(&frame{Op: opHello, From: 1, To: 0, Idx: lane, Digest: transport.WireDigest()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeOut(conn, of); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		ack, err := readFrame(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("lane %d: no hello ack: %v", lane, err)
+		}
+		if want := fmt.Sprintf("lane %d", lane); !strings.Contains(ack.Err, want) {
+			t.Fatalf("lane %d: ack error %q does not name %q", lane, ack.Err, want)
+		}
+	}
+	go mk(1)
+	for i := 0; i < 2; i++ {
+		o := <-res
+		if o.err != nil {
+			t.Fatalf("mesh after refused lane hellos: %v", o.err)
+		}
+		defer o.rt.Close()
 	}
 }
 

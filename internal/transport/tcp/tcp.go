@@ -15,7 +15,7 @@
 // model" invariant — exactly one thing mutates a node's protocol state at
 // a time — via one state lock per hosted node, as if each node were its
 // own workstation: a node's application body holds its lock except while
-// blocked in a call, a one-sided read or Advance, and frame dispatch takes
+// blocked in a call or Advance, and frame dispatch takes
 // the destination node's lock around each handler. Nodes hosted by the
 // same endpoint run concurrently; a reply completes under a small leaf
 // lock that never takes a node lock.
@@ -52,11 +52,7 @@ type Options struct {
 	// Addrs gives every node's listen address, indexed by node id. Nil
 	// picks loopback addresses automatically (all nodes must be local).
 	Addrs []string
-	// OneSided adds one more connection per pair — the region lane — and
-	// enables the RDMA-style one-sided read path: region requests are
-	// served from the peer's registered memory region on a dedicated
-	// goroutine, bypassing the handler and the node's state lock. Every
-	// participant must use the same value.
+	// OneSided is ignored; it stays only because benchmark/ sets it (ROADMAP 4(a)).
 	OneSided bool
 	// Timescale multiplies the modelled compute/processing delays
 	// (Worker.Compute, diff-creation reply latency, the SW ownership
@@ -102,11 +98,11 @@ const (
 
 // lane indices. Every pair has a control and a bulk lane, so large page
 // and diff payloads never head-of-line block a latency-critical barrier
-// release or ownership grant; the region lane exists when OneSided is set.
+// release or ownership grant. The dialer names the lane in its hello's Idx.
 const (
 	laneControl = iota
 	laneBulk
-	laneRegion
+	numLanes
 )
 
 // body kinds: how the bytes after the fixed header are encoded.
@@ -153,7 +149,7 @@ type frame struct {
 	To     int    // receiving node
 	Origin int    // node that issued the call (survives forwarding)
 	CallID uint64 // caller-assigned id
-	Idx    int    // multicall slot
+	Idx    int    // multicall slot; hello: the lane this connection carries
 	Err    string // transport-level failure travelling back to the caller
 	Tag    string // hello only: the dialer's config fingerprint
 	Digest uint64 // hello only: the frozen binary codec set (transport.WireDigest)
@@ -297,7 +293,7 @@ func readFrame(r io.Reader) (*frame, error) {
 		To:     int(binary.LittleEndian.Uint32(hdr[12:])),
 		Origin: int(binary.LittleEndian.Uint32(hdr[16:])),
 		CallID: binary.LittleEndian.Uint64(hdr[20:]),
-		Idx:    int(binary.LittleEndian.Uint32(hdr[28:])),
+		Idx:    int(int32(binary.LittleEndian.Uint32(hdr[28:]))),
 	}
 	switch hdr[5] {
 	case bodyNone:
@@ -351,16 +347,6 @@ type callState struct {
 	err     error
 }
 
-// regionCall tracks one blocking one-sided read. Region replies bypass
-// the ordinary call table: they are matched under their own small mutex so
-// completing one never contends with the call table.
-type regionCall struct {
-	done chan struct{}
-	m    transport.Msg
-	ok   bool
-	err  error
-}
-
 // end is this runtime's end of one lane of the connection bundle between
 // one hosted node and one peer node. Protocol code never blocks on the
 // socket: sends enqueue onto an unbounded queue drained by a dedicated
@@ -408,8 +394,6 @@ type Runtime struct {
 	start    time.Time
 	dialT    time.Duration
 	fprnt    string
-	oneSided bool // region lane present
-	nlanes   int  // total connections per ordered pair
 	lease    time.Duration
 	faults   FaultInjector
 	epoch    int64         // membership epoch (atomic: wildcard dials adopt it)
@@ -431,23 +415,15 @@ type Runtime struct {
 
 	// Traffic counters (the protocol model's Msg.Size()+HeaderBytes
 	// charge) and wire-efficiency counters (the real framing cost; both
-	// reported by Count). Atomics: every node and the region server add to
-	// them concurrently. The wire counters cover exactly the data-plane
-	// frames (calls, replies, error replies, region reads), not the
-	// handshake/goodbye control frames.
+	// reported by Count). Atomics: every node adds to them concurrently.
+	// The wire counters cover exactly the data-plane frames (calls,
+	// replies, error replies), not the handshake/goodbye control frames.
 	msgs       atomic.Int64
 	bytes      atomic.Int64
 	wireFrames atomic.Int64
 	wireBytes  atomic.Int64
 	encodeNS   atomic.Int64
-	laneBytes  []atomic.Int64 // per-lane wire bytes, same coverage as wireBytes
-
-	// One-sided read machinery. regCalls matches region replies under its
-	// own mutex (lock order: callMu, then regMu — regionLoop takes regMu
-	// alone).
-	regMu    sync.Mutex
-	regCalls map[uint64]*regionCall
-	regions  []func(from int, req transport.Msg) (transport.Msg, bool)
+	laneBytes  [numLanes]atomic.Int64 // per-lane wire bytes, same coverage as wireBytes
 
 	isLocal   []bool
 	ends      [][][]*end // [local node][peer node][lane]
@@ -461,7 +437,7 @@ type Runtime struct {
 }
 
 // node is one hosted node's slot. mu is the node's state lock: its body
-// holds it except while blocked in Multicall, OneSidedRead or Advance, and
+// holds it except while blocked in Multicall or Advance, and
 // every handler and deferred action addressed to the node runs under it.
 type node struct {
 	mu      sync.Mutex
@@ -504,39 +480,29 @@ func New(o Options) (*Runtime, error) {
 	if dialT == 0 {
 		dialT = 20 * time.Second
 	}
-	nlanes := laneRegion
-	if o.OneSided {
-		nlanes++
-	}
-
 	rt := &Runtime{
-		procs:     o.Procs,
-		local:     local,
-		scale:     o.Timescale,
-		start:     time.Now(),
-		dialT:     dialT,
-		fprnt:     o.Fingerprint,
-		oneSided:  o.OneSided,
-		nlanes:    nlanes,
-		lease:     o.LeaseTerm,
-		faults:    o.Faults,
-		epoch:     o.Epoch,
-		closed:    make(chan struct{}),
-		nodes:     make([]*node, o.Procs),
-		calls:     make(map[uint64]*callState),
-		regCalls:  make(map[uint64]*regionCall),
-		regions:   make([]func(int, transport.Msg) (transport.Msg, bool), o.Procs),
-		laneBytes: make([]atomic.Int64, nlanes),
-		isLocal:   isLocal,
-		ends:      make([][][]*end, o.Procs),
-		bodies:    make(map[int]func(transport.Proc)),
-		runGate:   make(chan struct{}),
+		procs:   o.Procs,
+		local:   local,
+		scale:   o.Timescale,
+		start:   time.Now(),
+		dialT:   dialT,
+		fprnt:   o.Fingerprint,
+		lease:   o.LeaseTerm,
+		faults:  o.Faults,
+		epoch:   o.Epoch,
+		closed:  make(chan struct{}),
+		nodes:   make([]*node, o.Procs),
+		calls:   make(map[uint64]*callState),
+		isLocal: isLocal,
+		ends:    make([][][]*end, o.Procs),
+		bodies:  make(map[int]func(transport.Proc)),
+		runGate: make(chan struct{}),
 	}
 	for _, id := range local {
 		rt.nodes[id] = &node{}
 		rt.ends[id] = make([][]*end, o.Procs)
 		for peer := range rt.ends[id] {
-			rt.ends[id][peer] = make([]*end, nlanes)
+			rt.ends[id][peer] = make([]*end, numLanes)
 		}
 	}
 
@@ -575,24 +541,23 @@ func (rt *Runtime) Addrs() []string { return append([]string(nil), rt.addrs...) 
 // connectMesh establishes every lane connection with a hosted end: for
 // each node pair the higher-numbered node dials the lower once per lane
 // (the hello's Idx field names the lane), and each hosted node accepts the
-// matching bundle from every higher-numbered peer. The hello ack carries
-// the acceptor's lane count in Idx, so a -onesided mismatch between
-// participants is a clear startup error rather than a hung mesh.
+// matching bundle from every higher-numbered peer.
 func (rt *Runtime) connectMesh() error {
 	type res struct {
 		e   *end
 		err error
 	}
 	expect := 0
-	ch := make(chan res, rt.procs*rt.procs*rt.nlanes)
+	ch := make(chan res, rt.procs*rt.procs*numLanes)
 
 	// Accept side: every hosted node accepts from higher-numbered peers.
 	// Each accepted connection handshakes on its own goroutine under a
 	// read deadline, so a connecter that never sends hello (or sends
-	// garbage) is dropped without stalling the accept loop or failing the
-	// mesh — it simply never counts toward the expected bundle.
+	// garbage, or names a lane no pair has) is dropped without stalling
+	// the accept loop or failing the mesh — it simply never counts toward
+	// the expected bundle.
 	for li, id := range rt.local {
-		want := (rt.procs - 1 - id) * rt.nlanes
+		want := (rt.procs - 1 - id) * numLanes
 		expect += want
 		l := rt.listeners[li]
 		id := id
@@ -614,9 +579,10 @@ func (rt *Runtime) connectMesh() error {
 						ch <- res{err: fmt.Errorf("tcp: node %d received a frame addressed to node %d (op %d) instead of a hello — check that every participant uses the same -addrs order", id, hello.To, hello.Op)}
 						return
 					}
-					ack := &frame{Op: opHello, From: id, To: hello.From, Idx: rt.nlanes,
+					ack := &frame{Op: opHello, From: id, To: hello.From,
 						Tag: rt.fprnt, Digest: transport.WireDigest(), Lease: int64(rt.lease)}
 					ourEpoch := atomic.LoadInt64(&rt.epoch)
+					stray := false // refused connecter that is no participant
 					switch {
 					case hello.Tag != "" && rt.fprnt != "" && hello.Tag != rt.fprnt:
 						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d runs a different configuration: ours %q, theirs %q",
@@ -624,9 +590,10 @@ func (rt *Runtime) connectMesh() error {
 					case hello.Digest != transport.WireDigest():
 						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d disagrees on the binary wire codec set (digest %x vs %x) — peers must be built from the same message definitions",
 							id, hello.From, transport.WireDigest(), hello.Digest)
-					case hello.Idx < 0 || hello.Idx >= rt.nlanes:
-						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d opened lane %d but this endpoint runs %d connections per pair — every participant must use the same -onesided setting",
-							id, hello.From, hello.Idx, rt.nlanes)
+					case hello.Idx < 0 || hello.Idx >= numLanes:
+						stray = true
+						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d opened lane %d, but a pair has only lanes 0 (control) and 1 (bulk)",
+							id, hello.From, hello.Idx)
 					case hello.Lease != int64(rt.lease):
 						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d uses lease term %v, ours %v — every participant must use the same -lease",
 							id, hello.From, time.Duration(hello.Lease), rt.lease)
@@ -644,7 +611,9 @@ func (rt *Runtime) connectMesh() error {
 					}
 					if ack.Err != "" {
 						conn.Close()
-						ch <- res{err: fmt.Errorf("%s", ack.Err)}
+						if !stray {
+							ch <- res{err: fmt.Errorf("%s", ack.Err)}
+						}
 						return
 					}
 					conn.SetReadDeadline(time.Time{})
@@ -664,7 +633,7 @@ func (rt *Runtime) connectMesh() error {
 	// teardown races retry mesh formation as a whole.
 	for _, id := range rt.local {
 		for peer := 0; peer < id; peer++ {
-			for lane := 0; lane < rt.nlanes; lane++ {
+			for lane := 0; lane < numLanes; lane++ {
 				expect++
 				id, peer, lane := id, peer, lane
 				go func() {
@@ -705,8 +674,7 @@ func (rt *Runtime) connectMesh() error {
 			return fmt.Errorf("tcp: mesh incomplete after %v (are all peers running?)", rt.dialT)
 		}
 	}
-	// Start the frame pumps. Region-lane reads are served by regionLoop,
-	// the dedicated server goroutine that never takes a node lock.
+	// Start the frame pumps.
 	for _, id := range rt.local {
 		for _, lanes := range rt.ends[id] {
 			for _, e := range lanes {
@@ -714,11 +682,7 @@ func (rt *Runtime) connectMesh() error {
 					continue
 				}
 				go e.writeLoop()
-				if rt.oneSided && e.lane == laneRegion {
-					go e.regionLoop()
-				} else {
-					go e.readLoop()
-				}
+				go e.readLoop()
 			}
 		}
 	}
@@ -727,7 +691,7 @@ func (rt *Runtime) connectMesh() error {
 
 // dialLane performs one dial+handshake attempt for a lane connection.
 // fatal distinguishes handshake rejections and mismatches (wrong
-// fingerprint, codec set, lane count, lease term, stale epoch) from
+// fingerprint, codec set, lease term, stale epoch) from
 // transient connection-level conditions the caller should retry: the peer
 // not listening yet, or its dying previous incarnation resetting the
 // connection mid-handshake.
@@ -765,11 +729,6 @@ func (rt *Runtime) dialLane(id, peer, lane int) (e *end, fatal bool, err error) 
 		conn.Close()
 		return nil, true, fmt.Errorf("tcp: node %d: peer node %d disagrees on the binary wire codec set (digest %x vs %x) — peers must be built from the same message definitions",
 			id, peer, transport.WireDigest(), ack.Digest)
-	}
-	if ack.Idx != rt.nlanes {
-		conn.Close()
-		return nil, true, fmt.Errorf("tcp: node %d: peer node %d runs %d connections per pair, ours %d — every participant must use the same -onesided setting",
-			id, peer, ack.Idx, rt.nlanes)
 	}
 	if ack.Lease != int64(rt.lease) {
 		conn.Close()
@@ -908,72 +867,6 @@ func (e *end) readLoop() {
 	}
 }
 
-// regionLoop pumps the region lane: incoming requests are served straight
-// from the owner's registered region on this goroutine — no handler, no
-// node lock — and incoming replies complete the matching OneSidedRead.
-// The reply's Idx carries the served/fallback flag (1 = served from the
-// region and charged, 0 = not available, uncharged).
-func (e *end) regionLoop() {
-	rt := e.rt
-	<-rt.runGate // regions are registered before Run starts
-	r := bufio.NewReaderSize(e.conn, 64<<10)
-	for {
-		f, err := readFrame(r)
-		if err != nil {
-			orderly := e.sawBye()
-			e.byeOnce.Do(func() { close(e.bye) })
-			if !orderly && !rt.shuttingDown() {
-				rt.fail(fmt.Errorf("tcp: node %d lost region lane to node %d: %w (%v)",
-					e.owner, e.peer, transport.ErrPeerLost{Node: e.peer}, err))
-			}
-			return
-		}
-		atomic.StoreInt64(&e.lastHeard, time.Now().UnixNano())
-		switch f.Op {
-		case opBye:
-			e.byeOnce.Do(func() { close(e.bye) })
-		case opPing:
-			// heartbeat: lastHeard already refreshed
-		case opCall:
-			var resp transport.Msg
-			var ok bool
-			if serve := rt.regions[e.owner]; serve != nil {
-				resp, ok = serve(f.From, f.M)
-			}
-			idx := 0
-			if ok {
-				idx = 1
-				// The server's half of the model charge: the pair the
-				// handler path would have charged for serving this read.
-				rt.msgs.Add(1)
-				rt.bytes.Add(int64(resp.Size() + transport.HeaderBytes))
-			} else {
-				resp = nil // fall back uncharged; requester retries via the handler path
-			}
-			rf := &frame{Op: opReply, From: e.owner, To: f.From, Origin: f.From, CallID: f.CallID, Idx: idx, M: resp}
-			of, err := encodeFrame(rf)
-			if err != nil {
-				rt.fail(fmt.Errorf("tcp: node %d encoding region reply to node %d: %v", e.owner, f.From, err))
-				return
-			}
-			rt.countFrame(e.lane, of.wire)
-			e.enqueue(of)
-		case opReply:
-			rt.regMu.Lock()
-			rc := rt.regCalls[f.CallID]
-			delete(rt.regCalls, f.CallID)
-			rt.regMu.Unlock()
-			if rc != nil {
-				rc.m, rc.ok = f.M, f.Idx == 1
-				close(rc.done)
-			}
-		default:
-			rt.fail(fmt.Errorf("tcp: node %d received op %d on the region lane from node %d", e.owner, f.Op, e.peer))
-			return
-		}
-	}
-}
-
 // dispatch routes one arrived call or reply frame. The message was
 // already decoded in readFrame (in the reader goroutine, off every lock).
 // A call runs the destination node's handler under that node's state
@@ -1042,11 +935,10 @@ func (rt *Runtime) replyErr(c *call, msg string) {
 	rt.send(&frame{Op: opReply, From: c.cur, To: c.origin, CallID: c.id, Idx: c.idx, Err: msg}, nil)
 }
 
-// newCall registers one blocking call under a fresh id: st in the call
-// table, or rc among the region reads. It fails once the runtime is
-// poisoned. Registering under the lock fail takes means every registered
+// newCall registers one blocking call in the call table under a fresh id.
+// It fails once the runtime is poisoned. Registering under the lock fail takes means every registered
 // call is either completed or failed, never stranded.
-func (rt *Runtime) newCall(st *callState, rc *regionCall) (uint64, error) {
+func (rt *Runtime) newCall(st *callState) (uint64, error) {
 	rt.callMu.Lock()
 	defer rt.callMu.Unlock()
 	if rt.failErr != nil {
@@ -1054,14 +946,7 @@ func (rt *Runtime) newCall(st *callState, rc *regionCall) (uint64, error) {
 	}
 	rt.nextCall++
 	id := rt.nextCall
-	if st != nil {
-		rt.calls[id] = st
-	}
-	if rc != nil {
-		rt.regMu.Lock()
-		rt.regCalls[id] = rc
-		rt.regMu.Unlock()
-	}
+	rt.calls[id] = st
 	return id, nil
 }
 
@@ -1230,7 +1115,7 @@ func (rt *Runtime) Multicall(p transport.Proc, reqs []transport.Target) []transp
 	}
 	from := p.ID()
 	st := &callState{results: make([]transport.Msg, len(reqs)), pending: len(reqs), done: make(chan struct{})}
-	id, err := rt.newCall(st, nil)
+	id, err := rt.newCall(st)
 	if err != nil {
 		panic(err)
 	}
@@ -1300,23 +1185,21 @@ func (rt *Runtime) scaled(d transport.Time) time.Duration {
 }
 
 // Count adds the hosted nodes' traffic and wire counters into s and sets
-// the per-lane slices: bytes per lane (control, bulk, region in lane
-// order; region-server replies count on the region lane), the frames
+// the per-lane slices: bytes per lane (control, then bulk), the frames
 // queued now summed over every peer end, and the deepest any single
-// per-end send queue ever got. Region-server replies are not in
-// WireEncodeNS.
+// per-end send queue ever got.
 func (rt *Runtime) Count(s *stats.Counters) {
 	s.Messages += rt.msgs.Load()
 	s.DataBytes += rt.bytes.Load()
 	s.WireFrames += rt.wireFrames.Load()
 	s.WireBytes += rt.wireBytes.Load()
 	s.WireEncodeNS += rt.encodeNS.Load()
-	s.LaneBytes = make([]int64, rt.nlanes)
+	s.LaneBytes = make([]int64, numLanes)
 	for i := range rt.laneBytes {
 		s.LaneBytes[i] = rt.laneBytes[i].Load()
 	}
-	s.LaneQueueDepth = make([]int64, rt.nlanes)
-	s.LaneQueueHWM = make([]int64, rt.nlanes)
+	s.LaneQueueDepth = make([]int64, numLanes)
+	s.LaneQueueHWM = make([]int64, numLanes)
 	rt.eachEnd(func(e *end) {
 		cur, hwm := e.depth()
 		s.LaneQueueDepth[e.lane] += cur
@@ -1334,60 +1217,6 @@ func (rt *Runtime) eachEnd(fn func(*end)) {
 			}
 		}
 	}
-}
-
-// --- transport.OneSided ---
-
-// OneSidedEnabled reports whether the region lane exists on this mesh.
-func (rt *Runtime) OneSidedEnabled() bool { return rt.oneSided }
-
-// RegisterRegion installs the region server for a hosted node. serve runs
-// on the region lane's reader goroutines, concurrently with handlers and
-// bodies; it must synchronize its own reads. Must be called before Run.
-func (rt *Runtime) RegisterRegion(node int, serve func(from int, req transport.Msg) (transport.Msg, bool)) {
-	if !rt.isLocal[node] {
-		panic(fmt.Sprintf("tcp: node %d is not hosted by this endpoint", node))
-	}
-	rt.regions[node] = serve
-}
-
-// OneSidedRead performs one blocking region-read round-trip. The calling
-// body holds its node's state lock; it is released while blocked, like
-// any call. ok=false means the peer could not serve from its region (or
-// the lane is unavailable): nothing was charged and the caller should fall
-// back to the ordinary handler path.
-func (rt *Runtime) OneSidedRead(p transport.Proc, to int, req transport.Msg) (transport.Msg, bool) {
-	if !rt.oneSided {
-		return nil, false
-	}
-	from := p.ID()
-	if to == from || to < 0 || to >= rt.procs {
-		return nil, false
-	}
-	ee := rt.ends[from][to][laneRegion]
-	if ee == nil {
-		return nil, false
-	}
-	rc := &regionCall{done: make(chan struct{})}
-	id, err := rt.newCall(nil, rc)
-	if err != nil {
-		panic(err)
-	}
-	rt.encodeAndEnqueue(ee, &frame{Op: opCall, From: from, To: to, Origin: from, CallID: id, M: req})
-	nd := rt.nodes[from]
-	nd.mu.Unlock()
-	<-rc.done
-	nd.mu.Lock()
-	if rc.err != nil {
-		panic(rc.err)
-	}
-	if rc.ok {
-		// The requester's half of the model charge: the request the
-		// handler path would have sent for this read.
-		rt.msgs.Add(1)
-		rt.bytes.Add(int64(req.Size() + transport.HeaderBytes))
-	}
-	return rc.m, rc.ok
 }
 
 // --- transport.Runtime ---
@@ -1605,13 +1434,6 @@ func (rt *Runtime) fail(err error) {
 		delete(rt.calls, id)
 		close(st.done)
 	}
-	rt.regMu.Lock()
-	for id, rc := range rt.regCalls {
-		rc.err = err
-		delete(rt.regCalls, id)
-		close(rc.done)
-	}
-	rt.regMu.Unlock()
 }
 
 // shuttingDown reports whether socket errors are expected (orderly exit).

@@ -46,30 +46,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // counters Runtime.Count fills.
 const HeaderBytes = 40
 
-// OneSided is implemented by transports that can serve reads from a
-// registered memory region on a dedicated server goroutine, bypassing the
-// node's call handler (and whatever lock it serializes under) entirely —
-// the software analogue of an RDMA one-sided READ.
-type OneSided interface {
-	// OneSidedEnabled reports whether the region lane was negotiated for
-	// this mesh. When false the other methods must not be used.
-	OneSidedEnabled() bool
-	// RegisterRegion installs the region server for a hosted node: serve is
-	// called on a dedicated goroutine (concurrently with handlers and
-	// application bodies — it must do its own synchronization) for every
-	// region request addressed to the node. It returns the response and
-	// whether the read was served from the region; on false the response
-	// travels back uncharged and the requester falls back to the ordinary
-	// call path. Must be called before Run.
-	RegisterRegion(node int, serve func(from int, req Msg) (Msg, bool))
-	// OneSidedRead performs one blocking region read round-trip on behalf
-	// of p. The request bypasses the remote handler. ok reports whether the
-	// peer served it from its region; only then is the round-trip charged
-	// to the traffic counters (as req on this side and the response on the
-	// server side — exactly the pair the fallback path would charge).
-	OneSidedRead(p Proc, to int, req Msg) (resp Msg, ok bool)
-}
-
 // NetParams describes the simulated network cost model. It configures the
 // simulator transport; real transports ignore it (their costs are real).
 type NetParams struct {

@@ -9,13 +9,12 @@ import (
 )
 
 // TestKVLockStripeTCPContention is the lock-manager hammer for the real
-// transport: four nodes on the loopback TCP mesh (one-sided region reads
-// enabled — the default) pound overlapping key ranges of one shared
-// table, so distributed lock handoffs, read grants and their revocations,
-// stripe-page diffs and one-sided page fetches all race each other. Run
-// under -race this is the concurrency check for the lock manager and the
-// region-read path; the final checksum against the host-model replay is
-// the correctness check.
+// transport: four nodes on the loopback TCP mesh pound overlapping key
+// ranges of one shared table, so distributed lock handoffs, read grants
+// and their revocations, stripe-page diffs and page fetches all race each
+// other. Run under -race this is the concurrency check for the lock
+// manager; the final checksum against the host-model replay is the
+// correctness check.
 func TestKVLockStripeTCPContention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp hammer in -short mode")
@@ -57,15 +56,15 @@ func TestKVLockStripeTCPContention(t *testing.T) {
 			}
 			// The hammer must actually have hammered: remote lock traffic,
 			// Gets served from cached read grants, and (clean fetches exist
-			// under a 40%-read mix) some one-sided region reads.
+			// under a 40%-read mix) some whole-page fetches.
 			if rep.Stats.LockAcquires == 0 {
 				t.Errorf("no lock acquires recorded")
 			}
 			if rep.Stats.SharedLocal == 0 {
 				t.Errorf("no shared acquire served locally")
 			}
-			if rep.Stats.OneSidedReads == 0 {
-				t.Errorf("no page fetches served one-sided")
+			if rep.Stats.PageFetches == 0 {
+				t.Errorf("no page fetches recorded")
 			}
 		})
 	}

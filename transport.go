@@ -110,14 +110,6 @@ type TCPConfig struct {
 	// Faults, when non-nil, perturbs outgoing frames for fault-injection
 	// tests. Zero (nil) leaves the data plane untouched.
 	Faults FrameFaults
-	// NoOneSided disables the one-sided region-read path. The zero value
-	// enables it: each pair gets one extra connection (the region lane)
-	// and clean page fetches are served straight from the peer's
-	// registered page-frame arena, bypassing the protocol handler and
-	// the node's state lock. Results are identical either way — a region miss
-	// falls back to the ordinary handler path. Every participant must
-	// use the same value.
-	NoOneSided bool
 }
 
 // FrameFaults perturbs the TCP transport's outgoing frames for
@@ -166,7 +158,6 @@ func (cfg Config) runtimeFactory(epoch int64) core.RuntimeFactory {
 			Timescale:   tc.Timescale,
 			DialTimeout: tc.DialTimeout,
 			Fingerprint: tc.Fingerprint,
-			OneSided:    !tc.NoOneSided,
 			Epoch:       epoch,
 			LeaseTerm:   tc.LeaseTerm,
 			Faults:      tc.Faults,
