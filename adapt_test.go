@@ -140,7 +140,9 @@ func runAdaptiveHotPage(t *testing.T, procs, hotWriters, readers int) *adsm.Repo
 // doing so. SOR's interior pages are single-writer after the first epochs,
 // so the detector must promote pages to the single-writer protocol; IS's
 // shared bucket array is bulk migratory with all processors writing, which
-// is the home-based protocol's territory.
+// on the simulator's paper cost profile is the home-based protocol's
+// territory. (On the tcp mesh the wire profile's serialized-writer rule
+// gives it to WFS instead: internal/apps TestAdaptiveTCPMatchesSequential.)
 func TestAdaptiveSwitches(t *testing.T) {
 	cases := []struct {
 		app  string

@@ -14,7 +14,7 @@
 //   - HLRC — home-based LRC: diffs are flushed to a per-page home at
 //     every release and faults fetch the whole page from it,
 //   - Adaptive — a per-page meta-protocol that migrates each page between
-//     MW, WFSWG and HLRC at barrier epochs.
+//     MW, WFS, WFSWG and HLRC at barrier epochs.
 //
 // Programs are SPMD: the same body runs on every simulated processor,
 // communicating only through the shared segment and the lock/barrier

@@ -165,13 +165,16 @@ func TestBarnesFSFavoursMW(t *testing.T) {
 }
 
 // TestAdaptiveTCPMatchesSequential runs the adaptive protocol on the
-// in-process tcp mesh, full inputs, for the two kernels whose many-writer
-// pages the wire cost profile moves to HLRC and that lost writes when an
-// HLRC flush could reach a home before the home had drained the switch.
-// The checksums must match the sequential run (Water within the lock-
-// order reassociation tolerance) and the switches must really fire.
+// in-process tcp mesh, full inputs. Water and ILINK are the two kernels
+// whose many-writer pages the wire cost profile moves to HLRC and that
+// lost writes when an HLRC flush could reach a home before the home had
+// drained the switch. IS's bucket pages are written by every node in turn
+// under one lock: the wire profile's serialized-writer rule hands them to
+// WFS, and none may reach HLRC. The checksums must match the sequential
+// run (Water within the lock-order reassociation tolerance) and the
+// switches must really fire.
 func TestAdaptiveTCPMatchesSequential(t *testing.T) {
-	for _, name := range []string{"Water", "ILINK"} {
+	for _, name := range []string{"Water", "ILINK", "IS"} {
 		t.Run(name, func(t *testing.T) {
 			e := mustEntry(name)
 			seqApp, _, err := Run(e.New, adsm.Config{Procs: 1}, false)
@@ -191,9 +194,15 @@ func TestAdaptiveTCPMatchesSequential(t *testing.T) {
 			if math.Abs(got-seq) > tol {
 				t.Errorf("result %v != sequential %v", got, seq)
 			}
-			if rep.Stats.SwitchToHLRC == 0 {
+			s := rep.Stats
+			if name == "IS" {
+				if s.SwitchToSW == 0 || s.SwitchToHLRC != 0 {
+					t.Errorf("IS switches: toSW=%d toHLRC=%d, want toSW > 0 and no HLRC (toMW=%d)",
+						s.SwitchToSW, s.SwitchToHLRC, s.SwitchToMW)
+				}
+			} else if s.SwitchToHLRC == 0 {
 				t.Errorf("no page moved to HLRC (switches: toSW=%d toMW=%d)",
-					rep.Stats.SwitchToSW, rep.Stats.SwitchToMW)
+					s.SwitchToSW, s.SwitchToMW)
 			}
 		})
 	}

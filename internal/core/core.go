@@ -14,8 +14,8 @@
 // plus two protocols built on the same engine:
 //
 //   - HLRC: home-based LRC (eager diff flush to per-page homes),
-//   - Adaptive: a meta-protocol that migrates each page between MW, WFSWG
-//     and HLRC at barrier epochs.
+//   - Adaptive: a meta-protocol that migrates each page between MW, WFS,
+//     WFSWG and HLRC at barrier epochs.
 //
 // The protocol set is fixed (protocols.go); each protocol is one Policy
 // implementation. The package runs on the deterministic cluster simulator

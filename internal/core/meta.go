@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"adsm/internal/mem"
 )
@@ -10,7 +12,8 @@ import (
 // never serves a page itself. Every page it initializes is immediately
 // delegated to a concrete protocol — MW by default — and thereafter the
 // barrier manager watches each page's write notices and the sharing
-// detector, and migrates individual pages between MW, WFS+WG and HLRC.
+// detector, and migrates individual pages between MW, WFS, WFS+WG and
+// HLRC.
 // Switch decisions ride the barrier release (the Switches field of
 // barRelease), so every node flips a page's protocol at the same barrier
 // epoch and no page ever has two protocols live at once. A release that
@@ -39,6 +42,26 @@ import (
 //     them), stay in MW, whose lazy diffs serve sharers most cheaply.
 //   - An ownership page that shows concurrent writers for
 //     adaptMultiEpochs epochs goes back to MW: refusal churn.
+//   - Where the profile asks for it (CostProfile.SerialWFS), an MW page
+//     whose writers this epoch all lie on one happens-before chain — they
+//     take turns, ordered by a lock — and whose diffs are bulky
+//     (maxDiff >= adaptBulkThreshold) moves to plain WFS, owned by the
+//     writer of the chain's last interval. Each writer then takes the
+//     page by one ownership request and rewrites it without a twin or a
+//     diff. The rule is checked before the →HLRC rule, which counts
+//     writers without asking whether they were concurrent. A page under
+//     WFS goes back to MW (or HLRC) only on an epoch whose writers are
+//     concurrent. Plain WFS, not WFS+WG: the granularity probe would
+//     flip every read-shared migratory page to MW and back each epoch.
+//     The rule moves IS's bucket pages off HLRC on the 4-node tcp mesh
+//     (`dsmbench -exp adapt -procs 4`, full inputs, 2-vCPU host, four
+//     matrices each): adaptive IS fell from 62–64 ms to 36–45 ms,
+//     against 26–30 ms for static WFS, 53–57 for HLRC and 64–74 for
+//     WFS+WG. What is left of the gap is the first lock epoch, which
+//     runs under MW before the barrier manager has seen the writers. On
+//     the paper's 1997 machine HLRC wins IS (3.05 s virtual against
+//     WFS's 3.34 s at 4 processors), so PaperProfile leaves the rule
+//     off.
 //   - adaptHLRCEpochs consecutive epochs with at least
 //     CostProfile.HLRCWriters writers send the page to HLRC: a reader of
 //     such a page collects that many diffs per fault under MW, where one
@@ -65,8 +88,13 @@ const (
 
 // CostProfile holds the protocol thresholds whose right value depends on
 // what a message costs next to a byte on the machine the cluster runs on:
-// the adaptive meta-protocol's →HLRC rule and the lock-grant diff push.
+// the adaptive meta-protocol's serialized-writer and →HLRC rules and the
+// lock-grant diff push.
 type CostProfile struct {
+	// SerialWFS turns on the serialized-writer rule: a bulky MW page whose
+	// writers take turns within a barrier epoch moves to WFS instead of
+	// waiting for the →HLRC rule.
+	SerialWFS bool
 	// HLRCWriters is how many nodes must write a page in one barrier
 	// epoch (adaptHLRCEpochs epochs running) for it to move to HLRC.
 	HLRCWriters int
@@ -88,7 +116,11 @@ type CostProfile struct {
 // about a page, hence four writers with diffs of at least a quarter page
 // (IS's bucket array qualifies, Barnes's fine-grain bodies do not).
 // It pushes no diffs on lock grants: the simulator keeps the paper's
-// lazy-invalidate MW, whose virtual times every archived cell pins.
+// lazy-invalidate MW, whose virtual times every archived cell pins. The
+// serialized-writer rule is off: there IS's lock-serialized bucket pages
+// belong to HLRC (3.05 s virtual, full inputs, 4 processors, against
+// WFS's 3.34 s): an ownership transfer moves a whole page per writer,
+// and bytes are what this machine charges for.
 func PaperProfile() CostProfile {
 	return CostProfile{HLRCWriters: 4, HLRCMinDiff: mem.PageSize / 4}
 }
@@ -125,8 +157,16 @@ func PaperProfile() CostProfile {
 // apps_mw and of apps_sw and up to 69 of serve_write, and five interleaved
 // rounds of the three budgets moved no workload's throughput beyond its
 // run-to-run spread.
+//
+// The serialized-writer rule is on. Writers that take turns under a lock
+// need no twins or diffs: a page costs no more than the message carrying
+// it, so one ownership request per writer beats a twin, a diff and a
+// home flush per writer. IS's bucket pages, written by all four nodes in
+// turn, run under WFS with the rule and under HLRC without it; static
+// WFS runs IS in 26–30 ms against HLRC's 53–57 (wall matrix, four runs),
+// and adaptive IS fell from 62–64 ms to 36–45 ms.
 func WireProfile() CostProfile {
-	return CostProfile{HLRCWriters: 3, PushBudget: 6 << 10}
+	return CostProfile{SerialWFS: true, HLRCWriters: 3, PushBudget: 6 << 10}
 }
 
 // metaPolicy is pointer-typed: unlike the stateless static policies it
@@ -173,6 +213,7 @@ func (p *metaPolicy) resolve(c *Cluster) {
 		ad.frozen = true
 		p.target = id
 	}
+	ad.serial = c.params.Cost.SerialWFS && !c.Partial()
 	ad.scanTS = make([]int32, c.params.Procs)
 	ad.pages = make([]adaptPage, c.usedPages())
 	for i := range ad.pages {
@@ -189,6 +230,9 @@ func (p *metaPolicy) resolve(c *Cluster) {
 // touched in node 0's barrier-handler context.
 type adaptState struct {
 	frozen bool // AdaptiveFreeze set: never switch
+	// serial: the serialized-writer rule is on (CostProfile.SerialWFS),
+	// and this instance sees every node's intervals (not Partial).
+	serial bool
 
 	// scanTS[p] is the highest interval TS of processor p folded into the
 	// decision state — the manager sees intervals redundantly (every
@@ -208,6 +252,10 @@ type adaptPage struct {
 	everMulti  bool     // the page has EVER had a multi-writer epoch
 	maxVer     int32    // highest owner-notice version seen (or assigned)
 	switches   int      // switches issued for this page (budget)
+	// ivs are this epoch's intervals that wrote the page, kept only while
+	// the serialized-writer rule is on. They are shared, immutable
+	// intervals: nothing is copied.
+	ivs []*Interval
 }
 
 // noteArrival folds one barrier arrival's piggybacked intervals into the
@@ -221,6 +269,9 @@ func (ad *adaptState) noteArrival(ivs []*Interval) {
 		for _, wn := range iv.WNs {
 			ap := &ad.pages[wn.Page]
 			ap.writers |= 1 << uint(iv.Proc)
+			if ad.serial {
+				ap.ivs = append(ap.ivs, iv)
+			}
 			if wn.Owner && wn.Version > ap.maxVer {
 				ap.maxVer = wn.Version
 			}
@@ -242,6 +293,15 @@ func (c *Cluster) adaptDecide() []policySwitch {
 		writers := ap.writers
 		ap.writers = 0
 		nw := popcount(writers)
+		// last is the chain's last interval when this epoch's writers
+		// took turns, nil when two of them wrote concurrently (or the
+		// rule is off, or fewer than two nodes wrote).
+		var last *Interval
+		if nw >= 2 {
+			last = chainLast(ap.ivs)
+		}
+		clear(ap.ivs)
+		ap.ivs = ap.ivs[:0]
 		if nw == 0 {
 			continue // idle epoch: streaks hold
 		}
@@ -289,17 +349,27 @@ func (c *Cluster) adaptDecide() []policySwitch {
 		hlrcReady := ap.hlrcRun >= adaptHLRCEpochs && !c.Partial() && bulky
 		var sw policySwitch
 		switch {
-		case ap.proto == WFSWG && ap.multi >= adaptMultiEpochs:
+		case ap.proto == WFSWG && ap.multi >= adaptMultiEpochs,
+			ap.proto == WFS && nw >= 2 && last == nil:
 			// Concurrent writers under the ownership protocol: pure
 			// refusal churn, demote. (Solo-writer identity changes are NOT
 			// a demotion signal: alternating band-boundary writers ping
 			// ownership over cheaply, exactly what SW-class protocols are
-			// for.)
+			// for. Nor are writers that take turns on a page the
+			// serialized-writer rule moved to WFS.)
 			target := MW
 			if hlrcReady {
 				target = HLRC
 			}
 			sw = policySwitch{Page: pg, Proto: int32(target)}
+		case ap.proto == MW && last != nil && dp.maxDiff >= adaptBulkThreshold:
+			// Bulky writers that take turns (a lock orders them): each
+			// MW writer twins and diffs the page and every later writer
+			// collects those diffs, where one ownership request per
+			// writer would carry the page. The writer of the chain's
+			// last interval holds the current copy and becomes owner.
+			ap.maxVer++
+			sw = policySwitch{Page: pg, Proto: int32(WFS), Owner: last.Proc, Version: ap.maxVer}
 		case ap.proto == MW && hlrcReady:
 			// Many concurrent writers every epoch: each reader merges that
 			// many diffs per fault and the diff pool feeds garbage
@@ -337,6 +407,23 @@ func (c *Cluster) adaptDecide() []policySwitch {
 	return out
 }
 
+// chainLast returns the last interval of ivs when they form one
+// happens-before chain, and nil when two of them are concurrent. Along a
+// chain the vector-clock sums strictly grow, so after sorting by sum each
+// interval must precede the next. It sorts ivs in place.
+func chainLast(ivs []*Interval) *Interval {
+	if len(ivs) == 0 {
+		return nil
+	}
+	slices.SortFunc(ivs, func(a, b *Interval) int { return cmp.Compare(a.VC.Sum(), b.VC.Sum()) })
+	for i := 1; i < len(ivs); i++ {
+		if !ivs[i-1].VC.Leq(ivs[i].VC) {
+			return nil
+		}
+	}
+	return ivs[len(ivs)-1]
+}
+
 // soloBit returns the index of the single set bit of a one-bit mask.
 func soloBit(mask uint64) int {
 	i := 0
@@ -362,7 +449,7 @@ func (n *Node) applyPolicySwitches(sws []policySwitch) (quiesce bool) {
 		if ps.proto == target {
 			continue
 		}
-		toWFS := target == WFSWG
+		toWFS := target == WFS || target == WFSWG
 		toHLRC := target == HLRC
 
 		// The page's lazy diff must be materialized under the OLD

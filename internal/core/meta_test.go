@@ -119,3 +119,216 @@ func TestHLRCFlushBeforeSwitchPanics(t *testing.T) {
 	}()
 	c.nodes[0].serveHLRCFlush(nil, 1, hlrcFlush{Diffs: []*mem.Diff{{Page: 0}}})
 }
+
+// The serialized-writer rule (CostProfile.SerialWFS), on the simulator
+// with the cost profile set explicitly.
+
+// takeTurns has the nodes of order rewrite every word of the page at
+// addr in turn under lock 0, each adding w+1 to every word, and appends
+// each writer to *got as it takes the lock (the simulator runs one body
+// at a time). Then every node meets at a barrier.
+func takeTurns(n *Node, addr int, order []int, got *[]int) {
+	for turn, w := range order {
+		if w != n.ID() {
+			continue
+		}
+		n.Proc().Advance(transport.Time(turn) * 5 * transport.Millisecond)
+		n.Acquire(0)
+		*got = append(*got, w)
+		for off := 0; off < mem.PageSize; off += 8 {
+			n.WriteU64(addr+off, n.ReadU64(addr+off)+uint64(w+1))
+		}
+		n.Release(0)
+	}
+	n.Barrier()
+}
+
+// writeHalves has nodes 0 and 1 each add 100*(id+1) to every word of
+// their own half of the page at addr, in the same epoch and under no
+// common lock, then every node meets at a barrier.
+func writeHalves(n *Node, addr int) {
+	if id := n.ID(); id < 2 {
+		half := mem.PageSize / 2
+		for off := id * half; off < (id+1)*half; off += 8 {
+			n.WriteU64(addr+off, n.ReadU64(addr+off)+uint64(100*(id+1)))
+		}
+	}
+	n.Barrier()
+}
+
+// checkPage has every node read back the page at addr against want.
+func checkPage(t *testing.T, n *Node, addr int, want func(off int) uint64) {
+	for off := 0; off < mem.PageSize; off += 8 {
+		if got := n.ReadU64(addr + off); got != want(off) {
+			t.Errorf("node %d: word %d = %d, want %d", n.ID(), off/8, got, want(off))
+			return
+		}
+	}
+}
+
+// pageProto returns the protocol every node runs page pg under, failing
+// the test when two nodes disagree.
+func pageProto(t *testing.T, c *Cluster, pg int) Protocol {
+	t.Helper()
+	p := c.nodes[0].pages[pg].proto
+	for _, n := range c.nodes[1:] {
+		if q := n.pages[pg].proto; q != p {
+			t.Fatalf("page %d: node 0 runs %v, node %d runs %v", pg, p, n.id, q)
+		}
+	}
+	return p
+}
+
+var turnOrder = []int{2, 0, 3, 1}
+
+// turnsSum is what each word holds after the nodes of turnOrder took
+// `epochs` turns each.
+func turnsSum(epochs int) uint64 {
+	var s uint64
+	for _, w := range turnOrder {
+		s += uint64(w + 1)
+	}
+	return s * uint64(epochs)
+}
+
+// TestSerialWritersGoToWFS: four nodes rewrite one page in turn under one
+// lock. Under the wire profile the barrier manager hands the page to
+// plain WFS, owned by the last writer of the epoch; the next epoch's
+// writers take it by ownership requests without twinning it, and every
+// copy ends exact.
+func TestSerialWritersGoToWFS(t *testing.T) {
+	const procs = 4
+	p := testParams(procs, Adaptive)
+	p.Cost = WireProfile()
+	c := New(p)
+	addr := c.AllocPageAligned(mem.PageSize)
+	var order []int
+	ownerAfterSwitch := -1
+	mustRun(t, c, func(n *Node) {
+		takeTurns(n, addr, turnOrder, &order) // the manager switches the page here
+		if n.pages[0].owner {
+			ownerAfterSwitch = n.ID()
+		}
+		n.Barrier()
+		takeTurns(n, addr, turnOrder, &order)
+		checkPage(t, n, addr, func(int) uint64 { return turnsSum(2) })
+		n.Barrier()
+	})
+	if got := pageProto(t, c, 0); got != WFS {
+		t.Fatalf("page runs %v, want WFS", got)
+	}
+	if last := order[len(turnOrder)-1]; ownerAfterSwitch != last {
+		t.Errorf("owner after the switch = %d, want the epoch's last writer %d (lock order %v)",
+			ownerAfterSwitch, last, order[:len(turnOrder)])
+	}
+	tot := c.Totals()
+	if tot.SwitchToSW != procs || tot.PolicySwitches != procs {
+		t.Errorf("switches: toSW=%d total=%d, want one WFS switch per node (%d)",
+			tot.SwitchToSW, tot.PolicySwitches, procs)
+	}
+	if tot.TwinsCreated != int64(len(turnOrder)) {
+		t.Errorf("twins = %d, want %d (the MW epoch's only)", tot.TwinsCreated, len(turnOrder))
+	}
+}
+
+// TestSerialWritersPaperProfileGoToHLRC: the same program under the
+// paper's profile, where the rule is off, still sends the page to HLRC.
+func TestSerialWritersPaperProfileGoToHLRC(t *testing.T) {
+	const procs = 4
+	p := testParams(procs, Adaptive)
+	p.Cost = PaperProfile()
+	c := New(p)
+	addr := c.AllocPageAligned(mem.PageSize)
+	var order []int
+	mustRun(t, c, func(n *Node) {
+		takeTurns(n, addr, turnOrder, &order)
+		takeTurns(n, addr, turnOrder, &order)
+		checkPage(t, n, addr, func(int) uint64 { return turnsSum(2) })
+		n.Barrier()
+	})
+	if got := pageProto(t, c, 0); got != HLRC {
+		t.Fatalf("page runs %v, want HLRC", got)
+	}
+	if got := c.Totals().SwitchToSW; got != 0 {
+		t.Errorf("SwitchToSW = %d, want 0", got)
+	}
+}
+
+// TestConcurrentHalvesStayMW: two nodes write disjoint halves of one page
+// in the same epoch under no common lock. Their intervals are concurrent,
+// so the serialized-writer rule never fires.
+func TestConcurrentHalvesStayMW(t *testing.T) {
+	p := testParams(4, Adaptive)
+	p.Cost = WireProfile()
+	c := New(p)
+	addr := c.AllocPageAligned(mem.PageSize)
+	const epochs = 3
+	mustRun(t, c, func(n *Node) {
+		for e := 0; e < epochs; e++ {
+			writeHalves(n, addr)
+		}
+		checkPage(t, n, addr, func(off int) uint64 {
+			return epochs * uint64(100*(1+off/(mem.PageSize/2)))
+		})
+		n.Barrier()
+	})
+	if got := pageProto(t, c, 0); got != MW {
+		t.Fatalf("page runs %v, want MW", got)
+	}
+	if got := c.Totals().PolicySwitches; got != 0 {
+		t.Errorf("PolicySwitches = %d, want 0", got)
+	}
+}
+
+// TestSerialWFSDemotesOnConcurrentWriters: a page the rule moved to WFS
+// keeps it while its writers take turns and goes back to MW on the first
+// epoch whose writers are concurrent (two of them: fewer than the wire
+// profile's HLRC writers).
+func TestSerialWFSDemotesOnConcurrentWriters(t *testing.T) {
+	const procs = 4
+	p := testParams(procs, Adaptive)
+	p.Cost = WireProfile()
+	c := New(p)
+	addr := c.AllocPageAligned(mem.PageSize)
+	var order []int
+	var afterTurns Protocol
+	mustRun(t, c, func(n *Node) {
+		takeTurns(n, addr, turnOrder, &order)
+		takeTurns(n, addr, turnOrder, &order)
+		if n.ID() == 0 {
+			afterTurns = n.pages[0].proto
+		}
+		n.Barrier()
+		writeHalves(n, addr)
+		checkPage(t, n, addr, func(off int) uint64 {
+			return turnsSum(2) + uint64(100*(1+off/(mem.PageSize/2)))
+		})
+		n.Barrier()
+	})
+	if afterTurns != WFS {
+		t.Fatalf("page ran %v after two epochs of turns, want WFS", afterTurns)
+	}
+	if got := pageProto(t, c, 0); got != MW {
+		t.Fatalf("page runs %v after concurrent writers, want MW", got)
+	}
+	tot := c.Totals()
+	if tot.SwitchToSW != procs || tot.SwitchToMW != procs {
+		t.Errorf("switches: toSW=%d toMW=%d, want %d each", tot.SwitchToSW, tot.SwitchToMW, procs)
+	}
+}
+
+// TestChainLast: intervals that a lock orders form a chain whatever order
+// they arrive in; two concurrent ones do not.
+func TestChainLast(t *testing.T) {
+	iv := func(proc int, v ...int32) *Interval { return &Interval{Proc: proc, VC: v} }
+	a, b, c := iv(0, 1, 0, 0), iv(1, 1, 1, 0), iv(2, 1, 1, 1)
+	if got := chainLast([]*Interval{c, a, b}); got != c {
+		t.Errorf("chain: last = %v, want proc 2's interval", got)
+	}
+	if got := chainLast([]*Interval{a, iv(1, 0, 1, 0)}); got != nil {
+		t.Errorf("concurrent: last = %v, want nil", got)
+	}
+	if got := chainLast([]*Interval{a, iv(1, 0, 2, 0)}); got != nil {
+		t.Errorf("concurrent, unequal sums: last = %v, want nil", got)
+	}
+}

@@ -266,6 +266,58 @@ func TestHandshakeLaneOutOfRangeRefused(t *testing.T) {
 	}
 }
 
+// TestHandshakeStrayFromRefused: a connecter whose hello names a sender
+// that does not dial this node — a node past the mesh, or this node
+// itself — is refused as a stray, and the real peers still form the mesh.
+func TestHandshakeStrayFromRefused(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	type out struct {
+		rt  *Runtime
+		err error
+	}
+	res := make(chan out, 2)
+	mk := func(local int) {
+		rt, err := New(Options{Procs: 2, Local: []int{local}, Addrs: addrs, DialTimeout: 10 * time.Second})
+		res <- out{rt, err}
+	}
+	go mk(0)
+	for _, from := range []int{9, 0} {
+		var conn net.Conn
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			var err error
+			if conn, err = net.DialTimeout("tcp", addrs[0], time.Second); err == nil {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("node 0 never listened: %v", err)
+			}
+		}
+		of, err := encodeFrame(&frame{Op: opHello, From: from, To: 0, Digest: transport.WireDigest()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeOut(conn, of); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		ack, err := readFrame(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("from %d: no hello ack: %v", from, err)
+		}
+		if want := fmt.Sprintf("hello from node %d", from); !strings.Contains(ack.Err, want) {
+			t.Fatalf("from %d: ack error %q does not name %q", from, ack.Err, want)
+		}
+	}
+	go mk(1)
+	for i := 0; i < 2; i++ {
+		o := <-res
+		if o.err != nil {
+			t.Fatalf("mesh after refused stray hellos: %v", o.err)
+		}
+		defer o.rt.Close()
+	}
+}
+
 // TestSilentConnecterCannotHangMesh: a connection that completes TCP but
 // never sends a hello must not wedge mesh formation — the handshake read
 // deadline drops it while the real peers mesh normally.

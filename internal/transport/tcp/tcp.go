@@ -555,7 +555,9 @@ func (rt *Runtime) connectMesh() error {
 	// read deadline, so a connecter that never sends hello (or sends
 	// garbage, or names a lane no pair has) is dropped without stalling
 	// the accept loop or failing the mesh — it simply never counts toward
-	// the expected bundle.
+	// the expected bundle. So is a hello from a node that is not a
+	// higher-numbered peer: its end would index past the mesh, or take
+	// the slot of a connection this node dials itself.
 	for li, id := range rt.local {
 		want := (rt.procs - 1 - id) * numLanes
 		expect += want
@@ -584,6 +586,10 @@ func (rt *Runtime) connectMesh() error {
 					ourEpoch := atomic.LoadInt64(&rt.epoch)
 					stray := false // refused connecter that is no participant
 					switch {
+					case hello.From <= id || hello.From >= rt.procs:
+						stray = true
+						ack.Err = fmt.Sprintf("tcp: node %d: hello from node %d, but only nodes %d..%d dial node %d",
+							id, hello.From, id+1, rt.procs-1, id)
 					case hello.Tag != "" && rt.fprnt != "" && hello.Tag != rt.fprnt:
 						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d runs a different configuration: ours %q, theirs %q",
 							id, hello.From, rt.fprnt, hello.Tag)
