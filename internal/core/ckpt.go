@@ -373,9 +373,6 @@ func (n *Node) BarrierCkpt(step int64) {
 		}
 		n.validate(pg)
 		ps := n.pages[pg]
-		if ps.status == pageInvalid && ps.data != nil {
-			ps.status = pageReadOnly
-		}
 		if ps.data == nil {
 			panic(fmt.Sprintf("dsm: node %d checkpointing page %d with no data after validate", n.id, pg))
 		}

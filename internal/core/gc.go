@@ -83,17 +83,16 @@ func (c *Cluster) computeGCHints() []gcHint {
 // validation (or nothing, for nodes that will drop), a mini-barrier when
 // the node has peers, then the drop phase.
 func (n *Node) runGC(hints []gcHint) {
-	// Phase 1: validation. In MW every writer validates its copy; in the
-	// adaptive protocols only the keeper (last owner) does. The collapse
-	// decision is per page now that policies are page-granular.
+	// keeps reports whether this node validates and keeps its copy: the
+	// keeper does, and in MW every writer does too (in the adaptive
+	// protocols only the keeper, the last owner). The collapse decision is
+	// per page now that policies are page-granular.
+	keeps := func(h gcHint, ps *pageState) bool {
+		return n.id == h.Owner || !ps.policy.GCCollapseToSW() && n.wroteSinceGC[h.Page] && ps.data != nil
+	}
+	// Phase 1: validation.
 	for _, h := range hints {
-		ps := n.pages[h.Page]
-		adaptive := ps.policy.GCCollapseToSW()
-		validator := n.id == h.Owner
-		if !adaptive && n.wroteSinceGC[h.Page] && ps.data != nil {
-			validator = true
-		}
-		if validator && ps.data != nil {
+		if ps := n.pages[h.Page]; ps.data != nil && keeps(h, ps) {
 			n.validate(h.Page)
 		}
 	}
@@ -106,12 +105,7 @@ func (n *Node) runGC(hints []gcHint) {
 	// Phase 2: drop.
 	for _, h := range hints {
 		ps := n.pages[h.Page]
-		adaptive := ps.policy.GCCollapseToSW()
-		keep := n.id == h.Owner
-		if !adaptive && n.wroteSinceGC[h.Page] && ps.data != nil {
-			keep = true // all MW writers keep their validated copies
-		}
-		if !keep && ps.data != nil {
+		if ps.data != nil && !keeps(h, ps) {
 			ps.data = nil
 			ps.status = pageInvalid
 			for i := range ps.applied {
@@ -133,26 +127,7 @@ func (n *Node) runGC(hints []gcHint) {
 		ps.myLastWN = nil
 		ps.seesFS = false
 		ps.copysetFS = nil
-		ps.dropOwnership = false
-		if adaptive {
-			n.setMode(ps, modeSW)
-			if n.id == h.Owner {
-				ps.owner = true
-				ps.wasLast = false
-				ps.version = h.Version
-				ps.perceivedOwner = n.id
-				ps.perceivedVersion = h.Version
-			} else {
-				ps.owner = false
-				ps.wasLast = false
-				ps.version = h.Version
-				ps.perceivedOwner = h.Owner
-				ps.perceivedVersion = h.Version
-			}
-		} else {
-			ps.perceivedOwner = h.Owner
-			ps.perceivedVersion = h.Version
-		}
+		n.gcCollapse(ps, h, ps.policy.GCCollapseToSW())
 		n.wroteSinceGC[h.Page] = false
 	}
 

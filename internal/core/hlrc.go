@@ -27,12 +27,11 @@ type hlrcPolicy struct{ basePolicy }
 // has not bound the page yet (first touch), the allocator holds the
 // initial copy until a home emerges.
 func (hlrcPolicy) InitPage(c *Cluster, id, pg int, ps *pageState) {
-	ps.mode = modeMW
 	home := c.homeOf(pg)
 	if home < 0 {
 		home = homeDirNode
 	}
-	ps.perceivedOwner = home
+	ps.bindHome(home)
 	if id == home {
 		ps.data = mem.NewPage()
 		ps.status = pageReadOnly
@@ -58,14 +57,7 @@ func (hlrcPolicy) MakeValid(n *Node, pg int, ps *pageState) {
 			}
 			panic(msg)
 		}
-		// Discard notices already reflected in our copy.
-		keep := ps.pending[:0]
-		for _, wn := range ps.pending {
-			if !wn.Int.VC.Leq(ps.applied) {
-				keep = append(keep, wn)
-			}
-		}
-		ps.pending = keep
+		dropApplied(ps)
 		if ps.data != nil && len(ps.pending) == 0 {
 			break
 		}
@@ -92,13 +84,8 @@ func (hlrcPolicy) MakeValid(n *Node, pg int, ps *pageState) {
 	}
 }
 
-// PrefetchWriteSpans: an HLRC write fault validates through a home fetch
-// with no ownership traffic, so write spans batch exactly like reads.
-func (hlrcPolicy) PrefetchWriteSpans() bool { return true }
-
-// SpanFetchPlan: one home fetch — exactly what one MakeValid round
-// issues. The discard pass over the pending notices mirrors MakeValid's.
-func (hlrcPolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNotice, bool) {
+// dropApplied discards the pending notices our copy already reflects.
+func dropApplied(ps *pageState) {
 	keep := ps.pending[:0]
 	for _, wn := range ps.pending {
 		if !wn.Int.VC.Leq(ps.applied) {
@@ -106,6 +93,16 @@ func (hlrcPolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNo
 		}
 	}
 	ps.pending = keep
+}
+
+// PrefetchWriteSpans: an HLRC write fault validates through a home fetch
+// with no ownership traffic, so write spans batch exactly like reads.
+func (hlrcPolicy) PrefetchWriteSpans() bool { return true }
+
+// SpanFetchPlan: one home fetch — exactly what one MakeValid round
+// issues. The discard pass over the pending notices mirrors MakeValid's.
+func (hlrcPolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNotice, bool) {
+	dropApplied(ps)
 	if ps.data != nil && len(ps.pending) == 0 {
 		return -1, nil, true // current copy: only the status needs raising
 	}
@@ -123,13 +120,7 @@ func (hlrcPolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNo
 // discard pass clears them; anything left raced the batch and settles
 // through the serial home-fetch loop.
 func (hlrcPolicy) SpanSettle(n *Node, pg int, ps *pageState) {
-	keep := ps.pending[:0]
-	for _, wn := range ps.pending {
-		if !wn.Int.VC.Leq(ps.applied) {
-			keep = append(keep, wn)
-		}
-	}
-	ps.pending = keep
+	dropApplied(ps)
 	if ps.data == nil || len(ps.pending) > 0 {
 		n.validate(pg)
 	}

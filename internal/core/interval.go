@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"adsm/internal/vc"
@@ -85,10 +87,7 @@ func (n *Node) closeInterval() *Interval {
 			wn = &WriteNotice{Page: pg, Int: iv, Owner: false}
 			ps.undiffed = wn
 			ps.dirtyMW = false
-			// Re-protect so the next interval's writes fault again.
-			if ps.status == pageReadWrite {
-				ps.status = pageReadOnly
-			}
+			ps.protect() // the next interval's writes fault again
 		default:
 			continue
 		}
@@ -106,14 +105,7 @@ func (n *Node) closeInterval() *Interval {
 		// until this release, then emits the owner write notice above,
 		// drops ownership and puts the page in MW mode (paper 3.1.1).
 		if ps.dropOwnership {
-			ps.dropOwnership = false
-			ps.owner = false
-			ps.wasLast = true
-			if ps.status == pageReadWrite {
-				// Write-protect: our next write must fault into MW mode.
-				ps.status = pageReadOnly
-			}
-			n.setMode(ps, modeMW)
+			n.dropOwner(pg, ps)
 		}
 	}
 	n.dirty = n.dirty[:0]
@@ -240,9 +232,7 @@ func (n *Node) ingestWN(wn *WriteNotice) {
 	n.noteOwnerWN(ps, wn)
 	ps.knownWNs = append(ps.knownWNs, wn)
 	ps.pending = append(ps.pending, wn)
-	if ps.status != pageInvalid {
-		ps.status = pageInvalid
-	}
+	ps.status = pageInvalid
 }
 
 // noteOwnerWN records owner write notices: routing state (perceived owner
@@ -256,10 +246,7 @@ func (n *Node) noteOwnerWN(ps *pageState, wn *WriteNotice) {
 		(wn.Version == ps.ownerWN.Version && ps.ownerWN.Int.VC.Leq(wn.Int.VC)) {
 		ps.ownerWN = wn
 	}
-	if wn.Version >= ps.perceivedVersion && wn.Int.Proc != n.id {
-		ps.perceivedOwner = wn.Int.Proc
-		ps.perceivedVersion = wn.Version
-	}
+	n.learnOwner(ps, wn)
 	// Mechanism 2 of Section 3.1.2 lives in the adaptive policies.
 	ps.policy.OnOwnerNotice(n, ps, wn)
 }
@@ -269,34 +256,18 @@ func (n *Node) noteOwnerWN(ps *pageState, wn *WriteNotice) {
 // breaking ties between concurrent intervals deterministically by
 // (proc, ts). Diffs must be applied in this order.
 func orderWNs(wns []*WriteNotice) []*WriteNotice {
-	out := make([]*WriteNotice, 0, len(wns))
-	remaining := append([]*WriteNotice(nil), wns...)
-	for len(remaining) > 0 {
-		// Find the minimal elements (not preceded by any other remaining).
-		best := -1
-		for i, w := range remaining {
-			minimal := true
-			for j, o := range remaining {
-				if i == j {
-					continue
-				}
-				if o.Int.VC.Before(w.Int.VC) {
-					minimal = false
-					break
-				}
-			}
-			if !minimal {
-				continue
-			}
-			if best == -1 ||
-				remaining[i].Int.Proc < remaining[best].Int.Proc ||
-				(remaining[i].Int.Proc == remaining[best].Int.Proc && remaining[i].Int.TS < remaining[best].Int.TS) {
-				best = i
-			}
-			_ = w
-		}
-		out = append(out, remaining[best])
-		remaining = append(remaining[:best], remaining[best+1:]...)
+	rem := slices.Clone(wns)
+	slices.SortStableFunc(rem, func(a, b *WriteNotice) int {
+		return cmp.Or(cmp.Compare(a.Int.Proc, b.Int.Proc), cmp.Compare(a.Int.TS, b.Int.TS))
+	})
+	out := make([]*WriteNotice, 0, len(rem))
+	for len(rem) > 0 {
+		// The first minimal notice (no remaining one precedes it).
+		i := slices.IndexFunc(rem, func(w *WriteNotice) bool {
+			return !slices.ContainsFunc(rem, func(o *WriteNotice) bool { return o.Int.VC.Before(w.Int.VC) })
+		})
+		out = append(out, rem[i])
+		rem = slices.Delete(rem, i, i+1)
 	}
 	return out
 }

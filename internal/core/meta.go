@@ -471,9 +471,6 @@ func (n *Node) applyPolicySwitches(sws []policySwitch) (quiesce bool) {
 			(toHLRC && n.resolveHome(sw.Page) == n.id)
 		if authority && (ps.data == nil || ps.status == pageInvalid || len(ps.pending) > 0) {
 			n.validate(sw.Page)
-			if ps.status == pageInvalid && ps.data != nil {
-				ps.status = pageReadOnly
-			}
 		}
 		if toHLRC && n.resolveHome(sw.Page) == n.id {
 			// The drained home copy subsumes every owner copy published
@@ -489,54 +486,10 @@ func (n *Node) applyPolicySwitches(sws []policySwitch) (quiesce bool) {
 			}
 		}
 
-		// Wash the old protocol's authority and adaptation state. Copies,
-		// pending notices and known write notices survive: the new
-		// protocol's fault paths consume them.
-		ps.owner = false
-		ps.wasLast = false
-		ps.dropOwnership = false
-		ps.wroteSW = false
-		ps.seesFS = false
-		ps.copysetFS = nil
-		ps.wgProbed = false
-		if ps.status == pageReadWrite {
-			ps.status = pageReadOnly
-		}
-
-		// Seed the new protocol's per-page state. Mode flips directly (not
-		// setMode): a protocol switch is not an SW/MW adaptation event.
-		switch {
-		case toWFS:
-			ps.mode = modeSW
-			if sw.Owner == n.id {
-				ps.owner = true
-				ps.version = sw.Version
-				ps.perceivedOwner = n.id
-				ps.perceivedVersion = sw.Version
-				ps.ownedSince = n.proc.Now()
-			} else {
-				ps.perceivedOwner = sw.Owner
-				ps.perceivedVersion = sw.Version
-			}
-		case toHLRC:
-			ps.mode = modeMW
-			ps.perceivedOwner = n.resolveHome(sw.Page)
-		default: // MW
-			ps.mode = modeMW
-		}
-
-		ps.proto = target
-		ps.policy = policies[target]
-		n.Stats.PolicySwitches++
-		switch {
-		case toWFS:
-			n.Stats.SwitchToSW++
-		case toHLRC:
-			n.Stats.SwitchToHLRC++
-			quiesce = true
-		default:
-			n.Stats.SwitchToMW++
-		}
+		// Wash and seed. Copies, pending notices and known write notices
+		// survive: the new protocol's fault paths consume them.
+		n.switchPage(sw.Page, ps, target, sw)
+		quiesce = quiesce || toHLRC
 	}
 	return quiesce
 }

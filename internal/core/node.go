@@ -307,11 +307,7 @@ func (n *Node) WriteU64(addr int, v uint64) {
 func (n *Node) readFault(pg int) {
 	n.Stats.ReadFaults++
 	n.c.detector.noteAccess(pg, n.id, false)
-	n.validate(pg)
-	ps := n.pages[pg]
-	if ps.status == pageInvalid {
-		ps.status = pageReadOnly
-	}
+	n.validate(pg) // leaves the page read-only
 }
 
 // writeFault services a write miss or a write to a protected page,
@@ -327,11 +323,13 @@ func (n *Node) writeFault(pg int) {
 		if ps.status == pageInvalid || len(ps.pending) > 0 {
 			n.validate(pg)
 		}
-		ps.status = pageReadWrite
-		return
+		if n.ownWrite(pg, ps) {
+			return
+		}
+		// A handler dropped or granted ownership while validate blocked.
 	}
-
 	ps.policy.WriteFault(n, pg, ps)
+	n.checked(pg, ps)
 }
 
 // makeTwin creates the pristine copy used for diffing; if a previous
@@ -419,19 +417,6 @@ func (n *Node) noteDiffSize(ps *pageState, d *mem.Diff) {
 	} else if s > 0 {
 		// Exponential-ish tracking so the estimate can shrink too.
 		ps.lastDiffSize = (ps.lastDiffSize + s) / 2
-	}
-}
-
-// setMode flips the per-page state variable, counting transitions.
-func (n *Node) setMode(ps *pageState, m pageMode) {
-	if ps.mode == m {
-		return
-	}
-	ps.mode = m
-	if m == modeMW {
-		n.Stats.SWtoMW++
-	} else {
-		n.Stats.MWtoSW++
 	}
 }
 

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"adsm/internal/transport"
-	"adsm/internal/vc"
 )
 
 // Ownership machinery: the adaptive ownership refusal protocol (Section
@@ -23,15 +23,10 @@ func (n *Node) writeFaultAdaptive(pg int, ps *pageState) {
 			if ps.status == pageInvalid {
 				n.validate(pg)
 			}
-			ps.wasLast = false
-			ps.owner = true
-			ps.version++
-			ps.perceivedOwner = n.id
-			ps.perceivedVersion = ps.version
-			ps.ownedSince = n.proc.Now()
-			n.setMode(ps, modeSW)
-			ps.status = pageReadWrite
-			return
+			if n.reacquire(pg, ps) {
+				return
+			}
+			// A handler granted the authority away while validate blocked.
 		}
 		if n.shouldResumeSW(ps) && n.tryOwnership(pg, ps, true) {
 			return
@@ -95,14 +90,7 @@ func (n *Node) shouldResumeSW(ps *pageState) bool {
 func (n *Node) tryOwnership(pg int, ps *pageState, resume bool) bool {
 	// If diff-backed write notices are pending, merge them first so that
 	// the grant (whole-page semantics) starts from a complete copy.
-	hasDiffs := false
-	for _, wn := range ps.pending {
-		if !wn.Owner && !wn.Int.VC.Leq(ps.applied) {
-			hasDiffs = true
-			break
-		}
-	}
-	if hasDiffs {
+	if pendingDiffs(ps) {
 		n.validate(pg)
 	}
 
@@ -181,20 +169,13 @@ func (n *Node) finishOwnership(pg int, ps *pageState, resp ownResp) bool {
 		return false
 	}
 
-	ps.owner = true
-	ps.wasLast = false
-	ps.version = resp.Version
-	ps.perceivedOwner = n.id
-	ps.perceivedVersion = resp.Version
-	ps.ownedSince = n.proc.Now()
-	n.setMode(ps, modeSW)
+	n.becomeOwner(pg, ps, resp.Version)
 	ps.seesFS = false
 	for len(ps.pending) > 0 {
 		// Notices ingested while the grant was in flight.
 		n.validate(pg)
 	}
-	ps.status = pageReadWrite
-	return true
+	return n.ownWrite(pg, ps)
 }
 
 // serveOwnership handles an incoming adaptive ownership request (handler
@@ -221,58 +202,30 @@ func (n *Node) serveOwnBatch(c transport.Call, from int, m ownBatchReq) {
 // reply (always immediately: the adaptive protocol never defers grants).
 func (n *Node) serveOwnershipOne(from int, m ownReq) ownResp {
 	ps := n.pages[m.Page]
-	grantable := (ps.owner || ps.wasLast) && ps.version == m.Version &&
-		!ps.wroteSW && !ps.dropOwnership
-
-	if grantable {
-		ps.owner = false
-		ps.wasLast = false
-		if ps.status == pageReadWrite {
-			// Write-protect the grantor's copy so any later write by us
-			// faults and reveals itself (the version check then detects
-			// the onset of false sharing; our version stays stale by
-			// design).
-			ps.status = pageReadOnly
-		}
-		newVer := ps.version + 1
+	resp := ownResp{Version: ps.version}
+	send := m.NeedPage && ps.data != nil
+	if ps.canHandAway(m.Version) {
 		// The grantor learns who took ownership (for routing) but NOT the
 		// new version number: "when p1 writes to the page, it no longer
 		// has an up-to-date value of the version number, indicating the
 		// onset of write-write false sharing" (paper Section 3.1.1). Only
 		// the requester increments; everyone else learns the new version
 		// through owner write notices at synchronization.
-		ps.perceivedOwner = from
+		resp.Granted, resp.Version = true, ps.version+1
+		send = m.NeedPage || !ps.applied.Leq(m.Applied)
+		n.handAway(m.Page, ps, from, resp.Version, false)
 		n.Stats.OwnershipGrants++
-		var data []byte
-		var applied vc.VC
-		if m.NeedPage || !ps.applied.Leq(m.Applied) {
-			data = make([]byte, len(ps.data))
-			copy(data, ps.data)
-			applied = ps.applied.Copy()
-		}
-		return ownResp{Granted: true, Version: newVer, Data: data, Applied: applied}
-	}
-
-	n.Stats.OwnershipRefusals++
-	ps.seesFS = true
-	if ps.owner {
-		if ps.wroteSW {
-			// Cannot drop yet: no twin exists, so the uncommitted writes
-			// can only be published as an owner write notice at the next
-			// release (paper 3.1.1).
-			ps.dropOwnership = true
-		} else if !ps.dropOwnership {
-			n.queueOwnershipDrop(m.Page, ps)
+	} else {
+		n.Stats.OwnershipRefusals++
+		ps.seesFS = true
+		if ps.owner {
+			n.dropOwner(m.Page, ps)
 		}
 	}
-	var data []byte
-	var applied vc.VC
-	if m.NeedPage && ps.data != nil {
-		data = make([]byte, len(ps.data))
-		copy(data, ps.data)
-		applied = ps.applied.Copy()
+	if send {
+		resp.Data, resp.Applied = ps.copyPage()
 	}
-	return ownResp{Granted: false, Version: ps.version, Data: data, Applied: applied}
+	return resp
 }
 
 // --- pure single-writer protocol ---
@@ -298,12 +251,8 @@ func (n *Node) writeFaultSW(pg int, ps *pageState) {
 	// and the granted copy is the newest link of the ownership chain, so
 	// it subsumes anything that arrived while the request was in flight.
 	ps.pending = ps.pending[:0]
-	ps.owner = true
-	ps.version = resp.Version
-	ps.perceivedOwner = n.id
-	ps.perceivedVersion = resp.Version
-	ps.ownedSince = n.proc.Now()
-	ps.status = pageReadWrite
+	n.becomeOwner(pg, ps, resp.Version)
+	n.ownWrite(pg, ps)
 	if ps.swNext != nil {
 		// The next requester's request reached us before our grant did.
 		n.scheduleSWGrant(pg, ps)
@@ -358,46 +307,22 @@ func (n *Node) grantSW(pg int, ps *pageState) {
 	// any uncommitted writes as an owner write notice first so they remain
 	// visible in the happened-before order.
 	if ps.wroteSW {
-		n.closePageInterval(pg, ps)
+		n.closePageInterval(pg)
 	}
 	newVer := ps.version + 1
 	// In the pure SW protocol both nodes learn the new version number.
-	ps.version = newVer
-	ps.owner = false
-	ps.perceivedOwner = requester
-	ps.perceivedVersion = newVer
-	if ps.status == pageReadWrite {
-		ps.status = pageReadOnly
-	}
+	n.handAway(pg, ps, requester, newVer, true)
 	n.Stats.OwnershipGrants++
-	data := make([]byte, len(ps.data))
-	copy(data, ps.data)
-	c.Reply(swOwnGrant{Version: newVer, Data: data, Applied: ps.applied.Copy()})
+	data, applied := ps.copyPage()
+	c.Reply(swOwnGrant{Version: newVer, Data: data, Applied: applied})
 }
 
 // closePageInterval publishes a single page's uncommitted owner writes as
-// their own interval (used when ownership is torn away mid-interval).
-func (n *Node) closePageInterval(pg int, ps *pageState) {
-	ts := n.vclock[n.id] + 1
-	ivc := n.vclock.Copy()
-	ivc[n.id] = ts
-	iv := &Interval{Proc: n.id, TS: ts, VC: ivc}
-	wn := &WriteNotice{Page: pg, Int: iv, Owner: true, Version: ps.version}
-	iv.WNs = append(iv.WNs, wn)
-	ps.myLastWN = wn
-	ps.knownWNs = append(ps.knownWNs, wn)
-	ps.wroteSW = false
-	ps.applied.Join(ivc)
-	n.vclock[n.id] = ts
-	n.knownTS[n.id] = ts
-	n.intervals[n.id] = append(n.intervals[n.id], iv)
-	n.wroteSinceGC[pg] = true
-	n.c.detector.noteWrite(wn)
-	// Remove from the dirty list; its notice is already published.
-	for i, d := range n.dirty {
-		if d == pg {
-			n.dirty = append(n.dirty[:i], n.dirty[i+1:]...)
-			break
-		}
-	}
+// their own interval (used when ownership is torn away mid-interval); the
+// rest of the open interval stays open.
+func (n *Node) closePageInterval(pg int) {
+	rest := slices.DeleteFunc(n.dirty, func(d int) bool { return d == pg })
+	n.dirty = []int{pg}
+	n.closeInterval()
+	n.dirty = rest
 }

@@ -147,11 +147,10 @@ func (basePolicy) BatchOwnershipSpans() bool                 { return false }
 // every page starts in SW mode, owned (with its initial copy) by the
 // allocator, node 0.
 func ownerInitPage(c *Cluster, id, pg int, ps *pageState) {
-	ps.mode = modeSW
+	ps.initPage(modeSW, id == 0)
 	if id == 0 {
 		ps.data = mem.NewPage()
 		ps.status = pageReadOnly
-		ps.owner = true
 	}
 }
 
@@ -160,7 +159,7 @@ func ownerInitPage(c *Cluster, id, pg int, ps *pageState) {
 type mwPolicy struct{ basePolicy }
 
 func (mwPolicy) InitPage(c *Cluster, id, pg int, ps *pageState) {
-	ps.mode = modeMW
+	ps.initPage(modeMW, false)
 	if id == 0 {
 		ps.data = mem.NewPage()
 		ps.status = pageReadOnly
@@ -249,8 +248,10 @@ func (p adaptivePolicy) OnBarrierRelease(n *Node, self Protocol) {
 }
 
 // OnServePage: a remote read of a page we own and have modified makes the
-// page read-write shared; WFS+WG switches it to MW at our next release so
-// its write granularity can be measured (Section 3.3).
+// page read-write shared, so WFS+WG drops it to MW, where its write
+// granularity can be measured (Section 3.3). The drop is immediate when
+// this interval has no unpublished owner writes; otherwise it waits for
+// the release that publishes them (dropOwner).
 func (p adaptivePolicy) OnServePage(n *Node, from, pg int, ps *pageState) {
 	if !p.wg || !ps.owner || ps.wgProbed || from == n.id {
 		return
@@ -259,13 +260,7 @@ func (p adaptivePolicy) OnServePage(n *Node, from, pg int, ps *pageState) {
 		return
 	}
 	ps.wgProbed = true
-	ps.dropOwnership = true
-	if !ps.wroteSW {
-		// Nothing dirty this interval: drop ownership immediately via an
-		// empty-handed release at the next interval close; mark the page
-		// so the drop happens even without new writes.
-		n.queueOwnershipDrop(pg, ps)
-	}
+	n.dropOwner(pg, ps)
 }
 
 // OnServeDiffs records the requester's false-sharing perception in the

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"adsm/internal/mem"
 	"adsm/internal/transport"
@@ -74,14 +74,8 @@ func (n *Node) PrefetchRanges(ranges []Range) {
 	if n.c.params.PerWordSpans || !n.c.params.SpanPrefetch || len(pages) == 0 {
 		return
 	}
-	sort.Ints(pages)
-	uniq := pages[:1]
-	for _, pg := range pages[1:] {
-		if pg != uniq[len(uniq)-1] {
-			uniq = append(uniq, pg)
-		}
-	}
-	n.prefetchPages(uniq, true)
+	slices.Sort(pages)
+	n.prefetchPages(slices.Compact(pages), true)
 }
 
 // spanPlan is one page's share of a batched span fetch.
@@ -215,8 +209,6 @@ func (n *Node) prefetchPages(pages []int, read bool) {
 	copies := make(map[int]*spanPageCopy)
 	if len(targets) > 0 {
 		n.Stats.BatchedFetches++
-	}
-	if len(targets) > 0 {
 		resps := n.c.rt.Multicall(n.proc, targets)
 		// Store every bundled diff before installing any page: a page's
 		// install may replay diffs another destination returned.
@@ -249,9 +241,6 @@ func (n *Node) prefetchPages(pages []int, read bool) {
 				// the serial path, which forwards along the owner chain.
 				n.Stats.SerialFallbacks++
 				n.validate(pl.pg)
-				if pl.ps.status == pageInvalid && pl.ps.data != nil {
-					pl.ps.status = pageReadOnly
-				}
 				continue
 			}
 			n.Stats.PageFetches++
@@ -285,14 +274,7 @@ func (n *Node) batchOwnership(pages []int) {
 			ps.status == pageReadWrite {
 			continue
 		}
-		hasDiffs := false
-		for _, wn := range ps.pending {
-			if !wn.Owner && !wn.Int.VC.Leq(ps.applied) {
-				hasDiffs = true
-				break
-			}
-		}
-		if hasDiffs {
+		if pendingDiffs(ps) {
 			continue // must merge before requesting: serial path
 		}
 		target, req, ok := n.buildOwnReq(pg, ps)
@@ -341,27 +323,13 @@ func (n *Node) batchOwnership(pages []int) {
 // diff-based LRC protocols: the same fetch-target and diff decisions one
 // mergeOnce round makes, without executing them.
 func (n *Node) lrcSpanPlan(ps *pageState) (int, []*WriteNotice, bool) {
-	best := bestOwnerWN(ps.pending)
-	if ps.owner && best != nil && best.Version <= ps.version {
-		best = nil
-	}
-	needFetch := ps.data == nil
-	if best != nil && !best.Int.VC.Leq(ps.applied) {
-		needFetch = true
-	}
-	target := -1
-	if needFetch {
-		target = ps.perceivedOwner
-		if best != nil {
-			target = best.Int.Proc
+	target := n.mergeSource(ps)
+	if target == n.id {
+		if ps.data == nil {
+			// The serial path panics loudly on this state; let it.
+			return 0, nil, false
 		}
-		if target == n.id {
-			if ps.data == nil {
-				// The serial path panics loudly on this state; let it.
-				return 0, nil, false
-			}
-			target = -1 // chain head with a current copy: nothing to fetch
-		}
+		target = -1 // chain head with a current copy: nothing to fetch
 	}
 	var diffs []*WriteNotice
 	for _, wn := range ps.pending {
@@ -384,12 +352,8 @@ func (n *Node) lrcSpanSettle(pg int, ps *pageState) {
 	// it, and the partition below would silently discard it; when it
 	// still demands a fetch, re-run the full serial merge loop instead —
 	// exactly what another mergeOnce round does.
-	if best := bestOwnerWN(ps.pending); best != nil &&
-		!(ps.owner && best.Version <= ps.version) && !best.Int.VC.Leq(ps.applied) {
+	if n.mergeSource(ps) >= 0 {
 		n.validate(pg)
-		if ps.status == pageInvalid && ps.data != nil {
-			ps.status = pageReadOnly
-		}
 		return
 	}
 	var rest []*WriteNotice

@@ -61,32 +61,45 @@ func (n *Node) lrcMakeValid(pg int, ps *pageState) {
 	}
 }
 
-// mergeOnce performs one merge pass over the currently pending notices.
-func (n *Node) mergeOnce(pg int, ps *pageState) {
+// mergeSource returns the node whose whole copy the next merge round
+// fetches: the writer of the newest pending owner notice our copy lacks,
+// or the perceived owner when we have no copy; -1 when none is needed.
+func (n *Node) mergeSource(ps *pageState) int {
 	best := bestOwnerWN(ps.pending)
 	if ps.owner && best != nil && best.Version <= ps.version {
 		// We are the chain head: older owner copies are subsumed by ours.
 		best = nil
 	}
-
-	needFetch := ps.data == nil
-	if best != nil && !best.Int.VC.Leq(ps.applied) {
-		needFetch = true
+	switch {
+	case best != nil && (ps.data == nil || !best.Int.VC.Leq(ps.applied)):
+		return best.Int.Proc
+	case ps.data == nil:
+		return ps.perceivedOwner
 	}
+	return -1
+}
+
+// pendingDiffs reports whether a diff-backed notice our copy lacks is
+// pending.
+func pendingDiffs(ps *pageState) bool {
+	for _, wn := range ps.pending {
+		if !wn.Owner && !wn.Int.VC.Leq(ps.applied) {
+			return true
+		}
+	}
+	return false
+}
+
+// mergeOnce performs one merge pass over the currently pending notices.
+func (n *Node) mergeOnce(pg int, ps *pageState) {
 	// Notices past known are ingested while the fetch below blocks.
 	known := len(ps.pending)
-	if needFetch {
-		target := ps.perceivedOwner
-		if best != nil {
-			target = best.Int.Proc
+	if target := n.mergeSource(ps); target == n.id {
+		if ps.data == nil {
+			panic(fmt.Sprintf("dsm: node %d is fetch target for page %d but has no copy", n.id, pg))
 		}
-		if target == n.id {
-			if ps.data == nil {
-				panic(fmt.Sprintf("dsm: node %d is fetch target for page %d but has no copy", n.id, pg))
-			}
-		} else {
-			n.fetchPage(pg, ps, target)
-		}
+	} else if target >= 0 {
+		n.fetchPage(pg, ps, target)
 	}
 
 	// Partition the pending notices: drop everything reflected in our
@@ -132,6 +145,13 @@ func (n *Node) fetchPage(pg int, ps *pageState, target int) {
 // node's newest, not-yet-diffed modifications) are re-applied last and only
 // to the data, keeping the twin a pristine base. Runs in process context.
 func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) {
+	if ps.undiffed != nil && ps.undiffed.Int.VC.Leq(applied) {
+		// The incoming copy already holds our undiffed writes (a grant
+		// carried them out and the chain brought them back), perhaps
+		// under later writes that replaying them would undo. Diff them
+		// now, and let the copy replace ours whole.
+		n.makeDiff(pg, ps)
+	}
 	old := ps.applied.Copy()
 
 	// Diff-backed writes our old copy had that the new copy misses.
@@ -274,9 +294,12 @@ func (n *Node) applyDiffs(pg int, ps *pageState, wns []*WriteNotice) {
 // slice before the requester installs it. Handler context.
 func (n *Node) snapshotPage(from, pg int, ps *pageState) ([]byte, vc.VC) {
 	ps.policy.OnServePage(n, from, pg, ps)
-	snap := make([]byte, len(ps.data))
-	copy(snap, ps.data)
-	return snap, ps.applied.Copy()
+	return ps.copyPage()
+}
+
+// copyPage returns a private copy of the page and its applied vector.
+func (ps *pageState) copyPage() ([]byte, vc.VC) {
+	return append([]byte(nil), ps.data...), ps.applied.Copy()
 }
 
 // heldDiff resolves one diff this node holds: cached, or its own pending
@@ -323,19 +346,6 @@ func (n *Node) servePage(c transport.Call, from int, m pageReq) {
 	}
 	data, applied := n.snapshotPage(from, m.Page, ps)
 	c.Reply(pageResp{Data: data, Applied: applied})
-}
-
-// queueOwnershipDrop performs the deferred ownership drop for pages with
-// no uncommitted writes: the owner can drop immediately because there is
-// nothing to diff.
-func (n *Node) queueOwnershipDrop(pg int, ps *pageState) {
-	ps.dropOwnership = false
-	ps.owner = false
-	ps.wasLast = true
-	if ps.status == pageReadWrite {
-		ps.status = pageReadOnly
-	}
-	n.setMode(ps, modeMW)
 }
 
 // serveDiffs handles a diffReq: create missing diffs lazily (charged as

@@ -19,12 +19,8 @@ import (
 // time under the 1997 cost model; the tcp side is the wall matrix: every
 // protocol, adaptive included, over the real in-process mesh (median of
 // tcpRuns runs, each checksum-verified), where the adaptive cell runs
-// under the wire cost profile. A failed adaptive run (an error or a wrong
-// checksum) fails the sweep; a failed static run is counted and shown in
-// its cell, and that protocol cannot be the kernel's best. Two static
-// defects show up there and are on the ROADMAP: WFS+WG loses TSP's best
-// tour on about one full-input tcp run in four, and SW's ownership
-// forwarding can loop.
+// under the wire cost profile. Any failed run (an error or a wrong
+// checksum) fails the sweep.
 
 // tcpRuns is how many times the wall matrix runs each cell; it reports
 // the median.
@@ -35,7 +31,6 @@ const tcpRuns = 3
 type AdaptStatic struct {
 	Proto   adsm.Protocol
 	Elapsed time.Duration
-	Bad     int // tcp runs that failed or missed the sequential checksum
 }
 
 // AdaptCell is one kernel's adaptive-vs-static comparison.
@@ -88,9 +83,9 @@ func (m *Matrix) AdaptSweepData() []AdaptCell {
 			if cell.BestElapsed == 0 || rep.Elapsed < cell.BestElapsed {
 				cell.Best, cell.BestElapsed = proto, rep.Elapsed
 			}
-			wall, _, bad := m.tcpWall(e.Name, proto)
-			cell.TCPStatics = append(cell.TCPStatics, AdaptStatic{Proto: proto, Elapsed: wall, Bad: bad})
-			if bad == 0 && (cell.TCPBestWall == 0 || wall < cell.TCPBestWall) {
+			wall, _ := m.tcpWall(e.Name, proto)
+			cell.TCPStatics = append(cell.TCPStatics, AdaptStatic{Proto: proto, Elapsed: wall})
+			if cell.TCPBestWall == 0 || wall < cell.TCPBestWall {
 				cell.TCPBest, cell.TCPBestWall = proto, wall
 			}
 		}
@@ -98,12 +93,7 @@ func (m *Matrix) AdaptSweepData() []AdaptCell {
 			cell.Ratio = float64(cell.BestElapsed) / float64(cell.Adaptive.Elapsed)
 		}
 		var rep *adsm.Report
-		var bad int
-		cell.TCPWall, rep, bad = m.tcpWall(e.Name, adsm.Adaptive)
-		if bad > 0 {
-			panic(fmt.Sprintf("harness: adapt sweep %s/adaptive under tcp: %d of %d runs failed or missed the sequential checksum",
-				e.Name, bad, tcpRuns))
-		}
+		cell.TCPWall, rep = m.tcpWall(e.Name, adsm.Adaptive)
 		cell.TCPStats = rep.Stats
 		cell.TCPRatio = float64(cell.TCPBestWall) / float64(cell.TCPWall)
 		out = append(out, cell)
@@ -112,12 +102,11 @@ func (m *Matrix) AdaptSweepData() []AdaptCell {
 }
 
 // tcpWall runs one kernel under proto on the in-process tcp mesh tcpRuns
-// times and returns the median wall time of Run, that run's report and
-// how many runs failed: Run returned an error or the checksum did not
+// times and returns the median wall time of Run and that run's report. It
+// panics when a run fails: Run returned an error or the checksum did not
 // match the sequential run.
-func (m *Matrix) tcpWall(name string, proto adsm.Protocol) (time.Duration, *adsm.Report, int) {
+func (m *Matrix) tcpWall(name string, proto adsm.Protocol) (time.Duration, *adsm.Report) {
 	seq := m.seqResult(name)
-	bad := 0
 	tol := max(tolerance(name), 1e-4)
 	type run struct {
 		wall time.Duration
@@ -135,13 +124,17 @@ func (m *Matrix) tcpWall(name string, proto adsm.Protocol) (time.Duration, *adsm
 		start := time.Now()
 		rep, err := cl.Run(app.Body)
 		runs[i] = run{time.Since(start), rep}
-		if err != nil || !closeEnough(app.Result(), seq.checksum, tol) {
-			bad++
+		if err != nil {
+			panic(fmt.Sprintf("harness: adapt sweep %s/%v under tcp: %v", name, proto, err))
+		}
+		if got := app.Result(); !closeEnough(got, seq.checksum, tol) {
+			panic(fmt.Sprintf("harness: adapt sweep %s/%v under tcp: checksum %v != sequential %v",
+				name, proto, got, seq.checksum))
 		}
 	}
 	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(a.wall, b.wall) })
 	mid := runs[len(runs)/2]
-	return mid.wall, mid.rep, bad
+	return mid.wall, mid.rep
 }
 
 // AdaptSweep renders the adaptive experiment: every kernel's best static
@@ -175,11 +168,7 @@ func (m *Matrix) AdaptSweep() string {
 			fmt.Sprint(s.SwitchToSW), fmt.Sprint(s.SwitchToMW), fmt.Sprint(s.SwitchToHLRC))
 		row := []string{c.App}
 		for _, st := range c.TCPStatics {
-			cell := ms(st.Elapsed)
-			if st.Bad > 0 {
-				cell += fmt.Sprintf(" (%d bad)", st.Bad)
-			}
-			row = append(row, cell)
+			row = append(row, ms(st.Elapsed))
 		}
 		ts := c.TCPStats
 		row = append(row, ms(c.TCPWall), c.TCPBest.String(), fmt.Sprintf("%.3f", c.TCPRatio),
@@ -190,7 +179,6 @@ func (m *Matrix) AdaptSweep() string {
 		fmt.Sprintf("(ratio = best static / adaptive virtual time; >= 0.95 is win-or-tie: %d/%d kernels qualify)\n\n", wins, len(cells)) +
 		t.String() +
 		fmt.Sprintf("\nWall matrix: %d-node in-process tcp mesh, median of %d checksum-verified runs per cell (ms)\n", m.Procs, tcpRuns) +
-		fmt.Sprintf("(ratio = best static wall / adaptive wall; >= 0.95: %d/%d kernels; \"bad\" counts failed runs\n", tcpWins, len(cells)) +
-		" and wrong checksums, and such a protocol is not eligible as best static)\n\n" +
+		fmt.Sprintf("(ratio = best static wall / adaptive wall; >= 0.95: %d/%d kernels)\n\n", tcpWins, len(cells)) +
 		w.String()
 }
