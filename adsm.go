@@ -333,7 +333,7 @@ func (cl *Cluster) report(elapsed sim.Time) *Report {
 
 // Stats aggregates the protocol counters across all processors: the
 // engine's own counter struct, summed over the nodes, plus the runtime's
-// traffic and the cluster's garbage collections. Wire and per-lane
+// traffic and the cluster's garbage collections. Wire and per-class
 // counters are zero (nil) under the simulator.
 type Stats = stats.Counters
 

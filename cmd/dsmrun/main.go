@@ -148,7 +148,7 @@ func main() {
 			parts = append(parts, fmt.Sprintf("%s %.2f MB (q %d, hwm %d)",
 				names[i], float64(b)/(1<<20), s.LaneQueueDepth[i], s.LaneQueueHWM[i]))
 		}
-		fmt.Printf("  lanes                %s\n", strings.Join(parts, ", "))
+		fmt.Printf("  lanes (per class)    %s\n", strings.Join(parts, ", "))
 	}
 	fmt.Printf("  faults               %d read, %d write\n", s.ReadFaults, s.WriteFaults)
 	fmt.Printf("  page fetches         %d\n", s.PageFetches)

@@ -19,7 +19,7 @@ import (
 // exploits that cut. At a checkpoint barrier every node snapshots the
 // cluster-dirty pages of its partition (page pg belongs to node pg mod
 // procs), ships the delta since its previous checkpoint to its ring buddy
-// (rank+1 mod procs) over the bulk lane, and commits the checkpoint with
+// (rank+1 mod procs) as a bulk-class call, and commits the checkpoint with
 // one extra barrier round. A checkpoint counts as durable only once that
 // commit round releases — which proves every delta reached both its owner
 // and its buddy — so any single node loss leaves every partition with at
@@ -263,7 +263,7 @@ func (st *CkptStore) CorruptForTest(rep bool) bool {
 // --- checkpoint messages ---
 
 // ckptPut ships one node's delta checkpoint for a step to its ring buddy
-// (bulk lane: the payload is page frames).
+// (bulk class: the payload is page frames).
 type ckptPut struct {
 	From  int
 	Step  int64

@@ -264,11 +264,20 @@ func (w *wireRW) diff(dp **mem.Diff) {
 		b := transport.AppendUvarint(transport.AppendUvarint(w.b, uint64(d.Page)), uint64(len(d.Runs)))
 		for _, r := range d.Runs {
 			b = transport.AppendUvarint(transport.AppendUvarint(b, uint64(r.Off)), uint64(len(r.Data)))
-			if len(r.Data) > 0 {
-				w.p = append(w.p, r.Data)
-			}
 		}
 		w.b = b
+		// The run data, in run order: one payload when the runs lie back
+		// to back, so a diff of 512 four-byte runs costs the socket one
+		// iovec, not 512; one per run otherwise.
+		if data, ok := d.Data(); !ok {
+			for _, r := range d.Runs {
+				if len(r.Data) > 0 {
+					w.p = append(w.p, r.Data)
+				}
+			}
+		} else if len(data) > 0 {
+			w.p = append(w.p, data)
+		}
 	case wireDecode:
 		d = &mem.Diff{Page: w.r.Int()}
 		for j := range list(w, &d.Runs, 2) {
@@ -279,8 +288,10 @@ func (w *wireRW) diff(dp **mem.Diff) {
 		}
 		*dp = d
 	case wireFill:
-		for j := range d.Runs {
-			w.Payload(&d.Runs[j].Data)
+		// The runs' data follow one another in the frame: cut them from
+		// one stretch, so Detach and a re-encode take it whole.
+		if data := w.r.Bytes(d.DataBytes()); data != nil {
+			d.Attach(data)
 		}
 	}
 }

@@ -347,3 +347,42 @@ func BenchmarkCoreWire(b *testing.B) {
 		}
 	}
 }
+
+// TestCounterDiffOneStretch: a page of int64 counters that each grew by 4
+// changes only the low word of every value, so it diffs into 512 runs of
+// four bytes. They are cut from one buffer, so the encoder hands the
+// socket one payload slice for all of them, the decoder cuts them back
+// out of one stretch of the frame, and Detach copies that stretch in one
+// piece, into one allocation.
+func TestCounterDiffOneStretch(t *testing.T) {
+	twin, cur := mem.NewPage(), mem.NewPage()
+	for off := 0; off < mem.PageSize; off += 8 {
+		mem.StoreUint64(twin, off, uint64(off))
+		mem.StoreUint64(cur, off, uint64(off)+4)
+	}
+	d := mem.MakeDiff(3, twin, cur)
+	if len(d.Runs) != mem.PageSize/8 {
+		t.Fatalf("diff has %d runs, want %d", len(d.Runs), mem.PageSize/8)
+	}
+	m := diffResp{Diffs: []*mem.Diff{d}, Keys: []wnKey{{page: 3, proc: 1, ts: 2}}}
+	c, _ := transport.CodecOf(m)
+	if _, payloads := c.AppendWire(m, nil, nil); len(payloads) > 2 {
+		t.Errorf("encode hands the socket %d payload slices, want at most 2", len(payloads))
+	}
+	got := binaryRoundTrip(t, m)
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("round trip changed the message")
+	}
+	rd := got.(diffResp).Diffs[0]
+	if allocs := testing.AllocsPerRun(10, rd.Detach); allocs != 1 {
+		t.Errorf("Detach allocates %.0f times, want 1", allocs)
+	}
+	page := mem.Twin(twin)
+	rd.Apply(page)
+	if !bytes.Equal(page, cur) {
+		t.Errorf("the detached diff does not rebuild the page")
+	}
+	if _, payloads := c.AppendWire(got, nil, nil); len(payloads) > 2 {
+		t.Errorf("re-encoding the detached diff hands the socket %d payload slices, want at most 2", len(payloads))
+	}
+}

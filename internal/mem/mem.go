@@ -46,12 +46,18 @@ type Run struct {
 type Diff struct {
 	Page int
 	Runs []Run
+
+	// data holds the runs' bytes back to back when they were cut from one
+	// buffer in order (MakeDiff, Attach, Detach); see Data.
+	data []byte
 }
 
 // MakeDiff compares twin and cur word by word and returns the run-length
 // encoded modifications. Returns a Diff with no runs when the copies are
 // identical. One scan collects the runs' bounds, so the runs are cut from a
 // single buffer of exactly their size: three allocations at any density.
+// Each run is capped at its own length, so appending to one never reaches
+// into the next.
 func MakeDiff(page int, twin, cur []byte) *Diff {
 	if len(twin) != len(cur) {
 		panic("mem: twin/page size mismatch")
@@ -101,6 +107,7 @@ func MakeDiff(page int, twin, cur []byte) *Diff {
 		buf = append(buf, cur[bounds[k]:bounds[k+1]]...)
 		d.Runs = append(d.Runs, Run{Off: int(bounds[k]), Data: buf[at:len(buf):len(buf)]})
 	}
+	d.data = buf
 	return d
 }
 
@@ -122,18 +129,60 @@ func (d *Diff) Apply(dst []byte) {
 
 // Detach copies the run payloads into one buffer of exactly their size,
 // so the diff no longer keeps alive whatever they were sliced from (a
-// received frame's body).
+// received frame's body). Runs that lie back to back (Data) are copied in
+// one piece, so a diff of many short runs costs one copy, not one a run.
 func (d *Diff) Detach() {
 	n := d.DataBytes()
 	if n == 0 {
 		return
 	}
 	buf := make([]byte, 0, n)
-	for i := range d.Runs {
-		at := len(buf)
-		buf = append(buf, d.Runs[i].Data...)
-		d.Runs[i].Data = buf[at:len(buf):len(buf)]
+	if data, ok := d.Data(); ok {
+		buf = append(buf, data...)
+	} else {
+		for _, r := range d.Runs {
+			buf = append(buf, r.Data...)
+		}
 	}
+	d.Attach(buf)
+}
+
+// Attach points the runs, whose lengths are already set, at consecutive
+// stretches of data in order, each capped at its own length, and keeps
+// data as their joined form: a decoder attaches the run bytes that follow
+// a diff's run headers in a frame. len(data) must equal DataBytes.
+func (d *Diff) Attach(data []byte) {
+	if len(data) != d.DataBytes() {
+		panic("mem: attached data does not match the run lengths")
+	}
+	at := 0
+	for i := range d.Runs {
+		if n := len(d.Runs[i].Data); n > 0 {
+			d.Runs[i].Data = data[at : at+n : at+n]
+			at += n
+		}
+	}
+	d.data = data
+}
+
+// Data returns the runs' bytes as one slice when they lie back to back,
+// in order, in the buffer they were cut from: what a vectored write can
+// send as one piece. It checks that each run still begins at the element
+// of that buffer after the previous run's end (comparing element
+// addresses, so runs replaced since cannot pass), and reports false
+// otherwise.
+func (d *Diff) Data() ([]byte, bool) {
+	at := 0
+	for _, r := range d.Runs {
+		if len(r.Data) == 0 {
+			continue
+		}
+		if at+len(r.Data) > len(d.data) || &d.data[at] != &r.Data[0] {
+			return nil, false
+		}
+		at += len(r.Data)
+	}
+	return d.data, at == len(d.data)
 }
 
 // DataBytes returns the number of modified bytes carried by the diff.

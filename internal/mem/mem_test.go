@@ -352,3 +352,36 @@ func TestMakeDiffAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffDataJoinsRuns pins when a diff's runs count as one stretch: as
+// MakeDiff, Attach and Detach leave them, and never once a run has been
+// pointed elsewhere, even at equal bytes.
+func TestDiffDataJoinsRuns(t *testing.T) {
+	twin, cur := NewPage(), NewPage()
+	for off := 0; off < PageSize; off += 8 {
+		StoreUint64(cur, off, 4)
+	}
+	d := MakeDiff(1, twin, cur)
+	data, ok := d.Data()
+	if !ok || len(data) != d.DataBytes() || len(d.Runs) != PageSize/8 {
+		t.Fatalf("MakeDiff: %d runs, joined %v over %d of %d bytes", len(d.Runs), ok, len(data), d.DataBytes())
+	}
+	d.Runs[5].Data = append([]byte(nil), d.Runs[5].Data...)
+	if _, ok := d.Data(); ok {
+		t.Fatalf("a run copied elsewhere still counts as joined")
+	}
+	d.Detach()
+	if data, ok := d.Data(); !ok || len(data) != d.DataBytes() {
+		t.Fatalf("Detach left the runs unjoined")
+	}
+	for i := range d.Runs {
+		if r := d.Runs[i]; cap(r.Data) != len(r.Data) || !bytes.Equal(r.Data, []byte{4, 0, 0, 0}) {
+			t.Fatalf("run %d after Detach: %v with capacity %d", i, r.Data, cap(r.Data))
+		}
+	}
+	fresh := &Diff{Runs: []Run{{Off: 0, Data: make([]byte, 2)}, {Off: 8}, {Off: 16, Data: make([]byte, 3)}}}
+	fresh.Attach([]byte{1, 2, 3, 4, 5})
+	if !bytes.Equal(fresh.Runs[0].Data, []byte{1, 2}) || fresh.Runs[1].Data != nil || !bytes.Equal(fresh.Runs[2].Data, []byte{3, 4, 5}) {
+		t.Fatalf("Attach cut %+v", fresh.Runs)
+	}
+}

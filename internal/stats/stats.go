@@ -106,11 +106,12 @@ type Counters struct {
 	WireBytes    int64 // real bytes (frame header + body) on the wire
 	WireEncodeNS int64 // cumulative frame-encode time, nanoseconds
 
-	// Per-lane wire accounting of one runtime, indexed by lane (0 control,
-	// 1 bulk); nil under the simulator. Add leaves them alone: they do not sum across nodes.
-	LaneBytes      []int64 // bytes sent per lane by the hosted nodes
-	LaneQueueDepth []int64 // current send-queue depth per lane (frames)
-	LaneQueueHWM   []int64 // send-queue high-water mark per lane (frames)
+	// Per-class wire accounting of one runtime, indexed by message class
+	// (0 control, 1 bulk: the two send queues of each connection); nil
+	// under the simulator. Add leaves them alone: they do not sum across nodes.
+	LaneBytes      []int64 // bytes sent per class by the hosted nodes
+	LaneQueueDepth []int64 // current send-queue depth per class (frames)
+	LaneQueueHWM   []int64 // deepest any one connection's queue of the class got (frames)
 }
 
 // Add accumulates every int64 field of o into s.

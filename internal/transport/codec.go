@@ -19,9 +19,11 @@ import (
 // transport's gob escape frame, so its message type must be gob-encodable
 // (a plain struct with exported fields).
 
-// Class partitions messages across a multiplexing transport's per-pair
-// lanes. Control is the default: small latency-critical frames (barriers,
-// locks, ownership, requests). Bulk marks large payload-bearing replies
+// Class sorts messages for a transport that queues per class: the tcp
+// runtime sends a pair's queued control frames before its queued bulk
+// frames on their one connection, and serves bulk calls off the reader.
+// Control is the default: small latency-critical frames (barriers,
+// locks, ownership, requests). Bulk marks large payload-bearing messages
 // that would head-of-line-block control traffic on a shared connection.
 type Class uint8
 
@@ -37,8 +39,8 @@ type Codec struct {
 	// with gob under it), so it must never change once peers may disagree
 	// on binary versions.
 	Name string
-	// Class assigns the message to a transport lane (default ClassControl).
-	// Transports that do not multiplex ignore it.
+	// Class assigns the message to a transport send class (default
+	// ClassControl). Transports that do not queue per class ignore it.
 	Class Class
 	// Msg is a zero sample of the protocol message type; its dynamic type
 	// keys the registry.
@@ -115,7 +117,7 @@ func CodecOf(m Msg) (Codec, bool) {
 	return c, ok
 }
 
-// ClassOf reports the lane class of a message (ClassControl when the
+// ClassOf reports the class of a message (ClassControl when the
 // message has no codec — error replies and handshake frames are control
 // traffic by definition).
 func ClassOf(m Msg) Class {

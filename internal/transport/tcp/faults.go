@@ -10,8 +10,10 @@ import (
 // block protocol code that holds a node's state lock. Implementations must be
 // safe for concurrent use.
 type FaultInjector interface {
-	// DropFrame reports whether the frame from->to on the given lane
-	// should be silently discarded instead of written.
+	// DropFrame reports whether the frame from->to should be silently
+	// discarded instead of written. lane is the frame's message class
+	// (transport.ClassControl or ClassBulk): a pair has one connection,
+	// and the class picks the send queue the frame waited in.
 	DropFrame(from, to, lane int) bool
 	// DelayFrame returns an extra delay to impose before writing the
 	// frame (0 = none).

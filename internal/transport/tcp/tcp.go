@@ -7,7 +7,11 @@
 // nodes in one process gives an in-process loopback mesh
 // (every pair of nodes still talks through a real socket), hosting a
 // subset gives one endpoint of a genuine multi-process deployment (the
-// dsmnode command).
+// dsmnode command). Every node pair shares one connection, carrying both
+// message classes (transport.ClassOf): the writer sends queued control
+// frames before queued bulk frames, and the reader hands bulk calls to
+// a goroutine of their own, so a page or checkpoint payload never holds
+// a barrier release or an ownership grant behind it.
 //
 // Where the simulator parks a virtual process and resumes it from the
 // event queue, this runtime blocks the calling goroutine on a channel that
@@ -76,7 +80,7 @@ type Options struct {
 	// meshes with are at.
 	Epoch int64
 	// LeaseTerm enables membership leases: every endpoint heartbeats each
-	// peer on the control lane every LeaseTerm/3 and declares a peer dead
+	// peer as a control frame every LeaseTerm/3 and declares a peer dead
 	// (transport.ErrLeaseExpired) when no frame at all arrives from it for
 	// a full term. Zero disables heartbeats and lease monitoring (the
 	// default — loss is then detected only by connection errors). Every
@@ -93,17 +97,13 @@ const (
 	opCall             // a request (fresh or forwarded)
 	opReply            // the answer travelling back to the call's origin
 	opBye              // orderly shutdown: this endpoint's bodies finished
-	opPing             // control-lane heartbeat refreshing the peer's lease
+	opPing             // heartbeat refreshing the peer's lease
 )
 
-// lane indices. Every pair has a control and a bulk lane, so large page
-// and diff payloads never head-of-line block a latency-critical barrier
-// release or ownership grant. The dialer names the lane in its hello's Idx.
-const (
-	laneControl = iota
-	laneBulk
-	numLanes
-)
+// numClasses is the number of message classes (transport.ClassControl,
+// transport.ClassBulk); each end keeps one send queue per class, and the
+// per-lane counters of Count have one entry per class.
+const numClasses = 2
 
 // body kinds: how the bytes after the fixed header are encoded.
 const (
@@ -116,9 +116,9 @@ const (
 
 // The unit on the wire is a fixed 32-byte binary header followed by a
 // body. Messages with AppendWire/DecodeWire hooks travel as
-// bodyBinary: varint metadata followed by the raw payload bytes, written
-// to the socket as one vectored write (net.Buffers) so a page's 4 KB
-// never passes through an intermediate copy. Every message internal/core
+// bodyBinary: varint metadata followed by the raw payload bytes, handed
+// to the socket as iovecs (net.Buffers, one writev per writer wake-up) so
+// a page's 4 KB never passes through an intermediate copy. Every message internal/core
 // registers travels that way. The bodyGob escape frame — a fresh gob
 // encoding of the message value — exists only for codecs registered
 // without binary hooks (a test's or a benchmark's own message types).
@@ -149,7 +149,7 @@ type frame struct {
 	To     int    // receiving node
 	Origin int    // node that issued the call (survives forwarding)
 	CallID uint64 // caller-assigned id
-	Idx    int    // multicall slot; hello: the lane this connection carries
+	Idx    int    // multicall slot; hello: always 0 (a pair has one connection)
 	Err    string // transport-level failure travelling back to the caller
 	Tag    string // hello only: the dialer's config fingerprint
 	Digest uint64 // hello only: the frozen binary codec set (transport.WireDigest)
@@ -183,8 +183,9 @@ func (fb *frameBuf) recycle() {
 
 // outFrame is one encoded frame queued for a writer goroutine.
 type outFrame struct {
-	fb   *frameBuf
-	wire int // total bytes that will hit the socket (header + body)
+	fb    *frameBuf
+	wire  int             // total bytes that will hit the socket (header + body)
+	class transport.Class // the send queue it waits in
 }
 
 // appendWriter adapts gob's stream interface to an append buffer.
@@ -204,6 +205,7 @@ func encodeFrame(f *frame) (outFrame, error) {
 	bufs := append(fb.bufs[:0], nil) // slot 0 reserved for header+metadata
 	kind := byte(bodyNone)
 	var wireID uint16
+	class := transport.ClassControl // frames without a message are control traffic
 	switch {
 	case f.M != nil:
 		c, ok := transport.CodecOf(f.M)
@@ -211,6 +213,7 @@ func encodeFrame(f *frame) (outFrame, error) {
 			fb.recycle()
 			return outFrame{}, fmt.Errorf("tcp: message %T has no registered codec", f.M)
 		}
+		class = c.Class
 		if id, isBin := transport.WireIDOf(f.M); isBin {
 			kind, wireID = bodyBinary, id
 			b, bufs = c.AppendWire(f.M, b, bufs)
@@ -229,13 +232,9 @@ func encodeFrame(f *frame) (outFrame, error) {
 		kind = bodyHello
 		b = transport.AppendUvarint(b, uint64(len(f.Tag)))
 		b = append(b, f.Tag...)
-		var u64 [8]byte
-		binary.LittleEndian.PutUint64(u64[:], f.Digest)
-		b = append(b, u64[:]...)
-		binary.LittleEndian.PutUint64(u64[:], uint64(f.Epoch))
-		b = append(b, u64[:]...)
-		binary.LittleEndian.PutUint64(u64[:], uint64(f.Lease))
-		b = append(b, u64[:]...)
+		b = binary.LittleEndian.AppendUint64(b, f.Digest)
+		b = binary.LittleEndian.AppendUint64(b, uint64(f.Epoch))
+		b = binary.LittleEndian.AppendUint64(b, uint64(f.Lease))
 		b = transport.AppendUvarint(b, uint64(len(f.Err)))
 		b = append(b, f.Err...)
 	}
@@ -255,7 +254,7 @@ func encodeFrame(f *frame) (outFrame, error) {
 	fb.b = b
 	bufs[0] = b
 	fb.bufs = bufs
-	return outFrame{fb: fb, wire: headerLen + bodyLen}, nil
+	return outFrame{fb: fb, wire: headerLen + bodyLen, class: class}, nil
 }
 
 // writeOut performs one synchronous frame write (handshake paths; the data
@@ -347,29 +346,37 @@ type callState struct {
 	err     error
 }
 
-// end is this runtime's end of one lane of the connection bundle between
-// one hosted node and one peer node. Protocol code never blocks on the
-// socket: sends enqueue onto an unbounded queue drained by a dedicated
-// writer goroutine, so a full TCP buffer can never wedge a handler that
-// holds its node's state lock.
+// end is this runtime's end of the one connection between one hosted
+// node and one peer node. Protocol code never blocks on the socket: sends
+// enqueue onto one of two unbounded FIFO queues, one per message class,
+// drained by a dedicated writer goroutine, so a full TCP buffer can never
+// wedge a handler that holds its node's state lock. Each wake-up of the
+// writer sends everything queued in one vectored write, control frames
+// first: a barrier release or an ownership grant queued behind a burst of
+// page replies goes out ahead of them.
 type end struct {
 	rt          *Runtime
 	owner, peer int
-	lane        int
 	conn        net.Conn
 
 	qmu    sync.Mutex
 	qcond  *sync.Cond
-	q      []outFrame
-	qhwm   int64 // peak queue depth over the run
+	q      [numClasses][]outFrame // indexed by transport.Class
+	qhwm   [numClasses]int64      // peak queue depth per class over the run
 	closed bool
+
+	// Received bulk-class calls, in arrival order; the head is the one
+	// being served. A goroutine serves them while any is queued, so a slow
+	// bulk handler never stalls the reader and the control calls behind it.
+	bmu sync.Mutex
+	bq  []*frame
 
 	byeOnce sync.Once
 	bye     chan struct{}
 
 	// lastHeard is the time (unix nanos) a frame last arrived on this
 	// end, refreshed by the reader goroutine and read by the lease
-	// monitor. Only control-lane ends are monitored (pings flow there).
+	// monitor.
 	lastHeard int64
 }
 
@@ -423,10 +430,10 @@ type Runtime struct {
 	wireFrames atomic.Int64
 	wireBytes  atomic.Int64
 	encodeNS   atomic.Int64
-	laneBytes  [numLanes]atomic.Int64 // per-lane wire bytes, same coverage as wireBytes
+	laneBytes  [numClasses]atomic.Int64 // wire bytes per class, same coverage as wireBytes
 
 	isLocal   []bool
-	ends      [][][]*end // [local node][peer node][lane]
+	ends      [][]*end // [local node][peer node]
 	listeners []net.Listener
 	bodies    map[int]func(transport.Proc)
 	runGate   chan struct{}
@@ -445,9 +452,9 @@ type node struct {
 }
 
 // New builds the endpoint: binds the local listeners, establishes the full
-// mesh (a bundle of lane connections per pair of nodes with a hosted end;
-// the higher-numbered node dials the lower once per lane), and returns
-// once every expected peer is connected.
+// mesh (one connection per pair of nodes with a hosted end; the
+// higher-numbered node dials the lower), and returns once every expected
+// peer is connected.
 func New(o Options) (*Runtime, error) {
 	if o.Procs < 1 {
 		return nil, fmt.Errorf("tcp: need at least one node")
@@ -494,16 +501,13 @@ func New(o Options) (*Runtime, error) {
 		nodes:   make([]*node, o.Procs),
 		calls:   make(map[uint64]*callState),
 		isLocal: isLocal,
-		ends:    make([][][]*end, o.Procs),
+		ends:    make([][]*end, o.Procs),
 		bodies:  make(map[int]func(transport.Proc)),
 		runGate: make(chan struct{}),
 	}
 	for _, id := range local {
 		rt.nodes[id] = &node{}
-		rt.ends[id] = make([][]*end, o.Procs)
-		for peer := range rt.ends[id] {
-			rt.ends[id][peer] = make([]*end, numLanes)
-		}
+		rt.ends[id] = make([]*end, o.Procs)
 	}
 
 	// Copy: the listener loop rewrites auto-selected addresses, and the
@@ -538,29 +542,27 @@ func New(o Options) (*Runtime, error) {
 // in-process mode, where they are picked automatically).
 func (rt *Runtime) Addrs() []string { return append([]string(nil), rt.addrs...) }
 
-// connectMesh establishes every lane connection with a hosted end: for
-// each node pair the higher-numbered node dials the lower once per lane
-// (the hello's Idx field names the lane), and each hosted node accepts the
-// matching bundle from every higher-numbered peer.
+// connectMesh establishes every connection with a hosted end: for each
+// node pair the higher-numbered node dials the lower, and each hosted node
+// accepts one connection from every higher-numbered peer.
 func (rt *Runtime) connectMesh() error {
 	type res struct {
 		e   *end
 		err error
 	}
 	expect := 0
-	ch := make(chan res, rt.procs*rt.procs*numLanes)
+	ch := make(chan res, rt.procs*rt.procs)
 
 	// Accept side: every hosted node accepts from higher-numbered peers.
 	// Each accepted connection handshakes on its own goroutine under a
 	// read deadline, so a connecter that never sends hello (or sends
-	// garbage, or names a lane no pair has) is dropped without stalling
+	// garbage, or names a lane other than 0) is dropped without stalling
 	// the accept loop or failing the mesh — it simply never counts toward
-	// the expected bundle. So is a hello from a node that is not a
+	// the expected connections. So is a hello from a node that is not a
 	// higher-numbered peer: its end would index past the mesh, or take
 	// the slot of a connection this node dials itself.
 	for li, id := range rt.local {
-		want := (rt.procs - 1 - id) * numLanes
-		expect += want
+		expect += rt.procs - 1 - id
 		l := rt.listeners[li]
 		id := id
 		go func() {
@@ -583,33 +585,16 @@ func (rt *Runtime) connectMesh() error {
 					}
 					ack := &frame{Op: opHello, From: id, To: hello.From,
 						Tag: rt.fprnt, Digest: transport.WireDigest(), Lease: int64(rt.lease)}
-					ourEpoch := atomic.LoadInt64(&rt.epoch)
-					stray := false // refused connecter that is no participant
+					stray := true // refused connecter that is no participant
 					switch {
 					case hello.From <= id || hello.From >= rt.procs:
-						stray = true
 						ack.Err = fmt.Sprintf("tcp: node %d: hello from node %d, but only nodes %d..%d dial node %d",
 							id, hello.From, id+1, rt.procs-1, id)
-					case hello.Tag != "" && rt.fprnt != "" && hello.Tag != rt.fprnt:
-						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d runs a different configuration: ours %q, theirs %q",
-							id, hello.From, rt.fprnt, hello.Tag)
-					case hello.Digest != transport.WireDigest():
-						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d disagrees on the binary wire codec set (digest %x vs %x) — peers must be built from the same message definitions",
-							id, hello.From, transport.WireDigest(), hello.Digest)
-					case hello.Idx < 0 || hello.Idx >= numLanes:
-						stray = true
-						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d opened lane %d, but a pair has only lanes 0 (control) and 1 (bulk)",
+					case hello.Idx != 0:
+						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d opened lane %d, but a pair has one connection, lane 0",
 							id, hello.From, hello.Idx)
-					case hello.Lease != int64(rt.lease):
-						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d uses lease term %v, ours %v — every participant must use the same -lease",
-							id, hello.From, time.Duration(hello.Lease), rt.lease)
-					case hello.Epoch != -1 && ourEpoch != -1 && hello.Epoch != ourEpoch:
-						ack.Err = fmt.Sprintf("tcp: node %d: peer node %d is at membership epoch %d, ours %d — a stale process from a previous incarnation must not rejoin",
-							id, hello.From, hello.Epoch, ourEpoch)
-					}
-					if ack.Err == "" && ourEpoch == -1 && hello.Epoch != -1 {
-						// Recovering endpoint: adopt the established epoch.
-						atomic.CompareAndSwapInt64(&rt.epoch, -1, hello.Epoch)
+					default:
+						stray, ack.Err = false, rt.agree(id, hello.From, hello)
 					}
 					ack.Epoch = atomic.LoadInt64(&rt.epoch)
 					if of, err := encodeFrame(ack); err == nil {
@@ -623,14 +608,14 @@ func (rt *Runtime) connectMesh() error {
 						return
 					}
 					conn.SetReadDeadline(time.Time{})
-					ch <- res{e: rt.newEnd(id, hello.From, hello.Idx, conn)}
+					ch <- res{e: rt.newEnd(id, hello.From, conn)}
 				}(conn)
 			}
 		}()
 	}
 
-	// Dial side: every hosted node dials every lower-numbered peer, once
-	// per lane. The whole dial+handshake sequence retries with exponential
+	// Dial side: every hosted node dials every lower-numbered peer once.
+	// The whole dial+handshake sequence retries with exponential
 	// backoff until the dial deadline: peers come up in any order, and
 	// during recovery a dial can land on a peer's dying previous
 	// incarnation, which resets the connection mid-handshake and clears
@@ -639,29 +624,26 @@ func (rt *Runtime) connectMesh() error {
 	// teardown races retry mesh formation as a whole.
 	for _, id := range rt.local {
 		for peer := 0; peer < id; peer++ {
-			for lane := 0; lane < numLanes; lane++ {
-				expect++
-				id, peer, lane := id, peer, lane
-				go func() {
-					deadline := time.Now().Add(rt.dialT)
-					backoff := 10 * time.Millisecond
-					for {
-						e, fatal, err := rt.dialLane(id, peer, lane)
-						if err == nil {
-							ch <- res{e: e}
-							return
-						}
-						if fatal || time.Now().After(deadline) {
-							ch <- res{err: err}
-							return
-						}
-						time.Sleep(backoff)
-						if backoff *= 2; backoff > time.Second {
-							backoff = time.Second
-						}
+			expect++
+			go func() {
+				deadline := time.Now().Add(rt.dialT)
+				backoff := 10 * time.Millisecond
+				for {
+					e, fatal, err := rt.dialPeer(id, peer)
+					if err == nil {
+						ch <- res{e: e}
+						return
 					}
-				}()
-			}
+					if fatal || time.Now().After(deadline) {
+						ch <- res{err: err}
+						return
+					}
+					time.Sleep(backoff)
+					if backoff *= 2; backoff > time.Second {
+						backoff = time.Second
+					}
+				}
+			}()
 		}
 	}
 
@@ -672,41 +654,34 @@ func (rt *Runtime) connectMesh() error {
 			if r.err != nil {
 				return r.err
 			}
-			if rt.ends[r.e.owner][r.e.peer][r.e.lane] != nil {
-				return fmt.Errorf("tcp: node %d: duplicate lane %d connection from node %d", r.e.owner, r.e.lane, r.e.peer)
+			if rt.ends[r.e.owner][r.e.peer] != nil {
+				return fmt.Errorf("tcp: node %d: duplicate connection from node %d", r.e.owner, r.e.peer)
 			}
-			rt.ends[r.e.owner][r.e.peer][r.e.lane] = r.e
+			rt.ends[r.e.owner][r.e.peer] = r.e
 		case <-timeout:
 			return fmt.Errorf("tcp: mesh incomplete after %v (are all peers running?)", rt.dialT)
 		}
 	}
 	// Start the frame pumps.
-	for _, id := range rt.local {
-		for _, lanes := range rt.ends[id] {
-			for _, e := range lanes {
-				if e == nil {
-					continue
-				}
-				go e.writeLoop()
-				go e.readLoop()
-			}
-		}
-	}
+	rt.eachEnd(func(e *end) {
+		go e.writeLoop()
+		go e.readLoop()
+	})
 	return nil
 }
 
-// dialLane performs one dial+handshake attempt for a lane connection.
+// dialPeer performs one dial+handshake attempt for a pair's connection.
 // fatal distinguishes handshake rejections and mismatches (wrong
 // fingerprint, codec set, lease term, stale epoch) from
 // transient connection-level conditions the caller should retry: the peer
 // not listening yet, or its dying previous incarnation resetting the
 // connection mid-handshake.
-func (rt *Runtime) dialLane(id, peer, lane int) (e *end, fatal bool, err error) {
+func (rt *Runtime) dialPeer(id, peer int) (e *end, fatal bool, err error) {
 	conn, err := net.DialTimeout("tcp", rt.addrs[peer], time.Second)
 	if err != nil {
 		return nil, false, fmt.Errorf("tcp: node %d dial node %d (%s): %w", id, peer, rt.addrs[peer], err)
 	}
-	of, err := encodeFrame(&frame{Op: opHello, From: id, To: peer, Idx: lane,
+	of, err := encodeFrame(&frame{Op: opHello, From: id, To: peer,
 		Tag: rt.fprnt, Digest: transport.WireDigest(),
 		Epoch: atomic.LoadInt64(&rt.epoch), Lease: int64(rt.lease)})
 	if err == nil {
@@ -726,40 +701,46 @@ func (rt *Runtime) dialLane(id, peer, lane int) (e *end, fatal bool, err error) 
 		conn.Close()
 		return nil, true, fmt.Errorf("tcp: node %d: node %d rejected the mesh: %s", id, peer, ack.Err)
 	}
-	if ack.Tag != "" && rt.fprnt != "" && ack.Tag != rt.fprnt {
+	if msg := rt.agree(id, peer, ack); msg != "" {
 		conn.Close()
-		return nil, true, fmt.Errorf("tcp: node %d: peer node %d runs a different configuration: ours %q, theirs %q",
-			id, peer, rt.fprnt, ack.Tag)
-	}
-	if ack.Digest != transport.WireDigest() {
-		conn.Close()
-		return nil, true, fmt.Errorf("tcp: node %d: peer node %d disagrees on the binary wire codec set (digest %x vs %x) — peers must be built from the same message definitions",
-			id, peer, transport.WireDigest(), ack.Digest)
-	}
-	if ack.Lease != int64(rt.lease) {
-		conn.Close()
-		return nil, true, fmt.Errorf("tcp: node %d: peer node %d uses lease term %v, ours %v — every participant must use the same -lease",
-			id, peer, time.Duration(ack.Lease), rt.lease)
-	}
-	ourEpoch := atomic.LoadInt64(&rt.epoch)
-	switch {
-	case ourEpoch == -1 && ack.Epoch != -1:
-		// Recovering endpoint: adopt the established epoch.
-		atomic.CompareAndSwapInt64(&rt.epoch, -1, ack.Epoch)
-	case ack.Epoch != -1 && ack.Epoch != ourEpoch:
-		conn.Close()
-		return nil, true, fmt.Errorf("tcp: node %d: peer node %d is at membership epoch %d, ours %d — a stale process from a previous incarnation must not rejoin",
-			id, peer, ack.Epoch, ourEpoch)
+		return nil, true, fmt.Errorf("%s", msg)
 	}
 	conn.SetReadDeadline(time.Time{})
-	return rt.newEnd(id, peer, lane, conn), false, nil
+	return rt.newEnd(id, peer, conn), false, nil
 }
 
-func (rt *Runtime) newEnd(owner, peer, lane int, conn net.Conn) *end {
+// agree checks node peer's hello (or hello ack) h against this endpoint,
+// node id's side of the handshake, and returns the refusal, or "" when
+// they agree: same configuration fingerprint, codec set, lease term and
+// membership epoch. A recovering endpoint (epoch -1) adopts the epoch of
+// the first peer it agrees with.
+func (rt *Runtime) agree(id, peer int, h *frame) string {
+	ourEpoch := atomic.LoadInt64(&rt.epoch)
+	switch {
+	case h.Tag != "" && rt.fprnt != "" && h.Tag != rt.fprnt:
+		return fmt.Sprintf("tcp: node %d: peer node %d runs a different configuration: ours %q, theirs %q",
+			id, peer, rt.fprnt, h.Tag)
+	case h.Digest != transport.WireDigest():
+		return fmt.Sprintf("tcp: node %d: peer node %d disagrees on the binary wire codec set (digest %x vs %x) — peers must be built from the same message definitions",
+			id, peer, transport.WireDigest(), h.Digest)
+	case h.Lease != int64(rt.lease):
+		return fmt.Sprintf("tcp: node %d: peer node %d uses lease term %v, ours %v — every participant must use the same -lease",
+			id, peer, time.Duration(h.Lease), rt.lease)
+	case h.Epoch != -1 && ourEpoch != -1 && h.Epoch != ourEpoch:
+		return fmt.Sprintf("tcp: node %d: peer node %d is at membership epoch %d, ours %d — a stale process from a previous incarnation must not rejoin",
+			id, peer, h.Epoch, ourEpoch)
+	}
+	if ourEpoch == -1 && h.Epoch != -1 {
+		atomic.CompareAndSwapInt64(&rt.epoch, -1, h.Epoch)
+	}
+	return ""
+}
+
+func (rt *Runtime) newEnd(owner, peer int, conn net.Conn) *end {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	e := &end{rt: rt, owner: owner, peer: peer, lane: lane, conn: conn, bye: make(chan struct{})}
+	e := &end{rt: rt, owner: owner, peer: peer, conn: conn, bye: make(chan struct{})}
 	e.qcond = sync.NewCond(&e.qmu)
 	atomic.StoreInt64(&e.lastHeard, time.Now().UnixNano())
 	return e
@@ -770,10 +751,9 @@ func (rt *Runtime) newEnd(owner, peer, lane int, conn net.Conn) *end {
 func (e *end) enqueue(of outFrame) {
 	e.qmu.Lock()
 	if !e.closed {
-		e.q = append(e.q, of)
-		if n := int64(len(e.q)); n > e.qhwm {
-			e.qhwm = n
-		}
+		q := append(e.q[of.class], of)
+		e.q[of.class] = q
+		e.qhwm[of.class] = max(e.qhwm[of.class], int64(len(q)))
 		e.qcond.Signal()
 	} else {
 		of.fb.recycle()
@@ -781,18 +761,21 @@ func (e *end) enqueue(of outFrame) {
 	e.qmu.Unlock()
 }
 
-// depth reports the current queue depth and its high-water mark.
-func (e *end) depth() (cur, hwm int64) {
+// depth reports the current depth of each class's queue and its
+// high-water mark.
+func (e *end) depth() (cur, hwm [numClasses]int64) {
 	e.qmu.Lock()
 	defer e.qmu.Unlock()
-	return int64(len(e.q)), e.qhwm
+	for c, q := range e.q {
+		cur[c] = int64(len(q))
+	}
+	return cur, e.qhwm
 }
 
-// flushed reports whether the queue has fully drained.
+// flushed reports whether both queues have fully drained.
 func (e *end) flushed() bool {
-	e.qmu.Lock()
-	defer e.qmu.Unlock()
-	return len(e.q) == 0
+	cur, _ := e.depth()
+	return cur == [numClasses]int64{}
 }
 
 func (e *end) closeQueue() {
@@ -802,37 +785,62 @@ func (e *end) closeQueue() {
 	e.qmu.Unlock()
 }
 
-func (e *end) writeLoop() {
-	for {
-		e.qmu.Lock()
-		for len(e.q) == 0 && !e.closed {
-			e.qcond.Wait()
+// take moves every queued frame into batch, control frames first, each
+// class in FIFO order, and blocks until there is one. It returns false
+// once the queues are closed and empty.
+func (e *end) take(batch []outFrame) ([]outFrame, bool) {
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	for len(e.q[transport.ClassControl])+len(e.q[transport.ClassBulk]) == 0 {
+		if e.closed {
+			return batch, false
 		}
-		if len(e.q) == 0 && e.closed {
-			e.qmu.Unlock()
+		e.qcond.Wait()
+	}
+	for c, q := range e.q {
+		batch = append(batch, q...)
+		clear(q) // the array is reused: drop its buffer references
+		e.q[c] = q[:0]
+	}
+	return batch, true
+}
+
+// writeLoop sends, on each wake-up, everything queued as one vectored
+// write: the header+metadata and payload slices of every frame go to the
+// socket together, so a burst of replies costs one writev, not one per
+// frame. The pooled buffers are recycled only after the write completes
+// (payloads alias them and live protocol data until then).
+func (e *end) writeLoop() {
+	var batch []outFrame
+	var iov net.Buffers
+	for {
+		var ok bool
+		if batch, ok = e.take(batch[:0]); !ok {
 			return
 		}
-		of := e.q[0]
-		e.q[0] = outFrame{}
-		e.q = e.q[1:]
-		e.qmu.Unlock()
-		// Fault injection happens here, after dequeue: the injector sees
-		// exactly the frames about to hit the socket and never runs under
-		// a node lock.
-		if inj := e.rt.faults; inj != nil {
-			if d := inj.DelayFrame(e.owner, e.peer, e.lane); d > 0 {
-				time.Sleep(d)
+		for _, of := range batch {
+			// Fault injection runs per frame, before batching: the injector
+			// sees exactly the frames about to hit the socket, with their
+			// class as the lane, and never runs under a node lock.
+			if inj := e.rt.faults; inj != nil {
+				if d := inj.DelayFrame(e.owner, e.peer, int(of.class)); d > 0 {
+					time.Sleep(d)
+				}
+				if inj.DropFrame(e.owner, e.peer, int(of.class)) {
+					continue // recycled with the batch
+				}
 			}
-			if inj.DropFrame(e.owner, e.peer, e.lane) {
-				of.fb.recycle()
-				continue
-			}
+			iov = append(iov, of.fb.bufs...)
 		}
-		// One vectored write per frame: header+metadata and the payload
-		// slices go to the socket as a single writev. The pooled buffer is
-		// recycled only after the write completes (payloads alias it and
-		// live protocol data until then).
-		if err := writeOut(e.conn, of); err != nil {
+		wb := iov // WriteTo consumes its copy of the slice header
+		_, err := wb.WriteTo(e.conn)
+		clear(iov) // the pool must never pin pages through the iovec list
+		iov = iov[:0]
+		for _, of := range batch {
+			of.fb.recycle()
+		}
+		clear(batch)
+		if err != nil {
 			if !e.rt.shuttingDown() && !e.sawBye() {
 				e.rt.fail(fmt.Errorf("tcp: node %d write to node %d: %w (%v)",
 					e.owner, e.peer, transport.ErrPeerLost{Node: e.peer}, err))
@@ -868,9 +876,43 @@ func (e *end) readLoop() {
 			continue
 		case opPing:
 			continue // heartbeat: lastHeard already refreshed
+		case opCall:
+			if transport.ClassOf(f.M) == transport.ClassBulk {
+				e.queueBulkCall(f)
+				continue
+			}
 		}
+		// Control calls and every reply run here: a reply takes only the
+		// call table's leaf lock.
 		e.rt.dispatch(f)
 	}
+}
+
+// queueBulkCall queues a received bulk-class call, starting the server
+// when the queue was empty (a non-empty queue has one running).
+func (e *end) queueBulkCall(f *frame) {
+	e.bmu.Lock()
+	e.bq = append(e.bq, f)
+	idle := len(e.bq) == 1
+	e.bmu.Unlock()
+	if idle {
+		go e.serveBulk()
+	}
+}
+
+// serveBulk dispatches the queued bulk calls in arrival order, dropping
+// each from the queue once served, and exits when the queue is empty.
+func (e *end) serveBulk() {
+	e.bmu.Lock()
+	for len(e.bq) > 0 {
+		f := e.bq[0]
+		e.bmu.Unlock()
+		e.rt.dispatch(f)
+		e.bmu.Lock()
+		e.bq[0] = nil
+		e.bq = e.bq[1:]
+	}
+	e.bmu.Unlock()
 }
 
 // dispatch routes one arrived call or reply frame. The message was
@@ -978,27 +1020,14 @@ func (rt *Runtime) complete(id uint64, idx int, m transport.Msg, err error) {
 	}
 }
 
-// laneOf selects the data lane for a message: bulk-class payload replies
-// go to the bulk lane, everything else (requests, barrier
-// and lock traffic, gob escapes, error replies) stays on the control lane
-// so per-pair control ordering is a single FIFO connection.
-func (rt *Runtime) laneOf(m transport.Msg) int {
-	if transport.ClassOf(m) == transport.ClassBulk {
-		return laneBulk
-	}
-	return laneControl
-}
-
 // send encodes and enqueues one frame between two distinct nodes,
 // charging the traffic counters when it carries a message and the
 // wire-efficiency counters always. The caller holds the sending node's
 // state lock.
 func (rt *Runtime) send(f *frame, m transport.Msg) {
-	e := rt.ends[f.From]
 	var ee *end
-	lane := rt.laneOf(m)
-	if e != nil && e[f.To] != nil {
-		ee = e[f.To][lane]
+	if e := rt.ends[f.From]; e != nil {
+		ee = e[f.To]
 	}
 	if ee == nil {
 		panic(fmt.Sprintf("tcp: no connection from node %d to node %d", f.From, f.To))
@@ -1008,27 +1037,16 @@ func (rt *Runtime) send(f *frame, m transport.Msg) {
 		rt.msgs.Add(1)
 		rt.bytes.Add(int64(m.Size() + transport.HeaderBytes))
 	}
-	rt.encodeAndEnqueue(ee, f)
-}
-
-// encodeAndEnqueue encodes f, charges the wire counters and hands the
-// frame to ee's writer.
-func (rt *Runtime) encodeAndEnqueue(ee *end, f *frame) {
 	start := time.Now()
 	of, err := encodeFrame(f)
 	if err != nil {
 		panic(fmt.Sprintf("tcp: encoding frame from node %d to node %d: %v", f.From, f.To, err))
 	}
 	rt.encodeNS.Add(time.Since(start).Nanoseconds())
-	rt.countFrame(ee.lane, of.wire)
-	ee.enqueue(of)
-}
-
-// countFrame charges one data-plane frame to the wire counters.
-func (rt *Runtime) countFrame(lane, wire int) {
 	rt.wireFrames.Add(1)
-	rt.wireBytes.Add(int64(wire))
-	rt.laneBytes[lane].Add(int64(wire))
+	rt.wireBytes.Add(int64(of.wire))
+	rt.laneBytes[of.class].Add(int64(of.wire))
+	ee.enqueue(of)
 }
 
 // afterOn runs fn after real under node id's state lock — the node whose
@@ -1191,35 +1209,35 @@ func (rt *Runtime) scaled(d transport.Time) time.Duration {
 }
 
 // Count adds the hosted nodes' traffic and wire counters into s and sets
-// the per-lane slices: bytes per lane (control, then bulk), the frames
-// queued now summed over every peer end, and the deepest any single
-// per-end send queue ever got.
+// the per-lane slices, one entry per message class (control, then bulk):
+// bytes sent, the frames queued now summed over every peer end, and the
+// deepest any single per-end send queue of the class ever got.
 func (rt *Runtime) Count(s *stats.Counters) {
 	s.Messages += rt.msgs.Load()
 	s.DataBytes += rt.bytes.Load()
 	s.WireFrames += rt.wireFrames.Load()
 	s.WireBytes += rt.wireBytes.Load()
 	s.WireEncodeNS += rt.encodeNS.Load()
-	s.LaneBytes = make([]int64, numLanes)
-	for i := range rt.laneBytes {
-		s.LaneBytes[i] = rt.laneBytes[i].Load()
+	s.LaneBytes = make([]int64, numClasses)
+	s.LaneQueueDepth = make([]int64, numClasses)
+	s.LaneQueueHWM = make([]int64, numClasses)
+	for c := range rt.laneBytes {
+		s.LaneBytes[c] = rt.laneBytes[c].Load()
 	}
-	s.LaneQueueDepth = make([]int64, numLanes)
-	s.LaneQueueHWM = make([]int64, numLanes)
 	rt.eachEnd(func(e *end) {
 		cur, hwm := e.depth()
-		s.LaneQueueDepth[e.lane] += cur
-		s.LaneQueueHWM[e.lane] = max(s.LaneQueueHWM[e.lane], hwm)
+		for c := range cur {
+			s.LaneQueueDepth[c] += cur[c]
+			s.LaneQueueHWM[c] = max(s.LaneQueueHWM[c], hwm[c])
+		}
 	})
 }
 
 func (rt *Runtime) eachEnd(fn func(*end)) {
 	for _, id := range rt.local {
-		for _, lanes := range rt.ends[id] {
-			for _, e := range lanes {
-				if e != nil {
-					fn(e)
-				}
+		for _, e := range rt.ends[id] {
+			if e != nil {
+				fn(e)
 			}
 		}
 	}
@@ -1252,8 +1270,7 @@ func (rt *Runtime) Run() error {
 		// between New and Run must not eat into the first term.
 		stamp := time.Now().UnixNano()
 		rt.eachEnd(func(e *end) { atomic.StoreInt64(&e.lastHeard, stamp) })
-		go rt.heartbeat()
-		go rt.monitorLeases()
+		go rt.leases()
 	}
 	for id, body := range rt.bodies {
 		id, body := id, body
@@ -1309,57 +1326,38 @@ func (rt *Runtime) Run() error {
 	return rt.failErr
 }
 
-// heartbeat keeps every peer's lease on this endpoint's liveness fresh:
-// an opPing on each control-lane end every LeaseTerm/3, encoded and
-// enqueued directly — no node lock, no traffic counters (heartbeats are
-// membership overhead, not protocol traffic).
-func (rt *Runtime) heartbeat() {
-	t := time.NewTicker(rt.lease / 3)
-	defer t.Stop()
+// leases keeps every peer's lease on this endpoint fresh and watches
+// theirs. Every LeaseTerm/3 it sends an opPing, a control frame, on each
+// end, encoded and enqueued directly: no node lock, no traffic counters
+// (heartbeats are membership overhead, not protocol traffic). Every
+// LeaseTerm/4 it declares dead a peer from which nothing, heartbeat or
+// data, has arrived for a full term: that catches wedged-but-connected
+// peers (SIGSTOP, livelock) that a socket error never would.
+func (rt *Runtime) leases() {
+	ping, check := time.NewTicker(rt.lease/3), time.NewTicker(rt.lease/4)
+	defer ping.Stop()
+	defer check.Stop()
 	for {
 		select {
 		case <-rt.closed:
 			return
-		case <-t.C:
-		}
-		rt.eachEnd(func(e *end) {
-			if e.lane != laneControl || e.sawBye() {
-				return
-			}
-			if of, err := encodeFrame(&frame{Op: opPing, From: e.owner, To: e.peer}); err == nil {
-				e.enqueue(of)
-			}
-		})
-	}
-}
-
-// monitorLeases declares a peer dead when nothing — heartbeat or data —
-// has arrived from it on the control lane for a full lease term. This
-// catches wedged-but-connected peers (SIGSTOP, livelock) that a socket
-// error never would.
-func (rt *Runtime) monitorLeases() {
-	t := time.NewTicker(rt.lease / 4)
-	defer t.Stop()
-	for {
-		select {
-		case <-rt.closed:
-			return
-		case <-t.C:
-		}
-		now := time.Now().UnixNano()
-		var lost *end
-		rt.eachEnd(func(e *end) {
-			if e.lane != laneControl || e.sawBye() {
-				return
-			}
-			if now-atomic.LoadInt64(&e.lastHeard) > int64(rt.lease) {
-				lost = e
-			}
-		})
-		if lost != nil {
-			// Poison pending calls (a no-op once the run has finished).
-			rt.fail(fmt.Errorf("tcp: node %d: %w", lost.owner, transport.ErrLeaseExpired{Node: lost.peer}))
-			return
+		case <-ping.C:
+			rt.eachEnd(func(e *end) {
+				if e.sawBye() {
+					return
+				}
+				if of, err := encodeFrame(&frame{Op: opPing, From: e.owner, To: e.peer}); err == nil {
+					e.enqueue(of)
+				}
+			})
+		case <-check.C:
+			now := time.Now().UnixNano()
+			rt.eachEnd(func(e *end) {
+				if !e.sawBye() && now-atomic.LoadInt64(&e.lastHeard) > int64(rt.lease) {
+					// Poison pending calls (a no-op once the run has failed or finished).
+					rt.fail(fmt.Errorf("tcp: node %d: %w", e.owner, transport.ErrLeaseExpired{Node: e.peer}))
+				}
+			})
 		}
 	}
 }
@@ -1408,19 +1406,10 @@ func (rt *Runtime) Close() {
 	for _, l := range rt.listeners {
 		l.Close()
 	}
-	for _, id := range rt.local {
-		if rt.ends[id] == nil {
-			continue
-		}
-		for _, lanes := range rt.ends[id] {
-			for _, e := range lanes {
-				if e != nil {
-					e.closeQueue()
-					e.conn.Close()
-				}
-			}
-		}
-	}
+	rt.eachEnd(func(e *end) {
+		e.closeQueue()
+		e.conn.Close()
+	})
 }
 
 // fail aborts every pending call and poisons the runtime. It takes only

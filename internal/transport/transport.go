@@ -165,7 +165,7 @@ type Runtime interface {
 	HoldOthers(self int, fn func())
 	// Count adds the hosted nodes' traffic into s: Messages and DataBytes
 	// (Msg.Size()+HeaderBytes per message) always; on a runtime that moves
-	// real frames also the wire counters and the per-lane slices, which it
+	// real frames also the wire counters and the per-class slices, which it
 	// sets rather than adds.
 	Count(s *stats.Counters)
 }

@@ -102,7 +102,7 @@ type TCPConfig struct {
 	// a mismatch; empty fingerprints always match.
 	Fingerprint string
 	// LeaseTerm enables membership leases: endpoints heartbeat each peer
-	// on the control lane and a peer silent for a full term is declared
+	// with control frames and a peer silent for a full term is declared
 	// dead (Run returns ErrLeaseExpired) even if its socket still looks
 	// open. Zero disables leases — loss is then detected only by
 	// connection errors (ErrPeerLost). All participants must agree.
@@ -117,8 +117,8 @@ type TCPConfig struct {
 // write. Hooks run on writer goroutines (never under protocol locks) and
 // must be safe for concurrent use.
 type FrameFaults interface {
-	// DropFrame reports whether the frame from->to on the given lane
-	// should be silently discarded.
+	// DropFrame reports whether the frame from->to should be silently
+	// discarded; lane is the frame's message class (0 control, 1 bulk).
 	DropFrame(from, to, lane int) bool
 	// DelayFrame returns an extra delay to impose before writing the
 	// frame (0 = none).
