@@ -61,10 +61,31 @@ func (f *FFT) Setup(cl *adsm.Cluster) {
 // imaginary part follows at re+1.
 func (f *FFT) re(x, y, z int) int { return 2 * ((z*f.n+y)*f.n + x) }
 
-// val is the deterministic "spectral" value the compute phase produces.
-func val(it, x, y, z int) float64 {
-	return math.Sin(float64(it+1)*0.1+float64(x)*0.01) +
-		math.Cos(float64(y)*0.02+float64(z)*0.03)
+// The compute phase produces a deterministic "spectral" value at point
+// (x,y,z) of iteration it: sin((it+1)*0.1 + x*0.01) + cos(y*0.02 + z*0.03).
+// Body reads the two terms from tables built from those arguments, once
+// per iteration and once per run, rather than calling math.Sin and
+// math.Cos per point.
+
+// sinTable holds the value's sine term for iteration it, by x.
+func sinTable(it, n int) []float64 {
+	t := make([]float64, n)
+	for x := range t {
+		t[x] = math.Sin(float64(it+1)*0.1 + float64(x)*0.01)
+	}
+	return t
+}
+
+// cosTable holds the value's cosine term for the slab's planes
+// zlo..zhi-1, at (z-zlo)*n + y.
+func cosTable(n, zlo, zhi int) []float64 {
+	t := make([]float64, (zhi-zlo)*n)
+	for z := zlo; z < zhi; z++ {
+		for y := 0; y < n; y++ {
+			t[(z-zlo)*n+y] = math.Cos(float64(y)*0.02 + float64(z)*0.03)
+		}
+	}
+	return t
 }
 
 // Body runs the iterations.
@@ -73,15 +94,17 @@ func (f *FFT) Body(w *adsm.Worker) {
 	slabPts := (zhi - zlo) * f.n * f.n
 	n2 := f.n * f.n
 
+	cosYZ := cosTable(f.n, zlo, zhi)
 	for it := 0; it < f.iters; it++ {
 		// Local FFT butterflies on our slab of A: every element of our
 		// slab's pages is overwritten through one write span.
+		sinX := sinTable(it, f.n)
 		f.a.Span(w, f.re(0, 0, zlo), f.re(0, 0, zhi), adsm.Write, func(i0 int, p []float64) {
 			for k := range p {
 				e := i0 + k
 				pt := e / 2
 				x, y, z := pt%f.n, (pt/f.n)%f.n, pt/n2
-				v := val(it, x, y, z)
+				v := sinX[x] + cosYZ[(z-zlo)*f.n+y]
 				if e%2 != 0 {
 					v = -v
 				}

@@ -345,7 +345,7 @@ func TestStoredDiffsOutliveFrame(t *testing.T) {
 		return got, body
 	}
 	inBody := func(d *mem.Diff, body []byte) bool {
-		data := d.Runs[0].Data
+		data := d.Data()
 		return &data[0] == &body[len(body)-len(data)]
 	}
 

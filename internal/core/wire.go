@@ -254,38 +254,26 @@ func (w *wireRW) Pushed(ds *[]*mem.Diff, ks *[]wnKey) {
 	}
 }
 
-// diff visits one diff. A decoder refuses a run that leaves the page,
-// which mem.Diff.Apply would otherwise panic on or silently truncate.
+// diff visits one diff: its page and run count, then its run table, which
+// holds the runs' (offset, length) headers in wire form, in one piece, the
+// run data going to the payload section as one slice. A decoder's diff
+// keeps its table in the frame, as it does its data, until Detach; it
+// refuses a run that leaves the page (mem.ReadDiff).
 func (w *wireRW) diff(dp **mem.Diff) {
 	switch d := *dp; w.mode {
 	case wireSize:
 		w.n += d.EncodedSize()
 	case wireEncode:
-		b := transport.AppendUvarint(transport.AppendUvarint(w.b, uint64(d.Page)), uint64(len(d.Runs)))
-		for _, r := range d.Runs {
-			b = transport.AppendUvarint(transport.AppendUvarint(b, uint64(r.Off)), uint64(len(r.Data)))
-		}
-		w.b = b
-		// The run data, in run order: one payload when the runs lie back
-		// to back, so a diff of 512 four-byte runs costs the socket one
-		// iovec, not 512; one per run otherwise.
-		if data, ok := d.Data(); !ok {
-			for _, r := range d.Runs {
-				if len(r.Data) > 0 {
-					w.p = append(w.p, r.Data)
-				}
-			}
-		} else if len(data) > 0 {
+		b := transport.AppendUvarint(transport.AppendUvarint(w.b, uint64(d.Page)), uint64(d.NumRuns()))
+		w.b = append(b, d.Table()...)
+		if data := d.Data(); len(data) > 0 {
 			w.p = append(w.p, data)
 		}
 	case wireDecode:
-		d = &mem.Diff{Page: w.r.Int()}
-		for j := range list(w, &d.Runs, 2) {
-			r := &d.Runs[j]
-			r.Off = w.r.Int()
-			w.Payload(&r.Data)
-			w.check(r.Off >= 0 && r.Off <= mem.PageSize-len(r.Data))
-		}
+		page, count := w.r.Int(), w.r.Count(2)
+		d, n, ok := mem.ReadDiff(page, count, w.b[len(w.b)-w.r.Remaining():])
+		w.check(ok)
+		w.r.Bytes(n)
 		*dp = d
 	case wireFill:
 		// The runs' data follow one another in the frame: cut them from

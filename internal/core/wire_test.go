@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -149,9 +150,9 @@ func checkWireCodec(t *testing.T, codec transport.Codec, body []byte) {
 		return
 	}
 	for _, d := range msgDiffs(m1) {
-		for _, r := range d.Runs {
-			if r.Off < 0 || r.Off+len(r.Data) > mem.PageSize {
-				t.Fatalf("%s: decoded a run [%d,%d) outside the page", codec.Name, r.Off, r.Off+len(r.Data))
+		for off, data := range d.Runs() {
+			if off < 0 || off+len(data) > mem.PageSize {
+				t.Fatalf("%s: decoded a run [%d,%d) outside the page", codec.Name, off, off+len(data))
 			}
 		}
 	}
@@ -201,11 +202,17 @@ func msgDiffs(m transport.Msg) []*mem.Diff {
 // truncate it).
 func TestDiffRunOutsidePageRejected(t *testing.T) {
 	k := wnKey{page: 3, proc: 1, ts: 2}
-	for _, run := range []mem.Run{
-		{Off: mem.PageSize + 8, Data: make([]byte, 8)},
-		{Off: mem.PageSize - 4, Data: make([]byte, 8)},
+	for _, run := range []struct{ off, n int }{
+		{mem.PageSize + 8, 8},
+		{mem.PageSize - 4, 8},
 	} {
-		d := &mem.Diff{Page: 3, Runs: []mem.Run{{Off: 64, Data: make([]byte, 4)}, run}}
+		// A diff of two pages' bytes has the run past the first page.
+		twin, cur := make([]byte, 2*mem.PageSize), make([]byte, 2*mem.PageSize)
+		cur[64] = 1
+		for i := run.off; i < run.off+run.n; i++ {
+			cur[i] = 1
+		}
+		d := mem.MakeDiff(3, twin, cur)
 		for _, m := range []transport.Msg{
 			diffResp{Diffs: []*mem.Diff{d}, Keys: []wnKey{k}},
 			spanFetchResp{Diffs: []spanDiffBundle{{Page: 3, Keys: []wnKey{k}, Diffs: []*mem.Diff{d}}}},
@@ -215,7 +222,7 @@ func TestDiffRunOutsidePageRejected(t *testing.T) {
 			c, _ := transport.CodecOf(m)
 			body, _ := transport.WireBody(m)
 			if got, err := c.DecodeWire(body); err == nil {
-				t.Errorf("%s: run at %d+%d decoded without error: %#v", c.Name, run.Off, len(run.Data), got)
+				t.Errorf("%s: run at %d+%d decoded without error: %#v", c.Name, run.off, run.n, got)
 			}
 		}
 	}
@@ -284,15 +291,17 @@ var hotFrames = []string{"pageResp", "diffResp", "spanFetchResp", "acqGrant"}
 
 // TestHotFrameWireAllocs pins the hot frames' codec allocations: encoding
 // allocates nothing, and decoding only the message's own slices, diffs and
-// intervals and the interface box that returns it (payloads alias the
-// frame). Each count is at or below the hand-written codecs the visitor
-// replaced, whose decoders also kept a list of payload lengths.
+// intervals and the interface box that returns it (payloads and a diff's
+// run table alias the frame). Each count is at or below the hand-written
+// codecs the visitor replaced, whose decoders also kept a list of payload
+// lengths, and one per diff below the run lists diffs had before their
+// run tables.
 func TestHotFrameWireAllocs(t *testing.T) {
 	want := map[string][]float64{
 		"pageResp":      {2},
-		"diffResp":      {7},
-		"spanFetchResp": {3, 14},
-		"acqGrant":      {12, 2, 12, 18, 16, 17},
+		"diffResp":      {5},
+		"spanFetchResp": {3, 11},
+		"acqGrant":      {12, 2, 12, 16, 15, 16},
 	}
 	samples := msgSamples()
 	for _, name := range hotFrames {
@@ -361,8 +370,8 @@ func TestCounterDiffOneStretch(t *testing.T) {
 		mem.StoreUint64(cur, off, uint64(off)+4)
 	}
 	d := mem.MakeDiff(3, twin, cur)
-	if len(d.Runs) != mem.PageSize/8 {
-		t.Fatalf("diff has %d runs, want %d", len(d.Runs), mem.PageSize/8)
+	if d.NumRuns() != mem.PageSize/8 {
+		t.Fatalf("diff has %d runs, want %d", d.NumRuns(), mem.PageSize/8)
 	}
 	m := diffResp{Diffs: []*mem.Diff{d}, Keys: []wnKey{{page: 3, proc: 1, ts: 2}}}
 	c, _ := transport.CodecOf(m)
@@ -384,5 +393,81 @@ func TestCounterDiffOneStretch(t *testing.T) {
 	}
 	if _, payloads := c.AppendWire(got, nil, nil); len(payloads) > 2 {
 		t.Errorf("re-encoding the detached diff hands the socket %d payload slices, want at most 2", len(payloads))
+	}
+}
+
+// TestDiffDecodeAllocsFlat: decoding a diff costs the same allocations
+// whatever its run count, as its run table stays in the frame: the
+// 512-run page of TestCounterDiffOneStretch decodes with as many as a
+// one-run diff.
+func TestDiffDecodeAllocsFlat(t *testing.T) {
+	twin, cur := mem.NewPage(), mem.NewPage()
+	for off := 0; off < mem.PageSize; off += 8 {
+		mem.StoreUint64(twin, off, uint64(off))
+		mem.StoreUint64(cur, off, uint64(off)+4)
+	}
+	many := mem.MakeDiff(3, twin, cur)
+	cur = mem.Twin(twin)
+	mem.StoreUint64(cur, 64, 9)
+	one := mem.MakeDiff(3, twin, cur)
+	allocs := func(d *mem.Diff) float64 {
+		m := diffResp{Diffs: []*mem.Diff{d}, Keys: []wnKey{{page: 3, proc: 1, ts: 2}}}
+		c, _ := transport.CodecOf(m)
+		body, _ := transport.WireBody(m)
+		return testing.AllocsPerRun(50, func() {
+			if _, err := c.DecodeWire(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if many.NumRuns() != 512 || one.NumRuns() != 1 {
+		t.Fatalf("diffs of %d and %d runs, want 512 and 1", many.NumRuns(), one.NumRuns())
+	}
+	if a512, a1 := allocs(many), allocs(one); a512 != a1 {
+		t.Errorf("a 512-run diff decodes with %.0f allocations, a 1-run diff with %.0f", a512, a1)
+	}
+}
+
+// TestDiffEncodedSizeIsWireLength: a diff's EncodedSize is the length the
+// wire encoder gives it, as MakeDiff makes it, as a decoder reads it back
+// and after Detach, from a lone word to a rewritten page.
+func TestDiffEncodedSizeIsWireLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	encoded := func(d *mem.Diff) int {
+		var w wireRW
+		w.mode = wireEncode
+		w.diff(&d)
+		n := len(w.b)
+		for _, p := range w.p {
+			n += len(p)
+		}
+		return n
+	}
+	for i := 0; i < 300; i++ {
+		twin := mem.NewPage()
+		rng.Read(twin)
+		cur := mem.Twin(twin)
+		pStart, pStay := rng.Float64()*rng.Float64(), rng.Float64()
+		for off, in := 0, false; off < mem.PageSize; off += mem.WordSize {
+			p := pStart
+			if in {
+				p = pStay
+			}
+			if in = rng.Float64() < p; in {
+				cur[off+rng.Intn(mem.WordSize)] ^= byte(1 + rng.Intn(255))
+			}
+		}
+		check := func(what string, d *mem.Diff) {
+			if n := encoded(d); d.EncodedSize() != n {
+				t.Fatalf("case %d, %s diff of %d runs: EncodedSize %d, encoded to %d bytes", i, what, d.NumRuns(), d.EncodedSize(), n)
+			}
+		}
+		made := mem.MakeDiff(rng.Intn(1<<20), twin, cur)
+		check("made", made)
+		got := binaryRoundTrip(t, diffResp{Diffs: []*mem.Diff{made}, Keys: []wnKey{{page: 1, proc: 1, ts: 1}}})
+		read := got.(diffResp).Diffs[0]
+		check("decoded", read)
+		read.Detach()
+		check("detached", read)
 	}
 }

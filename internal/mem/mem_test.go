@@ -20,7 +20,7 @@ func TestDiffIdenticalPagesIsEmpty(t *testing.T) {
 	p := NewPage()
 	tw := Twin(p)
 	d := MakeDiff(0, tw, p)
-	if len(d.Runs) != 0 || d.DataBytes() != 0 {
+	if d.NumRuns() != 0 || d.DataBytes() != 0 {
 		t.Fatalf("diff of identical pages not empty: %v", d)
 	}
 }
@@ -29,13 +29,14 @@ func TestDiffSingleWord(t *testing.T) {
 	p := NewPage()
 	tw := Twin(p)
 	StoreUint32(p, 100, 0xdeadbeef)
+	runs := runsOf(MakeDiff(0, tw, p))
+	if len(runs) != 1 {
+		t.Fatalf("want 1 run, got %d", len(runs))
+	}
+	if runs[0].off != 100 || len(runs[0].data) != WordSize {
+		t.Fatalf("bad run %+v", runs[0])
+	}
 	d := MakeDiff(0, tw, p)
-	if len(d.Runs) != 1 {
-		t.Fatalf("want 1 run, got %d", len(d.Runs))
-	}
-	if d.Runs[0].Off != 100 || len(d.Runs[0].Data) != WordSize {
-		t.Fatalf("bad run %+v", d.Runs[0])
-	}
 	if d.DataBytes() != 4 {
 		t.Fatalf("DataBytes = %d", d.DataBytes())
 	}
@@ -47,12 +48,12 @@ func TestDiffCoalescesAdjacentWords(t *testing.T) {
 	for off := 200; off < 232; off += 4 {
 		StoreUint32(p, off, uint32(off))
 	}
-	d := MakeDiff(0, tw, p)
-	if len(d.Runs) != 1 {
-		t.Fatalf("adjacent modified words should coalesce into 1 run, got %d", len(d.Runs))
+	runs := runsOf(MakeDiff(0, tw, p))
+	if len(runs) != 1 {
+		t.Fatalf("adjacent modified words should coalesce into 1 run, got %d", len(runs))
 	}
-	if d.Runs[0].Off != 200 || len(d.Runs[0].Data) != 32 {
-		t.Fatalf("bad coalesced run %+v", d.Runs[0])
+	if runs[0].off != 200 || len(runs[0].data) != 32 {
+		t.Fatalf("bad coalesced run %+v", runs[0])
 	}
 }
 
@@ -61,9 +62,8 @@ func TestDiffSeparateRuns(t *testing.T) {
 	tw := Twin(p)
 	StoreUint32(p, 0, 1)
 	StoreUint32(p, 1024, 2)
-	d := MakeDiff(0, tw, p)
-	if len(d.Runs) != 2 {
-		t.Fatalf("want 2 runs, got %d", len(d.Runs))
+	if n := MakeDiff(0, tw, p).NumRuns(); n != 2 {
+		t.Fatalf("want 2 runs, got %d", n)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestQuickDiffSizeBounds(t *testing.T) {
 		if d.DataBytes() > PageSize {
 			return false
 		}
-		return d.EncodedSize() <= 8+len(d.Runs)*4+d.DataBytes()
+		return d.EncodedSize() <= 8+d.NumRuns()*4+d.DataBytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -188,14 +188,30 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// run is one run of a diff, as the tests compare them.
+type run struct {
+	off  int
+	data []byte
+}
+
+// runsOf lists a diff's runs.
+func runsOf(d *Diff) []run {
+	var rs []run
+	for off, data := range d.Runs() {
+		rs = append(rs, run{off, data})
+	}
+	return rs
+}
+
 // referenceMakeDiff is MakeDiff as it stood before the one-scan rewrite,
-// kept verbatim as the oracle for the tests below. It panics on a length
-// that is not a multiple of WordSize, so it is only asked about whole words.
-func referenceMakeDiff(page int, twin, cur []byte) *Diff {
+// kept verbatim as the oracle for the tests below, except that it returns
+// the runs as a list. It panics on a length that is not a multiple of
+// WordSize, so it is only asked about whole words.
+func referenceMakeDiff(twin, cur []byte) []run {
 	if len(twin) != len(cur) {
 		panic("mem: twin/page size mismatch")
 	}
-	d := &Diff{Page: page}
+	var runs []run
 	n := len(cur)
 	i := 0
 	for i < n {
@@ -210,11 +226,20 @@ func referenceMakeDiff(page int, twin, cur []byte) *Diff {
 		for i < n && !wordEqual(twin, cur, i) {
 			i += WordSize
 		}
-		run := Run{Off: start, Data: make([]byte, i-start)}
-		copy(run.Data, cur[start:i])
-		d.Runs = append(d.Runs, run)
+		r := run{off: start, data: make([]byte, i-start)}
+		copy(r.data, cur[start:i])
+		runs = append(runs, r)
 	}
-	return d
+	return runs
+}
+
+// encodedSize is the wire size of a diff of page with these runs.
+func encodedSize(page int, runs []run) int {
+	n := uvarintLen(uint64(page)) + uvarintLen(uint64(len(runs)))
+	for _, r := range runs {
+		n += uvarintLen(uint64(r.off)) + uvarintLen(uint64(len(r.data))) + len(r.data)
+	}
+	return n
 }
 
 func wordEqual(a, b []byte, off int) bool {
@@ -234,17 +259,20 @@ func wordEqual(a, b []byte, off int) bool {
 // reference run for run, sizes included, and does not alias cur.
 func checkAgainstReference(t *testing.T, twin, cur []byte) {
 	t.Helper()
-	got, want := MakeDiff(7, twin, cur), referenceMakeDiff(7, twin, cur)
-	if got.Page != want.Page || len(got.Runs) != len(want.Runs) {
-		t.Fatalf("page %d with %d runs, want page %d with %d", got.Page, len(got.Runs), want.Page, len(want.Runs))
+	d, want := MakeDiff(7, twin, cur), referenceMakeDiff(twin, cur)
+	got := runsOf(d)
+	if d.Page != 7 || d.NumRuns() != len(want) || len(got) != len(want) {
+		t.Fatalf("page %d with %d runs (%d listed), want page 7 with %d", d.Page, d.NumRuns(), len(got), len(want))
 	}
-	for i, r := range got.Runs {
-		if w := want.Runs[i]; r.Off != w.Off || !bytes.Equal(r.Data, w.Data) {
-			t.Fatalf("run %d = {%d, %d bytes}, want {%d, %d bytes}", i, r.Off, len(r.Data), w.Off, len(w.Data))
+	data := 0
+	for i, r := range got {
+		if w := want[i]; r.off != w.off || !bytes.Equal(r.data, w.data) {
+			t.Fatalf("run %d = {%d, %d bytes}, want {%d, %d bytes}", i, r.off, len(r.data), w.off, len(w.data))
 		}
+		data += len(r.data)
 	}
-	if got.EncodedSize() != want.EncodedSize() || got.DataBytes() != want.DataBytes() {
-		t.Fatalf("sizes %d/%d, want %d/%d", got.EncodedSize(), got.DataBytes(), want.EncodedSize(), want.DataBytes())
+	if d.EncodedSize() != encodedSize(7, want) || d.DataBytes() != data {
+		t.Fatalf("sizes %d/%d, want %d/%d", d.EncodedSize(), d.DataBytes(), encodedSize(7, want), data)
 	}
 	// The runs must be copies: later writes to the page leave the diff
 	// alone, and appending to one run must not reach into the next.
@@ -252,11 +280,11 @@ func checkAgainstReference(t *testing.T, twin, cur []byte) {
 	for i := range cur {
 		cur[i] ^= 0x5a
 	}
-	for i := range got.Runs {
-		got.Runs[i].Data = append(got.Runs[i].Data, 0xee)[:len(got.Runs[i].Data)]
+	for _, r := range got {
+		_ = append(r.data, 0xee)
 	}
-	for i, r := range got.Runs {
-		if !bytes.Equal(r.Data, want.Runs[i].Data) {
+	for i, r := range runsOf(d) {
+		if !bytes.Equal(r.data, want[i].data) {
 			t.Fatalf("run %d changed after the page or its neighbour was written", i)
 		}
 	}
@@ -313,9 +341,9 @@ func FuzzMakeDiff(f *testing.F) {
 // bounds out of range [:8] with capacity 6") whenever the partial word
 // differed.
 func TestMakeDiffPartialLastWord(t *testing.T) {
-	d := MakeDiff(0, []byte{1, 2, 3, 4, 5, 6}, []byte{1, 2, 3, 4, 5, 9})
-	if len(d.Runs) != 1 || d.Runs[0].Off != 4 || !bytes.Equal(d.Runs[0].Data, []byte{5, 9}) {
-		t.Fatalf("6-byte pair: runs %+v, want one run {4, [5 9]}", d.Runs)
+	runs := runsOf(MakeDiff(0, []byte{1, 2, 3, 4, 5, 6}, []byte{1, 2, 3, 4, 5, 9}))
+	if len(runs) != 1 || runs[0].off != 4 || !bytes.Equal(runs[0].data, []byte{5, 9}) {
+		t.Fatalf("6-byte pair: runs %+v, want one run {4, [5 9]}", runs)
 	}
 	rng := rand.New(rand.NewSource(6))
 	for n := 0; n <= PageSize+3; n++ {
@@ -329,23 +357,23 @@ func TestMakeDiffPartialLastWord(t *testing.T) {
 		if !bytes.Equal(rebuilt, cur) {
 			t.Fatalf("length %d: Apply(twin) does not reproduce cur", n)
 		}
-		for _, r := range d.Runs {
-			if r.Off%WordSize != 0 || r.Off+len(r.Data) > n {
-				t.Fatalf("length %d: run {%d, %d bytes} off the word grid or past the end", n, r.Off, len(r.Data))
+		for off, data := range d.Runs() {
+			if off%WordSize != 0 || off+len(data) > n {
+				t.Fatalf("length %d: run {%d, %d bytes} off the word grid or past the end", n, off, len(data))
 			}
 		}
 	}
 }
 
-// TestMakeDiffAllocs pins the allocation count: the Diff, its Runs and one
-// buffer under every run, whatever the density.
+// TestMakeDiffAllocs pins the allocation count: the Diff and one buffer
+// under its run table and data, whatever the density.
 func TestMakeDiffAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, c := range []struct {
 		name         string
 		pStart, pEnd float64
 		max          float64
-	}{{"empty", 0, 0, 1}, {"sparse", 0.01, 0.9, 3}, {"dense", 1, 0, 3}, {"full", 1, 1, 3}} {
+	}{{"empty", 0, 0, 1}, {"sparse", 0.01, 0.9, 2}, {"dense", 1, 0, 2}, {"full", 1, 1, 2}} {
 		twin, cur := dirtyPage(rng, PageSize, c.pStart, c.pEnd)
 		if got := testing.AllocsPerRun(50, func() { MakeDiff(0, twin, cur) }); got > c.max {
 			t.Errorf("%s: %v allocations, want at most %v", c.name, got, c.max)
@@ -353,35 +381,122 @@ func TestMakeDiffAllocs(t *testing.T) {
 	}
 }
 
-// TestDiffDataJoinsRuns pins when a diff's runs count as one stretch: as
-// MakeDiff, Attach and Detach leave them, and never once a run has been
-// pointed elsewhere, even at equal bytes.
-func TestDiffDataJoinsRuns(t *testing.T) {
+// TestDiffRunsBackToBack pins the layout's invariant: the runs lie back to
+// back, in order, in the one buffer Data returns, as MakeDiff, Attach and
+// Detach leave them, and each run's view is capped at its own length.
+func TestDiffRunsBackToBack(t *testing.T) {
 	twin, cur := NewPage(), NewPage()
 	for off := 0; off < PageSize; off += 8 {
 		StoreUint64(cur, off, 4)
 	}
-	d := MakeDiff(1, twin, cur)
-	data, ok := d.Data()
-	if !ok || len(data) != d.DataBytes() || len(d.Runs) != PageSize/8 {
-		t.Fatalf("MakeDiff: %d runs, joined %v over %d of %d bytes", len(d.Runs), ok, len(data), d.DataBytes())
-	}
-	d.Runs[5].Data = append([]byte(nil), d.Runs[5].Data...)
-	if _, ok := d.Data(); ok {
-		t.Fatalf("a run copied elsewhere still counts as joined")
-	}
-	d.Detach()
-	if data, ok := d.Data(); !ok || len(data) != d.DataBytes() {
-		t.Fatalf("Detach left the runs unjoined")
-	}
-	for i := range d.Runs {
-		if r := d.Runs[i]; cap(r.Data) != len(r.Data) || !bytes.Equal(r.Data, []byte{4, 0, 0, 0}) {
-			t.Fatalf("run %d after Detach: %v with capacity %d", i, r.Data, cap(r.Data))
+	check := func(what string, d *Diff) {
+		t.Helper()
+		data, at := d.Data(), 0
+		if len(data) != d.DataBytes() || d.NumRuns() != PageSize/8 {
+			t.Fatalf("%s: %d runs over %d of %d bytes", what, d.NumRuns(), len(data), d.DataBytes())
+		}
+		for off, r := range d.Runs() {
+			if off != 2*at || !bytes.Equal(r, []byte{4, 0, 0, 0}) || cap(r) != len(r) || &r[0] != &data[at] {
+				t.Fatalf("%s: run at %d = %v with capacity %d, not data[%d:%d]", what, off, r, cap(r), at, at+len(r))
+			}
+			at += len(r)
+		}
+		if at != len(data) {
+			t.Fatalf("%s: runs cover %d of %d data bytes", what, at, len(data))
 		}
 	}
-	fresh := &Diff{Runs: []Run{{Off: 0, Data: make([]byte, 2)}, {Off: 8}, {Off: 16, Data: make([]byte, 3)}}}
-	fresh.Attach([]byte{1, 2, 3, 4, 5})
-	if !bytes.Equal(fresh.Runs[0].Data, []byte{1, 2}) || fresh.Runs[1].Data != nil || !bytes.Equal(fresh.Runs[2].Data, []byte{3, 4, 5}) {
-		t.Fatalf("Attach cut %+v", fresh.Runs)
+	d := MakeDiff(1, twin, cur)
+	check("MakeDiff", d)
+	table := d.Table()
+	d.Detach()
+	check("Detach", d)
+	if &d.Table()[0] == &table[0] || !bytes.Equal(d.Table(), table) {
+		t.Fatalf("Detach did not copy the run table")
+	}
+	read, k, ok := ReadDiff(1, PageSize/8, append(table, 0xff))
+	if !ok || k != len(table) {
+		t.Fatalf("ReadDiff: %v over %d of %d table bytes", ok, k, len(table))
+	}
+	read.Attach(bytes.Repeat([]byte{4, 0, 0, 0}, PageSize/8))
+	check("Attach", read)
+}
+
+// TestReadDiffRefuses: a run table cut short or with a run that leaves the
+// page does not read.
+func TestReadDiffRefuses(t *testing.T) {
+	for _, c := range []struct {
+		count int
+		table []byte
+	}{
+		{1, nil},
+		{1, []byte{8}},
+		{2, []byte{8, 4}},
+		{1, []byte{0x88, 0x20, 8}}, // starts past the page
+		{1, []byte{0xfc, 0x1f, 8}}, // starts inside, ends past
+		{1, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 4}},
+	} {
+		if d, k, ok := ReadDiff(2, c.count, c.table); ok || k != 0 || d.NumRuns() != 0 || d.DataBytes() != 0 {
+			t.Errorf("table %x of %d runs read as %v: %d bytes, %d runs", c.table, c.count, ok, k, d.NumRuns())
+		}
+	}
+}
+
+// benchPages are the ladder's three dirtiness levels: one 64-byte run (a
+// kv slot), every other word, and the whole page.
+func benchPages() (twin []byte, dirty map[string][]byte) {
+	rng := rand.New(rand.NewSource(1))
+	twin = NewPage()
+	rng.Read(twin)
+	dirtied := func(dirty func(off int) bool) []byte {
+		cur := Twin(twin)
+		for off := 0; off < PageSize; off += WordSize {
+			if dirty(off) {
+				cur[off] ^= 0xff
+			}
+		}
+		return cur
+	}
+	return twin, map[string][]byte{
+		"sparse": dirtied(func(off int) bool { return off >= 1024 && off < 1024+64 }),
+		"dense":  dirtied(func(off int) bool { return off%(2*WordSize) == 0 }),
+		"full":   dirtied(func(int) bool { return true }),
+	}
+}
+
+var (
+	sinkDiff *Diff
+	sinkInt  int
+)
+
+func BenchmarkMakeDiff(b *testing.B) {
+	twin, dirty := benchPages()
+	for _, name := range []string{"sparse", "dense", "full"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sinkDiff = MakeDiff(0, twin, dirty[name])
+			}
+		})
+	}
+}
+
+func BenchmarkDiffApply(b *testing.B) {
+	twin, dirty := benchPages()
+	dst := NewPage()
+	for _, name := range []string{"sparse", "dense", "full"} {
+		d := MakeDiff(0, twin, dirty[name])
+		b.Run(name, func(b *testing.B) {
+			for b.Loop() {
+				d.Apply(dst)
+			}
+		})
+	}
+}
+
+func BenchmarkDiffEncodedSize(b *testing.B) {
+	twin, dirty := benchPages()
+	d := MakeDiff(0, twin, dirty["dense"])
+	for b.Loop() {
+		sinkInt = d.EncodedSize()
 	}
 }
