@@ -139,8 +139,6 @@ type Config struct {
 	// HomePolicy selects the page-to-home assignment for the home-based
 	// protocols (default StaticHomes).
 	HomePolicy HomePolicy
-	// SharedBytes bounds the shared segment (default 64 MB).
-	SharedBytes int
 	// DiffSpaceLimit is the per-node twin+diff pool size that triggers
 	// garbage collection at the next barrier (default 1 MB).
 	DiffSpaceLimit int64
@@ -218,9 +216,6 @@ func (cfg Config) engine() (Config, core.Params) {
 	p := core.DefaultParams(cfg.Procs)
 	p.Protocol = cfg.Protocol
 	p.Home = cfg.HomePolicy
-	if cfg.SharedBytes > 0 {
-		p.MaxSharedBytes = cfg.SharedBytes
-	}
 	if cfg.DiffSpaceLimit > 0 {
 		p.DiffSpaceLimit = cfg.DiffSpaceLimit
 	}

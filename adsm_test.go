@@ -251,12 +251,11 @@ func TestSetupCostFollowsAllocation(t *testing.T) {
 // NewClusterParams.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"Config.Procs", "Config.Protocol", "Config.HomePolicy", "Config.SharedBytes",
+		"Config.Procs", "Config.Protocol", "Config.HomePolicy",
 		"Config.DiffSpaceLimit", "Config.WGThreshold", "Config.OwnershipQuantum",
 		"Config.CollectDiffTimeline", "Config.Transport", "Config.TCP",
-		"TCPConfig.Addrs", "TCPConfig.Local", "TCPConfig.Timescale", "TCPConfig.DialTimeout",
-		"TCPConfig.Fingerprint", "TCPConfig.LeaseTerm",
-		"TCPConfig.Faults",
+		"TCPConfig.Addrs", "TCPConfig.Local", "TCPConfig.DialTimeout",
+		"TCPConfig.Fingerprint", "TCPConfig.LeaseTerm", "TCPConfig.Faults",
 	}
 	var got []string
 	for _, typ := range []reflect.Type{reflect.TypeOf(adsm.Config{}), reflect.TypeOf(adsm.TCPConfig{})} {
@@ -266,7 +265,7 @@ func TestConfigSurface(t *testing.T) {
 			}
 		}
 	}
-	if len(want) != 17 || !slices.Equal(got, want) {
+	if len(want) != 15 || !slices.Equal(got, want) {
 		t.Errorf("public config surface changed:\n got  %d fields %v\n want %d fields %v",
 			len(got), got, len(want), want)
 	}

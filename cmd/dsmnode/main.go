@@ -62,7 +62,6 @@ func main() {
 		"home-assignment policy (must match every peer)")
 	procs := flag.Int("procs", 8, "number of processors (must match every peer)")
 	quick := flag.Bool("quick", false, "use reduced inputs (must match every peer)")
-	timescale := flag.Float64("timescale", 0, "scale modelled compute costs into real sleeps")
 	dialTimeout := flag.Duration("dial-timeout", 20*time.Second, "how long to wait for the peer mesh")
 	recoverable := flag.Bool("recoverable", false,
 		"run the built-in recoverable stencil with barrier-checkpoint replication instead of -app")
@@ -120,7 +119,6 @@ func main() {
 		TCP: adsm.TCPConfig{
 			Addrs:       strings.Split(*addrs, ","),
 			Local:       hosted,
-			Timescale:   *timescale,
 			DialTimeout: *dialTimeout,
 			Fingerprint: adsm.RunFingerprint(fpName, proto, home, *procs, *quick),
 			LeaseTerm:   *lease,

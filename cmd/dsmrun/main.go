@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dsmrun [-app SOR] [-protocol WFS] [-procs 8] [-quick] [-protocols]
-//	       [-transport sim|tcp] [-tcp-addrs a0,a1,...] [-tcp-local 0] [-timescale X]
+//	       [-transport sim|tcp] [-tcp-addrs a0,a1,...] [-tcp-local 0]
 //
 // Every protocol (e.g. HLRC, adaptive) is selectable by name or alias;
 // -protocols lists them.
@@ -48,8 +48,6 @@ func main() {
 		"comma-separated per-node listen addresses for -transport tcp (empty: in-process mesh)")
 	tcpLocal := flag.String("tcp-local", "",
 		"comma-separated node ids hosted by this process (default 0 when -tcp-addrs is set)")
-	timescale := flag.Float64("timescale", 0,
-		"scale modelled compute costs into real sleeps under -transport tcp (0: run flat out)")
 	flag.Parse()
 
 	if *list {
@@ -88,7 +86,6 @@ func main() {
 
 	cfg := adsm.Config{Procs: *procs, Protocol: proto, HomePolicy: home, Transport: tr}
 	if tr == adsm.TCPTransport {
-		cfg.TCP.Timescale = *timescale
 		cfg.TCP.Fingerprint = adsm.RunFingerprint(*appName, proto, home, *procs, *quick)
 		if *tcpAddrs != "" {
 			cfg.TCP.Addrs = strings.Split(*tcpAddrs, ",")
@@ -158,9 +155,6 @@ func main() {
 	}
 	fmt.Printf("  ownership            %d requests, %d grants, %d refusals, %d forwards\n",
 		s.OwnershipRequests, s.OwnershipGrants, s.OwnershipRefusals, s.Forwards)
-	if s.BatchedOwnReqs > 0 {
-		fmt.Printf("  grant batching       %d ownership requests rode grouped batches\n", s.BatchedOwnReqs)
-	}
 	fmt.Printf("  twins/diffs          %d twins, %d diffs created (%.2f MB), %d applied\n",
 		s.TwinsCreated, s.DiffsCreated, rep.MemoryMB(), s.DiffsApplied)
 	fmt.Printf("  mode transitions     %d SW->MW, %d MW->SW\n", s.SWtoMW, s.MWtoSW)

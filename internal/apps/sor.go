@@ -104,7 +104,7 @@ func (s *SOR) Body(w *adsm.Worker) {
 			// The other-parity boundary values the sweep actually uses
 			// are barrier-stable, so fetch time changes no value read.
 			if ulo < uhi {
-				s.grid.Prefetch(w, (ulo-1)*s.cols, (uhi+1)*s.cols)
+				w.Prefetch(s.grid.Window((ulo-1)*s.cols, (uhi+1)*s.cols))
 			}
 			for i := ulo; i < uhi; i++ {
 				// Snapshot the neighbour rows (red-black never reads a

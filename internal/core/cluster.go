@@ -224,8 +224,6 @@ func (n *Node) handle(call transport.Call, from int, m transport.Msg) {
 		n.serveSpanFetch(call, from, msg)
 	case ownReq:
 		n.serveOwnership(call, from, msg)
-	case ownBatchReq:
-		n.serveOwnBatch(call, from, msg)
 	case swOwnReq:
 		n.serveSWOwn(call, from, msg)
 	case hlrcFlush:

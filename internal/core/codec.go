@@ -30,10 +30,6 @@ func init() {
 		func(w wireRW) (msg, error) { var v ownReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
 	reg(ctl, "ownResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(ownResp); v.wire(&w); return w.b, w.p },
 		func(w wireRW) (msg, error) { var v ownResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
-	reg(ctl, "ownBatchReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(ownBatchReq); v.wire(&w); return w.b, w.p },
-		func(w wireRW) (msg, error) { var v ownBatchReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
-	reg(ctl, "ownBatchResp", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(ownBatchResp); v.wire(&w); return w.b, w.p },
-		func(w wireRW) (msg, error) { var v ownBatchResp; v.wire(&w); v.wire(w.fill()); return v, w.done() })
 	reg(ctl, "swOwnReq", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(swOwnReq); v.wire(&w); return w.b, w.p },
 		func(w wireRW) (msg, error) { var v swOwnReq; v.wire(&w); v.wire(w.fill()); return v, w.done() })
 	reg(ctl, "swOwnGrant", func(m msg, w wireRW) ([]byte, [][]byte) { v := m.(swOwnGrant); v.wire(&w); return w.b, w.p },

@@ -74,14 +74,6 @@ func msgSamples() map[string][]transport.Msg {
 			},
 		},
 		"ownReq": {ownReq{Page: 11, Version: 5, NeedPage: true, Applied: sampleVC()}},
-		"ownBatchReq": {ownBatchReq{Reqs: []ownReq{
-			{Page: 11, Version: 5, NeedPage: true, Applied: sampleVC()},
-			{Page: 12, Version: 0, Applied: sampleVC()},
-		}}},
-		"ownBatchResp": {ownBatchResp{Resps: []ownResp{
-			{Granted: true, Version: 6, Data: mem.NewPage(), Applied: sampleVC()},
-			{Granted: false, Version: 6},
-		}}},
 		"ownResp": {
 			ownResp{Granted: true, Version: 6, Data: mem.NewPage(), Applied: sampleVC()},
 			ownResp{Granted: false, Version: 6},
@@ -167,7 +159,7 @@ func TestMessageLaneClasses(t *testing.T) {
 	want := map[transport.Class][]transport.Msg{
 		transport.ClassControl: {
 			pageReq{}, diffReq{}, spanFetchReq{}, ownReq{}, ownResp{},
-			ownBatchReq{}, ownBatchResp{}, swOwnReq{}, swOwnGrant{},
+			swOwnReq{}, swOwnGrant{},
 			barArrive{}, barRelease{}, acqReq{}, acqFwd{}, acqGrant{}, acqRevoke{},
 			hlrcFlush{}, hlrcAck{}, homeBindReq{}, homeBindResp{},
 			ckptAck{}, recArrive{}, recRelease{}, recProtoArrive{}, recProtoRelease{},

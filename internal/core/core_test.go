@@ -323,21 +323,20 @@ func TestDetectorCharacteristics(t *testing.T) {
 	}
 }
 
-// TestDetectorIncremental: the incrementally maintained aggregates must
-// agree exactly with the full page scan they replaced, across workloads
-// exercising every transition (second accessor, first writer, the
-// false-sharing flip, diff recording) under diff-based and
-// ownership-based protocols.
-func TestDetectorIncremental(t *testing.T) {
+// TestDetectorScan pins the Table 2 page scan on a program exercising
+// every per-page field (second accessor, first writer, the false-sharing
+// bit, diff recording) under each protocol: pages 0-3 private to their
+// writer, page 4 falsely shared, page 5 written by node 0 and read by all.
+func TestDetectorScan(t *testing.T) {
+	// Every diff is the low 4-byte half of one written word: the round
+	// counter r+1 never reaches the upper half.
+	diffs := map[Protocol]int64{MW: 19, SW: 0, WFS: 4, WFSWG: 7, HLRC: 27, Adaptive: 19}
 	for _, proto := range allProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
 			c := New(testParams(4, proto))
 			base := c.AllocPageAligned(6 * mem.PageSize)
 			mustRun(t, c, func(n *Node) {
 				for r := 0; r < 3; r++ {
-					// Page n.ID(): private to its writer. Page 4: falsely
-					// shared (concurrent sub-page writes). Page 5: written
-					// by node 0, read by everyone.
 					n.WriteU64(base+n.ID()*mem.PageSize, uint64(r+1))
 					n.WriteU64(base+4*mem.PageSize+16*n.ID(), uint64(r+1))
 					if n.ID() == 0 {
@@ -348,11 +347,13 @@ func TestDetectorIncremental(t *testing.T) {
 					n.Barrier()
 				}
 			})
-			d := c.Detector()
-			inc := d.Characteristics(c.usedPages())
-			scan := d.ScanCharacteristics(c.usedPages())
-			if inc != scan {
-				t.Errorf("incremental %+v\n     != scan %+v", inc, scan)
+			want := Characteristics{SharedPages: 2, WrittenPages: 6, FSPages: 1,
+				FSPercent: 100.0 / 6, DiffsRecorded: diffs[proto]}
+			if want.DiffsRecorded > 0 {
+				want.AvgDiffBytes, want.MaxDiffBytes = 4, 4
+			}
+			if got := c.Detector().Characteristics(c.usedPages()); got != want {
+				t.Errorf("Characteristics = %+v\n                want %+v", got, want)
 			}
 		})
 	}

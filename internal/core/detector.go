@@ -17,29 +17,17 @@ import (
 // it in intervals that are concurrent under happened-before-1. Checking
 // each new write against every processor's most recent write suffices:
 // older writes by the same processor are ordered before its latest one.
-// The Table 2 aggregates are maintained incrementally: each note* call
-// updates the running sums at the state transition it causes (a page
-// gaining its second accessor, its first writer, its false-sharing bit),
-// so Characteristics is O(1) instead of a scan over every page — the
-// adaptive meta-protocol and the sweep harness read it per-run.
 //
 // Every node notes its own accesses, concurrently on a real transport.
 // noteAccess, which runs on every write, returns on a fast path when the
-// page's atomically read bitmasks already hold its bits; every state
-// transition, noteWrite and noteDiff run under mu. Readers of the
-// aggregates run after the run or with every node held still
-// (transport.Runtime.HoldOthers).
+// page's atomically read bitmasks already hold its bits; every bitmask
+// change, noteWrite and noteDiff run under mu. Readers of the per-page
+// fields (Characteristics, the adaptive meta-protocol) run after the run
+// or with every node held still (transport.Runtime.HoldOthers).
 type Detector struct {
 	nprocs int
 	pages  []detPage
-
-	mu           sync.Mutex
-	sharedPages  int   // pages with >= 2 accessors
-	writtenPages int   // pages with any writer
-	fsPages      int   // pages with the false-sharing bit set
-	diffCount    int64 // diffs recorded, all pages
-	diffBytes    int64 // their cumulative size
-	maxDiff      int   // largest single diff
+	mu     sync.Mutex
 }
 
 type detPage struct {
@@ -66,16 +54,13 @@ func (d *Detector) noteWrite(wn *WriteNotice) {
 		p.lastWrite = make([]vc.VC, d.nprocs)
 	}
 	proc := wn.Int.Proc
-	d.markAccessor(p, proc)
-	d.markWriter(p, proc)
+	bit := uint64(1) << uint(proc)
+	p.accessors.Store(p.accessors.Load() | bit)
+	p.writers.Store(p.writers.Load() | bit)
 	if !p.fs {
 		for q, last := range p.lastWrite {
-			if q == proc || last == nil {
-				continue
-			}
-			if last.Concurrent(wn.Int.VC) {
+			if q != proc && last != nil && last.Concurrent(wn.Int.VC) {
 				p.fs = true
-				d.fsPages++
 				break
 			}
 		}
@@ -96,40 +81,16 @@ func (d *Detector) noteAccess(pg, proc int, write bool) {
 	if write {
 		mask = &p.writers
 	}
-	if mask.Load()&(1<<uint(proc)) != 0 {
+	bit := uint64(1) << uint(proc)
+	if mask.Load()&bit != 0 {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.markAccessor(p, proc)
+	p.accessors.Store(p.accessors.Load() | bit)
 	if write {
-		d.markWriter(p, proc)
+		p.writers.Store(p.writers.Load() | bit)
 	}
-}
-
-// markAccessor sets proc's accessor bit, bumping the shared-page count
-// when the page gains its second accessor. d.mu is held.
-func (d *Detector) markAccessor(p *detPage, proc int) {
-	old := p.accessors.Load()
-	now := old | 1<<uint(proc)
-	if now == old {
-		return
-	}
-	p.accessors.Store(now)
-	if old != 0 && old&(old-1) == 0 {
-		d.sharedPages++
-	}
-}
-
-// markWriter sets proc's writer bit, bumping the written-page count when
-// the page gains its first writer. d.mu is held, and proc's accessor bit
-// is already set.
-func (d *Detector) markWriter(p *detPage, proc int) {
-	old := p.writers.Load()
-	if old == 0 {
-		d.writtenPages++
-	}
-	p.writers.Store(old | 1<<uint(proc))
 }
 
 // noteDiff records a created diff's size (write granularity).
@@ -141,11 +102,6 @@ func (d *Detector) noteDiff(pg int, diff *mem.Diff) {
 	p.diffBytes += int64(diff.DataBytes())
 	if diff.DataBytes() > p.maxDiff {
 		p.maxDiff = diff.DataBytes()
-	}
-	d.diffCount++
-	d.diffBytes += int64(diff.DataBytes())
-	if diff.DataBytes() > d.maxDiff {
-		d.maxDiff = diff.DataBytes()
 	}
 }
 
@@ -160,32 +116,9 @@ type Characteristics struct {
 	DiffsRecorded int64
 }
 
-// Characteristics returns the Table 2 summary from the incrementally
-// maintained aggregates — O(1), no page scan. Instrumented pages always
-// lie inside the allocated range, so the npages bound (kept for API
-// stability; callers pass the allocated page count) never excludes a
-// counted page.
+// Characteristics returns the Table 2 summary of the first npages pages
+// (callers pass the allocated page count).
 func (d *Detector) Characteristics(npages int) Characteristics {
-	c := Characteristics{
-		SharedPages:   d.sharedPages,
-		WrittenPages:  d.writtenPages,
-		FSPages:       d.fsPages,
-		MaxDiffBytes:  d.maxDiff,
-		DiffsRecorded: d.diffCount,
-	}
-	if c.WrittenPages > 0 {
-		c.FSPercent = 100 * float64(c.FSPages) / float64(c.WrittenPages)
-	}
-	if d.diffCount > 0 {
-		c.AvgDiffBytes = float64(d.diffBytes) / float64(d.diffCount)
-	}
-	return c
-}
-
-// ScanCharacteristics recomputes the Table 2 summary by scanning the
-// first n pages — the original O(npages) path, kept as the verification
-// oracle for the incremental aggregates (see TestDetectorIncremental).
-func (d *Detector) ScanCharacteristics(npages int) Characteristics {
 	var c Characteristics
 	var diffBytes, diffCount int64
 	for i := 0; i < npages && i < len(d.pages); i++ {

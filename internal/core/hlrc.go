@@ -95,10 +95,6 @@ func dropApplied(ps *pageState) {
 	ps.pending = keep
 }
 
-// PrefetchWriteSpans: an HLRC write fault validates through a home fetch
-// with no ownership traffic, so write spans batch exactly like reads.
-func (hlrcPolicy) PrefetchWriteSpans() bool { return true }
-
 // SpanFetchPlan: one home fetch — exactly what one MakeValid round
 // issues. The discard pass over the pending notices mirrors MakeValid's.
 func (hlrcPolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNotice, bool) {

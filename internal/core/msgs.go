@@ -160,28 +160,6 @@ func (m *ownResp) wire(w *wireRW) {
 }
 func (m ownResp) Size() int { var w wireRW; m.wire(&w); return w.n }
 
-// ownBatchReq groups a span plan's ownership requests addressed to one
-// perceived owner (write-span grant batching). The grantor answers each
-// entry as it would a serial ownReq arriving at the same instant.
-type ownBatchReq struct{ Reqs []ownReq }
-
-func (m *ownBatchReq) wire(w *wireRW) {
-	for i := range list(w, &m.Reqs, 4) {
-		m.Reqs[i].wire(w)
-	}
-}
-func (m ownBatchReq) Size() int { var w wireRW; m.wire(&w); return w.n }
-
-// ownBatchResp answers an ownBatchReq positionally.
-type ownBatchResp struct{ Resps []ownResp }
-
-func (m *ownBatchResp) wire(w *wireRW) {
-	for i := range list(w, &m.Resps, 3) {
-		m.Resps[i].wire(w)
-	}
-}
-func (m ownBatchResp) Size() int { var w wireRW; m.wire(&w); return w.n }
-
 // --- ownership (pure SW protocol, home-based) ---
 
 // swOwnReq travels requester -> home (Hops 0) -> the page's previous

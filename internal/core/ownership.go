@@ -94,45 +94,30 @@ func (n *Node) tryOwnership(pg int, ps *pageState, resume bool) bool {
 		n.validate(pg)
 	}
 
-	target, req, ok := n.buildOwnReq(pg, ps)
-	if !ok {
-		return false
-	}
-	req.Resume = resume
-	n.Stats.OwnershipRequests++
-	resp := n.c.rt.Call(n.proc, target, req).(ownResp)
-	return n.finishOwnership(pg, ps, resp)
-}
-
-// buildOwnReq constructs the ownership request tryOwnership would issue
-// for the page right now, without blocking. ok=false when no request can
-// be sent (the perceived owner chain points at ourselves) — pages with
-// unmerged diff-backed notices must validate first, exactly as
-// tryOwnership does before calling this.
-func (n *Node) buildOwnReq(pg int, ps *pageState) (target int, req ownReq, ok bool) {
 	best := bestOwnerWN(ps.pending)
-	target = ps.perceivedOwner
+	target := ps.perceivedOwner
 	version := ps.perceivedVersion
 	if best != nil && best.Version >= version {
 		target = best.Int.Proc
 		version = best.Version
 	}
 	if target == n.id {
-		return 0, ownReq{}, false
+		return false
 	}
-	needPage := ps.data == nil || (best != nil && !best.Int.VC.Leq(ps.applied))
-	return target, ownReq{
+	n.Stats.OwnershipRequests++
+	resp := n.c.rt.Call(n.proc, target, ownReq{
 		Page:     pg,
 		Version:  version,
-		NeedPage: needPage,
+		NeedPage: ps.data == nil || (best != nil && !best.Int.VC.Leq(ps.applied)),
+		Resume:   resume,
 		Applied:  ps.applied.Copy(),
-	}, true
+	}).(ownResp)
+	return n.finishOwnership(pg, ps, resp)
 }
 
 // finishOwnership ingests an ownership reply, installing whatever page
 // copy rode along and completing the grant (or recording the refusal).
-// Shared by the serial tryOwnership path and the span-batched ownBatchReq
-// path so the two cannot drift. Returns true when ownership was taken.
+// Returns true when ownership was taken.
 func (n *Node) finishOwnership(pg int, ps *pageState, resp ownResp) bool {
 	if !resp.Granted && resp.Data == nil {
 		// Refused without a page transfer: leave the pending notices
@@ -184,23 +169,6 @@ func (n *Node) finishOwnership(pg int, ps *pageState, resp ownResp) bool {
 // otherwise write-write false sharing has been detected and the request is
 // refused (Section 3.1.1).
 func (n *Node) serveOwnership(c transport.Call, from int, m ownReq) {
-	c.Reply(n.serveOwnershipOne(from, m))
-}
-
-// serveOwnBatch answers a span's grouped ownership requests positionally,
-// each entry exactly as the serial handler would have answered it arriving
-// at this instant (handler context; the serve never defers or forwards).
-func (n *Node) serveOwnBatch(c transport.Call, from int, m ownBatchReq) {
-	resp := ownBatchResp{Resps: make([]ownResp, len(m.Reqs))}
-	for i, q := range m.Reqs {
-		resp.Resps[i] = n.serveOwnershipOne(from, q)
-	}
-	c.Reply(resp)
-}
-
-// serveOwnershipOne decides one adaptive ownership request and returns the
-// reply (always immediately: the adaptive protocol never defers grants).
-func (n *Node) serveOwnershipOne(from int, m ownReq) ownResp {
 	ps := n.pages[m.Page]
 	resp := ownResp{Version: ps.version}
 	send := m.NeedPage && ps.data != nil
@@ -225,7 +193,7 @@ func (n *Node) serveOwnershipOne(from int, m ownReq) ownResp {
 	if send {
 		resp.Data, resp.Applied = ps.copyPage()
 	}
-	return resp
+	c.Reply(resp)
 }
 
 // --- pure single-writer protocol ---

@@ -89,15 +89,6 @@ type Policy interface {
 	// phase has nothing to collect and would be wrong.
 	GCEligible() bool
 
-	// PrefetchWriteSpans reports whether invalid pages of a write span
-	// may be validated through the batched span fetch (one Multicall for
-	// the whole span) before the serial per-page write faults run, as the
-	// pages of every read span are. Safe only when the protocol's write
-	// fault validates without an ownership grant (MW and HLRC); the
-	// ownership-based protocols keep their serial grant protocol —
-	// correctness first, batching where it is provably equivalent.
-	PrefetchWriteSpans() bool
-
 	// SpanFetchPlan classifies one invalid page of a span for the batched
 	// fetch: the whole-page fetch target (-1 when the local copy only
 	// needs diffs), the diff-backed write notices to fetch and apply, and
@@ -113,13 +104,6 @@ type Policy interface {
 	// would, settling serially if new notices raced the batch. Process
 	// context; may block.
 	SpanSettle(n *Node, pg int, ps *pageState)
-
-	// BatchOwnershipSpans reports whether a write span's ownership
-	// requests may be grouped per perceived owner into one ownBatchReq
-	// (write-span grant batching). Only the direct-request ownership
-	// protocols (WFS, WFS+WG) opt in; pure SW routes requests through
-	// homes and the non-ownership protocols never issue ownReqs.
-	BatchOwnershipSpans() bool
 }
 
 // basePolicy supplies the no-op defaults shared by the concrete policies.
@@ -136,12 +120,10 @@ func (basePolicy) GCKeeperIsOwner() bool                                     { r
 func (basePolicy) GCCollapseToSW() bool                                      { return false }
 func (basePolicy) GCEligible() bool                                          { return true }
 func (basePolicy) MakeValid(n *Node, pg int, ps *pageState)                  { n.lrcMakeValid(pg, ps) }
-func (basePolicy) PrefetchWriteSpans() bool                                  { return false }
 func (basePolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNotice, bool) {
 	return n.lrcSpanPlan(ps)
 }
 func (basePolicy) SpanSettle(n *Node, pg int, ps *pageState) { n.lrcSpanSettle(pg, ps) }
-func (basePolicy) BatchOwnershipSpans() bool                 { return false }
 
 // ownerInitPage is the shared InitPage of the ownership-based protocols:
 // every page starts in SW mode, owned (with its initial copy) by the
@@ -167,10 +149,6 @@ func (mwPolicy) InitPage(c *Cluster, id, pg int, ps *pageState) {
 }
 
 func (mwPolicy) WriteFault(n *Node, pg int, ps *pageState) { n.stayMW(pg, ps) }
-
-// PrefetchWriteSpans: an MW write fault validates and twins without any
-// ownership traffic, so the validate half batches exactly like a read.
-func (mwPolicy) PrefetchWriteSpans() bool { return true }
 
 // --- SW: the CVM-like single-writer protocol ---
 
@@ -283,5 +261,3 @@ func (p adaptivePolicy) AllowSWByGranularity(n *Node, ps *pageState) bool {
 
 func (adaptivePolicy) GCKeeperIsOwner() bool { return true }
 func (adaptivePolicy) GCCollapseToSW() bool  { return true }
-
-func (adaptivePolicy) BatchOwnershipSpans() bool { return true }

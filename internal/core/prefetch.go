@@ -8,8 +8,8 @@ import (
 	"adsm/internal/transport"
 )
 
-// Span-granularity prefetch: instead of servicing a span's invalid pages
-// one blocking fault at a time (k pages = k sequential round trips),
+// Span-granularity prefetch: instead of servicing a read span's invalid
+// pages one blocking fault at a time (k pages = k sequential round trips),
 // AccessRange first plans the whole span's coherence work — which pages
 // need a copy from which node, which need diffs from which writers — and
 // issues it as one batched spanFetchReq per destination in a single
@@ -21,40 +21,23 @@ import (
 // case servePage answers by forwarding), falls back to the serial fault
 // path, which chases the owner chain as usual. The test-only reference
 // engine Params.SpanPrefetch=false turns the whole mechanism off,
-// restoring the serial engine byte for byte.
+// restoring the serial engine byte for byte. Write faults stay one page
+// at a time, as in the paper: an ownership request or a twin each.
 
-// PrefetchRange is the read-intent hint behind the public Prefetch API:
-// it batches the range's invalid pages exactly like a read span's
-// prefetch pass, without touching any bytes. Under the serial and
-// per-word reference engines it is a no-op — the hint never changes what
-// a program computes, and declining it restores the unhinted engine byte
-// for byte, which is what lets kernels declare intent unconditionally.
-func (n *Node) PrefetchRange(addr, size int) {
-	if size == 0 {
-		return
-	}
-	if addr < 0 || size < 0 || addr+size > n.c.allocated {
-		panic(fmt.Sprintf("dsm: prefetch [%d,%d) outside shared segment (%d allocated)", addr, addr+size, n.c.allocated))
-	}
-	if n.c.params.PerWordSpans || !n.c.params.SpanPrefetch {
-		return
-	}
-	n.spanPrefetch(addr, size, true)
-}
-
-// Range is one byte range of a multi-range prefetch hint.
+// Range is one byte range of a prefetch hint.
 type Range struct {
 	Addr, Size int
 }
 
-// PrefetchRanges is the multi-range form of PrefetchRange: one hint
-// covering several disjoint ranges (e.g. the boundary rows of different
-// grids a stencil phase is about to read) batches all their invalid pages
-// into a single planned Multicall, where per-range hints would issue one
-// batch — or, for single-page ranges, no batch at all — per range. The
-// ranges may overlap or touch the same page; pages are deduplicated. Like
-// the single-range hint it is read-intent, never changes what a program
-// computes, and is a no-op when batching cannot win.
+// PrefetchRanges is the read-intent hint behind the public Prefetch API:
+// it batches the invalid pages of several byte ranges (e.g. the boundary
+// rows of different grids a stencil phase is about to read) exactly like a
+// read span's prefetch pass, into a single planned Multicall, without
+// touching any bytes. The ranges may overlap or touch the same page; pages
+// are deduplicated. Under the serial and per-word reference engines it is
+// a no-op: the hint never changes what a program computes, and declining
+// it restores the unhinted engine byte for byte, which is what lets
+// kernels declare intent unconditionally.
 func (n *Node) PrefetchRanges(ranges []Range) {
 	var pages []int
 	for _, r := range ranges {
@@ -75,7 +58,7 @@ func (n *Node) PrefetchRanges(ranges []Range) {
 		return
 	}
 	slices.Sort(pages)
-	n.prefetchPages(slices.Compact(pages), true)
+	n.prefetchPages(slices.Compact(pages))
 }
 
 // spanPlan is one page's share of a batched span fetch.
@@ -86,9 +69,10 @@ type spanPlan struct {
 	diffs  []*WriteNotice // diff-backed notices to fetch and apply
 }
 
-// spanPrefetch batches the coherence work of the span [addr, addr+size)
-// before the per-page execution loop runs. Process context.
-func (n *Node) spanPrefetch(addr, size int, read bool) {
+// spanPrefetch batches the coherence work of the read span
+// [addr, addr+size) before the per-page execution loop runs. Process
+// context.
+func (n *Node) spanPrefetch(addr, size int) {
 	first := addr >> mem.PageShift
 	last := (addr + size - 1) >> mem.PageShift
 	if first == last {
@@ -98,34 +82,20 @@ func (n *Node) spanPrefetch(addr, size int, read bool) {
 	for pg := first; pg <= last; pg++ {
 		pages = append(pages, pg)
 	}
-	n.prefetchPages(pages, read)
+	n.prefetchPages(pages)
 }
 
-// prefetchPages batches the coherence work of a sorted, deduplicated page
-// list. Read batches form under every protocol; write-only batches only
-// where the protocol's write fault validates without an ownership grant.
-// Process context.
-func (n *Node) prefetchPages(pages []int, read bool) {
-	if !read {
-		// Write spans under the direct-request ownership protocols: group
-		// the span's ownership requests per perceived owner first, so the
-		// per-page loop finds the granted pages already writable.
-		n.batchOwnership(pages)
-	}
+// prefetchPages batches the read misses of a sorted, deduplicated page
+// list. Process context.
+func (n *Node) prefetchPages(pages []int) {
 	var plans []spanPlan
 	declined := 0
 	rounds := 0 // blocking rounds the serial path would take for this work
 	for _, pg := range pages {
 		ps := n.pages[pg]
-		// Write batching is per page: a page whose protocol does not
-		// batch writes keeps the serial fault path (not a fallback — the
-		// page was never planned).
-		if !read && !ps.policy.PrefetchWriteSpans() {
-			continue
-		}
 		if ps.status != pageInvalid || ps.owner {
-			// Owned-but-invalid pages (a GC collapse) take the owner
-			// fast path of writeFault; valid pages need nothing.
+			// Owned-but-invalid pages (a GC collapse) keep the serial
+			// fault path; valid pages need nothing.
 			continue
 		}
 		target, diffs, ok := ps.policy.SpanFetchPlan(n, pg, ps)
@@ -153,13 +123,11 @@ func (n *Node) prefetchPages(pages []int, read bool) {
 		return
 	}
 	n.Stats.SerialFallbacks += int64(declined)
-	if read {
-		for _, pl := range plans {
-			// The batch services these read misses; account them exactly
-			// like readFault (the loop will find the pages valid).
-			n.Stats.ReadFaults++
-			n.c.detector.noteAccess(pl.pg, n.id, false)
-		}
+	for _, pl := range plans {
+		// The batch services these read misses; account them exactly like
+		// readFault (the loop will find the pages valid).
+		n.Stats.ReadFaults++
+		n.c.detector.noteAccess(pl.pg, n.id, false)
 	}
 
 	// Group the span's fetches per destination node, in deterministic
@@ -248,74 +216,6 @@ func (n *Node) prefetchPages(pages []int, read bool) {
 		}
 		n.Stats.PrefetchPages++
 		pl.ps.policy.SpanSettle(n, pl.pg, pl.ps)
-	}
-}
-
-// batchOwnership groups a write span's ownership requests per perceived
-// owner and issues each group of two or more as one ownBatchReq in a
-// single overlapped Multicall (write-span grant batching). Each granted
-// page goes through the same finishOwnership the serial path runs — the
-// batch consumes that page's write fault, so its accounting mirrors the
-// serial fault's. A refused page flips to MW and is left for the per-page
-// loop's serial write fault, exactly like a serial refusal. Pages that
-// need a merge first (pending diff-backed notices), groups of one, and
-// pages under non-batching policies all keep the serial path untouched.
-// Process context.
-func (n *Node) batchOwnership(pages []int) {
-	type ent struct {
-		pg int
-		ps *pageState
-	}
-	var groups map[int][]ent
-	var reqs map[int][]ownReq
-	for _, pg := range pages {
-		ps := n.pages[pg]
-		if !ps.policy.BatchOwnershipSpans() || ps.mode != modeSW || ps.owner ||
-			ps.status == pageReadWrite {
-			continue
-		}
-		if pendingDiffs(ps) {
-			continue // must merge before requesting: serial path
-		}
-		target, req, ok := n.buildOwnReq(pg, ps)
-		if !ok {
-			continue
-		}
-		if groups == nil {
-			groups = make(map[int][]ent)
-			reqs = make(map[int][]ownReq)
-		}
-		groups[target] = append(groups[target], ent{pg: pg, ps: ps})
-		reqs[target] = append(reqs[target], req)
-	}
-	var targets []transport.Target
-	var ents [][]ent
-	for p := 0; p < n.c.params.Procs; p++ {
-		if es := groups[p]; len(es) >= 2 {
-			targets = append(targets, transport.Target{To: p, M: ownBatchReq{Reqs: reqs[p]}})
-			ents = append(ents, es)
-		}
-	}
-	if len(targets) == 0 {
-		return
-	}
-	resps := n.c.rt.Multicall(n.proc, targets)
-	for i, r := range resps {
-		br := r.(ownBatchResp)
-		for j, resp := range br.Resps {
-			e := ents[i][j]
-			n.Stats.OwnershipRequests++
-			n.Stats.BatchedOwnReqs++
-			if n.finishOwnership(e.pg, e.ps, resp) {
-				// Granted: the batch consumed this page's write fault.
-				n.Stats.WriteFaults++
-				n.c.detector.noteAccess(e.pg, n.id, false)
-			} else {
-				// Refused: write-write false sharing, as in the serial
-				// path; the per-page loop's fault services the page in MW.
-				n.setMode(e.ps, modeMW)
-			}
-		}
 	}
 }
 

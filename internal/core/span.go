@@ -57,11 +57,11 @@ func (n *Node) AccessRange(addr, size, step int, read, write bool, fn func(rel i
 		panic(fmt.Sprintf("dsm: AccessRange [%d,%d) not aligned to %d-byte elements", addr, addr+size, step))
 	}
 	perWord := n.c.params.PerWordSpans
-	if !perWord && n.c.params.SpanPrefetch {
+	if read && !perWord && n.c.params.SpanPrefetch {
 		// Plan-then-fetch: batch the span's page fetches into one
 		// overlapped Multicall (prefetch.go) before the per-page loop
 		// services whatever is left serially.
-		n.spanPrefetch(addr, size, read)
+		n.spanPrefetch(addr, size)
 	}
 	for off := addr; off < addr+size; {
 		pg := off >> mem.PageShift

@@ -183,25 +183,3 @@ func TestToleranceAndCloseEnough(t *testing.T) {
 		t.Errorf("zeros must be close")
 	}
 }
-
-// TestGrantBatchingFires pins write-span grant batching end to end: the
-// stencil kernels whose write spans cross page boundaries toward one
-// perceived owner (Shallow's copy-back phases) must ride grouped
-// ownBatchReqs under the direct-request ownership protocols. The matrix
-// already asserts each cell's checksum against the sequential run, so a
-// nonzero counter is the pin.
-func TestGrantBatchingFires(t *testing.T) {
-	m := quickMatrix()
-	// Eight procs: with four, Shallow's quick-input bands leave fewer than
-	// two span pages per perceived owner, so no group forms.
-	m.Procs = 8
-	for _, proto := range []adsm.Protocol{adsm.WFS, adsm.WFSWG} {
-		rep := m.Parallel("Shallow", proto)
-		if rep.Stats.BatchedOwnReqs == 0 {
-			t.Errorf("Shallow/%v: no ownership request rode a grouped batch", proto)
-		} else {
-			t.Logf("Shallow/%v: %d batched ownership requests, %d ownReqs total",
-				proto, rep.Stats.BatchedOwnReqs, rep.Stats.OwnershipRequests)
-		}
-	}
-}

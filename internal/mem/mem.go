@@ -3,10 +3,10 @@
 // write of an interval), and run-length-encoded diffs, the TreadMarks record
 // of the modifications made to a page.
 //
-// A diff is its page number, a run table and one data buffer, none of
-// which holds a pointer per run: the table packs each run's offset and
-// length as the wire encodes them, and the buffer holds the runs' bytes
-// back to back.
+// A diff is its page number, a run table and a data buffer, none of which
+// holds a pointer per run: the table packs each run's offset and length
+// as the wire encodes them, and the buffer holds the runs' bytes back to
+// back.
 package mem
 
 import (
@@ -54,12 +54,18 @@ func Twin(page []byte) []byte {
 // pointing into the data, cost more bytes than the data and a traced
 // pointer apiece. The table and the data sizes are known, so EncodedSize
 // and DataBytes are O(1).
+//
+// A table of up to len(short) bytes lives inside the Diff, so the data
+// buffer of a diff with few runs is exactly its size: a whole-page diff's
+// 4,096 data bytes and 3-byte table in one buffer would round up to Go's
+// 4,864-byte size class. The array fills the Diff's own 80-byte class.
 type Diff struct {
 	Page int
 
-	n, size int32  // run count; the run lengths' sum
-	runs    []byte // run table: per run a uvarint offset, then a uvarint length
-	data    []byte // the runs' bytes back to back; nil until attached
+	n, size int32    // run count; the run lengths' sum
+	runs    []byte   // run table: per run a uvarint offset, then a uvarint length
+	data    []byte   // the runs' bytes back to back; nil until attached
+	short   [16]byte // backs runs when the table fits
 }
 
 // blockSize is the stretch MakeDiff compares at once: 64 words, one bit
@@ -140,6 +146,14 @@ func MakeDiff(page int, twin, cur []byte) *Diff {
 	}
 	d := &Diff{Page: page, n: int32(runs), size: int32(size)}
 	if runs == 0 {
+		return d
+	}
+	if hdr := t - n; hdr <= len(d.short) {
+		d.runs = d.short[:copy(d.short[:], scratch[n:t]):hdr]
+		src := scratch[:size]
+		buf := make([]byte, len(src))
+		copy(buf, src)
+		d.data = buf
 		return d
 	}
 	// The table moves up behind the data, which go first so that they
@@ -227,10 +241,11 @@ func sameWord(a, b []byte, off int) bool {
 
 // ReadDiff reads the run table of a diff of count runs from the front of
 // b, laid out as Table gives it, and returns the diff and the table's
-// length in b. The diff's table stays in b, and its data are still to be
-// attached (Attach). It reports false, with an empty diff, when the table
-// is cut short or a run leaves the page, which Apply would otherwise panic
-// on or silently truncate.
+// length in b. A short table is copied into the Diff, as MakeDiff places
+// it; a longer one stays in b. The data are still to be attached
+// (Attach). It reports false, with an empty diff, when the table is cut
+// short or a run leaves the page, which Apply would otherwise panic on or
+// silently truncate.
 func ReadDiff(page, count int, b []byte) (*Diff, int, bool) {
 	at, size := 0, 0
 	for range count {
@@ -246,8 +261,10 @@ func ReadDiff(page, count int, b []byte) (*Diff, int, bool) {
 		size += int(n)
 	}
 	d := &Diff{Page: page, n: int32(count), size: int32(size)}
-	if at > 0 {
+	if at > len(d.short) {
 		d.runs = b[:at:at]
+	} else if at > 0 {
+		d.runs = d.short[:copy(d.short[:], b[:at]):at]
 	}
 	return d, at, true
 }
@@ -324,12 +341,20 @@ func (d *Diff) Attach(data []byte) {
 	d.data = data
 }
 
-// Detach copies the run table and data into one buffer of exactly their
-// size, so the diff no longer keeps alive whatever they were sliced from (a
-// received frame's body): one allocation, whatever the run count.
+// Detach copies the run table and data into memory of their own, so the
+// diff no longer keeps alive whatever they were sliced from (a received
+// frame's body): one allocation, whatever the run count. A short table
+// goes inside the Diff, as MakeDiff places it.
 func (d *Diff) Detach() {
 	h := len(d.runs)
 	if h+int(d.size) == 0 {
+		return
+	}
+	if h <= len(d.short) {
+		d.runs = d.short[:copy(d.short[:], d.runs):h]
+		buf := make([]byte, len(d.data))
+		copy(buf, d.data)
+		d.data = buf
 		return
 	}
 	buf := make([]byte, h+int(d.size))

@@ -70,9 +70,6 @@ type Counters struct {
 	PrefetchPages   int64 // pages made valid through the batched span path
 	SerialFallbacks int64 // planned pages that fell back to the serial fault path
 
-	// Write-span grant batching.
-	BatchedOwnReqs int64 // ownership requests that rode an ownBatchReq
-
 	// Never incremented; they stay only because benchmark/ reads them (ROADMAP 4(a)).
 	OneSidedReads     int64
 	OneSidedFallbacks int64

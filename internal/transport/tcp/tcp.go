@@ -58,11 +58,6 @@ type Options struct {
 	Addrs []string
 	// OneSided is ignored; it stays only because benchmark/ sets it (ROADMAP 4(a)).
 	OneSided bool
-	// Timescale multiplies the modelled compute/processing delays
-	// (Worker.Compute, diff-creation reply latency, the SW ownership
-	// quantum) into real sleeps. 0 skips the sleeps entirely — protocol
-	// behaviour is preserved, runs finish as fast as the wire allows.
-	Timescale float64
 	// DialTimeout bounds how long New waits for the peer mesh to come up
 	// (default 20s).
 	DialTimeout time.Duration
@@ -397,7 +392,6 @@ type Runtime struct {
 	procs    int
 	local    []int
 	addrs    []string
-	scale    float64
 	start    time.Time
 	dialT    time.Duration
 	fprnt    string
@@ -490,7 +484,6 @@ func New(o Options) (*Runtime, error) {
 	rt := &Runtime{
 		procs:   o.Procs,
 		local:   local,
-		scale:   o.Timescale,
 		start:   time.Now(),
 		dialT:   dialT,
 		fprnt:   o.Fingerprint,
@@ -1049,20 +1042,6 @@ func (rt *Runtime) send(f *frame, m transport.Msg) {
 	ee.enqueue(of)
 }
 
-// afterOn runs fn after real under node id's state lock — the node whose
-// context scheduled it — unless the runtime is poisoned by then.
-func (rt *Runtime) afterOn(id int, real time.Duration, fn func()) {
-	time.AfterFunc(real, func() {
-		nd := rt.nodes[id]
-		nd.mu.Lock()
-		defer nd.mu.Unlock()
-		if rt.poisoned() {
-			return
-		}
-		fn()
-	})
-}
-
 // --- transport.Call ---
 
 // call is the handler-side view of one in-flight request. It runs in the
@@ -1085,13 +1064,9 @@ func (c *call) Reply(m transport.Msg) {
 	c.rt.send(&frame{Op: opReply, From: c.cur, To: c.origin, CallID: c.id, Idx: c.idx}, m)
 }
 
-func (c *call) ReplyAfter(d transport.Time, m transport.Msg) {
-	if real := c.rt.scaled(d); real > 0 {
-		c.rt.afterOn(c.cur, real, func() { c.Reply(m) })
-		return
-	}
-	c.Reply(m)
-}
+// ReplyAfter replies at once: the modelled processing cost d is time on
+// the simulator's clock only.
+func (c *call) ReplyAfter(d transport.Time, m transport.Msg) { c.Reply(m) }
 
 func (c *call) Forward(to int, m transport.Msg) {
 	from := c.cur
@@ -1103,13 +1078,8 @@ func (c *call) Forward(to int, m transport.Msg) {
 	c.rt.send(&frame{Op: opCall, From: from, To: to, Origin: c.origin, CallID: c.id, Idx: c.idx}, m)
 }
 
-func (c *call) ForwardAfter(d transport.Time, to int, m transport.Msg) {
-	if real := c.rt.scaled(d); real > 0 {
-		c.rt.afterOn(c.cur, real, func() { c.Forward(to, m) })
-		return
-	}
-	c.Forward(to, m)
-}
+// ForwardAfter forwards at once, as ReplyAfter replies.
+func (c *call) ForwardAfter(d transport.Time, to int, m transport.Msg) { c.Forward(to, m) }
 
 // --- transport.Transport ---
 
@@ -1164,12 +1134,21 @@ func (rt *Runtime) Multicall(p transport.Proc, reqs []transport.Target) []transp
 	return st.results
 }
 
-// After schedules fn to run in node's handler context after d (scaled).
-// Like ReplyAfter, it keeps firing after this endpoint's bodies finish — a
+// After runs fn in node's handler context, under its state lock, as soon
+// as the lock is free: the modelled delay d is time on the simulator's
+// clock only. It keeps firing after this endpoint's bodies finish — a
 // deferred grant may be what a still-running peer is blocked on — and
 // stops only when the runtime is poisoned.
 func (rt *Runtime) After(node int, d transport.Time, fn func()) {
-	rt.afterOn(node, rt.scaled(d), fn)
+	time.AfterFunc(0, func() {
+		nd := rt.nodes[node]
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		if rt.poisoned() {
+			return
+		}
+		fn()
+	})
 }
 
 // HoldOthers runs fn while every other hosted node is held still. The
@@ -1199,13 +1178,6 @@ func (rt *Runtime) HoldOthers(self int, fn func()) {
 		}
 	}
 	fn()
-}
-
-func (rt *Runtime) scaled(d transport.Time) time.Duration {
-	if d <= 0 || rt.scale <= 0 {
-		return 0
-	}
-	return time.Duration(float64(d) * rt.scale)
 }
 
 // Count adds the hosted nodes' traffic and wire counters into s and sets
@@ -1275,7 +1247,7 @@ func (rt *Runtime) Run() error {
 	for id, body := range rt.bodies {
 		id, body := id, body
 		nd := rt.nodes[id]
-		p := &proc{rt: rt, id: id, nd: nd}
+		p := &proc{rt: rt, id: id}
 		rt.bodyWG.Add(1)
 		go func() {
 			defer rt.bodyWG.Done()
@@ -1451,22 +1423,12 @@ func (rt *Runtime) poisoned() bool {
 type proc struct {
 	rt *Runtime
 	id int
-	nd *node
 }
 
 func (p *proc) ID() int { return p.id }
 
 func (p *proc) Now() transport.Time { return p.rt.Now() }
 
-// Advance models local computation: with a timescale it really sleeps
-// (releasing the node's state lock so its handlers keep running, like the
-// simulated process yielding to the event queue); without one it is free.
-func (p *proc) Advance(d transport.Time) {
-	real := p.rt.scaled(d)
-	if real <= 0 {
-		return
-	}
-	p.nd.mu.Unlock()
-	time.Sleep(real)
-	p.nd.mu.Lock()
-}
+// Advance is free: modelled computation is time on the simulator's clock
+// only.
+func (p *proc) Advance(d transport.Time) {}

@@ -192,30 +192,11 @@ func (s Shared[T]) Fill(w *Worker, i, n int, v T) {
 	})
 }
 
-// Prefetch declares that the window [lo, hi) is about to be read — the
-// span-granularity coherence hint. The engine fetches all of the
-// window's invalid pages right here, batched into one overlapped
-// Multicall, so the reads that follow find them valid instead of paying
-// one blocking fault per page. When the window holds nothing profitable
-// to batch the hint is a no-op and the faults fire on access exactly as
-// without it. Either way the hint never changes what the program
-// computes, only when its coherence traffic travels
-// (TestPrefetchEquivalence pins this).
-func (s Shared[T]) Prefetch(w *Worker, lo, hi int) {
-	s.checkRange(lo, hi)
-	if lo == hi {
-		return
-	}
-	es := mem.ElemSize[T]()
-	w.n.PrefetchRange(s.base+lo*es, (hi-lo)*es)
-}
-
 // Window names the byte range behind [lo, hi) without touching it: the
-// unit of a multi-range prefetch hint. A stencil phase that is about to
-// read boundary rows of several different grids passes one Window per
-// row to Worker.Prefetch, and all their pages batch into a single
-// planned Multicall — where per-array Prefetch hints would issue one
-// batch (or, for a single-page row, no batch at all) per array.
+// unit of a prefetch hint. A stencil phase that is about to read boundary
+// rows of several different grids passes one Window per row to
+// Worker.Prefetch, and all their pages batch into a single planned
+// Multicall.
 func (s Shared[T]) Window(lo, hi int) Window {
 	s.checkRange(lo, hi)
 	es := mem.ElemSize[T]()

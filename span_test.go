@@ -200,26 +200,41 @@ func TestSpanMidPageWindows(t *testing.T) {
 }
 
 // TestSpanFaultsOncePerPage pins the cost claim: a write span over k pages
-// takes exactly k write faults, not one per element.
+// takes exactly k write faults, not one per element, under every protocol.
+// Spans batch only their reads: the writer holds no copy of the k pages,
+// yet the write-only span issues no batched fetch, so each page's write
+// fault (an ownership request or a fetch and twin) runs on its own.
 func TestSpanFaultsOncePerPage(t *testing.T) {
-	cl := adsm.NewCluster(adsm.Config{Procs: 1, Protocol: adsm.MW})
-	arr := adsm.AllocArrayPageAligned[float64](cl, 4*512)
-	rep, err := cl.Run(func(w *adsm.Worker) {
-		arr.Span(w, 0, 4*512, adsm.Write, func(i int, p []float64) {
-			for k := range p {
-				p[k] = 1
+	const k = 4
+	for _, proto := range adsm.Protocols() {
+		t.Run(proto.String(), func(t *testing.T) {
+			cl := adsm.NewCluster(adsm.Config{Procs: 2, Protocol: proto})
+			arr := adsm.AllocArrayPageAligned[float64](cl, k*512)
+			rep, err := cl.Run(func(w *adsm.Worker) {
+				if w.ID() == 1 {
+					arr.Span(w, 0, k*512, adsm.Write, func(i int, p []float64) {
+						for j := range p {
+							p[j] = 1
+						}
+					})
+				}
+				w.Barrier()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := rep.Stats
+			if s.WriteFaults != k {
+				t.Errorf("write faults = %d, want %d (one per page)", s.WriteFaults, k)
+			}
+			if s.ReadFaults != 0 {
+				t.Errorf("read faults = %d, want 0 for a write-only span", s.ReadFaults)
+			}
+			if s.BatchedFetches != 0 || s.PrefetchPages != 0 {
+				t.Errorf("write-only span batched: %d rounds, %d pages, want none",
+					s.BatchedFetches, s.PrefetchPages)
 			}
 		})
-		w.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stats.WriteFaults != 4 {
-		t.Errorf("write faults = %d, want 4 (one per page)", rep.Stats.WriteFaults)
-	}
-	if rep.Stats.ReadFaults != 0 {
-		t.Errorf("read faults = %d, want 0 for a write-only span", rep.Stats.ReadFaults)
 	}
 }
 

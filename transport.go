@@ -89,10 +89,6 @@ type TCPConfig struct {
 	// own nodes only, and garbage-collecting protocols (MW under memory
 	// pressure) are not supported — use HLRC or raise DiffSpaceLimit.
 	Local []int
-	// Timescale turns the modelled compute costs (Worker.Compute, diff
-	// creation, the ownership quantum) into real sleeps scaled by this
-	// factor; 0 skips them so runs finish as fast as the wire allows.
-	Timescale float64
 	// DialTimeout bounds how long cluster construction waits for the
 	// peer mesh (default 20s).
 	DialTimeout time.Duration
@@ -155,7 +151,6 @@ func (cfg Config) runtimeFactory(epoch int64) core.RuntimeFactory {
 			Procs:       p.Procs,
 			Local:       tc.Local,
 			Addrs:       tc.Addrs,
-			Timescale:   tc.Timescale,
 			DialTimeout: tc.DialTimeout,
 			Fingerprint: tc.Fingerprint,
 			Epoch:       epoch,

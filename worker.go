@@ -64,21 +64,18 @@ func (w *Worker) BarrierCkpt(step int) { w.n.BarrierCkpt(int64(step)) }
 func (w *Worker) RecoverSync() int { return int(w.n.RecoverSync()) }
 
 // Prefetch declares that the given windows — typically of several
-// different shared arrays — are about to be read, batching all of their
-// invalid pages into one planned Multicall (the multi-range form of
-// Shared.Prefetch). Like the single-range hint it never changes what the
-// program computes: when there is nothing profitable to batch it is a
-// no-op and the faults fire on access exactly as without it.
+// different shared arrays — are about to be read: the span-granularity
+// coherence hint. The engine fetches all of their invalid pages right
+// here, batched into one overlapped Multicall, so the reads that follow
+// find them valid instead of paying one blocking fault per page. When
+// there is nothing profitable to batch the hint is a no-op and the faults
+// fire on access exactly as without it. Either way the hint never changes
+// what the program computes, only when its coherence traffic travels
+// (TestPrefetchEquivalence pins this).
 func (w *Worker) Prefetch(wins ...Window) {
-	rs := make([]core.Range, 0, len(wins))
-	for _, win := range wins {
-		if win.size == 0 {
-			continue
-		}
-		rs = append(rs, core.Range{Addr: win.addr, Size: win.size})
-	}
-	if len(rs) == 0 {
-		return
+	rs := make([]core.Range, len(wins))
+	for i, win := range wins {
+		rs[i] = core.Range{Addr: win.addr, Size: win.size}
 	}
 	w.n.PrefetchRanges(rs)
 }
