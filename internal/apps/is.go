@@ -54,18 +54,22 @@ func (is *IS) Setup(cl *adsm.Cluster) {
 // Body runs the rankings.
 func (is *IS) Body(w *adsm.Worker) {
 	// Deterministic global key population, striped across processors so
-	// the bucket totals are independent of the processor count.
+	// the bucket totals are independent of the processor count: each
+	// draws the seeded sequence up to its band's end and keeps the band.
 	rng := rand.New(rand.NewSource(7919))
-	all := make([]int, is.totalKeys)
-	for i := range all {
-		all[i] = rng.Intn(is.buckets)
-	}
 	klo, khi := band(is.totalKeys, w.Procs(), w.ID())
-	keys := all[klo:khi]
+	keys := make([]int, khi-klo)
+	for i := range khi {
+		k := rng.Intn(is.buckets)
+		if i >= klo {
+			keys[i-klo] = k
+		}
+	}
 
+	counts := make([]int64, is.buckets)
 	for it := 0; it < is.iters; it++ {
 		// Local counting in private buckets (compute only).
-		counts := make([]int64, is.buckets)
+		clear(counts)
 		for _, k := range keys {
 			counts[k]++
 		}

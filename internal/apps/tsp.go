@@ -160,42 +160,49 @@ func (t *TSP) Body(w *adsm.Worker) {
 // dfs explores all completions of the prefix, returning the best complete
 // tour found (0 if none beat the bound) and the number of nodes explored.
 func (t *TSP) dfs(prefix []int, bound int64) (best int64, explored int) {
-	used := make([]bool, t.cities)
-	path := make([]int, 0, t.cities)
+	s := tspSearch{dist: t.dist, cities: t.cities, bound: bound}
 	var length int64
 	for i, c := range prefix {
-		used[c] = true
-		path = append(path, c)
+		s.used |= 1 << c
 		if i > 0 {
 			length += t.dist[prefix[i-1]][c]
 		}
 	}
-	best = 0
-	var rec func(last int, length int64)
-	rec = func(last int, length int64) {
-		explored++
-		if length >= bound {
-			return
-		}
-		if len(path) == t.cities {
-			total := length + t.dist[last][0]
-			if total < bound {
-				bound = total
-				best = total
-			}
-			return
-		}
-		for c := 1; c < t.cities; c++ {
-			if used[c] {
-				continue
-			}
-			used[c] = true
-			path = append(path, c)
-			rec(c, length+t.dist[last][c])
-			path = path[:len(path)-1]
-			used[c] = false
-		}
+	s.rec(prefix[len(prefix)-1], len(prefix), length)
+	return s.best, s.explored
+}
+
+// tspSearch is one depth-first search below a prefix: the visited cities
+// as a bit mask (NewTSP builds at most 11), the bound it prunes against,
+// and what it found.
+type tspSearch struct {
+	dist     [][]int64
+	cities   int
+	used     uint64
+	bound    int64
+	best     int64
+	explored int
+}
+
+// rec extends a path of depth cities ending at last, in city order.
+func (s *tspSearch) rec(last, depth int, length int64) {
+	s.explored++
+	if length >= s.bound {
+		return
 	}
-	rec(prefix[len(prefix)-1], length)
-	return best, explored
+	if depth == s.cities {
+		if total := length + s.dist[last][0]; total < s.bound {
+			s.bound, s.best = total, total
+		}
+		return
+	}
+	row := s.dist[last]
+	for c := 1; c < s.cities; c++ {
+		if s.used&(1<<c) != 0 {
+			continue
+		}
+		s.used |= 1 << c
+		s.rec(c, depth+1, length+row[c])
+		s.used &^= 1 << c
+	}
 }

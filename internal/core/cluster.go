@@ -50,6 +50,11 @@ type Cluster struct {
 	DiffSeries     *stats.Series
 
 	gcRuns int64 // barrier manager (node 0) only
+
+	// zero is the all-zero page frame every initial copy starts on; frames
+	// checks that no shared frame is written (test builds, frame.go).
+	zero   []byte
+	frames frameLedger
 }
 
 // New creates a cluster with the given parameters.
@@ -67,7 +72,9 @@ func New(p Params) *Cluster {
 		homes:    p.Home.newAssigner(),
 		npages:   npages,
 		detector: newDetector(p.Procs),
+		zero:     mem.NewPage(),
 	}
+	c.frames.share(c.zero)
 	if p.Runtime != nil {
 		c.rt = p.Runtime(p)
 	} else {
@@ -209,8 +216,11 @@ func (c *Cluster) Run(body func(n *Node)) (transport.Time, error) {
 	if err := c.rt.Run(); err != nil {
 		return c.rt.Now(), err
 	}
-	return c.rt.Now(), nil
+	return c.rt.Now(), c.frames.verifyAll()
 }
+
+// zeroPage starts a page with no copy on the zero frame.
+func (c *Cluster) zeroPage(ps *pageState) { ps.data, ps.dataShared = c.zero, true }
 
 // handle dispatches an incoming protocol message (handler context; must
 // not block).

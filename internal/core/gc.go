@@ -106,7 +106,7 @@ func (n *Node) runGC(hints []gcHint) {
 	for _, h := range hints {
 		ps := n.pages[h.Page]
 		if ps.data != nil && !keeps(h, ps) {
-			ps.data = nil
+			ps.data, ps.dataShared = nil, false
 			ps.status = pageInvalid
 			for i := range ps.applied {
 				ps.applied[i] = 0
@@ -118,7 +118,7 @@ func (n *Node) runGC(hints []gcHint) {
 			// from a validator that already reflects these writes or from
 			// the owner chain).
 			n.liveTwinBytes -= int64(len(ps.twin))
-			ps.twin = nil
+			n.dropTwin(ps)
 			ps.undiffed = nil
 		}
 		ps.pending = ps.pending[:0]
@@ -140,7 +140,7 @@ func (n *Node) runGC(hints []gcHint) {
 	n.c.noteDiffCount(-n.liveDiffs)
 	n.liveDiffs = 0
 	n.liveDiffBytes = 0
-	n.freeTwins = nil // the twin pool was just collected: hold none of it back
+	n.freePages = nil // the twin pool was just collected: hold none of it back
 	for p := range n.intervals {
 		n.intervals[p] = nil
 	}

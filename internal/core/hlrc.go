@@ -33,7 +33,7 @@ func (hlrcPolicy) InitPage(c *Cluster, id, pg int, ps *pageState) {
 	}
 	ps.bindHome(home)
 	if id == home {
-		ps.data = mem.NewPage()
+		c.zeroPage(ps)
 		ps.status = pageReadOnly
 	}
 }
@@ -68,7 +68,7 @@ func (hlrcPolicy) MakeValid(n *Node, pg int, ps *pageState) {
 				// copy: pages are zero-initialized and every modification
 				// anywhere reaches the home as a flushed diff, so the zero
 				// page plus the applied flushes is exact.
-				ps.data = mem.NewPage()
+				n.c.zeroPage(ps)
 				continue
 			}
 			msg := fmt.Sprintf("dsm: hlrc home %d has a stale copy of page %d (applied=%v)", n.id, pg, ps.applied)
@@ -197,10 +197,12 @@ func (n *Node) serveHLRCFlush(c transport.Call, from int, m hlrcFlush) {
 			if n.c.homeOf(d.Page) != n.id {
 				panic(fmt.Sprintf("dsm: hlrc home %d missing page %d", n.id, d.Page))
 			}
-			ps.data = mem.NewPage()
+			n.c.zeroPage(ps)
 		}
+		n.ownData(ps)
 		d.Apply(ps.data)
 		if ps.twin != nil {
+			n.ownTwin(ps)
 			d.Apply(ps.twin)
 		}
 		ps.applied.Join(m.VC)

@@ -23,13 +23,21 @@ type pageState struct {
 	proto  Protocol
 	policy Policy
 
-	data    []byte // local copy; nil until first fetch (node 0, or the home, starts with one)
-	applied vc.VC  // writes reflected in data
+	// data is the local copy's frame (frame.go); nil until first fetch
+	// (node 0, or the home, starts on the zero frame). dataShared marks a
+	// frame that was handed out or adopted: it is read-only, and a store
+	// moves the page onto a private copy first (ownData).
+	data       []byte
+	dataShared bool
+	spanWrite  bool  // a write span's callback holds data (AccessRange)
+	applied    vc.VC // writes reflected in data
 
-	// Multiple-writer machinery.
-	twin     []byte
-	dirtyMW  bool         // written under a twin in the current interval
-	undiffed *WriteNotice // my last WN whose diff hasn't been created yet
+	// Multiple-writer machinery. The twin may share its frame (twinShared):
+	// a shared frame is already the pristine page a twin keeps.
+	twin       []byte
+	twinShared bool
+	dirtyMW    bool         // written under a twin in the current interval
+	undiffed   *WriteNotice // my last WN whose diff hasn't been created yet
 
 	// Invalidation.
 	pending []*WriteNotice // received write notices not yet applied
@@ -106,10 +114,11 @@ type Node struct {
 	// high-water mark in Stats.MaxLiveTwinDiff.
 	liveTwinBytes, liveDiffBytes int64
 
-	// freeTwins holds the buffers of twins this node has already diffed,
-	// for makeTwin to reuse: a twin never leaves its node. Emptied at
-	// garbage collection, so it never outlives the pool it came from.
-	freeTwins [][]byte
+	// freePages holds private page buffers this node let go of (diffed
+	// twins, replaced copies) for copyFrame to reuse; a shared frame is
+	// never pooled. Emptied at garbage collection, so it never outlives the
+	// pool it came from.
+	freePages [][]byte
 
 	// Checkpointing (ckpt.go): the node's durable store (nil when
 	// checkpointing is off) and the cluster-dirty page set accumulated
@@ -251,6 +260,7 @@ func (n *Node) access(addr, size int, write bool) ([]byte, int) {
 			n.writeFault(pg)
 		}
 		n.markWritten(pg, ps)
+		n.ownData(ps)
 	} else if ps.status == pageInvalid {
 		n.readFault(pg)
 	}
@@ -334,7 +344,8 @@ func (n *Node) writeFault(pg int) {
 
 // makeTwin creates the pristine copy used for diffing; if a previous
 // interval's twin is still pending (lazy diffing), its diff is created
-// first so the twin can be reused.
+// first so the twin can be reused. Either way the write costs one page
+// copy.
 func (n *Node) makeTwin(pg int, ps *pageState) {
 	if ps.undiffed != nil {
 		n.makeDiff(pg, ps)
@@ -349,11 +360,13 @@ func (n *Node) makeTwin(pg int, ps *pageState) {
 		return
 	}
 	n.proc.Advance(n.c.params.CostTwin)
-	if k := len(n.freeTwins) - 1; k >= 0 {
-		ps.twin = append(n.freeTwins[k][:0], ps.data...)
-		n.freeTwins = n.freeTwins[:k]
+	if ps.dataShared {
+		// A shared frame already is the pristine page: it becomes the
+		// twin as is, and the store this fault serves moves the data onto
+		// the one private copy (ownData).
+		ps.twin, ps.twinShared = ps.data, true
 	} else {
-		ps.twin = mem.Twin(ps.data)
+		ps.twin = n.copyFrame(ps.data)
 	}
 	ps.dirtyMW = true
 	n.dirty = append(n.dirty, pg)
@@ -377,8 +390,7 @@ func (n *Node) makeDiff(pg int, ps *pageState) *mem.Diff {
 	n.storeDiff(wn, d, true)
 	ps.undiffed = nil
 	n.liveTwinBytes -= int64(len(ps.twin))
-	n.freeTwins = append(n.freeTwins, ps.twin) // d holds copies of ps.data only
-	ps.twin = nil
+	n.dropTwin(ps) // d holds copies of ps.data only
 	n.noteDiffSize(ps, d)
 	n.c.detector.noteDiff(pg, d)
 	return d

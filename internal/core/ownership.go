@@ -191,7 +191,7 @@ func (n *Node) serveOwnership(c transport.Call, from int, m ownReq) {
 		}
 	}
 	if send {
-		resp.Data, resp.Applied = ps.copyPage()
+		resp.Data, resp.Applied = n.serveFrame(ps)
 	}
 	c.Reply(resp)
 }
@@ -281,7 +281,7 @@ func (n *Node) grantSW(pg int, ps *pageState) {
 	// In the pure SW protocol both nodes learn the new version number.
 	n.handAway(pg, ps, requester, newVer, true)
 	n.Stats.OwnershipGrants++
-	data, applied := ps.copyPage()
+	data, applied := n.serveFrame(ps)
 	c.Reply(swOwnGrant{Version: newVer, Data: data, Applied: applied})
 }
 

@@ -1,7 +1,5 @@
 package core
 
-import "adsm/internal/mem"
-
 // The protocol-strategy seam: every place the engine used to switch on
 // Params.Protocol now calls through the Policy interface, so a protocol is
 // one type implementing these hooks plus one row of the fixed protocol
@@ -131,7 +129,7 @@ func (basePolicy) SpanSettle(n *Node, pg int, ps *pageState) { n.lrcSpanSettle(p
 func ownerInitPage(c *Cluster, id, pg int, ps *pageState) {
 	ps.initPage(modeSW, id == 0)
 	if id == 0 {
-		ps.data = mem.NewPage()
+		c.zeroPage(ps)
 		ps.status = pageReadOnly
 	}
 }
@@ -143,7 +141,7 @@ type mwPolicy struct{ basePolicy }
 func (mwPolicy) InitPage(c *Cluster, id, pg int, ps *pageState) {
 	ps.initPage(modeMW, false)
 	if id == 0 {
-		ps.data = mem.NewPage()
+		c.zeroPage(ps)
 		ps.status = pageReadOnly
 	}
 }

@@ -212,7 +212,7 @@ func (n *Node) prefetchPages(pages []int) {
 				continue
 			}
 			n.Stats.PageFetches++
-			n.installPage(pl.pg, pl.ps, pc.Data, pc.Applied.Copy())
+			n.installPage(pl.pg, pl.ps, pc.Data, pc.Applied)
 		}
 		n.Stats.PrefetchPages++
 		pl.ps.policy.SpanSettle(n, pl.pg, pl.ps)
@@ -276,8 +276,8 @@ func (n *Node) lrcSpanSettle(pg int, ps *pageState) {
 	}
 }
 
-// serveSpanFetch answers a batched span fetch (handler context): snapshot
-// copies of the requested pages it holds, the requested diff bundles
+// serveSpanFetch answers a batched span fetch (handler context): the
+// frames of the requested pages it holds, the requested diff bundles
 // (missing diffs created lazily, their cost charged as reply latency),
 // and unserved markers for pages it has no copy of — the case servePage
 // answers by forwarding, which a batched call cannot.

@@ -24,7 +24,9 @@ import (
 // hands each in-page chunk to fn as a mutable sub-slice of the live local
 // page copy. rel is the byte offset of the chunk within the range. The
 // slice is valid only for the duration of the callback: the next fault on
-// the page may replace the backing array.
+// the page may replace the backing array. A write chunk is the page's
+// private frame; should fn block (a fault on another page), a peer served
+// the page meanwhile gets a copy of it.
 //
 // read and write select the fault semantics, mirroring what a per-element
 // loop over the range would trigger:
@@ -81,12 +83,17 @@ func (n *Node) AccessRange(addr, size, step int, read, write bool, fn func(rel i
 					n.writeFault(pg)
 				}
 				n.markWritten(pg, ps)
+				n.ownData(ps)
 			}
 		}
 		// Re-read the page state: fault handling may have replaced the
-		// backing array (installPage allocates on first fetch).
+		// frame (installPage adopts the fetched one, a store copies a
+		// shared one).
 		pgOff := off & (mem.PageSize - 1)
-		fn(off-addr, n.pages[pg].data[pgOff:pgOff+(end-off)])
+		ps := n.pages[pg]
+		ps.spanWrite = write
+		fn(off-addr, ps.data[pgOff:pgOff+(end-off)])
+		ps.spanWrite = false
 		off = end
 	}
 }

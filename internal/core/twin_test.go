@@ -23,11 +23,13 @@ func TestNoteLiveHighWater(t *testing.T) {
 	}
 }
 
-// TestTwinRecycling: a twin's buffer goes back to its node when the twin is
-// diffed and the next write fault reuses it. The recycled twin must be a
-// pristine copy of the page it now guards (nothing of the previous page
-// survives), the twin accounting must read exactly as if it had been
-// allocated afresh, and garbage collection must empty the free list.
+// TestTwinRecycling: a twin that shares a frame is never pooled, and a
+// private twin's buffer goes back to its node when the twin is diffed, for
+// the next page copy to reuse. Node 1's first twin of page A is the frame
+// node 0 served it; its second is a private copy, made because nobody
+// shared node 1's own copy in between. The recycled buffer must then hold
+// exactly the page it now backs (nothing of page A survives), and the twin
+// accounting must read exactly as if every twin had been allocated afresh.
 func TestTwinRecycling(t *testing.T) {
 	const patA, patB = 0xAAAAAAAAAAAAAAAA, 0xBBBBBBBBBBBBBBBB
 	p := testParams(2, MW)
@@ -42,40 +44,59 @@ func TestTwinRecycling(t *testing.T) {
 			}
 		}
 		n.Barrier()
-		var first []byte
 		if n.ID() == 1 {
-			n.WriteU64(base, 1) // write fault on page A: the first twin
-			first = n.pages[pgA].twin
-			if first == nil || n.liveTwinBytes != mem.PageSize {
-				t.Fatalf("after the first write: twin %v, LiveTwinBytes %d", first != nil, n.liveTwinBytes)
+			n.WriteU64(base, 1) // fetches page A from node 0, then twins it
+			ps := n.pages[pgA]
+			if !ps.twinShared || &ps.twin[0] != &c.nodes[0].pages[pgA].data[0] {
+				t.Fatalf("page A's first twin is not the frame node 0 served")
 			}
 		}
 		n.Barrier()
 		if n.ID() == 0 {
-			n.ReadU64(base) // pulls node 1's diff, which retires the twin
+			n.ReadU64(base) // pulls node 1's diff, which retires the shared twin
+		}
+		n.Barrier()
+		var private []byte
+		if n.ID() == 1 {
+			if n.pages[pgA].twin != nil || len(n.freePages) != 0 {
+				t.Fatalf("a retired shared twin went to the pool (%d free pages)", len(n.freePages))
+			}
+			n.WriteU64(base+8, 2) // our own copy of A was never served: a private twin
+			ps := n.pages[pgA]
+			if private = ps.twin; ps.twinShared || ps.dataShared {
+				t.Fatalf("page A's second twin or its data is shared")
+			}
+		}
+		n.Barrier()
+		if n.ID() == 0 {
+			n.ReadU64(base) // retires the private twin
 		}
 		n.Barrier()
 		if n.ID() == 1 {
-			if n.pages[pgA].twin != nil || n.liveTwinBytes != 0 {
-				t.Fatalf("twin of page A still live after its diff was served")
+			if len(n.freePages) != 1 || &n.freePages[0][0] != &private[0] {
+				t.Fatalf("free list %d long, want exactly the retired private twin", len(n.freePages))
 			}
-			if len(n.freeTwins) != 1 || &n.freeTwins[0][0] != &first[0] {
-				t.Fatalf("free list %d long, want exactly the retired twin", len(n.freeTwins))
-			}
-			n.WriteU64(base+mem.PageSize+8, 2) // write fault on page B
-			tw := n.pages[pgB].twin
-			if &tw[0] != &first[0] || len(n.freeTwins) != 0 {
-				t.Fatalf("page B's twin was not taken from the free list")
+			n.WriteU64(base+mem.PageSize+8, 2) // fetches page B, twins it, copies the data
+			ps := n.pages[pgB]
+			if &ps.data[0] != &private[0] || len(n.freePages) != 0 {
+				t.Fatalf("page B's private copy was not taken from the free list")
 			}
 			for off := 0; off < mem.PageSize; off += 8 {
-				if got := mem.LoadUint64(tw, off); got != patB {
-					t.Fatalf("recycled twin at %d = %#x, want page B's pristine %#x", off, got, uint64(patB))
+				want := uint64(patB)
+				if off == 8 {
+					want = 2
+				}
+				if got := mem.LoadUint64(ps.data, off); got != want {
+					t.Fatalf("recycled copy at %d = %#x, want %#x", off, got, want)
+				}
+				if got := mem.LoadUint64(ps.twin, off); got != patB {
+					t.Fatalf("page B's twin at %d = %#x, want the pristine %#x", off, got, uint64(patB))
 				}
 			}
 			s := &n.Stats
-			if s.TwinsCreated != 2 || s.TwinBytes != 2*mem.PageSize || n.liveTwinBytes != mem.PageSize {
-				t.Fatalf("twins %d, cumulative %d B, live %d B; want 2, %d, %d",
-					s.TwinsCreated, s.TwinBytes, n.liveTwinBytes, 2*mem.PageSize, mem.PageSize)
+			if s.TwinsCreated != 3 || s.TwinBytes != 3*mem.PageSize || n.liveTwinBytes != mem.PageSize {
+				t.Fatalf("twins %d, cumulative %d B, live %d B; want 3, %d, %d",
+					s.TwinsCreated, s.TwinBytes, n.liveTwinBytes, 3*mem.PageSize, mem.PageSize)
 			}
 			if want := n.liveTwinBytes + n.liveDiffBytes; s.MaxLiveTwinDiff != want {
 				t.Fatalf("MaxLiveTwinDiff %d, want the current twin plus diff pool %d", s.MaxLiveTwinDiff, want)
@@ -86,7 +107,8 @@ func TestTwinRecycling(t *testing.T) {
 }
 
 // TestGCEmptiesTwinFreeList: the free list only ever holds what was a live
-// twin, and a garbage collection, which drops the twin pool, drops it too.
+// private buffer, at most a copy and a twin per page, and a garbage
+// collection, which drops the twin pool, drops it too.
 func TestGCEmptiesTwinFreeList(t *testing.T) {
 	p := testParams(2, MW)
 	p.DiffSpaceLimit = 6 * 1024
@@ -103,16 +125,16 @@ func TestGCEmptiesTwinFreeList(t *testing.T) {
 			n.Barrier()
 			if c.GCRuns() > before {
 				collected++
-				if n.freeTwins != nil {
-					t.Errorf("round %d: node %d holds %d free twins right after a collection", r, n.ID(), len(n.freeTwins))
+				if n.freePages != nil {
+					t.Errorf("round %d: node %d holds %d free pages right after a collection", r, n.ID(), len(n.freePages))
 				}
 			}
 			for pg := 0; pg < pages; pg++ {
 				n.ReadU64(base + pg*mem.PageSize + 8*(1-n.ID()))
 			}
 			n.Barrier()
-			if int64(len(n.freeTwins)) > n.Stats.TwinsCreated {
-				t.Errorf("round %d: %d free twins but only %d ever made", r, len(n.freeTwins), n.Stats.TwinsCreated)
+			if len(n.freePages) > 2*pages {
+				t.Errorf("round %d: %d free pages, more than %d pages can hold at once", r, len(n.freePages), pages)
 			}
 		}
 	})

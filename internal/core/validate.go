@@ -134,16 +134,19 @@ func (n *Node) mergeOnce(pg int, ps *pageState) {
 func (n *Node) fetchPage(pg int, ps *pageState, target int) {
 	resp := n.c.rt.Call(n.proc, target, pageReq{Page: pg}).(pageResp)
 	n.Stats.PageFetches++
-	n.installPage(pg, ps, resp.Data, resp.Applied.Copy())
+	n.installPage(pg, ps, resp.Data, resp.Applied)
 }
 
-// installPage replaces the local copy with fetched contents. The incoming
-// copy's applied vector need not dominate ours (two owner copies can be
-// incomparable during transitions), so every diff-backed write our old copy
-// reflected that the new copy misses is replayed — re-fetching the diff
-// from its writer if it is not cached. Writes held under a twin (this
-// node's newest, not-yet-diffed modifications) are re-applied last and only
-// to the data, keeping the twin a pristine base. Runs in process context.
+// installPage replaces the local copy with fetched contents by adopting
+// the received frame (frame.go). The incoming copy's applied vector need
+// not dominate ours (two owner copies can be incomparable during
+// transitions), so every diff-backed write our old copy reflected that the
+// new copy misses is replayed — re-fetching the diff from its writer if it
+// is not cached. Writes held under a twin (this node's newest,
+// not-yet-diffed modifications) are re-applied last and only to the data,
+// keeping the twin a pristine base: the received frame becomes the twin,
+// and the data moves onto a private copy when something is applied to it.
+// applied must not alias ps.applied. Runs in process context.
 func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) {
 	if ps.undiffed != nil && ps.undiffed.Int.VC.Leq(applied) {
 		// The incoming copy already holds our undiffed writes (a grant
@@ -152,7 +155,6 @@ func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) 
 		// now, and let the copy replace ours whole.
 		n.makeDiff(pg, ps)
 	}
-	old := ps.applied.Copy()
 
 	// Diff-backed writes our old copy had that the new copy misses.
 	var replay []*WriteNotice
@@ -162,7 +164,7 @@ func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) 
 			// owner's copy contains all earlier owners' writes.
 			continue
 		}
-		if !wn.Int.VC.Leq(old) || wn.Int.VC.Leq(applied) {
+		if !wn.Int.VC.Leq(ps.applied) || wn.Int.VC.Leq(applied) {
 			continue
 		}
 		if wn.Int.Proc == n.id && n.diffCache[keyOf(wn)] == nil {
@@ -179,14 +181,10 @@ func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) 
 	var mine *mem.Diff
 	if ps.twin != nil {
 		mine = mem.MakeDiff(pg, ps.twin, ps.data)
-		ps.data = append(ps.data[:0], data...)
-		ps.twin = append(ps.twin[:0], data...)
-	} else {
-		if ps.data == nil {
-			ps.data = make([]byte, len(data))
-		}
-		copy(ps.data, data)
+		n.release(ps.twin, ps.twinShared)
+		ps.twin, ps.twinShared = data, true
 	}
+	n.adopt(ps, data)
 	ps.applied = append(ps.applied[:0], applied...)
 	if ps.undiffed != nil {
 		// Committed-but-undiffed writes are re-applied via `mine`.
@@ -200,14 +198,17 @@ func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) 
 			if d == nil {
 				panic("dsm: replay diff unavailable")
 			}
+			n.ownData(ps)
 			d.Apply(ps.data)
 			if ps.twin != nil {
+				n.ownTwin(ps)
 				d.Apply(ps.twin)
 			}
 			ps.applied.Join(wn.Int.VC)
 		}
 	}
-	if mine != nil {
+	if mine != nil && mine.NumRuns() > 0 {
+		n.ownData(ps)
 		mine.Apply(ps.data)
 	}
 }
@@ -273,8 +274,10 @@ func (n *Node) applyDiffs(pg int, ps *pageState, wns []*WriteNotice) {
 			panic("dsm: missing diff at apply time")
 		}
 		n.notePushUsed(k)
+		n.ownData(ps)
 		d.Apply(ps.data)
 		if ps.twin != nil {
+			n.ownTwin(ps)
 			d.Apply(ps.twin)
 		}
 		ps.applied.Join(wn.Int.VC)
@@ -286,20 +289,15 @@ func (n *Node) applyDiffs(pg int, ps *pageState, wns []*WriteNotice) {
 
 // --- server side ---
 
-// snapshotPage runs the serve-side policy hook and returns a private
-// copy of the page (data + applied) for a reply to `from`. Shared by the
-// serial pageReq handler and the batched span-fetch handler so the two
-// paths cannot drift. The copy is the reply's own: the simulator hands
-// messages over by reference, so the page may change under a shared
-// slice before the requester installs it. Handler context.
+// snapshotPage runs the serve-side policy hook and hands out the page's
+// frame (serveFrame) for a reply to `from`. Shared by the serial pageReq
+// handler and the batched span-fetch handler so the two paths cannot
+// drift. The frame is shared from here on: this node's next store moves
+// onto a private copy, so the requester installs the page as it stood
+// now. Handler context.
 func (n *Node) snapshotPage(from, pg int, ps *pageState) ([]byte, vc.VC) {
 	ps.policy.OnServePage(n, from, pg, ps)
-	return ps.copyPage()
-}
-
-// copyPage returns a private copy of the page and its applied vector.
-func (ps *pageState) copyPage() ([]byte, vc.VC) {
-	return append([]byte(nil), ps.data...), ps.applied.Copy()
+	return n.serveFrame(ps)
 }
 
 // heldDiff resolves one diff this node holds: cached, or its own pending
@@ -328,8 +326,8 @@ func (n *Node) serveDiffKey(pg int, ps *pageState, k wnKey) (*mem.Diff, transpor
 	return d, cost
 }
 
-// servePage handles a pageReq: reply with a snapshot of our copy, or
-// forward along the perceived-owner chain if we have none.
+// servePage handles a pageReq: reply with our copy's frame, or forward
+// along the perceived-owner chain if we have none.
 func (n *Node) servePage(c transport.Call, from int, m pageReq) {
 	ps := n.pages[m.Page]
 	if ps.data == nil {

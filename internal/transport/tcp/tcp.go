@@ -264,7 +264,11 @@ func writeOut(w io.Writer, of outFrame) error {
 
 // readFrame reads and decodes one frame. Binary bodies are decoded by
 // slicing the frame blob (the message owns the blob afterwards); gob
-// bodies decode to a message of a registered hookless codec.
+// bodies decode to a message of a registered hookless codec. A node that
+// installs a page from a reply adopts the page's capped slice of the blob
+// as its frame for as long as it holds the page (internal/core/frame.go):
+// reusing body buffers across frames (ROADMAP item 20) must leave a blob
+// alone while any page still holds a slice of it.
 func readFrame(r io.Reader) (*frame, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
