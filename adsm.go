@@ -244,14 +244,6 @@ type Addr = int
 // application checksums).
 func (cl *Cluster) Hosts(id int) bool { return cl.c.Hosts(id) }
 
-// ErrGCUnsupported is returned (wrapped) by Run when barrier-time garbage
-// collection triggers on a multi-process transport: the hint scan needs
-// every node's page state in one address space. Match with errors.Is and
-// retry with HLRC or a larger DiffSpaceLimit. Only the process hosting
-// node 0 (the barrier manager) observes this error; its peers see the
-// mesh tear down.
-var ErrGCUnsupported = core.ErrGCUnsupported
-
 // ErrPeerLost is returned (wrapped) by Run under the TCP transport when a
 // peer's connection breaks without the orderly bye that ends a healthy
 // run: the peer crashed or was killed. Match with errors.Is; recoverable

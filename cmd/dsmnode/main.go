@@ -16,9 +16,10 @@
 //	dsmrun -transport tcp -tcp-addrs 127.0.0.1:7701,127.0.0.1:7702,127.0.0.1:7703 \
 //	        -app SOR -quick -protocol HLRC -procs 3
 //
-// Garbage-collecting runs (MW under memory pressure) need every node in
-// one process; multi-process runs should use HLRC or a DiffSpaceLimit
-// large enough never to trigger a collection.
+// Every protocol runs, barrier-time garbage collection included: the
+// barrier manager, node 0, picks each collected page's keeper from its own
+// state and the barrier arrivals, so the number of collections is reported
+// by the process hosting node 0.
 //
 // Recoverable runs (`-recoverable`) execute the built-in checkpointed
 // stencil instead of `-app`: every barrier interval is replicated to the

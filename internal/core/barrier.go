@@ -1,27 +1,18 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"adsm/internal/transport"
 )
 
-// ErrGCUnsupported reports that barrier-time garbage collection was
-// triggered on a multi-process transport. The hint scan reads every node's
-// page state, which only exists in a single-process deployment (sim or
-// in-process tcp); a distributed hint exchange is a ROADMAP follow-on.
-// The manager raises it through the transport's panic-recovery path, so it
-// surfaces as a Run error (match with errors.Is) on the process hosting
-// node 0.
-var ErrGCUnsupported = errors.New(
-	"dsm: garbage collection is not supported on a multi-process transport (use HLRC or raise DiffSpaceLimit)")
-
 // Barriers: centralized at node 0 (the manager). Arrivals carry each
 // node's new intervals; releases carry the intervals each waiter lacks.
 // Garbage collection is coordinated by piggybacking a memory-pressure flag
 // on arrivals and the GC decision (plus post-GC page routing hints) on
-// releases, exactly one barrier round late as in TreadMarks.
+// releases, exactly one barrier round late as in TreadMarks. The manager
+// decides from the arrivals and its own node's state alone, so one code
+// path serves the simulator, the in-process mesh and a multi-process one.
 
 // barrierMgr is the manager-side state (one barrier at a time).
 type barrierMgr struct {
@@ -31,6 +22,9 @@ type barrierMgr struct {
 	knows    [][]int32
 	pressure bool
 	gcRound  bool // current round is the GC mini-barrier (no nested GC)
+	// writers[pg] has bit p set when an arrival carried an interval of
+	// processor p that wrote page pg since the page was last collected.
+	writers []uint64
 }
 
 // Barrier synchronizes all nodes, propagating all write notices.
@@ -42,8 +36,14 @@ func (n *Node) Barrier() {
 		// a diff: it collects as soon as its pool is over the limit, with
 		// no messages, instead of keeping every diff it ever made.
 		if n.c.policy.MemPressure(n) {
+			writers := make([]uint64, len(n.wroteSinceGC))
+			for pg, w := range n.wroteSinceGC {
+				if w {
+					writers[pg] = 1 << uint(n.id)
+				}
+			}
 			n.c.gcRuns++
-			n.runGC(n.c.computeGCHints())
+			n.runGC(n.gcHints(writers))
 		}
 		return
 	}
@@ -147,6 +147,13 @@ func (n *Node) serveBarrier(c transport.Call, from int, m barArrive) {
 		// relay redundantly).
 		ad.noteArrival(m.Intervals)
 	}
+	// Every node's intervals since the last release reach the manager in
+	// its own arrival (node 0's too), so the writer masks miss no write.
+	for _, iv := range m.Intervals {
+		for _, wn := range iv.WNs {
+			b.writers[wn.Page] |= 1 << uint(iv.Proc)
+		}
+	}
 	b.arrived++
 	b.calls = append(b.calls, c)
 	b.knows = append(b.knows, m.KnownTS)
@@ -161,14 +168,7 @@ func (n *Node) serveBarrier(c transport.Call, from int, m barArrive) {
 	doGC := b.pressure && !b.gcRound
 	var hints []gcHint
 	if doGC {
-		if n.c.Partial() {
-			// Multi-process runs must use a protocol that never collects
-			// (HLRC) or a DiffSpaceLimit large enough not to trigger.
-			// Panicking with the typed error lets the transport's handler
-			// recovery turn it into a clean Run error.
-			panic(ErrGCUnsupported)
-		}
-		n.c.rt.HoldOthers(n.id, func() { hints = n.c.computeGCHints() })
+		hints = n.gcHints(b.writers)
 		n.c.gcRuns++
 	}
 	// Adaptive switch decisions never ride a GC-triggering release: the
@@ -179,7 +179,7 @@ func (n *Node) serveBarrier(c transport.Call, from int, m barArrive) {
 	// releases GC-triggering.
 	var switches []policySwitch
 	if ad := n.c.adapt; ad != nil && !ad.frozen && !doGC {
-		n.c.rt.HoldOthers(n.id, func() { switches = n.c.adaptDecide() })
+		switches = n.c.adaptDecide()
 	}
 	global := append([]int32(nil), n.knownTS...)
 	calls, knows := b.calls, b.knows

@@ -87,10 +87,10 @@ func New(p Params) *Cluster {
 	var probe stats.Counters
 	c.rt.Count(&probe)
 	c.framed = probe.LaneBytes != nil
-	// Node state exists for every node (handlers route by id and the
-	// single-process GC scan reads it), but only hosted nodes register
-	// handlers, get their pages initialized, and execute bodies. Per-page
-	// state is built in Run, once the allocation is known.
+	// A Node exists for every id (Node and Totals index by id), but only
+	// hosted nodes register handlers, get page state, and execute
+	// bodies. Per-page state is built in Run, once the allocation is
+	// known.
 	for i := 0; i < p.Procs; i++ {
 		c.nodes = append(c.nodes, newNode(c, i))
 	}
@@ -184,7 +184,8 @@ func (c *Cluster) alloc(what string, n, align int) int {
 
 // Run executes body on every node (SPMD) and returns the virtual time at
 // completion. Per-page state — page structs, initial copies, home tables,
-// detector slots — is built here rather than at construction:
+// detector slots, the barrier manager's writer masks — is built here
+// rather than at construction:
 // every allocation has happened, so allocation-aware home policies see the
 // final data layout and everything is sized by usedPages(), what the
 // program shares, instead of the segment's capacity. Pages beyond the
@@ -196,12 +197,11 @@ func (c *Cluster) Run(body func(n *Node)) (transport.Time, error) {
 	c.started = true
 	used := c.usedPages()
 	c.detector.pages = make([]detPage, used)
-	for _, n := range c.nodes {
-		n.buildPages(used)
-	}
+	c.bar.writers = make([]uint64, used)
 	c.homes.Prepare(c)
 	for _, i := range c.local {
 		n := c.nodes[i]
+		n.buildPages(used)
 		for pg, ps := range n.pages {
 			c.policy.InitPage(c, n.id, pg, ps)
 		}

@@ -21,9 +21,8 @@ import (
 // Every node notes its own accesses, concurrently on a real transport.
 // noteAccess, which runs on every write, returns on a fast path when the
 // page's atomically read bitmasks already hold its bits; every bitmask
-// change, noteWrite and noteDiff run under mu. Readers of the per-page
-// fields (Characteristics, the adaptive meta-protocol) run after the run
-// or with every node held still (transport.Runtime.HoldOthers).
+// change, noteWrite and noteDiff run under mu. The adaptive meta-protocol
+// reads the per-page fields under mu; Characteristics runs after the run.
 type Detector struct {
 	nprocs int
 	pages  []detPage

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"math/bits"
 
 	"adsm/internal/mem"
 )
@@ -19,69 +19,50 @@ import (
 // owner as its owner (Section 3.1.1, "Merging Single Writer Copies and
 // Diffs").
 
-// computeGCHints decides, per written page, which node keeps (and
-// validates) the page. It runs on the barrier manager when all nodes have
-// arrived, with every other node held still; the scan stands in for the
-// copyset metadata a real TreadMarks node maintains, and its result is
-// charged to the release messages.
-func (c *Cluster) computeGCHints() []gcHint {
+// gcHints decides, per page written since the last collection, which node
+// keeps (and validates) the page. It runs on node 0, the barrier manager,
+// when every node has arrived, and reads only node 0's own state:
+// writers[pg] has bit p set when processor p wrote page pg since the last
+// collection (every writer's intervals reached node 0 in its barrier
+// arrival), and node 0's routing for an ownership page names the page's
+// authority, because every owner write notice reached it the same way.
+// The writers of each hinted page are cleared, as runGC clears
+// wroteSinceGC.
+func (n *Node) gcHints(writers []uint64) []gcHint {
 	var hints []gcHint
-	for pg := 0; pg < c.usedPages(); pg++ {
-		// Per-page policy: all nodes agree on a page's protocol at barrier
-		// time (switches are barrier-epoch synchronized), so node 0's view
-		// stands for the cluster's.
-		policy := c.nodes[0].pages[pg].policy
-		if !policy.GCEligible() {
+	for pg, w := range writers {
+		ps := n.pages[pg]
+		if w == 0 || !ps.policy.GCEligible() {
 			// HLRC pages hold no twins or lazy diffs: their diffs were
 			// flushed home and retired at interval close, so there is
 			// nothing to collect and the home copy must not be dropped.
 			continue
 		}
-		written := false
-		for _, n := range c.nodes {
-			if n.wroteSinceGC[pg] {
-				written = true
-				break
-			}
+		// MW keeps the lowest-numbered writer (all writers validate in
+		// pure MW; see runGC).
+		h := gcHint{Page: pg, Owner: bits.TrailingZeros64(w)}
+		switch {
+		case !ps.policy.GCKeeperIsOwner():
+		case ps.owner || ps.wasLast:
+			h.Owner, h.Version = n.id, ps.version
+		default:
+			h.Owner, h.Version = ps.perceivedOwner, ps.perceivedVersion
 		}
-		if !written {
-			continue
-		}
-		keeper := -1
-		version := int32(0)
-		if policy.GCKeeperIsOwner() {
-			for _, n := range c.nodes {
-				ps := n.pages[pg]
-				if ps.owner || ps.wasLast {
-					if keeper != -1 {
-						panic(fmt.Sprintf("dsm: page %d has two ownership authorities (%d and %d)", pg, keeper, n.id))
-					}
-					keeper = n.id
-					version = ps.version
-				}
-			}
-		}
-		if keeper == -1 {
-			// MW: keep the lowest-numbered writer (all writers validate in
-			// pure MW; see runGC).
-			for _, n := range c.nodes {
-				if n.wroteSinceGC[pg] && n.pages[pg].data != nil {
-					keeper = n.id
-					break
-				}
-			}
-		}
-		if keeper == -1 {
-			continue
-		}
-		hints = append(hints, gcHint{Page: pg, Owner: keeper, Version: version})
+		hints = append(hints, h)
+		writers[pg] = 0
+	}
+	if gcHintsCheck != nil {
+		gcHintsCheck(n.c, hints)
 	}
 	return hints
 }
 
+// gcHintsCheck, when set (test builds), sees every collection's hints.
+var gcHintsCheck func(c *Cluster, hints []gcHint)
+
 // runGC executes the two GC phases on this node (process context):
-// validation (or nothing, for nodes that will drop), a mini-barrier when
-// the node has peers, then the drop phase.
+// validation (or nothing, for nodes that will drop) and the keeper's
+// verdict, a mini-barrier when the node has peers, then the drop phase.
 func (n *Node) runGC(hints []gcHint) {
 	// keeps reports whether this node validates and keeps its copy: the
 	// keeper does, and in MW every writer does too (in the adaptive
@@ -90,11 +71,30 @@ func (n *Node) runGC(hints []gcHint) {
 	keeps := func(h gcHint, ps *pageState) bool {
 		return n.id == h.Owner || !ps.policy.GCCollapseToSW() && n.wroteSinceGC[h.Page] && ps.data != nil
 	}
-	// Phase 1: validation.
+	// Phase 1: validation, then the verdict, and the write-notice history
+	// goes. Both precede the mini-barrier arrival: once it is released, a
+	// peer may at once ask the keeper for the page, and the manager may
+	// ingest a peer's next barrier arrival, before this node's drop phase
+	// runs. Applied later, the verdict let a keeper grant the page under
+	// its old state and then make itself owner again, and the history
+	// drop lost the peer's new intervals.
 	for _, h := range hints {
 		if ps := n.pages[h.Page]; ps.data != nil && keeps(h, ps) {
 			n.validate(h.Page)
 		}
+	}
+	for _, h := range hints {
+		ps := n.pages[h.Page]
+		ps.pending = ps.pending[:0]
+		ps.knownWNs = nil
+		ps.ownerWN = nil
+		ps.myLastWN = nil
+		n.gcCollapse(ps, h, ps.policy.GCCollapseToSW())
+	}
+	// Everyone's knowledge vectors are equal after the barrier, so no
+	// future acquire can need a discarded interval.
+	for p := range n.intervals {
+		n.intervals[p] = nil
 	}
 
 	// Mini-barrier: every diff anyone still needs has now been fetched.
@@ -121,19 +121,12 @@ func (n *Node) runGC(hints []gcHint) {
 			n.dropTwin(ps)
 			ps.undiffed = nil
 		}
-		ps.pending = ps.pending[:0]
-		ps.knownWNs = nil
-		ps.ownerWN = nil
-		ps.myLastWN = nil
 		ps.seesFS = false
 		ps.copysetFS = nil
-		n.gcCollapse(ps, h, ps.policy.GCCollapseToSW())
 		n.wroteSinceGC[h.Page] = false
 	}
 
-	// Drop all diffs and all interval/write-notice history. Everyone's
-	// knowledge vectors are equal after the barrier, so no future acquire
-	// can need a discarded interval.
+	// Drop all diffs.
 	n.diffCache = make(map[wnKey]*mem.Diff)
 	n.pushed = nil
 	n.foreign, n.queued, n.evictAt = nil, 0, 0
@@ -141,8 +134,5 @@ func (n *Node) runGC(hints []gcHint) {
 	n.liveDiffs = 0
 	n.liveDiffBytes = 0
 	n.freePages = nil // the twin pool was just collected: hold none of it back
-	for p := range n.intervals {
-		n.intervals[p] = nil
-	}
 	n.noteLive()
 }

@@ -283,10 +283,12 @@ func (ad *adaptState) noteArrival(ivs []*Interval) {
 // decisions. Runs on the manager when all nodes have arrived, on non-GC
 // rounds only (a GC round reorganizes page copies under the CURRENT
 // protocols; mixing the two transitions in one release is not worth the
-// complexity). Handler context, with every other node held still: it reads
-// the detector, which every node writes.
+// complexity). Handler context on node 0. It reads the detector, which
+// every node writes, under the detector's mutex.
 func (c *Cluster) adaptDecide() []policySwitch {
 	ad := c.adapt
+	c.detector.mu.Lock()
+	defer c.detector.mu.Unlock()
 	var out []policySwitch
 	for pg := range ad.pages {
 		ap := &ad.pages[pg]

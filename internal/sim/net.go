@@ -121,9 +121,6 @@ func (nt *Net) Now() Time { return nt.eng.Now() }
 // ignored: the event loop runs one thing at a time.
 func (nt *Net) After(node int, d Time, fn func()) { nt.eng.After(d, fn) }
 
-// HoldOthers calls fn: while it runs no other process or handler can.
-func (nt *Net) HoldOthers(self int, fn func()) { fn() }
-
 // Count adds the messages and bytes (payload+headers) all nodes sent into
 // s. The simulator moves references, not frames: it has no wire counters.
 func (nt *Net) Count(s *stats.Counters) {

@@ -281,7 +281,7 @@ func (e *Engine) runEvent(fn func()) {
 
 // panicErr converts a recovered panic value into a Run error. A panic
 // that is itself an error (a protocol raising a typed condition, e.g.
-// core.ErrGCUnsupported) is wrapped so errors.Is still matches it;
+// core.ErrCkptUnrecoverable) is wrapped so errors.Is still matches it;
 // anything else is an engine bug and keeps its stack trace.
 func panicErr(ctx string, r any) error {
 	if err, ok := r.(error); ok {

@@ -22,7 +22,8 @@
 // blocked in a call or Advance, and frame dispatch takes
 // the destination node's lock around each handler. Nodes hosted by the
 // same endpoint run concurrently; a reply completes under a small leaf
-// lock that never takes a node lock.
+// lock that never takes a node lock, and no code path holds two node
+// locks.
 // Transport failures (a lost peer, an unregistered destination) fail every
 // affected call loudly instead of deadlocking the caller: the call panics,
 // the body's recover converts it into a Run error.
@@ -406,9 +407,8 @@ type Runtime struct {
 	closeOne sync.Once
 
 	// nodes[id] is hosted node id's state lock and handler (nil for nodes
-	// hosted elsewhere). holdMu admits one HoldOthers at a time.
-	nodes  []*node
-	holdMu sync.Mutex
+	// hosted elsewhere).
+	nodes []*node
 
 	// callMu is the leaf lock of the call table: a reply completes under
 	// it alone, and nothing that holds it takes a node lock.
@@ -945,7 +945,7 @@ func (rt *Runtime) serve(c *call, from int, m transport.Msg) {
 	defer func() {
 		if r := recover(); r != nil {
 			// A handler panicking with an error value is a protocol raising
-			// a typed condition (e.g. core.ErrGCUnsupported): wrap it so
+			// a typed condition (e.g. core.ErrCkptUnrecoverable): wrap it so
 			// errors.Is matches through Run's error. Anything else is a bug
 			// and keeps its stack trace.
 			if err, ok := r.(error); ok {
@@ -1153,35 +1153,6 @@ func (rt *Runtime) After(node int, d transport.Time, fn func()) {
 		}
 		fn()
 	})
-}
-
-// HoldOthers runs fn while every other hosted node is held still. The
-// caller runs in node self's context (holds its state lock); fn may read
-// any hosted node's protocol state.
-//
-// This is the only code path that holds two node locks. It takes the
-// others in id order, under holdMu, which admits one holder at a time.
-// Nothing else that holds a node lock ever waits for a second node lock or
-// for holdMu: a body or handler waits only on leaf locks, and a second
-// HoldOthers caller gives its own node's lock up before it queues on
-// holdMu (the first caller may be waiting for that very lock; the node's
-// other handlers may run meanwhile). So the holder of holdMu only ever
-// waits on goroutines that make progress, and no cycle of waits can form.
-func (rt *Runtime) HoldOthers(self int, fn func()) {
-	if !rt.holdMu.TryLock() {
-		own := rt.nodes[self]
-		own.mu.Unlock()
-		rt.holdMu.Lock()
-		own.mu.Lock()
-	}
-	defer rt.holdMu.Unlock()
-	for _, id := range rt.local {
-		if id != self {
-			rt.nodes[id].mu.Lock()
-			defer rt.nodes[id].mu.Unlock()
-		}
-	}
-	fn()
 }
 
 // Count adds the hosted nodes' traffic and wire counters into s and sets

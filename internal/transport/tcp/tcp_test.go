@@ -173,43 +173,6 @@ func TestTCPNodesRunConcurrently(t *testing.T) {
 	})
 }
 
-// TestHoldOthersExcludesEveryNode runs HoldOthers from every node's body
-// at once, each fn bumping one unsynchronised counter: the callers must
-// exclude each other (the race detector checks it) and must not deadlock,
-// although each already holds its own node's lock when it asks for the
-// others'.
-func TestHoldOthersExcludesEveryNode(t *testing.T) {
-	const n, rounds = 4, 200
-	rt := mesh(t, n)
-	count := 0
-	var started atomic.Int32
-	for id := 0; id < n; id++ {
-		rt.Register(id, func(c transport.Call, from int, m transport.Msg) { c.Reply(m) })
-		rt.Spawn(id, "n", func(p transport.Proc) {
-			started.Add(1)
-			for started.Load() < n {
-				runtime.Gosched()
-			}
-			for i := 0; i < rounds; i++ {
-				rt.HoldOthers(p.ID(), func() { count++ })
-			}
-		})
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- rt.Run() }()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("concurrent HoldOthers callers deadlocked")
-	}
-	if count != n*rounds {
-		t.Errorf("count = %d, want %d", count, n*rounds)
-	}
-}
-
 // TestCallUnregisteredNodeFailsLoudly: a call to a node with no handler
 // must surface as a Run error naming the failure, not a deadlock.
 func TestCallUnregisteredNodeFailsLoudly(t *testing.T) {

@@ -159,10 +159,6 @@ type Runtime interface {
 	// local body has finished, returning an error if a body panicked or
 	// the transport failed.
 	Run() error
-	// HoldOthers runs fn in node self's context while every other hosted
-	// node is held still — no body runs and no handler runs on them — so
-	// fn may read any hosted node's state. The caller runs as node self.
-	HoldOthers(self int, fn func())
 	// Count adds the hosted nodes' traffic into s: Messages and DataBytes
 	// (Msg.Size()+HeaderBytes per message) always; on a runtime that moves
 	// real frames also the wire counters and the per-class slices, which it

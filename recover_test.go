@@ -124,8 +124,8 @@ func TestRecoverableSimCkptMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestErrorTaxonomy pins the typed failure conditions' errors.Is behavior
-// alongside ErrGCUnsupported: zero-value targets match any node.
+// TestErrorTaxonomy pins the typed failure conditions' errors.Is behavior:
+// zero-value targets match any node.
 func TestErrorTaxonomy(t *testing.T) {
 	cases := []struct {
 		err    error

@@ -86,8 +86,8 @@ type TCPConfig struct {
 	// Local lists the node ids hosted by this OS process. Empty hosts all
 	// of them. A process hosting a subset is one endpoint of a
 	// multi-process run: statistics and checksums it reports cover its
-	// own nodes only, and garbage-collecting protocols (MW under memory
-	// pressure) are not supported — use HLRC or raise DiffSpaceLimit.
+	// own nodes only, and Report.Stats.GCRuns is counted by the process
+	// hosting node 0, the barrier manager.
 	Local []int
 	// DialTimeout bounds how long cluster construction waits for the
 	// peer mesh (default 20s).
