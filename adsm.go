@@ -74,11 +74,15 @@ const (
 	// Adaptive is the per-page adaptive meta-protocol: every page starts
 	// under MW (the protocol that is never catastrophically wrong), and at
 	// each barrier the manager watches the page's write notices and the
-	// sharing detector, migrating individual pages to WFS+WG (one stable
-	// writer, who then writes without twins or diffs), to HLRC (many
-	// writers every epoch with bulky diffs), or back to MW (concurrent
-	// writers under ownership). Switch decisions are broadcast on the
-	// barrier release so all nodes flip a page at the same epoch.
+	// page facts every node reports on its arrival (first accesses, diff
+	// sizes), migrating individual pages to WFS+WG (one stable writer,
+	// who then writes without twins or diffs), to WFS (bulky writers that
+	// take turns, where messages cost no more than bytes), to HLRC (many
+	// writers every epoch), or back to MW (concurrent writers under
+	// ownership). Switch decisions are broadcast on the barrier release so
+	// all nodes flip a page at the same epoch; the manager learns nothing
+	// but what the arrivals carry, so a multi-process mesh adapts as the
+	// simulator does.
 	Adaptive = core.Adaptive
 )
 
@@ -288,7 +292,6 @@ func (cl *Cluster) report(elapsed sim.Time) *Report {
 	st := cl.c.Totals()
 	cl.c.Transport().Count(&st)
 	st.GCRuns = cl.c.GCRuns()
-	ch := cl.c.Detector().Characteristics((cl.c.Allocated() + PageSize - 1) / PageSize)
 	r := &Report{
 		Protocol:  cl.cfg.Protocol,
 		Home:      cl.cfg.HomePolicy,
@@ -297,14 +300,7 @@ func (cl *Cluster) report(elapsed sim.Time) *Report {
 		Partial:   cl.c.Partial(),
 		Elapsed:   elapsed.Duration(),
 		Stats:     st,
-		Sharing: Sharing{
-			SharedPages:  ch.SharedPages,
-			WrittenPages: ch.WrittenPages,
-			FSPages:      ch.FSPages,
-			FSPercent:    ch.FSPercent,
-			AvgDiffBytes: ch.AvgDiffBytes,
-			MaxDiffBytes: ch.MaxDiffBytes,
-		},
+		Sharing:   cl.c.Characteristics(),
 	}
 	if cl.series != nil {
 		r.DiffTimeline = make([]TimelinePoint, 0, len(cl.series.Points))
@@ -325,15 +321,9 @@ func (cl *Cluster) report(elapsed sim.Time) *Report {
 type Stats = stats.Counters
 
 // Sharing summarizes the measured application characteristics (the
-// paper's Table 2): write-write false sharing and write granularity.
-type Sharing struct {
-	SharedPages  int
-	WrittenPages int
-	FSPages      int
-	FSPercent    float64
-	AvgDiffBytes float64
-	MaxDiffBytes int
-}
+// paper's Table 2): write-write false sharing and write granularity,
+// summed from each hosted node's own view of its pages.
+type Sharing = core.Characteristics
 
 // TimelinePoint is one sample of the live-diff-count timeline (Figure 3).
 type TimelinePoint struct {

@@ -158,6 +158,10 @@ func main() {
 	fmt.Printf("  twins/diffs          %d twins, %d diffs created (%.2f MB), %d applied\n",
 		s.TwinsCreated, s.DiffsCreated, rep.MemoryMB(), s.DiffsApplied)
 	fmt.Printf("  mode transitions     %d SW->MW, %d MW->SW\n", s.SWtoMW, s.MWtoSW)
+	if s.PolicySwitches > 0 {
+		fmt.Printf("  adaptive switches    %d (%d to WFS/WFS+WG, %d to MW, %d to HLRC)\n",
+			s.PolicySwitches, s.SwitchToSW, s.SwitchToMW, s.SwitchToHLRC)
+	}
 	if s.DiffsPushed > 0 {
 		fmt.Printf("  pushed diffs         %d rode lock grants, %d dropped on arrival, %d applied\n",
 			s.DiffsPushed, s.PushesDropped, s.PushesUsed)

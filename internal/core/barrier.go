@@ -10,9 +10,10 @@ import (
 // node's new intervals; releases carry the intervals each waiter lacks.
 // Garbage collection is coordinated by piggybacking a memory-pressure flag
 // on arrivals and the GC decision (plus post-GC page routing hints) on
-// releases, exactly one barrier round late as in TreadMarks. The manager
-// decides from the arrivals and its own node's state alone, so one code
-// path serves the simulator, the in-process mesh and a multi-process one.
+// releases, exactly one barrier round late as in TreadMarks, and so are the
+// adaptive protocol's page switches. The manager decides both from the
+// arrivals and its own node's state alone, so one code path serves the
+// simulator, the in-process mesh and a multi-process one.
 
 // barrierMgr is the manager-side state (one barrier at a time).
 type barrierMgr struct {
@@ -62,6 +63,7 @@ func (n *Node) barrierRound(gcRound bool) {
 		KnownTS:     append([]int32(nil), n.knownTS...),
 		Intervals:   mine,
 		MemPressure: !gcRound && n.c.policy.MemPressure(n),
+		Facts:       n.takeFacts(),
 		nprocs:      n.c.params.Procs,
 	}).(barRelease)
 	n.barEpoch++
@@ -144,8 +146,8 @@ func (n *Node) serveBarrier(c transport.Call, from int, m barArrive) {
 	if ad := n.c.adapt; ad != nil && !ad.frozen {
 		// The meta-protocol's decision state feeds on the same piggybacked
 		// intervals (with its own per-processor watermark, since arrivals
-		// relay redundantly).
-		ad.noteArrival(m.Intervals)
+		// relay redundantly) and on the arriver's page facts.
+		ad.noteArrival(from, m, n.c.params.Cost.SerialWFS)
 	}
 	// Every node's intervals since the last release reach the manager in
 	// its own arrival (node 0's too), so the writer masks miss no write.

@@ -33,8 +33,6 @@ type Cluster struct {
 	bar barrierMgr
 	rec recoverMgr
 
-	detector *Detector
-
 	// framed reports that the runtime moves messages as binary frames (its
 	// Count reports lanes): decoded diffs alias frame bodies, which
 	// storeDiff detaches. The simulator hands over the sender's objects.
@@ -63,16 +61,15 @@ func New(p Params) *Cluster {
 		panic("dsm: need at least one processor")
 	}
 	if p.Procs > 64 {
-		panic("dsm: detector bitmasks support at most 64 processors")
+		panic("dsm: the barrier manager's per-page node bitmasks support at most 64 processors")
 	}
 	npages := (p.MaxSharedBytes + mem.PageSize - 1) / mem.PageSize
 	c := &Cluster{
-		params:   p,
-		policy:   p.Protocol.newPolicy(),
-		homes:    p.Home.newAssigner(),
-		npages:   npages,
-		detector: newDetector(p.Procs),
-		zero:     mem.NewPage(),
+		params: p,
+		policy: p.Protocol.newPolicy(),
+		homes:  p.Home.newAssigner(),
+		npages: npages,
+		zero:   mem.NewPage(),
 	}
 	c.frames.share(c.zero)
 	if p.Runtime != nil {
@@ -128,9 +125,6 @@ func (c *Cluster) Hosts(id int) bool {
 // Node returns node i.
 func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
-// Detector returns the sharing-characteristics instrumentation.
-func (c *Cluster) Detector() *Detector { return c.detector }
-
 // GCRuns reports how many garbage collections ran.
 func (c *Cluster) GCRuns() int64 { return c.gcRuns }
 
@@ -150,9 +144,6 @@ type allocSpan struct{ addr, size int }
 func (c *Cluster) usedPages() int {
 	return (c.allocated + mem.PageSize - 1) / mem.PageSize
 }
-
-// Allocated returns the shared segment size in bytes.
-func (c *Cluster) Allocated() int { return c.allocated }
 
 // Alloc reserves n bytes of shared memory before Run. The returned
 // address is always 8-byte aligned, so any supported element type is
@@ -184,19 +175,18 @@ func (c *Cluster) alloc(what string, n, align int) int {
 
 // Run executes body on every node (SPMD) and returns the virtual time at
 // completion. Per-page state — page structs, initial copies, home tables,
-// detector slots, the barrier manager's writer masks — is built here
-// rather than at construction:
-// every allocation has happened, so allocation-aware home policies see the
-// final data layout and everything is sized by usedPages(), what the
-// program shares, instead of the segment's capacity. Pages beyond the
-// allocation are unreachable (access panics above c.allocated).
+// the barrier manager's writer masks — is built here rather than at
+// construction: every allocation has happened, so allocation-aware home
+// policies see the final data layout and everything is sized by
+// usedPages(), what the program shares, instead of the segment's
+// capacity. Pages beyond the allocation are unreachable (access panics
+// above c.allocated).
 func (c *Cluster) Run(body func(n *Node)) (transport.Time, error) {
 	if c.started {
 		panic("dsm: cluster already ran")
 	}
 	c.started = true
 	used := c.usedPages()
-	c.detector.pages = make([]detPage, used)
 	c.bar.writers = make([]uint64, used)
 	c.homes.Prepare(c)
 	for _, i := range c.local {

@@ -115,8 +115,14 @@ func msgSamples() map[string][]transport.Msg {
 				Keys:  []wnKey{{page: 5, proc: 2, ts: 7}, {page: 1, proc: 0, ts: 4}}},
 		},
 		"acqRevoke": {acqRevoke{Lock: 7, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}}},
-		"barArrive": {barArrive{Epoch: 12, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6},
-			Intervals: sampleIntervals(), MemPressure: true, nprocs: nprocs}},
+		"barArrive": {
+			barArrive{Epoch: 12, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6},
+				Intervals: sampleIntervals(), MemPressure: true, nprocs: nprocs},
+			// An adaptive arrival: a first access, and a page's new diffs.
+			barArrive{Epoch: 13, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}, MemPressure: true,
+				Facts:  []pageFact{{Page: 2, First: true}, {Page: 9, Diffs: diffTally{count: 3, bytes: 4200, max: 4096}}},
+				nprocs: nprocs},
+		},
 		"ckptPut": {
 			ckptPut{From: 1, Step: 4, Pages: []ckptPage{
 				{Page: 3, Data: mem.NewPage(), Proto: 0, Sum: 12345},

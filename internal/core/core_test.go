@@ -314,7 +314,7 @@ func TestDetectorCharacteristics(t *testing.T) {
 		_ = n.ReadU64(private)
 		n.Barrier()
 	})
-	ch := c.Detector().Characteristics(c.usedPages())
+	ch := c.Characteristics()
 	if ch.FSPages != 1 {
 		t.Errorf("FSPages = %d, want 1", ch.FSPages)
 	}
@@ -352,7 +352,7 @@ func TestDetectorScan(t *testing.T) {
 			if want.DiffsRecorded > 0 {
 				want.AvgDiffBytes, want.MaxDiffBytes = 4, 4
 			}
-			if got := c.Detector().Characteristics(c.usedPages()); got != want {
+			if got := c.Characteristics(); got != want {
 				t.Errorf("Characteristics = %+v\n                want %+v", got, want)
 			}
 		})
@@ -467,7 +467,7 @@ func TestAllocAfterRunPanics(t *testing.T) {
 			alloc()
 		}()
 	}
-	if got := c.Allocated(); got != 64 {
+	if got := c.allocated; got != 64 {
 		t.Errorf("segment grew to %d bytes after Run", got)
 	}
 }

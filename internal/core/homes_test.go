@@ -194,26 +194,32 @@ func TestSWHomePoliciesRoute(t *testing.T) {
 	}
 }
 
-// TestDetectorNoteWriteSnapshotsVC: the detector must snapshot each write
-// notice's vector clock. Holding a reference would let a later in-place
-// mutation of a vector that aliases it retroactively flip the
-// concurrency check (the write-write false-sharing metric).
+// TestDetectorNoteWriteSnapshotsVC: the false-sharing bit compares a
+// foreign write notice with the node's own last write notice of the page.
+// That notice's interval vector is the interval's own copy (closeInterval),
+// so no later in-place Join or Tick of the node's clock can flip the check.
 func TestDetectorNoteWriteSnapshotsVC(t *testing.T) {
-	d := newDetector(2)
-	d.pages = make([]detPage, 1)
-	v := vc.VC{1, 0}
-	d.noteWrite(&WriteNotice{Page: 0, Int: &Interval{Proc: 0, TS: 1, VC: v}})
-	// Mutate the vector in place after the fact (the hazard: vc.VC is a
-	// slice, and Join/Tick mutate in place).
-	v[1] = 7
-	// Proc 1's write at <1,1> is ordered after the original <1,0>, so no
-	// false sharing — but it IS concurrent with the corrupted <1,7>.
-	d.noteWrite(&WriteNotice{Page: 0, Int: &Interval{Proc: 1, TS: 1, VC: vc.VC{1, 1}}})
-	if d.pages[0].fs {
-		t.Errorf("in-place mutation of an interval VC after noteWrite corrupted the concurrency check")
+	c := New(testParams(3, MW))
+	c.AllocPageAligned(mem.PageSize)
+	for _, n := range c.nodes {
+		n.buildPages(c.usedPages())
 	}
-	ch := d.Characteristics(1)
+	n := c.Node(0)
+	ps := n.pages[0]
+	ps.myLastWN = &WriteNotice{Page: 0, Int: &Interval{Proc: 0, TS: 1, VC: vc.VC{1, 0, 0}}}
+	// Proc 1's write at <1,1,0> is ordered after node 0's <1,0,0>: no
+	// false sharing.
+	n.ingestWN(&WriteNotice{Page: 0, Int: &Interval{Proc: 1, TS: 1, VC: vc.VC{1, 1, 0}}})
+	if ps.fs {
+		t.Errorf("a foreign write ordered after the node's own set the false-sharing bit")
+	}
+	ch := c.Characteristics()
 	if ch.FSPages != 0 {
 		t.Errorf("FSPages = %d, want 0", ch.FSPages)
+	}
+	// Proc 2's write at <0,0,1> is concurrent with it.
+	n.ingestWN(&WriteNotice{Page: 0, Int: &Interval{Proc: 2, TS: 1, VC: vc.VC{0, 0, 1}}})
+	if got := c.Characteristics().FSPages; got != 1 {
+		t.Errorf("after a concurrent foreign write FSPages = %d, want 1", got)
 	}
 }

@@ -99,7 +99,6 @@ func (n *Node) closeInterval() *Interval {
 		if n.ckptDirty != nil {
 			n.ckptDirty[pg] = true
 		}
-		n.c.detector.noteWrite(wn)
 
 		// Ownership refusal aftermath: the refused owner keeps ownership
 		// until this release, then emits the owner write notice above,
@@ -187,7 +186,8 @@ func (n *Node) intervalsSince(known []int32) []*Interval {
 // ingestIntervals merges received intervals into the node's knowledge,
 // invalidating pages named by their write notices and updating adaptation
 // state (false-sharing perception, owner write notices, mechanism 2 of
-// Section 3.1.2). Runs in process context only.
+// Section 3.1.2). Runs in process context, and on the barrier manager in
+// handler context (serveBarrier).
 func (n *Node) ingestIntervals(ivs []*Interval) {
 	for _, iv := range ivs {
 		if iv.Proc == n.id || iv.TS <= n.knownTS[iv.Proc] {
@@ -209,6 +209,12 @@ func (n *Node) ingestWN(wn *WriteNotice) {
 		// our last checkpoint, even notices our copy already subsumes.
 		n.ckptDirty[wn.Page] = true
 	}
+	// The notice is concurrent with this node's own last write of the
+	// page: write-write false sharing. Table 2's bit is set even when the
+	// copy already reflects the notice.
+	mine := ps.myLastWN
+	concurrent := mine != nil && mine.Int.Proc != wn.Int.Proc && mine.Int.VC.Concurrent(wn.Int.VC)
+	ps.fs = ps.fs || concurrent
 	if wn.Int.VC.Leq(ps.applied) {
 		// Already reflected in our copy (e.g. we fetched a newer page).
 		n.noteOwnerWN(ps, wn)
@@ -225,7 +231,7 @@ func (n *Node) ingestWN(wn *WriteNotice) {
 			ps.seesFS = true
 		}
 	}
-	if mine := ps.myLastWN; mine != nil && mine.Int.Proc != wn.Int.Proc && mine.Int.VC.Concurrent(wn.Int.VC) {
+	if concurrent {
 		ps.seesFS = true
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"adsm/internal/mem"
@@ -11,9 +12,11 @@ import (
 // The adaptive meta-protocol: a Policy like any other protocol's that
 // never serves a page itself. Every page it initializes is immediately
 // delegated to a concrete protocol — MW by default — and thereafter the
-// barrier manager watches each page's write notices and the sharing
-// detector, and migrates individual pages between MW, WFS, WFS+WG and
-// HLRC.
+// barrier manager watches each page's write notices and the page facts
+// the nodes report on their barrier arrivals (first accesses, the diffs
+// they made or applied), and migrates individual pages between MW, WFS,
+// WFS+WG and HLRC. It learns nothing any other way, so the same rules run on the
+// simulator, the in-process mesh and a multi-process one.
 // Switch decisions ride the barrier release (the Switches field of
 // barRelease), so every node flips a page's protocol at the same barrier
 // epoch and no page ever has two protocols live at once. A release that
@@ -32,7 +35,7 @@ import (
 //     everything WFS does, plus the write-granularity gate that keeps
 //     fine-grained pages in MW mode): the stable writer becomes owner and
 //     writes without twins or diffs.
-//     Pages the writer rewrites in bulk (maxDiff >= adaptBulkThreshold)
+//     Pages the writer rewrites in bulk (largest diff >= adaptBulkThreshold)
 //     promote after adaptSoloEpochs same-writer epochs — every MW epoch
 //     costs them page-sized twin and diff copies, so waiting is expensive.
 //     Fine-grain solo pages wait for the longer adaptSoloSlow streak,
@@ -45,7 +48,7 @@ import (
 //   - Where the profile asks for it (CostProfile.SerialWFS), an MW page
 //     whose writers this epoch all lie on one happens-before chain — they
 //     take turns, ordered by a lock — and whose diffs are bulky
-//     (maxDiff >= adaptBulkThreshold) moves to plain WFS, owned by the
+//     (largest diff >= adaptBulkThreshold) moves to plain WFS, owned by the
 //     writer of the chain's last interval. Each writer then takes the
 //     page by one ownership request and rewrites it without a twin or a
 //     diff. The rule is checked before the →HLRC rule, which counts
@@ -213,7 +216,6 @@ func (p *metaPolicy) resolve(c *Cluster) {
 		ad.frozen = true
 		p.target = id
 	}
-	ad.serial = c.params.Cost.SerialWFS && !c.Partial()
 	ad.scanTS = make([]int32, c.params.Procs)
 	ad.pages = make([]adaptPage, c.usedPages())
 	for i := range ad.pages {
@@ -227,12 +229,9 @@ func (p *metaPolicy) resolve(c *Cluster) {
 // adaptState is the barrier manager's per-cluster decision state. It lives
 // on the Cluster (every instance of a multi-process deployment builds one,
 // but only the instance hosting node 0 ever decides) and it is only
-// touched in node 0's barrier-handler context.
+// touched in node 0's barrier-handler context, from the arrivals.
 type adaptState struct {
 	frozen bool // AdaptiveFreeze set: never switch
-	// serial: the serialized-writer rule is on (CostProfile.SerialWFS),
-	// and this instance sees every node's intervals (not Partial).
-	serial bool
 
 	// scanTS[p] is the highest interval TS of processor p folded into the
 	// decision state — the manager sees intervals redundantly (every
@@ -256,12 +255,19 @@ type adaptPage struct {
 	// the serialized-writer rule is on. They are shared, immutable
 	// intervals: nothing is copied.
 	ivs []*Interval
+
+	// What the whole run has shown so far: the nodes that accessed the
+	// page and that wrote it, and the diffs of it the nodes made or
+	// applied.
+	accessors, wrote uint64
+	diffs            diffTally
 }
 
-// noteArrival folds one barrier arrival's piggybacked intervals into the
-// decision state. Manager handler context.
-func (ad *adaptState) noteArrival(ivs []*Interval) {
-	for _, iv := range ivs {
+// noteArrival folds one barrier arrival — node from's piggybacked
+// intervals and page facts — into the decision state; serial keeps the
+// intervals the serialized-writer rule orders. Manager handler context.
+func (ad *adaptState) noteArrival(from int, m barArrive, serial bool) {
+	for _, iv := range m.Intervals {
 		if iv.TS <= ad.scanTS[iv.Proc] {
 			continue
 		}
@@ -269,7 +275,8 @@ func (ad *adaptState) noteArrival(ivs []*Interval) {
 		for _, wn := range iv.WNs {
 			ap := &ad.pages[wn.Page]
 			ap.writers |= 1 << uint(iv.Proc)
-			if ad.serial {
+			ap.wrote |= 1 << uint(iv.Proc)
+			if serial {
 				ap.ivs = append(ap.ivs, iv)
 			}
 			if wn.Owner && wn.Version > ap.maxVer {
@@ -277,24 +284,30 @@ func (ad *adaptState) noteArrival(ivs []*Interval) {
 			}
 		}
 	}
+	for _, f := range m.Facts {
+		ap := &ad.pages[f.Page]
+		if f.First {
+			ap.accessors |= 1 << uint(from)
+		}
+		ap.diffs.merge(f.Diffs)
+	}
 }
 
 // adaptDecide turns one barrier epoch's observations into per-page switch
 // decisions. Runs on the manager when all nodes have arrived, on non-GC
 // rounds only (a GC round reorganizes page copies under the CURRENT
 // protocols; mixing the two transitions in one release is not worth the
-// complexity). Handler context on node 0. It reads the detector, which
-// every node writes, under the detector's mutex.
+// complexity). Handler context on node 0. It reads only the decision
+// state the arrivals built: a diff made after its maker arrived counts at
+// the next decision, unless a node that arrived later applied it.
 func (c *Cluster) adaptDecide() []policySwitch {
 	ad := c.adapt
-	c.detector.mu.Lock()
-	defer c.detector.mu.Unlock()
 	var out []policySwitch
 	for pg := range ad.pages {
 		ap := &ad.pages[pg]
 		writers := ap.writers
 		ap.writers = 0
-		nw := popcount(writers)
+		nw := bits.OnesCount64(writers)
 		// last is the chain's last interval when this epoch's writers
 		// took turns, nil when two of them wrote concurrently (or the
 		// rule is off, or fewer than two nodes wrote).
@@ -308,7 +321,7 @@ func (c *Cluster) adaptDecide() []policySwitch {
 			continue // idle epoch: streaks hold
 		}
 		if nw == 1 {
-			w := soloBit(writers)
+			w := bits.TrailingZeros64(writers)
 			if w == ap.soloWriter {
 				ap.solo++
 			} else {
@@ -334,21 +347,17 @@ func (c *Cluster) adaptDecide() []policySwitch {
 		// moves a page's worth of bytes in k messages and one home fetch
 		// would do. Falsely-shared fine-grain pages also show many
 		// writers, but their diffs are tiny and MW's lazy merging moves
-		// fewer bytes, so the detector's write-granularity average is the
-		// gate, not its false-sharing bit. The average is only trusted
-		// once the page has produced at least one diff per observed writer
-		// (minus the epoch's first, which has no prior copy): a single
-		// initialization diff must not pass for a write-granularity
-		// profile. The detector (and with it the writer count) is only
-		// trustworthy when every node's writes are visible to this
-		// instance, i.e. not on a partial (multi-process) deployment.
-		dp := &c.detector.pages[pg]
+		// fewer bytes, so the page's mean diff size is the gate. The mean
+		// is only trusted once the page has produced at least one diff per
+		// observed writer (minus the epoch's first, which has no prior
+		// copy): a single initialization diff must not pass for a
+		// write-granularity profile.
+		d := ap.diffs
 		bulky := true
 		if gate := c.params.Cost.HLRCMinDiff; gate > 0 {
-			bulky = dp.diffCount >= int64(nw-1) && dp.diffCount > 0 &&
-				dp.diffBytes >= dp.diffCount*int64(gate)
+			bulky = d.count >= int64(nw-1) && d.count > 0 && d.bytes >= d.count*int64(gate)
 		}
-		hlrcReady := ap.hlrcRun >= adaptHLRCEpochs && !c.Partial() && bulky
+		hlrcReady := ap.hlrcRun >= adaptHLRCEpochs && bulky
 		var sw policySwitch
 		switch {
 		case ap.proto == WFSWG && ap.multi >= adaptMultiEpochs,
@@ -364,7 +373,7 @@ func (c *Cluster) adaptDecide() []policySwitch {
 				target = HLRC
 			}
 			sw = policySwitch{Page: pg, Proto: int32(target)}
-		case ap.proto == MW && last != nil && dp.maxDiff >= adaptBulkThreshold:
+		case ap.proto == MW && last != nil && d.max >= adaptBulkThreshold:
 			// Bulky writers that take turns (a lock orders them): each
 			// MW writer twins and diffs the page and every later writer
 			// collects those diffs, where one ownership request per
@@ -378,9 +387,9 @@ func (c *Cluster) adaptDecide() []policySwitch {
 			// collection; one home round trip wins.
 			sw = policySwitch{Page: pg, Proto: int32(HLRC)}
 		case ap.proto != WFSWG && !ap.everMulti &&
-			popcount(dp.accessors.Load()&^dp.writers.Load()) <= adaptMaxReaders &&
+			bits.OnesCount64(ap.accessors&^ap.wrote) <= adaptMaxReaders &&
 			(ap.solo >= adaptSoloSlow ||
-				ap.solo >= adaptSoloEpochs && dp.maxDiff >= adaptBulkThreshold):
+				ap.solo >= adaptSoloEpochs && d.max >= adaptBulkThreshold):
 			// A single writer has prevailed on a page that has NEVER shown
 			// concurrent writers and that almost nobody else reads: hand it
 			// to the ownership-based protocol with that writer as its
@@ -424,16 +433,6 @@ func chainLast(ivs []*Interval) *Interval {
 		}
 	}
 	return ivs[len(ivs)-1]
-}
-
-// soloBit returns the index of the single set bit of a one-bit mask.
-func soloBit(mask uint64) int {
-	i := 0
-	for mask > 1 {
-		mask >>= 1
-		i++
-	}
-	return i
 }
 
 // applyPolicySwitches re-points the switched pages at their new protocols.

@@ -297,12 +297,14 @@ func (m acqRevoke) Size() int       { var w wireRW; m.wire(&w); return w.n }
 
 // barArrive carries the arriver's knowledge vector and its own new
 // intervals to the barrier manager; MemPressure requests a garbage
-// collection (piggybacked, as in TreadMarks).
+// collection (piggybacked, as in TreadMarks). Under the adaptive protocol
+// Facts reports the arriver's page facts gained since its last arrival.
 type barArrive struct {
 	Epoch       int64
 	KnownTS     []int32
 	Intervals   []*Interval
 	MemPressure bool
+	Facts       []pageFact
 	nprocs      int
 }
 
@@ -310,7 +312,7 @@ func (m *barArrive) wire(w *wireRW) {
 	w.I64(&m.Epoch)
 	w.TS(&m.KnownTS)
 	w.Intervals(&m.Intervals)
-	w.Bool(&m.MemPressure)
+	w.Facts(&m.Facts, &m.MemPressure)
 	w.Int(&m.nprocs)
 }
 func (m barArrive) Size() int { var w wireRW; m.wire(&w); return w.n }

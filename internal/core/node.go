@@ -64,6 +64,13 @@ type pageState struct {
 	lastDiffSize int          // largest diff observed recently for this page
 	wgProbed     bool         // WFS+WG: page has been through its MW measuring phase
 
+	// Sharing facts (sharing.go): this node's own view, for Table 2 and the
+	// adaptive manager. fs is sticky, unlike seesFS. fact is 1 + the page's
+	// index in Node.facts, 0 while the next arrival carries none for it.
+	accessed, written, fs bool
+	diffs                 diffTally
+	fact                  int32
+
 	// Pure SW request queue (ownership.go). swNext is the one ownership
 	// request the page's home forwarded here: it waits until this node,
 	// which owns the page or is waiting for its own grant, has held the
@@ -137,6 +144,9 @@ type Node struct {
 	// barEpoch counts the barrier rounds this node has completed (the
 	// epoch it stamps on its next arrival).
 	barEpoch int64
+	// facts are the page facts the next barrier arrival reports to the
+	// adaptive manager (sharing.go); nil under every other protocol.
+	facts []pageFact
 
 	// lastGlobal is the global knowledge vector from the previous barrier
 	// release: everything at or below it is known to every node, so a
@@ -267,15 +277,19 @@ func (n *Node) access(addr, size int, write bool) ([]byte, int) {
 	return ps.data, addr & (mem.PageSize - 1)
 }
 
-// markWritten records the write for write-notice generation. Owned pages
-// (SW mode) use the wroteSW flag; MW pages were marked dirty when the twin
-// was created.
+// markWritten records the write for write-notice generation and, on the
+// node's first write of the page, in its sharing facts. Owned pages (SW
+// mode) use the wroteSW flag; MW pages were marked dirty when the twin was
+// created.
 func (n *Node) markWritten(pg int, ps *pageState) {
 	if ps.owner && !ps.wroteSW {
 		ps.wroteSW = true
 		n.dirty = append(n.dirty, pg)
 	}
-	n.c.detector.noteAccess(pg, n.id, true)
+	if !ps.written {
+		ps.written = true
+		n.noteAccess(pg, ps)
+	}
 }
 
 // Access is the exported single-element protocol entry point: it returns
@@ -284,18 +298,6 @@ func (n *Node) markWritten(pg int, ps *pageState) {
 // public API (Shared.At/Set) loads and stores through it.
 func (n *Node) Access(addr, size int, write bool) ([]byte, int) {
 	return n.access(addr, size, write)
-}
-
-// ReadU32 reads a 32-bit word at byte address addr.
-func (n *Node) ReadU32(addr int) uint32 {
-	b, off := n.access(addr, 4, false)
-	return mem.LoadUint32(b, off)
-}
-
-// WriteU32 writes a 32-bit word at byte address addr.
-func (n *Node) WriteU32(addr int, v uint32) {
-	b, off := n.access(addr, 4, true)
-	mem.StoreUint32(b, off, v)
 }
 
 // ReadU64 reads a 64-bit word.
@@ -316,7 +318,7 @@ func (n *Node) WriteU64(addr int, v uint64) {
 // write notice received for it.
 func (n *Node) readFault(pg int) {
 	n.Stats.ReadFaults++
-	n.c.detector.noteAccess(pg, n.id, false)
+	n.noteAccess(pg, n.pages[pg])
 	n.validate(pg) // leaves the page read-only
 }
 
@@ -325,7 +327,7 @@ func (n *Node) readFault(pg int) {
 func (n *Node) writeFault(pg int) {
 	n.Stats.WriteFaults++
 	ps := n.pages[pg]
-	n.c.detector.noteAccess(pg, n.id, false)
+	n.noteAccess(pg, ps)
 
 	if ps.owner {
 		// Owner writing again (page was downgraded only at transfer; an
@@ -391,8 +393,7 @@ func (n *Node) makeDiff(pg int, ps *pageState) *mem.Diff {
 	ps.undiffed = nil
 	n.liveTwinBytes -= int64(len(ps.twin))
 	n.dropTwin(ps) // d holds copies of ps.data only
-	n.noteDiffSize(ps, d)
-	n.c.detector.noteDiff(pg, d)
+	n.noteDiff(pg, ps, d.DataBytes(), true)
 	return d
 }
 
@@ -420,16 +421,6 @@ func (n *Node) storeDiff(wn *WriteNotice, d *mem.Diff, created bool) {
 	}
 	n.noteLive()
 	n.c.noteDiffCount(+1)
-}
-
-// noteDiffSize feeds the write-granularity adaptation (WFS+WG).
-func (n *Node) noteDiffSize(ps *pageState, d *mem.Diff) {
-	if s := d.DataBytes(); s > ps.lastDiffSize {
-		ps.lastDiffSize = s
-	} else if s > 0 {
-		// Exponential-ish tracking so the estimate can shrink too.
-		ps.lastDiffSize = (ps.lastDiffSize + s) / 2
-	}
 }
 
 // dropDiff removes a diff from the local cache, reversing storeDiff's live

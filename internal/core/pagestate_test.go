@@ -75,7 +75,6 @@ func TestPageStateTable(t *testing.T) {
 func TestTwinDiffedBeforeRebase(t *testing.T) {
 	c := New(testParams(2, WFSWG))
 	c.AllocPageAligned(mem.PageSize)
-	c.detector.pages = make([]detPage, c.usedPages())
 	n := c.Node(0)
 	n.buildPages(c.usedPages())
 	ps := n.pages[0]

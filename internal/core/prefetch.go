@@ -127,7 +127,7 @@ func (n *Node) prefetchPages(pages []int) {
 		// The batch services these read misses; account them exactly like
 		// readFault (the loop will find the pages valid).
 		n.Stats.ReadFaults++
-		n.c.detector.noteAccess(pl.pg, n.id, false)
+		n.noteAccess(pl.pg, pl.ps)
 	}
 
 	// Group the span's fetches per destination node, in deterministic

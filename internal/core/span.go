@@ -7,12 +7,12 @@ import (
 )
 
 // The bulk entry point of the engine. A per-element accessor pays a full
-// fault check plus detector pass per word (node.go: access); AccessRange
-// resolves the same protocol state once per page and then exposes the page
-// bytes directly, so a span over k words on one page costs one check
-// instead of k. The per-page bookkeeping (readFault on an invalid page,
-// writeFault on a non-writable one, markWritten, the detector's accessor
-// bitmasks) is exactly what the per-element path runs, and all of it is
+// fault check plus a sharing-fact check per word (node.go: access);
+// AccessRange resolves the same protocol state once per page and then
+// exposes the page bytes directly, so a span over k words on one page
+// costs one check instead of k. The per-page bookkeeping (readFault on an
+// invalid page, writeFault on a non-writable one, markWritten, the page's
+// sharing facts) is exactly what the per-element path runs, and all of it is
 // idempotent at page granularity within an interval — which is why the
 // bulk path changes cost, never semantics. The test-only reference engine
 // Params.PerWordSpans pins that claim: it degrades every AccessRange back

@@ -281,7 +281,7 @@ func (n *Node) applyDiffs(pg int, ps *pageState, wns []*WriteNotice) {
 			d.Apply(ps.twin)
 		}
 		ps.applied.Join(wn.Int.VC)
-		n.noteDiffSize(ps, d)
+		n.noteDiff(pg, ps, d.DataBytes(), false)
 		n.Stats.DiffsApplied++
 		n.proc.Advance(n.c.params.applyCost(d))
 	}

@@ -222,6 +222,29 @@ func (w *wireRW) Intervals(ivs *[]*Interval) {
 	}
 }
 
+// Facts carries a barrier arrival's page facts behind one count word whose
+// low bit is the arrival's memory-pressure flag, so an arrival with no
+// facts (every protocol but adaptive) is the one flag byte it always was.
+func (w *wireRW) Facts(fs *[]pageFact, pressure *bool) {
+	word := uint64(len(*fs))<<1 | uint64(btoi(*pressure))
+	if w.U64(&word); w.mode == wireDecode {
+		*pressure = word&1 != 0
+		if n := word >> 1; n > 0 && n <= uint64(w.r.Remaining()/5) {
+			*fs = make([]pageFact, n)
+		} else {
+			w.check(n == 0)
+		}
+	}
+	for i := range *fs {
+		f := &(*fs)[i]
+		w.Int(&f.Page)
+		w.Bool(&f.First)
+		w.I64(&f.Diffs.count)
+		w.I64(&f.Diffs.bytes)
+		w.Int(&f.Diffs.max)
+	}
+}
+
 // Switches carries the adaptive policy's per-page decisions (barrier
 // releases and the recovery protocol round).
 func (w *wireRW) Switches(sws *[]policySwitch) {
