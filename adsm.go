@@ -98,16 +98,13 @@ const (
 	// FirstTouchHomes binds a page's home at its first fault, agreed
 	// cluster-wide through the allocator (node 0).
 	FirstTouchHomes = core.HomeFirstTouch
-	// RoundRobinAllocHomes stripes homes per Alloc call so each array's
-	// pages spread evenly over the processors.
-	RoundRobinAllocHomes = core.HomeRRAlloc
 	// BlockHomes assigns contiguous page ranges per processor, matching
 	// band partitioning (SOR/Shallow row decompositions).
 	BlockHomes = core.HomeBlock
 )
 
 // ParseHomePolicy resolves a home policy name — canonical or alias,
-// case-insensitive — such as "static", "first-touch" or "rr-alloc".
+// case-insensitive — such as "static", "first-touch" or "blocked".
 func ParseHomePolicy(name string) (HomePolicy, error) { return core.ParseHome(name) }
 
 // HomePolicies lists every home policy in id order.

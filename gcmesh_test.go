@@ -185,3 +185,51 @@ func TestAdaptiveMultiProcess(t *testing.T) {
 		}
 	})
 }
+
+// TestFirstTouchMultiProcess runs first-touch homes on a multi-process
+// mesh. Only node 0's endpoint holds the directory, so every other node
+// learns a binding by message: its own bind reply, or a flush that makes
+// it a page's home. Each node first-touches its own page, then all nodes
+// write one shared page over several epochs; every node must read the
+// final values, and every non-zero endpoint must have asked node 0.
+func TestFirstTouchMultiProcess(t *testing.T) {
+	const procs, epochs = 3, 4
+	shared := procs * pageWords // the first word of the shared page
+	var bad [procs]int          // words each node read wrong at the end
+	reps := runEndpoints(t, adsm.Config{Procs: procs, Protocol: adsm.HLRC, HomePolicy: adsm.FirstTouchHomes},
+		(procs+1)*pageWords,
+		func(w *adsm.Worker, words adsm.Shared[uint64]) {
+			for i := range pageWords {
+				words.Set(w, w.ID()*pageWords+i, uint64(100+w.ID()))
+			}
+			w.Barrier()
+			for e := 1; e <= epochs; e++ {
+				for i := w.ID(); i < pageWords; i += procs {
+					words.Set(w, shared+i, uint64(e))
+				}
+				w.Barrier()
+			}
+			for p := range procs {
+				for i := range pageWords {
+					if words.At(w, p*pageWords+i) != uint64(100+p) {
+						bad[w.ID()]++
+					}
+				}
+			}
+			for i := range pageWords {
+				if words.At(w, shared+i) != epochs {
+					bad[w.ID()]++
+				}
+			}
+		})
+	for id, n := range bad {
+		if n > 0 {
+			t.Errorf("node %d read %d words wrong", id, n)
+		}
+	}
+	for id := 1; id < procs; id++ {
+		if reps[id].Stats.HomeBinds == 0 {
+			t.Errorf("node %d's endpoint sent no bind request", id)
+		}
+	}
+}

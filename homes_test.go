@@ -11,8 +11,8 @@ import (
 
 func TestHomePolicyListing(t *testing.T) {
 	hs := adsm.HomePolicies()
-	if len(hs) < 4 {
-		t.Fatalf("expected at least 4 home policies, got %v", adsm.HomePolicyNames())
+	if len(hs) < 3 {
+		t.Fatalf("expected at least 3 home policies, got %v", adsm.HomePolicyNames())
 	}
 	seen := map[string]bool{}
 	for _, h := range hs {
@@ -21,7 +21,7 @@ func TestHomePolicyListing(t *testing.T) {
 			t.Errorf("home policy %s has no description", h)
 		}
 	}
-	for _, want := range []string{"static", "first-touch", "round-robin-alloc", "block"} {
+	for _, want := range []string{"static", "first-touch", "block"} {
 		if !seen[want] {
 			t.Errorf("home policy %s missing from listing %v", want, adsm.HomePolicyNames())
 		}
@@ -35,8 +35,8 @@ func TestParseHomePolicyRoundTrip(t *testing.T) {
 			t.Errorf("ParseHomePolicy(%q) = %v, %v; want %v", h.String(), got, err, h)
 		}
 	}
-	if h, err := adsm.ParseHomePolicy("rr-alloc"); err != nil || h != adsm.RoundRobinAllocHomes {
-		t.Errorf("alias rr-alloc: got %v, %v", h, err)
+	if h, err := adsm.ParseHomePolicy("blocked"); err != nil || h != adsm.BlockHomes {
+		t.Errorf("alias blocked: got %v, %v", h, err)
 	}
 	if _, err := adsm.ParseHomePolicy("bogus"); err == nil ||
 		!strings.Contains(err.Error(), "unknown home policy") {
@@ -96,9 +96,9 @@ func TestHomePolicyScenarioMatrix(t *testing.T) {
 	}
 }
 
-// TestFirstTouchHomesTCP runs the first-touch directory on the in-process
-// tcp mesh, where the nodes run concurrently: node 0 binds pages while
-// other nodes' handlers look the bindings up. Results must match the
+// TestFirstTouchHomesTCP runs first-touch homes on the in-process tcp
+// mesh, where the nodes run concurrently: node 0 binds pages in its own
+// table while other nodes' flushes and bind replies fill theirs. Results must match the
 // sequential run; CI runs it under the race detector.
 func TestFirstTouchHomesTCP(t *testing.T) {
 	for _, name := range []string{"SOR", "IS"} {

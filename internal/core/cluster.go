@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"adsm/internal/mem"
 	"adsm/internal/stats"
@@ -18,14 +17,12 @@ import (
 type Cluster struct {
 	params Params
 	policy Policy
-	homes  HomeAssigner
 	rt     transport.Runtime
 	local  []int // node ids hosted by this runtime instance
 	nodes  []*Node
 
 	npages    int
 	allocated int
-	allocs    []allocSpan
 	started   bool
 
 	// The barrier and recovery managers' state: only node 0, the manager,
@@ -41,10 +38,11 @@ type Cluster struct {
 	// Adaptive meta-protocol decision state (nil under static protocols).
 	adapt *adaptState
 
-	// Figure 3 instrumentation: total live diffs across all nodes, which
-	// every node updates (atomically); seriesMu orders the samples.
-	totalLiveDiffs atomic.Int64
+	// Figure 3 instrumentation, set at construction or never: the total
+	// live diffs across all nodes, which every node updates under
+	// seriesMu, sampled into DiffSeries.
 	seriesMu       sync.Mutex
+	totalLiveDiffs int64
 	DiffSeries     *stats.Series
 
 	gcRuns int64 // barrier manager (node 0) only
@@ -67,7 +65,6 @@ func New(p Params) *Cluster {
 	c := &Cluster{
 		params: p,
 		policy: p.Protocol.newPolicy(),
-		homes:  p.Home.newAssigner(),
 		npages: npages,
 		zero:   mem.NewPage(),
 	}
@@ -128,18 +125,6 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // GCRuns reports how many garbage collections ran.
 func (c *Cluster) GCRuns() int64 { return c.gcRuns }
 
-// homeOf returns the home of a page under the cluster's home policy, or
-// -1 when it is not yet bound (first touch). Non-blocking; processes that
-// may need to bind a page use Node.resolveHome instead.
-func (c *Cluster) homeOf(pg int) int { return c.homes.Lookup(c, pg) }
-
-// Homes exposes the home assigner (for tests and instrumentation).
-func (c *Cluster) Homes() HomeAssigner { return c.homes }
-
-// allocSpan records one Alloc call so allocation-aware home policies
-// (round-robin-alloc) can reconstruct the data layout.
-type allocSpan struct{ addr, size int }
-
 // usedPages returns the number of pages covered by allocations.
 func (c *Cluster) usedPages() int {
 	return (c.allocated + mem.PageSize - 1) / mem.PageSize
@@ -169,15 +154,13 @@ func (c *Cluster) alloc(what string, n, align int) int {
 		panic(fmt.Sprintf("dsm: shared segment exhausted (%d + %d > %d)", addr, n, c.npages*mem.PageSize))
 	}
 	c.allocated = addr + n
-	c.allocs = append(c.allocs, allocSpan{addr: addr, size: n})
 	return addr
 }
 
 // Run executes body on every node (SPMD) and returns the virtual time at
 // completion. Per-page state — page structs, initial copies, home tables,
 // the barrier manager's writer masks — is built here rather than at
-// construction: every allocation has happened, so allocation-aware home
-// policies see the final data layout and everything is sized by
+// construction: every allocation has happened, so everything is sized by
 // usedPages(), what the program shares, instead of the segment's
 // capacity. Pages beyond the allocation are unreachable (access panics
 // above c.allocated).
@@ -188,12 +171,11 @@ func (c *Cluster) Run(body func(n *Node)) (transport.Time, error) {
 	c.started = true
 	used := c.usedPages()
 	c.bar.writers = make([]uint64, used)
-	c.homes.Prepare(c)
 	for _, i := range c.local {
 		n := c.nodes[i]
 		n.buildPages(used)
 		for pg, ps := range n.pages {
-			c.policy.InitPage(c, n.id, pg, ps)
+			c.policy.InitPage(n, pg, ps)
 		}
 	}
 	for _, i := range c.local {
@@ -237,7 +219,7 @@ func (n *Node) handle(call transport.Call, from int, m transport.Msg) {
 	case barArrive:
 		n.serveBarrier(call, from, msg)
 	case homeBindReq:
-		n.c.homes.(homeBinder).serveBind(n, call, from, msg)
+		n.serveBind(call, from, msg)
 	case ckptPut:
 		n.serveCkptPut(call, from, msg)
 	case recArrive:
@@ -252,12 +234,12 @@ func (n *Node) handle(call transport.Call, from int, m transport.Msg) {
 // noteDiffCount maintains the cluster-wide live diff count (Figure 3).
 func (c *Cluster) noteDiffCount(delta int64) {
 	if c.DiffSeries == nil {
-		c.totalLiveDiffs.Add(delta)
-		return
+		return // the total is read only by the series
 	}
 	c.seriesMu.Lock()
 	defer c.seriesMu.Unlock()
-	c.DiffSeries.Append(int64(c.rt.Now()), c.totalLiveDiffs.Add(delta))
+	c.totalLiveDiffs += delta
+	c.DiffSeries.Append(int64(c.rt.Now()), c.totalLiveDiffs)
 }
 
 // Totals aggregates all nodes' statistics.

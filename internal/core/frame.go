@@ -101,7 +101,7 @@ func (n *Node) dropTwin(ps *pageState) {
 	ps.twin, ps.twinShared = nil, false
 }
 
-// frameLedger checks, in test builds (checkPageStates), that a shared
+// frameLedger checks, in checked builds (checkPageStates), that a shared
 // frame is never written: it records each frame's checksum when the frame
 // becomes shared, and verify and verifyAll compare. On tcp the nodes of an
 // in-process mesh share the ledger, hence the lock.

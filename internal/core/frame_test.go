@@ -185,8 +185,8 @@ func TestHomeFlushCopiesSharedTwin(t *testing.T) {
 	c := New(testParams(2, HLRC))
 	base := c.AllocPageAligned(mem.PageSize)
 	pg := base >> mem.PageShift
-	if c.homeOf(pg) != 0 {
-		t.Fatalf("page %d's home is %d, want node 0", pg, c.homeOf(pg))
+	if hm := filled(HomeStatic, c.usedPages(), 2)[pg]; hm != 0 {
+		t.Fatalf("page %d's home is %d, want node 0", pg, hm)
 	}
 	mustRun(t, c, func(n *Node) {
 		if n.ID() == 0 {

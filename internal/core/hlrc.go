@@ -26,14 +26,14 @@ type hlrcPolicy struct{ basePolicy }
 // with the initial zeroed copy living at the home. When the home policy
 // has not bound the page yet (first touch), the allocator holds the
 // initial copy until a home emerges.
-func (hlrcPolicy) InitPage(c *Cluster, id, pg int, ps *pageState) {
-	home := c.homeOf(pg)
+func (hlrcPolicy) InitPage(n *Node, pg int, ps *pageState) {
+	home := int(n.homes[pg])
 	if home < 0 {
 		home = homeDirNode
 	}
 	ps.bindHome(home)
-	if id == home {
-		c.zeroPage(ps)
+	if n.id == home {
+		n.c.zeroPage(ps)
 		ps.status = pageReadOnly
 	}
 }
@@ -63,12 +63,18 @@ func (hlrcPolicy) MakeValid(n *Node, pg int, ps *pageState) {
 		}
 		home := n.resolveHome(pg)
 		if home == n.id {
-			if ps.data == nil && len(ps.pending) == 0 {
-				// A freshly bound first-touch home materializes its initial
-				// copy: pages are zero-initialized and every modification
-				// anywhere reaches the home as a flushed diff, so the zero
-				// page plus the applied flushes is exact.
-				n.c.zeroPage(ps)
+			// The bind RPC may have blocked, and a flush that arrived
+			// meanwhile bound this node and made its copy: look again.
+			dropApplied(ps)
+			if len(ps.pending) == 0 {
+				if ps.data == nil {
+					// A freshly bound first-touch home materializes its
+					// initial copy: pages are zero-initialized and every
+					// modification anywhere reaches the home as a flushed
+					// diff, so the zero page plus the applied flushes is
+					// exact.
+					n.c.zeroPage(ps)
+				}
 				continue
 			}
 			msg := fmt.Sprintf("dsm: hlrc home %d has a stale copy of page %d (applied=%v)", n.id, pg, ps.applied)
@@ -190,13 +196,21 @@ func (n *Node) serveHLRCFlush(c transport.Call, from int, m hlrcFlush) {
 			panic(fmt.Sprintf("dsm: hlrc flush from node %d reached home %d before it switched page %d (running %v)",
 				from, n.id, d.Page, ps.proto))
 		}
+		if hm := n.homes[d.Page]; int(hm) != n.id {
+			// Flushes go only to homes, so one for a page this node has
+			// not bound yet (first touch; its bind reply may still be in
+			// flight) binds it here. A flush to another node's page is a
+			// bug.
+			if hm >= 0 {
+				panic(fmt.Sprintf("dsm: hlrc flush from node %d for page %d reached node %d, not its home %d",
+					from, d.Page, n.id, hm))
+			}
+			n.homes[d.Page] = int32(n.id)
+		}
 		if ps.data == nil {
 			// A first-touch home can receive its first flush before its own
 			// MakeValid materialized the copy; start from the zero page
-			// (see MakeValid). A flush addressed to a non-home is a bug.
-			if n.c.homeOf(d.Page) != n.id {
-				panic(fmt.Sprintf("dsm: hlrc home %d missing page %d", n.id, d.Page))
-			}
+			// (see MakeValid).
 			n.c.zeroPage(ps)
 		}
 		n.ownData(ps)

@@ -106,7 +106,7 @@ func TestHLRCHomesServeFetches(t *testing.T) {
 	}
 	// Every home still holds a copy of its own pages.
 	for pg := 0; pg < pages; pg++ {
-		home := c.homeOf(pg)
+		home := c.nodes[0].homes[pg]
 		if c.nodes[home].pages[pg].data == nil {
 			t.Errorf("home %d lost its copy of page %d", home, pg)
 		}
@@ -202,7 +202,7 @@ func TestHLRCHomeSelfWriteApplied(t *testing.T) {
 		}
 	})
 	for pg := 0; pg < procs; pg++ {
-		home := c.homeOf(pg)
+		home := c.nodes[0].homes[pg]
 		ps := c.nodes[home].pages[base/mem.PageSize+pg]
 		if ps.myLastWN == nil {
 			t.Fatalf("home %d never wrote page %d", home, pg)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"adsm/internal/mem"
+	"adsm/internal/transport"
 	"adsm/internal/vc"
 )
 
@@ -15,15 +17,12 @@ func homeTestParams(procs int, proto Protocol, home Home) Params {
 
 func TestHomeRegistryParse(t *testing.T) {
 	cases := map[string]Home{
-		"static":            HomeStatic,
-		"first-touch":       HomeFirstTouch,
-		"FIRSTTOUCH":        HomeFirstTouch,
-		"ft":                HomeFirstTouch,
-		"round-robin-alloc": HomeRRAlloc,
-		"rr-alloc":          HomeRRAlloc,
-		"rr":                HomeRRAlloc,
-		"block":             HomeBlock,
-		"Blocked":           HomeBlock,
+		"static":      HomeStatic,
+		"first-touch": HomeFirstTouch,
+		"FIRSTTOUCH":  HomeFirstTouch,
+		"ft":          HomeFirstTouch,
+		"block":       HomeBlock,
+		"Blocked":     HomeBlock,
 	}
 	for name, want := range cases {
 		got, err := ParseHome(name)
@@ -36,58 +35,36 @@ func TestHomeRegistryParse(t *testing.T) {
 	}
 }
 
+// filled returns the home table policy h fills for used pages on procs
+// nodes.
+func filled(h Home, used, procs int) []int32 {
+	homes := make([]int32, used)
+	h.fill(homes, procs)
+	return homes
+}
+
 func TestStaticHomesLayout(t *testing.T) {
-	c := New(homeTestParams(4, MW, HomeStatic))
-	c.AllocPageAligned(8 * mem.PageSize)
-	c.homes.Prepare(c)
-	for pg := 0; pg < 8; pg++ {
-		if got := c.homeOf(pg); got != pg%4 {
+	for pg, got := range filled(HomeStatic, 8, 4) {
+		if int(got) != pg%4 {
 			t.Errorf("static home of page %d = %d, want %d", pg, got, pg%4)
 		}
 	}
 }
 
-func TestRRAllocHomesStriping(t *testing.T) {
-	c := New(homeTestParams(4, MW, HomeRRAlloc))
-	c.AllocPageAligned(3 * mem.PageSize) // pages 0..2
-	c.AllocPageAligned(6 * mem.PageSize) // pages 3..8
-	c.homes.Prepare(c)
-	// Each allocation stripes from node 0: the j-th page of the call lives
-	// at node j % procs, regardless of the segment offset.
-	want := map[int]int{0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2, 6: 3, 7: 0, 8: 1}
-	for pg, home := range want {
-		if got := c.homeOf(pg); got != home {
-			t.Errorf("rr-alloc home of page %d = %d, want %d", pg, got, home)
-		}
-	}
-}
-
 func TestBlockHomesBands(t *testing.T) {
-	c := New(homeTestParams(4, MW, HomeBlock))
-	c.AllocPageAligned(8 * mem.PageSize)
-	c.homes.Prepare(c)
-	want := []int{0, 0, 1, 1, 2, 2, 3, 3}
-	for pg, home := range want {
-		if got := c.homeOf(pg); got != home {
-			t.Errorf("block home of page %d = %d, want %d", pg, got, home)
-		}
+	if got, want := filled(HomeBlock, 8, 4), []int32{0, 0, 1, 1, 2, 2, 3, 3}; !slices.Equal(got, want) {
+		t.Errorf("block homes of 8 pages = %v, want %v", got, want)
 	}
 	// Uneven split: 7 used pages over 4 procs -> bands of 2,2,2,1.
-	c2 := New(homeTestParams(4, MW, HomeBlock))
-	c2.AllocPageAligned(7 * mem.PageSize)
-	c2.homes.Prepare(c2)
-	want2 := []int{0, 0, 1, 1, 2, 2, 3}
-	for pg, home := range want2 {
-		if got := c2.homeOf(pg); got != home {
-			t.Errorf("block(7) home of page %d = %d, want %d", pg, got, home)
-		}
+	if got, want := filled(HomeBlock, 7, 4), []int32{0, 0, 1, 1, 2, 2, 3}; !slices.Equal(got, want) {
+		t.Errorf("block homes of 7 pages = %v, want %v", got, want)
 	}
 }
 
 // TestFirstTouchConcurrentAgreement pins the agreement protocol: when two
-// nodes fault the same page with no synchronization between them, the
-// directory serializes the binding requests and both nodes converge on
-// the same home, which then serves all fetches for the page.
+// nodes fault the same page with no synchronization between them, node 0
+// serializes the binding requests and both nodes converge on the same
+// home, which then serves all fetches for the page.
 func TestFirstTouchConcurrentAgreement(t *testing.T) {
 	const procs = 4
 	c := New(homeTestParams(procs, HLRC, HomeFirstTouch))
@@ -111,27 +88,81 @@ func TestFirstTouchConcurrentAgreement(t *testing.T) {
 		n.Barrier()
 	})
 
-	ft := c.homes.(*firstTouchHomes)
-	// The raced page is bound to one of the two racers, and every node that
-	// learned a binding agrees with the directory.
-	raced := pageAt(1)
-	if h := ft.Lookup(c, raced); h != 1 && h != 2 {
+	// Node 0's table is the directory. The raced page is bound to one of
+	// the two racers, and every node that bound a page agrees with node 0.
+	dir := c.nodes[homeDirNode].homes
+	if h := dir[pageAt(1)]; h != 1 && h != 2 {
 		t.Errorf("raced page bound to %d, want one of the racers (1 or 2)", h)
 	}
-	for pg := range ft.dir {
-		for p := 0; p < procs; p++ {
-			if cached := ft.cache[p][pg]; cached >= 0 && cached != ft.Lookup(c, pg) {
-				t.Errorf("node %d cached home %d for page %d, directory says %d",
-					p, cached, pg, ft.Lookup(c, pg))
+	for _, n := range c.nodes {
+		for pg, hm := range n.homes {
+			if hm >= 0 && hm != dir[pg] {
+				t.Errorf("node %d binds page %d to %d, node 0 to %d", n.id, pg, hm, dir[pg])
 			}
 		}
 	}
 	// Each node's private page is homed at its first (and only) toucher.
 	for p := 0; p < procs; p++ {
-		if got := ft.Lookup(c, pageAt(4+p)); got != p {
+		if got := dir[pageAt(4+p)]; int(got) != p {
 			t.Errorf("page first-touched by node %d homed at %d", p, got)
 		}
 	}
+}
+
+// ackCall records the reply a handler sends.
+type ackCall struct {
+	transport.Call
+	reply transport.Msg
+}
+
+func (c *ackCall) Reply(m transport.Msg)                        { c.reply = m }
+func (c *ackCall) ReplyAfter(_ transport.Time, m transport.Msg) { c.reply = m }
+
+// TestFlushBindsUnboundHome: flushes go only to homes, so an HLRC flush
+// that reaches a node before it has bound the page (its first-touch bind
+// reply still in flight, or a dsmnode endpoint that never hosts the
+// directory) binds that node as the home and applies the diff from the
+// zero page. A flush for a page bound elsewhere still panics.
+func TestFlushBindsUnboundHome(t *testing.T) {
+	const procs, home, writer = 3, 2, 1
+	c := New(homeTestParams(procs, HLRC, HomeFirstTouch))
+	c.AllocPageAligned(2 * mem.PageSize)
+	n := c.nodes[home]
+	n.buildPages(c.usedPages())
+	for pg, ps := range n.pages {
+		c.policy.InitPage(n, pg, ps)
+	}
+	const pg = 1
+	if n.homes[pg] != -1 || n.pages[pg].data != nil {
+		t.Fatalf("page %d starts bound to %d with a copy %v", pg, n.homes[pg], n.pages[pg].data != nil)
+	}
+	cur := mem.NewPage()
+	mem.StoreUint64(cur, 8, 42)
+	flushVC := vc.VC{0, 1, 0}
+	call := &ackCall{}
+	n.handle(call, writer, hlrcFlush{VC: flushVC, Diffs: []*mem.Diff{mem.MakeDiff(pg, mem.NewPage(), cur)}})
+
+	if _, ok := call.reply.(hlrcAck); !ok {
+		t.Fatalf("flush answered %T, want hlrcAck", call.reply)
+	}
+	if n.homes[pg] != home {
+		t.Errorf("flush left page %d bound to %d, want the receiving node %d", pg, n.homes[pg], home)
+	}
+	ps := n.pages[pg]
+	if ps.data == nil || mem.LoadUint64(ps.data, 8) != 42 {
+		t.Fatalf("flushed diff not applied to the new home's copy")
+	}
+	if !flushVC.Leq(ps.applied) {
+		t.Errorf("applied %v does not cover the flush %v", ps.applied, flushVC)
+	}
+
+	n.homes[0] = writer
+	defer func() {
+		if recover() == nil {
+			t.Errorf("a flush for a page homed at node %d was applied at node %d", writer, home)
+		}
+	}()
+	n.handle(&ackCall{}, writer, hlrcFlush{VC: flushVC, Diffs: []*mem.Diff{mem.MakeDiff(0, mem.NewPage(), cur)}})
 }
 
 // TestHLRCHomePoliciesCoherent runs the false-sharing flush workload (the

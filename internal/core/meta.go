@@ -184,13 +184,13 @@ type metaPolicy struct {
 // InitPage delegates the page to the initial target protocol: the page's
 // proto/policy binding is re-pointed before the target's own InitPage
 // runs, so from the engine's point of view the page was never adaptive.
-func (p *metaPolicy) InitPage(c *Cluster, id, pg int, ps *pageState) {
+func (p *metaPolicy) InitPage(n *Node, pg int, ps *pageState) {
 	if !p.resolved {
-		p.resolve(c)
+		p.resolve(n.c)
 	}
 	ps.proto = p.target
 	ps.policy = policies[p.target]
-	ps.policy.InitPage(c, id, pg, ps)
+	ps.policy.InitPage(n, pg, ps)
 }
 
 // WriteFault can never run: every page is re-pointed at a concrete

@@ -60,7 +60,7 @@ func TestHLRCSwitchQuiescent(t *testing.T) {
 	base := c.AllocPageAligned(procs * mem.PageSize)
 	pg := home // static homes: page pg lives at pg % procs
 	addr := base + pg*mem.PageSize
-	if got := c.homeOf(pg); got != home {
+	if got := filled(HomeStatic, c.usedPages(), procs)[pg]; got != home {
 		t.Fatalf("page %d homed at %d, want %d", pg, got, home)
 	}
 	writers := []int{0, 2, 3} // in lock order; 3 ends with a valid copy

@@ -93,6 +93,9 @@ type Node struct {
 	intervals [][]*Interval
 
 	pages []*pageState
+	// homes is this node's home of every used page (homes.go): filled by
+	// the home policy, -1 until a first-touch page is bound.
+	homes []int32
 	dirty []int // pages written in the current interval
 	// diffCache holds this node's own diffs and the foreign ones it
 	// fetched or had pushed. Garbage collection empties it; between
@@ -235,6 +238,8 @@ func (n *Node) buildPages(used int) {
 	states := make([]pageState, used)
 	clocks := make([]int32, used*procs)
 	n.pages = make([]*pageState, used)
+	n.homes = make([]int32, used)
+	n.c.params.Home.fill(n.homes, procs)
 	for pg := range n.pages {
 		ps := &states[pg]
 		ps.proto = n.c.params.Protocol

@@ -41,7 +41,8 @@ import "fmt"
 // under later writes; replaying the twin's writes over that copy undid
 // the later ones. WFS+WG lost TSP's best tour that way on the wire.
 
-// checkPageStates makes every move check the table; test builds set it.
+// checkPageStates makes every move check the table; the core test build
+// and every binary built with -tags adsmcheck set it.
 var checkPageStates bool
 
 // checkPage panics when the page is in no legal state.

@@ -20,11 +20,11 @@ package core
 // (application threads, may block on RPCs) and handler context (message
 // service, must not block) as annotated per method.
 type Policy interface {
-	// InitPage seeds node id's initial state for page pg (the page's mode,
-	// the initial copy, and ownership). Runs once per (node, page) at
-	// cluster construction; the generic fields (applied vector, perceived
-	// owner = allocator) are already set.
-	InitPage(c *Cluster, id, pg int, ps *pageState)
+	// InitPage seeds node n's initial state for page pg (the page's mode,
+	// the initial copy, and ownership). Runs once per (node, page) when
+	// Run starts; the generic fields (applied vector, perceived owner =
+	// allocator, home table) are already set.
+	InitPage(n *Node, pg int, ps *pageState)
 
 	// WriteFault services a write miss on a page this node does not own
 	// (the owner fast path is handled generically). Process context.
@@ -126,10 +126,10 @@ func (basePolicy) SpanSettle(n *Node, pg int, ps *pageState) { n.lrcSpanSettle(p
 // ownerInitPage is the shared InitPage of the ownership-based protocols:
 // every page starts in SW mode, owned (with its initial copy) by the
 // allocator, node 0.
-func ownerInitPage(c *Cluster, id, pg int, ps *pageState) {
-	ps.initPage(modeSW, id == 0)
-	if id == 0 {
-		c.zeroPage(ps)
+func ownerInitPage(n *Node, ps *pageState) {
+	ps.initPage(modeSW, n.id == 0)
+	if n.id == 0 {
+		n.c.zeroPage(ps)
 		ps.status = pageReadOnly
 	}
 }
@@ -138,10 +138,10 @@ func ownerInitPage(c *Cluster, id, pg int, ps *pageState) {
 
 type mwPolicy struct{ basePolicy }
 
-func (mwPolicy) InitPage(c *Cluster, id, pg int, ps *pageState) {
+func (mwPolicy) InitPage(n *Node, pg int, ps *pageState) {
 	ps.initPage(modeMW, false)
-	if id == 0 {
-		c.zeroPage(ps)
+	if n.id == 0 {
+		n.c.zeroPage(ps)
 		ps.status = pageReadOnly
 	}
 }
@@ -152,7 +152,7 @@ func (mwPolicy) WriteFault(n *Node, pg int, ps *pageState) { n.stayMW(pg, ps) }
 
 type swPolicy struct{ basePolicy }
 
-func (swPolicy) InitPage(c *Cluster, id, pg int, ps *pageState) { ownerInitPage(c, id, pg, ps) }
+func (swPolicy) InitPage(n *Node, pg int, ps *pageState) { ownerInitPage(n, ps) }
 
 func (swPolicy) WriteFault(n *Node, pg int, ps *pageState) { n.writeFaultSW(pg, ps) }
 
@@ -167,9 +167,7 @@ type adaptivePolicy struct {
 	wg bool
 }
 
-func (adaptivePolicy) InitPage(c *Cluster, id, pg int, ps *pageState) {
-	ownerInitPage(c, id, pg, ps)
-}
+func (adaptivePolicy) InitPage(n *Node, pg int, ps *pageState) { ownerInitPage(n, ps) }
 
 func (adaptivePolicy) WriteFault(n *Node, pg int, ps *pageState) { n.writeFaultAdaptive(pg, ps) }
 

@@ -57,7 +57,6 @@ func TestProtocolHomeTablesStable(t *testing.T) {
 	}{
 		{HomeStatic, "static", nil},
 		{HomeFirstTouch, "first-touch", []string{"firsttouch", "ft"}},
-		{HomeRRAlloc, "round-robin-alloc", []string{"rr-alloc", "rr"}},
 		{HomeBlock, "block", []string{"blocked"}},
 	}
 	names = nil
