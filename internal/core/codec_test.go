@@ -24,11 +24,11 @@ func sampleVC() vc.VC { return vc.VC{3, 1, 4, 1, 5, 9, 2, 6} }
 func sampleIntervals() []*Interval {
 	iv1 := &Interval{Proc: 2, TS: 7, VC: sampleVC()}
 	iv1.WNs = []*WriteNotice{
-		{Page: 5, Int: iv1, Owner: false, DataHint: 800},
+		{Page: 5, Int: iv1, Owner: false},
 		{Page: 9, Int: iv1, Owner: true, Version: 3},
 	}
 	iv2 := &Interval{Proc: 0, TS: 4, VC: sampleVC()}
-	iv2.WNs = []*WriteNotice{{Page: 1, Int: iv2, Owner: false, DataHint: 96}}
+	iv2.WNs = []*WriteNotice{{Page: 1, Int: iv2, Owner: false}}
 	return []*Interval{iv1, iv2}
 }
 

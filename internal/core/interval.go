@@ -22,11 +22,10 @@ type Interval struct {
 // write notices additionally carry the page's version number (single
 // writer protocol); non-owner write notices identify a diff.
 type WriteNotice struct {
-	Page     int
-	Int      *Interval
-	Owner    bool
-	Version  int32
-	DataHint int // modified bytes, set when the diff is created (granularity stats)
+	Page    int
+	Int     *Interval
+	Owner   bool
+	Version int32
 }
 
 // wnKey identifies a write notice's diff in per-node diff caches.
@@ -45,7 +44,7 @@ func keyOf(wn *WriteNotice) wnKey {
 // ~2 bytes per vector-clock entry and ~8 per write notice, not the packed
 // 4-byte/24-byte C structs the model originally charged.
 const (
-	wnWireBytes       = 8  // page, flags, version, data hint
+	wnWireBytes       = 8  // page, flags, version
 	intervalWireBytes = 12 // proc, ts + length headers
 	vcEntryWireBytes  = 2  // varint-coded interval counter
 )

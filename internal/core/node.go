@@ -393,7 +393,6 @@ func (n *Node) makeDiff(pg int, ps *pageState) *mem.Diff {
 		panic("dsm: makeDiff without pending twin")
 	}
 	d := mem.MakeDiff(pg, ps.twin, ps.data)
-	wn.DataHint = d.DataBytes()
 	n.storeDiff(wn, d, true)
 	ps.undiffed = nil
 	n.liveTwinBytes -= int64(len(ps.twin))

@@ -195,7 +195,7 @@ func (w *wireRW) Intervals(ivs *[]*Interval) {
 				if b = append(transport.AppendUvarint(b, uint64(wn.Page)), 0); wn.Owner {
 					b[len(b)-1] = 1
 				}
-				b = transport.AppendUvarint(transport.AppendUvarint(b, uint64(uint32(wn.Version))), uint64(wn.DataHint))
+				b = transport.AppendUvarint(b, uint64(uint32(wn.Version)))
 			}
 			w.b = b
 		}
@@ -209,7 +209,7 @@ func (w *wireRW) Intervals(ivs *[]*Interval) {
 		w.Int(&iv.Proc)
 		w.I32(&iv.TS)
 		w.VC(&iv.VC)
-		for j := range list(w, &iv.WNs, 4) {
+		for j := range list(w, &iv.WNs, 3) {
 			if w.mode == wireDecode {
 				iv.WNs[j] = &WriteNotice{Int: iv}
 			}
@@ -217,7 +217,6 @@ func (w *wireRW) Intervals(ivs *[]*Interval) {
 			w.Int(&wn.Page)
 			w.Bool(&wn.Owner)
 			w.I32(&wn.Version)
-			w.Int(&wn.DataHint)
 		}
 	}
 }
