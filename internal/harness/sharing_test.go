@@ -11,7 +11,7 @@ import (
 	"adsm"
 )
 
-var updateSharing = flag.Bool("update", false, "rewrite testdata/sharing.golden from the current run")
+var updateSharing = flag.Bool("update", false, "rewrite the testdata golden tables (sharing.golden, allocs.golden) from the current run")
 
 // TestSharingGolden pins Table 2's measurement: every cell of the quick
 // matrix (every app under every protocol, 4 processors, simulator) must
