@@ -19,6 +19,10 @@ func NewClusterParams(cfg Config, edit func(*core.Params)) (*Cluster, error) {
 // node caches.
 func (w *Worker) ForeignDiffs() int { return w.n.ForeignDiffs() }
 
+// KnownIntervals reports how many intervals the worker's node has closed
+// or ingested.
+func (w *Worker) KnownIntervals() int { return w.n.KnownIntervals() }
+
 // EngineTotals returns the engine's counters summed over the nodes, the
 // runtime's own counts, and the cluster's garbage collections: the three
 // sources Report.Stats is built from.

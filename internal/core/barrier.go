@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"adsm/internal/transport"
+	"adsm/internal/vc"
 )
 
 // Barriers: centralized at node 0 (the manager). Arrivals carry each
@@ -114,24 +115,24 @@ func (n *Node) dispatchBarrierRelease() {
 	}
 }
 
-// dominatingWN returns the write notice whose interval dominates all
-// others, or nil if none does.
-func dominatingWN(wns []*WriteNotice) *WriteNotice {
-	var best *WriteNotice
-	for _, wn := range wns {
-		if best == nil || best.Int.VC.Leq(wn.Int.VC) {
-			best = wn
+// dominatingWN returns the vector clock of the write notice whose
+// interval dominates all the others of wns, or nil if none does.
+func (n *Node) dominatingWN(wns []wnRef) vc.VC {
+	var best wnRef
+	for _, r := range wns {
+		if !best.ok() || n.ivc(best).Leq(n.ivc(r)) {
+			best = r
 		}
 	}
-	if best == nil {
+	if !best.ok() {
 		return nil
 	}
-	for _, wn := range wns {
-		if wn != best && !wn.Int.VC.Leq(best.Int.VC) {
+	for _, r := range wns {
+		if r != best && !n.ivc(r).Leq(n.ivc(best)) {
 			return nil
 		}
 	}
-	return best
+	return n.ivc(best)
 }
 
 // serveBarrier runs at the manager (handler context).
@@ -151,10 +152,12 @@ func (n *Node) serveBarrier(c transport.Call, from int, m barArrive) {
 	}
 	// Every node's intervals since the last release reach the manager in
 	// its own arrival (node 0's too), so the writer masks miss no write.
-	for _, iv := range m.Intervals {
-		for _, wn := range iv.WNs {
-			b.writers[wn.Page] |= 1 << uint(iv.Proc)
+	w := 0
+	for _, h := range m.Intervals.Heads {
+		for _, wn := range m.Intervals.WNs[w : w+int(h.nwn)] {
+			b.writers[wn.page] |= 1 << uint(h.proc)
 		}
+		w += int(h.nwn)
 	}
 	b.arrived++
 	b.calls = append(b.calls, c)

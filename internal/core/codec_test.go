@@ -21,15 +21,12 @@ func sampleDiff(pg, bytes int) *mem.Diff {
 
 func sampleVC() vc.VC { return vc.VC{3, 1, 4, 1, 5, 9, 2, 6} }
 
-func sampleIntervals() []*Interval {
-	iv1 := &Interval{Proc: 2, TS: 7, VC: sampleVC()}
-	iv1.WNs = []*WriteNotice{
-		{Page: 5, Int: iv1, Owner: false},
-		{Page: 9, Int: iv1, Owner: true, Version: 3},
+func sampleIntervals() ivBatch {
+	return ivBatch{
+		Heads: []ivHead{{proc: 2, ts: 7, nwn: 2}, {proc: 0, ts: 4, nwn: 1}},
+		VCs:   append(sampleVC(), sampleVC()...),
+		WNs:   []wnRow{{page: 5}, ownerRow(9, 3), {page: 1}},
 	}
-	iv2 := &Interval{Proc: 0, TS: 4, VC: sampleVC()}
-	iv2.WNs = []*WriteNotice{{Page: 1, Int: iv2, Owner: false}}
-	return []*Interval{iv1, iv2}
 }
 
 // msgSamples returns representative values of every registered core

@@ -85,7 +85,7 @@ func (n *Node) evictKnownDiffs() {
 			// A notice the copy reflects (the applied vector covers its
 			// interval) is not pending; the scan of the pending list
 			// only confirms it.
-			if ps := n.pages[k.page]; ps.applied[k.proc] < k.ts || findWN(ps.pending, k) != nil {
+			if ps := n.pages[k.page]; ps.applied[k.proc] < k.ts || pendingHas(ps, k) {
 				kept = append(kept, k)
 				continue
 			}

@@ -7,6 +7,7 @@ import (
 
 	"adsm/internal/mem"
 	"adsm/internal/transport"
+	"adsm/internal/vc"
 )
 
 // Reclamation between barriers (evict.go), on the simulator under the wire
@@ -317,19 +318,19 @@ func TestStoredDiffsOutliveFrame(t *testing.T) {
 	n := c.Node(0)
 	n.buildPages(c.usedPages())
 
-	iv := &Interval{Proc: 1, TS: 1, VC: []int32{0, 1}}
+	ivc := vc.VC{0, 1}
+	refs := n.addInterval(1, ivc, wnRow{page: 0}, wnRow{page: 1})
 	var want [2][]byte
-	var wns [2]*WriteNotice
+	var keys [2]wnKey
 	var diffs [2]*mem.Diff
 	for pg := range want {
-		wns[pg] = &WriteNotice{Page: pg, Int: iv}
+		keys[pg] = refs[pg].key(pg)
 		want[pg] = make([]byte, mem.PageSize)
 		for i := 64 * pg; i < 64*pg+40; i++ {
 			want[pg][i] = byte(i + pg)
 		}
 		diffs[pg] = mem.MakeDiff(pg, make([]byte, mem.PageSize), want[pg])
 	}
-	iv.WNs = wns[:]
 
 	decode := func(m transport.Msg) (transport.Msg, []byte) {
 		t.Helper()
@@ -349,17 +350,17 @@ func TestStoredDiffsOutliveFrame(t *testing.T) {
 		return &data[0] == &body[len(body)-len(data)]
 	}
 
-	resp, respBody := decode(diffResp{Diffs: diffs[:1], Keys: []wnKey{keyOf(wns[0])}})
-	grant, grantBody := decode(acqGrant{Intervals: []*Interval{iv}, VC: iv.VC, Diffs: diffs[1:], Keys: []wnKey{keyOf(wns[1])}, nprocs: 2})
+	resp, respBody := decode(diffResp{Diffs: diffs[:1], Keys: keys[:1]})
+	grant, grantBody := decode(acqGrant{Intervals: n.intervalsSince([]int32{0, 0}), VC: ivc, Diffs: diffs[1:], Keys: keys[1:], nprocs: 2})
 	dr, g := resp.(diffResp), grant.(acqGrant)
 	if !inBody(dr.Diffs[0], respBody) || !inBody(g.Diffs[0], grantBody) {
 		t.Fatal("decoded diff payloads do not alias their frame bodies")
 	}
 
-	n.storeDiff(wns[0], dr.Diffs[0], false)
+	n.storeDiff(keys[0], dr.Diffs[0], false)
 	ps := n.pages[1]
 	ps.data = make([]byte, mem.PageSize)
-	ps.pending = []*WriteNotice{wns[1]} // the grant's notice, ingested
+	ps.pending = []wnRef{refs[1]} // the grant's notice, ingested
 	n.acceptPushes(g)
 	if n.Stats.PushesDropped != 0 {
 		t.Fatal("the pushed diff was dropped")
@@ -369,8 +370,8 @@ func TestStoredDiffsOutliveFrame(t *testing.T) {
 			body[i] = 0xff
 		}
 	}
-	for pg, wn := range wns {
-		d := n.diffCache[keyOf(wn)]
+	for pg, k := range keys {
+		d := n.diffCache[k]
 		if d == nil {
 			t.Fatalf("page %d: diff not cached", pg)
 		}

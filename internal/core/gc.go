@@ -86,16 +86,17 @@ func (n *Node) runGC(hints []gcHint) {
 	for _, h := range hints {
 		ps := n.pages[h.Page]
 		ps.pending = ps.pending[:0]
-		ps.knownWNs = nil
-		ps.ownerWN = nil
-		ps.myLastWN = nil
+		ps.knownWNs = ps.knownWNs[:0]
+		ps.myLastWN = wnRef{}
 		n.gcCollapse(ps, h, ps.policy.GCCollapseToSW())
 	}
 	// Everyone's knowledge vectors are equal after the barrier, so no
-	// future acquire can need a discarded interval.
-	for p := range n.intervals {
-		n.intervals[p] = nil
-	}
+	// future acquire can need an interval known now: the logs are cut at
+	// this knowledge in phase 2, once the twins' undiffed notices are
+	// gone too. Whatever a peer's next barrier arrival brings meanwhile
+	// stays above the cut.
+	gcKnown := n.cutScratch
+	copy(gcKnown, n.knownTS)
 
 	// Mini-barrier: every diff anyone still needs has now been fetched.
 	if n.c.params.Procs > 1 {
@@ -119,12 +120,15 @@ func (n *Node) runGC(hints []gcHint) {
 			// the owner chain).
 			n.liveTwinBytes -= int64(len(ps.twin))
 			n.dropTwin(ps)
-			ps.undiffed = nil
+			ps.undiffed = wnRef{}
 		}
 		ps.seesFS = false
 		ps.copysetFS = nil
 		n.wroteSinceGC[h.Page] = false
 	}
+
+	// What an uncollected page (HLRC's) still names stays (cutLogs).
+	n.cutLogs(gcKnown)
 
 	// Drop all diffs.
 	n.diffCache = make(map[wnKey]*mem.Diff)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"adsm/internal/mem"
 	"adsm/internal/transport"
@@ -52,12 +53,9 @@ func (hlrcPolicy) MakeValid(n *Node, pg int, ps *pageState) {
 		if round > 1000 {
 			msg := fmt.Sprintf("dsm: node %d cannot settle hlrc page %d (data=%v status=%d applied=%v home=%d)",
 				n.id, pg, ps.data != nil, ps.status, ps.applied, n.resolveHome(pg))
-			for _, wn := range ps.pending {
-				msg += fmt.Sprintf("\n  pending wn proc=%d ts=%d owner=%v vc=%v", wn.Int.Proc, wn.Int.TS, wn.Owner, wn.Int.VC)
-			}
-			panic(msg)
+			panic(msg + n.pendingDump(ps))
 		}
-		dropApplied(ps)
+		n.dropApplied(ps)
 		if ps.data != nil && len(ps.pending) == 0 {
 			break
 		}
@@ -65,7 +63,7 @@ func (hlrcPolicy) MakeValid(n *Node, pg int, ps *pageState) {
 		if home == n.id {
 			// The bind RPC may have blocked, and a flush that arrived
 			// meanwhile bound this node and made its copy: look again.
-			dropApplied(ps)
+			n.dropApplied(ps)
 			if len(ps.pending) == 0 {
 				if ps.data == nil {
 					// A freshly bound first-touch home materializes its
@@ -77,11 +75,7 @@ func (hlrcPolicy) MakeValid(n *Node, pg int, ps *pageState) {
 				}
 				continue
 			}
-			msg := fmt.Sprintf("dsm: hlrc home %d has a stale copy of page %d (applied=%v)", n.id, pg, ps.applied)
-			for _, wn := range ps.pending {
-				msg += fmt.Sprintf("\n  pending wn proc=%d ts=%d owner=%v vc=%v", wn.Int.Proc, wn.Int.TS, wn.Owner, wn.Int.VC)
-			}
-			panic(msg)
+			panic(fmt.Sprintf("dsm: hlrc home %d has a stale copy of page %d (applied=%v)", n.id, pg, ps.applied) + n.pendingDump(ps))
 		}
 		n.fetchPage(pg, ps, home)
 	}
@@ -91,20 +85,24 @@ func (hlrcPolicy) MakeValid(n *Node, pg int, ps *pageState) {
 }
 
 // dropApplied discards the pending notices our copy already reflects.
-func dropApplied(ps *pageState) {
-	keep := ps.pending[:0]
-	for _, wn := range ps.pending {
-		if !wn.Int.VC.Leq(ps.applied) {
-			keep = append(keep, wn)
-		}
+func (n *Node) dropApplied(ps *pageState) {
+	ps.pending = slices.DeleteFunc(ps.pending, func(r wnRef) bool { return n.ivc(r).Leq(ps.applied) })
+}
+
+// pendingDump lists the page's pending notices for a panic message.
+func (n *Node) pendingDump(ps *pageState) string {
+	var s string
+	for _, r := range ps.pending {
+		wn := n.wn(r)
+		s += fmt.Sprintf("\n  pending wn proc=%d ts=%d owner=%v vc=%v", wn.proc, wn.ts, wn.owner(), wn.vc)
 	}
-	ps.pending = keep
+	return s
 }
 
 // SpanFetchPlan: one home fetch — exactly what one MakeValid round
 // issues. The discard pass over the pending notices mirrors MakeValid's.
-func (hlrcPolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNotice, bool) {
-	dropApplied(ps)
+func (hlrcPolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []wnRef, bool) {
+	n.dropApplied(ps)
 	if ps.data != nil && len(ps.pending) == 0 {
 		return -1, nil, true // current copy: only the status needs raising
 	}
@@ -122,7 +120,7 @@ func (hlrcPolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNo
 // discard pass clears them; anything left raced the batch and settles
 // through the serial home-fetch loop.
 func (hlrcPolicy) SpanSettle(n *Node, pg int, ps *pageState) {
-	dropApplied(ps)
+	n.dropApplied(ps)
 	if ps.data == nil || len(ps.pending) > 0 {
 		n.validate(pg)
 	}
@@ -135,37 +133,47 @@ func (hlrcPolicy) SpanSettle(n *Node, pg int, ps *pageState) {
 // pushes them to each page's home, then retires them locally. Process
 // context: runs inside the release-class event, before its messages go
 // out, so the happened-before guarantee MakeValid relies on holds. Under
-// mixed per-page policies wns is the subset of iv.WNs on HLRC pages; the
-// other pages' notices are none of this policy's business.
-func (hlrcPolicy) OnIntervalClose(n *Node, iv *Interval, wns []*WriteNotice) {
+// mixed per-page policies only the notices on self's pages are this
+// policy's business.
+func (hlrcPolicy) OnIntervalClose(n *Node, self Protocol, ts int32) {
+	lg := &n.logs[n.id]
+	row := lg.rows[ts-lg.base]
 	perHome := make(map[int][]*mem.Diff)
 	var flushed []wnKey
-	for _, wn := range wns {
-		ps := n.pages[wn.Page]
-		if ps.undiffed != wn {
+	for i, wn := range lg.wns[row.wn : row.wn+row.nwn] {
+		pg := int(wn.page)
+		ps := n.pages[pg]
+		if ps.proto != self {
+			continue
+		}
+		if ps.undiffed != (wnRef{proc: int32(n.id), ts: ts, idx: int32(i)}) {
 			// Every HLRC write notice must be a fresh dirtyMW notice whose
 			// twin is about to be diffed; anything else (an owner-style
 			// notice, an already-diffed one) would be published to peers
 			// without its data ever reaching the home, which readers would
 			// only notice much later as an unsettleable page.
-			panic(fmt.Sprintf("dsm: hlrc node %d closed interval with unflushable notice for page %d", n.id, wn.Page))
+			panic(fmt.Sprintf("dsm: hlrc node %d closed interval with unflushable notice for page %d", n.id, pg))
 		}
-		d := n.makeDiff(wn.Page, ps)
+		k := ps.undiffed.key(pg)
+		d := n.makeDiff(pg, ps)
 		n.proc.Advance(n.c.params.diffCost(d))
-		if home := n.resolveHome(wn.Page); home != n.id {
+		if home := n.resolveHome(pg); home != n.id {
 			perHome[home] = append(perHome[home], d)
 		} else {
 			// This node is the page's home: the write is already in the
 			// home copy (the writer's own data), no flush travels.
 			n.Stats.HomeLocalDiffs++
 		}
-		flushed = append(flushed, keyOf(wn))
+		flushed = append(flushed, k)
 	}
 	if len(perHome) > 0 {
+		// The flush carries a view of the interval's clock in the log:
+		// the log is not cut while this node's process is blocked here.
+		ivc := lg.vc(row, n.c.params.Procs)
 		var targets []transport.Target
 		for p := 0; p < n.c.params.Procs; p++ {
 			if ds, ok := perHome[p]; ok {
-				m := hlrcFlush{VC: iv.VC, Diffs: ds}
+				m := hlrcFlush{VC: ivc, Diffs: ds}
 				n.Stats.HomeFlushes++
 				n.Stats.HomeFlushBytes += int64(m.Size())
 				targets = append(targets, transport.Target{To: p, M: m})
@@ -242,45 +250,15 @@ func (hlrcPolicy) GCEligible() bool { return false }
 // the whole run (the other protocols reset theirs in runGC). After a
 // barrier release every node's knowledge dominates the global vector, so
 // any future intervalsSince call filters out intervals at or below it —
-// they can be dropped, along with the write notices they back. The
-// interval truncation is safe cluster-wide (intervalsSince never ships
-// sub-global intervals under any protocol), but the per-page write-notice
-// pruning must not touch pages under other protocols: the diff-based
-// merge replays from knownWNs at installPage time.
+// they can be cut from the logs, along with the known notices they back
+// on HLRC pages. The per-page pruning must not touch pages under other
+// protocols: the diff-based merge replays from knownWNs at installPage
+// time. The cut stops at the oldest row any page still names (cutLogs).
 func (hlrcPolicy) OnBarrierRelease(n *Node, self Protocol) {
-	for p := range n.intervals {
-		ivs := n.intervals[p]
-		k := 0
-		for _, iv := range ivs {
-			if iv.TS > n.lastGlobal[iv.Proc] {
-				ivs[k] = iv
-				k++
-			}
+	for _, ps := range n.pages {
+		if ps.proto == self {
+			ps.knownWNs = slices.DeleteFunc(ps.knownWNs, func(r wnRef) bool { return r.ts <= n.lastGlobal[r.proc] })
 		}
-		// Clear the dropped tail: the truncated slice keeps its backing
-		// array, and a non-nil tail would keep every retired *Interval
-		// reachable (and its write notices with it) for the whole run.
-		for i := k; i < len(ivs); i++ {
-			ivs[i] = nil
-		}
-		n.intervals[p] = ivs[:k]
 	}
-	for pg := 0; pg < n.c.usedPages(); pg++ {
-		ps := n.pages[pg]
-		if ps.proto != self {
-			continue
-		}
-		wns := ps.knownWNs
-		k := 0
-		for _, wn := range wns {
-			if wn.Int.TS > n.lastGlobal[wn.Int.Proc] {
-				wns[k] = wn
-				k++
-			}
-		}
-		for i := k; i < len(wns); i++ {
-			wns[i] = nil
-		}
-		ps.knownWNs = wns[:k]
-	}
+	n.cutLogs(n.lastGlobal)
 }

@@ -58,8 +58,8 @@ func TestHLRCNoDiffAccumulation(t *testing.T) {
 		// no GC to do it), so after the final barrier at most the last
 		// round's worth survives.
 		ivs := 0
-		for p := range n.intervals {
-			ivs += len(n.intervals[p])
+		for p := range n.logs {
+			ivs += len(n.logs[p].rows)
 		}
 		if ivs > c.params.Procs {
 			t.Errorf("node %d retains %d intervals after final barrier", n.id, ivs)
@@ -134,45 +134,56 @@ func TestHLRCLockChain(t *testing.T) {
 }
 
 // TestHLRCBarrierReleaseClearsDroppedTails: the barrier-time metadata
-// truncation re-slices in place, and the dropped tail of the backing
-// array must be nil'd — otherwise every retired *Interval and
-// *WriteNotice stays reachable (and uncollectable) for the whole run.
+// truncation cuts every log at the global knowledge vector and prunes the
+// HLRC pages' known notices with it, but never past a row a page still
+// names: a page's pending notice holds its writer's log from that row on,
+// and a cut log keeps answering refs and shipments above the cut.
 func TestHLRCBarrierReleaseClearsDroppedTails(t *testing.T) {
 	c := New(testParams(2, HLRC))
-	c.Alloc(mem.PageSize) // one used page
+	c.Alloc(2 * mem.PageSize) // two used pages
 	n := c.nodes[0]
 	n.buildPages(c.usedPages())
+	for pg := range n.pages {
+		hlrcPolicy{}.InitPage(n, pg, n.pages[pg])
+	}
 
-	mk := func(ts int32) *Interval {
-		v := vc.New(2)
-		v[1] = ts
-		return &Interval{Proc: 1, TS: ts, VC: v}
+	var refs []wnRef
+	for ts := int32(1); ts <= 4; ts++ {
+		refs = append(refs, n.addInterval(1, vc.VC{0, ts}, wnRow{page: 0}, wnRow{page: 1})...)
 	}
-	iv1, iv2, iv3 := mk(1), mk(2), mk(3)
-	n.intervals[1] = []*Interval{iv1, iv2, iv3}
-	ps := n.pages[0]
-	wn1 := &WriteNotice{Page: 0, Int: iv1}
-	wn3 := &WriteNotice{Page: 0, Int: iv3}
-	ps.knownWNs = []*WriteNotice{wn1, wn3}
-	n.lastGlobal[1] = 2 // intervals 1 and 2 are globally known: droppable
+	known, other := n.pages[0], n.pages[1]
+	known.knownWNs = []wnRef{refs[0], refs[4]} // intervals 1 and 3
+	n.lastGlobal[1] = 2                        // intervals 1 and 2 are globally known: droppable
+	hlrcPolicy{}.OnBarrierRelease(n, HLRC)
 
-	origIvs := n.intervals[1]
-	origWNs := ps.knownWNs
-	hlrcPolicy{}.OnBarrierRelease(n, n.c.params.Protocol)
+	lg := &n.logs[1]
+	if lg.base != 3 || len(lg.rows) != 2 || lg.end() != 4 {
+		t.Fatalf("log after release spans [%d,%d] in %d rows, want [3,4]", lg.base, lg.end(), len(lg.rows))
+	}
+	if len(lg.vcs) != 4 || len(lg.wns) != 4 {
+		t.Errorf("log slabs hold %d clock entries and %d notices, want 4 and 4", len(lg.vcs), len(lg.wns))
+	}
+	if len(known.knownWNs) != 1 || known.knownWNs[0] != refs[4] {
+		t.Fatalf("knownWNs after release = %v, want just the TS-3 notice", known.knownWNs)
+	}
+	if wn := n.wn(refs[7]); wn.page != 1 || wn.ts != 4 || !wn.vc.Equal(vc.VC{0, 4}) {
+		t.Errorf("ref %v resolves to %+v after the cut", refs[7], wn)
+	}
 
-	if len(n.intervals[1]) != 1 || n.intervals[1][0] != iv3 {
-		t.Fatalf("intervals after release = %v, want just TS 3", n.intervals[1])
+	// A pending notice of interval 3 holds the next cut at 2.
+	other.pending = []wnRef{refs[5]}
+	n.lastGlobal[1] = 4
+	hlrcPolicy{}.OnBarrierRelease(n, HLRC)
+	if lg.base != 3 || lg.end() != 4 {
+		t.Fatalf("log with a pending notice at 3 spans [%d,%d], want [3,4]", lg.base, lg.end())
 	}
-	for i := 1; i < len(origIvs); i++ {
-		if origIvs[i] != nil {
-			t.Errorf("retired interval at backing index %d still reachable", i)
-		}
+	if got := n.intervalsSince([]int32{0, 3}); len(got.Heads) != 1 || got.Heads[0].ts != 4 {
+		t.Errorf("shipment above 3 after the cut = %+v", got.Heads)
 	}
-	if len(ps.knownWNs) != 1 || ps.knownWNs[0] != wn3 {
-		t.Fatalf("knownWNs after release has %d entries, want just the TS-3 notice", len(ps.knownWNs))
-	}
-	if origWNs[1] != nil {
-		t.Errorf("retired write notice at backing index 1 still reachable")
+	other.pending = nil
+	hlrcPolicy{}.OnBarrierRelease(n, HLRC)
+	if len(lg.rows) != 0 || lg.base != 5 {
+		t.Errorf("log with nothing held spans [%d,%d] in %d rows, want empty from 5", lg.base, lg.end(), len(lg.rows))
 	}
 }
 
@@ -191,6 +202,16 @@ func TestHLRCHomeSelfWriteApplied(t *testing.T) {
 		// comes from a home serving a page it wrote itself.
 		for r := 1; r <= 4; r++ {
 			n.WriteU64(base+n.ID()*mem.PageSize, uint64(r*100+n.ID()))
+			// The barrier closes the interval first anyway; closed here,
+			// its notice can be checked before the barrier cuts the log.
+			n.closeInterval()
+			ps := n.pages[base/mem.PageSize+n.ID()]
+			if !ps.myLastWN.ok() {
+				t.Errorf("home %d never wrote page %d", n.ID(), n.ID())
+			} else if mine := n.ivc(ps.myLastWN); !mine.Leq(ps.applied) {
+				t.Errorf("home %d applied %v does not dominate its own write notice %v",
+					n.ID(), ps.applied, mine)
+			}
 			n.Barrier()
 			for p := 0; p < procs; p++ {
 				if got := n.ReadU64(base + p*mem.PageSize); got != uint64(r*100+p) {
@@ -201,17 +222,6 @@ func TestHLRCHomeSelfWriteApplied(t *testing.T) {
 			n.Barrier()
 		}
 	})
-	for pg := 0; pg < procs; pg++ {
-		home := c.nodes[0].homes[pg]
-		ps := c.nodes[home].pages[base/mem.PageSize+pg]
-		if ps.myLastWN == nil {
-			t.Fatalf("home %d never wrote page %d", home, pg)
-		}
-		if !ps.myLastWN.Int.VC.Leq(ps.applied) {
-			t.Errorf("home %d applied %v does not dominate its own write notice %v",
-				home, ps.applied, ps.myLastWN.Int.VC)
-		}
-	}
 }
 
 // TestHLRCFalseSharingFlush: concurrent writers of one page flush disjoint

@@ -237,10 +237,10 @@ func TestDetectorNoteWriteSnapshotsVC(t *testing.T) {
 	}
 	n := c.Node(0)
 	ps := n.pages[0]
-	ps.myLastWN = &WriteNotice{Page: 0, Int: &Interval{Proc: 0, TS: 1, VC: vc.VC{1, 0, 0}}}
+	ps.myLastWN = n.addInterval(0, vc.VC{1, 0, 0}, wnRow{page: 0})[0]
 	// Proc 1's write at <1,1,0> is ordered after node 0's <1,0,0>: no
 	// false sharing.
-	n.ingestWN(&WriteNotice{Page: 0, Int: &Interval{Proc: 1, TS: 1, VC: vc.VC{1, 1, 0}}})
+	n.ingestWN(n.addInterval(1, vc.VC{1, 1, 0}, wnRow{page: 0})[0])
 	if ps.fs {
 		t.Errorf("a foreign write ordered after the node's own set the false-sharing bit")
 	}
@@ -249,7 +249,7 @@ func TestDetectorNoteWriteSnapshotsVC(t *testing.T) {
 		t.Errorf("FSPages = %d, want 0", ch.FSPages)
 	}
 	// Proc 2's write at <0,0,1> is concurrent with it.
-	n.ingestWN(&WriteNotice{Page: 0, Int: &Interval{Proc: 2, TS: 1, VC: vc.VC{0, 0, 1}}})
+	n.ingestWN(n.addInterval(2, vc.VC{0, 0, 1}, wnRow{page: 0})[0])
 	if got := c.Characteristics().FSPages; got != 1 {
 		t.Errorf("after a concurrent foreign write FSPages = %d, want 1", got)
 	}

@@ -8,45 +8,48 @@ import (
 	"adsm/internal/mem"
 )
 
-// linearSince is the full scan intervalsSince used to be: every known
-// interval above the knowledge vector, in (proc, ts) order. It is the
-// oracle for the binary-search version.
-func linearSince(n *Node, known []int32) []*Interval {
-	var out []*Interval
-	for p := range n.intervals {
-		for _, iv := range n.intervals[p] {
-			if iv.TS > known[p] {
-				out = append(out, iv)
+// linearSince is the full scan intervalsSince used to be: every
+// published interval above the knowledge vector, in (proc, ts) order,
+// copied row by row. It is the oracle for the sized, sliced version.
+func linearSince(n *Node, known []int32) ivBatch {
+	var b ivBatch
+	for p := range n.logs {
+		lg := &n.logs[p]
+		for _, r := range lg.rows {
+			if r.ts > known[p] && r.ts <= n.knownTS[p] {
+				b.Heads = append(b.Heads, ivHead{proc: int32(p), ts: r.ts, nwn: r.nwn})
+				b.VCs = append(b.VCs, lg.vc(r, n.c.params.Procs)...)
+				b.WNs = append(b.WNs, lg.wns[r.wn:r.wn+r.nwn]...)
 			}
 		}
 	}
-	return out
+	return b
 }
 
 // checkIntervalsSince compares intervalsSince against the linear filter on
-// the node's current log for the two vectors real shipments use, the zero
-// vector, and random ones around the log's TS range. It also asserts the
-// invariant the search rests on: each per-processor log is in TS order.
-// It returns how many intervals the log held.
+// the node's current logs for the two vectors real shipments use, the zero
+// vector, and random ones around the logs' TS range. It also asserts the
+// invariants the slicing rests on: each per-processor log is contiguous in
+// TS and ends at knownTS, and every ref a page holds resolves. It returns
+// how many intervals the logs held.
 func checkIntervalsSince(t *testing.T, n *Node, r *rand.Rand, when string) int {
 	procs := n.c.params.Procs
 	held := 0
 	maxTS := int32(0)
-	for p, ivs := range n.intervals {
-		held += len(ivs)
-		for i, iv := range ivs {
-			if iv.Proc != p {
-				t.Errorf("%s: node %d log %d holds an interval of proc %d", when, n.id, p, iv.Proc)
-			}
-			if i > 0 && ivs[i-1].TS > iv.TS {
-				t.Errorf("%s: node %d log %d out of TS order at %d: %d then %d",
-					when, n.id, p, i, ivs[i-1].TS, iv.TS)
-			}
-			if iv.TS > maxTS {
-				maxTS = iv.TS
+	for p := range n.logs {
+		lg := &n.logs[p]
+		held += len(lg.rows)
+		for i, row := range lg.rows {
+			if row.ts != lg.base+int32(i) {
+				t.Errorf("%s: node %d log %d not contiguous at %d: ts %d from base %d", when, n.id, p, i, row.ts, lg.base)
 			}
 		}
+		if lg.end() != n.knownTS[p] {
+			t.Errorf("%s: node %d log %d ends at %d, knownTS %d", when, n.id, p, lg.end(), n.knownTS[p])
+		}
+		maxTS = max(maxTS, lg.end())
 	}
+	n.checkRefs()
 	vectors := [][]int32{
 		make([]int32, procs),
 		append([]int32(nil), n.knownTS...),
@@ -63,7 +66,7 @@ func checkIntervalsSince(t *testing.T, n *Node, r *rand.Rand, when string) int {
 		got, want := n.intervalsSince(k), linearSince(n, k)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: node %d intervalsSince(%v) returned %d intervals, linear filter %d",
-				when, n.id, k, len(got), len(want))
+				when, n.id, k, len(got.Heads), len(want.Heads))
 		}
 	}
 	return held
@@ -71,9 +74,9 @@ func checkIntervalsSince(t *testing.T, n *Node, r *rand.Rand, when string) int {
 
 // TestIntervalsSinceMatchesLinearFilter drives real runs — lock chains
 // between barriers, so logs grow through grants, arrivals and releases —
-// and checks the binary-search shipment against the linear filter at every
-// synchronization point. MW with a tiny diff pool covers logs rebuilt after
-// barrier-time GC, HLRC covers logs truncated in place at every barrier
+// and checks the sliced shipment against the linear filter at every
+// synchronization point. MW with a tiny diff pool covers logs cut at
+// barrier-time GC, HLRC covers logs cut in place at every barrier
 // release, WFS covers owner notices torn out mid-interval.
 func TestIntervalsSinceMatchesLinearFilter(t *testing.T) {
 	cases := []struct {

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"adsm/internal/mem"
+	"adsm/internal/vc"
 )
 
 // The adaptive meta-protocol: a Policy like any other protocol's that
@@ -238,6 +239,11 @@ type adaptState struct {
 	// arrival relays what the arriver knows), so a watermark dedups them.
 	scanTS []int32
 	pages  []adaptPage
+	// chain holds the epoch's intervals the serialized-writer rule orders,
+	// copied from the arrivals: each one's writer and, stride procs apart,
+	// its vector clock. adaptDecide empties it.
+	chainProcs []int32
+	chainVCs   []int32
 }
 
 // adaptPage is the manager's view of one page's recent write behavior.
@@ -252,9 +258,8 @@ type adaptPage struct {
 	maxVer     int32    // highest owner-notice version seen (or assigned)
 	switches   int      // switches issued for this page (budget)
 	// ivs are this epoch's intervals that wrote the page, kept only while
-	// the serialized-writer rule is on. They are shared, immutable
-	// intervals: nothing is copied.
-	ivs []*Interval
+	// the serialized-writer rule is on: indexes into adaptState's chain.
+	ivs []int32
 
 	// What the whole run has shown so far: the nodes that accessed the
 	// page and that wrote it, and the diffs of it the nodes made or
@@ -267,20 +272,29 @@ type adaptPage struct {
 // intervals and page facts — into the decision state; serial keeps the
 // intervals the serialized-writer rule orders. Manager handler context.
 func (ad *adaptState) noteArrival(from int, m barArrive, serial bool) {
-	for _, iv := range m.Intervals {
-		if iv.TS <= ad.scanTS[iv.Proc] {
+	b := &m.Intervals
+	stride, w := b.stride(), 0
+	for i, h := range b.Heads {
+		wns := b.WNs[w : w+int(h.nwn)]
+		w += int(h.nwn)
+		if h.ts <= ad.scanTS[h.proc] {
 			continue
 		}
-		ad.scanTS[iv.Proc] = iv.TS
-		for _, wn := range iv.WNs {
-			ap := &ad.pages[wn.Page]
-			ap.writers |= 1 << uint(iv.Proc)
-			ap.wrote |= 1 << uint(iv.Proc)
+		ad.scanTS[h.proc] = h.ts
+		iv := int32(len(ad.chainProcs))
+		if serial && len(wns) > 0 {
+			ad.chainProcs = append(ad.chainProcs, h.proc)
+			ad.chainVCs = append(ad.chainVCs, b.VCs[i*stride:(i+1)*stride]...)
+		}
+		for _, wn := range wns {
+			ap := &ad.pages[wn.page]
+			ap.writers |= 1 << uint(h.proc)
+			ap.wrote |= 1 << uint(h.proc)
 			if serial {
 				ap.ivs = append(ap.ivs, iv)
 			}
-			if wn.Owner && wn.Version > ap.maxVer {
-				ap.maxVer = wn.Version
+			if wn.owner() && wn.version() > ap.maxVer {
+				ap.maxVer = wn.version()
 			}
 		}
 	}
@@ -308,14 +322,14 @@ func (c *Cluster) adaptDecide() []policySwitch {
 		writers := ap.writers
 		ap.writers = 0
 		nw := bits.OnesCount64(writers)
-		// last is the chain's last interval when this epoch's writers
-		// took turns, nil when two of them wrote concurrently (or the
-		// rule is off, or fewer than two nodes wrote).
-		var last *Interval
+		// last is the writer of the chain's last interval when this
+		// epoch's writers took turns, -1 when two of them wrote
+		// concurrently (or the rule is off, or fewer than two nodes
+		// wrote).
+		last := -1
 		if nw >= 2 {
-			last = chainLast(ap.ivs)
+			last = ad.chainLast(ap.ivs, c.params.Procs)
 		}
-		clear(ap.ivs)
 		ap.ivs = ap.ivs[:0]
 		if nw == 0 {
 			continue // idle epoch: streaks hold
@@ -361,7 +375,7 @@ func (c *Cluster) adaptDecide() []policySwitch {
 		var sw policySwitch
 		switch {
 		case ap.proto == WFSWG && ap.multi >= adaptMultiEpochs,
-			ap.proto == WFS && nw >= 2 && last == nil:
+			ap.proto == WFS && nw >= 2 && last < 0:
 			// Concurrent writers under the ownership protocol: pure
 			// refusal churn, demote. (Solo-writer identity changes are NOT
 			// a demotion signal: alternating band-boundary writers ping
@@ -373,14 +387,14 @@ func (c *Cluster) adaptDecide() []policySwitch {
 				target = HLRC
 			}
 			sw = policySwitch{Page: pg, Proto: int32(target)}
-		case ap.proto == MW && last != nil && d.max >= adaptBulkThreshold:
+		case ap.proto == MW && last >= 0 && d.max >= adaptBulkThreshold:
 			// Bulky writers that take turns (a lock orders them): each
 			// MW writer twins and diffs the page and every later writer
 			// collects those diffs, where one ownership request per
 			// writer would carry the page. The writer of the chain's
 			// last interval holds the current copy and becomes owner.
 			ap.maxVer++
-			sw = policySwitch{Page: pg, Proto: int32(WFS), Owner: last.Proc, Version: ap.maxVer}
+			sw = policySwitch{Page: pg, Proto: int32(WFS), Owner: last, Version: ap.maxVer}
 		case ap.proto == MW && hlrcReady:
 			// Many concurrent writers every epoch: each reader merges that
 			// many diffs per fault and the diff pool feeds garbage
@@ -415,24 +429,27 @@ func (c *Cluster) adaptDecide() []policySwitch {
 		ap.solo, ap.multi, ap.hlrcRun = 0, 0, 0
 		out = append(out, sw)
 	}
+	ad.chainProcs, ad.chainVCs = ad.chainProcs[:0], ad.chainVCs[:0]
 	return out
 }
 
-// chainLast returns the last interval of ivs when they form one
-// happens-before chain, and nil when two of them are concurrent. Along a
-// chain the vector-clock sums strictly grow, so after sorting by sum each
-// interval must precede the next. It sorts ivs in place.
-func chainLast(ivs []*Interval) *Interval {
+// chainLast returns the writer of the last of the chain's intervals ivs
+// when they form one happens-before chain, and -1 when two of them are
+// concurrent (or there are none). Along a chain the vector-clock sums
+// strictly grow, so after sorting by sum each interval must precede the
+// next. It sorts ivs in place.
+func (ad *adaptState) chainLast(ivs []int32, procs int) int {
 	if len(ivs) == 0 {
-		return nil
+		return -1
 	}
-	slices.SortFunc(ivs, func(a, b *Interval) int { return cmp.Compare(a.VC.Sum(), b.VC.Sum()) })
+	ivc := func(i int32) vc.VC { return ad.chainVCs[int(i)*procs : int(i+1)*procs] }
+	slices.SortFunc(ivs, func(a, b int32) int { return cmp.Compare(ivc(a).Sum(), ivc(b).Sum()) })
 	for i := 1; i < len(ivs); i++ {
-		if !ivs[i-1].VC.Leq(ivs[i].VC) {
-			return nil
+		if !ivc(ivs[i-1]).Leq(ivc(ivs[i])) {
+			return -1
 		}
 	}
-	return ivs[len(ivs)-1]
+	return int(ad.chainProcs[ivs[len(ivs)-1]])
 }
 
 // applyPolicySwitches re-points the switched pages at their new protocols.
@@ -456,7 +473,7 @@ func (n *Node) applyPolicySwitches(sws []policySwitch) (quiesce bool) {
 		// The page's lazy diff must be materialized under the OLD
 		// protocol: after the flip, a later write would reuse the same
 		// twin and leak post-switch data into the pre-switch diff.
-		if ps.undiffed != nil {
+		if ps.undiffed.ok() {
 			d := n.makeDiff(sw.Page, ps)
 			n.proc.Advance(n.c.params.diffCost(d))
 		}
@@ -482,8 +499,8 @@ func (n *Node) applyPolicySwitches(sws []policySwitch) (quiesce bool) {
 			// by applied domination alone, so fold every known notice's
 			// interval into the home's applied vector; content-wise it is
 			// already there.
-			for _, wn := range ps.knownWNs {
-				ps.applied.Join(wn.Int.VC)
+			for _, r := range ps.knownWNs {
+				ps.applied.Join(n.ivc(r))
 			}
 		}
 

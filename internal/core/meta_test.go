@@ -320,15 +320,20 @@ func TestSerialWFSDemotesOnConcurrentWriters(t *testing.T) {
 // TestChainLast: intervals that a lock orders form a chain whatever order
 // they arrive in; two concurrent ones do not.
 func TestChainLast(t *testing.T) {
-	iv := func(proc int, v ...int32) *Interval { return &Interval{Proc: proc, VC: v} }
+	ad := &adaptState{}
+	iv := func(proc int32, v ...int32) int32 {
+		ad.chainProcs = append(ad.chainProcs, proc)
+		ad.chainVCs = append(ad.chainVCs, v...)
+		return int32(len(ad.chainProcs) - 1)
+	}
 	a, b, c := iv(0, 1, 0, 0), iv(1, 1, 1, 0), iv(2, 1, 1, 1)
-	if got := chainLast([]*Interval{c, a, b}); got != c {
-		t.Errorf("chain: last = %v, want proc 2's interval", got)
+	if got := ad.chainLast([]int32{c, a, b}, 3); got != 2 {
+		t.Errorf("chain: last = %d, want proc 2", got)
 	}
-	if got := chainLast([]*Interval{a, iv(1, 0, 1, 0)}); got != nil {
-		t.Errorf("concurrent: last = %v, want nil", got)
+	if got := ad.chainLast([]int32{a, iv(1, 0, 1, 0)}, 3); got != -1 {
+		t.Errorf("concurrent: last = %d, want -1", got)
 	}
-	if got := chainLast([]*Interval{a, iv(1, 0, 2, 0)}); got != nil {
-		t.Errorf("concurrent, unequal sums: last = %v, want nil", got)
+	if got := ad.chainLast([]int32{a, iv(1, 0, 2, 0)}, 3); got != -1 {
+		t.Errorf("concurrent, unequal sums: last = %d, want -1", got)
 	}
 }

@@ -257,7 +257,7 @@ func (m acqFwd) Size() int { return 12 + 4*len(m.KnownTS) }
 // acqGrant too: what it knew at its read release. Diffs/Keys are the diffs
 // pushed for the shipped write notices (push.go), charged exactly.
 type acqGrant struct {
-	Intervals []*Interval
+	Intervals ivBatch
 	VC        vc.VC
 	Readers   uint64
 	Diffs     []*mem.Diff
@@ -302,7 +302,7 @@ func (m acqRevoke) Size() int       { var w wireRW; m.wire(&w); return w.n }
 type barArrive struct {
 	Epoch       int64
 	KnownTS     []int32
-	Intervals   []*Interval
+	Intervals   ivBatch
 	MemPressure bool
 	Facts       []pageFact
 	nprocs      int
@@ -322,7 +322,7 @@ func (m barArrive) Size() int { var w wireRW; m.wire(&w); return w.n }
 // page routing. Switches carries the adaptive policy's per-page decisions,
 // which every node applies at this release (one epoch cluster-wide).
 type barRelease struct {
-	Intervals []*Interval
+	Intervals ivBatch
 	Global    []int32
 	GC        bool
 	Hints     []gcHint

@@ -36,15 +36,15 @@ type pageState struct {
 	// a shared frame is already the pristine page a twin keeps.
 	twin       []byte
 	twinShared bool
-	dirtyMW    bool         // written under a twin in the current interval
-	undiffed   *WriteNotice // my last WN whose diff hasn't been created yet
+	dirtyMW    bool  // written under a twin in the current interval
+	undiffed   wnRef // my last notice whose diff hasn't been created yet
 
-	// Invalidation.
-	pending []*WriteNotice // received write notices not yet applied
+	// Invalidation. Notices are refs into the node's logs (interval.go).
+	pending []wnRef // received write notices not yet applied
 	// knownWNs indexes every write notice this node has seen for the page
 	// (its own and ingested ones); installPage uses it to replay writes an
 	// incoming copy misses. Pruned at garbage collection.
-	knownWNs []*WriteNotice
+	knownWNs []wnRef
 
 	// Single-writer machinery.
 	owner            bool
@@ -55,8 +55,7 @@ type pageState struct {
 	dropOwnership    bool // refusal received: drop ownership at next release
 	perceivedOwner   int
 	perceivedVersion int32
-	ownerWN          *WriteNotice
-	myLastWN         *WriteNotice
+	myLastWN         wnRef // my last write notice of the page
 
 	// Adaptation state.
 	seesFS       bool         // local perception of write-write false sharing
@@ -89,8 +88,13 @@ type Node struct {
 
 	vclock  vc.VC
 	knownTS []int32
-	// intervals[p] lists proc p's intervals known to this node, in TS order.
-	intervals [][]*Interval
+	// logs[p] holds proc p's intervals known to this node (interval.go).
+	logs []writerLog
+	// Scratch vectors: the interval closeInterval builds and the limits
+	// cutLogs computes.
+	ivcScratch, cutScratch []int32
+	// wants groups fetchDiffs' requests per writer; reset on every call.
+	wants [][]wnKey
 
 	pages []*pageState
 	// homes is this node's home of every used page (homes.go): filled by
@@ -209,7 +213,7 @@ func newNode(c *Cluster, id int) *Node {
 		id:         id,
 		vclock:     vc.New(c.params.Procs),
 		knownTS:    make([]int32, c.params.Procs),
-		intervals:  make([][]*Interval, c.params.Procs),
+		logs:       make([]writerLog, c.params.Procs),
 		diffCache:  make(map[wnKey]*mem.Diff),
 		peerKnown:  make([][]int32, c.params.Procs),
 		locks:      make(map[int]*nodeLock),
@@ -217,9 +221,12 @@ func newNode(c *Cluster, id int) *Node {
 		lastGlobal: make([]int32, c.params.Procs),
 	}
 	procs := c.params.Procs
-	known := make([]int32, procs*procs)
+	known := make([]int32, (procs+2)*procs) // peerKnown's rows, then the two scratch vectors
+	n.ivcScratch = known[procs*procs : (procs+1)*procs : (procs+1)*procs]
+	n.cutScratch = known[(procs+1)*procs:]
 	for p := range n.peerKnown {
 		n.peerKnown[p] = known[p*procs : (p+1)*procs : (p+1)*procs]
+		n.logs[p].base = 1
 	}
 	if c.params.CkptStores != nil {
 		n.ckpt = c.params.CkptStores(id)
@@ -354,7 +361,7 @@ func (n *Node) writeFault(pg int) {
 // first so the twin can be reused. Either way the write costs one page
 // copy.
 func (n *Node) makeTwin(pg int, ps *pageState) {
-	if ps.undiffed != nil {
+	if ps.undiffed.ok() {
 		n.makeDiff(pg, ps)
 	}
 	if ps.twin != nil {
@@ -388,13 +395,12 @@ func (n *Node) makeTwin(pg int, ps *pageState) {
 // process time itself; callers in process context use diffCost, handler
 // callers fold the cost into the reply delay.
 func (n *Node) makeDiff(pg int, ps *pageState) *mem.Diff {
-	wn := ps.undiffed
-	if wn == nil {
+	if !ps.undiffed.ok() {
 		panic("dsm: makeDiff without pending twin")
 	}
 	d := mem.MakeDiff(pg, ps.twin, ps.data)
-	n.storeDiff(wn, d, true)
-	ps.undiffed = nil
+	n.storeDiff(ps.undiffed.key(pg), d, true)
+	ps.undiffed = wnRef{}
 	n.liveTwinBytes -= int64(len(ps.twin))
 	n.dropTwin(ps) // d holds copies of ps.data only
 	n.noteDiff(pg, ps, d.DataBytes(), true)
@@ -404,8 +410,7 @@ func (n *Node) makeDiff(pg int, ps *pageState) *mem.Diff {
 // storeDiff caches a diff on this node, accounting for the diff pool. A
 // received diff decoded from a frame aliases the frame's body; it is
 // detached first, so a cached diff keeps only its own bytes alive.
-func (n *Node) storeDiff(wn *WriteNotice, d *mem.Diff, created bool) {
-	k := keyOf(wn)
+func (n *Node) storeDiff(k wnKey, d *mem.Diff, created bool) {
 	if _, ok := n.diffCache[k]; ok {
 		return
 	}

@@ -8,13 +8,37 @@ import (
 	"adsm/internal/vc"
 )
 
+// logNode is a node with empty logs and no cluster behind it beyond its
+// size: enough to resolve refs to synthetic intervals.
+func logNode(procs int) *Node {
+	n := &Node{c: &Cluster{params: Params{Procs: procs}}, logs: make([]writerLog, procs), knownTS: make([]int32, procs)}
+	for p := range n.logs {
+		n.logs[p].base = 1
+	}
+	return n
+}
+
+// addInterval appends the interval with vector clock ivc to its writer's
+// log with the given notices and returns refs to them.
+func (n *Node) addInterval(proc int, ivc vc.VC, wns ...wnRow) []wnRef {
+	ts := ivc[proc]
+	n.logs[proc].push(ts, ivc, wns)
+	n.knownTS[proc] = ts
+	refs := make([]wnRef, len(wns))
+	for i := range wns {
+		refs[i] = wnRef{proc: int32(proc), ts: ts, idx: int32(i)}
+	}
+	return refs
+}
+
 // synthetic write notices with random interval DAGs for orderWNs tests.
-func randomWNs(r *rand.Rand, n, procs int) []*WriteNotice {
+func randomWNs(r *rand.Rand, n, procs int) (*Node, []wnRef) {
+	node := logNode(procs)
 	clocks := make([]vc.VC, procs)
 	for p := range clocks {
 		clocks[p] = vc.New(procs)
 	}
-	var wns []*WriteNotice
+	var wns []wnRef
 	for i := 0; i < n; i++ {
 		p := r.Intn(procs)
 		// Occasionally synchronize with another processor, creating a
@@ -24,10 +48,9 @@ func randomWNs(r *rand.Rand, n, procs int) []*WriteNotice {
 			clocks[p].Join(clocks[q])
 		}
 		clocks[p].Tick(p)
-		iv := &Interval{Proc: p, TS: clocks[p][p], VC: clocks[p].Copy()}
-		wns = append(wns, &WriteNotice{Page: 0, Int: iv})
+		wns = append(wns, node.addInterval(p, clocks[p], wnRow{})...)
 	}
-	return wns
+	return node, wns
 }
 
 // Property: orderWNs returns a permutation respecting happened-before-1:
@@ -35,12 +58,12 @@ func randomWNs(r *rand.Rand, n, procs int) []*WriteNotice {
 func TestQuickOrderWNsRespectsHB(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		wns := randomWNs(r, 3+r.Intn(10), 2+r.Intn(3))
-		out := orderWNs(wns)
+		n, wns := randomWNs(r, 3+r.Intn(10), 2+r.Intn(3))
+		out := n.orderWNs(wns)
 		if len(out) != len(wns) {
 			return false
 		}
-		seen := make(map[*WriteNotice]bool)
+		seen := make(map[wnRef]bool)
 		for _, wn := range out {
 			if seen[wn] {
 				return false // not a permutation
@@ -49,7 +72,7 @@ func TestQuickOrderWNsRespectsHB(t *testing.T) {
 		}
 		for i := range out {
 			for j := i + 1; j < len(out); j++ {
-				if out[j].Int.VC.Before(out[i].Int.VC) {
+				if n.ivc(out[j]).Before(n.ivc(out[i])) {
 					return false // later element happened before earlier
 				}
 			}
@@ -65,9 +88,9 @@ func TestQuickOrderWNsRespectsHB(t *testing.T) {
 func TestQuickOrderWNsDeterministic(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		wns := randomWNs(r, 3+r.Intn(10), 2+r.Intn(3))
-		a := orderWNs(wns)
-		b := orderWNs(wns)
+		n, wns := randomWNs(r, 3+r.Intn(10), 2+r.Intn(3))
+		a := n.orderWNs(wns)
+		b := n.orderWNs(wns)
 		for i := range a {
 			if a[i] != b[i] {
 				return false
@@ -80,18 +103,19 @@ func TestQuickOrderWNsDeterministic(t *testing.T) {
 	}
 }
 
-// Property: dominatingWN returns a notice iff it dominates all others.
+// Property: dominatingWN returns a notice's clock iff it dominates all
+// others.
 func TestQuickDominatingWN(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		wns := randomWNs(r, 2+r.Intn(8), 2+r.Intn(3))
-		dom := dominatingWN(wns)
+		n, wns := randomWNs(r, 2+r.Intn(8), 2+r.Intn(3))
+		dom := n.dominatingWN(wns)
 		if dom == nil {
 			// verify no element dominates all.
 			for _, cand := range wns {
 				all := true
 				for _, o := range wns {
-					if o != cand && !o.Int.VC.Leq(cand.Int.VC) {
+					if o != cand && !n.ivc(o).Leq(n.ivc(cand)) {
 						all = false
 						break
 					}
@@ -103,7 +127,7 @@ func TestQuickDominatingWN(t *testing.T) {
 			return true
 		}
 		for _, o := range wns {
-			if o != dom && !o.Int.VC.Leq(dom.Int.VC) {
+			if !n.ivc(o).Leq(dom) {
 				return false
 			}
 		}
@@ -116,21 +140,15 @@ func TestQuickDominatingWN(t *testing.T) {
 
 // bestOwnerWN picks the highest version among owner notices only.
 func TestBestOwnerWN(t *testing.T) {
-	mk := func(proc int, ts int32, owner bool, ver int32) *WriteNotice {
-		v := vc.New(2)
-		v[proc] = ts
-		return &WriteNotice{Page: 0, Owner: owner, Version: ver,
-			Int: &Interval{Proc: proc, TS: ts, VC: v}}
+	n := logNode(2)
+	ps := &pageState{}
+	if _, ok := n.bestOwnerWN(ps); ok {
+		t.Fatalf("empty pending must yield none")
 	}
-	if bestOwnerWN(nil) != nil {
-		t.Fatalf("empty pending must yield nil")
-	}
-	wns := []*WriteNotice{
-		mk(0, 1, false, 0),
-		mk(1, 1, true, 3),
-		mk(0, 2, true, 5),
-	}
-	if got := bestOwnerWN(wns); got == nil || got.Version != 5 {
+	ps.pending = append(ps.pending, n.addInterval(0, vc.VC{1, 0}, wnRow{})...)
+	ps.pending = append(ps.pending, n.addInterval(1, vc.VC{0, 1}, ownerRow(0, 3))...)
+	ps.pending = append(ps.pending, n.addInterval(0, vc.VC{2, 0}, ownerRow(0, 5))...)
+	if got, ok := n.bestOwnerWN(ps); !ok || got.version() != 5 {
 		t.Fatalf("bestOwnerWN picked %+v", got)
 	}
 }

@@ -90,16 +90,16 @@ func (n *Node) shouldResumeSW(ps *pageState) bool {
 func (n *Node) tryOwnership(pg int, ps *pageState, resume bool) bool {
 	// If diff-backed write notices are pending, merge them first so that
 	// the grant (whole-page semantics) starts from a complete copy.
-	if pendingDiffs(ps) {
+	if n.pendingDiffs(ps) {
 		n.validate(pg)
 	}
 
-	best := bestOwnerWN(ps.pending)
+	best, pending := n.bestOwnerWN(ps)
 	target := ps.perceivedOwner
 	version := ps.perceivedVersion
-	if best != nil && best.Version >= version {
-		target = best.Int.Proc
-		version = best.Version
+	if pending && best.version() >= version {
+		target = int(best.proc)
+		version = best.version()
 	}
 	if target == n.id {
 		return false
@@ -108,7 +108,7 @@ func (n *Node) tryOwnership(pg int, ps *pageState, resume bool) bool {
 	resp := n.c.rt.Call(n.proc, target, ownReq{
 		Page:     pg,
 		Version:  version,
-		NeedPage: ps.data == nil || (best != nil && !best.Int.VC.Leq(ps.applied)),
+		NeedPage: ps.data == nil || (pending && !best.vc.Leq(ps.applied)),
 		Resume:   resume,
 		Applied:  ps.applied.Copy(),
 	}).(ownResp)
@@ -133,13 +133,7 @@ func (n *Node) finishOwnership(pg int, ps *pageState, resp ownResp) bool {
 	// With a chain copy installed (or our copy provably current), owner
 	// write notices are subsumed; concurrent diff-backed notices must
 	// still be applied.
-	var rest []*WriteNotice
-	for _, wn := range ps.pending {
-		if wn.Owner || wn.Int.VC.Leq(ps.applied) {
-			continue
-		}
-		rest = append(rest, wn)
-	}
+	rest := n.pendingDiffRefs(ps)
 	ps.pending = ps.pending[:0]
 	if len(rest) > 0 {
 		n.fetchDiffs(pg, ps, rest)

@@ -59,14 +59,14 @@ func (n *Node) checkPage(pg int, ps *pageState) {
 		{ps.wroteSW && !ps.owner, "owner writes without ownership"},
 		{ps.owner && (ps.perceivedOwner != n.id || ps.perceivedVersion != ps.version), "owner routes elsewhere"},
 		{authority && ps.data == nil, "authority without a copy"},
-		{(ps.dirtyMW || ps.undiffed != nil) && ps.twin == nil, "write record without a twin"},
-		{ps.dirtyMW && ps.undiffed != nil, "open and undiffed interval on one twin"},
+		{(ps.dirtyMW || ps.undiffed.ok()) && ps.twin == nil, "write record without a twin"},
+		{ps.dirtyMW && ps.undiffed.ok(), "open and undiffed interval on one twin"},
 		{ps.status == pageReadWrite && !ps.owner && !ps.dirtyMW, "writable with no write record"},
 	} {
 		if r.bad {
 			panic(fmt.Sprintf("dsm: node %d page %d in no legal state (%s): mode=%d owner=%v wasLast=%v drop=%v wroteSW=%v status=%d twin=%v dirtyMW=%v undiffed=%v version=%d route=%d/%d",
 				n.id, pg, r.why, ps.mode, ps.owner, ps.wasLast, ps.dropOwnership, ps.wroteSW, ps.status,
-				ps.twin != nil, ps.dirtyMW, ps.undiffed != nil, ps.version, ps.perceivedOwner, ps.perceivedVersion))
+				ps.twin != nil, ps.dirtyMW, ps.undiffed.ok(), ps.version, ps.perceivedOwner, ps.perceivedVersion))
 		}
 	}
 }
@@ -173,10 +173,10 @@ func (n *Node) dropOwner(pg int, ps *pageState) {
 }
 
 // learnOwner routes the page to the writer of a newer owner write notice.
-func (n *Node) learnOwner(ps *pageState, wn *WriteNotice) {
-	if wn.Version >= ps.perceivedVersion && wn.Int.Proc != n.id {
-		ps.perceivedOwner, ps.perceivedVersion = wn.Int.Proc, wn.Version
-		n.checked(wn.Page, ps)
+func (n *Node) learnOwner(ps *pageState, wn notice) {
+	if wn.version() >= ps.perceivedVersion && int(wn.proc) != n.id {
+		ps.perceivedOwner, ps.perceivedVersion = int(wn.proc), wn.version()
+		n.checked(int(wn.page), ps)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"adsm/internal/mem"
 	"adsm/internal/sim"
+	"adsm/internal/vc"
 )
 
 // Every move checks its row of the page-state table in test builds.
@@ -21,9 +22,9 @@ func TestPageStateTable(t *testing.T) {
 	legal := map[string]func(ps *pageState){
 		"SW owner writing":            func(ps *pageState) { owned(ps); ps.wroteSW, ps.status = true, pageReadWrite },
 		"SW owner, drop deferred":     func(ps *pageState) { owned(ps); ps.wroteSW, ps.dropOwnership = true, true },
-		"SW owner, undiffed twin":     func(ps *pageState) { owned(ps); twin(ps); ps.undiffed = &WriteNotice{} },
+		"SW owner, undiffed twin":     func(ps *pageState) { owned(ps); twin(ps); ps.undiffed = wnRef{ts: 1} },
 		"SW non-owner writing a twin": func(ps *pageState) { twin(ps); ps.dirtyMW, ps.status = true, pageReadWrite },
-		"MW last owner, undiffed":     func(ps *pageState) { ps.mode, ps.wasLast = modeMW, true; twin(ps); ps.undiffed = &WriteNotice{} },
+		"MW last owner, undiffed":     func(ps *pageState) { ps.mode, ps.wasLast = modeMW, true; twin(ps); ps.undiffed = wnRef{ts: 1} },
 		"MW writing a twin":           func(ps *pageState) { ps.mode = modeMW; twin(ps); ps.dirtyMW, ps.status = true, pageReadWrite },
 		"MW read-only":                func(ps *pageState) { ps.mode, ps.status = modeMW, pageReadOnly },
 	}
@@ -36,7 +37,7 @@ func TestPageStateTable(t *testing.T) {
 		"owner routes elsewhere":                 func(ps *pageState) { owned(ps); ps.perceivedOwner = 0 },
 		"authority without a copy":               func(ps *pageState) { owned(ps); ps.data = nil },
 		"write record without a twin":            func(ps *pageState) { ps.dirtyMW = true },
-		"open and undiffed interval on one twin": func(ps *pageState) { twin(ps); ps.dirtyMW, ps.undiffed = true, &WriteNotice{} },
+		"open and undiffed interval on one twin": func(ps *pageState) { twin(ps); ps.dirtyMW, ps.undiffed = true, wnRef{ts: 1} },
 		"writable with no write record":          func(ps *pageState) { ps.status = pageReadWrite },
 	}
 	n := &Node{id: self}
@@ -81,9 +82,9 @@ func TestTwinDiffedBeforeRebase(t *testing.T) {
 	ps.mode, ps.data = modeMW, mem.NewPage()
 	ps.twin = mem.Twin(ps.data)
 	mem.StoreUint64(ps.data, 8, 42)
-	wn := &WriteNotice{Page: 0, Int: &Interval{Proc: 0, TS: 1, VC: []int32{1, 0}}}
+	wn := n.addInterval(0, vc.VC{1, 0}, wnRow{page: 0})[0]
 	ps.undiffed = wn
-	ps.applied.Join(wn.Int.VC)
+	ps.applied.Join(n.ivc(wn))
 
 	back := mem.NewPage()
 	mem.StoreUint64(back, 8, 7) // node 1 overwrote it after our interval
@@ -92,7 +93,7 @@ func TestTwinDiffedBeforeRebase(t *testing.T) {
 		t.Fatalf("after the install the word reads %d, want node 1's later 7", got)
 	}
 
-	d, _, ok := n.heldDiff(0, ps, keyOf(wn))
+	d, _, ok := n.heldDiff(0, ps, wn.key(0))
 	if !ok {
 		t.Fatal("the undiffed notice's diff is gone")
 	}

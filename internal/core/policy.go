@@ -36,16 +36,17 @@ type Policy interface {
 	MakeValid(n *Node, pg int, ps *pageState)
 
 	// OnIntervalClose runs in process context immediately after the node
-	// closes an interval (at a release-class event) and before the event's
-	// messages go out. iv is never nil; wns is the subset of iv.WNs whose
-	// pages this policy governs (== iv.WNs when the interval touched only
-	// one protocol). HLRC uses it to flush diffs home.
-	OnIntervalClose(n *Node, iv *Interval, wns []*WriteNotice)
+	// closes its interval ts (at a release-class event) and before the
+	// event's messages go out, once per protocol of the pages the interval
+	// wrote; self is that protocol, so the policy acts only on the notices
+	// of pages with ps.proto == self. The interval's row is in the node's
+	// own log, not yet published. HLRC uses it to flush diffs home.
+	OnIntervalClose(n *Node, self Protocol, ts int32)
 
 	// OnOwnerNotice reacts to an ingested owner write notice after the
 	// generic routing state is updated (adaptation mechanism 2 of Section
 	// 3.1.2). May run in handler context.
-	OnOwnerNotice(n *Node, ps *pageState, wn *WriteNotice)
+	OnOwnerNotice(n *Node, ps *pageState, wn notice)
 
 	// OnBarrierRelease runs after a barrier release is ingested, when the
 	// node is up to date with all modifications (adaptation mechanism 3).
@@ -94,7 +95,7 @@ type Policy interface {
 	// back to the serial MakeValid path). The plan must request exactly
 	// what one serial merge round would. Process context; may block only
 	// on non-coherence RPCs (e.g. resolving a first-touch home binding).
-	SpanFetchPlan(n *Node, pg int, ps *pageState) (target int, diffs []*WriteNotice, ok bool)
+	SpanFetchPlan(n *Node, pg int, ps *pageState) (target int, diffs []wnRef, ok bool)
 
 	// SpanSettle finishes a batched fetch for one page after the fetched
 	// copy has been installed and the bundled diffs stored: it applies or
@@ -107,18 +108,18 @@ type Policy interface {
 // basePolicy supplies the no-op defaults shared by the concrete policies.
 type basePolicy struct{}
 
-func (basePolicy) OnIntervalClose(n *Node, iv *Interval, wns []*WriteNotice) {}
-func (basePolicy) OnOwnerNotice(n *Node, ps *pageState, wn *WriteNotice)     {}
-func (basePolicy) OnBarrierRelease(n *Node, self Protocol)                   {}
-func (basePolicy) OnServePage(n *Node, from, pg int, ps *pageState)          {}
-func (basePolicy) OnServeDiffs(n *Node, from int, ps *pageState, fs bool)    {}
-func (basePolicy) AllowSWByGranularity(n *Node, ps *pageState) bool          { return true }
-func (basePolicy) MemPressure(n *Node) bool                                  { return n.memPressure() }
-func (basePolicy) GCKeeperIsOwner() bool                                     { return false }
-func (basePolicy) GCCollapseToSW() bool                                      { return false }
-func (basePolicy) GCEligible() bool                                          { return true }
-func (basePolicy) MakeValid(n *Node, pg int, ps *pageState)                  { n.lrcMakeValid(pg, ps) }
-func (basePolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []*WriteNotice, bool) {
+func (basePolicy) OnIntervalClose(n *Node, self Protocol, ts int32)       {}
+func (basePolicy) OnOwnerNotice(n *Node, ps *pageState, wn notice)        {}
+func (basePolicy) OnBarrierRelease(n *Node, self Protocol)                {}
+func (basePolicy) OnServePage(n *Node, from, pg int, ps *pageState)       {}
+func (basePolicy) OnServeDiffs(n *Node, from int, ps *pageState, fs bool) {}
+func (basePolicy) AllowSWByGranularity(n *Node, ps *pageState) bool       { return true }
+func (basePolicy) MemPressure(n *Node) bool                               { return n.memPressure() }
+func (basePolicy) GCKeeperIsOwner() bool                                  { return false }
+func (basePolicy) GCCollapseToSW() bool                                   { return false }
+func (basePolicy) GCEligible() bool                                       { return true }
+func (basePolicy) MakeValid(n *Node, pg int, ps *pageState)               { n.lrcMakeValid(pg, ps) }
+func (basePolicy) SpanFetchPlan(n *Node, pg int, ps *pageState) (int, []wnRef, bool) {
 	return n.lrcSpanPlan(ps)
 }
 func (basePolicy) SpanSettle(n *Node, pg int, ps *pageState) { n.lrcSpanSettle(pg, ps) }
@@ -174,16 +175,16 @@ func (adaptivePolicy) WriteFault(n *Node, pg int, ps *pageState) { n.writeFaultA
 // OnOwnerNotice is mechanism 2 of Section 3.1.2: a new owner write notice
 // with no concurrent secondary write notice means a single writer has
 // re-emerged, so the page may return to SW mode.
-func (p adaptivePolicy) OnOwnerNotice(n *Node, ps *pageState, wn *WriteNotice) {
+func (p adaptivePolicy) OnOwnerNotice(n *Node, ps *pageState, wn notice) {
 	if ps.mode != modeMW || ps.owner || ps.wasLast {
 		return
 	}
 	for _, old := range ps.pending {
-		if old.Int.Proc != wn.Int.Proc && old.Int.VC.Concurrent(wn.Int.VC) {
+		if old.proc != wn.proc && n.ivc(old).Concurrent(wn.vc) {
 			return
 		}
 	}
-	if mine := ps.myLastWN; mine != nil && mine.Int.Proc == n.id && mine.Int.VC.Concurrent(wn.Int.VC) {
+	if ps.myLastWN.ok() && n.ivc(ps.myLastWN).Concurrent(wn.vc) {
 		return
 	}
 	if p.AllowSWByGranularity(n, ps) {
@@ -205,12 +206,11 @@ func (p adaptivePolicy) OnBarrierRelease(n *Node, self Protocol) {
 		if ps.mode != modeMW || ps.owner || ps.wasLast || len(ps.pending) == 0 {
 			continue
 		}
-		dom := dominatingWN(ps.pending)
+		dom := n.dominatingWN(ps.pending)
 		if dom == nil {
 			continue
 		}
-		if mine := ps.myLastWN; mine != nil && mine.Int.Proc == n.id &&
-			!mine.Int.VC.Leq(dom.Int.VC) {
+		if ps.myLastWN.ok() && !n.ivc(ps.myLastWN).Leq(dom) {
 			// Our own write is not dominated: sharing has not stopped.
 			continue
 		}
@@ -230,7 +230,7 @@ func (p adaptivePolicy) OnServePage(n *Node, from, pg int, ps *pageState) {
 	if !p.wg || !ps.owner || ps.wgProbed || from == n.id {
 		return
 	}
-	if !ps.wroteSW && ps.myLastWN == nil {
+	if !ps.wroteSW && !ps.myLastWN.ok() {
 		return
 	}
 	ps.wgProbed = true

@@ -65,8 +65,8 @@ func (n *Node) PrefetchRanges(ranges []Range) {
 type spanPlan struct {
 	pg     int
 	ps     *pageState
-	target int            // whole-page fetch target, -1 = local copy suffices
-	diffs  []*WriteNotice // diff-backed notices to fetch and apply
+	target int     // whole-page fetch target, -1 = local copy suffices
+	diffs  []wnRef // diff-backed notices to fetch and apply
 }
 
 // spanPrefetch batches the coherence work of the read span
@@ -107,8 +107,8 @@ func (n *Node) prefetchPages(pages []int) {
 		if target >= 0 {
 			rounds++
 		}
-		for _, wn := range diffs {
-			if n.diffCache[keyOf(wn)] == nil {
+		for _, r := range diffs {
+			if n.diffCache[r.key(pg)] == nil {
 				rounds++
 				break
 			}
@@ -141,25 +141,25 @@ func (n *Node) prefetchPages(pages []int) {
 		}
 		return r
 	}
-	wnIndex := make(map[wnKey]*WriteNotice)
+	wanted := make(map[wnKey]bool)
 	for _, pl := range plans {
 		if pl.target >= 0 {
 			get(pl.target).Pages = append(get(pl.target).Pages, pl.pg)
 		}
 		var perWriter map[int][]wnKey
-		for _, wn := range pl.diffs {
-			k := keyOf(wn)
-			wnIndex[k] = wn
+		for _, r := range pl.diffs {
+			k := r.key(pl.pg)
+			wanted[k] = true
 			if n.diffCache[k] != nil {
 				continue
 			}
-			if wn.Int.Proc == n.id {
+			if int(r.proc) == n.id {
 				panic("dsm: own write notice pending")
 			}
 			if perWriter == nil {
 				perWriter = make(map[int][]wnKey)
 			}
-			perWriter[wn.Int.Proc] = append(perWriter[wn.Int.Proc], k)
+			perWriter[k.proc] = append(perWriter[k.proc], k)
 		}
 		for p := 0; p < n.c.params.Procs; p++ {
 			if ks, ok := perWriter[p]; ok {
@@ -184,11 +184,10 @@ func (n *Node) prefetchPages(pages []int) {
 			sr := r.(spanFetchResp)
 			for _, b := range sr.Diffs {
 				for i, d := range b.Diffs {
-					wn := wnIndex[b.Keys[i]]
-					if wn == nil {
+					if !wanted[b.Keys[i]] {
 						panic("dsm: received span diff for unknown write notice")
 					}
-					n.storeDiff(wn, d, false)
+					n.storeDiff(b.Keys[i], d, false)
 				}
 			}
 			for i := range sr.Pages {
@@ -222,7 +221,7 @@ func (n *Node) prefetchPages(pages []int) {
 // lrcSpanPlan builds the batched-fetch plan of one invalid page under the
 // diff-based LRC protocols: the same fetch-target and diff decisions one
 // mergeOnce round makes, without executing them.
-func (n *Node) lrcSpanPlan(ps *pageState) (int, []*WriteNotice, bool) {
+func (n *Node) lrcSpanPlan(ps *pageState) (int, []wnRef, bool) {
 	target := n.mergeSource(ps)
 	if target == n.id {
 		if ps.data == nil {
@@ -231,14 +230,20 @@ func (n *Node) lrcSpanPlan(ps *pageState) (int, []*WriteNotice, bool) {
 		}
 		target = -1 // chain head with a current copy: nothing to fetch
 	}
-	var diffs []*WriteNotice
-	for _, wn := range ps.pending {
-		if wn.Int.VC.Leq(ps.applied) || wn.Owner {
+	return target, n.pendingDiffRefs(ps), true
+}
+
+// pendingDiffRefs lists the pending diff-backed notices the page's copy
+// does not reflect.
+func (n *Node) pendingDiffRefs(ps *pageState) []wnRef {
+	var diffs []wnRef
+	for _, r := range ps.pending {
+		if wn := n.wn(r); wn.vc.Leq(ps.applied) || wn.owner() {
 			continue
 		}
-		diffs = append(diffs, wn)
+		diffs = append(diffs, r)
 	}
-	return target, diffs, true
+	return diffs
 }
 
 // lrcSpanSettle finishes a batched fetch for one LRC page: one merge
@@ -256,13 +261,7 @@ func (n *Node) lrcSpanSettle(pg int, ps *pageState) {
 		n.validate(pg)
 		return
 	}
-	var rest []*WriteNotice
-	for _, wn := range ps.pending {
-		if wn.Int.VC.Leq(ps.applied) || wn.Owner {
-			continue
-		}
-		rest = append(rest, wn)
-	}
+	rest := n.pendingDiffRefs(ps)
 	ps.pending = ps.pending[:0]
 	if len(rest) > 0 {
 		n.fetchDiffs(pg, ps, rest) // bundled diffs are cached; only raced stragglers travel

@@ -118,7 +118,7 @@ func TestSpanSettleRacedOwnerNotice(t *testing.T) {
 		n.Barrier()
 		if n.ID() == 0 {
 			ps := n.pages[pg]
-			if best := bestOwnerWN(ps.pending); best == nil || best.Int.VC.Leq(ps.applied) {
+			if best, ok := n.bestOwnerWN(ps); !ok || best.vc.Leq(ps.applied) {
 				t.Fatal("precondition: no pending un-applied owner notice")
 			}
 			pf := n.Stats.PageFetches

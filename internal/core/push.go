@@ -34,23 +34,27 @@ func pushable(ps *pageState) bool { return ps.proto == MW }
 // grant's reply is delayed by; the one diff made and found too big for
 // the rest of the budget stays cached for the fault that fetches it, and
 // does not delay the grant.
-func (n *Node) pushDiffs(ivs []*Interval) (diffs []*mem.Diff, keys []wnKey, cost transport.Time) {
+func (n *Node) pushDiffs(ivs ivBatch) (diffs []*mem.Diff, keys []wnKey, cost transport.Time) {
 	budget := n.c.params.Cost.PushBudget
 	if budget <= 0 {
 		return nil, nil, 0
 	}
+	w := 0
 scan:
-	for _, iv := range ivs {
-		for _, wn := range iv.WNs {
-			ps := n.pages[wn.Page]
-			if wn.Owner || !pushable(ps) {
+	for _, h := range ivs.Heads {
+		wns := ivs.WNs[w : w+int(h.nwn)]
+		w += int(h.nwn)
+		for _, wn := range wns {
+			pg := int(wn.page)
+			ps := n.pages[pg]
+			if wn.owner() || !pushable(ps) {
 				continue
 			}
-			k := keyOf(wn)
-			if budget < keyLen(k)+(&mem.Diff{Page: wn.Page}).EncodedSize() {
+			k := wnKey{page: pg, proc: int(h.proc), ts: h.ts}
+			if budget < keyLen(k)+(&mem.Diff{Page: pg}).EncodedSize() {
 				break scan
 			}
-			d, dc, ok := n.heldDiff(wn.Page, ps, k)
+			d, dc, ok := n.heldDiff(pg, ps, k)
 			if !ok {
 				continue
 			}
@@ -81,15 +85,11 @@ func (n *Node) acceptPushes(g acqGrant) {
 	for i, d := range g.Diffs {
 		k := g.Keys[i]
 		ps := n.pages[k.page]
-		var wn *WriteNotice
-		if ps.data != nil && pushable(ps) && n.diffCache[k] == nil {
-			wn = findWN(ps.pending, k)
-		}
-		if wn == nil {
+		if ps.data == nil || !pushable(ps) || n.diffCache[k] != nil || !pendingHas(ps, k) {
 			n.Stats.PushesDropped++
 			continue
 		}
-		n.storeDiff(wn, d, false)
+		n.storeDiff(k, d, false)
 		if n.pushed == nil {
 			n.pushed = make(map[wnKey]struct{})
 		}

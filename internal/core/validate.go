@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"adsm/internal/mem"
 	"adsm/internal/transport"
@@ -16,19 +17,20 @@ import (
 // owner write notices ever) and pure-SW misses (no diffs ever).
 
 // bestOwnerWN returns the pending owner write notice with the highest
-// version (ties broken by interval VC domination).
-func bestOwnerWN(pending []*WriteNotice) *WriteNotice {
-	var best *WriteNotice
-	for _, wn := range pending {
-		if !wn.Owner {
+// version (ties broken by interval VC domination); ok is false when no
+// owner notice is pending.
+func (n *Node) bestOwnerWN(ps *pageState) (best notice, ok bool) {
+	for _, r := range ps.pending {
+		wn := n.wn(r)
+		if !wn.owner() {
 			continue
 		}
-		if best == nil || wn.Version > best.Version ||
-			(wn.Version == best.Version && best.Int.VC.Leq(wn.Int.VC)) {
-			best = wn
+		if !ok || wn.version() > best.version() ||
+			(wn.version() == best.version() && best.vc.Leq(wn.vc)) {
+			best, ok = wn, true
 		}
 	}
-	return best
+	return best, ok
 }
 
 // validate brings the page up to date with all write notices this node has
@@ -65,14 +67,14 @@ func (n *Node) lrcMakeValid(pg int, ps *pageState) {
 // fetches: the writer of the newest pending owner notice our copy lacks,
 // or the perceived owner when we have no copy; -1 when none is needed.
 func (n *Node) mergeSource(ps *pageState) int {
-	best := bestOwnerWN(ps.pending)
-	if ps.owner && best != nil && best.Version <= ps.version {
+	best, ok := n.bestOwnerWN(ps)
+	if ps.owner && ok && best.version() <= ps.version {
 		// We are the chain head: older owner copies are subsumed by ours.
-		best = nil
+		ok = false
 	}
 	switch {
-	case best != nil && (ps.data == nil || !best.Int.VC.Leq(ps.applied)):
-		return best.Int.Proc
+	case ok && (ps.data == nil || !best.vc.Leq(ps.applied)):
+		return int(best.proc)
 	case ps.data == nil:
 		return ps.perceivedOwner
 	}
@@ -81,9 +83,9 @@ func (n *Node) mergeSource(ps *pageState) int {
 
 // pendingDiffs reports whether a diff-backed notice our copy lacks is
 // pending.
-func pendingDiffs(ps *pageState) bool {
-	for _, wn := range ps.pending {
-		if !wn.Owner && !wn.Int.VC.Leq(ps.applied) {
+func (n *Node) pendingDiffs(ps *pageState) bool {
+	for _, r := range ps.pending {
+		if wn := n.wn(r); !wn.owner() && !wn.vc.Leq(ps.applied) {
 			return true
 		}
 	}
@@ -109,15 +111,15 @@ func (n *Node) mergeOnce(pg int, ps *pageState) {
 	// served after they were published); keep diff-backed notices to
 	// apply. An owner notice ingested while the fetch was in flight may be
 	// newer than the copy: it stays pending for the next round.
-	var rest, late []*WriteNotice
-	for i, wn := range ps.pending {
-		switch {
-		case wn.Int.VC.Leq(ps.applied):
-		case wn.Owner && i >= known:
-			late = append(late, wn)
-		case wn.Owner:
+	var rest, late []wnRef
+	for i, r := range ps.pending {
+		switch wn := n.wn(r); {
+		case wn.vc.Leq(ps.applied):
+		case wn.owner() && i >= known:
+			late = append(late, r)
+		case wn.owner():
 		default:
-			rest = append(rest, wn)
+			rest = append(rest, r)
 		}
 	}
 	ps.pending = append(ps.pending[:0], late...)
@@ -148,7 +150,7 @@ func (n *Node) fetchPage(pg int, ps *pageState, target int) {
 // and the data moves onto a private copy when something is applied to it.
 // applied must not alias ps.applied. Runs in process context.
 func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) {
-	if ps.undiffed != nil && ps.undiffed.Int.VC.Leq(applied) {
+	if ps.undiffed.ok() && n.ivc(ps.undiffed).Leq(applied) {
 		// The incoming copy already holds our undiffed writes (a grant
 		// carried them out and the chain brought them back), perhaps
 		// under later writes that replaying them would undo. Diff them
@@ -157,17 +159,18 @@ func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) 
 	}
 
 	// Diff-backed writes our old copy had that the new copy misses.
-	var replay []*WriteNotice
-	for _, wn := range ps.knownWNs {
-		if wn.Owner {
+	var replay []wnRef
+	for _, r := range ps.knownWNs {
+		wn := n.wn(r)
+		if wn.owner() {
 			// Owner-copy content is preserved by the grant chain: every
 			// owner's copy contains all earlier owners' writes.
 			continue
 		}
-		if !wn.Int.VC.Leq(ps.applied) || wn.Int.VC.Leq(applied) {
+		if !wn.vc.Leq(ps.applied) || wn.vc.Leq(applied) {
 			continue
 		}
-		if wn.Int.Proc == n.id && n.diffCache[keyOf(wn)] == nil {
+		if int(r.proc) == n.id && n.diffCache[r.key(pg)] == nil {
 			// Our own writes with no cached diff: under the LRC protocols
 			// they are still-undiffed and ride along in `mine`; under HLRC
 			// the diff was flushed home and retired, and the fetched home
@@ -175,7 +178,7 @@ func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) 
 			// above drops them before reaching here).
 			continue
 		}
-		replay = append(replay, wn)
+		replay = append(replay, r)
 	}
 
 	var mine *mem.Diff
@@ -186,15 +189,15 @@ func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) 
 	}
 	n.adopt(ps, data)
 	ps.applied = append(ps.applied[:0], applied...)
-	if ps.undiffed != nil {
+	if ps.undiffed.ok() {
 		// Committed-but-undiffed writes are re-applied via `mine`.
-		ps.applied.Join(ps.undiffed.Int.VC)
+		ps.applied.Join(n.ivc(ps.undiffed))
 	}
 
 	if len(replay) > 0 {
 		n.fetchDiffs(pg, ps, replay)
-		for _, wn := range orderWNs(replay) {
-			d := n.diffCache[keyOf(wn)]
+		for _, r := range n.orderWNs(replay) {
+			d := n.diffCache[r.key(pg)]
 			if d == nil {
 				panic("dsm: replay diff unavailable")
 			}
@@ -204,7 +207,7 @@ func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) 
 				n.ownTwin(ps)
 				d.Apply(ps.twin)
 			}
-			ps.applied.Join(wn.Int.VC)
+			ps.applied.Join(n.ivc(r))
 		}
 	}
 	if mine != nil && mine.NumRuns() > 0 {
@@ -216,25 +219,37 @@ func (n *Node) installPage(pg int, ps *pageState, data []byte, applied []int32) 
 // fetchDiffs retrieves the diffs for the given write notices that are not
 // already cached, batching one request per writer and issuing them in
 // parallel (TreadMarks behaviour). Piggybacks this node's false-sharing
-// perception (adaptive mechanism 1).
-func (n *Node) fetchDiffs(pg int, ps *pageState, wns []*WriteNotice) {
-	missing := make(map[int][]wnKey)
-	for _, wn := range wns {
-		k := keyOf(wn)
+// perception (adaptive mechanism 1). The per-writer key lists are the
+// node's scratch: each request's list is read by the writer's handler (or
+// encoded) before its reply, so the lists are free again when Multicall
+// returns, and fetchDiffs runs in process context only.
+func (n *Node) fetchDiffs(pg int, ps *pageState, wns []wnRef) {
+	writers := 0
+	if n.wants == nil {
+		n.wants = make([][]wnKey, n.c.params.Procs)
+	}
+	for p := range n.wants {
+		n.wants[p] = n.wants[p][:0]
+	}
+	for _, r := range wns {
+		k := r.key(pg)
 		if n.diffCache[k] != nil {
 			continue
 		}
-		if wn.Int.Proc == n.id {
+		if int(r.proc) == n.id {
 			panic("dsm: own write notice pending")
 		}
-		missing[wn.Int.Proc] = append(missing[wn.Int.Proc], k)
+		if len(n.wants[r.proc]) == 0 {
+			writers++
+		}
+		n.wants[r.proc] = append(n.wants[r.proc], k)
 	}
-	if len(missing) == 0 {
+	if writers == 0 {
 		return
 	}
-	var targets []transport.Target
-	for p := 0; p < n.c.params.Procs; p++ {
-		if ks, ok := missing[p]; ok {
+	targets := make([]transport.Target, 0, writers)
+	for p, ks := range n.wants {
+		if len(ks) > 0 {
 			targets = append(targets, transport.Target{
 				To: p,
 				M:  diffReq{Page: pg, Wants: ks, SeesFS: ps.seesFS},
@@ -246,29 +261,25 @@ func (n *Node) fetchDiffs(pg int, ps *pageState, wns []*WriteNotice) {
 		dr := r.(diffResp)
 		for i, d := range dr.Diffs {
 			k := dr.Keys[i]
-			wn := findWN(wns, k)
-			if wn == nil {
+			if !slices.ContainsFunc(wns, func(r wnRef) bool { return r.key(pg) == k }) {
 				panic("dsm: received diff for unknown write notice")
 			}
-			n.storeDiff(wn, d, false)
+			n.storeDiff(k, d, false)
 		}
 	}
 }
 
-func findWN(wns []*WriteNotice, k wnKey) *WriteNotice {
-	for _, wn := range wns {
-		if keyOf(wn) == k {
-			return wn
-		}
-	}
-	return nil
+// pendingHas reports whether the page's pending notices include the one
+// whose diff k names.
+func pendingHas(ps *pageState, k wnKey) bool {
+	return slices.ContainsFunc(ps.pending, func(r wnRef) bool { return int(r.proc) == k.proc && r.ts == k.ts })
 }
 
 // applyDiffs applies the diffs for the write notices in happened-before
 // order, charging the per-diff application cost.
-func (n *Node) applyDiffs(pg int, ps *pageState, wns []*WriteNotice) {
-	for _, wn := range orderWNs(wns) {
-		k := keyOf(wn)
+func (n *Node) applyDiffs(pg int, ps *pageState, wns []wnRef) {
+	for _, r := range n.orderWNs(wns) {
+		k := r.key(pg)
 		d := n.diffCache[k]
 		if d == nil {
 			panic("dsm: missing diff at apply time")
@@ -280,7 +291,7 @@ func (n *Node) applyDiffs(pg int, ps *pageState, wns []*WriteNotice) {
 			n.ownTwin(ps)
 			d.Apply(ps.twin)
 		}
-		ps.applied.Join(wn.Int.VC)
+		ps.applied.Join(n.ivc(r))
 		n.noteDiff(pg, ps, d.DataBytes(), false)
 		n.Stats.DiffsApplied++
 		n.proc.Advance(n.c.params.applyCost(d))
@@ -308,7 +319,7 @@ func (n *Node) heldDiff(pg int, ps *pageState, k wnKey) (d *mem.Diff, cost trans
 	if d = n.diffCache[k]; d != nil {
 		return d, 0, true
 	}
-	if ps.undiffed != nil && keyOf(ps.undiffed) == k {
+	if ps.undiffed.ok() && ps.undiffed.key(pg) == k {
 		d = n.makeDiff(pg, ps)
 		return d, n.c.params.diffCost(d), true
 	}
@@ -353,12 +364,11 @@ func (n *Node) serveDiffs(c transport.Call, from int, m diffReq) {
 	ps := n.pages[m.Page]
 	ps.policy.OnServeDiffs(n, from, ps, m.SeesFS)
 	var cost transport.Time
-	resp := diffResp{}
-	for _, k := range m.Wants {
+	resp := diffResp{Diffs: make([]*mem.Diff, len(m.Wants)), Keys: make([]wnKey, len(m.Wants))}
+	for i, k := range m.Wants {
 		d, dc := n.serveDiffKey(m.Page, ps, k)
 		cost += dc
-		resp.Diffs = append(resp.Diffs, d)
-		resp.Keys = append(resp.Keys, k)
+		resp.Diffs[i], resp.Keys[i] = d, k
 	}
 	c.ReplyAfter(cost, resp)
 }

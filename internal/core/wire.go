@@ -179,44 +179,79 @@ func (w *wireRW) Keys(ks *[]wnKey) {
 	}
 }
 
-// Intervals flatten to: per interval its proc, ts and VC, then the write
-// notices, which the decoder re-links to their interval.
-func (w *wireRW) Intervals(ivs *[]*Interval) {
+// Intervals flatten to: a count, then per interval its proc, ts and VC,
+// then its write notices' count and per notice its page, owner flag and
+// version. A batch (interval.go) holds the same rows in three slabs, so
+// every mode is one loop over them, and a decoder makes three slices per
+// message whatever the number of intervals. A decoder refuses a batch
+// whose vector clocks differ in length.
+func (w *wireRW) Intervals(b *ivBatch) {
 	switch w.mode {
-	case wireFill:
-		return // no payloads inside
+	case wireSize:
+		stride, wn := b.stride(), 0
+		w.n += transport.UvarintLen(uint64(len(b.Heads)))
+		for i, h := range b.Heads {
+			w.n += transport.UvarintLen(uint64(uint32(h.proc))) + transport.UvarintLen(uint64(uint32(h.ts)))
+			ivc := b.VCs[i*stride : (i+1)*stride]
+			w.TS(&ivc)
+			w.n += transport.UvarintLen(uint64(h.nwn))
+			for _, r := range b.WNs[wn : wn+int(h.nwn)] {
+				w.n += transport.UvarintLen(uint64(uint32(r.page))) + 1 + transport.UvarintLen(uint64(uint32(r.version())))
+			}
+			wn += int(h.nwn)
+		}
 	case wireEncode: // every lock grant: one tight loop
-		w.b = transport.AppendUvarint(w.b, uint64(len(*ivs)))
-		for _, iv := range *ivs {
-			w.b = transport.AppendUvarint(transport.AppendUvarint(w.b, uint64(iv.Proc)), uint64(uint32(iv.TS)))
-			w.VC(&iv.VC)
-			b := transport.AppendUvarint(w.b, uint64(len(iv.WNs)))
-			for _, wn := range iv.WNs {
-				if b = append(transport.AppendUvarint(b, uint64(wn.Page)), 0); wn.Owner {
-					b[len(b)-1] = 1
+		stride, wn := b.stride(), 0
+		w.b = transport.AppendUvarint(w.b, uint64(len(b.Heads)))
+		for i, h := range b.Heads {
+			w.b = transport.AppendUvarint(transport.AppendUvarint(w.b, uint64(uint32(h.proc))), uint64(uint32(h.ts)))
+			ivc := b.VCs[i*stride : (i+1)*stride]
+			w.TS(&ivc)
+			out := transport.AppendUvarint(w.b, uint64(h.nwn))
+			for _, r := range b.WNs[wn : wn+int(h.nwn)] {
+				if out = append(transport.AppendUvarint(out, uint64(uint32(r.page))), 0); r.owner() {
+					out[len(out)-1] = 1
 				}
-				b = transport.AppendUvarint(b, uint64(uint32(wn.Version)))
+				out = transport.AppendUvarint(out, uint64(uint32(r.version())))
 			}
-			w.b = b
+			w.b = out
+			wn += int(h.nwn)
 		}
-		return
-	}
-	for i := range list(w, ivs, 4) {
-		if w.mode == wireDecode {
-			(*ivs)[i] = &Interval{}
+	case wireDecode:
+		n := w.r.Count(4)
+		if n == 0 {
+			return
 		}
-		iv := (*ivs)[i]
-		w.Int(&iv.Proc)
-		w.I32(&iv.TS)
-		w.VC(&iv.VC)
-		for j := range list(w, &iv.WNs, 3) {
-			if w.mode == wireDecode {
-				iv.WNs[j] = &WriteNotice{Int: iv}
+		b.Heads = make([]ivHead, n)
+		stride := -1
+		for i := range b.Heads {
+			h := &b.Heads[i]
+			h.proc, h.ts = w.r.I32(), w.r.I32()
+			k := w.r.Count(1)
+			if stride < 0 {
+				// Every interval left holds at least stride bytes of clock.
+				if stride = k; stride > 0 && (n-i)*stride <= w.r.Remaining() {
+					b.VCs = make([]int32, n*stride)
+				}
 			}
-			wn := iv.WNs[j]
-			w.Int(&wn.Page)
-			w.Bool(&wn.Owner)
-			w.I32(&wn.Version)
+			if w.check(k == stride && len(b.VCs) == n*stride); k != stride || len(b.VCs) != n*stride {
+				return
+			}
+			for j := range b.VCs[i*stride : (i+1)*stride] {
+				b.VCs[i*stride+j] = w.r.I32()
+			}
+			nwn := w.r.Count(3)
+			h.nwn = int32(nwn)
+			if nwn > 0 && b.WNs == nil {
+				b.WNs = make([]wnRow, 0, max(n, nwn))
+			}
+			for range nwn {
+				r := wnRow{page: w.r.I32()}
+				if owner, v := w.r.Bool(), w.r.I32(); owner {
+					r = ownerRow(int(r.page), v)
+				}
+				b.WNs = append(b.WNs, r)
+			}
 		}
 	}
 }

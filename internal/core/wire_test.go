@@ -290,18 +290,20 @@ func FuzzCkptPutWire(f *testing.F)       { fuzzWireCodec(f, "ckptPut") }
 var hotFrames = []string{"pageResp", "diffResp", "spanFetchResp", "acqGrant"}
 
 // TestHotFrameWireAllocs pins the hot frames' codec allocations: encoding
-// allocates nothing, and decoding only the message's own slices, diffs and
-// intervals and the interface box that returns it (payloads and a diff's
-// run table alias the frame). Each count is at or below the hand-written
-// codecs the visitor replaced, whose decoders also kept a list of payload
-// lengths, and one per diff below the run lists diffs had before their
-// run tables.
+// allocates nothing, and decoding only the message's own slices, diffs,
+// the three slabs of its interval batch whatever the number of intervals,
+// and the interface box that returns it (payloads and a diff's run table
+// alias the frame). Each count is at or below the hand-written codecs the
+// visitor replaced, whose decoders also kept a list of payload lengths,
+// one per diff below the run lists diffs had before their run tables, and
+// six below the four objects per interval plus one per notice a grant's
+// two sample intervals decoded into before the batch.
 func TestHotFrameWireAllocs(t *testing.T) {
 	want := map[string][]float64{
 		"pageResp":      {2},
 		"diffResp":      {5},
 		"spanFetchResp": {3, 11},
-		"acqGrant":      {12, 2, 12, 16, 15, 16},
+		"acqGrant":      {6, 2, 6, 10, 9, 10},
 	}
 	samples := msgSamples()
 	for _, name := range hotFrames {

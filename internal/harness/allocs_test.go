@@ -26,6 +26,9 @@ func TestSimAllocPins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick matrix")
 	}
+	if checkedBuild {
+		t.Skip("a checked build allocates for its checks")
+	}
 	m := quickMatrix()
 	var b strings.Builder
 	b.WriteString("# app protocol mallocs bytes\n")
@@ -66,6 +69,9 @@ func TestSimAllocPins(t *testing.T) {
 		}
 	}
 }
+
+// checkedBuild is set in builds with -tags adsmcheck.
+var checkedBuild bool
 
 // allocPinSlack is the relative change a cell's counts may show before
 // the pin fails.
