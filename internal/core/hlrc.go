@@ -254,10 +254,22 @@ func (hlrcPolicy) GCEligible() bool { return false }
 // on HLRC pages. The per-page pruning must not touch pages under other
 // protocols: the diff-based merge replays from knownWNs at installPage
 // time. The cut stops at the oldest row any page still names (cutLogs).
+//
+// An HLRC page's last own write at or below the global vector is let go
+// too. Under HLRC it only tells ingestWN whether a foreign notice is
+// concurrent with it, and none can be: every notice ingested from now on
+// is of an interval closed after this barrier, whose clock dominates the
+// global vector and so this write's. Held, it would pin the node's own log
+// from the oldest page it ever wrote (HLRC pages do not leave HLRC, and
+// no collection clears them).
 func (hlrcPolicy) OnBarrierRelease(n *Node, self Protocol) {
 	for _, ps := range n.pages {
-		if ps.proto == self {
-			ps.knownWNs = slices.DeleteFunc(ps.knownWNs, func(r wnRef) bool { return r.ts <= n.lastGlobal[r.proc] })
+		if ps.proto != self {
+			continue
+		}
+		ps.knownWNs = slices.DeleteFunc(ps.knownWNs, func(r wnRef) bool { return r.ts <= n.lastGlobal[r.proc] })
+		if ps.myLastWN.ts <= n.lastGlobal[n.id] {
+			ps.myLastWN = wnRef{}
 		}
 	}
 	n.cutLogs(n.lastGlobal)

@@ -453,14 +453,6 @@ func (n *Node) orderWNs(wns []wnRef) []wnRef {
 // notices; HLRC's barrier release cuts at the global knowledge vector
 // (intervalsSince never ships a row at or below it again). Process
 // context, at a barrier.
-//
-// One ref is let go instead of held: an HLRC page's last own write at or
-// below the limit. Under HLRC it only tells ingestWN whether a foreign
-// notice is concurrent with it, and none can be: every notice ingested
-// from now on is of an interval closed after this barrier, whose clock
-// dominates the global vector and so this write's. Held, it would pin the
-// node's own log from the oldest page it ever wrote (HLRC pages do not
-// leave HLRC, and no collection clears them).
 func (n *Node) cutLogs(limit []int32) {
 	upto := n.cutScratch
 	copy(upto, limit)
@@ -470,9 +462,6 @@ func (n *Node) cutLogs(limit []int32) {
 		}
 	}
 	for _, ps := range n.pages {
-		if ps.proto == HLRC && ps.myLastWN.ok() && ps.myLastWN.ts <= limit[n.id] {
-			ps.myLastWN = wnRef{}
-		}
 		for _, r := range ps.pending {
 			hold(r)
 		}
