@@ -154,3 +154,79 @@ func TestIntervalsSinceMatchesLinearFilter(t *testing.T) {
 		})
 	}
 }
+
+// hasPointers reports whether a value of type t holds a pointer the
+// garbage collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.String:
+		return true
+	}
+	return false
+}
+
+// TestLogRowsHoldNoPointers: the interval and notice rows, the refs pages
+// hold and a message's interval heads are plain data, so the logs' slabs
+// and the pages' ref lists cost the garbage collector no scan, and the
+// decoder no object per interval.
+func TestLogRowsHoldNoPointers(t *testing.T) {
+	for _, v := range []any{ivRow{}, wnRow{}, wnRef{}, ivHead{}, wnKey{}} {
+		if typ := reflect.TypeOf(v); hasPointers(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
+	}
+	// The logs and batches are slabs of those rows and of int32 clocks.
+	for _, typ := range []reflect.Type{reflect.TypeOf(writerLog{}), reflect.TypeOf(ivBatch{})} {
+		for i := range typ.NumField() {
+			if f := typ.Field(i); f.Type.Kind() == reflect.Slice && hasPointers(f.Type.Elem()) {
+				t.Errorf("%v.%s is a slab of %v, which holds pointers", typ, f.Name, f.Type.Elem())
+			}
+		}
+	}
+}
+
+// TestSimNodesShareNoLogs: on the simulator a message reaches its
+// receiver as the sender's value, and the intervals it carries are copied
+// into the receiver's logs: after a run no two nodes' logs share a slab.
+func TestSimNodesShareNoLogs(t *testing.T) {
+	const procs = 3
+	c := New(testParams(procs, MW))
+	base := c.AllocPageAligned(procs * mem.PageSize)
+	mustRun(t, c, func(n *Node) {
+		for r := 0; r < 4; r++ {
+			n.Acquire(0)
+			n.WriteU64(base+8*n.ID(), uint64(r))
+			n.Release(0)
+			n.WriteU64(base+(1+n.ID()%2)*mem.PageSize+8*n.ID(), uint64(r))
+		}
+		n.Barrier()
+	})
+	owner := make(map[*ivRow]int)
+	held := 0
+	for _, n := range c.nodes {
+		for p := range n.logs {
+			lg := &n.logs[p]
+			if len(lg.rows) == 0 {
+				continue
+			}
+			held++
+			if other, ok := owner[&lg.rows[:1][0]]; ok {
+				t.Errorf("nodes %d and %d share writer %d's log", other, n.id, p)
+			}
+			owner[&lg.rows[:1][0]] = n.id
+		}
+	}
+	if held < procs {
+		t.Fatalf("only %d non-empty logs after the run", held)
+	}
+}
