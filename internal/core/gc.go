@@ -95,8 +95,7 @@ func (n *Node) runGC(hints []gcHint) {
 	// this knowledge in phase 2, once the twins' undiffed notices are
 	// gone too. Whatever a peer's next barrier arrival brings meanwhile
 	// stays above the cut.
-	gcKnown := n.cutScratch
-	copy(gcKnown, n.knownTS)
+	copy(n.gcKnown, n.knownTS)
 
 	// Mini-barrier: every diff anyone still needs has now been fetched.
 	if n.c.params.Procs > 1 {
@@ -128,7 +127,7 @@ func (n *Node) runGC(hints []gcHint) {
 	}
 
 	// What an uncollected page (HLRC's) still names stays (cutLogs).
-	n.cutLogs(gcKnown)
+	n.cutLogs(n.gcKnown)
 
 	// Drop all diffs.
 	n.diffCache = make(map[wnKey]*mem.Diff)

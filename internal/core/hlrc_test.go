@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"adsm/internal/mem"
@@ -196,6 +197,15 @@ func TestHLRCHomeSelfWriteApplied(t *testing.T) {
 	const procs = 4
 	c := New(testParams(procs, HLRC))
 	base := c.AllocPageAligned(procs * mem.PageSize)
+	// lastVC[p] is the clock of home p's last write notice on its page,
+	// copied before the barrier: HLRC's barrier release clears the ref.
+	lastVC := make([]vc.VC, procs)
+	dominates := func(n *Node, when string) {
+		if ps := n.pages[base/mem.PageSize+n.ID()]; !lastVC[n.ID()].Leq(ps.applied) {
+			t.Errorf("%s: home %d applied %v does not dominate its own write notice %v",
+				when, n.ID(), ps.applied, lastVC[n.ID()])
+		}
+	}
 	mustRun(t, c, func(n *Node) {
 		// Every node writes exactly the page it is the static home of, for
 		// several rounds; everyone then reads every page, so each fetch
@@ -203,14 +213,14 @@ func TestHLRCHomeSelfWriteApplied(t *testing.T) {
 		for r := 1; r <= 4; r++ {
 			n.WriteU64(base+n.ID()*mem.PageSize, uint64(r*100+n.ID()))
 			// The barrier closes the interval first anyway; closed here,
-			// its notice can be checked before the barrier cuts the log.
+			// its notice's clock can be copied before the barrier drops
+			// the ref.
 			n.closeInterval()
 			ps := n.pages[base/mem.PageSize+n.ID()]
 			if !ps.myLastWN.ok() {
 				t.Errorf("home %d never wrote page %d", n.ID(), n.ID())
-			} else if mine := n.ivc(ps.myLastWN); !mine.Leq(ps.applied) {
-				t.Errorf("home %d applied %v does not dominate its own write notice %v",
-					n.ID(), ps.applied, mine)
+			} else {
+				lastVC[n.ID()] = n.ivc(ps.myLastWN).Copy()
 			}
 			n.Barrier()
 			for p := 0; p < procs; p++ {
@@ -219,9 +229,16 @@ func TestHLRCHomeSelfWriteApplied(t *testing.T) {
 						r, n.ID(), p, got, r*100+p)
 				}
 			}
+			dominates(n, fmt.Sprintf("round %d, after the reads", r))
 			n.Barrier()
 		}
 	})
+	for _, n := range c.nodes {
+		if home := c.nodes[0].homes[base/mem.PageSize+n.ID()]; int(home) != n.ID() {
+			t.Fatalf("page %d's home is %d, not its writer %d", base/mem.PageSize+n.ID(), home, n.ID())
+		}
+		dominates(n, "after the run")
+	}
 }
 
 // TestHLRCFalseSharingFlush: concurrent writers of one page flush disjoint

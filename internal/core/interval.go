@@ -220,27 +220,25 @@ func (n *Node) closeInterval() {
 	if len(n.dirty) == 0 {
 		return
 	}
-	lg := &n.logs[n.id]
-	lg.grow(1, len(n.vclock), len(n.dirty))
 	ts := n.vclock[n.id] + 1
-	w0 := len(lg.wns)
+	wns := n.wnScratch[:0]
 	ivc := n.ivcScratch
 	copy(ivc, n.vclock)
 	ivc[n.id] = ts
 	for _, pg := range n.dirty {
 		ps := n.pages[pg]
-		ref := wnRef{proc: int32(n.id), ts: ts, idx: int32(len(lg.wns) - w0)}
+		ref := wnRef{proc: int32(n.id), ts: ts, idx: int32(len(wns))}
 		switch {
 		case ps.wroteSW:
 			// Owner write notice: carries the version number. The page
 			// stays writable (the owner needs no write detection beyond
 			// the wroteSW flag).
-			lg.wns = append(lg.wns, ownerRow(pg, ps.version))
+			wns = append(wns, ownerRow(pg, ps.version))
 			ps.wroteSW = false
 		case ps.dirtyMW:
 			// Non-owner write notice: the twin is kept and the diff is
 			// created lazily on first request (TreadMarks).
-			lg.wns = append(lg.wns, wnRow{page: int32(pg)})
+			wns = append(wns, wnRow{page: int32(pg)})
 			ps.undiffed = ref
 			ps.dirtyMW = false
 			ps.protect() // the next interval's writes fault again
@@ -263,20 +261,20 @@ func (n *Node) closeInterval() {
 		}
 	}
 	n.dirty = n.dirty[:0]
+	n.wnScratch = wns
 
-	if len(lg.wns) == w0 {
+	if len(wns) == 0 {
 		return
 	}
-	// The notices are in the log already; the row joins them, so the
-	// pages' refs resolve from here on. Release-time policy work (e.g.
-	// HLRC's eager diff flush) runs BEFORE the interval is published by
-	// knownTS: while the policy blocks on its RPCs, this node can serve
-	// lock grants in handler context, and a grant must not piggyback write
-	// notices whose diffs have not reached their homes yet. A grant served
-	// during the flush only needs intervals up to its release snapshot,
-	// and intervalsSince stops at knownTS, so it withholds this one.
-	lg.rows = append(lg.rows, ivRow{ts: ts, vc: int32(len(lg.vcs)), wn: int32(w0), nwn: int32(len(lg.wns) - w0)})
-	lg.vcs = append(lg.vcs, ivc...)
+	// The interval joins the log now, so the pages' refs resolve from
+	// here on. Release-time policy work (e.g. HLRC's eager diff flush)
+	// runs BEFORE the interval is published by knownTS: while the policy
+	// blocks on its RPCs, this node can serve lock grants in handler
+	// context, and a grant must not piggyback write notices whose diffs
+	// have not reached their homes yet. A grant served during the flush
+	// only needs intervals up to its release snapshot, and intervalsSince
+	// stops at knownTS, so it withholds this one.
+	n.logs[n.id].push(ts, ivc, wns)
 	n.dispatchIntervalClose(ts)
 	n.vclock[n.id] = ts
 	n.knownTS[n.id] = ts

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"adsm/internal/mem"
@@ -229,4 +230,61 @@ func TestSimNodesShareNoLogs(t *testing.T) {
 	if held < procs {
 		t.Fatalf("only %d non-empty logs after the run", held)
 	}
+}
+
+// TestGCCutsAtItsSnapshot: garbage collection cuts the logs in its drop
+// phase at the knowledge it snapshot before the mini-barrier, whose
+// release also runs HLRC's own cut. With HLRC pages beside collected MW
+// pages (adaptive), every log a collection leaves must start at a row
+// some page still names: a log held lower, e.g. by the twins the drop
+// phase discards, was cut at other limits than the snapshot.
+func TestGCCutsAtItsSnapshot(t *testing.T) {
+	const procs, rounds = 4, 8
+	p := testParams(procs, Adaptive)
+	p.Cost = CostProfile{HLRCWriters: 3}
+	p.DiffSpaceLimit = 2 * 1024
+	c := New(p)
+	base := c.AllocPageAligned(2 * mem.PageSize)
+	checked := 0 // collections checked with an HLRC page present (sim: one body runs at a time)
+	mustRun(t, c, func(n *Node) {
+		for r := 1; r <= rounds; r++ {
+			// Page 0 has three writers an epoch: it moves to HLRC. Page 1
+			// has two, which write it concurrently: it stays MW, with a
+			// twin per writer when the collection comes.
+			if n.ID() < 3 {
+				n.WriteU64(base+8*n.ID(), uint64(r))
+			}
+			if n.ID() == 1 || n.ID() == 2 {
+				n.WriteU64(base+mem.PageSize+8*n.ID(), uint64(r))
+			}
+			gcs := c.GCRuns()
+			n.Barrier()
+			if n.ID() == 0 || c.GCRuns() == gcs || n.pages[0].proto != HLRC {
+				continue
+			}
+			checked++
+			for w := range n.logs {
+				lg := &n.logs[w]
+				if len(lg.rows) > 0 && !pageNames(n, wnRef{proc: int32(w), ts: lg.base}) {
+					t.Errorf("round %d: node %d keeps log %d from %d to %d after a collection; no page names %d",
+						r, n.ID(), w, lg.base, lg.end(), lg.base)
+				}
+			}
+		}
+	})
+	if checked == 0 {
+		t.Fatal("no collection ran with an HLRC page present")
+	}
+}
+
+// pageNames reports whether some page of n holds a ref into the interval
+// r names (its index is ignored).
+func pageNames(n *Node, r wnRef) bool {
+	in := func(o wnRef) bool { return o.proc == r.proc && o.ts == r.ts }
+	for _, ps := range n.pages {
+		if in(ps.undiffed) || in(ps.myLastWN) || slices.ContainsFunc(ps.pending, in) || slices.ContainsFunc(ps.knownWNs, in) {
+			return true
+		}
+	}
+	return false
 }

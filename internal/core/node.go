@@ -90,9 +90,12 @@ type Node struct {
 	knownTS []int32
 	// logs[p] holds proc p's intervals known to this node (interval.go).
 	logs []writerLog
-	// Scratch vectors: the interval closeInterval builds and the limits
-	// cutLogs computes.
-	ivcScratch, cutScratch []int32
+	// Scratch vectors: the interval closeInterval builds, the limits
+	// cutLogs computes and garbage collection's snapshot of knownTS, which
+	// must outlive the mini-barrier's release hooks (HLRC's cuts too).
+	ivcScratch, cutScratch, gcKnown []int32
+	// wnScratch collects the notices of the interval closeInterval builds.
+	wnScratch []wnRow
 	// wants groups fetchDiffs' requests per writer; reset on every call.
 	wants [][]wnKey
 
@@ -221,9 +224,10 @@ func newNode(c *Cluster, id int) *Node {
 		lastGlobal: make([]int32, c.params.Procs),
 	}
 	procs := c.params.Procs
-	known := make([]int32, (procs+2)*procs) // peerKnown's rows, then the two scratch vectors
+	known := make([]int32, (procs+3)*procs) // peerKnown's rows, then the three scratch vectors
 	n.ivcScratch = known[procs*procs : (procs+1)*procs : (procs+1)*procs]
-	n.cutScratch = known[(procs+1)*procs:]
+	n.cutScratch = known[(procs+1)*procs : (procs+2)*procs : (procs+2)*procs]
+	n.gcKnown = known[(procs+2)*procs:]
 	for p := range n.peerKnown {
 		n.peerKnown[p] = known[p*procs : (p+1)*procs : (p+1)*procs]
 		n.logs[p].base = 1

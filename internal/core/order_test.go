@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,6 +126,10 @@ func TestQuickDominatingWN(t *testing.T) {
 				}
 			}
 			return true
+		}
+		// dom is one of the notices' clocks, not a join of several.
+		if !slices.ContainsFunc(wns, func(o wnRef) bool { return n.ivc(o).Equal(dom) }) {
+			return false
 		}
 		for _, o := range wns {
 			if !n.ivc(o).Leq(dom) {
