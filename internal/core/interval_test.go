@@ -233,47 +233,62 @@ func TestSimNodesShareNoLogs(t *testing.T) {
 }
 
 // TestGCCutsAtItsSnapshot: garbage collection cuts the logs in its drop
-// phase at the knowledge it snapshot before the mini-barrier, whose
-// release also runs HLRC's own cut. With HLRC pages beside collected MW
-// pages (adaptive), every log a collection leaves must start at a row
-// some page still names: a log held lower, e.g. by the twins the drop
-// phase discards, was cut at other limits than the snapshot.
+// phase at the knowledge it took before the mini-barrier, so every log a
+// collection leaves starts at a row some page still names. Under MW that
+// cut is the only one. Under adaptive, with HLRC pages beside the
+// collected ones, the mini-barrier's release runs HLRC's own cut too, and
+// the drop phase must still cut at its own snapshot.
 func TestGCCutsAtItsSnapshot(t *testing.T) {
-	const procs, rounds = 4, 8
-	p := testParams(procs, Adaptive)
-	p.Cost = CostProfile{HLRCWriters: 3}
-	p.DiffSpaceLimit = 2 * 1024
-	c := New(p)
-	base := c.AllocPageAligned(2 * mem.PageSize)
-	checked := 0 // collections checked with an HLRC page present (sim: one body runs at a time)
-	mustRun(t, c, func(n *Node) {
-		for r := 1; r <= rounds; r++ {
-			// Page 0 has three writers an epoch: it moves to HLRC. Page 1
-			// has two, which write it concurrently: it stays MW, with a
-			// twin per writer when the collection comes.
-			if n.ID() < 3 {
-				n.WriteU64(base+8*n.ID(), uint64(r))
-			}
-			if n.ID() == 1 || n.ID() == 2 {
-				n.WriteU64(base+mem.PageSize+8*n.ID(), uint64(r))
-			}
-			gcs := c.GCRuns()
-			n.Barrier()
-			if n.ID() == 0 || c.GCRuns() == gcs || n.pages[0].proto != HLRC {
-				continue
-			}
-			checked++
-			for w := range n.logs {
-				lg := &n.logs[w]
-				if len(lg.rows) > 0 && !pageNames(n, wnRef{proc: int32(w), ts: lg.base}) {
-					t.Errorf("round %d: node %d keeps log %d from %d to %d after a collection; no page names %d",
-						r, n.ID(), w, lg.base, lg.end(), lg.base)
+	for _, tc := range []struct {
+		proto Protocol
+		hlrc  bool // page 0 is an HLRC page when the collections run
+	}{{MW, false}, {Adaptive, true}} {
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			const procs, rounds = 4, 8
+			p := testParams(procs, tc.proto)
+			p.Cost = CostProfile{HLRCWriters: 3}
+			p.DiffSpaceLimit = 2 * 1024
+			c := New(p)
+			base := c.AllocPageAligned(3 * mem.PageSize)
+			checked := 0 // collections checked (sim: one body runs at a time)
+			mustRun(t, c, func(n *Node) {
+				for r := 1; r <= rounds; r++ {
+					// Page 0 has three writers an epoch: under adaptive it
+					// moves to HLRC. Page 1 has two, which write it
+					// concurrently: it stays MW. Page 2 has one, whose
+					// twin no validation diffs under MW: the drop phase
+					// discards it, and only then may its interval go.
+					if n.ID() < 3 {
+						n.WriteU64(base+8*n.ID(), uint64(r))
+					}
+					if n.ID() == 1 || n.ID() == 2 {
+						n.WriteU64(base+mem.PageSize+8*n.ID(), uint64(r))
+					}
+					if n.ID() == 3 {
+						n.WriteU64(base+2*mem.PageSize, uint64(r))
+					}
+					gcs := c.GCRuns()
+					n.Barrier()
+					// Node 0, the barrier manager, may ingest a peer's next
+					// arrival before its drop phase: its logs can hold rows
+					// above the snapshot that no page names yet.
+					if n.ID() == 0 || c.GCRuns() == gcs || (n.pages[0].proto == HLRC) != tc.hlrc {
+						continue
+					}
+					checked++
+					for w := range n.logs {
+						lg := &n.logs[w]
+						if len(lg.rows) > 0 && !pageNames(n, wnRef{proc: int32(w), ts: lg.base}) {
+							t.Errorf("round %d: node %d keeps log %d from %d to %d after a collection; no page names %d",
+								r, n.ID(), w, lg.base, lg.end(), lg.base)
+						}
+					}
 				}
+			})
+			if checked == 0 {
+				t.Fatal("no collection was checked")
 			}
-		}
-	})
-	if checked == 0 {
-		t.Fatal("no collection ran with an HLRC page present")
+		})
 	}
 }
 
